@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (missing or
 malformed files, degenerate instances).  The PTRACK_TIME_BUDGET_S environment
-variable, when set, caps the time of each solver probe; results computed
-under a hit budget are reported as lower bounds.
+variable, when set, caps the time of each ratio search (one per `link` or
+`mine` call), summed over its probes; results computed under a hit budget
+are reported as lower bounds.
 """
 from __future__ import annotations
 

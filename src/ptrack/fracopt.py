@@ -7,10 +7,20 @@ sum((numer - alpha * denom) * x) >= 0 subject to the constraints?  The answer
 is monotone in alpha whenever the denominator stays non-negative, so a
 bisection over alpha brackets the optimum to any fixed precision.
 
-Feasibility itself is decided exactly by depth-first search with unit
+Feasibility itself is decided exactly by depth-first search with bound
 propagation and an optimistic bound on the parametric sum.  Instances here
 are small and highly structured (selection rows and flow conservation), which
 the propagation exploits; there is no approximation anywhere.
+
+Propagation is slack-gated.  Each row keeps the range its activity can still
+reach; fixing one more variable shifts that range by the variable's
+|coefficient|, so a row can force a variable only when that |coefficient|
+exceeds the row's slack.  A row whose largest |coefficient| fits in its slack
+is skipped without looking at its variables, which makes the dense rows (the
+total-score floor, the entry/exit balance) cost next to nothing until they
+are nearly tight.  The forced variables are exactly those of a full scan.
+The alpha-independent row index is built once per model and shared by every
+probe.
 """
 from __future__ import annotations
 
@@ -73,6 +83,10 @@ class SolverModel:
     def _denom_arr(self) -> np.ndarray:
         return np.asarray(self.denom)
 
+    @cached_property
+    def _rows(self) -> _RowIndex:
+        return _RowIndex(self)
+
     def ratio_of(self, assignment: tuple[int, ...]) -> float | None:
         """Achieved ratio of an assignment, or None if its denominator is not positive."""
         x = np.asarray(assignment)
@@ -118,8 +132,9 @@ class RatioSearchResult:
 
     `alpha` is the certified lower bound reached by the search grid;
     `achieved` is the exact ratio of the returned witness (None when its
-    denominator is not positive).  When a probe hits its time budget it is
-    treated as infeasible and the result is flagged as a lower bound only.
+    denominator is not positive).  When the search's time budget runs out
+    before a probe is decided, that probe is treated as infeasible and the
+    result is flagged as a lower bound only.
     """
 
     alpha: float
@@ -130,6 +145,57 @@ class RatioSearchResult:
 
 class _Timeout(Exception):
     pass
+
+
+class _RowIndex:
+    """The part of a search that does not depend on alpha, built once per model.
+
+    Per row: variables, coefficients, sense, right-hand side, tolerance, the
+    largest |coefficient|, and the sums of its positive and of its negative
+    coefficients.  Per variable: the rows it appears in.  Plus the selection
+    groups that sharpen the optimistic bound.  Probes share it read-only.
+    """
+
+    def __init__(self, model: SolverModel):
+        cons = model.constraints
+        self.vars = [list(c.vars) for c in cons]
+        self.coeffs = [list(c.coeffs) for c in cons]
+        self.sense = [c.sense for c in cons]
+        self.rhs = [c.rhs for c in cons]
+        self.tol = [1e-9 * (1.0 + abs(c.rhs) + sum(abs(q) for q in c.coeffs)) for c in cons]
+        self.max_abs = [max((abs(q) for q in c.coeffs), default=0.0) for c in cons]
+        self.pos = [sum(max(q, 0.0) for q in c.coeffs) for c in cons]
+        self.neg = [sum(min(q, 0.0) for q in c.coeffs) for c in cons]
+        n = model.num_vars
+        self.var_cons: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for ci, c in enumerate(cons):
+            for v, q in zip(c.vars, c.coeffs):
+                self.var_cons[v].append((ci, q))
+
+        # Selection rows (sum of a group == 1, unit coefficients) sharpen the
+        # optimistic bound: a group contributes at most its best unfixed gain.
+        group_of = [-1] * n
+        g = 0
+        for c in cons:
+            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
+                claimed = False
+                for v in c.vars:
+                    if group_of[v] == -1:
+                        group_of[v] = g
+                        claimed = True
+                if claimed:
+                    g += 1
+        for v in range(n):
+            if group_of[v] == -1:
+                group_of[v] = g
+                g += 1
+        order = sorted(range(n), key=lambda v: (group_of[v], v))
+        self.group_order = np.asarray(order)
+        starts = [0]
+        for k in range(1, n):
+            if group_of[order[k]] != group_of[order[k - 1]]:
+                starts.append(k)
+        self.group_starts = np.asarray(starts)
 
 
 class _Search:
@@ -144,53 +210,27 @@ class _Search:
         self.w = w
         self.w_tol = 1e-9 * (1.0 + sum(abs(x) for x in w))
 
-        self.con_vars = [list(c.vars) for c in model.constraints]
-        self.con_coeffs = [list(c.coeffs) for c in model.constraints]
-        self.con_sense = [c.sense for c in model.constraints]
-        self.con_rhs = [c.rhs for c in model.constraints]
-        self.con_tol = [
-            1e-9 * (1.0 + abs(c.rhs) + sum(abs(q) for q in c.coeffs)) for c in model.constraints
-        ]
-        self.var_cons: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for ci, c in enumerate(model.constraints):
-            for v, q in zip(c.vars, c.coeffs):
-                self.var_cons[v].append((ci, q))
+        rows = model._rows
+        self.con_vars = rows.vars
+        self.con_coeffs = rows.coeffs
+        self.con_sense = rows.sense
+        self.con_rhs = rows.rhs
+        self.con_tol = rows.tol
+        self.con_max_abs = rows.max_abs
+        self.var_cons = rows.var_cons
 
-        self.fixed_sum = [0.0] * len(model.constraints)
-        self.pos_un = [sum(max(q, 0.0) for q in c.coeffs) for c in model.constraints]
-        self.neg_un = [sum(min(q, 0.0) for q in c.coeffs) for c in model.constraints]
+        self.fixed_sum = [0.0] * len(rows.rhs)
+        self.pos_un = list(rows.pos)
+        self.neg_un = list(rows.neg)
 
         self.value = [-1] * n
         self.fixed_w = 0.0
         self.pos_un_w = sum(max(x, 0.0) for x in w)
 
-        # Selection rows (sum of a group == 1, unit coefficients) sharpen the
-        # optimistic bound: a group contributes at most its best unfixed gain.
-        group_of = [-1] * n
-        g = 0
-        for ci, c in enumerate(model.constraints):
-            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
-                claimed = False
-                for v in c.vars:
-                    if group_of[v] == -1:
-                        group_of[v] = g
-                        claimed = True
-                if claimed:
-                    g += 1
-        for v in range(n):
-            if group_of[v] == -1:
-                group_of[v] = g
-                g += 1
-
-        order = sorted(range(n), key=lambda v: (group_of[v], v))
-        self._bound_order = np.asarray(order)
-        self._bound_w = np.asarray([w[v] for v in order])
-        starts = [0]
-        for k in range(1, n):
-            if group_of[order[k]] != group_of[order[k - 1]]:
-                starts.append(k)
-        self._group_starts = np.asarray(starts)
-        self._grouped = len(starts) < n
+        self._bound_order = rows.group_order
+        self._bound_w = np.asarray(w)[rows.group_order]
+        self._group_starts = rows.group_starts
+        self._grouped = len(rows.group_starts) < n
         self._unfixed_mask = np.ones(n, dtype=bool)
 
         self.branch_order = sorted(range(n), key=lambda v: (-abs(w[v]), v))
@@ -239,6 +279,17 @@ class _Search:
             return False
         if sense != "<=" and fixed + self.pos_un[ci] < rhs - tol:
             return False
+        # Fixing an unfixed variable moves the row's activity range by |q|,
+        # so nothing is forced while every |q| fits in the slack.  The margin
+        # of tol leaves float-boundary cases to the scan below.
+        if sense == "<=":
+            slack = rhs + tol - (fixed + self.neg_un[ci])
+        elif sense == ">=":
+            slack = fixed + self.pos_un[ci] - (rhs - tol)
+        else:
+            slack = min(rhs + tol - (fixed + self.neg_un[ci]), fixed + self.pos_un[ci] - (rhs - tol))
+        if self.con_max_abs[ci] + tol <= slack:
+            return True
         for u, q in zip(self.con_vars[ci], self.con_coeffs[ci]):
             if self.value[u] != -1:
                 continue
@@ -364,9 +415,22 @@ def maximize_ratio(
     best witness seen; each infeasible (or timed-out) probe lowers the upper
     bracket.  After `iters` halvings the certified bound is within
     (hi - lo) * 2**-iters of the true optimum.
+
+    `time_budget` bounds the whole search: each probe gets the time that is
+    left, and a probe with no time left counts as timed out.
     """
     cfg = search or RatioSearchConfig()
-    first = feasible(model, cfg.lo, time_budget)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+
+    def probe(alpha: float) -> FeasibilityResult:
+        if deadline is None:
+            return feasible(model, alpha)
+        left = deadline - time.monotonic()
+        if left <= 0.0:
+            return FeasibilityResult(None, timed_out=True)
+        return feasible(model, alpha, left)
+
+    first = probe(cfg.lo)
     if first.assignment is None:
         detail = "probe timed out" if first.timed_out else "no feasible assignment"
         raise ValueError(f"no feasible solution at ratio bound {cfg.lo}: {detail}")
@@ -379,14 +443,14 @@ def maximize_ratio(
         if model.certifies(witness, mid):
             lo = mid
             continue
-        probe = feasible(model, mid, time_budget)
-        if probe.assignment is not None:
+        result = probe(mid)
+        if result.assignment is not None:
             lo = mid
-            ratio = model.ratio_of(probe.assignment)
+            ratio = model.ratio_of(result.assignment)
             if achieved is None or (ratio is not None and ratio > achieved):
-                witness, achieved = probe.assignment, ratio
+                witness, achieved = result.assignment, ratio
         else:
             hi = mid
-            if probe.timed_out:
+            if result.timed_out:
                 lb_only = True
     return RatioSearchResult(alpha=lo, witness=witness, achieved=achieved, lower_bound_only=lb_only)

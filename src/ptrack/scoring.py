@@ -63,13 +63,24 @@ def project_to_centerline(point: tuple[float, float], pattern: Pattern) -> Proje
 
 
 class PatternScorer:
-    """Scores graph edges against one pattern, caching centerline projections."""
+    """Scores graph edges against one pattern, caching centerline projections.
 
-    def __init__(self, graph: DetectionGraph, pattern: Pattern, cfg: Config):
+    Projections depend on the centerline only, so scorers of patterns that
+    share a centerline may share one `projections` cache (detection id to
+    projection).
+    """
+
+    def __init__(
+        self,
+        graph: DetectionGraph,
+        pattern: Pattern,
+        cfg: Config,
+        projections: dict[int, Projection] | None = None,
+    ):
         self.graph = graph
         self.pattern = pattern
         self.cfg = cfg
-        self._projections: dict[int, Projection] = {}
+        self._projections = {} if projections is None else projections
 
     def projection(self, det_id: int) -> Projection:
         proj = self._projections.get(det_id)
@@ -156,15 +167,21 @@ def edge_score(
 
 
 def trajectory_score(
-    graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config
+    graph: DetectionGraph,
+    traj: Trajectory,
+    pattern: Pattern,
+    cfg: Config,
+    projections: dict[int, Projection] | None = None,
 ) -> ScorePair:
     """Sum edge scores along a trajectory, including its entry and exit edges.
 
     The trajectory's own boundary flags decide whether the entry and exit
     are free, so scores stay consistent when trajectories are re-evaluated
-    against batches they were not extracted from.
+    against batches they were not extracted from.  `projections` is an
+    optional cache shared with other calls on the same centerline (see
+    `PatternScorer`).
     """
-    scorer = PatternScorer(graph, pattern, cfg)
+    scorer = PatternScorer(graph, pattern, cfg, projections)
     entry = scorer.entry_edge(traj.nodes[0], traj.starts_at_batch_begin)
     leave = scorer.exit_edge(traj.nodes[-1], traj.ends_at_batch_end)
     total = entry.total + leave.total

@@ -129,6 +129,126 @@ class TestFeasibility:
                     assert satisfies(row, got.assignment)
 
 
+class _FullScanSearch(fracopt._Search):
+    """Reference propagation: scans every unfixed variable of a touched row."""
+
+    def _check_constraint(self, ci, pending):
+        sense = self.con_sense[ci]
+        rhs = self.con_rhs[ci]
+        tol = self.con_tol[ci]
+        fixed = self.fixed_sum[ci]
+        if sense != ">=" and fixed + self.neg_un[ci] > rhs + tol:
+            return False
+        if sense != "<=" and fixed + self.pos_un[ci] < rhs - tol:
+            return False
+        for u, q in zip(self.con_vars[ci], self.con_coeffs[ci]):
+            if self.value[u] != -1:
+                continue
+            lo_rest = self.neg_un[ci] - min(q, 0.0)
+            hi_rest = self.pos_un[ci] - max(q, 0.0)
+            can_zero = True
+            can_one = True
+            if sense != ">=":
+                if fixed + q + lo_rest > rhs + tol:
+                    can_one = False
+                if fixed + lo_rest > rhs + tol:
+                    can_zero = False
+            if sense != "<=":
+                if fixed + q + hi_rest < rhs - tol:
+                    can_one = False
+                if fixed + hi_rest < rhs - tol:
+                    can_zero = False
+            if not can_zero and not can_one:
+                return False
+            if not can_zero:
+                pending.append((u, 1))
+            elif not can_one:
+                pending.append((u, 0))
+        return True
+
+
+def assert_same_search(model, alpha):
+    """The slack-gated probe decides like the full scan, in the same number of nodes."""
+    gated = fracopt._Search(model, alpha, None)
+    full = _FullScanSearch(model, alpha, None)
+    assert gated.run() == full.run(), (model, alpha)
+    assert gated.nodes == full.nodes, (model, alpha)
+    return gated.nodes
+
+
+class TestSlackGate:
+    def test_random_dense_mixed_sign_models_match_full_scan(self):
+        # Coefficients and right-hand sides are multiples of 1/4, so row sums
+        # are exact and slacks often equal a coefficient exactly; right-hand
+        # sides are sums of coefficient subsets, so rows are often tight.
+        rng = np.random.default_rng(7)
+        senses = ("<=", "==", ">=")
+        for _ in range(250):
+            nv = int(rng.integers(3, 11))
+            numer = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
+            denom = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
+            rows = []
+            for _ in range(int(rng.integers(1, 6))):
+                size = int(rng.integers(max(2, nv // 2), nv + 1))
+                vars_ = [int(v) for v in rng.choice(nv, size=size, replace=False)]
+                coeffs = [float(rng.choice([-1, 1]) * rng.integers(1, 9)) / 4.0 for _ in vars_]
+                subset = rng.random(size) < 0.5
+                rhs = float(np.asarray(coeffs)[subset].sum()) + float(rng.integers(-1, 2)) / 4.0
+                rows.append(con(vars_, coeffs, senses[int(rng.integers(3))], rhs))
+            m = SolverModel(nv, tuple(rows), numer, denom)
+            for alpha in (-0.5, 0.0, 0.5):
+                assert_same_search(m, alpha)
+
+    def test_slack_equal_to_a_coefficient(self):
+        # x0 + 2 x1 + x2 <= 2: nothing fixed leaves slack 2 (+tol), which the
+        # gate skips; x0 = 1 leaves slack 1 < 2, so x1 must be forced to 0.
+        rows = (con([0, 1, 2], [1.0, 2.0, 1.0], "<=", 2.0), con([0, 1, 2], [1.0, -2.0, 1.0], ">=", -2.0))
+        m = SolverModel(3, rows, (1.0, 1.5, 0.25), (1.0, 1.0, 1.0))
+        for alpha in (0.0, 0.4, 0.6, 0.9):
+            assert_same_search(m, alpha)
+
+    def test_coefficient_above_slack_by_less_than_tolerance(self):
+        # 0.5 x2 + b x1 <= 1.5 with b = 1 + 7.5e-9: once x2 = 1 the slack is
+        # 1 + tol (tol = 5e-9 here), just under b, so x1 is forced to 0 by the
+        # scan; the gate must leave that float-boundary case to it.
+        row = con([2, 1], [0.5, 1.0 + 7.5e-9], "<=", 1.5)
+        m = SolverModel(3, (row,), (0.1, 0.5, 1.0), (1.0, 1.0, 1.0))
+        assert assert_same_search(m, 0.0) == 3
+
+    def test_noisy_link_model_matches_full_scan(self, monkeypatch):
+        from ptrack import EMPTY_PATTERN, Config, Pattern, build_graph
+        from ptrack.linker import build_link_model, ratio_bounds
+        from ptrack.synth import Fragment, Swap, corrupt, generate_scene
+
+        corridors = (
+            Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+            Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+        )
+        scene = generate_scene(
+            corridors, ((0, 1), (1, 2), (0, 3)), speed=2.0**0.5,
+            lateral_sigma=0.3, speed_jitter=0.2, seed=1,
+        )
+        broken = corrupt(scene.track_lists(), [Swap(0, 1, frame=8), Fragment(2, frame=9)])
+        cfg = Config()
+        graph = build_graph(broken, cfg, scene.meta.batch)
+        model, _ = build_link_model(graph, (EMPTY_PATTERN, *corridors), cfg)
+
+        # Replay every probe of the linker's bisection, feasible and not.
+        real = fracopt.feasible
+        probes = []
+
+        def recording(model, alpha, time_budget=None):
+            result = real(model, alpha, time_budget)
+            probes.append((alpha, result.assignment is not None))
+            return result
+
+        monkeypatch.setattr(fracopt, "feasible", recording)
+        fracopt.maximize_ratio(model, ratio_bounds(cfg, 10))
+        assert {ok for _, ok in probes} == {True, False}
+        nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
+        assert sum(nodes) > 1000
+
+
 class TestRatioSearch:
     def test_uniform_ratio_is_reached(self):
         m = SolverModel(2, (cover_row(2),), (2.0, 3.0), (2.0, 3.0))
@@ -216,6 +336,51 @@ class TestTimeBudget:
     def test_search_reports_timeout_at_bracket(self):
         with pytest.raises(ValueError, match="probe timed out"):
             maximize_ratio(self.anchor(), time_budget=1e-9)
+
+
+class _FakeClock:
+    """Stands in for the `time` module in fracopt; only the probes advance it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
+    # Every probe costs 1 s of fake time, within a 2.5 s budget on its own,
+    # but the search needs more than two probes: with the budget spread over
+    # the whole search, the third probe runs out and the bound is partial.
+    m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
+    unbounded = maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10))
+    clock = _FakeClock()
+    real = fracopt.feasible
+    budgets = []
+
+    def one_second_probe(model, alpha, time_budget=None):
+        budgets.append(time_budget)
+        if time_budget < 1.0:
+            clock.now += time_budget
+            return FeasibilityResult(None, timed_out=True)
+        clock.now += 1.0
+        return real(model, alpha)
+
+    monkeypatch.setattr(fracopt, "time", clock)
+    monkeypatch.setattr(fracopt, "feasible", one_second_probe)
+    res = fracopt.maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10), time_budget=2.5)
+    assert res.lower_bound_only
+    assert budgets[:3] == [2.5, 1.5, 0.5]
+    # once the budget is spent, later probes count as timed out without running
+    assert len(budgets) == 3
+    assert clock.now == 2.5
+
+    clock.now = 0.0
+    budgets.clear()
+    ample = fracopt.maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10), time_budget=100.0)
+    assert not ample.lower_bound_only
+    assert ample == unbounded
+    assert len(budgets) > 2
 
 
 def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
