@@ -1,10 +1,11 @@
 """Tracking quality metrics: identity scores and per-frame accounting.
 
-Identity scores (IDF1 and friends) match whole trajectories: a bipartite
-assignment between ground-truth and predicted tracks minimizes the total of
-per-frame misses and false positives, and the surviving agreements count as
-identity-true-positives.  The per-frame score (MOTA) instead matches each
-frame independently, carrying matches over between frames so that identity
+Identity scores (IDF1 and friends) match whole trajectories one-to-one so
+that the matched pairs' co-occurring in-gate frames, the identity-true-
+positives, are as many as possible; misses plus false positives total
+total_gt + total_pred - 2 * idtp, so this matching also minimizes per-frame
+disagreement.  The per-frame score (MOTA) instead matches each frame
+independently, carrying matches over between frames so that identity
 switches can be counted.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from .core import Detection
 
@@ -63,48 +65,45 @@ def _frame_table(tracks: Tracks) -> dict[int, list[tuple[int, tuple[float, float
 
 
 def _overlap_counts(gt: Tracks, pred: Tracks, max_dist: float) -> np.ndarray:
-    """Frames where each (gt, pred) track pair co-occurs within the gate."""
+    """Frames where each (gt, pred) track pair co-occurs within the gate.
+
+    Detections become points (frame * spacing, x, y) with a frame spacing
+    twice the search radius, so the KD-tree query only pairs detections of
+    one frame.  The radius is loose; the exact gate test decides.
+    """
     counts = np.zeros((len(gt), len(pred)), dtype=int)
-    gt_frames = _frame_table(gt)
-    pred_frames = _frame_table(pred)
-    for frame, gt_here in gt_frames.items():
-        pred_here = pred_frames.get(frame)
-        if not pred_here:
-            continue
-        for g, gpos in gt_here:
-            for p, ppos in pred_here:
-                if math.dist(gpos, ppos) <= max_dist:
-                    counts[g, p] += 1
+    g_dets, p_dets = ([det for track in side for det in track] for side in (gt, pred))
+    if not (g_dets and p_dets):
+        return counts
+    spacing = 4.0 * max_dist
+    g_tree, p_tree = (cKDTree([(d.frame * spacing, *d.pos) for d in dets]) for dets in (g_dets, p_dets))
+    near = g_tree.sparse_distance_matrix(p_tree, 2.0 * max_dist, output_type="ndarray")
+    i, j = near["i"], near["j"]
+    keep = np.array(
+        [math.dist(g_dets[a].pos, p_dets[b].pos) <= max_dist for a, b in zip(i.tolist(), j.tolist())],
+        dtype=bool,
+    )
+    g_owner, p_owner = (np.repeat(np.arange(len(side)), [len(t) for t in side]) for side in (gt, pred))
+    np.add.at(counts, (g_owner[i[keep]], p_owner[j[keep]]), 1)
     return counts
 
 
 def idf1(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> IdfReport:
     """Identity F1 and its precision/recall decomposition.
 
-    Tracks are matched one-to-one so that total per-frame disagreement is
-    minimal; matched pairs contribute their co-occurring in-gate frames as
-    identity-true-positives.  Two empty inputs score as perfect by
-    convention; an empty prediction against non-empty truth scores zero.
+    Tracks are matched one-to-one to maximize the identity-true-positives,
+    the matched pairs' co-occurring in-gate frames; per-frame disagreement,
+    total_gt + total_pred - 2 * idtp, is then minimal.  Two empty inputs
+    score as perfect by convention; an empty prediction against non-empty
+    truth scores zero.
     """
     total_gt = sum(len(t) for t in gt)
     total_pred = sum(len(t) for t in pred)
     if total_gt == 0 and total_pred == 0:
         return IdfReport(1.0, 1.0, 1.0, 0, 0, 0)
-    n_g, n_p = len(gt), len(pred)
     overlap = _overlap_counts(gt, pred, cfg.max_dist)
-    big = float(total_gt + total_pred + 1)
-    size = n_g + n_p
-    cost = np.full((size, size), 0.0)
-    len_g = np.array([len(t) for t in gt], dtype=float)
-    len_p = np.array([len(t) for t in pred], dtype=float)
-    if n_g and n_p:
-        cost[:n_g, :n_p] = len_g[:, None] + len_p[None, :] - 2.0 * overlap
-    cost[:n_g, n_p:] = big
-    cost[n_g:, :n_p] = big
-    np.fill_diagonal(cost[:n_g, n_p:], len_g)
-    np.fill_diagonal(cost[n_g:, :n_p], len_p)
-    rows, cols = linear_sum_assignment(cost)
-    idtp = int(sum(overlap[r, c] for r, c in zip(rows, cols) if r < n_g and c < n_p))
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    idtp = int(overlap[rows, cols].sum())
     idfn = total_gt - idtp
     idfp = total_pred - idtp
     f1 = 2.0 * idtp / (total_gt + total_pred)
@@ -178,7 +177,10 @@ def track_coverage(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -
     A truth track is mostly tracked when at least 80% of its frames are
     matched, mostly lost below 20%, partially tracked in between.
     """
-    report = clear_scores(gt, pred, cfg)
+    return _coverage(gt, clear_scores(gt, pred, cfg))
+
+
+def _coverage(gt: Tracks, report: ClearReport) -> tuple[int, int, int]:
     mt = pt = ml = 0
     for track, hits in zip(gt, report.gt_matched_frames):
         if not track:
@@ -200,7 +202,7 @@ def summarize(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> dic
     """All reported metrics keyed by their column names."""
     idf = idf1(gt, pred, cfg)
     clear = clear_scores(gt, pred, cfg)
-    mt, pt, ml = track_coverage(gt, pred, cfg)
+    mt, pt, ml = _coverage(gt, clear)
     return {
         "IDF1": idf.idf1,
         "IDPR": idf.idpr,

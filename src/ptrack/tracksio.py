@@ -2,8 +2,10 @@
 
 Two track formats are supported: a plain four-column CSV (frame, id, x, y)
 and the ten-column challenge CSV (frame, id, four bbox fields, confidence,
-x, y, z).  Challenge rows with x == y == -1 carry image-plane boxes only and
-need a homography to project the box's bottom center onto the ground plane.
+x, y, z).  Challenge rows with x == y == -1 and a box carry image-plane boxes
+only and need a homography to project the box's bottom center onto the
+ground plane; a row whose box width and height are both -1 has no box, so
+its x, y is a ground position even when it is (-1, -1).
 All writers are deterministic: fixed six-decimal formatting, newline line
 endings, rows sorted by frame then track.
 """
@@ -30,27 +32,15 @@ def _parse_floats(parts: list[str], line_no: int) -> list[float]:
         raise ValueError(f"malformed row at line {line_no}: {','.join(parts)!r}") from None
 
 
-def _ground_position(row: list[float], line_no: int, homography: np.ndarray | None) -> tuple[float, float]:
-    x, y = row[7], row[8]
-    if x != -1.0 or y != -1.0:
-        return (x, y)
-    if homography is None:
-        raise ValueError(
-            f"row at line {line_no} has no ground position and no homography was given"
-        )
-    left, top, width, height = row[2:6]
-    foot = np.array([left + width / 2.0, top + height, 1.0])
-    mapped = homography @ foot
-    if mapped[2] == 0.0:
-        raise ValueError(f"homography degenerates at line {line_no}")
-    return (float(mapped[0] / mapped[2]), float(mapped[1] / mapped[2]))
-
-
 def tracks_from_csv(
     text: str, fmt: str = "auto", homography: np.ndarray | None = None
 ) -> list[list[Detection]]:
     """Parse tracks from CSV text; returns one detection list per track id."""
     rows: dict[int, list[tuple[int, float, float]]] = {}
+    # Box-only rows are projected in one pass after parsing.  Both lists are
+    # flat lists of numbers, which the garbage collector does not track.
+    boxed: list[int] = []  # track id, position in its track, line number
+    feet: list[float] = []  # foot point in homogeneous coordinates
     resolved = None if fmt == "auto" else fmt
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -68,11 +58,28 @@ def tracks_from_csv(
         frame, track_id = values[0], values[1]
         if frame != int(frame) or track_id != int(track_id):
             raise ValueError(f"malformed row at line {line_no}: frame and id must be integers")
-        if resolved == "plain":
-            pos = (values[2], values[3])
-        else:
-            pos = _ground_position(values, line_no, homography)
-        rows.setdefault(int(track_id), []).append((int(frame), pos[0], pos[1]))
+        x, y = values[2:4] if resolved == "plain" else values[7:9]
+        track_rows = rows.setdefault(int(track_id), [])
+        if resolved == "mot" and x == y == -1.0 and values[4:6] != [-1.0, -1.0]:
+            if homography is None:
+                raise ValueError(
+                    f"row at line {line_no} has no ground position and no homography was given"
+                )
+            left, top, width, height = values[2:6]
+            feet += (left + width / 2.0, top + height, 1.0)
+            boxed += (int(track_id), len(track_rows), line_no)
+        track_rows.append((int(frame), x, y))
+
+    if feet:
+        # Stacked matrix-vector products: each foot point maps exactly as
+        # `homography @ foot` maps it alone.
+        mapped = (homography @ np.array(feet).reshape(-1, 3, 1))[:, :, 0]
+        degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
+        if degenerate.size:
+            raise ValueError(f"homography degenerates at line {boxed[3 * degenerate[0] + 2]}")
+        ground = (mapped[:, :2] / mapped[:, 2:]).tolist()
+        for track_id, k, (x, y) in zip(boxed[0::3], boxed[1::3], ground):
+            rows[track_id][k] = (rows[track_id][k][0], x, y)
 
     tracks: list[list[Detection]] = []
     det_id = 1

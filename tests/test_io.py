@@ -75,6 +75,28 @@ class TestTracksFromCsv:
         with pytest.raises(ValueError, match="line 1 has no ground position"):
             tracks_from_csv(row)
 
+    def test_box_only_rows_map_as_each_row_alone(self):
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(3, 3))
+        boxes = rng.uniform(-500.0, 500.0, size=(200, 4)).tolist()
+        text = "".join(f"{k},1,{l!r},{t!r},{w!r},{b!r},1,-1,-1,-1\n" for k, (l, t, w, b) in enumerate(boxes))
+        (track,) = tracks_from_csv(text, homography=h)
+        for det, (left, top, width, height) in zip(track, boxes):
+            mapped = h @ np.array([left + width / 2.0, top + height, 1.0])
+            assert det.pos == (float(mapped[0] / mapped[2]), float(mapped[1] / mapped[2]))
+
+    def test_mot_row_without_box_keeps_minus_one_ground_position(self):
+        (track,) = tracks_from_csv(tracks_to_csv([[Detection(1, 5, (-1.0, -1.0))]], fmt="mot"))
+        assert track[0].pos == (-1.0, -1.0)
+
+    def test_box_only_rows_report_the_first_offending_line(self):
+        h = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, -8.0]])
+        rows = "1,1,3,2,2,4,1,-1,-1,-1\n2,1,0,0,-1,-1,1,-1,-1,-1\n3,1,3,4,2,4,1,-1,-1,-1\n"
+        with pytest.raises(ValueError, match="homography degenerates at line 3"):
+            tracks_from_csv(rows, homography=h)
+        with pytest.raises(ValueError, match="line 1 has no ground position"):
+            tracks_from_csv(rows)
+
     def test_degenerate_homography(self):
         h = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])
         row = "5,2,3,2,2,4,1,-1,-1,-1\n"

@@ -1,13 +1,18 @@
 """Identity and per-frame tracking metrics."""
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import ptrack.metrics
 from ptrack import Detection
 from ptrack.metrics import (
     METRIC_COLUMNS,
     ClearReport,
     IdfReport,
     MatchConfig,
+    _overlap_counts,
     clear_scores,
     idf1,
     summarize,
@@ -94,6 +99,147 @@ class TestIdf1:
         assert scores == [1.0, 1.0, 0.0]
 
 
+def overlap_by_frame_loop(gt, pred, max_dist):
+    """The former `_overlap_counts`: every same-frame pair, one by one."""
+    counts = np.zeros((len(gt), len(pred)), dtype=int)
+    pred_at: dict = {}
+    for p, track in enumerate(pred):
+        for d in track:
+            pred_at.setdefault(d.frame, []).append((p, d.pos))
+    for g, track in enumerate(gt):
+        for d in track:
+            for p, pos in pred_at.get(d.frame, []):
+                if math.dist(d.pos, pos) <= max_dist:
+                    counts[g, p] += 1
+    return counts
+
+
+def idtp_by_padded_matrix(gt, pred, max_dist):
+    """The former IDTP: minimal disagreement over a (n_g + n_p)^2 padded cost."""
+    overlap = overlap_by_frame_loop(gt, pred, max_dist)
+    n_g, n_p = len(gt), len(pred)
+    len_g = np.array([len(t) for t in gt], dtype=float)
+    len_p = np.array([len(t) for t in pred], dtype=float)
+    big = float(len_g.sum() + len_p.sum() + 1)
+    cost = np.zeros((n_g + n_p, n_g + n_p))
+    if n_g and n_p:
+        cost[:n_g, :n_p] = len_g[:, None] + len_p[None, :] - 2.0 * overlap
+    cost[:n_g, n_p:] = big
+    cost[n_g:, :n_p] = big
+    np.fill_diagonal(cost[:n_g, n_p:], len_g)
+    np.fill_diagonal(cost[n_g:, :n_p], len_p)
+    rows, cols = linear_sum_assignment(cost)
+    return int(sum(overlap[r, c] for r, c in zip(rows, cols) if r < n_g and c < n_p))
+
+
+def random_tracks(rng, n_tracks, n_frames, grid, frame0=0, offset=0.0):
+    """Tracks with frame gaps (and some empty) on an integer position grid."""
+    tracks = []
+    for _ in range(n_tracks):
+        size = int(rng.integers(0, n_frames + 1))
+        frames = sorted(int(f) for f in rng.choice(n_frames, size=size, replace=False))
+        tracks.append(
+            [det(frame0 + f, offset + int(rng.integers(0, grid)), offset + int(rng.integers(0, grid)))
+             for f in frames]
+        )
+    return tracks
+
+
+class TestOverlapCounts:
+    def assert_same(self, gt, pred, max_dist):
+        got = _overlap_counts(gt, pred, max_dist)
+        want = overlap_by_frame_loop(gt, pred, max_dist)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    def test_random_integer_scenes_with_pairs_on_the_gate(self):
+        # On a 0..9 grid at gate 5 many pairs sit exactly on it (3-4-5, 0-5).
+        rng = np.random.default_rng(7)
+        on_gate = 0
+        for _ in range(150):
+            gt = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
+            pred = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
+            got = self.assert_same(gt, pred, 5.0)
+            on_gate += int(got.sum() - _overlap_counts(gt, pred, math.nextafter(5.0, 0.0)).sum())
+        assert on_gate > 100
+
+    def test_pythagorean_triangle_sits_on_the_gate(self):
+        gt = [[det(1, 0, 0)]]
+        pred = [[det(1, 3, 4)], [det(1, -4, 3)], [det(1, 5, 0)], [det(1, 6, 0)]]
+        assert self.assert_same(gt, pred, 5.0).tolist() == [[1, 1, 1, 0]]
+
+    def test_partners_one_ulp_inside_and_outside(self):
+        for base in (0.0, 1000.0, -1000.0):
+            for gate in (5.0, 0.01, 3.0):
+                inside = math.nextafter(base + gate, -math.inf)
+                outside = math.nextafter(base + gate, math.inf)
+                gt = [[det(f, base, base) for f in (1, 2, 3)]]
+                pred = [
+                    [det(1, inside, base), det(2, base, inside)],
+                    [det(1, outside, base), det(3, base, outside)],
+                    [det(3, base + gate, base)],
+                ]
+                counts = self.assert_same(gt, pred, gate)
+                assert counts[0, 0] == 2 and counts[0, 1] == 0
+
+    def test_partners_at_the_gate_distance_in_all_directions(self):
+        # Partners placed at the gate's distance in random directions land
+        # within a few ulps of it, on either side; the sum of squares a
+        # KD-tree compares with the squared radius rounds differently from
+        # math.dist on many of them.  One predicted track per frame, so the
+        # counts show every single decision.
+        rng = np.random.default_rng(13)
+        for offset, gate in ((0.0, 3.0), (1000.0, 5.0), (-1000.0, 0.01), (1000.0, 0.01)):
+            gt, pred = [[]], []
+            for f in range(300):
+                g = (offset + rng.uniform(-1, 1), offset + rng.uniform(-1, 1))
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                gt[0].append(det(f, *g))
+                pred.append([det(f, g[0] + gate * math.cos(a), g[1] + gate * math.sin(a))])
+            counts = self.assert_same(gt, pred, gate)
+            assert 0 < counts.sum() < len(pred)
+
+    def test_far_coordinates_and_late_frames(self):
+        rng = np.random.default_rng(11)
+        for offset in (1000.0, -1000.0):
+            for frame0 in (0, 10**6 - 3):
+                gt = random_tracks(rng, 12, 8, 4, frame0, offset)
+                pred = random_tracks(rng, 20, 8, 4, frame0, offset)
+                assert self.assert_same(gt, pred, 1.0).sum() > 0
+
+    def test_small_gate_near_and_across_it(self):
+        # Partners displaced by 0.009 to 0.011 in random directions, around
+        # the 0.01 gate, at far coordinates and late frames.
+        rng = np.random.default_rng(3)
+        for offset, frame0 in ((0.0, 0), (1000.0, 10**6), (-1000.0, 17)):
+            gt = random_tracks(rng, 10, 12, 50, frame0, offset)
+            pred = []
+            for track in gt:
+                moved = []
+                for d in track:
+                    r, a = rng.uniform(0.009, 0.011), rng.uniform(0.0, 2.0 * math.pi)
+                    moved.append(det(d.frame, d.pos[0] + r * math.cos(a), d.pos[1] + r * math.sin(a)))
+                pred.extend([moved[::2], moved[1::2]])
+            counts = self.assert_same(gt, pred, 0.01)
+            assert 0 < counts.sum() < sum(len(t) for t in gt)
+
+    def test_empty_tracks_and_empty_inputs(self):
+        track = straight_track(range(1, 4))
+        for gt, pred in (([], []), ([], [track]), ([track], []), ([[]], [[]]), ([[], track], [track, []])):
+            self.assert_same(gt, pred, 3.0)
+        assert _overlap_counts([[], track], [track, []], 3.0).tolist() == [[0, 0], [3, 0]]
+
+    def test_idtp_equals_padded_minimum_disagreement(self):
+        # Dense overlaps on a 3x3 grid make many assignments tie.
+        rng = np.random.default_rng(5)
+        sizes = [(int(rng.integers(0, 41)), int(rng.integers(0, 81))) for _ in range(30)]
+        for n_g, n_p in sizes + [(40, 80), (80, 40), (0, 5), (5, 0)]:
+            gt = random_tracks(rng, n_g, 15, 3)
+            pred = random_tracks(rng, n_p, 15, 3)
+            assert idf1(gt, pred, MatchConfig(1.0)).idtp == idtp_by_padded_matrix(gt, pred, 1.0)
+
+
 class TestClearScores:
     def test_shattered_prediction_goes_negative(self):
         gt, pred = shattered_fixture()
@@ -157,6 +303,15 @@ class TestTrackCoverage:
         ]
         assert track_coverage(gt, pred) == (1, 1, 1)
 
+    def test_shattered_prediction_is_partially_tracked(self):
+        gt, pred = shattered_fixture()
+        assert track_coverage(gt, pred) == (0, 1, 0)
+
+    def test_perfect_and_empty_predictions(self):
+        gt = [straight_track(range(1, 6)), [], straight_track(range(1, 6), y=50.0)]
+        assert track_coverage(gt, [list(t) for t in gt]) == (2, 0, 0)
+        assert track_coverage(gt, []) == (0, 0, 2)
+
 
 class TestSummarize:
     def test_column_names_and_types(self):
@@ -168,6 +323,19 @@ class TestSummarize:
         assert table["MOTA"] == pytest.approx(-0.1, abs=1e-9)
         # 6 of 10 true frames matched: partially tracked
         assert (table["MT"], table["PT"], table["ML"]) == (0.0, 1.0, 0.0)
+
+    def test_runs_clear_scores_once(self, monkeypatch):
+        gt, pred = shattered_fixture()
+        want = summarize(gt, pred)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return clear_scores(*args, **kwargs)
+
+        monkeypatch.setattr(ptrack.metrics, "clear_scores", counted)
+        assert summarize(gt, pred) == want
+        assert len(calls) == 1
 
 
 class TestMatchConfig:
