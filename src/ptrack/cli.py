@@ -109,8 +109,8 @@ def _time_budget() -> float | None:
         value = float(raw)
     except ValueError:
         raise ValueError(f"PTRACK_TIME_BUDGET_S must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError("PTRACK_TIME_BUDGET_S must be positive")
+    if not 0 < value < float("inf"):
+        raise ValueError(f"PTRACK_TIME_BUDGET_S must be positive and finite, got {raw!r}")
     return value
 
 

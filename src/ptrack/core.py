@@ -97,6 +97,11 @@ class DetectionGraph:
         return det_id in self._by_id
 
     @cached_property
+    def scoring_cache(self) -> dict:
+        """Width-free scoring terms per centerline, filled by `ptrack.scoring`."""
+        return {}
+
+    @cached_property
     def detection_edges(self) -> tuple[tuple[int, int], ...]:
         """Detection-to-detection edges, sorted for deterministic iteration."""
         return tuple(sorted((i, j) for i, j in self.edges if i >= 0 and j >= 0))

@@ -119,15 +119,9 @@ def build_mine_model(
 
     numer = [0.0] * num_vars
     denom = [0.0] * num_vars
-    # The widths of one centerline share its projections.
-    shared: dict[tuple, dict] = {}
-    caches = [
-        None if pattern.is_empty else shared.setdefault(pattern.centerline, {})
-        for pattern in candidates.patterns
-    ]
     for t, traj in enumerate(trajectories):
         for p, pattern in enumerate(candidates.patterns):
-            score = trajectory_score(graph, traj, pattern, cfg, caches[p])
+            score = trajectory_score(graph, traj, pattern, cfg)
             numer[assign_var(t, p)] = score.aligned
             denom[assign_var(t, p)] = score.total
 

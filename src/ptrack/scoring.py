@@ -6,6 +6,14 @@ length the edge and the centerline actually share.  A trajectory that walks a
 pattern's corridor end to end accumulates aligned == total; motion the pattern
 cannot explain accumulates total only.  The ratio of the two sums is the
 objective the linker maximizes.
+
+The linker, the miner and the split-half proxy score the same detections
+against the same centerlines many times over, at many widths.  So each graph
+caches, per centerline, the projections of all its detections (one batched
+numpy pass) and, per scored edge, the terms that neither the width nor any
+`Config` field changes.  The width, `reverse_penalty` and `empty_rate` are
+applied each time the cache is read, so one entry serves every candidate width
+and every configuration, and a cached score equals a fresh one bit for bit.
 """
 from __future__ import annotations
 
@@ -40,6 +48,26 @@ class ScorePair:
     aligned: float
 
 
+def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc, foot and distance of the closest centerline point to each row of `points`.
+
+    Every point is projected onto every segment in one pass; each row's result
+    is bit for bit what projecting that point alone gives.
+    """
+    v = pattern.vertices
+    a, b = v[:-1], v[1:]
+    d = b - a
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    p = points[:, None, :]
+    t = np.clip(np.einsum("nij,ij->ni", p - a, d) / seg_len2, 0.0, 1.0)
+    feet = a + t[..., None] * d
+    dist = np.linalg.norm(feet - p, axis=-1)
+    best = np.argmin(dist, axis=-1)
+    rows = np.arange(len(points))
+    arc = pattern.cum_arc[best] + t[rows, best] * np.sqrt(seg_len2[best])
+    return arc, feet[rows, best], dist[rows, best]
+
+
 def project_to_centerline(point: tuple[float, float], pattern: Pattern) -> Projection:
     """Project a point onto a pattern's centerline.
 
@@ -49,73 +77,52 @@ def project_to_centerline(point: tuple[float, float], pattern: Pattern) -> Proje
     """
     if pattern.is_empty:
         raise ValueError("empty pattern has no centerline")
-    v = pattern.vertices
-    a, b = v[:-1], v[1:]
-    d = b - a
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    p = np.asarray(point, dtype=float)
-    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
-    feet = a + t[:, None] * d
-    dist = np.linalg.norm(feet - p, axis=1)
-    best = int(np.argmin(dist))
-    arc = pattern.cum_arc[best] + t[best] * np.sqrt(seg_len2[best])
-    return Projection(arc=float(arc), foot=(float(feet[best, 0]), float(feet[best, 1])), dist=float(dist[best]))
+    arc, foot, dist = _project(np.asarray([point], dtype=float), pattern)
+    return Projection(arc=float(arc[0]), foot=(float(foot[0, 0]), float(foot[0, 1])), dist=float(dist[0]))
 
 
-class PatternScorer:
-    """Scores graph edges against one pattern, caching centerline projections.
+class _CenterlineTerms(dict):
+    """What scoring one graph against one centerline computes, before any width or `Config`.
 
-    Projections depend on the centerline only, so scorers of patterns that
-    share a centerline may share one `projections` cache (detection id to
-    projection).
+    `projections` maps every detection of the graph to (arc, foot x, foot y,
+    dist), all projected in one pass; it is empty for the empty pattern.  The
+    mapping itself gives (total, backward arc or 0, aligned inside the
+    corridor, gate) per detection pair, computed on first lookup; the empty
+    pattern sets only the total, the edge length.
     """
 
-    def __init__(
-        self,
-        graph: DetectionGraph,
-        pattern: Pattern,
-        cfg: Config,
-        projections: dict[int, Projection] | None = None,
-    ):
+    def __init__(self, graph: DetectionGraph, pattern: Pattern):
+        super().__init__()
         self.graph = graph
-        self.pattern = pattern
-        self.cfg = cfg
-        self._projections = {} if projections is None else projections
+        self.projections: dict[int, tuple[float, float, float, float]] = {}
+        if not pattern.is_empty:
+            arc, foot, dist = _project(np.array([d.pos for d in graph.detections]), pattern)
+            ids = (d.id for d in graph.detections)
+            self.projections = dict(zip(ids, zip(arc.tolist(), *foot.T.tolist(), dist.tolist())))
 
-    def projection(self, det_id: int) -> Projection:
-        proj = self._projections.get(det_id)
-        if proj is None:
-            proj = project_to_centerline(self.graph.detection(det_id).pos, self.pattern)
-            self._projections[det_id] = proj
-        return proj
+    def __missing__(self, edge: tuple[int, int]) -> tuple[float, float, float, float]:
+        terms = self[edge] = self._edge_terms(*edge)
+        return terms
 
-    def detection_edge(self, i: int, j: int) -> ScorePair:
+    def _edge_terms(self, i: int, j: int) -> tuple[float, float, float, float]:
         pi = self.graph.detection(i).pos
         pj = self.graph.detection(j).pos
         edge_len = float(np.hypot(pj[0] - pi[0], pj[1] - pi[1]))
-        if self.pattern.is_empty:
-            return ScorePair(edge_len, self.cfg.empty_rate * edge_len)
-        proj_i = self.projection(i)
-        proj_j = self.projection(j)
-        total = edge_len + (proj_j.arc - proj_i.arc)
-        if proj_j.arc < proj_i.arc:
-            # Moving against the pattern's direction: penalize in proportion
-            # to the arc covered backwards, regardless of corridor width.
-            aligned = -(1.0 + self.cfg.reverse_penalty) * (proj_i.arc - proj_j.arc)
-            return ScorePair(total, aligned)
-        if proj_i.dist > self.pattern.width or proj_j.dist > self.pattern.width:
-            return ScorePair(total, 0.0)
+        if not self.projections:
+            return (edge_len, 0.0, 0.0, 0.0)
+        arc_i, fxi, fyi, dist_i = self.projections[i]
+        arc_j, fxj, fyj, dist_j = self.projections[j]
+        total = edge_len + (arc_j - arc_i)
+        if arc_j < arc_i:
+            return (total, arc_i - arc_j, 0.0, 0.0)
         ex, ey = pj[0] - pi[0], pj[1] - pi[1]
-        cx, cy = proj_j.foot[0] - proj_i.foot[0], proj_j.foot[1] - proj_i.foot[1]
+        cx, cy = fxj - fxi, fyj - fyi
         dot = abs(ex * cx + ey * cy)
         chord_len = float(np.hypot(cx, cy))
         # A chord this far below the foot coordinates is cancellation noise
         # from two nearly identical projections; treat it as a zero chord so
         # the 1 / |chord| factor cannot amplify rounding error.
-        coord_scale = max(
-            abs(proj_i.foot[0]), abs(proj_i.foot[1]),
-            abs(proj_j.foot[0]), abs(proj_j.foot[1]), 1.0,
-        )
+        coord_scale = max(abs(fxi), abs(fyi), abs(fxj), abs(fyj), 1.0)
         if chord_len <= 1e-12 * coord_scale:
             chord_len = 0.0
         aligned = 0.0
@@ -123,19 +130,53 @@ class PatternScorer:
             aligned += dot / edge_len
         if chord_len > 0.0:
             aligned += dot / chord_len
-        return ScorePair(total, aligned)
+        return (total, 0.0, aligned, max(dist_i, dist_j))
+
+
+class PatternScorer:
+    """Scores graph edges against one pattern.
+
+    Reads the width-free terms of the pattern's centerline from the graph's
+    `scoring_cache` and applies the width and the `Config` on top, so all
+    widths of a centerline and all configurations share one cache entry.
+    """
+
+    def __init__(self, graph: DetectionGraph, pattern: Pattern, cfg: Config):
+        self.graph = graph
+        self.pattern = pattern
+        self.cfg = cfg
+        key = pattern.centerline
+        if key not in graph.scoring_cache:
+            graph.scoring_cache[key] = _CenterlineTerms(graph, pattern)
+        self._terms = graph.scoring_cache[key]
+
+    def projection(self, det_id: int) -> Projection:
+        if self.pattern.is_empty:
+            raise ValueError("empty pattern has no centerline")
+        arc, fx, fy, dist = self._terms.projections[det_id]
+        return Projection(arc=arc, foot=(fx, fy), dist=dist)
+
+    def detection_edge(self, i: int, j: int) -> ScorePair:
+        total, back, aligned, gate = self._terms[i, j]
+        if self.pattern.is_empty:
+            return ScorePair(total, self.cfg.empty_rate * total)
+        if back > 0.0:
+            # Moving against the pattern's direction: penalize in proportion
+            # to the arc covered backwards, regardless of corridor width.
+            return ScorePair(total, -(1.0 + self.cfg.reverse_penalty) * back)
+        return ScorePair(total, 0.0 if gate > self.pattern.width else aligned)
 
     def entry_edge(self, v: int, at_batch_begin: bool) -> ScorePair:
         """Score for appearing at detection v; free at the batch's first frame."""
         if self.pattern.is_empty or at_batch_begin:
             return ScorePair(0.0, 0.0)
-        return ScorePair(self.projection(v).arc, 0.0)
+        return ScorePair(self._terms.projections[v][0], 0.0)
 
     def exit_edge(self, v: int, at_batch_end: bool) -> ScorePair:
         """Score for vanishing after detection v; free at the batch's last frame."""
         if self.pattern.is_empty or at_batch_end:
             return ScorePair(0.0, 0.0)
-        return ScorePair(self.pattern.length - self.projection(v).arc, 0.0)
+        return ScorePair(self.pattern.length - self._terms.projections[v][0], 0.0)
 
 
 def edge_score(
@@ -171,17 +212,14 @@ def trajectory_score(
     traj: Trajectory,
     pattern: Pattern,
     cfg: Config,
-    projections: dict[int, Projection] | None = None,
 ) -> ScorePair:
     """Sum edge scores along a trajectory, including its entry and exit edges.
 
     The trajectory's own boundary flags decide whether the entry and exit
     are free, so scores stay consistent when trajectories are re-evaluated
-    against batches they were not extracted from.  `projections` is an
-    optional cache shared with other calls on the same centerline (see
-    `PatternScorer`).
+    against batches they were not extracted from.
     """
-    scorer = PatternScorer(graph, pattern, cfg, projections)
+    scorer = PatternScorer(graph, pattern, cfg)
     entry = scorer.entry_edge(traj.nodes[0], traj.starts_at_batch_begin)
     leave = scorer.exit_edge(traj.nodes[-1], traj.ends_at_batch_end)
     total = entry.total + leave.total

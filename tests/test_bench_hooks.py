@@ -1,0 +1,70 @@
+"""The benchmark's tracing hooks still find every function they wrap.
+
+`perfbench/tracing.py` replaces named functions in the modules that look
+them up.  A refactor that renames or stops calling one of them would only
+show up as a crash, or as a silently changed count, in a traced benchmark
+run; these tests make it fail here instead.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ptrack import Config, Detection, build_graph, generate_candidates, input_trajectories
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+def lookup(module_name, attr):
+    return getattr(importlib.import_module(module_name), attr)
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, span", tracing.WRAPPED, ids=[f"{m}.{a}" for m, a, _ in tracing.WRAPPED]
+)
+def test_wrapped_name_resolves(module_name, attr, span):
+    assert callable(lookup(module_name, attr))
+    assert span.split(".")[0] in tracing.LAYERS
+
+
+def test_install_wraps_and_uninstall_restores():
+    originals = {(m, a): lookup(m, a) for m, a, _ in tracing.WRAPPED}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (m, a), fn in originals.items():
+            assert lookup(m, a) is not fn
+    finally:
+        tracer.uninstall()
+    for (m, a), fn in originals.items():
+        assert lookup(m, a) is fn
+
+
+def test_the_miner_scores_through_the_wrapped_name():
+    # The benchmark counts `trajectory_score` calls made through the miner's
+    # module global: one per (trajectory, candidate) pair.
+    from ptrack.miner import build_mine_model
+
+    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    cfg = Config(candidate_widths=(1.0, 3.0))
+    g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
+    trajectories = input_trajectories(g)
+    candidates = generate_candidates(g, trajectories, cfg)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        build_mine_model(g, trajectories, candidates, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * len(candidates) == 10

@@ -101,6 +101,15 @@ class TestTimeBudgetVariable:
         assert cli(self.track_argv(tmp_path)) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_not_finite(self, tmp_path, capsys, monkeypatch, raw):
+        # A nan deadline would never pass, silently switching the budget off.
+        monkeypatch.setenv("PTRACK_TIME_BUDGET_S", raw)
+        assert cli(self.track_argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "PTRACK_TIME_BUDGET_S must be positive and finite" in err
+        assert repr(raw) in err
+
     def test_generous_budget_changes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PTRACK_TIME_BUDGET_S", "30")
         assert cli(self.track_argv(tmp_path)) == 0

@@ -11,10 +11,18 @@ from ptrack import (
     DetectionGraph,
     EMPTY_PATTERN,
     Pattern,
+    PatternScorer,
+    Projection,
+    ScorePair,
     SINK_NODE,
     SOURCE_NODE,
     Trajectory,
+    build_graph,
+    build_mine_model,
     edge_score,
+    generate_candidates,
+    generate_scene,
+    input_trajectories,
     objective,
     project_to_centerline,
     trajectory_score,
@@ -333,3 +341,238 @@ def test_rigid_motion_leaves_scores_unchanged():
     moved = trajectory_score(g2, traj, moved_pattern, CFG)
     assert moved.total == pytest.approx(base.total, rel=1e-9)
     assert moved.aligned == pytest.approx(base.aligned, rel=1e-9)
+
+
+# The scalar scoring code that the per-graph cache replaced, kept as the
+# reference: every cached projection and score must equal it bit for bit.
+def reference_projection(point, pattern):
+    v = pattern.vertices
+    a, b = v[:-1], v[1:]
+    d = b - a
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    p = np.asarray(point, dtype=float)
+    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
+    feet = a + t[:, None] * d
+    dist = np.linalg.norm(feet - p, axis=1)
+    best = int(np.argmin(dist))
+    arc = pattern.cum_arc[best] + t[best] * np.sqrt(seg_len2[best])
+    return Projection(arc=float(arc), foot=(float(feet[best, 0]), float(feet[best, 1])), dist=float(dist[best]))
+
+
+def reference_detection_edge(graph, pattern, cfg, i, j):
+    pi = graph.detection(i).pos
+    pj = graph.detection(j).pos
+    edge_len = float(np.hypot(pj[0] - pi[0], pj[1] - pi[1]))
+    if pattern.is_empty:
+        return ScorePair(edge_len, cfg.empty_rate * edge_len)
+    proj_i = reference_projection(pi, pattern)
+    proj_j = reference_projection(pj, pattern)
+    total = edge_len + (proj_j.arc - proj_i.arc)
+    if proj_j.arc < proj_i.arc:
+        aligned = -(1.0 + cfg.reverse_penalty) * (proj_i.arc - proj_j.arc)
+        return ScorePair(total, aligned)
+    if proj_i.dist > pattern.width or proj_j.dist > pattern.width:
+        return ScorePair(total, 0.0)
+    ex, ey = pj[0] - pi[0], pj[1] - pi[1]
+    cx, cy = proj_j.foot[0] - proj_i.foot[0], proj_j.foot[1] - proj_i.foot[1]
+    dot = abs(ex * cx + ey * cy)
+    chord_len = float(np.hypot(cx, cy))
+    coord_scale = max(
+        abs(proj_i.foot[0]), abs(proj_i.foot[1]),
+        abs(proj_j.foot[0]), abs(proj_j.foot[1]), 1.0,
+    )
+    if chord_len <= 1e-12 * coord_scale:
+        chord_len = 0.0
+    aligned = 0.0
+    if edge_len > 0.0:
+        aligned += dot / edge_len
+    if chord_len > 0.0:
+        aligned += dot / chord_len
+    return ScorePair(total, aligned)
+
+
+def reference_trajectory_score(graph, traj, pattern, cfg):
+    total = aligned = 0.0
+    if not pattern.is_empty:
+        if not traj.starts_at_batch_begin:
+            total += reference_projection(graph.detection(traj.nodes[0]).pos, pattern).arc
+        if not traj.ends_at_batch_end:
+            total += pattern.length - reference_projection(graph.detection(traj.nodes[-1]).pos, pattern).arc
+    for a, b in zip(traj.nodes, traj.nodes[1:]):
+        score = reference_detection_edge(graph, pattern, cfg, a, b)
+        total += score.total
+        aligned += score.aligned
+    return ScorePair(total, aligned)
+
+
+def bits(*values):
+    """Exact identity of floats, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def points_graph(points):
+    """One detection per point, ids and frames 0..n-1, no edges."""
+    dets = tuple(Detection(id=k, frame=k, pos=(float(x), float(y))) for k, (x, y) in enumerate(points))
+    return DetectionGraph(dets, frozenset())
+
+
+CFGS = (Config(), Config(reverse_penalty=0.25, empty_rate=-3.0))
+
+
+class TestScoreCache:
+    """Cached scores equal the former scalar code exactly, and never leak across inputs."""
+
+    def assert_matches_reference(self, points, centerline, pairs, widths=(0.5, 2.0, 7.0)):
+        g = points_graph(points)
+        for width in widths:
+            pattern = Pattern(centerline, width)
+            for cfg in CFGS:
+                scorer = PatternScorer(g, pattern, cfg)
+                for det in g.detections:
+                    want = reference_projection(det.pos, pattern)
+                    got = scorer.projection(det.id)
+                    assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
+                    got = project_to_centerline(det.pos, pattern)
+                    assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
+                    assert bits(scorer.entry_edge(det.id, False).total) == bits(want.arc)
+                for i, j in pairs:
+                    got = scorer.detection_edge(i, j)
+                    want = reference_detection_edge(g, pattern, cfg, i, j)
+                    assert bits(got.total, got.aligned) == bits(want.total, want.aligned), (i, j)
+        for cfg in CFGS:
+            scorer = PatternScorer(g, EMPTY_PATTERN, cfg)
+            for i, j in pairs:
+                got = scorer.detection_edge(i, j)
+                want = reference_detection_edge(g, EMPTY_PATTERN, cfg, i, j)
+                assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
+
+    def test_random_polylines(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            steps = rng.normal(size=(int(rng.integers(2, 25)), 2)) * rng.uniform(0.2, 8.0)
+            verts = np.cumsum(steps, axis=0)
+            pattern = Pattern.from_points(verts.tolist(), 1.0)
+            n = int(rng.integers(1, 60))
+            pts = verts[rng.integers(0, len(verts), n)] + rng.normal(size=(n, 2)) * rng.choice([0.3, 3.0])
+            pairs = [tuple(int(k) for k in rng.integers(0, n, 2)) for _ in range(3 * n)]
+            self.assert_matches_reference(pts.tolist(), pattern.centerline, pairs)
+
+    def test_integer_vertices_with_equally_close_segments(self):
+        rng = np.random.default_rng(5)
+        centerlines = [((0, 0), (10, 0), (10, 10), (0, 10)), ((0, 0), (4, 4), (8, 0), (12, 4))]
+        for _ in range(10):
+            centerlines.append(tuple(map(tuple, rng.integers(-6, 7, size=(6, 2)).tolist())))
+        ties = 0
+        for centerline in centerlines:
+            try:
+                pattern = Pattern.from_points(centerline, 1.0)
+            except ValueError:
+                continue
+            pts = rng.integers(-8, 13, size=(80, 2)).astype(float)
+            for p in pts:
+                dists = [reference_projection(p, Pattern((a, b), 1.0)).dist
+                         for a, b in zip(pattern.centerline, pattern.centerline[1:])]
+                ties += dists.count(min(dists)) > 1
+            pairs = [(i, j) for i in range(0, 80, 3) for j in range(1, 80, 7)]
+            self.assert_matches_reference(pts.tolist(), pattern.centerline, pairs)
+        assert ties > 50
+
+    def test_points_on_vertices(self):
+        centerline = ((0.0, 0.0), (3.0, 4.0), (3.0, 9.5), (-2.0, 9.5), (-2.25, 1.0))
+        pts = list(centerline) + [centerline[2], (0.0, 0.0)]
+        pairs = [(i, j) for i in range(len(pts)) for j in range(len(pts))]
+        self.assert_matches_reference(pts, centerline, pairs)
+
+    def test_far_offsets(self):
+        rng = np.random.default_rng(9)
+        for sx, sy in ((1000.0, 1000.0), (-1000.0, 1000.0), (1000.0, -1000.0), (-1000.0, -1000.0)):
+            verts = np.cumsum(rng.normal(size=(8, 2)) * 3.0, axis=0) + (sx, sy)
+            pts = verts[rng.integers(0, 8, 40)] + rng.normal(size=(40, 2))
+            pairs = [(i, j) for i in range(40) for j in range(0, 40, 3)]
+            self.assert_matches_reference(pts.tolist(), tuple(map(tuple, verts.tolist())), pairs)
+
+    def test_zero_length_edges(self):
+        pts = [(2.0, 1.0), (2.0, 1.0), (12.0, 0.5), (12.0, 0.5), (-1.0, 3.0), (-1.0, 3.0)]
+        self.assert_matches_reference(pts, LANE.centerline, [(0, 1), (1, 0), (2, 3), (4, 5), (0, 0)])
+
+    def test_nearly_coincident_projections_take_the_zero_chord_branch(self):
+        base = 1000.0
+        pts = [(base + k * 1e-13, 0.5 + 0.1 * k) for k in range(6)]
+        centerline = ((900.0, 0.0), (1100.0, 0.0))
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+        pattern = Pattern(centerline, 1.0)
+        feet = [reference_projection(p, pattern).foot for p in pts]
+        chords = [math.hypot(feet[j][0] - feet[i][0], feet[j][1] - feet[i][1]) for i, j in pairs]
+        assert any(0.0 < c <= 1e-12 * base for c in chords)
+        self.assert_matches_reference(pts, centerline, pairs)
+
+    def test_distance_equal_to_width_is_inside(self):
+        pts = [(2.0, 2.0), (5.0, 2.0), (7.0, -2.0), (9.0, 2.0000000000000004)]
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        self.assert_matches_reference(pts, LANE.centerline, pairs, widths=(2.0, 1.999))
+        g = points_graph(pts)
+        assert PatternScorer(g, LANE, CFG).detection_edge(0, 1).aligned > 0.0
+        assert PatternScorer(g, LANE, CFG).detection_edge(2, 3).aligned == 0.0
+
+    def test_backward_edges(self):
+        pts = [(8.0, 1.0), (3.0, -1.5), (6.0, 30.0), (1.0, 0.0), (9.0, -4.0)]
+        pairs = [(i, j) for i in range(5) for j in range(5) if pts[j][0] < pts[i][0]]
+        for i, j in pairs:
+            assert reference_projection(pts[j], LANE).arc < reference_projection(pts[i], LANE).arc
+        self.assert_matches_reference(pts, LANE.centerline, pairs)
+
+    def test_mine_model_on_the_noise_free_family(self):
+        corridors = (
+            Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+            Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+        )
+        agents = tuple((k % 2, k + 1) for k in range(12))
+        scene = generate_scene(corridors, agents, speed=math.sqrt(2.0))
+        g = build_graph(scene.track_lists(), CFG, scene.meta.batch)
+        trajectories = input_trajectories(g)
+        candidates = generate_candidates(g, trajectories, CFG)
+        assert len(candidates) == 121
+        model = build_mine_model(g, trajectories, candidates, CFG)
+        n_cand = len(candidates)
+        for t, traj in enumerate(trajectories):
+            for p, pattern in enumerate(candidates.patterns):
+                want = reference_trajectory_score(g, traj, pattern, CFG)
+                got = trajectory_score(g, traj, pattern, CFG)
+                assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
+                k = t * n_cand + p
+                assert bits(model.denom[k], model.numer[k]) == bits(want.total, want.aligned)
+
+    @staticmethod
+    def every_score(graph, pattern, cfg):
+        scorer = PatternScorer(graph, pattern, cfg)
+        ids = [d.id for d in graph.detections]
+        out = [scorer.detection_edge(i, j) for i in ids for j in ids]
+        out += [scorer.entry_edge(v, False) for v in ids] + [scorer.exit_edge(v, False) for v in ids]
+        out.append(trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg))
+        return [bits(s.total, s.aligned) for s in out]
+
+    # Inside the 2 m corridor but outside the 0.5 m one, forward and backward.
+    ISOLATION_POINTS = [(1.0, 0.2), (3.0, 1.0), (2.0, -1.5), (6.0, 0.3), (4.0, 0.1)]
+
+    def test_config_and_width_are_applied_when_the_cache_is_read(self):
+        wide, narrow = LANE, Pattern(LANE.centerline, 0.5)
+        combos = [(p, cfg) for p in (wide, narrow, EMPTY_PATTERN) for cfg in CFGS]
+        fresh = {
+            (p, cfg): self.every_score(points_graph(self.ISOLATION_POINTS), p, cfg) for p, cfg in combos
+        }
+        assert len({tuple(map(tuple, v)) for v in fresh.values()}) == len(combos)
+        for order in (combos, combos[::-1], combos[1::2] + combos[::2]):
+            g = points_graph(self.ISOLATION_POINTS)
+            for p, cfg in order:
+                assert self.every_score(g, p, cfg) == fresh[(p, cfg)]
+
+    def test_graphs_with_the_same_ids_do_not_share_entries(self):
+        moved = [(1.5 * x, y + 0.3) for x, y in self.ISOLATION_POINTS]
+        for pattern in (LANE, EMPTY_PATTERN):
+            for cfg in CFGS:
+                first = self.every_score(points_graph(self.ISOLATION_POINTS), pattern, cfg)
+                g = points_graph(moved)
+                again = self.every_score(g, pattern, cfg)
+                assert again != first
+                assert again == self.every_score(points_graph(moved), pattern, cfg)
+                assert self.every_score(g, pattern, cfg) == again
