@@ -26,14 +26,14 @@ from .core import (
 from .fracopt import (
     Constraint,
     FeasibilityResult,
-    RatioSearchConfig,
     RatioSearchResult,
     SolverModel,
     feasible,
     maximize_ratio,
+    ratio_model,
 )
 from .graphgen import build_graph, input_trajectories
-from .linker import LinkResult, build_link_model, link, ratio_bounds
+from .linker import LinkResult, build_link_model, link
 from .metrics import (
     ClearReport,
     IdfReport,
@@ -49,6 +49,7 @@ from .scoring import (
     Projection,
     ScorePair,
     edge_score,
+    lowest_ratio,
     objective,
     project_to_centerline,
     trajectory_score,

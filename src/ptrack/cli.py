@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors (missing or
 malformed files, degenerate instances).  The PTRACK_TIME_BUDGET_S environment
 variable, when set, caps the time of each ratio search (one per `link` or
 `mine` call), summed over its probes; results computed under a hit budget
-are reported as lower bounds.
+are reported as lower bounds, and a budget spent before any solution exits 2.
 """
 from __future__ import annotations
 
@@ -81,7 +81,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_config(args, tracks=None, default_empty_rate: float | None = None) -> Config:
+def _resolve_config(args, tracks=None) -> Config:
     overrides: dict = {}
     if getattr(args, "config", None):
         from pathlib import Path
@@ -91,14 +91,13 @@ def _resolve_config(args, tracks=None, default_empty_rate: float | None = None) 
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if default_empty_rate is not None:
-        overrides.setdefault("empty_rate", default_empty_rate)
     if getattr(args, "relative_widths", False) and "candidate_widths" not in overrides:
         if not tracks:
             raise ValueError("--relative-widths needs input tracks to measure")
         extent = tracking_extent(d.pos for t in tracks for d in t)
         overrides["candidate_widths"] = relative_widths(extent)
-    return Config(**overrides)
+    make = Config.unsupervised if args.command == "unsupervised" else Config
+    return make(**overrides)
 
 
 def _time_budget() -> float | None:
@@ -153,7 +152,7 @@ def _cmd_learn_patterns(args) -> None:
 
 def _cmd_unsupervised(args) -> None:
     tracks = _read_input_tracks(args)
-    cfg = _resolve_config(args, tracks, default_empty_rate=-3.0)
+    cfg = _resolve_config(args, tracks)
     graph = build_graph(tracks, cfg, _batch_range(args))
     initial = input_trajectories(graph)
     if args.budget_start is not None:

@@ -7,6 +7,17 @@ sum((numer - alpha * denom) * x) >= 0 subject to the constraints?  The answer
 is monotone in alpha whenever the denominator stays non-negative, so a
 bisection over alpha brackets the optimum to any fixed precision.
 
+`ratio_model` appends the total-score floor row: the summed denominator must
+exceed 0 by a margin scaled to the |denominators|, or an assignment with zero
+total (in linking, every detection its own path) would pass every probe
+vacuously.  It is left out when every denominator is 0.
+
+`maximize_ratio` bisects [lo, hi] `iters` times; lo must lie at or below any
+achievable ratio.  It raises ValueError when nothing usable comes back:
+"degenerate instance: ..." when the probe at lo is infeasible or every
+witness has a denominator of 0 or less, and "probe timed out ..." when the
+time budget runs out before the probe at lo ends.
+
 Feasibility itself is decided exactly by depth-first search with bound
 propagation and an optimistic bound on the parametric sum.  Instances here
 are small and highly structured (selection rows and flow conservation), which
@@ -29,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -105,6 +117,22 @@ class SolverModel:
         return value >= -1e-9 * (1.0 + scale)
 
 
+def ratio_model(
+    num_vars: int,
+    constraints: Sequence[Constraint],
+    numer: Sequence[float],
+    denom: Sequence[float],
+) -> SolverModel:
+    """The model with the total-score floor row appended last (see the module docstring)."""
+    rows = list(constraints)
+    floor_vars = tuple(k for k, d in enumerate(denom) if d != 0.0)
+    if floor_vars:
+        floor_coeffs = tuple(denom[k] for k in floor_vars)
+        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
+        rows.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
+    return SolverModel(num_vars, tuple(rows), tuple(numer), tuple(denom))
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     assignment: tuple[int, ...] | None
@@ -112,34 +140,18 @@ class FeasibilityResult:
 
 
 @dataclass(frozen=True)
-class RatioSearchConfig:
-    """Bisection bracket and iteration count for the ratio search."""
-
-    lo: float = 0.0
-    hi: float = 1.0
-    iters: int = 10
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.iters, int) or self.iters < 1:
-            raise ValueError("iters must be a positive int")
-
-
-@dataclass(frozen=True)
 class RatioSearchResult:
     """Outcome of the bisection.
 
     `alpha` is the certified lower bound reached by the search grid;
-    `achieved` is the exact ratio of the returned witness (None when its
-    denominator is not positive).  When the search's time budget runs out
-    before a probe is decided, that probe is treated as infeasible and the
-    result is flagged as a lower bound only.
+    `achieved` is the exact ratio of the returned witness.  When the
+    search's time budget runs out before a probe is decided, that probe is
+    treated as infeasible and the result is flagged as a lower bound only.
     """
 
     alpha: float
     witness: tuple[int, ...]
-    achieved: float | None
+    achieved: float
     lower_bound_only: bool = False
 
 
@@ -405,21 +417,26 @@ def feasible(model: SolverModel, alpha: float, time_budget: float | None = None)
 
 def maximize_ratio(
     model: SolverModel,
-    search: RatioSearchConfig | None = None,
+    lo: float = 0.0,
+    hi: float = 1.0,
+    iters: int = 10,
     time_budget: float | None = None,
 ) -> RatioSearchResult:
-    """Bisection for the best achievable ratio.
+    """Bisection for the best achievable ratio over the bracket [lo, hi].
 
-    Probes the lower bracket first and fails loudly if nothing is feasible
-    there.  Each feasible probe raises the certified bound and keeps the
-    best witness seen; each infeasible (or timed-out) probe lowers the upper
-    bracket.  After `iters` halvings the certified bound is within
+    Probes `lo` first and raises if nothing usable is found there (see the
+    module docstring).  Each feasible probe raises the certified bound and
+    keeps the best witness seen; each infeasible (or timed-out) probe lowers
+    the upper bracket.  After `iters` halvings the certified bound is within
     (hi - lo) * 2**-iters of the true optimum.
 
     `time_budget` bounds the whole search: each probe gets the time that is
     left, and a probe with no time left counts as timed out.
     """
-    cfg = search or RatioSearchConfig()
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not isinstance(iters, int) or iters < 1:
+        raise ValueError("iters must be a positive int")
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def probe(alpha: float) -> FeasibilityResult:
@@ -430,15 +447,15 @@ def maximize_ratio(
             return FeasibilityResult(None, timed_out=True)
         return feasible(model, alpha, left)
 
-    first = probe(cfg.lo)
+    first = probe(lo)
+    if first.timed_out:
+        raise ValueError(f"probe timed out at ratio bound {lo} before finding any solution")
     if first.assignment is None:
-        detail = "probe timed out" if first.timed_out else "no feasible assignment"
-        raise ValueError(f"no feasible solution at ratio bound {cfg.lo}: {detail}")
+        raise ValueError(f"degenerate instance: no feasible solution at ratio bound {lo}")
     witness = first.assignment
     achieved = model.ratio_of(witness)
-    lo, hi = cfg.lo, cfg.hi
     lb_only = False
-    for _ in range(cfg.iters):
+    for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if model.certifies(witness, mid):
             lo = mid
@@ -453,4 +470,6 @@ def maximize_ratio(
             hi = mid
             if result.timed_out:
                 lb_only = True
+    if achieved is None:
+        raise ValueError("degenerate instance: every solution found has a denominator of 0 or less")
     return RatioSearchResult(alpha=lo, witness=witness, achieved=achieved, lower_bound_only=lb_only)

@@ -21,13 +21,8 @@ from .core import (
     Trajectory,
     validate_trajectory_set,
 )
-from .fracopt import (
-    Constraint,
-    RatioSearchConfig,
-    SolverModel,
-    maximize_ratio,
-)
-from .scoring import PatternScorer
+from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
+from .scoring import PatternScorer, lowest_ratio
 
 
 @dataclass(frozen=True)
@@ -48,20 +43,6 @@ class LinkResult:
     alpha_star: float
     search_alpha: float
     lower_bound_only: bool = False
-
-
-def ratio_bounds(cfg: Config, iters: int) -> RatioSearchConfig:
-    """Bisection bracket for the linking objective.
-
-    The objective never exceeds 1 (aligned length cannot beat total length)
-    and never drops below 0 when off-pattern motion scores non-negatively.
-    A negative empty rate pulls the floor down; reverse penalties can push a
-    pattern-assigned trajectory slightly below it, hence the extra headroom.
-    """
-    lo = 0.0
-    if cfg.empty_rate < 0:
-        lo = -(1.0 + cfg.reverse_penalty + abs(cfg.empty_rate))
-    return RatioSearchConfig(lo=lo, hi=1.0, iters=iters)
 
 
 def require_empty_pattern(patterns: Sequence[Pattern]) -> int:
@@ -131,22 +112,7 @@ def build_link_model(
         )
     )
 
-    # Decompositions with zero total score (every detection its own path)
-    # would satisfy any ratio probe vacuously; a floor on the total keeps the
-    # bisection a genuine threshold search.
-    floor_vars = tuple(k for k, n in enumerate(denom) if n != 0.0)
-    if floor_vars:
-        floor_coeffs = tuple(denom[k] for k in floor_vars)
-        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
-        constraints.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
-
-    model = SolverModel(
-        num_vars=len(triples),
-        constraints=tuple(constraints),
-        numer=tuple(numer),
-        denom=tuple(denom),
-    )
-    return model, triples
+    return ratio_model(len(triples), constraints, numer, denom), triples
 
 
 def _decode(
@@ -216,16 +182,7 @@ def link(
             raise ValueError(f"detection {det.id} has no incoming edge")
 
     model, triples = build_link_model(graph, patterns, cfg)
-    try:
-        result = maximize_ratio(model, ratio_bounds(cfg, iters), time_budget)
-    except ValueError as err:
-        if "no feasible solution" in str(err):
-            raise ValueError(
-                "degenerate instance: every decomposition has zero total score"
-            ) from err
-        raise
-    if result.achieved is None:
-        raise ValueError("degenerate instance: every decomposition has zero total score")
+    result = maximize_ratio(model, lowest_ratio(cfg), iters=iters, time_budget=time_budget)
     all_trajectories, full_assignment = _decode(graph, triples, result.witness)
 
     if cfg.remove_empty:

@@ -21,9 +21,8 @@ from .core import (
     Trajectory,
     tracking_area,
 )
-from .fracopt import Constraint, SolverModel, maximize_ratio
-from .linker import ratio_bounds
-from .scoring import trajectory_score
+from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
+from .scoring import lowest_ratio, trajectory_score
 
 
 @dataclass(frozen=True)
@@ -141,20 +140,7 @@ def build_mine_model(
         budget = cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
         constraints.append(Constraint(sel, costs, "<=", budget))
 
-    # Same total-score floor as the linker: assignments whose summed total
-    # is zero would pass every ratio probe vacuously.
-    floor_vars = tuple(k for k, n in enumerate(denom) if n != 0.0)
-    if floor_vars:
-        floor_coeffs = tuple(denom[k] for k in floor_vars)
-        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
-        constraints.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
-
-    return SolverModel(
-        num_vars=num_vars,
-        constraints=tuple(constraints),
-        numer=tuple(numer),
-        denom=tuple(denom),
-    )
+    return ratio_model(num_vars, constraints, numer, denom)
 
 
 def mine(
@@ -173,16 +159,7 @@ def mine(
     if not trajectories:
         raise ValueError("no trajectories to mine from")
     model = build_mine_model(graph, trajectories, candidates, cfg)
-    try:
-        result = maximize_ratio(model, ratio_bounds(cfg, iters), time_budget)
-    except ValueError as err:
-        if "no feasible solution" in str(err):
-            raise ValueError(
-                "degenerate instance: every assignment has zero total score"
-            ) from err
-        raise
-    if result.achieved is None:
-        raise ValueError("degenerate instance: every assignment has zero total score")
+    result = maximize_ratio(model, lowest_ratio(cfg), iters=iters, time_budget=time_budget)
 
     n_cand = len(candidates)
     chosen: list[int] = []

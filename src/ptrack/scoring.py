@@ -48,6 +48,19 @@ class ScorePair:
     aligned: float
 
 
+def lowest_ratio(cfg: Config) -> float:
+    """Lower end of the ratio search bracket; the upper end is 1 (aligned never exceeds total).
+
+    The ratio never drops below 0 when off-pattern motion scores
+    non-negatively.  A negative empty rate pulls the floor down; reverse
+    penalties can push a pattern-assigned trajectory slightly below it,
+    hence the extra headroom.
+    """
+    if cfg.empty_rate < 0:
+        return -(1.0 + cfg.reverse_penalty + abs(cfg.empty_rate))
+    return 0.0
+
+
 def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arc, foot and distance of the closest centerline point to each row of `points`.
 

@@ -70,7 +70,6 @@ def split_half_score(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
     cfg: Config,
-    mine_iters: int = 5,
     time_budget: float | None = None,
 ) -> float:
     """Label-free quality proxy for a trajectory set.
@@ -90,12 +89,10 @@ def split_half_score(
         (half_a if early >= len(frames) - early else half_b).append(traj)
     if not half_a or not half_b:
         raise ValueError("degenerate split: a half of the batch has no trajectories")
-    patterns_a = mine(
-        graph, half_a, generate_candidates(graph, half_a, cfg), cfg, mine_iters, time_budget
-    ).patterns
-    patterns_b = mine(
-        graph, half_b, generate_candidates(graph, half_b, cfg), cfg, mine_iters, time_budget
-    ).patterns
+    candidates_a = generate_candidates(graph, half_a, cfg)
+    patterns_a = mine(graph, half_a, candidates_a, cfg, time_budget=time_budget).patterns
+    candidates_b = generate_candidates(graph, half_b, cfg)
+    patterns_b = mine(graph, half_b, candidates_b, cfg, time_budget=time_budget).patterns
     return 0.5 * (
         _cross_score(graph, half_b, patterns_a, cfg)
         + _cross_score(graph, half_a, patterns_b, cfg)
@@ -129,8 +126,6 @@ def run_unsupervised(
     schedule: Sequence[float] | None = None,
     iterations_per_level: int = 5,
     stop_patterns: int | None = None,
-    link_iters: int = 10,
-    mine_iters: int = 5,
     time_budget: float | None = None,
 ) -> UnsupervisedResult:
     """Alternate mining and linking over a growing cost-budget schedule.
@@ -159,11 +154,11 @@ def run_unsupervised(
         steps_left = iterations_per_level
         while steps_left > 0:
             candidates = generate_candidates(graph, current, level_cfg)
-            mined = mine(graph, current, candidates, level_cfg, mine_iters, time_budget)
-            linked = link(graph, mined.patterns, level_cfg, link_iters, time_budget)
+            mined = mine(graph, current, candidates, level_cfg, time_budget=time_budget)
+            linked = link(graph, mined.patterns, level_cfg, time_budget=time_budget)
             current = linked.all_trajectories
             level_patterns = len(mined.patterns) - 1
-            proxy = split_half_score(graph, current, level_cfg, mine_iters, time_budget)
+            proxy = split_half_score(graph, current, level_cfg, time_budget)
             repeat = 1
             if previous == (current, mined.patterns):
                 # Fixed point: the remaining alternations at this level

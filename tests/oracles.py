@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ptrack import SINK_NODE, SOURCE_NODE
+from ptrack import SINK_NODE, SOURCE_NODE, Constraint, SolverModel
 
 
 def dense_nearest_point(point, centerline, step=1e-3):
@@ -98,6 +98,41 @@ def satisfies(constraint, x):
     if constraint.sense == ">=":
         return value >= constraint.rhs - 1e-9
     return abs(value - constraint.rhs) <= 1e-9
+
+
+def with_floor_row(constraints, denom):
+    """The rows with the total-score floor appended last, written out by hand.
+
+    The floor keeps the summed denominator at or above 1e-7 * (1 + sum |denom|)
+    over the variables with a non-zero denominator; there is no floor row
+    when every denominator is 0.
+    """
+    rows = list(constraints)
+    floor_vars = tuple(k for k, n in enumerate(denom) if n != 0.0)
+    if floor_vars:
+        floor_coeffs = tuple(denom[k] for k in floor_vars)
+        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
+        rows.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
+    return tuple(rows)
+
+
+def build_with_reference_floor(monkeypatch, module, build):
+    """Run `build`, recording what it hands to `module.ratio_model`.
+
+    Returns the built model and the model that `with_floor_row` makes from
+    the same rows and ratio terms.
+    """
+    real = module.ratio_model
+    calls = []
+
+    def recording(num_vars, constraints, numer, denom):
+        calls.append((num_vars, tuple(constraints), tuple(numer), tuple(denom)))
+        return real(num_vars, constraints, numer, denom)
+
+    monkeypatch.setattr(module, "ratio_model", recording)
+    model = build()
+    ((num_vars, rows, numer, denom),) = calls
+    return model, SolverModel(num_vars, with_floor_row(rows, denom), numer, denom)
 
 
 def enumerate_assignments(model):

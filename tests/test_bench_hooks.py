@@ -68,3 +68,29 @@ def test_the_miner_scores_through_the_wrapped_name():
     finally:
         tracer.uninstall()
     assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * len(candidates) == 10
+
+
+def test_every_solve_goes_through_the_wrapped_names():
+    # The benchmark counts one `maximize_ratio` call per `link` and per `mine`,
+    # and sizes each link model, floor row included, from `build_link_model`.
+    from ptrack import build_link_model, link, mine
+
+    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    cfg = Config(candidate_widths=(1.0, 3.0))
+    g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
+    trajectories = input_trajectories(g)
+    candidates = generate_candidates(g, trajectories, cfg)
+    patterns = mine(g, trajectories, candidates, cfg).patterns
+    model, _ = build_link_model(g, patterns, cfg)
+    floor = model.constraints[-1]
+    assert floor.sense == ">=" and floor.rhs > 0.0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        link(g, patterns, cfg)
+        mine(g, trajectories, candidates, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fracopt.maximize_ratio"] == 2
+    assert tracer.calls["linker.build_link_model"] == tracer.calls["miner.build_mine_model"] == 1
+    assert tracer.counts["linker.rows"] == len(model.constraints)

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+import ptrack.fracopt as fracopt
 from ptrack import read_patterns, tracks_from_csv
 from ptrack.cli import cli
 
@@ -115,6 +116,30 @@ class TestTimeBudgetVariable:
         assert cli(self.track_argv(tmp_path)) == 0
         assert "lower bound" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["track", "learn-patterns"])
+    def test_spent_budget_is_not_a_degenerate_instance(self, tmp_path, capsys, monkeypatch, command):
+        # A clock that advances between any two reads, as a real one does,
+        # however coarse the machine's clock is.
+        class TickingClock:
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1e-6
+                return self.now
+
+        monkeypatch.setattr(fracopt, "time", TickingClock())
+        monkeypatch.setenv("PTRACK_TIME_BUDGET_S", "1e-9")
+        if command == "track":
+            argv = self.track_argv(tmp_path)
+        else:
+            tracks = tmp_path / "flows.csv"
+            tracks.write_text(two_flow_csv())
+            argv = ["learn-patterns", "--tracks", str(tracks), "--out", str(tmp_path / "p.txt")]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "probe timed out" in err
+        assert "degenerate" not in err
+
 
 class TestTrack:
     def test_far_singleton_dropped_by_default(self, tmp_path, capsys):
@@ -164,6 +189,25 @@ class TestConfigPrecedence:
         assert cli(argv) == 0
         assert capsys.readouterr().out.startswith("2 patterns,")
         assert len(read_patterns(out)) == 2
+
+    @pytest.mark.parametrize("flag, empty_rate", [((), -3.0), (("--empty-rate", "0.5"), 0.5)])
+    def test_unsupervised_empty_rate(self, tmp_path, monkeypatch, flag, empty_rate):
+        class Resolved(Exception):
+            pass
+
+        def capture(graph, initial, cfg, **kwargs):
+            raise Resolved(cfg)
+
+        monkeypatch.setattr("ptrack.cli.run_unsupervised", capture)
+        tracks = tmp_path / "flows.csv"
+        tracks.write_text(two_flow_csv())
+        argv = [
+            "unsupervised", "--tracks", str(tracks), "--out", str(tmp_path / "out.csv"),
+            "--patterns-out", str(tmp_path / "p.txt"), "--budget-start", "10", *flag,
+        ]
+        with pytest.raises(Resolved) as resolved:
+            cli(argv)
+        assert resolved.value.args[0].empty_rate == empty_rate
 
 
 class TestEval:

@@ -6,7 +6,6 @@ import ptrack.fracopt as fracopt
 from ptrack.fracopt import (
     Constraint,
     FeasibilityResult,
-    RatioSearchConfig,
     SolverModel,
     feasible,
     maximize_ratio,
@@ -57,14 +56,16 @@ class TestValidation:
             SolverModel(2, (con([5], [1.0], "<=", 1.0),), (0.0, 0.0), (1.0, 1.0))
 
     def test_search_config_needs_ordered_bracket(self):
+        m = SolverModel(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="lo < hi"):
-            RatioSearchConfig(1.0, 0.0, 4)
+            maximize_ratio(m, 1.0, 0.0, 4)
 
     def test_search_config_needs_positive_int_iters(self):
+        m = SolverModel(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="positive int"):
-            RatioSearchConfig(0.0, 1.0, 0)
+            maximize_ratio(m, 0.0, 1.0, 0)
         with pytest.raises(ValueError, match="positive int"):
-            RatioSearchConfig(0.0, 1.0, 1.5)
+            maximize_ratio(m, 0.0, 1.0, 1.5)
 
 
 class TestModelQueries:
@@ -217,7 +218,8 @@ class TestSlackGate:
 
     def test_noisy_link_model_matches_full_scan(self, monkeypatch):
         from ptrack import EMPTY_PATTERN, Config, Pattern, build_graph
-        from ptrack.linker import build_link_model, ratio_bounds
+        from ptrack.linker import build_link_model
+        from ptrack.scoring import lowest_ratio
         from ptrack.synth import Fragment, Swap, corrupt, generate_scene
 
         corridors = (
@@ -243,7 +245,7 @@ class TestSlackGate:
             return result
 
         monkeypatch.setattr(fracopt, "feasible", recording)
-        fracopt.maximize_ratio(model, ratio_bounds(cfg, 10))
+        fracopt.maximize_ratio(model, lowest_ratio(cfg), iters=10)
         assert {ok for _, ok in probes} == {True, False}
         nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
         assert sum(nodes) > 1000
@@ -252,7 +254,7 @@ class TestSlackGate:
 class TestRatioSearch:
     def test_uniform_ratio_is_reached(self):
         m = SolverModel(2, (cover_row(2),), (2.0, 3.0), (2.0, 3.0))
-        res = maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10))
+        res = maximize_ratio(m, 0.0, 1.0, 10)
         assert res.achieved == 1.0
         assert res.alpha >= 1.0 - 2.0**-10 - 1e-9
         assert not res.lower_bound_only
@@ -269,13 +271,19 @@ class TestRatioSearch:
 
     def test_negative_bracket(self):
         m = SolverModel(2, (cover_row(2),), (-3.0, -6.0), (1.0, 2.0))
-        res = maximize_ratio(m, RatioSearchConfig(-4.0, 1.0, 12))
+        res = maximize_ratio(m, -4.0, 1.0, 12)
         assert res.achieved == -3.0
         assert -3.0 - 5.0 * 2.0**-12 - 1e-9 <= res.alpha <= -3.0 + 1e-9
 
     def test_infeasible_bracket_fails_loudly(self):
         m = SolverModel(2, (con([0, 1], [1.0, 1.0], ">=", 3.0),), (1.0, 1.0), (1.0, 1.0))
-        with pytest.raises(ValueError, match="no feasible solution"):
+        with pytest.raises(ValueError, match="degenerate instance: no feasible solution at ratio bound 0.0"):
+            maximize_ratio(m)
+
+    def test_zero_denominators_are_degenerate(self):
+        m = fracopt.ratio_model(2, (cover_row(2),), (0.0, 0.0), (0.0, 0.0))
+        assert m.constraints == (cover_row(2),)
+        with pytest.raises(ValueError, match="degenerate instance: every solution found has a denominator"):
             maximize_ratio(m)
 
     def test_random_instances_match_enumeration(self):
@@ -283,7 +291,7 @@ class TestRatioSearch:
         for _ in range(60):
             m = random_ratio_model(rng, max_vars=8)
             best, _ = brute_force_best_ratio(m)
-            res = maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10))
+            res = maximize_ratio(m, 0.0, 1.0, 10)
             assert res.achieved is not None
             assert abs(res.achieved - best) <= 2.0**-10 + 1e-6
             assert best - 2.0**-10 - 1e-6 <= res.alpha <= best + 1e-6
@@ -334,8 +342,9 @@ class TestTimeBudget:
         assert not res.timed_out
 
     def test_search_reports_timeout_at_bracket(self):
-        with pytest.raises(ValueError, match="probe timed out"):
+        with pytest.raises(ValueError, match="^probe timed out") as err:
             maximize_ratio(self.anchor(), time_budget=1e-9)
+        assert "degenerate" not in str(err.value)
 
 
 class _FakeClock:
@@ -353,7 +362,7 @@ def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
     # but the search needs more than two probes: with the budget spread over
     # the whole search, the third probe runs out and the bound is partial.
     m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
-    unbounded = maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10))
+    unbounded = maximize_ratio(m, 0.0, 1.0, 10)
     clock = _FakeClock()
     real = fracopt.feasible
     budgets = []
@@ -368,7 +377,7 @@ def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
 
     monkeypatch.setattr(fracopt, "time", clock)
     monkeypatch.setattr(fracopt, "feasible", one_second_probe)
-    res = fracopt.maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10), time_budget=2.5)
+    res = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=2.5)
     assert res.lower_bound_only
     assert budgets[:3] == [2.5, 1.5, 0.5]
     # once the budget is spent, later probes count as timed out without running
@@ -377,7 +386,7 @@ def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
 
     clock.now = 0.0
     budgets.clear()
-    ample = fracopt.maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10), time_budget=100.0)
+    ample = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=100.0)
     assert not ample.lower_bound_only
     assert ample == unbounded
     assert len(budgets) > 2
@@ -403,7 +412,7 @@ def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
         return real(model, alpha)
 
     monkeypatch.setattr(fracopt, "feasible", flaky)
-    res = fracopt.maximize_ratio(m, RatioSearchConfig(0.0, 1.0, 10))
+    res = fracopt.maximize_ratio(m, 0.0, 1.0, 10)
     assert res.lower_bound_only
     assert res.alpha >= 0.475 - 1e-9
     assert res.alpha < 0.5

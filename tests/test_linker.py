@@ -1,4 +1,6 @@
 """Pattern-guided re-linking of detections into trajectories."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from ptrack import (
     objective,
     validate_trajectory_set,
 )
-from ptrack.linker import ratio_bounds, require_empty_pattern
+import ptrack.linker as linker
+from ptrack.linker import require_empty_pattern
+from ptrack.scoring import lowest_ratio
 
-from oracles import best_cover_objective
+from oracles import best_cover_objective, build_with_reference_floor, with_floor_row
 
 LANE = Pattern(((-3.0, 0.0), (3.0, 0.0)), 1.0)
 POLE = Pattern(((0.0, -3.0), (0.0, 2.0)), 1.0)
@@ -32,15 +36,32 @@ def chain_track(xs, y=0.0, start=1):
     return [det(start + k, x, y) for k, x in enumerate(xs)]
 
 
-class TestRatioBounds:
-    def test_non_negative_empty_rate_keeps_unit_bracket(self):
-        b = ratio_bounds(Config(), 10)
-        assert (b.lo, b.hi, b.iters) == (0.0, 1.0, 10)
+def linked_bracket(monkeypatch, cfg, **link_kwargs):
+    """The (lo, hi, iters) that `link` hands to the ratio search."""
+    real = linker.maximize_ratio
+    seen = []
 
-    def test_negative_empty_rate_widens_downward(self):
-        b = ratio_bounds(Config.unsupervised(), 8)
-        assert b.lo == -5.0
-        assert b.hi == 1.0
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append((bound.arguments["lo"], bound.arguments["hi"], bound.arguments["iters"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linker, "maximize_ratio", recording)
+    g = build_graph([chain_track([-2.0, 0.0, 2.0])], cfg)
+    link(g, (EMPTY_PATTERN, LANE), cfg, **link_kwargs)
+    (bracket,) = seen
+    return bracket
+
+
+class TestRatioBounds:
+    def test_non_negative_empty_rate_keeps_unit_bracket(self, monkeypatch):
+        assert lowest_ratio(Config()) == 0.0
+        assert linked_bracket(monkeypatch, Config()) == (0.0, 1.0, 10)
+
+    def test_negative_empty_rate_widens_downward(self, monkeypatch):
+        assert lowest_ratio(Config.unsupervised()) == -5.0
+        assert linked_bracket(monkeypatch, Config.unsupervised(), iters=8) == (-5.0, 1.0, 8)
 
 
 class TestRequireEmptyPattern:
@@ -62,6 +83,41 @@ def test_model_has_one_variable_per_pattern_edge_pair():
     model, triples = build_link_model(g, patterns, Config())
     assert model.num_vars == len(g.edges) * len(patterns)
     assert len(set(triples)) == model.num_vars
+
+
+class TestFloorRow:
+    """The model equals one whose floor row comes from the hand-written reference."""
+
+    def test_noisy_family_model(self, monkeypatch):
+        from ptrack.synth import Fragment, Swap, corrupt, generate_scene
+
+        corridors = (
+            Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+            Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+        )
+        scene = generate_scene(
+            corridors, ((0, 1), (1, 2), (0, 3)), speed=2.0**0.5,
+            lateral_sigma=0.3, speed_jitter=0.2, seed=1,
+        )
+        broken = corrupt(scene.track_lists(), [Swap(0, 1, frame=8), Fragment(2, frame=9)])
+        cfg = Config()
+        g = build_graph(broken, cfg, scene.meta.batch)
+        (model, _), reference = build_with_reference_floor(
+            monkeypatch, linker, lambda: build_link_model(g, (EMPTY_PATTERN, *corridors), cfg)
+        )
+        assert model == reference
+        assert model.constraints == reference.constraints
+        assert (model.constraints[-1],) == with_floor_row((), model.denom)
+
+    def test_all_zero_totals_have_no_floor_row(self, monkeypatch):
+        g = build_graph([[det(1, 0.0, 0.0)]], Config())
+        (model, _), reference = build_with_reference_floor(
+            monkeypatch, linker, lambda: build_link_model(g, (EMPTY_PATTERN,), Config())
+        )
+        assert set(model.denom) == {0.0}
+        assert model == reference
+        assert model.constraints == reference.constraints
+        assert all(c.sense == "==" for c in model.constraints)
 
 
 class TestLinkBasics:

@@ -15,8 +15,11 @@ from ptrack import (
     tracking_area,
     trajectory_score,
 )
+import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
-from ptrack.miner import CandidateSet
+from ptrack.miner import CandidateSet, build_mine_model
+
+from oracles import build_with_reference_floor, with_floor_row
 
 
 def det(frame, x, y=0.0):
@@ -164,6 +167,29 @@ class TestMine:
         assert len(cands) == 1
         with pytest.raises(ValueError, match="degenerate"):
             mine(g, ts, cands, cfg)
+
+
+def test_dense_crossing_model_matches_reference_floor(monkeypatch):
+    """The model equals one whose floor row comes from the hand-written reference."""
+    from ptrack.synth import generate_scene
+
+    corridors = (
+        Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+        Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+    )
+    agents = tuple((k % 2, k + 1) for k in range(12))
+    scene = generate_scene(corridors, agents, speed=2.0**0.5)
+    cfg = Config()
+    g = build_graph(scene.track_lists(), cfg, scene.meta.batch)
+    ts = input_trajectories(g)
+    cands = generate_candidates(g, ts, cfg)
+    assert len(ts) == 12
+    model, reference = build_with_reference_floor(
+        monkeypatch, miner, lambda: build_mine_model(g, ts, cands, cfg)
+    )
+    assert model == reference
+    assert model.constraints == reference.constraints
+    assert (model.constraints[-1],) == with_floor_row((), model.denom)
 
 
 def test_small_instance_matches_exhaustive_selection():
