@@ -27,8 +27,8 @@ Propagation is slack-gated.  Each row keeps the range its activity can still
 reach; fixing one more variable shifts that range by the variable's
 |coefficient|, so a row can force a variable only when that |coefficient|
 exceeds the row's slack.  A row whose largest |coefficient| fits in its slack
-is skipped without looking at its variables, which makes the dense rows (the
-total-score floor, the entry/exit balance) cost next to nothing until they
+is skipped without looking at its variables, which makes dense rows (the
+total-score floor, the miner's cost budget) cost next to nothing until they
 are nearly tight.  The forced variables are exactly those of a full scan.
 The alpha-independent row index is built once per model and shared by every
 probe.

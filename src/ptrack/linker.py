@@ -59,9 +59,11 @@ def build_link_model(
     """Construct the 0/1 model for linking.
 
     One variable per (pattern, edge) triple.  Constraints: every detection
-    selects exactly one outgoing and one incoming edge across patterns, the
-    selected pattern is conserved through each detection, and entries balance
-    exits.  Returns the model and the triple for each variable index.
+    selects exactly one outgoing and one incoming edge across patterns, and the
+    selected pattern is conserved through each detection.  These rows already
+    make entries balance exits: summed over the n detections, #detection edges
+    + #exits = n = #detection edges + #entries.  Returns the model and the
+    triple for each variable index.
     """
     edges = graph.sorted_edges
     triples = tuple(
@@ -100,17 +102,6 @@ def build_link_model(
             )
             coeffs = (1.0,) * len(ins) + (-1.0,) * len(outs)
             constraints.append(Constraint(cons_vars, coeffs, "==", 0.0))
-
-    entry_vars = tuple(k for k, (p, i, j) in enumerate(triples) if i == SOURCE_NODE)
-    exit_vars = tuple(k for k, (p, i, j) in enumerate(triples) if j == SINK_NODE)
-    constraints.append(
-        Constraint(
-            entry_vars + exit_vars,
-            (1.0,) * len(entry_vars) + (-1.0,) * len(exit_vars),
-            "==",
-            0.0,
-        )
-    )
 
     return ratio_model(len(triples), constraints, numer, denom), triples
 

@@ -6,6 +6,15 @@ a subset within a count budget and a total-cost budget, together with one
 pattern per trajectory, maximizing the same aligned/total ratio the linker
 uses.  Keeping patterns cheap (short and narrow) is what forces the selection
 to generalize instead of memorizing every trajectory.
+
+Many candidates are twins: the same centerline at a width that flips no
+corridor gate, or one shape drawn from two trajectories, gives the same
+(total, aligned) score on every mined trajectory.  `mine` keeps only the
+cheapest candidate of each such score column (the lowest index on a cost
+tie; the empty pattern, which costs nothing, always stays) before it builds
+its model.  This is exact: a selection that uses a dearer twin can switch to
+the cheaper one, which leaves the ratio and the total-score floor as they
+were and can only lower the count and the summed cost of the selection.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from .core import (
     tracking_area,
 )
 from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
-from .scoring import lowest_ratio, trajectory_score
+from .scoring import ScorePair, lowest_ratio, trajectory_score
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,10 @@ class MineResult:
 
     `alpha_star` is the exact objective of the returned assignment;
     `search_alpha` the certified bisection bound.  `selected_candidates`
-    are indices into the candidate set, for traceability.
+    are indices into the candidate set handed to `mine`, for traceability;
+    of candidates with the same score column only the cheapest can appear,
+    since the others were dropped before the solve without changing the
+    optimum.
     """
 
     patterns: tuple[Pattern, ...]
@@ -143,6 +155,27 @@ def build_mine_model(
     return ratio_model(num_vars, constraints, numer, denom)
 
 
+def _cheapest_twins(
+    graph: DetectionGraph,
+    trajectories: Sequence[Trajectory],
+    candidates: CandidateSet,
+    cfg: Config,
+) -> tuple[int, ...]:
+    """Index of the cheapest candidate of each distinct score column, ascending.
+
+    A column is the (total, aligned) score of every trajectory against the
+    candidate.  Cost ties go to the lowest index, so the empty pattern (index
+    0, cost 0) always stays and drops every candidate with its column.
+    """
+    cheapest: dict[tuple[ScorePair, ...], int] = {}
+    for p, pattern in enumerate(candidates.patterns):
+        column = tuple(trajectory_score(graph, traj, pattern, cfg) for traj in trajectories)
+        kept = cheapest.setdefault(column, p)
+        if pattern.cost < candidates.patterns[kept].cost:
+            cheapest[column] = p
+    return tuple(sorted(cheapest.values()))
+
+
 def mine(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
@@ -155,17 +188,22 @@ def mine(
 
     The returned pattern set always starts with the empty pattern; only
     candidates actually used by some trajectory are included beyond it.
+    The model holds only the cheapest candidate of each score column.
     """
     if not trajectories:
         raise ValueError("no trajectories to mine from")
-    model = build_mine_model(graph, trajectories, candidates, cfg)
+    kept = _cheapest_twins(graph, trajectories, candidates, cfg)
+    reduced = CandidateSet(
+        tuple(candidates.patterns[k] for k in kept), tuple(candidates.source[k] for k in kept)
+    )
+    model = build_mine_model(graph, trajectories, reduced, cfg)
     result = maximize_ratio(model, lowest_ratio(cfg), iters=iters, time_budget=time_budget)
 
-    n_cand = len(candidates)
+    n_cand = len(reduced)
     chosen: list[int] = []
     for t in range(len(trajectories)):
         row = result.witness[t * n_cand : (t + 1) * n_cand]
-        picks = [p for p, x in enumerate(row) if x]
+        picks = [kept[p] for p, x in enumerate(row) if x]
         assert len(picks) == 1, "each trajectory must use exactly one pattern"
         chosen.append(picks[0])
 

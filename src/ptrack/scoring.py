@@ -170,14 +170,18 @@ class PatternScorer:
         return Projection(arc=arc, foot=(fx, fy), dist=dist)
 
     def detection_edge(self, i: int, j: int) -> ScorePair:
+        return ScorePair(*self._detection_edge(i, j))
+
+    def _detection_edge(self, i: int, j: int) -> tuple[float, float]:
+        """(total, aligned) of a detection edge, without building a `ScorePair`."""
         total, back, aligned, gate = self._terms[i, j]
         if self.pattern.is_empty:
-            return ScorePair(total, self.cfg.empty_rate * total)
+            return total, self.cfg.empty_rate * total
         if back > 0.0:
             # Moving against the pattern's direction: penalize in proportion
             # to the arc covered backwards, regardless of corridor width.
-            return ScorePair(total, -(1.0 + self.cfg.reverse_penalty) * back)
-        return ScorePair(total, 0.0 if gate > self.pattern.width else aligned)
+            return total, -(1.0 + self.cfg.reverse_penalty) * back
+        return total, 0.0 if gate > self.pattern.width else aligned
 
     def entry_edge(self, v: int, at_batch_begin: bool) -> ScorePair:
         """Score for appearing at detection v; free at the batch's first frame."""
@@ -237,10 +241,11 @@ def trajectory_score(
     leave = scorer.exit_edge(traj.nodes[-1], traj.ends_at_batch_end)
     total = entry.total + leave.total
     aligned = entry.aligned + leave.aligned
+    edge = scorer._detection_edge
     for a, b in zip(traj.nodes, traj.nodes[1:]):
-        score = scorer.detection_edge(a, b)
-        total += score.total
-        aligned += score.aligned
+        edge_total, edge_aligned = edge(a, b)
+        total += edge_total
+        aligned += edge_aligned
     return ScorePair(total, aligned)
 
 

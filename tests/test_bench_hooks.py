@@ -94,3 +94,26 @@ def test_every_solve_goes_through_the_wrapped_names():
     assert tracer.calls["fracopt.maximize_ratio"] == 2
     assert tracer.calls["linker.build_link_model"] == tracer.calls["miner.build_mine_model"] == 1
     assert tracer.counts["linker.rows"] == len(model.constraints)
+
+
+def test_the_miner_model_counts_distinct_score_columns():
+    # `mine` hands `build_mine_model` one candidate per distinct score column,
+    # so the benchmark's `miner.candidates` and `miner.vars` count those.
+    from ptrack import mine
+
+    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    cfg = Config(candidate_widths=(1.0, 3.0))
+    g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
+    trajectories = input_trajectories(g)
+    candidates = generate_candidates(g, trajectories, cfg)
+    assert len(candidates) == 5
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mine(g, trajectories, candidates, cfg)
+    finally:
+        tracer.uninstall()
+    # Neither width flips a corridor gate: one candidate per flow survives.
+    assert tracer.counts["miner.candidates"] == 3
+    assert tracer.counts["miner.vars"] == len(trajectories) * 3 + 2
+    assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * (5 + 3)

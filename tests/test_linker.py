@@ -12,6 +12,7 @@ from ptrack import (
     Pattern,
     SINK_NODE,
     SOURCE_NODE,
+    SolverModel,
     build_graph,
     build_link_model,
     link,
@@ -22,7 +23,7 @@ import ptrack.linker as linker
 from ptrack.linker import require_empty_pattern
 from ptrack.scoring import lowest_ratio
 
-from oracles import best_cover_objective, build_with_reference_floor, with_floor_row
+from oracles import best_cover_objective, build_with_reference_floor, enumerate_assignments, with_floor_row
 
 LANE = Pattern(((-3.0, 0.0), (3.0, 0.0)), 1.0)
 POLE = Pattern(((0.0, -3.0), (0.0, 2.0)), 1.0)
@@ -83,6 +84,28 @@ def test_model_has_one_variable_per_pattern_edge_pair():
     model, triples = build_link_model(g, patterns, Config())
     assert model.num_vars == len(g.edges) * len(patterns)
     assert len(set(triples)) == model.num_vars
+
+
+def test_detection_rows_balance_entries_and_exits():
+    """No entry/exit balance row is needed: the per-detection rows imply it."""
+    cases = [
+        ([chain_track([-2.0, 0.0, 2.0])], (EMPTY_PATTERN,)),
+        ([chain_track([-2.0, 0.0]), chain_track([0.0, 2.0], start=2)], (EMPTY_PATTERN,)),
+        ([chain_track([-2.0, 0.0])], (EMPTY_PATTERN, LANE)),
+        ([[det(1, 0.0, 0.0)], [det(2, 1.0, 0.0)]], (EMPTY_PATTERN, LANE)),
+        ([[det(1, 0.0, 0.0)], [det(2, 1.0, 0.0)], [det(2, 1.0, 1.0)]], (EMPTY_PATTERN,)),
+    ]
+    for tracks, patterns in cases:
+        model, triples = build_link_model(build_graph(tracks, Config()), patterns, Config())
+        assert model.num_vars <= 14
+        rows = tuple(c for c in model.constraints if c.sense == "==")
+        assert len(rows) == len(model.constraints) - 1
+        entries = [k for k, (_, i, _) in enumerate(triples) if i == SOURCE_NODE]
+        exits = [k for k, (_, _, j) in enumerate(triples) if j == SINK_NODE]
+        feasible = list(enumerate_assignments(SolverModel(model.num_vars, rows, model.numer, model.denom)))
+        assert feasible
+        for x in feasible:
+            assert sum(x[k] for k in entries) == sum(x[k] for k in exits)
 
 
 class TestFloorRow:

@@ -17,9 +17,11 @@ from ptrack import (
 )
 import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
+from ptrack.fracopt import maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
+from ptrack.scoring import lowest_ratio
 
-from oracles import build_with_reference_floor, with_floor_row
+from oracles import brute_force_best_ratio, build_with_reference_floor, with_floor_row
 
 
 def det(frame, x, y=0.0):
@@ -169,8 +171,8 @@ class TestMine:
             mine(g, ts, cands, cfg)
 
 
-def test_dense_crossing_model_matches_reference_floor(monkeypatch):
-    """The model equals one whose floor row comes from the hand-written reference."""
+def dense_crossing_fixture():
+    """The 12-agent noise-free crossing family, mined from its ground truth."""
     from ptrack.synth import generate_scene
 
     corridors = (
@@ -182,7 +184,12 @@ def test_dense_crossing_model_matches_reference_floor(monkeypatch):
     cfg = Config()
     g = build_graph(scene.track_lists(), cfg, scene.meta.batch)
     ts = input_trajectories(g)
-    cands = generate_candidates(g, ts, cfg)
+    return g, ts, generate_candidates(g, ts, cfg), cfg
+
+
+def test_dense_crossing_model_matches_reference_floor(monkeypatch):
+    """The model equals one whose floor row comes from the hand-written reference."""
+    g, ts, cands, cfg = dense_crossing_fixture()
     assert len(ts) == 12
     model, reference = build_with_reference_floor(
         monkeypatch, miner, lambda: build_mine_model(g, ts, cands, cfg)
@@ -225,3 +232,109 @@ def test_small_instance_matches_exhaustive_selection():
     res = mine(g, ts, cands, cfg, iters=12)
     assert res.alpha_star <= best + 1e-9
     assert res.alpha_star >= best - 2.0**-12 - 1e-6
+
+
+def recorded_mine(monkeypatch, g, ts, cands, cfg, **kwargs):
+    """`mine`'s result and the candidate set it handed to `build_mine_model`."""
+    seen = []
+
+    def recording(graph, trajectories, candidates, config):
+        seen.append(candidates)
+        return build_mine_model(graph, trajectories, candidates, config)
+
+    monkeypatch.setattr(miner, "build_mine_model", recording)
+    res = mine(g, ts, cands, cfg, **kwargs)
+    (reduced,) = seen
+    return res, reduced
+
+
+class TestTwinReduction:
+    """`mine` solves over one candidate per distinct score column, with the same optimum."""
+
+    def test_dense_family_keeps_three_candidates(self, monkeypatch):
+        g, ts, cands, cfg = dense_crossing_fixture()
+        assert len(cands) == 121
+        res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
+        assert len(reduced) == 3
+        full = maximize_ratio(build_mine_model(g, ts, cands, cfg), lowest_ratio(cfg), iters=5)
+        # The same assignment, its ratio summed over a shorter vector: equal
+        # up to the rounding of the sums.
+        assert res.alpha_star == pytest.approx(full.achieved, rel=1e-15, abs=0.0)
+        assert res.search_alpha == full.alpha
+        n = len(cands)
+        full_choice = [full.witness[t * n : (t + 1) * n].index(1) for t in range(len(ts))]
+        assert full_choice == [res.selected_candidates[p] for p in res.assignment]
+
+    def test_forced_twins_match_brute_force_on_the_full_model(self, monkeypatch):
+        # Noise-free straight flows: no width flips a corridor gate, and the
+        # first two flows are one shape at different frames.
+        flow = lambda y, start, n=3: [det(start + k, 2.0 * k, y) for k in range(n)]
+        instances = [
+            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(1.0, 3.0))),
+            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(1.0, 3.0), max_patterns=1)),
+            ([flow(0.0, 1), flow(2.0, 2)], Config(candidate_widths=(1.0, 3.0))),
+            ([flow(0.0, 1), flow(2.0, 2)], Config.unsupervised(candidate_widths=(1.0, 3.0))),
+            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(0.5, 1.0), pattern_cost_budget=3.0)),
+        ]
+        for tracks, cfg in instances:
+            g = build_graph(tracks, cfg, batch=(0, 6))
+            ts = input_trajectories(g)
+            cands = generate_candidates(g, ts, cfg)
+            assert len(cands) == 5
+            res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg, iters=14)
+            assert len(reduced) < len(cands)
+            best, _ = brute_force_best_ratio(build_mine_model(g, ts, cands, cfg))
+            best_reduced, _ = brute_force_best_ratio(build_mine_model(g, ts, reduced, cfg))
+            assert best_reduced == pytest.approx(best, rel=0.0, abs=1e-12)
+            assert res.alpha_star <= best + 1e-9
+            assert res.alpha_star >= best - 2.0**-14 * (1.0 - lowest_ratio(cfg)) - 1e-9
+
+    def test_equal_cost_twins_resolve_to_the_lowest_index(self, monkeypatch):
+        g, ts, cfg = two_flow_fixture(widths=(1.0,))
+        cands = generate_candidates(g, ts, cfg)
+        # Trajectories 0 and 1 share a shape, so candidates 1 and 2 are one
+        # pattern at one cost; so are 3 and 4.
+        assert cands.patterns[1] == cands.patterns[2] and cands.patterns[3] == cands.patterns[4]
+        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 1, 3)
+        res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
+        assert reduced.source == (None, 0, 2)
+        assert res.selected_candidates == (0, 1, 3)
+
+    def test_cheaper_twin_wins_over_a_lower_index(self):
+        g, ts, cfg = two_flow_fixture(widths=(3.0, 1.0))
+        cands = generate_candidates(g, ts, cfg)
+        assert [p.width for p in cands.patterns[1:3]] == [3.0, 1.0]
+        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 2, 6)
+
+    def test_twin_of_the_empty_pattern_is_dropped(self, monkeypatch):
+        # Two walks across the lane, end to end in the batch: they gain no
+        # arc and stay outside the corridor, so with an empty rate of 0 the
+        # lane scores them exactly like the empty pattern does.
+        cfg = Config(empty_rate=0.0)
+        across = [det(1, 5.0, 10.0), det(2, 5.0, 12.0), det(3, 5.0, 14.0)]
+        along = [det(1, 8.0, 20.0), det(2, 8.0, 22.0), det(3, 8.0, 24.0)]
+        g = build_graph([across, along], cfg, batch=(1, 3))
+        ts = input_trajectories(g)
+        lane = Pattern(((0.0, 0.0), (10.0, 0.0)), 1.0)
+        along_lane = Pattern(((8.0, 20.0), (8.0, 24.0)), 1.0)
+        cands = CandidateSet((EMPTY_PATTERN, lane, along_lane), (None, None, None))
+        assert [trajectory_score(g, t, lane, cfg) for t in ts] == [
+            trajectory_score(g, t, EMPTY_PATTERN, cfg) for t in ts
+        ]
+        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 2)
+        res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
+        assert reduced.patterns == (EMPTY_PATTERN, along_lane)
+        assert res.selected_candidates == (0, 2)
+        assert res.patterns == (EMPTY_PATTERN, along_lane)
+
+    def test_selected_candidates_index_the_original_set(self, monkeypatch):
+        g, ts, cfg = two_flow_fixture()
+        cands = generate_candidates(g, ts, cfg)
+        res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
+        # Every default width is a twin of the narrowest, and each flow's two
+        # trajectories share a shape: one candidate per flow survives.
+        assert len(reduced) == 3
+        assert res.selected_candidates == (0, 1, 21)
+        assert res.patterns == tuple(cands.patterns[k] for k in res.selected_candidates)
+        assert [cands.source[k] for k in res.selected_candidates] == [None, 0, 2]
+        assert all(p.width == min(DEFAULT_WIDTHS) for p in res.patterns[1:])
