@@ -18,9 +18,14 @@ _DUPLICATE_TOL = 1e-12
 
 
 def _finite_pair(value) -> bool:
+    if len(value) != 2:
+        return False
+    x, y = value
     return (
-        len(value) == 2
-        and all(isinstance(c, (int, float)) and math.isfinite(c) for c in value)
+        isinstance(x, (int, float))
+        and math.isfinite(x)
+        and isinstance(y, (int, float))
+        and math.isfinite(y)
     )
 
 
@@ -44,9 +49,12 @@ class Detection:
             raise ValueError(f"detection id must be a non-negative int, got {self.id!r}")
         if not isinstance(self.frame, int):
             raise ValueError(f"frame must be an int, got {self.frame!r}")
-        if not _finite_pair(self.pos):
-            raise ValueError(f"position must be a finite (x, y) pair, got {self.pos!r}")
-        object.__setattr__(self, "pos", (float(self.pos[0]), float(self.pos[1])))
+        pos = self.pos
+        if not _finite_pair(pos):
+            raise ValueError(f"position must be a finite (x, y) pair, got {pos!r}")
+        x, y = pos
+        if not (type(pos) is tuple and type(x) is float and type(y) is float):
+            object.__setattr__(self, "pos", (float(x), float(y)))
 
 
 @dataclass(frozen=True)

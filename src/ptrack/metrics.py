@@ -76,7 +76,14 @@ def _overlap_counts(gt: Tracks, pred: Tracks, max_dist: float) -> np.ndarray:
     if not (g_dets and p_dets):
         return counts
     spacing = 4.0 * max_dist
-    g_tree, p_tree = (cKDTree([(d.frame * spacing, *d.pos) for d in dets]) for dets in (g_dets, p_dets))
+    g_tree, p_tree = (
+        cKDTree(
+            np.column_stack(
+                (np.array([d.frame for d in dets], dtype=float) * spacing, [d.pos for d in dets])
+            )
+        )
+        for dets in (g_dets, p_dets)
+    )
     near = g_tree.sparse_distance_matrix(p_tree, 2.0 * max_dist, output_type="ndarray")
     i, j = near["i"], near["j"]
     keep = np.array(

@@ -6,6 +6,12 @@ x, y, z).  Challenge rows with x == y == -1 and a box carry image-plane boxes
 only and need a homography to project the box's bottom center onto the
 ground plane; a row whose box width and height are both -1 has no box, so
 its x, y is a ground position even when it is (-1, -1).
+Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`); frame and id must
+be finite integers that fit in int64, and ground positions, read or
+projected, must be finite.  An invalid track file is reported at its first
+offending line.  A degenerate homography, a projection to a non-finite
+position and a repeated frame in one track are reported, in that order,
+only once every line has passed.
 All writers are deterministic: fixed six-decimal formatting, newline line
 endings, rows sorted by frame then track.
 """
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,76 +39,136 @@ def _parse_floats(parts: list[str], line_no: int) -> list[float]:
         raise ValueError(f"malformed row at line {line_no}: {','.join(parts)!r}") from None
 
 
+# Rows are parsed this many at a time, so only one block's cell strings are
+# alive beside the float array, never the whole file's.
+_BLOCK_ROWS = 2048
+_TRACK_COLUMNS = {"plain": 4, "mot": 10}
+# Frames and ids are stored in int64 columns: finite integers below 2**63.
+_INT64_LIMIT = 2.0**63
+# Per-row checks on parsed numbers, in the order they apply within a row.
+_ROW_ERRORS = (
+    "malformed row at line {}: frame and id must be integers",
+    "row at line {} has no ground position and no homography was given",
+    "malformed row at line {}: ground position must be finite",
+)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
+    """Parse stripped CSV rows into a (rows, columns) float array.
+
+    Parsing stops at the first row with the wrong column count or a
+    malformed number.  Returns the rows parsed before it and that row's
+    error message, with `{}` in place of its line number.
+    """
+    values = np.empty((len(rows), columns))
+    flat = values.reshape(-1)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        counts = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
+        wrong = np.flatnonzero(counts != columns - 1)
+        ok = int(wrong[0]) if wrong.size else len(block)
+        message = None
+        if ok < len(block):
+            message = f"line {{}} has {counts[ok] + 1} columns, expected {columns}"
+        cells = ",".join(block[:ok]).split(",") if ok else []
+        try:
+            numbers = list(map(float, cells))
+        except ValueError:
+            ok = next(k for k, cell in enumerate(cells) if not _is_float(cell)) // columns
+            numbers = list(map(float, cells[: ok * columns]))
+            message = "malformed row at line {}: " + repr(block[ok])
+        flat[start * columns : (start + ok) * columns] = numbers
+        if message is not None:
+            return values[: start + ok], message
+    return values, None
+
+
 def tracks_from_csv(
     text: str, fmt: str = "auto", homography: np.ndarray | None = None
 ) -> list[list[Detection]]:
     """Parse tracks from CSV text; returns one detection list per track id."""
-    rows: dict[int, list[tuple[int, float, float]]] = {}
-    # Box-only rows are projected in one pass after parsing.  Both lists are
-    # flat lists of numbers, which the garbage collector does not track.
-    boxed: list[int] = []  # track id, position in its track, line number
-    feet: list[float] = []  # foot point in homogeneous coordinates
-    resolved = None if fmt == "auto" else fmt
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if resolved is None:
-            resolved = {4: "plain", 10: "mot"}.get(len(parts))
-            if resolved is None:
-                raise ValueError(f"line {line_no} has {len(parts)} columns, expected 4 or 10")
-        expected = 4 if resolved == "plain" else 10
-        if len(parts) != expected:
-            raise ValueError(f"line {line_no} has {len(parts)} columns, expected {expected}")
-        values = _parse_floats(parts, line_no)
-        frame, track_id = values[0], values[1]
-        if frame != int(frame) or track_id != int(track_id):
-            raise ValueError(f"malformed row at line {line_no}: frame and id must be integers")
-        x, y = values[2:4] if resolved == "plain" else values[7:9]
-        track_rows = rows.setdefault(int(track_id), [])
-        if resolved == "mot" and x == y == -1.0 and values[4:6] != [-1.0, -1.0]:
-            if homography is None:
-                raise ValueError(
-                    f"row at line {line_no} has no ground position and no homography was given"
-                )
-            left, top, width, height = values[2:6]
-            feet += (left + width / 2.0, top + height, 1.0)
-            boxed += (int(track_id), len(track_rows), line_no)
-        track_rows.append((int(frame), x, y))
+    if fmt not in ("auto", *_TRACK_COLUMNS):
+        raise ValueError(f"unknown track format {fmt!r}")
+    lines = text.splitlines()
+    rows = [row for row in map(str.strip, lines) if row]
 
-    if feet:
-        # Stacked matrix-vector products: each foot point maps exactly as
-        # `homography @ foot` maps it alone.
-        mapped = (homography @ np.array(feet).reshape(-1, 3, 1))[:, :, 0]
-        degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
-        if degenerate.size:
-            raise ValueError(f"homography degenerates at line {boxed[3 * degenerate[0] + 2]}")
-        ground = (mapped[:, :2] / mapped[:, 2:]).tolist()
-        for track_id, k, (x, y) in zip(boxed[0::3], boxed[1::3], ground):
-            rows[track_id][k] = (rows[track_id][k][0], x, y)
+    def line_of(row: int) -> int:
+        return [n for n, line in enumerate(lines, start=1) if line.strip()][row]
 
-    tracks: list[list[Detection]] = []
-    det_id = 1
-    for t_pos, track_id in enumerate(sorted(rows)):
-        entries = sorted(rows[track_id])
-        track: list[Detection] = []
-        for k, (frame, x, y) in enumerate(entries):
-            if k > 0 and frame == entries[k - 1][0]:
-                raise ValueError(f"track {track_id} has two detections at frame {frame}")
-            track.append(
-                Detection(
-                    id=det_id,
-                    frame=frame,
-                    pos=(x, y),
-                    source_track=t_pos,
-                    is_track_start=k == 0,
-                    is_track_end=k == len(entries) - 1,
-                )
-            )
-            det_id += 1
-        tracks.append(track)
-    return tracks
+    if not rows:
+        return []
+    if fmt == "auto":
+        found = rows[0].count(",") + 1
+        fmt = {4: "plain", 10: "mot"}.get(found, "")
+        if not fmt:
+            raise ValueError(f"line {line_of(0)} has {found} columns, expected 4 or 10")
+    values, parse_error = _parse_rows(rows, _TRACK_COLUMNS[fmt])
+
+    frame_id = values[:, :2]
+    integral = np.all(
+        (-_INT64_LIMIT <= frame_id) & (frame_id < _INT64_LIMIT) & (np.trunc(frame_id) == frame_id),
+        axis=1,
+    )
+    pos = values[:, [2, 3] if fmt == "plain" else [7, 8]]
+    boxed = np.zeros(len(values), dtype=bool)
+    if fmt == "mot":
+        # A box-only row has x == y == -1 and a box; width == height == -1 marks no box.
+        boxed = np.all(pos == -1.0, axis=1) & ~np.all(values[:, 4:6] == -1.0, axis=1)
+    failed = np.select(
+        [~integral, boxed & (homography is None), ~boxed & ~np.isfinite(pos).all(axis=1)],
+        [1, 2, 3],
+    )
+    first = np.flatnonzero(failed)
+    if first.size:
+        raise ValueError(_ROW_ERRORS[failed[first[0]] - 1].format(line_of(first[0])))
+    if parse_error is not None:
+        raise ValueError(parse_error.format(line_of(len(values))))
+
+    if boxed.any():
+        boxed_rows = np.flatnonzero(boxed)
+        left, top, width, height = values[boxed_rows, 2:6].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            feet = np.column_stack((left + width / 2.0, top + height, np.ones(len(boxed_rows))))
+            # Stacked matrix-vector products: each foot point maps exactly as
+            # `homography @ foot` maps it alone.
+            mapped = (homography @ feet.reshape(-1, 3, 1))[:, :, 0]
+            degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
+            if degenerate.size:
+                raise ValueError(f"homography degenerates at line {line_of(boxed_rows[degenerate[0]])}")
+            ground = mapped[:, :2] / mapped[:, 2:]
+        infinite = np.flatnonzero(~np.isfinite(ground).all(axis=1))
+        if infinite.size:
+            raise ValueError(_ROW_ERRORS[2].format(line_of(boxed_rows[infinite[0]])))
+        pos[boxed_rows] = ground
+
+    frames, ids = values[:, 0].astype(np.int64), values[:, 1].astype(np.int64)
+    order = np.lexsort((frames, ids))
+    frames, ids, pos = frames[order], ids[order], pos[order]
+    same_track = ids[1:] == ids[:-1]
+    twice = np.flatnonzero(same_track & (frames[1:] == frames[:-1]))
+    if twice.size:
+        k = twice[0]
+        raise ValueError(f"track {int(ids[k])} has two detections at frame {int(frames[k])}")
+    starts = np.concatenate(([True], ~same_track))
+    ends = np.concatenate((~same_track, [True]))
+    track_of = np.cumsum(starts) - 1
+    columns = (frames, pos[:, 0], pos[:, 1], track_of, starts, ends)
+    dets = [
+        Detection(det_id, frame, (x, y), t, start, end)
+        for det_id, frame, x, y, t, start, end in zip(
+            range(1, len(order) + 1), *(column.tolist() for column in columns)
+        )
+    ]
+    bounds = [*np.flatnonzero(starts).tolist(), len(dets)]
+    return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def tracks_to_csv(tracks: Sequence[Sequence[Detection]], fmt: str = "plain") -> str:

@@ -77,6 +77,14 @@ class TestExitCodes:
         assert cli(argv) == 2
         assert "must be given together" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frame", ["inf", "nan", "9223372036854775808"])
+    def test_unstorable_frame_is_a_data_error(self, tmp_path, capsys, frame):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(f"1,1,0,0\n{frame},1,0,0\n")
+        assert cli(["eval", "--gt", str(tracks), "--pred", str(tracks)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed row at line 2: frame and id must be integers\n"
+
     def test_relative_widths_need_detections(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -1,6 +1,7 @@
 """Domain type construction, validation, and the trajectory-set checker."""
 import math
 
+import numpy as np
 import pytest
 
 from ptrack import (
@@ -41,6 +42,19 @@ class TestDetection:
         d = det(1, 0, 1, 2)
         assert d.pos == (1.0, 2.0)
         assert all(isinstance(c, float) for c in d.pos)
+
+    @pytest.mark.parametrize(
+        "pos", [[1.0, 2.0], (np.float64(1.0), 2.0), np.array([1.0, 2.0]), (True, 2.0)]
+    )
+    def test_any_real_pair_becomes_a_tuple_of_plain_floats(self, pos):
+        d = Detection(id=1, frame=0, pos=pos)
+        assert d.pos == (1.0, 2.0)
+        assert type(d.pos) is tuple
+        assert all(type(c) is float for c in d.pos)
+
+    def test_float_tuple_position_is_kept(self):
+        pos = (1.5, -0.0)
+        assert Detection(id=1, frame=0, pos=pos).pos is pos
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError, match="id"):

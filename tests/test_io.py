@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 
 import numpy as np
@@ -32,6 +33,9 @@ from ptrack.tracksio import (
     metrics_to_csv,
 )
 from ptrack.unsupervised import HistoryEntry
+
+# A warning from numpy while parsing means a value slipped past a check.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestTracksFromCsv:
@@ -135,6 +139,68 @@ class TestTracksFromCsv:
     def test_blank_lines_skipped_but_counted(self):
         with pytest.raises(ValueError, match="line 3 has 5 columns"):
             tracks_from_csv("1,2,0,0\n\n1,2,3,4,5\n")
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown track format 'json'"):
+            tracks_from_csv("1,2,0,0\n", fmt="json")
+
+    def test_python_float_syntax_and_whitespace_lines(self):
+        text = " \t\n1_0, 3 ,1e1,-0\r\n\n+11.0,3,2.5,0\n"
+        (track,) = tracks_from_csv(text)
+        assert [(d.frame, d.pos) for d in track] == [(10, (10.0, -0.0)), (11, (2.5, 0.0))]
+
+    @pytest.mark.parametrize(
+        "cell", ["inf", "-inf", "nan", "9223372036854775808", "-1e19", "1e300"]
+    )
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_unstorable_frame_or_id_rejected(self, cell, column):
+        row = ["4", "2", "0", "0"]
+        row[column] = cell
+        with pytest.raises(ValueError, match="malformed row at line 2: frame and id must be integers"):
+            tracks_from_csv("1,2,0,0\n" + ",".join(row) + "\n")
+
+    def test_int64_extremes_accepted(self):
+        text = "-9223372036854775808,9223372036854774784,0,0\n"
+        (track,) = tracks_from_csv(text)
+        assert track[0].frame == -(2**63)
+
+    @pytest.mark.parametrize("x, y", [("nan", "0"), ("0", "inf"), ("-inf", "-inf")])
+    def test_non_finite_ground_position_rejected(self, x, y):
+        with pytest.raises(ValueError, match="malformed row at line 2: ground position must be finite"):
+            tracks_from_csv(f"1,2,0,0\n2,2,{x},{y}\n")
+        mot = f"1,2,-1,-1,-1,-1,1,0,0,-1\n2,2,-1,-1,-1,-1,1,{x},{y},-1\n"
+        with pytest.raises(ValueError, match="malformed row at line 2: ground position must be finite"):
+            tracks_from_csv(mot)
+
+    @pytest.mark.parametrize(
+        "box",
+        ["1e308,0,1e308,0", "1e200,1e200,2,2", "nan,0,1,1", "inf,0,-inf,1"],
+    )
+    def test_projection_to_a_non_finite_ground_position_rejected(self, box):
+        h = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]])
+        text = f"1,2,3,2,2,4,1,-1,-1,-1\n2,2,{box},1,-1,-1,-1\n"
+        with pytest.raises(ValueError, match="malformed row at line 2: ground position must be finite"):
+            tracks_from_csv(text, homography=h)
+
+    def test_integer_check_comes_before_missing_homography(self):
+        with pytest.raises(ValueError, match="line 2: frame and id must be integers"):
+            tracks_from_csv("1,1,0,0,1,1,1,3,4,-1\n2.5,1,0,0,1,1,1,-1,-1,-1\n")
+
+    def test_row_checks_report_the_earliest_line_across_blocks(self):
+        from ptrack.tracksio import _BLOCK_ROWS
+
+        rows = [f"{k},1,0,0" for k in range(3 * _BLOCK_ROWS)]
+        late = rows.copy()
+        late[2 * _BLOCK_ROWS + 5] = "1,2,3"
+        late[_BLOCK_ROWS + 7] = "x,1,0,0"
+        with pytest.raises(ValueError, match=f"malformed row at line {_BLOCK_ROWS + 8}: 'x,1,0,0'"):
+            tracks_from_csv("\n".join(late))
+        late[_BLOCK_ROWS - 1] = "0.5,1,0,0"
+        with pytest.raises(ValueError, match=f"line {_BLOCK_ROWS}: frame and id must be integers"):
+            tracks_from_csv("\n".join(late))
+        rows[_BLOCK_ROWS] = "1,2,3"
+        with pytest.raises(ValueError, match=f"line {_BLOCK_ROWS + 1} has 3 columns, expected 4"):
+            tracks_from_csv("\n".join(rows))
 
 
 class TestTracksToCsv:
@@ -363,3 +429,189 @@ class TestRenderSvg:
         tracks = [[det(1, 0, 0), det(2, 2, 0)]]
         write_plot(path, patterns, tracks)
         assert path.read_text() == render_svg(patterns, tracks)
+
+
+def reference_tracks_from_csv(text, fmt="auto", homography=None):
+    """The former row-by-row parser, kept as the reference for valid files and errors."""
+    rows = {}
+    boxed, feet = [], []
+    resolved = None if fmt == "auto" else fmt
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if resolved is None:
+            resolved = {4: "plain", 10: "mot"}.get(len(parts))
+            if resolved is None:
+                raise ValueError(f"line {line_no} has {len(parts)} columns, expected 4 or 10")
+        expected = 4 if resolved == "plain" else 10
+        if len(parts) != expected:
+            raise ValueError(f"line {line_no} has {len(parts)} columns, expected {expected}")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"malformed row at line {line_no}: {','.join(parts)!r}") from None
+        frame, track_id = values[0], values[1]
+        if frame != int(frame) or track_id != int(track_id):
+            raise ValueError(f"malformed row at line {line_no}: frame and id must be integers")
+        x, y = values[2:4] if resolved == "plain" else values[7:9]
+        track_rows = rows.setdefault(int(track_id), [])
+        if resolved == "mot" and x == y == -1.0 and values[4:6] != [-1.0, -1.0]:
+            if homography is None:
+                raise ValueError(
+                    f"row at line {line_no} has no ground position and no homography was given"
+                )
+            left, top, width, height = values[2:6]
+            feet += (left + width / 2.0, top + height, 1.0)
+            boxed += (int(track_id), len(track_rows), line_no)
+        track_rows.append((int(frame), x, y))
+    if feet:
+        mapped = (homography @ np.array(feet).reshape(-1, 3, 1))[:, :, 0]
+        degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
+        if degenerate.size:
+            raise ValueError(f"homography degenerates at line {boxed[3 * degenerate[0] + 2]}")
+        ground = (mapped[:, :2] / mapped[:, 2:]).tolist()
+        for track_id, k, (x, y) in zip(boxed[0::3], boxed[1::3], ground):
+            rows[track_id][k] = (rows[track_id][k][0], x, y)
+    tracks = []
+    det_id = 1
+    for t_pos, track_id in enumerate(sorted(rows)):
+        entries = sorted(rows[track_id])
+        track = []
+        for k, (frame, x, y) in enumerate(entries):
+            if k > 0 and frame == entries[k - 1][0]:
+                raise ValueError(f"track {track_id} has two detections at frame {frame}")
+            track.append(
+                Detection(
+                    id=det_id,
+                    frame=frame,
+                    pos=(x, y),
+                    source_track=t_pos,
+                    is_track_start=k == 0,
+                    is_track_end=k == len(entries) - 1,
+                )
+            )
+            det_id += 1
+        tracks.append(track)
+    return tracks
+
+
+def exact(tracks):
+    """Everything a detection holds, positions as bit patterns."""
+    return [
+        [
+            (d.id, d.frame, d.pos[0].hex(), d.pos[1].hex(), d.source_track, d.is_track_start, d.is_track_end)
+            for d in track
+        ]
+        for track in tracks
+    ]
+
+
+def spell_int(rng: random.Random, k: int) -> str:
+    """An integer in one of the spellings Python's float() accepts."""
+    options = [str(k), f"{k}.0", f"{k}e0", f" {k} ", f"{float(k)!r}"]
+    if k >= 0:
+        options.append(f"+{k}")
+    if abs(k) >= 1000:
+        options.append(f"{k:_}")
+    return rng.choice(options)
+
+
+def spell_float(rng: random.Random, v: float) -> str:
+    return rng.choice([repr(v), f"{v:.6f}", f" {v!r}", f"{v:.3e}", repr(-0.0) if v == 0 else repr(v)])
+
+
+def random_rows(rng: random.Random, fmt: str, n: int) -> list[list[str]]:
+    """Valid rows with distinct (frame, id) pairs, in random order."""
+    pairs = rng.sample([(f, i) for f in range(-3, 40) for i in (-7, 0, 1, 2, 5, 1234, 10**12)], n)
+    rows = []
+    for frame, track_id in pairs:
+        x, y = (rng.choice([-1.0, 0.0, rng.uniform(-500, 500)]) for _ in range(2))
+        cells = [spell_int(rng, frame), spell_int(rng, track_id)]
+        if fmt == "plain":
+            cells += [spell_float(rng, x), spell_float(rng, y)]
+        else:
+            kind = rng.choice(["ground", "box-only", "no-box"])
+            box = [rng.uniform(-500, 500) for _ in range(4)]
+            if kind == "box-only":
+                x = y = -1.0
+                # One of width and height may be -1; only both mark a row without a box.
+                box[rng.randrange(2, 4)] = rng.choice([-1.0, box[2]])
+            elif kind == "no-box":
+                box[2] = box[3] = -1.0
+            conf, z = rng.choice(["1", "nan", "-1", "0.5"]), rng.choice(["-1", "inf", "0"])
+            cells += [*(spell_float(rng, v) for v in box), conf, spell_float(rng, x), spell_float(rng, y), z]
+        rows.append(cells)
+    return rows
+
+
+def render(rng: random.Random, rows: list[list[str]]) -> tuple[str, list[int]]:
+    """CSV text with blank and whitespace-only lines; also each row's line number."""
+    lines, line_nos = [], []
+    for cells in rows:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", "  ", "\t", " \t "]))
+        lines.append(rng.choice(["", " ", "\t"]) + ",".join(cells) + rng.choice(["", " "]))
+        line_nos.append(len(lines))
+    ending = rng.choice(["\n", "\r\n"])
+    return ending.join(lines) + rng.choice(["", ending]), line_nos
+
+
+def outcome(parse, text, fmt, homography):
+    try:
+        return exact(parse(text, fmt, homography))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstRowParser:
+    """The columnar parser against the former row-by-row one on random files."""
+
+    HOMOGRAPHY = np.array([[0.9, 0.1, 3.0], [-0.2, 1.1, -7.0], [1e-4, 2e-4, 1.0]])
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_valid_files_agree_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        fmt = rng.choice(["plain", "mot"])
+        rows = random_rows(rng, fmt, rng.randrange(0, 40))
+        text, _ = render(rng, rows)
+        homography = self.HOMOGRAPHY if fmt == "mot" else None
+        given = rng.choice(["auto", fmt])
+        expected = reference_tracks_from_csv(text, given, homography)
+        assert exact(tracks_from_csv(text, given, homography)) == exact(expected)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_faulty_files_report_the_same_first_error(self, seed):
+        rng = random.Random(1000 + seed)
+        fmt = rng.choice(["plain", "mot"])
+        rows = random_rows(rng, fmt, rng.randrange(2, 30))
+        homography = self.HOMOGRAPHY if fmt == "mot" else None
+        for _ in range(rng.choice([1, 2])):
+            k = rng.randrange(len(rows))
+            faults = ["columns", "number", "fraction", "duplicate"] + ["homography"] * (fmt == "mot")
+            fault = rng.choice(faults)
+            if fault == "columns":
+                rows[k] = rows[k][:-1] if rng.random() < 0.5 else [*rows[k], "0"]
+            elif fault == "number":
+                rows[k][rng.randrange(len(rows[k]))] = rng.choice(["x", "", "1.2.3", "0x10", "5_"])
+            elif fault == "fraction":
+                rows[k][rng.randrange(2)] = rng.choice(["2.5", "-0.25", "1e-3"])
+            elif fault == "duplicate":
+                rows.insert(rng.randrange(len(rows) + 1), [*rows[k][:2], *rows[rng.randrange(len(rows))][2:]])
+            else:
+                # Drop the homography, or pick one that sends this row's foot point to infinity.
+                rows[k][7:9] = ["-1", "-1"]
+                rows[k][2:6] = ["3", "2", "2", "4"]
+                homography = rng.choice([None, np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, -6.0]])])
+        text, _ = render(rng, rows)
+        given = rng.choice(["auto", fmt])
+        expected = outcome(reference_tracks_from_csv, text, given, homography)
+        assert isinstance(expected, str)
+        assert outcome(tracks_from_csv, text, given, homography) == expected
+
+    def test_a_bad_number_before_a_wrong_column_count(self):
+        text = "1,1,0,0\n2,1,0,0\n3,1,x,0\n4,1,0,0\n\n\n5,1,0\n"
+        message = "malformed row at line 3: '3,1,x,0'"
+        assert outcome(reference_tracks_from_csv, text, "auto", None) == message
+        assert outcome(tracks_from_csv, text, "auto", None) == message

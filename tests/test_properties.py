@@ -2,7 +2,10 @@
 
 Four suites: cover validation, geometric invariance of the scoring, model
 relaxation monotonicity, and serialization round-trips.  Each runs a fixed
-thousand deterministic examples so failures reproduce.
+thousand deterministic examples so failures reproduce.  The draws can still
+shift when a literal in `src/` changes (Hypothesis also draws constants it
+collects from the loaded modules), so corner cases a draw once found are
+pinned with `@example`.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import dataclasses
 import itertools
 import math
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import rigid_transform
 from ptrack import (
@@ -219,6 +222,11 @@ class TestRelaxationMonotonicity:
 class TestSerializationRoundTrips:
     @RUNS
     @given(tracks=track_tables(position=thousandths(-100_000, 100_000)))
+    # Corner cases pinned so that they do not depend on the draw: the MOT
+    # marker for a box-only row is x == y == -1, and -0.0 is written as -0.000000.
+    @example(tracks=[[Detection(id=1, frame=1, pos=(-1.0, -1.0))]])
+    @example(tracks=[[Detection(1, 2, (-1.0, 0.5)), Detection(2, 3, (0.5, -1.0))]])
+    @example(tracks=[[Detection(1, 1, (-0.0, -0.0))], [Detection(2, 1, (-1.0, -1.0))]])
     def test_track_tables_survive_both_formats(self, tracks):
         for fmt in ("plain", "mot"):
             text = tracks_to_csv(tracks, fmt=fmt)
