@@ -49,8 +49,8 @@ from .scoring import (
     Projection,
     ScorePair,
     edge_score,
-    lowest_ratio,
     objective,
+    ratio_bracket,
     project_to_centerline,
     trajectory_score,
 )

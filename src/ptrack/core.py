@@ -64,7 +64,9 @@ class DetectionGraph:
     Edges are ordered pairs of detection ids; the virtual entry and exit nodes
     use the sentinels SOURCE_NODE and SINK_NODE.  `batch` is the frame range
     the detections were observed in; it defaults to the detection span but may
-    be wider when the data is a window cut from a longer recording.
+    be wider when the data is a window cut from a longer recording.  It is the
+    one source of the boundary rule: a path entering at the batch's first
+    frame or leaving at its last pays nothing for that entry or exit.
     """
 
     detections: tuple[Detection, ...]
@@ -139,15 +141,11 @@ class DetectionGraph:
 class Trajectory:
     """An ordered chain of detection ids forming one object's path.
 
-    The boundary flags record whether the chain touches the first or last
-    frame of the batch it was extracted from; entry and exit edges of such
-    chains score as free because the object did not appear or vanish inside
-    the observed window.
+    The graph it is scored on decides whether its entry and exit are free
+    (see `DetectionGraph.batch` and `PatternScorer.edge`).
     """
 
     nodes: tuple[int, ...]
-    starts_at_batch_begin: bool = False
-    ends_at_batch_end: bool = False
 
     def __post_init__(self) -> None:
         if not self.nodes:

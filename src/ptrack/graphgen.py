@@ -99,15 +99,7 @@ def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:
         if det.source_track is None:
             raise ValueError(f"detection {det.id} has no source track")
         groups.setdefault(det.source_track, []).append(det)
-    first, last = graph.batch
-    out = []
-    for t_idx in sorted(groups):
-        dets = sorted(groups[t_idx], key=lambda d: d.frame)
-        out.append(
-            Trajectory(
-                nodes=tuple(d.id for d in dets),
-                starts_at_batch_begin=dets[0].frame == first,
-                ends_at_batch_end=dets[-1].frame == last,
-            )
-        )
-    return tuple(out)
+    return tuple(
+        Trajectory(tuple(d.id for d in sorted(groups[t_idx], key=lambda d: d.frame)))
+        for t_idx in sorted(groups)
+    )

@@ -22,7 +22,7 @@ from .core import (
     validate_trajectory_set,
 )
 from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
-from .scoring import PatternScorer, lowest_ratio
+from .scoring import PatternScorer, ratio_bracket
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,12 @@ def build_link_model(
 
     numer = []
     denom = []
-    first, last = graph.batch
-    for p_idx, pattern in enumerate(patterns):
+    for pattern in patterns:
         scorer = PatternScorer(graph, pattern, cfg)
         for i, j in edges:
-            if i == SOURCE_NODE:
-                score = scorer.entry_edge(j, graph.detection(j).frame == first)
-            elif j == SINK_NODE:
-                score = scorer.exit_edge(i, graph.detection(i).frame == last)
-            else:
-                score = scorer.detection_edge(i, j)
-            numer.append(score.aligned)
-            denom.append(score.total)
+            total, aligned = scorer.edge(i, j)
+            numer.append(aligned)
+            denom.append(total)
 
     constraints: list[Constraint] = []
     n_patterns = len(patterns)
@@ -137,15 +131,7 @@ def _decode(
         return (head.frame, head.pos[0], head.pos[1], head.id)
 
     paths.sort(key=sort_key)
-    first, last = graph.batch
-    trajectories = tuple(
-        Trajectory(
-            nodes=nodes,
-            starts_at_batch_begin=graph.detection(nodes[0]).frame == first,
-            ends_at_batch_end=graph.detection(nodes[-1]).frame == last,
-        )
-        for nodes, _ in paths
-    )
+    trajectories = tuple(Trajectory(nodes) for nodes, _ in paths)
     assignment = Assignment(tuple(p for _, p in paths))
     violations = validate_trajectory_set(graph, trajectories)
     if violations:
@@ -173,7 +159,7 @@ def link(
             raise ValueError(f"detection {det.id} has no incoming edge")
 
     model, triples = build_link_model(graph, patterns, cfg)
-    result = maximize_ratio(model, lowest_ratio(cfg), iters=iters, time_budget=time_budget)
+    result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
     all_trajectories, full_assignment = _decode(graph, triples, result.witness)
 
     if cfg.remove_empty:

@@ -4,8 +4,9 @@ Candidates are the trajectories themselves, turned into centerlines at a
 range of corridor widths; the empty pattern is always on offer.  Mining picks
 a subset within a count budget and a total-cost budget, together with one
 pattern per trajectory, maximizing the same aligned/total ratio the linker
-uses.  Keeping patterns cheap (short and narrow) is what forces the selection
-to generalize instead of memorizing every trajectory.
+uses, scored the same way: an entry or exit at the graph's batch boundary is
+free here too.  Keeping patterns cheap (short and narrow) is what forces the
+selection to generalize instead of memorizing every trajectory.
 
 Many candidates are twins: the same centerline at a width that flips no
 corridor gate, or one shape drawn from two trajectories, gives the same
@@ -31,7 +32,7 @@ from .core import (
     tracking_area,
 )
 from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
-from .scoring import ScorePair, lowest_ratio, trajectory_score
+from .scoring import ScorePair, ratio_bracket, trajectory_score
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,15 @@ def generate_candidates(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
     cfg: Config,
-    batch: tuple[int, int] | None = None,
 ) -> CandidateSet:
-    """Candidate centerlines from trajectories fully inside the batch.
+    """Candidate centerlines from trajectories fully inside the graph's batch.
 
-    Trajectories touching the batch boundary are skipped: they were cut by
-    the observation window, so their shape is not a complete pattern.  Each
-    eligible centerline is offered at every configured width.  Degenerate
-    (stationary) trajectories yield no candidates.
+    Trajectories touching the batch's first or last frame are skipped: they
+    were cut by the observation window, so their shape is not a complete
+    pattern.  Each eligible centerline is offered at every configured width.
+    Degenerate (stationary) trajectories yield no candidates.
     """
-    first, last = batch if batch is not None else graph.batch
+    first, last = graph.batch
     patterns: list[Pattern] = [EMPTY_PATTERN]
     source: list[int | None] = [None]
     for t_idx, traj in enumerate(trajectories):
@@ -197,7 +197,7 @@ def mine(
         tuple(candidates.patterns[k] for k in kept), tuple(candidates.source[k] for k in kept)
     )
     model = build_mine_model(graph, trajectories, reduced, cfg)
-    result = maximize_ratio(model, lowest_ratio(cfg), iters=iters, time_budget=time_budget)
+    result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
 
     n_cand = len(reduced)
     chosen: list[int] = []

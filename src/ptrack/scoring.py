@@ -7,6 +7,12 @@ pattern's corridor end to end accumulates aligned == total; motion the pattern
 cannot explain accumulates total only.  The ratio of the two sums is the
 objective the linker maximizes.
 
+Entry and exit edges charge the centerline arc a path skips before its first
+detection or after its last.  They are free at the graph's batch boundary
+(and always on the empty pattern): `PatternScorer.edge` reads the rule off
+`DetectionGraph.batch`, so the linker, the miner, the split-half proxy and
+`objective` score any chain of detection ids the same way.
+
 The linker, the miner and the split-half proxy score the same detections
 against the same centerlines many times over, at many widths.  So each graph
 caches, per centerline, the projections of all its detections (one batched
@@ -48,17 +54,20 @@ class ScorePair:
     aligned: float
 
 
-def lowest_ratio(cfg: Config) -> float:
-    """Lower end of the ratio search bracket; the upper end is 1 (aligned never exceeds total).
+def ratio_bracket(cfg: Config) -> tuple[float, float]:
+    """(lo, hi) bracket of the ratio search: every achievable ratio lies inside.
 
+    On a pattern, aligned never exceeds total; on the empty pattern aligned is
+    `empty_rate` times total, so the top is the larger of 1 and the empty rate.
     The ratio never drops below 0 when off-pattern motion scores
     non-negatively.  A negative empty rate pulls the floor down; reverse
     penalties can push a pattern-assigned trajectory slightly below it,
     hence the extra headroom.
     """
+    hi = max(1.0, cfg.empty_rate)
     if cfg.empty_rate < 0:
-        return -(1.0 + cfg.reverse_penalty + abs(cfg.empty_rate))
-    return 0.0
+        return -(1.0 + cfg.reverse_penalty + abs(cfg.empty_rate)), hi
+    return 0.0, hi
 
 
 def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,7 +156,7 @@ class _CenterlineTerms(dict):
 
 
 class PatternScorer:
-    """Scores graph edges against one pattern.
+    """Scores graph edges (entries, exits and detection edges) against one pattern.
 
     Reads the width-free terms of the pattern's centerline from the graph's
     `scoring_cache` and applies the width and the `Config` on top, so all
@@ -169,11 +178,21 @@ class PatternScorer:
         arc, fx, fy, dist = self._terms.projections[det_id]
         return Projection(arc=arc, foot=(fx, fy), dist=dist)
 
-    def detection_edge(self, i: int, j: int) -> ScorePair:
-        return ScorePair(*self._detection_edge(i, j))
+    def edge(self, i: int, j: int) -> tuple[float, float]:
+        """(total, aligned) of an entry (i is SOURCE_NODE), exit (j is SINK_NODE) or detection edge.
 
-    def _detection_edge(self, i: int, j: int) -> tuple[float, float]:
-        """(total, aligned) of a detection edge, without building a `ScorePair`."""
+        An entry at the batch's first frame and an exit at its last are free:
+        the window, not the object, cut the path there.  So is every entry and
+        exit on the empty pattern.
+        """
+        if i == SOURCE_NODE:
+            if self.pattern.is_empty or self.graph.detection(j).frame == self.graph.batch[0]:
+                return 0.0, 0.0
+            return self._terms.projections[j][0], 0.0
+        if j == SINK_NODE:
+            if self.pattern.is_empty or self.graph.detection(i).frame == self.graph.batch[1]:
+                return 0.0, 0.0
+            return self.pattern.length - self._terms.projections[i][0], 0.0
         total, back, aligned, gate = self._terms[i, j]
         if self.pattern.is_empty:
             return total, self.cfg.empty_rate * total
@@ -183,66 +202,23 @@ class PatternScorer:
             return total, -(1.0 + self.cfg.reverse_penalty) * back
         return total, 0.0 if gate > self.pattern.width else aligned
 
-    def entry_edge(self, v: int, at_batch_begin: bool) -> ScorePair:
-        """Score for appearing at detection v; free at the batch's first frame."""
-        if self.pattern.is_empty or at_batch_begin:
-            return ScorePair(0.0, 0.0)
-        return ScorePair(self._terms.projections[v][0], 0.0)
 
-    def exit_edge(self, v: int, at_batch_end: bool) -> ScorePair:
-        """Score for vanishing after detection v; free at the batch's last frame."""
-        if self.pattern.is_empty or at_batch_end:
-            return ScorePair(0.0, 0.0)
-        return ScorePair(self.pattern.length - self._terms.projections[v][0], 0.0)
-
-
-def edge_score(
-    graph: DetectionGraph,
-    i: int,
-    j: int,
-    pattern: Pattern,
-    cfg: Config,
-    at_boundary: bool | None = None,
-) -> ScorePair:
-    """Score a single edge against a pattern.
-
-    For entry edges (i == SOURCE_NODE) `at_boundary` says whether the target
-    sits in the batch's first frame; for exit edges (j == SINK_NODE), whether
-    the source sits in the last frame.  When None, both are derived from the
-    graph's batch range.  The flag is ignored for detection-to-detection
-    edges.
-    """
-    scorer = PatternScorer(graph, pattern, cfg)
+def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Config) -> ScorePair:
+    """Score a single edge against a pattern; see `PatternScorer.edge`."""
     if i == SOURCE_NODE and j == SINK_NODE:
         raise ValueError("edge must touch at least one detection")
-    if i == SOURCE_NODE:
-        at_begin = graph.detection(j).frame == graph.batch[0] if at_boundary is None else at_boundary
-        return scorer.entry_edge(j, at_begin)
-    if j == SINK_NODE:
-        at_end = graph.detection(i).frame == graph.batch[1] if at_boundary is None else at_boundary
-        return scorer.exit_edge(i, at_end)
-    return scorer.detection_edge(i, j)
+    return ScorePair(*PatternScorer(graph, pattern, cfg).edge(i, j))
 
 
-def trajectory_score(
-    graph: DetectionGraph,
-    traj: Trajectory,
-    pattern: Pattern,
-    cfg: Config,
-) -> ScorePair:
-    """Sum edge scores along a trajectory, including its entry and exit edges.
-
-    The trajectory's own boundary flags decide whether the entry and exit
-    are free, so scores stay consistent when trajectories are re-evaluated
-    against batches they were not extracted from.
-    """
-    scorer = PatternScorer(graph, pattern, cfg)
-    entry = scorer.entry_edge(traj.nodes[0], traj.starts_at_batch_begin)
-    leave = scorer.exit_edge(traj.nodes[-1], traj.ends_at_batch_end)
-    total = entry.total + leave.total
-    aligned = entry.aligned + leave.aligned
-    edge = scorer._detection_edge
-    for a, b in zip(traj.nodes, traj.nodes[1:]):
+def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
+    """Sum edge scores along a trajectory, including its entry and exit edges."""
+    edge = PatternScorer(graph, pattern, cfg).edge
+    nodes = traj.nodes
+    entry_total, entry_aligned = edge(SOURCE_NODE, nodes[0])
+    exit_total, exit_aligned = edge(nodes[-1], SINK_NODE)
+    total = entry_total + exit_total
+    aligned = entry_aligned + exit_aligned
+    for a, b in zip(nodes, nodes[1:]):
         edge_total, edge_aligned = edge(a, b)
         total += edge_total
         aligned += edge_aligned

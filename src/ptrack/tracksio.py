@@ -233,7 +233,10 @@ def patterns_from_text(text: str) -> list[Pattern]:
             raise ValueError(f"line {line_no}: expected a width and at least two points")
         width = values[0]
         pts = list(zip(values[1::2], values[2::2]))
-        patterns.append(Pattern(tuple(pts), width))
+        try:
+            patterns.append(Pattern(tuple(pts), width))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return patterns
 
 

@@ -134,8 +134,10 @@ def run_unsupervised(
     split-half proxy score of every iterate, and stops early once a level
     ends with at least `stop_patterns` patterns (default: the pattern count
     budget).  Returns the iterate with the best proxy score; ties go to the
-    earliest.
+    earliest.  Raises if `iterations_per_level` is below 1.
     """
+    if iterations_per_level < 1:
+        raise ValueError(f"iterations_per_level must be at least 1, got {iterations_per_level}")
     if schedule is None:
         schedule = default_schedule(graph, initial, cfg)
     if not schedule:
@@ -174,7 +176,6 @@ def run_unsupervised(
         if level_patterns >= stop_patterns:
             break
 
-    assert best is not None
     best_score = max(h.proxy_score for h in history)
     assert best[0] == best_score, "returned iterate must be the history argmax"
     return UnsupervisedResult(

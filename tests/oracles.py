@@ -243,20 +243,14 @@ def best_cover_objective(graph, patterns, cfg, cap=200_000):
     covers = enumerate_path_covers(graph, cap)
     if covers is None:
         return None
-    first, last = graph.batch
     score_cache: dict[tuple[int, ...], list[tuple[float, float]]] = {}
 
     def chain_options(nodes):
         opts = score_cache.get(nodes)
         if opts is None:
-            traj = Trajectory(
-                nodes,
-                starts_at_batch_begin=graph.detection(nodes[0]).frame == first,
-                ends_at_batch_end=graph.detection(nodes[-1]).frame == last,
-            )
             opts = []
             for pattern in patterns:
-                s = trajectory_score(graph, traj, pattern, cfg)
+                s = trajectory_score(graph, Trajectory(nodes), pattern, cfg)
                 opts.append((s.aligned, s.total))
             score_cache[nodes] = opts
         return opts

@@ -71,8 +71,9 @@ def test_01_edge_score_table():
     checks.append(_close(reverse.total, 0.0) and _close(reverse.aligned, -6.0))
     checks.append(_close(edge_score(g, SOURCE_NODE, 5, pattern, cfg).total, 4.0))
     checks.append(_close(edge_score(g, 2, SINK_NODE, pattern, cfg).total, 5.0))
-    enter_free = edge_score(g, SOURCE_NODE, 5, pattern, cfg, at_boundary=True)
-    leave_free = edge_score(g, 2, SINK_NODE, pattern, cfg, at_boundary=True)
+    # A batch that starts at detection 5's frame, or ends at detection 2's.
+    enter_free = edge_score(build_graph([track[4:]], cfg, batch=(5, 6)), SOURCE_NODE, 1, pattern, cfg)
+    leave_free = edge_score(build_graph([track[:2]], cfg, batch=(0, 2)), 2, SINK_NODE, pattern, cfg)
     checks.append(enter_free == leave_free and enter_free.total == 0.0 and enter_free.aligned == 0.0)
     absorb = edge_score(g, 1, 2, EMPTY_PATTERN, cfg)
     checks.append(_close(absorb.total, 3.0) and _close(absorb.aligned, 0.9))

@@ -93,6 +93,16 @@ class TestExitCodes:
         assert cli(argv) == 2
         assert "needs input tracks" in capsys.readouterr().err
 
+    def test_unsupervised_without_iterations_is_a_data_error(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(two_flow_csv())
+        argv = ["unsupervised", "--tracks", str(tracks), "--out", str(tmp_path / "out.csv"),
+                "--patterns-out", str(tmp_path / "mined.txt"), "--batch-start", "0", "--batch-end", "7",
+                "--iterations", "0"]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: iterations_per_level must be at least 1, got 0\n"
+
 
 class TestTimeBudgetVariable:
     def track_argv(self, tmp_path):

@@ -219,7 +219,7 @@ class TestSlackGate:
     def test_noisy_link_model_matches_full_scan(self, monkeypatch):
         from ptrack import EMPTY_PATTERN, Config, Pattern, build_graph
         from ptrack.linker import build_link_model
-        from ptrack.scoring import lowest_ratio
+        from ptrack.scoring import ratio_bracket
         from ptrack.synth import Fragment, Swap, corrupt, generate_scene
 
         corridors = (
@@ -245,7 +245,7 @@ class TestSlackGate:
             return result
 
         monkeypatch.setattr(fracopt, "feasible", recording)
-        fracopt.maximize_ratio(model, lowest_ratio(cfg), iters=10)
+        fracopt.maximize_ratio(model, *ratio_bracket(cfg), iters=10)
         assert {ok for _, ok in probes} == {True, False}
         nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
         assert sum(nodes) > 1000

@@ -5,6 +5,8 @@ from ptrack import (
     Config,
     Detection,
     DetectionGraph,
+    Pattern,
+    PatternScorer,
     SINK_NODE,
     SOURCE_NODE,
     build_graph,
@@ -139,17 +141,22 @@ class TestInputTrajectories:
         assert validate_trajectory_set(g, ts) == []
         assert [t.nodes for t in ts] == [(1, 2, 3), (4, 5)]
 
-    def test_boundary_flags_match_batch(self):
+    def test_graph_batch_decides_free_entries_and_exits(self):
         tracks = [[det(1, 0.0), det(2, 1.0)], [det(2, 8.0), det(3, 8.5)]]
+        lane = Pattern(((-1.0, 0.0), (10.0, 0.0)), 1.0)
         g = build_graph(tracks, Config())
         first, second = input_trajectories(g)
-        assert first.starts_at_batch_begin and not first.ends_at_batch_end
-        assert second.ends_at_batch_end and not second.starts_at_batch_begin
+        scorer = PatternScorer(g, lane, Config())
+        assert scorer.edge(SOURCE_NODE, first.nodes[0]) == (0.0, 0.0)
+        assert scorer.edge(first.nodes[-1], SINK_NODE)[0] > 0.0
+        assert scorer.edge(SOURCE_NODE, second.nodes[0])[0] > 0.0
+        assert scorer.edge(second.nodes[-1], SINK_NODE) == (0.0, 0.0)
         widened = build_graph(tracks, Config(), batch=(0, 4))
-        assert all(
-            not t.starts_at_batch_begin and not t.ends_at_batch_end
-            for t in input_trajectories(widened)
-        )
+        assert input_trajectories(widened) == (first, second)
+        scorer = PatternScorer(widened, lane, Config())
+        for t in (first, second):
+            assert scorer.edge(SOURCE_NODE, t.nodes[0])[0] > 0.0
+            assert scorer.edge(t.nodes[-1], SINK_NODE)[0] > 0.0
 
     def test_requires_source_tracks(self):
         g = DetectionGraph(

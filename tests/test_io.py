@@ -286,6 +286,19 @@ class TestPatternsText:
         with pytest.raises(ValueError, match="malformed row at line 1"):
             patterns_from_text("1.0 a b 2 2\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nan 0 0 1 1", "width must be positive and finite, got nan"),
+            ("0 0 0 1 1", "width must be positive and finite, got 0.0"),
+            ("1 0 0 inf 1", "centerline point (inf, 1.0) is not finite"),
+            ("1 0 0 0 0", "centerline has coincident consecutive points"),
+        ],
+    )
+    def test_invalid_pattern_names_its_line(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: {message}")):
+            patterns_from_text(f"1.0 0 0 2 2\n{line}\n")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "patterns.txt"
         write_patterns(path, (self.LANE,))

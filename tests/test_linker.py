@@ -21,7 +21,7 @@ from ptrack import (
 )
 import ptrack.linker as linker
 from ptrack.linker import require_empty_pattern
-from ptrack.scoring import lowest_ratio
+from ptrack.scoring import ratio_bracket
 
 from oracles import best_cover_objective, build_with_reference_floor, enumerate_assignments, with_floor_row
 
@@ -57,12 +57,30 @@ def linked_bracket(monkeypatch, cfg, **link_kwargs):
 
 class TestRatioBounds:
     def test_non_negative_empty_rate_keeps_unit_bracket(self, monkeypatch):
-        assert lowest_ratio(Config()) == 0.0
+        assert ratio_bracket(Config()) == (0.0, 1.0)
+        assert ratio_bracket(Config(empty_rate=1.0)) == (0.0, 1.0)
         assert linked_bracket(monkeypatch, Config()) == (0.0, 1.0, 10)
 
     def test_negative_empty_rate_widens_downward(self, monkeypatch):
-        assert lowest_ratio(Config.unsupervised()) == -5.0
+        assert ratio_bracket(Config.unsupervised()) == (-5.0, 1.0)
         assert linked_bracket(monkeypatch, Config.unsupervised(), iters=8) == (-5.0, 1.0, 8)
+
+    def test_empty_rate_above_one_widens_upward(self, monkeypatch):
+        # On the empty pattern aligned is empty_rate times total, so the
+        # ratio can reach the empty rate itself.
+        assert ratio_bracket(Config(empty_rate=3.0)) == (0.0, 3.0)
+        assert linked_bracket(monkeypatch, Config(empty_rate=3.0)) == (0.0, 3.0, 10)
+
+    def test_empty_rate_above_one_is_reached_on_two_flows(self):
+        from ptrack.synth import two_flow_scene
+
+        scene, corrupted = two_flow_scene()
+        cfg = Config(empty_rate=3.0)
+        g = build_graph(corrupted, cfg, batch=scene.meta.batch)
+        res = link(g, (EMPTY_PATTERN,) + scene.patterns, cfg)
+        assert not res.lower_bound_only
+        assert res.alpha_star > 2.99
+        assert set(res.full_assignment) == {0}
 
 
 class TestRequireEmptyPattern:
@@ -273,4 +291,28 @@ def test_small_graphs_match_exhaustive_cover_search():
         assert res.alpha_star <= want + 1e-9
         assert res.alpha_star >= res.search_alpha - 1e-6
         assert validate_trajectory_set(g, res.all_trajectories) == []
+        done += 1
+
+
+def test_empty_rate_above_one_matches_exhaustive_cover_search():
+    """With empty_rate > 1 the optimum lies above 1; the linker must still
+    find it, with the batch both wider than the frames and equal to them."""
+    patterns = (EMPTY_PATTERN, Pattern(((0.0, 0.0), (6.0, 0.0)), 1.5))
+    rng = np.random.default_rng(11)
+    done = 0
+    while done < 4:
+        tracks = [
+            [det(1 + k, x, y) for k, (x, y) in enumerate(zip(np.sort(rng.uniform(0.0, 6.0, n)),
+                                                            rng.uniform(-1.0, 1.0, n)))]
+            for n in rng.integers(2, 4, size=2)
+        ]
+        frames = [d.frame for t in tracks for d in t]
+        for cfg in (Config(empty_rate=1.5), Config(empty_rate=3.0, link_radius=3.0)):
+            for batch in ((min(frames) - 1, max(frames) + 1), None):
+                g = build_graph(tracks, cfg, batch=batch)
+                want = best_cover_objective(g, patterns, cfg)
+                res = link(g, patterns, cfg, iters=14)
+                assert want > 1.0
+                assert abs(res.alpha_star - want) <= 2.0**-14 * cfg.empty_rate + 1e-9
+                assert res.alpha_star <= want + 1e-9
         done += 1

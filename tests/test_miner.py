@@ -13,13 +13,14 @@ from ptrack import (
     input_trajectories,
     mine,
     tracking_area,
+    tracks_from_trajectories,
     trajectory_score,
 )
 import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
 from ptrack.fracopt import maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
-from ptrack.scoring import lowest_ratio
+from ptrack.scoring import ratio_bracket
 
 from oracles import brute_force_best_ratio, build_with_reference_floor, with_floor_row
 
@@ -68,9 +69,11 @@ class TestGenerateCandidates:
         cands = generate_candidates(g, input_trajectories(g), cfg)
         assert set(cands.source) == {None, 1}
 
-    def test_batch_override_narrows_eligibility(self):
+    def test_graph_batch_decides_eligibility(self):
         g, ts, cfg = two_flow_fixture()
-        cands = generate_candidates(g, ts, cfg, batch=(1, 7))
+        narrowed = build_graph(tracks_from_trajectories(g, ts), cfg, batch=(1, 7))
+        assert input_trajectories(narrowed) == ts
+        cands = generate_candidates(narrowed, ts, cfg)
         # trajectories starting at frame 1 now touch the window edge
         assert set(cands.source) == {None, 1, 3}
 
@@ -256,7 +259,7 @@ class TestTwinReduction:
         assert len(cands) == 121
         res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
         assert len(reduced) == 3
-        full = maximize_ratio(build_mine_model(g, ts, cands, cfg), lowest_ratio(cfg), iters=5)
+        full = maximize_ratio(build_mine_model(g, ts, cands, cfg), *ratio_bracket(cfg), iters=5)
         # The same assignment, its ratio summed over a shorter vector: equal
         # up to the rounding of the sums.
         assert res.alpha_star == pytest.approx(full.achieved, rel=1e-15, abs=0.0)
@@ -275,6 +278,7 @@ class TestTwinReduction:
             ([flow(0.0, 1), flow(2.0, 2)], Config(candidate_widths=(1.0, 3.0))),
             ([flow(0.0, 1), flow(2.0, 2)], Config.unsupervised(candidate_widths=(1.0, 3.0))),
             ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(0.5, 1.0), pattern_cost_budget=3.0)),
+            ([flow(0.0, 1), flow(2.0, 2)], Config(candidate_widths=(1.0, 3.0), empty_rate=2.0)),
         ]
         for tracks, cfg in instances:
             g = build_graph(tracks, cfg, batch=(0, 6))
@@ -287,7 +291,9 @@ class TestTwinReduction:
             best_reduced, _ = brute_force_best_ratio(build_mine_model(g, ts, reduced, cfg))
             assert best_reduced == pytest.approx(best, rel=0.0, abs=1e-12)
             assert res.alpha_star <= best + 1e-9
-            assert res.alpha_star >= best - 2.0**-14 * (1.0 - lowest_ratio(cfg)) - 1e-9
+            lo, hi = ratio_bracket(cfg)
+            assert res.alpha_star >= best - 2.0**-14 * (hi - lo) - 1e-9
+            assert res.search_alpha >= best - 2.0**-14 * (hi - lo) - 1e-9
 
     def test_equal_cost_twins_resolve_to_the_lowest_index(self, monkeypatch):
         g, ts, cfg = two_flow_fixture(widths=(1.0,))

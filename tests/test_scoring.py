@@ -10,19 +10,23 @@ from ptrack import (
     Detection,
     DetectionGraph,
     EMPTY_PATTERN,
+    Fragment,
     Pattern,
     PatternScorer,
     Projection,
     ScorePair,
     SINK_NODE,
     SOURCE_NODE,
+    Swap,
     Trajectory,
     build_graph,
     build_mine_model,
+    corrupt,
     edge_score,
     generate_candidates,
     generate_scene,
     input_trajectories,
+    link,
     objective,
     project_to_centerline,
     trajectory_score,
@@ -155,11 +159,15 @@ class TestEdgeScoreTable:
         s = edge_score(g, 2, SINK_NODE, LANE, CFG)
         assert (s.total, s.aligned) == (0.0, 0.0)
 
-    def test_boundary_flag_overrides_graph_batch(self):
-        g = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(0, 3))
-        assert edge_score(g, SOURCE_NODE, 1, LANE, CFG, at_boundary=True).total == 0.0
-        s = edge_score(g, 2, SINK_NODE, LANE, CFG, at_boundary=False)
+    def test_graph_batch_decides_each_end(self):
+        starts_at_begin = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(1, 3))
+        assert edge_score(starts_at_begin, SOURCE_NODE, 1, LANE, CFG) == ScorePair(0.0, 0.0)
+        s = edge_score(starts_at_begin, 2, SINK_NODE, LANE, CFG)
         assert s.total == pytest.approx(5.0, rel=1e-9)
+        ends_at_end = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(0, 2))
+        s = edge_score(ends_at_end, SOURCE_NODE, 1, LANE, CFG)
+        assert s.total == pytest.approx(4.0, rel=1e-9)
+        assert edge_score(ends_at_end, 2, SINK_NODE, LANE, CFG) == ScorePair(0.0, 0.0)
 
     def test_empty_pattern_entry_and_exit_are_free(self):
         g = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(0, 3))
@@ -242,8 +250,7 @@ def walker_graph():
 class TestTrajectoryScore:
     def test_full_batch_walk_is_fully_aligned(self):
         g = walker_graph()
-        traj = Trajectory((1, 2, 3, 4), starts_at_batch_begin=True, ends_at_batch_end=True)
-        s = trajectory_score(g, traj, LANE, CFG)
+        s = trajectory_score(g, Trajectory((1, 2, 3, 4)), LANE, CFG)
         assert s.total > 0.0
         assert s.aligned == s.total
 
@@ -264,19 +271,21 @@ class TestTrajectoryScore:
         assert s.total == pytest.approx(6.0, rel=1e-9)
         assert s.aligned == pytest.approx(0.3 * s.total, rel=1e-12)
 
-    def test_boundary_flags_come_from_trajectory_not_graph(self):
-        g = walker_graph()
-        flagged = Trajectory((2, 3), starts_at_batch_begin=True, ends_at_batch_end=True)
-        unflagged = Trajectory((2, 3))
-        assert trajectory_score(g, flagged, LANE, CFG).total < trajectory_score(
-            g, unflagged, LANE, CFG
-        ).total
+    def test_boundary_comes_from_the_graph_batch(self):
+        # Detections 2 and 3 are inside the walker's batch, but they span a
+        # graph of their own: there both ends are free.
+        inner = Trajectory((2, 3))
+        cut = make_graph([(2, 2, 3.0, 0.0), (3, 3, 5.0, 0.0)], [(2, 3)])
+        charged = trajectory_score(walker_graph(), inner, LANE, CFG)
+        free = trajectory_score(cut, inner, LANE, CFG)
+        assert free.total == free.aligned == edge_score(cut, 2, 3, LANE, CFG).total
+        assert charged.total == pytest.approx(free.total + 3.0 + 5.0, rel=1e-12)
 
 
 class TestObjective:
     def test_perfect_cover_scores_one(self):
         g = walker_graph()
-        ts = [Trajectory((1, 2, 3, 4), starts_at_batch_begin=True, ends_at_batch_end=True)]
+        ts = [Trajectory((1, 2, 3, 4))]
         assert objective(g, ts, [EMPTY_PATTERN, LANE], Assignment((1,)), CFG) == pytest.approx(
             1.0, rel=1e-12
         )
@@ -391,18 +400,25 @@ def reference_detection_edge(graph, pattern, cfg, i, j):
     return ScorePair(total, aligned)
 
 
-def reference_trajectory_score(graph, traj, pattern, cfg):
+# The former trajectory score, whose callers passed the boundary flags that
+# producers derived from the batch; `batch_flags` derives them the same way.
+def reference_trajectory_score(graph, nodes, pattern, cfg, starts_at_batch_begin, ends_at_batch_end):
     total = aligned = 0.0
     if not pattern.is_empty:
-        if not traj.starts_at_batch_begin:
-            total += reference_projection(graph.detection(traj.nodes[0]).pos, pattern).arc
-        if not traj.ends_at_batch_end:
-            total += pattern.length - reference_projection(graph.detection(traj.nodes[-1]).pos, pattern).arc
-    for a, b in zip(traj.nodes, traj.nodes[1:]):
+        if not starts_at_batch_begin:
+            total += reference_projection(graph.detection(nodes[0]).pos, pattern).arc
+        if not ends_at_batch_end:
+            total += pattern.length - reference_projection(graph.detection(nodes[-1]).pos, pattern).arc
+    for a, b in zip(nodes, nodes[1:]):
         score = reference_detection_edge(graph, pattern, cfg, a, b)
         total += score.total
         aligned += score.aligned
     return ScorePair(total, aligned)
+
+
+def batch_flags(graph, nodes):
+    first, last = graph.batch
+    return graph.detection(nodes[0]).frame == first, graph.detection(nodes[-1]).frame == last
 
 
 def bits(*values):
@@ -411,9 +427,12 @@ def bits(*values):
 
 
 def points_graph(points):
-    """One detection per point, ids and frames 0..n-1, no edges."""
+    """One detection per point, ids and frames 0..n-1, no edges.
+
+    The batch is one frame wider on each side, so no entry or exit is free.
+    """
     dets = tuple(Detection(id=k, frame=k, pos=(float(x), float(y))) for k, (x, y) in enumerate(points))
-    return DetectionGraph(dets, frozenset())
+    return DetectionGraph(dets, frozenset(), batch=(-1, len(points)))
 
 
 CFGS = (Config(), Config(reverse_penalty=0.25, empty_rate=-3.0))
@@ -434,17 +453,15 @@ class TestScoreCache:
                     assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
                     got = project_to_centerline(det.pos, pattern)
                     assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
-                    assert bits(scorer.entry_edge(det.id, False).total) == bits(want.arc)
+                    assert bits(*scorer.edge(SOURCE_NODE, det.id)) == bits(want.arc, 0.0)
                 for i, j in pairs:
-                    got = scorer.detection_edge(i, j)
                     want = reference_detection_edge(g, pattern, cfg, i, j)
-                    assert bits(got.total, got.aligned) == bits(want.total, want.aligned), (i, j)
+                    assert bits(*scorer.edge(i, j)) == bits(want.total, want.aligned), (i, j)
         for cfg in CFGS:
             scorer = PatternScorer(g, EMPTY_PATTERN, cfg)
             for i, j in pairs:
-                got = scorer.detection_edge(i, j)
                 want = reference_detection_edge(g, EMPTY_PATTERN, cfg, i, j)
-                assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
+                assert bits(*scorer.edge(i, j)) == bits(want.total, want.aligned)
 
     def test_random_polylines(self):
         rng = np.random.default_rng(3)
@@ -511,8 +528,8 @@ class TestScoreCache:
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
         self.assert_matches_reference(pts, LANE.centerline, pairs, widths=(2.0, 1.999))
         g = points_graph(pts)
-        assert PatternScorer(g, LANE, CFG).detection_edge(0, 1).aligned > 0.0
-        assert PatternScorer(g, LANE, CFG).detection_edge(2, 3).aligned == 0.0
+        assert PatternScorer(g, LANE, CFG).edge(0, 1)[1] > 0.0
+        assert PatternScorer(g, LANE, CFG).edge(2, 3)[1] == 0.0
 
     def test_backward_edges(self):
         pts = [(8.0, 1.0), (3.0, -1.5), (6.0, 30.0), (1.0, 0.0), (9.0, -4.0)]
@@ -536,7 +553,7 @@ class TestScoreCache:
         n_cand = len(candidates)
         for t, traj in enumerate(trajectories):
             for p, pattern in enumerate(candidates.patterns):
-                want = reference_trajectory_score(g, traj, pattern, CFG)
+                want = reference_trajectory_score(g, traj.nodes, pattern, CFG, *batch_flags(g, traj.nodes))
                 got = trajectory_score(g, traj, pattern, CFG)
                 assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
                 k = t * n_cand + p
@@ -546,10 +563,11 @@ class TestScoreCache:
     def every_score(graph, pattern, cfg):
         scorer = PatternScorer(graph, pattern, cfg)
         ids = [d.id for d in graph.detections]
-        out = [scorer.detection_edge(i, j) for i in ids for j in ids]
-        out += [scorer.entry_edge(v, False) for v in ids] + [scorer.exit_edge(v, False) for v in ids]
-        out.append(trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg))
-        return [bits(s.total, s.aligned) for s in out]
+        out = [scorer.edge(i, j) for i in ids for j in ids]
+        out += [scorer.edge(SOURCE_NODE, v) for v in ids] + [scorer.edge(v, SINK_NODE) for v in ids]
+        whole = trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg)
+        out.append((whole.total, whole.aligned))
+        return [bits(*s) for s in out]
 
     # Inside the 2 m corridor but outside the 0.5 m one, forward and backward.
     ISOLATION_POINTS = [(1.0, 0.2), (3.0, 1.0), (2.0, -1.5), (6.0, 0.3), (4.0, 0.1)]
@@ -576,3 +594,49 @@ class TestScoreCache:
                 assert again != first
                 assert again == self.every_score(points_graph(moved), pattern, cfg)
                 assert self.every_score(g, pattern, cfg) == again
+
+
+def crossing_family(agents, noisy):
+    """`agents` agents on two crossing corridors, one swap at the crossing.
+
+    The noisy variant adds lateral and speed noise and a fragment, as in the
+    benchmark's noisy family.
+    """
+    corridors = (
+        Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+        Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+    )
+    motion = dict(lateral_sigma=0.3, speed_jitter=0.2, seed=1) if noisy else {}
+    scene = generate_scene(
+        corridors, tuple((k % 2, k + 1) for k in range(agents)), speed=math.sqrt(2.0), **motion
+    )
+    ops = [Swap(0, 1, frame=8)] + ([Fragment(2, frame=9)] if noisy else [])
+    return scene, corrupt(scene.track_lists(), ops), corridors
+
+
+class TestBoundaryRuleDifferential:
+    """Scoring under the graph's batch equals the former flag-taking scorer,
+    given the flags every producer derived from the batch."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded-batch", "span-batch"])
+    def test_input_and_linked_trajectories(self, noisy, padded):
+        scene, broken, corridors = crossing_family(4, noisy)
+        patterns = (EMPTY_PATTERN, *corridors)
+        boundary_ends = 0
+        for cfg in CFGS:
+            g = build_graph(broken, cfg, scene.meta.batch if padded else None)
+            res = link(g, patterns, cfg)
+            for trajectories in (input_trajectories(g), res.all_trajectories):
+                for traj in trajectories:
+                    flags = batch_flags(g, traj.nodes)
+                    boundary_ends += sum(flags)
+                    for pattern in patterns:
+                        got = trajectory_score(g, traj, pattern, cfg)
+                        want = reference_trajectory_score(g, traj.nodes, pattern, cfg, *flags)
+                        assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
+            rebuilt = [Trajectory(t.nodes) for t in res.all_trajectories]
+            value = objective(g, rebuilt, patterns, res.full_assignment, cfg)
+            assert value == pytest.approx(res.alpha_star, rel=1e-12)
+        # The padded batch frees no end; the detection span frees some.
+        assert (boundary_ends == 0) == padded

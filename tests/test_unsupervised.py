@@ -120,3 +120,10 @@ class TestRunUnsupervised:
         _, g, ts = flow_fixture(cfg)
         with pytest.raises(ValueError, match="empty budget schedule"):
             run_unsupervised(g, ts, cfg, schedule=())
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterations_below_one_rejected(self, iterations):
+        cfg = Config()
+        _, g, ts = flow_fixture(cfg)
+        with pytest.raises(ValueError, match=f"iterations_per_level must be at least 1, got {iterations}"):
+            run_unsupervised(g, ts, cfg, schedule=(1.0,), iterations_per_level=iterations)
