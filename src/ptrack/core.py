@@ -1,4 +1,9 @@
-"""Shared data model: detections, graphs, patterns, trajectories, configuration."""
+"""Shared data model: detections, graphs, patterns, trajectories, configuration.
+
+A track is a list of `Detection`s in frame order; the list is the only
+record of which track a detection belongs to.  `build_graph` keeps the input
+tracks as `DetectionGraph.source_tracks`, chains of detection ids.
+"""
 from __future__ import annotations
 
 import math
@@ -31,18 +36,11 @@ def _finite_pair(value) -> bool:
 
 @dataclass(frozen=True)
 class Detection:
-    """A single localized observation: ground-plane position at an integer frame.
-
-    `source_track` remembers which input track the detection came from, if any;
-    `is_track_start` / `is_track_end` mark the endpoints of that input track.
-    """
+    """A single localized observation: ground-plane position at an integer frame."""
 
     id: int
     frame: int
     pos: tuple[float, float]
-    source_track: int | None = None
-    is_track_start: bool = False
-    is_track_end: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or self.id < 0:
@@ -67,11 +65,15 @@ class DetectionGraph:
     be wider when the data is a window cut from a longer recording.  It is the
     one source of the boundary rule: a path entering at the batch's first
     frame or leaving at its last pays nothing for that entry or exit.
+    `source_tracks` holds the input tracks as chains of detection ids, a
+    cover of the detections along edges; it is empty when the graph was not
+    built from tracks.
     """
 
     detections: tuple[Detection, ...]
     edges: frozenset[tuple[int, int]]
     batch: tuple[int, int] | None = None
+    source_tracks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.detections:
@@ -99,6 +101,10 @@ class DetectionGraph:
                 raise ValueError(f"edge references unknown detection {j}")
             if i >= 0 and j >= 0 and by_id[i].frame >= by_id[j].frame:
                 raise ValueError(f"edge ({i}, {j}) does not move forward in time")
+        if self.source_tracks:
+            violations = validate_trajectory_set(self, [Trajectory(t) for t in self.source_tracks])
+            if violations:
+                raise ValueError(f"source tracks are not a cover of the graph: {violations[0]}")
 
     def detection(self, det_id: int) -> Detection:
         return self._by_id[det_id]
@@ -110,11 +116,6 @@ class DetectionGraph:
     def scoring_cache(self) -> dict:
         """Width-free scoring terms per centerline, filled by `ptrack.scoring`."""
         return {}
-
-    @cached_property
-    def detection_edges(self) -> tuple[tuple[int, int], ...]:
-        """Detection-to-detection edges, sorted for deterministic iteration."""
-        return tuple(sorted((i, j) for i, j in self.edges if i >= 0 and j >= 0))
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -324,9 +325,18 @@ class Config:
         return replace(self, pattern_cost_budget=budget)
 
     def resolved_cost_budget(self, area: float) -> float:
-        """Total pattern cost allowed; defaults to a fraction of the scene area."""
+        """Total pattern cost allowed; defaults to a fraction of the scene area.
+
+        Collinear detections span no area, and a default of 0 would afford
+        no pattern at all, so that case asks for an explicit budget instead.
+        """
         if self.pattern_cost_budget is not None:
             return self.pattern_cost_budget
+        if area <= 0.0:
+            raise ValueError(
+                "the detections span no area, so the default pattern cost budget is 0; "
+                "set pattern_cost_budget (--cost-budget)"
+            )
         return 0.3 * self.max_patterns * area
 
     def join_gap_frames(self) -> int:

@@ -4,6 +4,8 @@ Input tracks contribute their detections and their own consecutive
 transitions; extra edges let the linker move between tracks (to undo identity
 switches) and bridge gaps between track fragments.  Entry and exit edges make
 every detection reachable, so a feasible decomposition always exists.
+The graph keeps the input tracks as `source_tracks`, the one record of which
+track each detection came from.
 """
 from __future__ import annotations
 
@@ -27,34 +29,24 @@ def build_graph(
         is between 1 and `join_gap` seconds;
       - entry and exit edges for every detection.
 
-    Detections are re-identified serially; `batch` overrides the frame range
-    when the tracks are a window of a longer recording.
+    Detections are re-identified serially, and the non-empty input tracks
+    are kept, in order, as the graph's `source_tracks`; `batch` overrides
+    the frame range when the tracks are a window of a longer recording.
     """
-    if not tracks or all(len(t) == 0 for t in tracks):
-        raise ValueError("no detections in input tracks")
     detections: list[Detection] = []
-    track_nodes: list[list[int]] = []
-    next_id = 1
+    track_nodes: list[tuple[int, ...]] = []
     for t_idx, track in enumerate(tracks):
-        nodes: list[int] = []
-        for k, det in enumerate(track):
-            if k > 0 and det.frame <= track[k - 1].frame:
+        for prev, det in zip(track, track[1:]):
+            if det.frame <= prev.frame:
                 raise ValueError(
                     f"track {t_idx} frames are not strictly increasing at frame {det.frame}"
                 )
-            detections.append(
-                Detection(
-                    id=next_id,
-                    frame=det.frame,
-                    pos=det.pos,
-                    source_track=t_idx,
-                    is_track_start=(k == 0),
-                    is_track_end=(k == len(track) - 1),
-                )
-            )
-            nodes.append(next_id)
-            next_id += 1
-        track_nodes.append(nodes)
+        first = len(detections) + 1
+        detections += (Detection(id=first + k, frame=d.frame, pos=d.pos) for k, d in enumerate(track))
+        if track:
+            track_nodes.append(tuple(range(first, len(detections) + 1)))
+    if not track_nodes:
+        raise ValueError("no detections in input tracks")
 
     edges: set[tuple[int, int]] = set()
     for nodes in track_nodes:
@@ -73,8 +65,8 @@ def build_graph(
                     edges.add((a.id, b.id))
 
     max_gap = cfg.join_gap_frames()
-    ends = [d for d in detections if d.is_track_end]
-    starts = [d for d in detections if d.is_track_start]
+    ends = [detections[nodes[-1] - 1] for nodes in track_nodes]
+    starts = [detections[nodes[0] - 1] for nodes in track_nodes]
     for end in ends:
         for start in starts:
             gap = start.frame - end.frame
@@ -85,7 +77,7 @@ def build_graph(
         edges.add((SOURCE_NODE, det.id))
         edges.add((det.id, SINK_NODE))
 
-    return DetectionGraph(tuple(detections), frozenset(edges), batch)
+    return DetectionGraph(tuple(detections), frozenset(edges), batch, tuple(track_nodes))
 
 
 def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:
@@ -94,12 +86,6 @@ def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:
     Useful as the starting point for pattern mining or for scoring the input
     as-is.  Requires the graph to have been built from tracks.
     """
-    groups: dict[int, list[Detection]] = {}
-    for det in graph.detections:
-        if det.source_track is None:
-            raise ValueError(f"detection {det.id} has no source track")
-        groups.setdefault(det.source_track, []).append(det)
-    return tuple(
-        Trajectory(tuple(d.id for d in sorted(groups[t_idx], key=lambda d: d.frame)))
-        for t_idx in sorted(groups)
-    )
+    if not graph.source_tracks:
+        raise ValueError("graph has no source tracks: it was not built from tracks")
+    return tuple(Trajectory(nodes) for nodes in graph.source_tracks)

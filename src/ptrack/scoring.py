@@ -172,12 +172,6 @@ class PatternScorer:
             graph.scoring_cache[key] = _CenterlineTerms(graph, pattern)
         self._terms = graph.scoring_cache[key]
 
-    def projection(self, det_id: int) -> Projection:
-        if self.pattern.is_empty:
-            raise ValueError("empty pattern has no centerline")
-        arc, fx, fy, dist = self._terms.projections[det_id]
-        return Projection(arc=arc, foot=(fx, fy), dist=dist)
-
     def edge(self, i: int, j: int) -> tuple[float, float]:
         """(total, aligned) of an entry (i is SOURCE_NODE), exit (j is SINK_NODE) or detection edge.
 

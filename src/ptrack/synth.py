@@ -3,7 +3,8 @@
 Agents walk along pattern centerlines at a configurable speed with optional
 speed jitter and lateral offsets bounded by the corridor width.  Corruption
 operators inject the failure modes the library is meant to repair: identity
-swaps, fragmentation, and wrong merges.
+swaps, fragmentation, and wrong merges.  A track is its detection list, so
+corrupting tracks only moves detections between lists.
 """
 from __future__ import annotations
 
@@ -72,8 +73,10 @@ def generate_scene(
 ) -> Scene:
     """Walk agents along patterns; returns ground-truth tracks.
 
-    Each agent is a (pattern index, start frame) pair.  Lateral offsets are
-    Gaussian, redrawn until they stay strictly inside the corridor width.
+    Each agent is a (pattern index, start frame) pair and yields one track,
+    its detections in frame order with ids numbered serially from 1.
+    Lateral offsets are Gaussian, redrawn until they stay strictly inside
+    the corridor width.
     The batch range extends one frame beyond the observed span on both sides
     so that no ground-truth trajectory touches the batch boundary.
     """
@@ -83,7 +86,7 @@ def generate_scene(
     tracks: list[tuple[Detection, ...]] = []
     det_id = 1
     base_step = speed / fps
-    for a_idx, (p_idx, start_frame) in enumerate(agents):
+    for p_idx, start_frame in agents:
         pattern = patterns[p_idx]
         if pattern.is_empty:
             raise ValueError("agents cannot walk the empty pattern")
@@ -99,29 +102,13 @@ def generate_scene(
                     offset = rng.normal(0.0, lateral_sigma)
                 x += -ty * offset
                 y += tx * offset
-            dets.append(
-                Detection(
-                    id=det_id,
-                    frame=frame,
-                    pos=(x, y),
-                    source_track=a_idx,
-                    is_track_start=not dets,
-                )
-            )
+            dets.append(Detection(id=det_id, frame=frame, pos=(x, y)))
             det_id += 1
             frame += 1
             step = base_step
             if speed_jitter > 0.0:
                 step = max(0.1 * base_step, base_step * (1.0 + speed_jitter * rng.normal()))
             arc += step
-        dets[-1] = Detection(
-            id=dets[-1].id,
-            frame=dets[-1].frame,
-            pos=dets[-1].pos,
-            source_track=a_idx,
-            is_track_start=len(dets) == 1,
-            is_track_end=True,
-        )
         tracks.append(tuple(dets))
     first = min(t[0].frame for t in tracks) - 1
     last = max(t[-1].frame for t in tracks) + 1

@@ -2,10 +2,12 @@
 
 Two track formats are supported: a plain four-column CSV (frame, id, x, y)
 and the ten-column challenge CSV (frame, id, four bbox fields, confidence,
-x, y, z).  Challenge rows with x == y == -1 and a box carry image-plane boxes
-only and need a homography to project the box's bottom center onto the
-ground plane; a row whose box width and height are both -1 has no box, so
-its x, y is a ground position even when it is (-1, -1).
+x, y, z).  Each track id is read as one list of detections; the list is
+the only record of which track a detection belongs to.  Challenge rows with
+x == y == -1 and a box carry image-plane boxes only and need a homography
+to project the box's bottom center onto the ground plane; a row whose box
+width and height are both -1 has no box, so its x, y is a ground position
+even when it is (-1, -1).
 Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`); frame and id must
 be finite integers that fit in int64, and ground positions, read or
 projected, must be finite.  An invalid track file is reported at its first
@@ -94,7 +96,11 @@ def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
 def tracks_from_csv(
     text: str, fmt: str = "auto", homography: np.ndarray | None = None
 ) -> list[list[Detection]]:
-    """Parse tracks from CSV text; returns one detection list per track id."""
+    """Parse tracks from CSV text; returns one detection list per track id.
+
+    Tracks are ordered by id and their detections by frame; detection ids
+    are renumbered serially from 1 in that order.
+    """
     if fmt not in ("auto", *_TRACK_COLUMNS):
         raise ValueError(f"unknown track format {fmt!r}")
     lines = text.splitlines()
@@ -157,17 +163,8 @@ def tracks_from_csv(
     if twice.size:
         k = twice[0]
         raise ValueError(f"track {int(ids[k])} has two detections at frame {int(frames[k])}")
-    starts = np.concatenate(([True], ~same_track))
-    ends = np.concatenate((~same_track, [True]))
-    track_of = np.cumsum(starts) - 1
-    columns = (frames, pos[:, 0], pos[:, 1], track_of, starts, ends)
-    dets = [
-        Detection(det_id, frame, (x, y), t, start, end)
-        for det_id, frame, x, y, t, start, end in zip(
-            range(1, len(order) + 1), *(column.tolist() for column in columns)
-        )
-    ]
-    bounds = [*np.flatnonzero(starts).tolist(), len(dets)]
+    dets = list(map(Detection, range(1, len(order) + 1), frames.tolist(), zip(*pos.T.tolist())))
+    bounds = [*np.flatnonzero(np.concatenate(([True], ~same_track))).tolist(), len(dets)]
     return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 

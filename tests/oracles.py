@@ -179,7 +179,7 @@ def enumerate_path_covers(graph, cap=200_000):
     covers exist.
     """
     dets = sorted(graph.detections, key=lambda d: (d.frame, d.id))
-    det_edges = set(graph.detection_edges)
+    det_edges = {(i, j) for i, j in graph.edges if i >= 0 and j >= 0}
     covers = []
     chains: list[list[int]] = []
 

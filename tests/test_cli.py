@@ -93,6 +93,22 @@ class TestExitCodes:
         assert cli(argv) == 2
         assert "needs input tracks" in capsys.readouterr().err
 
+    def test_collinear_tracks_need_an_explicit_cost_budget(self, tmp_path, capsys):
+        # Three noise-free agents on one straight lane span no area, so the
+        # default budget, a fraction of that area, would afford no pattern.
+        tracks = tmp_path / "tracks.csv"
+        rows = (f"{start + x},{start},{x},0\n" for start in (1, 2, 3) for x in range(15))
+        tracks.write_text("".join(rows))
+        out = tmp_path / "mined.txt"
+        argv = ["learn-patterns", "--tracks", str(tracks), "--out", str(out)]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "pattern_cost_budget" in err and "--cost-budget" in err
+        assert not out.exists()
+        assert cli(argv + ["--cost-budget", "14"]) == 0
+        assert capsys.readouterr().out.startswith("1 patterns, objective 1.000000")
+
     def test_unsupervised_without_iterations_is_a_data_error(self, tmp_path, capsys):
         tracks = tmp_path / "tracks.csv"
         tracks.write_text(two_flow_csv())

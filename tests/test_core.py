@@ -1,4 +1,5 @@
 """Domain type construction, validation, and the trajectory-set checker."""
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from ptrack import (
 from ptrack.core import bounding_box
 
 
-def det(i, frame, x, y, **kw):
-    return Detection(id=i, frame=frame, pos=(x, y), **kw)
+def det(i, frame, x, y):
+    return Detection(id=i, frame=frame, pos=(x, y))
 
 
 def chain_graph():
@@ -38,6 +39,9 @@ def chain_graph():
 
 
 class TestDetection:
+    def test_holds_only_id_frame_and_position(self):
+        assert [f.name for f in dataclasses.fields(Detection)] == ["id", "frame", "pos"]
+
     def test_position_is_coerced_to_floats(self):
         d = det(1, 0, 1, 2)
         assert d.pos == (1.0, 2.0)
@@ -97,11 +101,33 @@ class TestDetectionGraph:
         with pytest.raises(ValueError, match="batch"):
             DetectionGraph(dets, frozenset(), batch=(3, 5))
 
+    def test_source_tracks_default_to_empty(self):
+        assert chain_graph().source_tracks == ()
+
+    def test_source_tracks_that_cover_the_graph_along_edges_are_kept(self):
+        g = chain_graph()
+        for tracks in (((1, 2, 3),), ((1, 2), (3,)), ((1,), (2,), (3,))):
+            assert dataclasses.replace(g, source_tracks=tracks).source_tracks == tracks
+
+    @pytest.mark.parametrize(
+        "tracks, reason",
+        [
+            (((1, 2), (2, 3)), "used twice"),
+            (((1, 2),), "uncovered"),
+            (((1, 2, 3), (4,)), "unknown detection"),
+            (((1, 3), (2,)), "not a graph edge"),
+            (((1, 2, 3, 2),), "repeats"),
+        ],
+    )
+    def test_source_tracks_must_cover_the_graph_along_edges(self, tracks, reason):
+        with pytest.raises(ValueError, match=reason):
+            dataclasses.replace(chain_graph(), source_tracks=tracks)
+
     def test_neighbor_tables(self):
         g = chain_graph()
         assert set(g.out_neighbors[1]) == {2, SINK_NODE}
+        assert set(g.out_neighbors[2]) == {3, SINK_NODE}
         assert set(g.in_neighbors[3]) == {SOURCE_NODE, 2}
-        assert g.detection_edges == ((1, 2), (2, 3))
         assert 2 in g and 9 not in g
 
 
@@ -205,6 +231,12 @@ class TestConfig:
         assert cfg.resolved_cost_budget(100.0) == pytest.approx(150.0)
         assert cfg.with_cost_budget(7.0).resolved_cost_budget(100.0) == 7.0
         assert cfg.with_cost_budget(0.0).resolved_cost_budget(100.0) == 0.0
+
+    def test_default_cost_budget_needs_an_area(self):
+        # Collinear detections span no area: the default budget would be 0.
+        with pytest.raises(ValueError, match=r"pattern_cost_budget \(--cost-budget\)"):
+            Config().resolved_cost_budget(0.0)
+        assert Config(pattern_cost_budget=2.5).resolved_cost_budget(0.0) == 2.5
 
     def test_join_gap_converts_to_frames(self):
         assert Config(join_gap=2.0, fps=1.0).join_gap_frames() == 2

@@ -11,8 +11,10 @@ from ptrack import (
     SOURCE_NODE,
     build_graph,
     input_trajectories,
+    tracks_from_trajectories,
     validate_trajectory_set,
 )
+from ptrack.synth import crossing_scene, fragmented_corridor_scene, two_flow_scene
 
 
 def det(frame, x, y=0.0):
@@ -105,10 +107,9 @@ class TestGraphShape:
     def test_detections_renumbered_serially_with_provenance(self):
         g = build_graph([[det(1, 0.0), det(2, 1.0)], [det(1, 5.0)]], Config())
         assert [d.id for d in g.detections] == [1, 2, 3]
-        assert [d.source_track for d in g.detections] == [0, 0, 1]
-        assert g.detections[0].is_track_start and not g.detections[0].is_track_end
-        assert g.detections[1].is_track_end and not g.detections[1].is_track_start
-        assert g.detections[2].is_track_start and g.detections[2].is_track_end
+        assert [d.frame for d in g.detections] == [1, 2, 1]
+        assert [d.pos for d in g.detections] == [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)]
+        assert g.source_tracks == ((1, 2), (3,))
 
     def test_every_detection_has_entry_and_exit(self):
         tracks = [[det(f, x) for f, x in [(1, 0.0), (2, 1.0), (3, 2.0)]], [det(2, 9.0)]]
@@ -157,6 +158,25 @@ class TestInputTrajectories:
         for t in (first, second):
             assert scorer.edge(SOURCE_NODE, t.nodes[0])[0] > 0.0
             assert scorer.edge(t.nodes[-1], SINK_NODE)[0] > 0.0
+
+    def test_empty_input_tracks_are_skipped(self):
+        a = [det(1, 0.0), det(2, 1.0)]
+        b = [det(2, 8.0), det(3, 8.5)]
+        g = build_graph([a, b], Config())
+        for tracks in ([[], a, b], [a, [], b], [a, b, []]):
+            padded = build_graph(tracks, Config())
+            assert input_trajectories(padded) == input_trajectories(g)
+            assert padded.source_tracks == ((1, 2), (3, 4))
+            assert padded.edges == g.edges
+
+    @pytest.mark.parametrize("preset", [crossing_scene, fragmented_corridor_scene, two_flow_scene])
+    def test_follow_the_corrupted_lists(self, preset):
+        scene, corrupted = preset(seed=0)
+        g = build_graph(corrupted, Config(), batch=scene.meta.batch)
+        adopted = tracks_from_trajectories(g, input_trajectories(g))
+        shape = lambda tracks: [[(d.frame, d.pos) for d in t] for t in tracks]
+        assert shape(adopted) == shape(corrupted)
+        assert shape(adopted) != shape(scene.tracks)
 
     def test_requires_source_tracks(self):
         g = DetectionGraph(

@@ -40,27 +40,17 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 class TestTracksFromCsv:
     def test_plain_row(self):
-        (track,) = tracks_from_csv("3,7,1.5,2.0\n")
-        (det,) = track
-        assert det.id == 1
-        assert det.frame == 3
-        assert det.pos == (1.5, 2.0)
-        assert det.source_track == 0
-        assert det.is_track_start and det.is_track_end
+        # one row: one track holding one detection, renumbered from 1
+        assert tracks_from_csv("3,7,1.5,2.0\n") == [[Detection(1, 3, (1.5, 2.0))]]
 
     def test_tracks_ordered_by_id_and_detections_renumbered(self):
         text = "2,12,1,0\n1,4,0,0\n1,12,0.5,0\n2,4,1,1\n"
         tracks = tracks_from_csv(text)
-        # input ids 4 and 12 become positions 0 and 1
-        assert [det.source_track for t in tracks for det in t] == [0, 0, 1, 1]
-        assert [det.id for t in tracks for det in t] == [1, 2, 3, 4]
-        assert [det.frame for det in tracks[0]] == [1, 2]
-        assert tracks[0][0].pos == (0.0, 0.0)
-        assert tracks[1][1].pos == (1.0, 0.0)
-        starts = [det.is_track_start for t in tracks for det in t]
-        ends = [det.is_track_end for t in tracks for det in t]
-        assert starts == [True, False, True, False]
-        assert ends == [False, True, False, True]
+        # input ids 4 and 12 become list positions 0 and 1, each in frame order
+        assert tracks == [
+            [Detection(1, 1, (0.0, 0.0)), Detection(2, 2, (1.0, 1.0))],
+            [Detection(3, 1, (0.5, 0.0)), Detection(4, 2, (1.0, 0.0))],
+        ]
 
     def test_mot_row_with_ground_position(self):
         row = "5,2,10,20,4,8,1,3.25,-1.5,-1\n"
@@ -489,36 +479,21 @@ def reference_tracks_from_csv(text, fmt="auto", homography=None):
             rows[track_id][k] = (rows[track_id][k][0], x, y)
     tracks = []
     det_id = 1
-    for t_pos, track_id in enumerate(sorted(rows)):
+    for track_id in sorted(rows):
         entries = sorted(rows[track_id])
         track = []
         for k, (frame, x, y) in enumerate(entries):
             if k > 0 and frame == entries[k - 1][0]:
                 raise ValueError(f"track {track_id} has two detections at frame {frame}")
-            track.append(
-                Detection(
-                    id=det_id,
-                    frame=frame,
-                    pos=(x, y),
-                    source_track=t_pos,
-                    is_track_start=k == 0,
-                    is_track_end=k == len(entries) - 1,
-                )
-            )
+            track.append(Detection(id=det_id, frame=frame, pos=(x, y)))
             det_id += 1
         tracks.append(track)
     return tracks
 
 
 def exact(tracks):
-    """Everything a detection holds, positions as bit patterns."""
-    return [
-        [
-            (d.id, d.frame, d.pos[0].hex(), d.pos[1].hex(), d.source_track, d.is_track_start, d.is_track_end)
-            for d in track
-        ]
-        for track in tracks
-    ]
+    """Everything a detection holds, positions as bit patterns, nested by track."""
+    return [[(d.id, d.frame, d.pos[0].hex(), d.pos[1].hex()) for d in track] for track in tracks]
 
 
 def spell_int(rng: random.Random, k: int) -> str:

@@ -273,8 +273,13 @@ class TestTwinReduction:
         # first two flows are one shape at different frames.
         flow = lambda y, start, n=3: [det(start + k, 2.0 * k, y) for k in range(n)]
         instances = [
-            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(1.0, 3.0))),
-            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(1.0, 3.0), max_patterns=1)),
+            # Flows on one line span no area, so they need an explicit budget;
+            # 12 is what the default resolves to for the flows at y=0 and y=2.
+            ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(1.0, 3.0), pattern_cost_budget=12.0)),
+            (
+                [flow(0.0, 1), flow(0.0, 2)],
+                Config(candidate_widths=(1.0, 3.0), max_patterns=1, pattern_cost_budget=12.0),
+            ),
             ([flow(0.0, 1), flow(2.0, 2)], Config(candidate_widths=(1.0, 3.0))),
             ([flow(0.0, 1), flow(2.0, 2)], Config.unsupervised(candidate_widths=(1.0, 3.0))),
             ([flow(0.0, 1), flow(0.0, 2)], Config(candidate_widths=(0.5, 1.0), pattern_cost_budget=3.0)),

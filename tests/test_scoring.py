@@ -449,8 +449,8 @@ class TestScoreCache:
                 scorer = PatternScorer(g, pattern, cfg)
                 for det in g.detections:
                     want = reference_projection(det.pos, pattern)
-                    got = scorer.projection(det.id)
-                    assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
+                    cached = g.scoring_cache[pattern.centerline].projections[det.id]
+                    assert bits(*cached) == bits(want.arc, *want.foot, want.dist)
                     got = project_to_centerline(det.pos, pattern)
                     assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
                     assert bits(*scorer.edge(SOURCE_NODE, det.id)) == bits(want.arc, 0.0)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptrack import Pattern
+from ptrack import Config, Pattern, build_graph
 from ptrack.metrics import idf1
 from ptrack.synth import (
     Fragment,
@@ -36,8 +36,9 @@ class TestGenerateScene:
         assert [d.frame for d in track] == [1, 2, 3, 4, 5, 6]
         assert [d.pos for d in track] == [(2.0 * k, 0.0) for k in range(6)]
         assert [d.id for d in track] == [1, 2, 3, 4, 5, 6]
-        assert track[0].is_track_start and track[-1].is_track_end
-        assert all(d.source_track == 0 for d in track)
+        # the agent's one track is its list: the graph adopts it whole
+        graph = build_graph(scene.track_lists(), Config(), scene.meta.batch)
+        assert graph.source_tracks == ((1, 2, 3, 4, 5, 6),)
         assert scene.meta.batch == (0, 7)
         assert scene.meta.pattern_of_agent == (0,)
 
