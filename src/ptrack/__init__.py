@@ -16,6 +16,7 @@ from .core import (
     Pattern,
     SINK_NODE,
     SOURCE_NODE,
+    TrackTable,
     Trajectory,
     relative_widths,
     tracking_area,
@@ -73,7 +74,9 @@ from .tracksio import (
     read_config,
     read_homography,
     read_patterns,
+    read_track_table,
     read_tracks,
+    track_table_from_csv,
     tracks_from_csv,
     tracks_to_csv,
     write_patterns,

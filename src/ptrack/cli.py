@@ -30,6 +30,7 @@ from .tracksio import (
     config_overrides_from_text,
     read_homography,
     read_patterns,
+    read_track_table,
     read_tracks,
     write_history,
     write_metrics,
@@ -186,8 +187,8 @@ def _cmd_unsupervised(args) -> None:
 
 def _cmd_eval(args) -> None:
     homography = read_homography(args.homography) if args.homography else None
-    gt = read_tracks(args.gt, args.format, homography)
-    pred = read_tracks(args.pred, args.format, homography)
+    gt = read_track_table(args.gt, args.format, homography)
+    pred = read_track_table(args.pred, args.format, homography)
     match_cfg = MatchConfig(max_dist=args.match_dist)
     summary = summarize(gt, pred, match_cfg)
     for col in METRIC_COLUMNS:

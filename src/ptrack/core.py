@@ -3,6 +3,9 @@
 A track is a list of `Detection`s in frame order; the list is the only
 record of which track a detection belongs to.  `build_graph` keeps the input
 tracks as `DetectionGraph.source_tracks`, chains of detection ids.
+`TrackTable` holds the same tracks as three arrays, one row per detection,
+for code that only reads frames and positions (reading and scoring tracks);
+`TrackTable.tracks()` and `TrackTable.from_tracks` convert between the two.
 """
 from __future__ import annotations
 
@@ -53,6 +56,71 @@ class Detection:
         x, y = pos
         if not (type(pos) is tuple and type(x) is float and type(y) is float):
             object.__setattr__(self, "pos", (float(x), float(y)))
+
+
+@dataclass(frozen=True, eq=False)
+class TrackTable:
+    """Tracks as columns: `frames` (int64) and `pos` (an (n, 2) float array).
+
+    Track k is rows `starts[k]:starts[k + 1]`, in the order of its detection
+    list; `starts` holds one more entry than there are tracks, so a track
+    may be empty.  Positions are finite, as in `Detection`.
+    """
+
+    frames: np.ndarray
+    pos: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self) -> None:
+        frames, starts = np.asarray(self.frames), np.asarray(self.starts)
+        pos = np.asarray(self.pos, dtype=float)
+        if frames.dtype != np.int64 or frames.ndim != 1:
+            raise ValueError("frames must be a one-dimensional int64 array")
+        if pos.shape != (len(frames), 2) or not np.isfinite(pos).all():
+            raise ValueError(f"pos must be {len(frames)} finite (x, y) rows")
+        if not (
+            starts.ndim == 1
+            and starts.dtype.kind in "iu"
+            and starts.size
+            and starts[0] == 0
+            and starts[-1] == len(frames)
+            and np.all(starts[1:] >= starts[:-1])
+        ):
+            raise ValueError("starts must rise from 0 to the row count")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "starts", starts.astype(np.int64, copy=False))
+
+    @classmethod
+    def from_tracks(cls, tracks: Sequence[Sequence[Detection]]) -> "TrackTable":
+        dets = [d for track in tracks for d in track]
+        try:
+            frames = np.fromiter((d.frame for d in dets), np.int64, len(dets))
+        except OverflowError:
+            raise ValueError("frames must fit in int64") from None
+        pos = np.array([d.pos for d in dets], dtype=float).reshape(-1, 2)
+        starts = np.cumsum([0, *map(len, tracks)], dtype=np.int64)
+        return cls(frames, pos, starts)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Track index of each row."""
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    def tracks(self) -> list[list[Detection]]:
+        """Detection lists, one per track; detection ids count from 1 in row order."""
+        dets = list(
+            map(Detection, range(1, len(self.frames) + 1), self.frames.tolist(), zip(*self.pos.T.tolist()))
+        )
+        bounds = self.starts.tolist()
+        return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ total_gt + total_pred - 2 * idtp, so this matching also minimizes per-frame
 disagreement.  The per-frame score (MOTA) instead matches each frame
 independently, carrying matches over between frames so that identity
 switches can be counted.
+
+Every metric takes tracks either as detection lists or as a `TrackTable`,
+and works on the table: lists are converted once on entry.  Every gate
+decision and every matching cost is the exact `math.dist` of the pair.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .core import Detection
+from .core import Detection, TrackTable
 
-Tracks = Sequence[Sequence[Detection]]
+Tracks = Sequence[Sequence[Detection]] | TrackTable
 
 
 @dataclass(frozen=True)
@@ -56,42 +60,34 @@ class ClearReport:
     gt_matched_frames: tuple[int, ...]
 
 
-def _frame_table(tracks: Tracks) -> dict[int, list[tuple[int, tuple[float, float]]]]:
-    table: dict[int, list[tuple[int, tuple[float, float]]]] = {}
-    for t_idx, track in enumerate(tracks):
-        for det in track:
-            table.setdefault(det.frame, []).append((t_idx, det.pos))
-    return table
+def _table(tracks: Tracks) -> TrackTable:
+    return tracks if isinstance(tracks, TrackTable) else TrackTable.from_tracks(tracks)
 
 
-def _overlap_counts(gt: Tracks, pred: Tracks, max_dist: float) -> np.ndarray:
+def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`math.dist` between paired rows of two position arrays, one pair at a time."""
+    return np.fromiter(map(math.dist, zip(*a.T.tolist()), zip(*b.T.tolist())), float, len(a))
+
+
+def _overlap_counts(gt: TrackTable, pred: TrackTable, max_dist: float) -> np.ndarray:
     """Frames where each (gt, pred) track pair co-occurs within the gate.
 
     Detections become points (frame * spacing, x, y) with a frame spacing
     twice the search radius, so the KD-tree query only pairs detections of
-    one frame.  The radius is loose; the exact gate test decides.
+    one frame.  The radius is loose, and far-out frames can round to one
+    coordinate; the exact frame and gate tests decide.
     """
     counts = np.zeros((len(gt), len(pred)), dtype=int)
-    g_dets, p_dets = ([det for track in side for det in track] for side in (gt, pred))
-    if not (g_dets and p_dets):
+    if not (len(gt.frames) and len(pred.frames)):
         return counts
     spacing = 4.0 * max_dist
     g_tree, p_tree = (
-        cKDTree(
-            np.column_stack(
-                (np.array([d.frame for d in dets], dtype=float) * spacing, [d.pos for d in dets])
-            )
-        )
-        for dets in (g_dets, p_dets)
+        cKDTree(np.column_stack((side.frames * spacing, side.pos))) for side in (gt, pred)
     )
     near = g_tree.sparse_distance_matrix(p_tree, 2.0 * max_dist, output_type="ndarray")
     i, j = near["i"], near["j"]
-    keep = np.array(
-        [math.dist(g_dets[a].pos, p_dets[b].pos) <= max_dist for a, b in zip(i.tolist(), j.tolist())],
-        dtype=bool,
-    )
-    g_owner, p_owner = (np.repeat(np.arange(len(side)), [len(t) for t in side]) for side in (gt, pred))
-    np.add.at(counts, (g_owner[i[keep]], p_owner[j[keep]]), 1)
+    keep = (gt.frames[i] == pred.frames[j]) & (_dists(gt.pos[i], pred.pos[j]) <= max_dist)
+    np.add.at(counts, (gt.owner[i[keep]], pred.owner[j[keep]]), 1)
     return counts
 
 
@@ -104,8 +100,8 @@ def idf1(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> IdfRepor
     score as perfect by convention; an empty prediction against non-empty
     truth scores zero.
     """
-    total_gt = sum(len(t) for t in gt)
-    total_pred = sum(len(t) for t in pred)
+    gt, pred = _table(gt), _table(pred)
+    total_gt, total_pred = len(gt.frames), len(pred.frames)
     if total_gt == 0 and total_pred == 0:
         return IdfReport(1.0, 1.0, 1.0, 0, 0, 0)
     overlap = _overlap_counts(gt, pred, cfg.max_dist)
@@ -119,6 +115,38 @@ def idf1(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> IdfRepor
     return IdfReport(f1, idpr, idrc, idtp, idfp, idfn)
 
 
+def _by_frame(table: TrackTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames, track indices and positions of the rows sorted by (frame, track).
+
+    The sort is stable, so a track's rows within one frame keep their order.
+    """
+    order = np.argsort(table.frames, kind="stable")
+    return table.frames[order], table.owner[order], table.pos[order]
+
+
+def _leftover_matching(
+    g_xy: np.ndarray, p_xy: np.ndarray, gate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-distance pairing of one frame's unmatched rows, inside the gate.
+
+    A pair costs its distance inside the gate and gate * 1e6 outside it.
+    Only pairs within twice the gate on both axes are measured; the others
+    are surely outside.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = (np.abs(g_xy[:, None, :] - p_xy[None, :, :]) <= 2.0 * gate).all(axis=2)
+    r, c = np.nonzero(near)
+    dist = _dists(g_xy[r], p_xy[c])
+    inside = dist <= gate
+    if not inside.any():
+        return r[:0], c[:0]
+    cost = np.full((len(g_xy), len(p_xy)), gate * 1e6)
+    cost[r[inside], c[inside]] = dist[inside]
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] <= gate
+    return rows[keep], cols[keep]
+
+
 def clear_scores(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> ClearReport:
     """Per-frame accounting: misses, false positives, identity switches.
 
@@ -127,55 +155,57 @@ def clear_scores(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> 
     The accuracy score is 1 minus the error rate and can go negative when
     errors outnumber true detections.
     """
-    total_gt = sum(len(t) for t in gt)
-    total_pred = sum(len(t) for t in pred)
+    gt, pred = _table(gt), _table(pred)
+    total_gt, total_pred = len(gt.frames), len(pred.frames)
     if total_gt == 0:
         if total_pred == 0:
             return ClearReport(1.0, 1.0, 1.0, 0, 0, 0, 0, ())
         raise ValueError("no ground-truth detections to evaluate against")
-    gt_frames = _frame_table(gt)
-    pred_frames = _frame_table(pred)
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    last_match: dict[int, int] = {}
-    matched_frames = [0] * len(gt)
+    gate = cfg.max_dist
+    g_frames, g_track, g_pos = _by_frame(gt)
+    p_frames, p_track, p_pos = _by_frame(pred)
+    frames = np.union1d(g_frames, p_frames)
+    g_ends = np.searchsorted(g_frames, frames, side="right").tolist()
+    p_ends = np.searchsorted(p_frames, frames, side="right").tolist()
+    last_match = np.full(len(gt), -1)
+    matched_frames = np.zeros(len(gt), dtype=int)
     tp = fp = fn = switches = 0
-    for frame in frames:
-        gt_here = gt_frames.get(frame, [])
-        pred_here = pred_frames.get(frame, [])
-        pred_pos = {p: pos for p, pos in pred_here}
-        pairs: list[tuple[int, int]] = []
-        used_p: set[int] = set()
-        leftover_g: list[tuple[int, tuple[float, float]]] = []
-        for g, gpos in gt_here:
-            p = last_match.get(g)
-            if p is not None and p in pred_pos and p not in used_p and math.dist(gpos, pred_pos[p]) <= cfg.max_dist:
-                pairs.append((g, p))
-                used_p.add(p)
-            else:
-                leftover_g.append((g, gpos))
-        leftover_p = [(p, pos) for p, pos in pred_here if p not in used_p]
-        if leftover_g and leftover_p:
-            dist = np.array(
-                [[math.dist(gpos, ppos) for _, ppos in leftover_p] for _, gpos in leftover_g]
-            )
-            gated = np.where(dist <= cfg.max_dist, dist, cfg.max_dist * 1e6)
-            rows, cols = linear_sum_assignment(gated)
-            for r, c in zip(rows, cols):
-                if dist[r, c] <= cfg.max_dist:
-                    pairs.append((leftover_g[r][0], leftover_p[c][0]))
-        for g, p in pairs:
-            prev = last_match.get(g)
-            if prev is not None and prev != p:
-                switches += 1
-            last_match[g] = p
-            matched_frames[g] += 1
-        tp += len(pairs)
-        fp += len(pred_here) - len(pairs)
-        fn += len(gt_here) - len(pairs)
+    g_start = p_start = 0
+    for g_end, p_end in zip(g_ends, p_ends):
+        g_here, g_xy = g_track[g_start:g_end], g_pos[g_start:g_end]
+        p_here, p_xy = p_track[p_start:p_end], p_pos[p_start:p_end]
+        g_start, p_start = g_end, p_end
+        pairs = 0
+        if len(g_here) and len(p_here):
+            # Carry-over: a truth row keeps its track's previous partner when
+            # that track is here (at its last row in this frame) and inside
+            # the gate; of the rows claiming one partner, the first keeps it.
+            partner = last_match[g_here]
+            at = np.searchsorted(p_here, partner, side="right") - 1
+            claim = np.flatnonzero((partner >= 0) & (at >= 0) & (p_here[at] == partner))
+            claim = claim[_dists(g_xy[claim], p_xy[at[claim]]) <= gate]
+            _, first = np.unique(partner[claim], return_index=True)
+            carried = claim[first]
+            # A carried pair repeats its truth track's last match: no switch.
+            matched_frames[g_here[carried]] += 1
+            left_g = np.ones(len(g_here), dtype=bool)
+            left_g[carried] = False
+            left_p = ~np.isin(p_here, partner[carried])
+            rows, cols = _leftover_matching(g_xy[left_g], p_xy[left_p], gate)
+            pairs = len(carried) + len(rows)
+            # In row order, as a truth track with two rows here may match twice.
+            for g, p in zip(g_here[left_g][rows].tolist(), p_here[left_p][cols].tolist()):
+                if last_match[g] not in (-1, p):
+                    switches += 1
+                last_match[g] = p
+                matched_frames[g] += 1
+        tp += pairs
+        fp += len(p_here) - pairs
+        fn += len(g_here) - pairs
     mota = 1.0 - (fp + fn + switches) / total_gt
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / total_gt
-    return ClearReport(mota, precision, recall, tp, fp, fn, switches, tuple(matched_frames))
+    return ClearReport(mota, precision, recall, tp, fp, fn, switches, tuple(matched_frames.tolist()))
 
 
 def track_coverage(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> tuple[int, int, int]:
@@ -184,15 +214,16 @@ def track_coverage(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -
     A truth track is mostly tracked when at least 80% of its frames are
     matched, mostly lost below 20%, partially tracked in between.
     """
+    gt = _table(gt)
     return _coverage(gt, clear_scores(gt, pred, cfg))
 
 
-def _coverage(gt: Tracks, report: ClearReport) -> tuple[int, int, int]:
+def _coverage(gt: TrackTable, report: ClearReport) -> tuple[int, int, int]:
     mt = pt = ml = 0
-    for track, hits in zip(gt, report.gt_matched_frames):
-        if not track:
+    for length, hits in zip(gt.lengths.tolist(), report.gt_matched_frames):
+        if not length:
             continue
-        ratio = hits / len(track)
+        ratio = hits / length
         if ratio >= 0.8:
             mt += 1
         elif ratio < 0.2:
@@ -206,7 +237,11 @@ METRIC_COLUMNS = ("IDF1", "IDPR", "IDRC", "MOTA", "PR", "RC", "MT", "PT", "ML")
 
 
 def summarize(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> dict[str, float]:
-    """All reported metrics keyed by their column names."""
+    """All reported metrics keyed by their column names.
+
+    The inputs are converted once; `idf1` and `clear_scores` get the tables.
+    """
+    gt, pred = _table(gt), _table(pred)
     idf = idf1(gt, pred, cfg)
     clear = clear_scores(gt, pred, cfg)
     mt, pt, ml = _coverage(gt, clear)

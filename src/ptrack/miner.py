@@ -149,10 +149,13 @@ def build_mine_model(
         sel = tuple(select_var(p) for p in range(1, n_cand))
         constraints.append(Constraint(sel, (1.0,) * len(sel), "<=", float(cfg.max_patterns)))
         costs = tuple(candidates.patterns[p].cost for p in range(1, n_cand))
-        budget = cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
-        constraints.append(Constraint(sel, costs, "<=", budget))
+        constraints.append(Constraint(sel, costs, "<=", _cost_budget(graph, cfg)))
 
     return ratio_model(num_vars, constraints, numer, denom)
+
+
+def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:
+    return cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
 
 
 def _cheapest_twins(
@@ -189,10 +192,21 @@ def mine(
     The returned pattern set always starts with the empty pattern; only
     candidates actually used by some trajectory are included beyond it.
     The model holds only the cheapest candidate of each score column.
+    A default budget that affords none of those non-empty candidates
+    raises instead of silently mining no pattern; an explicit budget, even
+    0, is taken as meant.
     """
     if not trajectories:
         raise ValueError("no trajectories to mine from")
     kept = _cheapest_twins(graph, trajectories, candidates, cfg)
+    if cfg.pattern_cost_budget is None and len(kept) > 1:
+        budget = _cost_budget(graph, cfg)
+        cheapest = min(candidates.patterns[k].cost for k in kept[1:])
+        if cheapest > budget:
+            raise ValueError(
+                f"no candidate pattern fits the default pattern cost budget of {budget:.6g} "
+                f"(the cheapest costs {cheapest:.6g}); set pattern_cost_budget (--cost-budget)"
+            )
     reduced = CandidateSet(
         tuple(candidates.patterns[k] for k in kept), tuple(candidates.source[k] for k in kept)
     )

@@ -2,8 +2,10 @@
 
 Two track formats are supported: a plain four-column CSV (frame, id, x, y)
 and the ten-column challenge CSV (frame, id, four bbox fields, confidence,
-x, y, z).  Each track id is read as one list of detections; the list is
-the only record of which track a detection belongs to.  Challenge rows with
+x, y, z).  `track_table_from_csv` reads each track id as one track of a
+`TrackTable`, and `tracks_from_csv` turns that table into detection lists,
+where the list is the only record of which track a detection belongs to;
+both run the same parse and the same checks.  Challenge rows with
 x == y == -1 and a box carry image-plane boxes only and need a homography
 to project the box's bottom center onto the ground plane; a row whose box
 width and height are both -1 has no box, so its x, y is a ground position
@@ -27,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Config, Detection, Pattern
+from .core import Config, Detection, Pattern, TrackTable
 from .metrics import METRIC_COLUMNS
 from .unsupervised import HistoryEntry
 
@@ -93,13 +95,12 @@ def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
     return values, None
 
 
-def tracks_from_csv(
+def track_table_from_csv(
     text: str, fmt: str = "auto", homography: np.ndarray | None = None
-) -> list[list[Detection]]:
-    """Parse tracks from CSV text; returns one detection list per track id.
+) -> TrackTable:
+    """Parse tracks from CSV text into a table with one track per track id.
 
-    Tracks are ordered by id and their detections by frame; detection ids
-    are renumbered serially from 1 in that order.
+    Tracks are ordered by id and their rows by frame.
     """
     if fmt not in ("auto", *_TRACK_COLUMNS):
         raise ValueError(f"unknown track format {fmt!r}")
@@ -110,7 +111,7 @@ def tracks_from_csv(
         return [n for n, line in enumerate(lines, start=1) if line.strip()][row]
 
     if not rows:
-        return []
+        return TrackTable.from_tracks([])
     if fmt == "auto":
         found = rows[0].count(",") + 1
         fmt = {4: "plain", 10: "mot"}.get(found, "")
@@ -163,9 +164,19 @@ def tracks_from_csv(
     if twice.size:
         k = twice[0]
         raise ValueError(f"track {int(ids[k])} has two detections at frame {int(frames[k])}")
-    dets = list(map(Detection, range(1, len(order) + 1), frames.tolist(), zip(*pos.T.tolist())))
-    bounds = [*np.flatnonzero(np.concatenate(([True], ~same_track))).tolist(), len(dets)]
-    return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
+    starts = np.append(np.flatnonzero(np.concatenate(([True], ~same_track))), len(frames))
+    return TrackTable(frames, pos, starts)
+
+
+def tracks_from_csv(
+    text: str, fmt: str = "auto", homography: np.ndarray | None = None
+) -> list[list[Detection]]:
+    """Parse tracks from CSV text; returns one detection list per track id.
+
+    Tracks are ordered by id and their detections by frame; detection ids
+    are renumbered serially from 1 in that order.
+    """
+    return track_table_from_csv(text, fmt, homography).tracks()
 
 
 def tracks_to_csv(tracks: Sequence[Sequence[Detection]], fmt: str = "plain") -> str:
@@ -192,6 +203,12 @@ def read_tracks(
     path: PathLike, fmt: str = "auto", homography: np.ndarray | None = None
 ) -> list[list[Detection]]:
     return tracks_from_csv(Path(path).read_text(), fmt, homography)
+
+
+def read_track_table(
+    path: PathLike, fmt: str = "auto", homography: np.ndarray | None = None
+) -> TrackTable:
+    return track_table_from_csv(Path(path).read_text(), fmt, homography)
 
 
 def write_tracks(path: PathLike, tracks: Sequence[Sequence[Detection]], fmt: str = "plain") -> None:

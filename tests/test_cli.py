@@ -10,7 +10,7 @@ import re
 import pytest
 
 import ptrack.fracopt as fracopt
-from ptrack import read_patterns, tracks_from_csv
+from ptrack import Pattern, generate_scene, read_patterns, tracks_from_csv, write_tracks
 from ptrack.cli import cli
 
 
@@ -108,6 +108,24 @@ class TestExitCodes:
         assert not out.exists()
         assert cli(argv + ["--cost-budget", "14"]) == 0
         assert capsys.readouterr().out.startswith("1 patterns, objective 1.000000")
+
+    def test_a_default_budget_below_every_candidate_is_a_data_error(self, tmp_path, capsys):
+        # A nearly straight lane spans a sliver of area: the default budget
+        # (0.81) affords none of the candidates (the cheapest costs 7).
+        scene = generate_scene(
+            [Pattern(((0.0, 0.0), (14.0, 0.0)), 1.0)], [(0, 1), (0, 3), (0, 5)], lateral_sigma=0.01
+        )
+        tracks = tmp_path / "tracks.csv"
+        write_tracks(tracks, scene.track_lists())
+        out = tmp_path / "mined.txt"
+        argv = ["learn-patterns", "--tracks", str(tracks), "--out", str(out)]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "pattern_cost_budget" in err and "--cost-budget" in err
+        assert not out.exists()
+        assert cli(argv + ["--cost-budget", "8"]) == 0
+        assert capsys.readouterr().out.startswith("1 patterns, objective ")
 
     def test_unsupervised_without_iterations_is_a_data_error(self, tmp_path, capsys):
         tracks = tmp_path / "tracks.csv"

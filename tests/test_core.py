@@ -14,6 +14,7 @@ from ptrack import (
     Pattern,
     SINK_NODE,
     SOURCE_NODE,
+    TrackTable,
     Trajectory,
     relative_widths,
     tracking_area,
@@ -71,6 +72,50 @@ class TestDetection:
     def test_non_finite_position_rejected(self):
         with pytest.raises(ValueError, match="position"):
             det(1, 0, math.nan, 0.0)
+
+
+class TestTrackTable:
+    def test_tracks_become_contiguous_rows(self):
+        tracks = [[det(4, 2, 1.0, 2.0), det(9, 3, -0.0, 5.5)], [], [det(1, -7, 3.0, 4.0)]]
+        table = TrackTable.from_tracks(tracks)
+        assert table.frames.dtype == np.int64 and table.frames.tolist() == [2, 3, -7]
+        assert table.pos.tolist() == [[1.0, 2.0], [-0.0, 5.5], [3.0, 4.0]]
+        assert table.starts.tolist() == [0, 2, 2, 3]
+        assert len(table) == 3
+        assert table.lengths.tolist() == [2, 0, 1]
+        assert table.owner.tolist() == [0, 0, 2]
+
+    def test_tracks_numbers_detections_from_one(self):
+        tracks = [[det(4, 2, 1.0, 2.0), det(9, 3, -0.0, 5.5)], [], [det(1, -7, 3.0, 4.0)]]
+        back = TrackTable.from_tracks(tracks).tracks()
+        assert back == [[det(1, 2, 1.0, 2.0), det(2, 3, -0.0, 5.5)], [], [det(3, -7, 3.0, 4.0)]]
+        assert math.copysign(1.0, back[0][1].pos[0]) == -1.0
+        assert all(type(c) is float for t in back for d in t for c in d.pos)
+
+    def test_no_tracks(self):
+        table = TrackTable.from_tracks([])
+        assert len(table) == 0 and table.pos.shape == (0, 2) and table.tracks() == []
+        assert TrackTable.from_tracks([[], []]).tracks() == [[], []]
+
+    def test_frames_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            TrackTable.from_tracks([[det(1, 2**63, 0.0, 0.0)]])
+
+    @pytest.mark.parametrize(
+        "frames, pos, starts, message",
+        [
+            (np.array([1.0]), [[0.0, 0.0]], [0, 1], "frames"),
+            (np.array([1]), [[0.0, 0.0], [1.0, 1.0]], [0, 1], "pos"),
+            (np.array([1]), [[math.inf, 0.0]], [0, 1], "finite"),
+            (np.array([1, 2]), np.zeros((2, 2)), [0, 2, 1, 2], "starts"),
+            (np.array([1, 2]), np.zeros((2, 2)), [0, 1], "starts"),
+            (np.array([1, 2]), np.zeros((2, 2)), [1, 2], "starts"),
+            (np.array([1, 2]), np.zeros((2, 2)), [0.0, 2.0], "starts"),
+        ],
+    )
+    def test_malformed_columns_rejected(self, frames, pos, starts, message):
+        with pytest.raises(ValueError, match=message):
+            TrackTable(frames, np.array(pos), np.array(starts))
 
 
 class TestDetectionGraph:

@@ -13,13 +13,16 @@ from ptrack import (
     Config,
     Detection,
     Pattern,
+    TrackTable,
     patterns_from_text,
     patterns_to_text,
     read_config,
     read_homography,
     read_patterns,
+    read_track_table,
     read_tracks,
     render_svg,
+    track_table_from_csv,
     tracks_from_csv,
     tracks_to_csv,
     write_patterns,
@@ -193,6 +196,37 @@ class TestTracksFromCsv:
             tracks_from_csv("\n".join(rows))
 
 
+READER_ERRORS = [
+    ("5,2,3,2,2,4,1,-1,-1,-1\n", "auto", None),
+    ("5,2,3,2,2,4,1,-1,-1,-1\n", "auto", np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])),
+    ("1,2,x,4\n", "auto", None),
+    ("1.5,2,0,0\n", "auto", None),
+    ("1,2,0,0\n2,2.25,0,0\n", "auto", None),
+    ("1,2,0,0\ninf,2,0,0\n", "auto", None),
+    ("3,7,0,0\n3,7,1,1\n", "auto", None),
+    ("1,2,3,4,5\n", "auto", None),
+    ("1,2,0,0\n5,2,10,20,4,8,1,3,4,-1\n", "auto", None),
+    ("1,2,0,0\n", "mot", None),
+    ("1,2,0,0\n\n1,2,3,4,5\n", "auto", None),
+    ("1,2,0,0\n", "json", None),
+    ("1,2,0,0\n2,2,nan,0\n", "auto", None),
+    (
+        "1,2,3,2,2,4,1,-1,-1,-1\n2,2,1e308,0,1e308,0,1,-1,-1,-1\n",
+        "auto",
+        np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]]),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, fmt, homography", READER_ERRORS)
+def test_both_readers_raise_the_same_message(text, fmt, homography):
+    with pytest.raises(ValueError) as as_lists:
+        tracks_from_csv(text, fmt, homography)
+    with pytest.raises(ValueError) as as_table:
+        track_table_from_csv(text, fmt, homography)
+    assert str(as_table.value) == str(as_lists.value)
+
+
 class TestTracksToCsv:
     def two_tracks(self):
         return tracks_from_csv("1,1,0,0\n2,1,1.5,0.25\n1,2,10,10\n")
@@ -229,6 +263,12 @@ class TestTracksToCsv:
         write_tracks(path, tracks)
         back = read_tracks(path)
         assert [[d.pos for d in t] for t in back] == [[d.pos for d in t] for t in tracks]
+
+    def test_file_round_trip_through_a_table(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        tracks = self.two_tracks()
+        write_tracks(path, tracks)
+        assert read_track_table(path).tracks() == tracks
 
 
 class TestHomographyFile:
@@ -568,6 +608,13 @@ class TestAgainstRowParser:
         given = rng.choice(["auto", fmt])
         expected = reference_tracks_from_csv(text, given, homography)
         assert exact(tracks_from_csv(text, given, homography)) == exact(expected)
+        # The table reader holds the same columns as a table built from the
+        # reference lists, and both give the lists back.
+        table, rebuilt = track_table_from_csv(text, given, homography), TrackTable.from_tracks(expected)
+        for column in ("frames", "pos", "starts"):
+            got, want = getattr(table, column), getattr(rebuilt, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert exact(table.tracks()) == exact(rebuilt.tracks()) == exact(expected)
 
     @pytest.mark.parametrize("seed", range(300))
     def test_faulty_files_report_the_same_first_error(self, seed):
@@ -597,6 +644,8 @@ class TestAgainstRowParser:
         expected = outcome(reference_tracks_from_csv, text, given, homography)
         assert isinstance(expected, str)
         assert outcome(tracks_from_csv, text, given, homography) == expected
+        read_table = lambda *args: track_table_from_csv(*args).tracks()
+        assert outcome(read_table, text, given, homography) == expected
 
     def test_a_bad_number_before_a_wrong_column_count(self):
         text = "1,1,0,0\n2,1,0,0\n3,1,x,0\n4,1,0,0\n\n\n5,1,0\n"

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import ptrack.metrics
-from ptrack import Detection
+from ptrack import Detection, TrackTable
 from ptrack.metrics import (
     METRIC_COLUMNS,
     ClearReport,
@@ -147,7 +147,7 @@ def random_tracks(rng, n_tracks, n_frames, grid, frame0=0, offset=0.0):
 
 class TestOverlapCounts:
     def assert_same(self, gt, pred, max_dist):
-        got = _overlap_counts(gt, pred, max_dist)
+        got = _overlap_counts(TrackTable.from_tracks(gt), TrackTable.from_tracks(pred), max_dist)
         want = overlap_by_frame_loop(gt, pred, max_dist)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -161,7 +161,8 @@ class TestOverlapCounts:
             gt = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
             pred = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
             got = self.assert_same(gt, pred, 5.0)
-            on_gate += int(got.sum() - _overlap_counts(gt, pred, math.nextafter(5.0, 0.0)).sum())
+            tables = TrackTable.from_tracks(gt), TrackTable.from_tracks(pred)
+            on_gate += int(got.sum() - _overlap_counts(*tables, math.nextafter(5.0, 0.0)).sum())
         assert on_gate > 100
 
     def test_pythagorean_triangle_sits_on_the_gate(self):
@@ -224,11 +225,21 @@ class TestOverlapCounts:
             counts = self.assert_same(gt, pred, 0.01)
             assert 0 < counts.sum() < sum(len(t) for t in gt)
 
+    def test_frames_beyond_float_precision_stay_apart(self):
+        # Near 2**60 the tree's frame coordinate (frame * 12) rounds to a
+        # multiple of 2048, so neighbouring frames share it; the exact frame
+        # test keeps them apart.
+        base = 2**60
+        gt = [[det(base + k, 0.0) for k in range(4)]]
+        pred = [[det(base + k, 0.0) for k in (1, 2)], [det(base + k, 0.0) for k in (0, 3)]]
+        assert self.assert_same(gt, pred, 3.0).tolist() == [[2, 2]]
+
     def test_empty_tracks_and_empty_inputs(self):
         track = straight_track(range(1, 4))
         for gt, pred in (([], []), ([], [track]), ([track], []), ([[]], [[]]), ([[], track], [track, []])):
             self.assert_same(gt, pred, 3.0)
-        assert _overlap_counts([[], track], [track, []], 3.0).tolist() == [[0, 0], [3, 0]]
+        tables = TrackTable.from_tracks([[], track]), TrackTable.from_tracks([track, []])
+        assert _overlap_counts(*tables, 3.0).tolist() == [[0, 0], [3, 0]]
 
     def test_idtp_equals_padded_minimum_disagreement(self):
         # Dense overlaps on a 3x3 grid make many assignments tie.
@@ -238,6 +249,145 @@ class TestOverlapCounts:
             gt = random_tracks(rng, n_g, 15, 3)
             pred = random_tracks(rng, n_p, 15, 3)
             assert idf1(gt, pred, MatchConfig(1.0)).idtp == idtp_by_padded_matrix(gt, pred, 1.0)
+
+
+def clear_by_frame_loop(gt, pred, max_dist):
+    """The former `clear_scores`: per-frame dicts, one pair at a time."""
+    total_gt = sum(len(t) for t in gt)
+    total_pred = sum(len(t) for t in pred)
+    if total_gt == 0:
+        if total_pred == 0:
+            return ClearReport(1.0, 1.0, 1.0, 0, 0, 0, 0, ())
+        raise ValueError("no ground-truth detections to evaluate against")
+
+    def frame_table(tracks):
+        table = {}
+        for t_idx, track in enumerate(tracks):
+            for d in track:
+                table.setdefault(d.frame, []).append((t_idx, d.pos))
+        return table
+
+    gt_frames = frame_table(gt)
+    pred_frames = frame_table(pred)
+    frames = sorted(set(gt_frames) | set(pred_frames))
+    last_match = {}
+    matched_frames = [0] * len(gt)
+    tp = fp = fn = switches = 0
+    for frame in frames:
+        gt_here = gt_frames.get(frame, [])
+        pred_here = pred_frames.get(frame, [])
+        pred_pos = {p: pos for p, pos in pred_here}
+        pairs = []
+        used_p = set()
+        leftover_g = []
+        for g, gpos in gt_here:
+            p = last_match.get(g)
+            if p is not None and p in pred_pos and p not in used_p and math.dist(gpos, pred_pos[p]) <= max_dist:
+                pairs.append((g, p))
+                used_p.add(p)
+            else:
+                leftover_g.append((g, gpos))
+        leftover_p = [(p, pos) for p, pos in pred_here if p not in used_p]
+        if leftover_g and leftover_p:
+            dist = np.array(
+                [[math.dist(gpos, ppos) for _, ppos in leftover_p] for _, gpos in leftover_g]
+            )
+            gated = np.where(dist <= max_dist, dist, max_dist * 1e6)
+            rows, cols = linear_sum_assignment(gated)
+            for r, c in zip(rows, cols):
+                if dist[r, c] <= max_dist:
+                    pairs.append((leftover_g[r][0], leftover_p[c][0]))
+        for g, p in pairs:
+            prev = last_match.get(g)
+            if prev is not None and prev != p:
+                switches += 1
+            last_match[g] = p
+            matched_frames[g] += 1
+        tp += len(pairs)
+        fp += len(pred_here) - len(pairs)
+        fn += len(gt_here) - len(pairs)
+    mota = 1.0 - (fp + fn + switches) / total_gt
+    precision = tp / (tp + fp) if (tp + fp) else 1.0
+    recall = tp / total_gt
+    return ClearReport(mota, precision, recall, tp, fp, fn, switches, tuple(matched_frames))
+
+
+def tracks_with_repeats(rng, n_tracks, n_frames, grid):
+    """Tracks whose frames may repeat and come in any order, some empty."""
+    tracks = []
+    for _ in range(n_tracks):
+        frames = rng.choice(n_frames, size=int(rng.integers(0, n_frames + 1)), replace=True)
+        if rng.random() < 0.5:
+            frames = np.sort(frames)
+        tracks.append([det(int(f), int(rng.integers(0, grid)), int(rng.integers(0, grid))) for f in frames])
+    return tracks
+
+
+class TestClearAgainstFrameLoop:
+    """`clear_scores` against the former per-frame loop, from lists and from tables."""
+
+    def assert_same(self, gt, pred, max_dist):
+        want = clear_by_frame_loop(gt, pred, max_dist)
+        cfg = MatchConfig(max_dist)
+        assert clear_scores(gt, pred, cfg) == want
+        assert clear_scores(TrackTable.from_tracks(gt), TrackTable.from_tracks(pred), cfg) == want
+        return want
+
+    def test_random_scenes_with_switches_and_pairs_on_the_gate(self):
+        # On a 0..5 grid at gate 1 or 5 many pairs sit exactly on the gate,
+        # and crowded frames make partners change hands.
+        rng = np.random.default_rng(17)
+        switches = on_gate = 0
+        for _ in range(200):
+            gate = float(rng.choice([1.0, 5.0]))
+            gt = random_tracks(rng, int(rng.integers(0, 8)), 8, 6)
+            pred = random_tracks(rng, int(rng.integers(0, 10)), 8, 6)
+            if not any(gt):
+                continue
+            rep = self.assert_same(gt, pred, gate)
+            switches += rep.id_switches
+            on_gate += rep.tp - clear_by_frame_loop(gt, pred, math.nextafter(gate, 0.0)).tp
+        assert switches > 50 and on_gate > 50
+
+    def test_random_tracks_with_two_detections_in_one_frame(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            gt = tracks_with_repeats(rng, int(rng.integers(1, 6)), 5, 4)
+            pred = tracks_with_repeats(rng, int(rng.integers(0, 7)), 5, 4)
+            if any(gt):
+                self.assert_same(gt, pred, float(rng.choice([1.0, 2.0])))
+
+    def test_far_coordinates_and_small_gates(self):
+        rng = np.random.default_rng(29)
+        for offset, gate in ((1000.0, 1.0), (-1000.0, 0.01), (0.0, 0.01)):
+            gt = random_tracks(rng, 12, 10, 3, frame0=10**6, offset=offset)
+            pred = []
+            for track in gt:
+                moved = [
+                    det(d.frame, d.pos[0] + rng.uniform(-gate, gate), d.pos[1] + rng.uniform(-gate, gate))
+                    for d in track
+                ]
+                pred.extend([moved[::3], moved[1::3], moved[2::3]])
+            rep = self.assert_same(gt, pred, gate)
+            assert rep.tp > 0 and rep.id_switches > 0
+
+    def test_two_truth_tracks_carry_over_one_predicted_track(self):
+        # Predicted track 0 matches truth 0 at frame 1 and truth 1 at frame 2;
+        # at frame 3 both claim it, and the first in track order keeps it
+        # unless it is outside that track's gate; truth 1 then switches to
+        # predicted track 1, or truth 0 finds no partner.
+        for x0, switches, matched in ((0.0, 1, (2, 2)), (2.0, 0, (1, 2))):
+            gt = [[det(1, 0.0), det(3, x0)], [det(2, 0.0), det(3, 0.5)]]
+            pred = [[det(1, 0.0), det(2, 0.0), det(3, 0.4)], [det(3, 0.0)]]
+            rep = self.assert_same(gt, pred, 1.0)
+            assert (rep.id_switches, rep.gt_matched_frames) == (switches, matched)
+
+    def test_empty_tracks_and_a_truth_track_twice_in_a_frame(self):
+        gt = [[], [det(1, 0.0), det(2, 0.0), det(2, 0.2)], []]
+        pred = [[], [det(1, 0.0), det(2, 0.0)], [det(2, 0.3)], []]
+        rep = self.assert_same(gt, pred, 1.0)
+        assert rep.gt_matched_frames == (0, 3, 0) and rep.id_switches == 1
+        self.assert_same([[det(1, 0.0)], []], [[], []], 1.0)
 
 
 class TestClearScores:
@@ -336,6 +486,20 @@ class TestSummarize:
         monkeypatch.setattr(ptrack.metrics, "clear_scores", counted)
         assert summarize(gt, pred) == want
         assert len(calls) == 1
+
+    def test_tables_score_as_their_detection_lists(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            gt = random_tracks(rng, int(rng.integers(1, 8)), 8, 5)
+            pred = random_tracks(rng, int(rng.integers(0, 10)), 8, 5)
+            if not any(gt):
+                continue
+            tables = TrackTable.from_tracks(gt), TrackTable.from_tracks(pred)
+            cfg = MatchConfig(1.5)
+            assert summarize(*tables, cfg) == summarize(gt, pred, cfg)
+            assert idf1(*tables, cfg) == idf1(gt, pred, cfg)
+            assert track_coverage(*tables, cfg) == track_coverage(gt, pred, cfg)
+            assert clear_scores(tables[0], pred, cfg) == clear_by_frame_loop(gt, pred, 1.5)
 
 
 class TestMatchConfig:

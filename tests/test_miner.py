@@ -10,6 +10,7 @@ from ptrack import (
     Pattern,
     build_graph,
     generate_candidates,
+    generate_scene,
     input_trajectories,
     mine,
     tracking_area,
@@ -140,6 +141,25 @@ class TestMine:
             assert res.selected_candidates == (0,)
             assert abs(res.alpha_star - expected) <= 1e-12
 
+    def test_default_budget_below_every_candidate_rejected(self):
+        # Three agents on a nearly straight lane span 0.54 m^2: the default
+        # budget is 0.81, and the cheapest candidate (14 m x 0.5 m) costs 7.
+        scene = generate_scene(
+            [Pattern(((0.0, 0.0), (14.0, 0.0)), 1.0)], [(0, 1), (0, 3), (0, 5)], lateral_sigma=0.01
+        )
+        cfg = Config()
+        g = build_graph(scene.track_lists(), cfg, scene.meta.batch)
+        ts = input_trajectories(g)
+        cands = generate_candidates(g, ts, cfg)
+        assert min(p.cost for p in cands.patterns[1:]) > 7.0 > 0.81 > cfg.resolved_cost_budget(
+            tracking_area(d.pos for d in g.detections)
+        )
+        with pytest.raises(ValueError, match=r"pattern_cost_budget \(--cost-budget\)"):
+            mine(g, ts, cands, cfg)
+        explicit = Config(pattern_cost_budget=0.81)
+        assert mine(g, ts, cands, explicit).patterns == (EMPTY_PATTERN,)
+        assert len(mine(g, ts, cands, Config(pattern_cost_budget=8.0)).patterns) == 2
+
     def test_relaxing_budgets_never_lowers_certified_bound(self):
         g, ts, _ = two_flow_fixture(widths=(0.5, 1.0))
         by_count = [
@@ -208,11 +228,15 @@ def test_small_instance_matches_exhaustive_selection():
         [det(1, 0.0, 0.0), det(2, 2.0, 0.2), det(3, 4.0, 0.0)],
         [det(2, 0.0, 0.4), det(3, 2.0, -0.1), det(4, 4.0, 0.3)],
     ]
-    cfg = Config(candidate_widths=(1.0,), max_patterns=1)
+    # The default budget (0.6) affords neither candidate (4.02 and 4.10),
+    # and `mine` rejects it; 4.05 affords only the cheaper one.
+    cfg = Config(candidate_widths=(1.0,), max_patterns=1, pattern_cost_budget=4.05)
     g = build_graph(tracks, cfg, batch=(0, 5))
     ts = input_trajectories(g)
     cands = generate_candidates(g, ts, cfg)
     assert len(cands) == 3
+    with pytest.raises(ValueError, match="default pattern cost budget"):
+        mine(g, ts, cands, Config(candidate_widths=(1.0,), max_patterns=1))
 
     scores = [
         [trajectory_score(g, t, p, cfg) for p in cands.patterns] for t in ts
