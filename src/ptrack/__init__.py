@@ -47,12 +47,9 @@ from .metrics import (
 from .miner import CandidateSet, MineResult, build_mine_model, generate_candidates, mine
 from .scoring import (
     PatternScorer,
-    Projection,
     ScorePair,
-    edge_score,
     objective,
     ratio_bracket,
-    project_to_centerline,
     trajectory_score,
 )
 from .svgplot import render_svg, write_plot
@@ -71,7 +68,6 @@ from .synth import (
 from .tracksio import (
     patterns_from_text,
     patterns_to_text,
-    read_config,
     read_homography,
     read_patterns,
     read_track_table,

@@ -23,15 +23,26 @@ propagation and an optimistic bound on the parametric sum.  Instances here
 are small and highly structured (selection rows and flow conservation), which
 the propagation exploits; there is no approximation anywhere.
 
-Propagation is slack-gated.  Each row keeps the range its activity can still
-reach; fixing one more variable shifts that range by the variable's
-|coefficient|, so a row can force a variable only when that |coefficient|
-exceeds the row's slack.  A row whose largest |coefficient| fits in its slack
-is skipped without looking at its variables, which makes dense rows (the
-total-score floor, the miner's cost budget) cost next to nothing until they
-are nearly tight.  The forced variables are exactly those of a full scan.
-The alpha-independent row index is built once per model and shared by every
-probe.
+Each branch runs one flat propagation loop over a stack of pending
+assignments: fix a variable, shift the activity range of each of its rows by
+its |coefficient|, then check those rows in order, pushing every variable a
+row forces.  So a row can force a variable only when that variable's
+|coefficient| exceeds the row's slack, and a row whose largest |coefficient|
+fits in its slack is skipped without looking at its variables: dense rows
+(the total-score floor, the miner's cost budget) cost next to nothing until
+they are nearly tight, and the forced variables are exactly those of a full
+scan.  The alpha-independent row index is built once per model and shared by
+every probe.
+
+The bound is kept per selection group (see `_RowIndex`) and updated on every
+assignment and undo, through a pointer into the group's variables sorted by
+w.  A group that holds its whole `== 1` row must select exactly one of them,
+so it adds its best unfixed w even when that is negative; a partial group
+may select none and adds max(best, 0).  Both the bound and the propagation
+are valid: they cut only subtrees that hold no accepted leaf.  The search
+visits leaves in a fixed order (variables by decreasing |w|, the sign of w
+picking the first value), so such cuts never change which accepted leaf
+comes first: every probe returns the same witness, with or without them.
 """
 from __future__ import annotations
 
@@ -162,20 +173,34 @@ class _Timeout(Exception):
 class _RowIndex:
     """The part of a search that does not depend on alpha, built once per model.
 
-    Per row: variables, coefficients, sense, right-hand side, tolerance, the
-    largest |coefficient|, and the sums of its positive and of its negative
-    coefficients.  Per variable: the rows it appears in.  Plus the selection
-    groups that sharpen the optimistic bound.  Probes share it read-only.
+    Per row, its shape: whether it has an upper and a lower side, its two
+    bounds widened by the row's tolerance, its slack gate (largest
+    |coefficient| plus tolerance), its variables and its coefficients; and
+    the sums of its positive and of its negative coefficients.  Per
+    variable: the rows it appears in, as (row, coefficient).  Probes share it
+    read-only and bind these lists to locals.
+
+    Each variable also belongs to one bound group, kept as (members, exact).
+    A `== 1` row with unit coefficients claims the variables no earlier such
+    row claimed; the group is exact when it claims every variable of its row,
+    and partial otherwise (the entry-only part of a link model's in-row,
+    say).  Each remaining variable is a partial group of its own.
     """
 
     def __init__(self, model: SolverModel):
         cons = model.constraints
-        self.vars = [list(c.vars) for c in cons]
-        self.coeffs = [list(c.coeffs) for c in cons]
-        self.sense = [c.sense for c in cons]
-        self.rhs = [c.rhs for c in cons]
-        self.tol = [1e-9 * (1.0 + abs(c.rhs) + sum(abs(q) for q in c.coeffs)) for c in cons]
-        self.max_abs = [max((abs(q) for q in c.coeffs), default=0.0) for c in cons]
+        self.shape = []
+        for c in cons:
+            tol = 1e-9 * (1.0 + abs(c.rhs) + sum(abs(q) for q in c.coeffs))
+            self.shape.append((
+                c.sense != ">=",
+                c.sense != "<=",
+                c.rhs + tol,
+                c.rhs - tol,
+                max((abs(q) for q in c.coeffs), default=0.0) + tol,
+                c.vars,
+                c.coeffs,
+            ))
         self.pos = [sum(max(q, 0.0) for q in c.coeffs) for c in cons]
         self.neg = [sum(min(q, 0.0) for q in c.coeffs) for c in cons]
         n = model.num_vars
@@ -184,222 +209,250 @@ class _RowIndex:
             for v, q in zip(c.vars, c.coeffs):
                 self.var_cons[v].append((ci, q))
 
-        # Selection rows (sum of a group == 1, unit coefficients) sharpen the
-        # optimistic bound: a group contributes at most its best unfixed gain.
-        group_of = [-1] * n
-        g = 0
+        self.group_of = [-1] * n
+        self.groups: list[tuple[list[int], bool]] = []
         for c in cons:
             if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
-                claimed = False
-                for v in c.vars:
-                    if group_of[v] == -1:
-                        group_of[v] = g
-                        claimed = True
+                claimed = [v for v in c.vars if self.group_of[v] == -1]
                 if claimed:
-                    g += 1
+                    self._add_group(claimed, len(claimed) == len(c.vars))
         for v in range(n):
-            if group_of[v] == -1:
-                group_of[v] = g
-                g += 1
-        order = sorted(range(n), key=lambda v: (group_of[v], v))
-        self.group_order = np.asarray(order)
-        starts = [0]
-        for k in range(1, n):
-            if group_of[order[k]] != group_of[order[k - 1]]:
-                starts.append(k)
-        self.group_starts = np.asarray(starts)
+            if self.group_of[v] == -1:
+                self._add_group([v], False)
+
+    def _add_group(self, members: list[int], exact: bool) -> None:
+        for v in members:
+            self.group_of[v] = len(self.groups)
+        self.groups.append((members, exact))
 
 
 class _Search:
-    """One exact feasibility probe: DFS with propagation and pruning."""
+    """One exact feasibility probe: DFS with propagation and pruning.
+
+    `run` binds the model's row index and the probe's state to locals once;
+    its nested functions share them.
+    """
 
     def __init__(self, model: SolverModel, alpha: float, deadline: float | None):
-        n = model.num_vars
-        self.n = n
+        self.model = model
+        self.alpha = alpha
         self.deadline = deadline
         self.nodes = 0
-        w = [model.numer[v] - alpha * model.denom[v] for v in range(n)]
-        self.w = w
-        self.w_tol = 1e-9 * (1.0 + sum(abs(x) for x in w))
-
-        rows = model._rows
-        self.con_vars = rows.vars
-        self.con_coeffs = rows.coeffs
-        self.con_sense = rows.sense
-        self.con_rhs = rows.rhs
-        self.con_tol = rows.tol
-        self.con_max_abs = rows.max_abs
-        self.var_cons = rows.var_cons
-
-        self.fixed_sum = [0.0] * len(rows.rhs)
-        self.pos_un = list(rows.pos)
-        self.neg_un = list(rows.neg)
-
-        self.value = [-1] * n
-        self.fixed_w = 0.0
-        self.pos_un_w = sum(max(x, 0.0) for x in w)
-
-        self._bound_order = rows.group_order
-        self._bound_w = np.asarray(w)[rows.group_order]
-        self._group_starts = rows.group_starts
-        self._grouped = len(rows.group_starts) < n
-        self._unfixed_mask = np.ones(n, dtype=bool)
-
-        self.branch_order = sorted(range(n), key=lambda v: (-abs(w[v]), v))
-        self.trail: list[int] = []
-
-    def _optimistic_bound(self) -> float:
-        """Best possible parametric gain from the unfixed variables."""
-        if not self._grouped:
-            return self.pos_un_w
-        masked = np.where(self._unfixed_mask[self._bound_order], self._bound_w, -np.inf)
-        best = np.maximum.reduceat(masked, self._group_starts)
-        return float(np.sum(np.maximum(best, 0.0)))
-
-    def _assign(self, v: int, val: int, pending: list[tuple[int, int]]) -> bool:
-        cur = self.value[v]
-        if cur != -1:
-            return cur == val
-        self.value[v] = val
-        self.trail.append(v)
-        self._unfixed_mask[v] = False
-        wv = self.w[v]
-        if wv > 0.0:
-            self.pos_un_w -= wv
-        if val:
-            self.fixed_w += wv
-        for ci, q in self.var_cons[v]:
-            if q > 0.0:
-                self.pos_un[ci] -= q
-            else:
-                self.neg_un[ci] -= q
-            if val:
-                self.fixed_sum[ci] += q
-        if self.fixed_w + self.pos_un_w < -self.w_tol:
-            return False
-        for ci, _ in self.var_cons[v]:
-            if not self._check_constraint(ci, pending):
-                return False
-        return True
-
-    def _check_constraint(self, ci: int, pending: list[tuple[int, int]]) -> bool:
-        sense = self.con_sense[ci]
-        rhs = self.con_rhs[ci]
-        tol = self.con_tol[ci]
-        fixed = self.fixed_sum[ci]
-        if sense != ">=" and fixed + self.neg_un[ci] > rhs + tol:
-            return False
-        if sense != "<=" and fixed + self.pos_un[ci] < rhs - tol:
-            return False
-        # Fixing an unfixed variable moves the row's activity range by |q|,
-        # so nothing is forced while every |q| fits in the slack.  The margin
-        # of tol leaves float-boundary cases to the scan below.
-        if sense == "<=":
-            slack = rhs + tol - (fixed + self.neg_un[ci])
-        elif sense == ">=":
-            slack = fixed + self.pos_un[ci] - (rhs - tol)
-        else:
-            slack = min(rhs + tol - (fixed + self.neg_un[ci]), fixed + self.pos_un[ci] - (rhs - tol))
-        if self.con_max_abs[ci] + tol <= slack:
-            return True
-        for u, q in zip(self.con_vars[ci], self.con_coeffs[ci]):
-            if self.value[u] != -1:
-                continue
-            lo_rest = self.neg_un[ci] - min(q, 0.0)
-            hi_rest = self.pos_un[ci] - max(q, 0.0)
-            can_zero = True
-            can_one = True
-            if sense != ">=":
-                if fixed + q + lo_rest > rhs + tol:
-                    can_one = False
-                if fixed + lo_rest > rhs + tol:
-                    can_zero = False
-            if sense != "<=":
-                if fixed + q + hi_rest < rhs - tol:
-                    can_one = False
-                if fixed + hi_rest < rhs - tol:
-                    can_zero = False
-            if not can_zero and not can_one:
-                return False
-            if not can_zero:
-                pending.append((u, 1))
-            elif not can_one:
-                pending.append((u, 0))
-        return True
-
-    def _propagate(self, v: int, val: int) -> bool:
-        pending: list[tuple[int, int]] = [(v, val)]
-        while pending:
-            u, uval = pending.pop()
-            if not self._assign(u, uval, pending):
-                return False
-        return True
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            val = self.value[v]
-            self.value[v] = -1
-            self._unfixed_mask[v] = True
-            wv = self.w[v]
-            if wv > 0.0:
-                self.pos_un_w += wv
-            if val:
-                self.fixed_w -= wv
-            for ci, q in self.var_cons[v]:
-                if q > 0.0:
-                    self.pos_un[ci] += q
-                else:
-                    self.neg_un[ci] += q
-                if val:
-                    self.fixed_sum[ci] -= q
-
-    def _all_satisfied(self) -> bool:
-        if self.fixed_w < -self.w_tol:
-            return False
-        for ci in range(len(self.con_rhs)):
-            fixed = self.fixed_sum[ci]
-            rhs = self.con_rhs[ci]
-            tol = self.con_tol[ci]
-            sense = self.con_sense[ci]
-            if sense != ">=" and fixed > rhs + tol:
-                return False
-            if sense != "<=" and fixed < rhs - tol:
-                return False
-        return True
-
-    def _dfs(self, order_pos: int) -> bool:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
-        if self.fixed_w + self._optimistic_bound() < -self.w_tol:
-            return False
-        while order_pos < self.n and self.value[self.branch_order[order_pos]] != -1:
-            order_pos += 1
-        if order_pos == self.n:
-            return self._all_satisfied()
-        v = self.branch_order[order_pos]
-        first = 1 if self.w[v] > self.w_tol else 0
-        for val in (first, 1 - first):
-            mark = len(self.trail)
-            if self._propagate(v, val) and self._dfs(order_pos + 1):
-                return True
-            self._undo(mark)
-        return False
 
     def run(self) -> FeasibilityResult:
+        model, deadline = self.model, self.deadline
+        n = model.num_vars
+        w = [model.numer[v] - self.alpha * model.denom[v] for v in range(n)]
+        w_tol = 1e-9 * (1.0 + sum(abs(x) for x in w))
+        rows = model._rows
+        shape, var_cons, group_of = rows.shape, rows.var_cons, rows.group_of
+        fixed_sum = [0.0] * len(shape)
+        pos_un = list(rows.pos)
+        neg_un = list(rows.neg)
+        # value[n] is the "none" option of the bound groups, never fixed.
+        value = [-1] * (n + 1)
+        trail: list[int] = []
+        fixed_w = 0.0
+        pos_un_w = sum(max(x, 0.0) for x in w)
+
+        # The group bound.  Each group's options sit in `opt_var`/`opt_w`
+        # sorted by w, best first; ptr[g] is the first unfixed one, so
+        # opt_w[ptr[g]] is the best a group can still add, and a group adds 0
+        # once one of its variables is 1 (they share a `== 1` row, or there
+        # is only one).  A partial group may select none of its variables, so
+        # its options include "none" (w 0) at its place in that order.  An
+        # exact group must select one, so its best unfixed w counts even when
+        # negative; its "none" comes last and is reached only when every
+        # option is fixed to 0, which propagation rejects before any node
+        # reads the bound.
+        opt_var: list[int] = []
+        opt_w: list[float] = []
+        slot = [0] * n
+        ptr: list[int] = []
+        for members, exact in rows.groups:
+            ranked = sorted(members, key=w.__getitem__, reverse=True)
+            ranked.insert(len(ranked) if exact else sum(w[v] > 0.0 for v in ranked), n)
+            ptr.append(len(opt_var))
+            for v in ranked:
+                if v < n:
+                    slot[v] = len(opt_var)
+                opt_var.append(v)
+                opt_w.append(w[v] if v < n else 0.0)
+        ones = [0] * len(ptr)
+        contrib = [opt_w[p] for p in ptr]
+        bound = sum(contrib)
+
+        order = sorted(range(n), key=lambda v: (-abs(w[v]), v))
+        nodes = 0
+
+        def propagate(v: int, val: int) -> bool:
+            """Fix v = val and everything that forces, in the order of a pending stack."""
+            nonlocal fixed_w, pos_un_w, bound
+            pending = [(v, val)]
+            pop, push = pending.pop, pending.append
+            while pending:
+                u, val = pop()
+                cur = value[u]
+                if cur != -1:
+                    if cur != val:
+                        return False
+                    continue
+                value[u] = val
+                trail.append(u)
+                wu = w[u]
+                if wu > 0.0:
+                    pos_un_w -= wu
+                cons_u = var_cons[u]
+                for ci, q in cons_u:
+                    if q > 0.0:
+                        pos_un[ci] -= q
+                    else:
+                        neg_un[ci] -= q
+                    if val:
+                        fixed_sum[ci] += q
+                g = group_of[u]
+                p = ptr[g]
+                if val:
+                    fixed_w += wu
+                    ones[g] += 1
+                moved = slot[u] == p
+                if moved:
+                    p += 1
+                    while value[opt_var[p]] != -1:
+                        p += 1
+                    ptr[g] = p
+                if val or moved:
+                    best = 0.0 if ones[g] else opt_w[p]
+                    bound += best - contrib[g]
+                    contrib[g] = best
+                if fixed_w + pos_un_w < -w_tol:
+                    return False
+
+                for ci, _ in cons_u:
+                    up, down, top, bottom, gate, row_vars, row_coeffs = shape[ci]
+                    fixed = fixed_sum[ci]
+                    # Fixing an unfixed variable moves the row's activity
+                    # range by |q|, so nothing is forced while every |q| fits
+                    # in the slack.  The gate's margin of tol leaves
+                    # float-boundary cases to the scan below.
+                    if up:
+                        least = fixed + neg_un[ci]
+                        if least > top:
+                            return False
+                        slack = top - least
+                        if down:
+                            most = fixed + pos_un[ci]
+                            if most < bottom:
+                                return False
+                            if most - bottom < slack:
+                                slack = most - bottom
+                    else:
+                        most = fixed + pos_un[ci]
+                        if most < bottom:
+                            return False
+                        slack = most - bottom
+                    if gate <= slack:
+                        continue
+                    neg = neg_un[ci]
+                    pos = pos_un[ci]
+                    for x, q in zip(row_vars, row_coeffs):
+                        if value[x] != -1:
+                            continue
+                        can_zero = can_one = True
+                        if up:
+                            lo_rest = neg - q if q < 0.0 else neg
+                            if fixed + q + lo_rest > top:
+                                can_one = False
+                            if fixed + lo_rest > top:
+                                can_zero = False
+                        if down:
+                            hi_rest = pos - q if q > 0.0 else pos
+                            if fixed + q + hi_rest < bottom:
+                                can_one = False
+                            if fixed + hi_rest < bottom:
+                                can_zero = False
+                        if can_zero:
+                            if not can_one:
+                                push((x, 0))
+                        elif can_one:
+                            push((x, 1))
+                        else:
+                            return False
+            return True
+
+        def undo(mark: int) -> None:
+            nonlocal fixed_w, pos_un_w, bound
+            for _ in range(len(trail) - mark):
+                u = trail.pop()
+                val = value[u]
+                value[u] = -1
+                wu = w[u]
+                if wu > 0.0:
+                    pos_un_w += wu
+                for ci, q in var_cons[u]:
+                    if q > 0.0:
+                        pos_un[ci] += q
+                    else:
+                        neg_un[ci] += q
+                    if val:
+                        fixed_sum[ci] -= q
+                g = group_of[u]
+                if val:
+                    fixed_w -= wu
+                    ones[g] -= 1
+                moved = slot[u] < ptr[g]
+                if moved:
+                    ptr[g] = slot[u]
+                if val or moved:
+                    best = 0.0 if ones[g] else opt_w[ptr[g]]
+                    bound += best - contrib[g]
+                    contrib[g] = best
+
+        def satisfied() -> bool:
+            if fixed_w < -w_tol:
+                return False
+            for (up, down, top, bottom, *_), fixed in zip(shape, fixed_sum):
+                if up and fixed > top:
+                    return False
+                if down and fixed < bottom:
+                    return False
+            return True
+
+        def dfs(pos: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+                raise _Timeout
+            if fixed_w + bound < -w_tol:
+                return False
+            while pos < n and value[order[pos]] != -1:
+                pos += 1
+            if pos == n:
+                return satisfied()
+            v = order[pos]
+            first = 1 if w[v] > w_tol else 0
+            for val in (first, 1 - first):
+                mark = len(trail)
+                if propagate(v, val) and dfs(pos + 1):
+                    return True
+                undo(mark)
+            return False
+
         limit = sys.getrecursionlimit()
-        needed = self.n * 2 + 200
+        needed = n * 2 + 200
         if needed > limit:
             sys.setrecursionlimit(needed)
         try:
-            if self._dfs(0):
-                return FeasibilityResult(tuple(self.value))
+            if dfs(0):
+                return FeasibilityResult(tuple(value[:n]))
             return FeasibilityResult(None)
         except _Timeout:
             return FeasibilityResult(None, timed_out=True)
         finally:
+            self.nodes = nodes
+            # dfs reaches itself through its closure; break that cycle so the
+            # probe's state is freed now, not at the next garbage collection.
+            del dfs
             if needed > limit:
                 sys.setrecursionlimit(limit)
 

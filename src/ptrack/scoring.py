@@ -40,15 +40,6 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class Projection:
-    """Closest point of a centerline to a query point."""
-
-    arc: float
-    foot: tuple[float, float]
-    dist: float
-
-
-@dataclass(frozen=True)
 class ScorePair:
     total: float
     aligned: float
@@ -74,7 +65,8 @@ def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarr
     """Arc, foot and distance of the closest centerline point to each row of `points`.
 
     Every point is projected onto every segment in one pass; each row's result
-    is bit for bit what projecting that point alone gives.
+    is bit for bit what projecting that point alone gives.  Ties between
+    equally close segments resolve to the smaller arc length.
     """
     v = pattern.vertices
     a, b = v[:-1], v[1:]
@@ -88,19 +80,6 @@ def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarr
     rows = np.arange(len(points))
     arc = pattern.cum_arc[best] + t[rows, best] * np.sqrt(seg_len2[best])
     return arc, feet[rows, best], dist[rows, best]
-
-
-def project_to_centerline(point: tuple[float, float], pattern: Pattern) -> Projection:
-    """Project a point onto a pattern's centerline.
-
-    Returns the arc length at the closest point, the closest point itself,
-    and the distance to it.  Ties between equally close segments resolve to
-    the smaller arc length.
-    """
-    if pattern.is_empty:
-        raise ValueError("empty pattern has no centerline")
-    arc, foot, dist = _project(np.asarray([point], dtype=float), pattern)
-    return Projection(arc=float(arc[0]), foot=(float(foot[0, 0]), float(foot[0, 1])), dist=float(dist[0]))
 
 
 class _CenterlineTerms(dict):
@@ -195,13 +174,6 @@ class PatternScorer:
             # to the arc covered backwards, regardless of corridor width.
             return total, -(1.0 + self.cfg.reverse_penalty) * back
         return total, 0.0 if gate > self.pattern.width else aligned
-
-
-def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Config) -> ScorePair:
-    """Score a single edge against a pattern; see `PatternScorer.edge`."""
-    if i == SOURCE_NODE and j == SINK_NODE:
-        raise ValueError("edge must touch at least one detection")
-    return ScorePair(*PatternScorer(graph, pattern, cfg).edge(i, j))
 
 
 def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:

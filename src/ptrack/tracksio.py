@@ -1,4 +1,4 @@
-"""Reading and writing tracks, patterns, configs, and result tables.
+"""Reading and writing tracks and patterns, parsing configs, writing result tables.
 
 Two track formats are supported: a plain four-column CSV (frame, id, x, y)
 and the ten-column challenge CSV (frame, id, four bbox fields, confidence,
@@ -21,7 +21,6 @@ endings, rows sorted by frame then track.
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 from itertools import repeat
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Config, Detection, Pattern, TrackTable
+from .core import Detection, Pattern, TrackTable
 from .metrics import METRIC_COLUMNS
 from .unsupervised import HistoryEntry
 
@@ -295,26 +294,6 @@ def config_overrides_from_text(text: str) -> dict:
         except (ValueError, KeyError):
             raise ValueError(f"line {line_no}: bad value for {key}: {value.strip()!r}") from None
     return overrides
-
-
-def read_config(path: PathLike, **extra_overrides) -> Config:
-    overrides = config_overrides_from_text(Path(path).read_text())
-    overrides.update({k: v for k, v in extra_overrides.items() if v is not None})
-    return Config(**overrides)
-
-
-def config_to_text(cfg: Config) -> str:
-    lines = []
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
-        if value is None:
-            continue
-        if field.name == "candidate_widths":
-            value = ",".join(f"{w:g}" for w in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{field.name}={value}")
-    return "".join(line + "\n" for line in lines)
 
 
 def history_to_csv(history: Iterable[HistoryEntry]) -> str:

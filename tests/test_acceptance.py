@@ -36,7 +36,7 @@ from ptrack import (
 )
 from ptrack.core import SINK_NODE, SOURCE_NODE
 from ptrack.fracopt import Constraint, SolverModel, maximize_ratio
-from ptrack.scoring import edge_score
+from helpers import edge_score
 from test_metrics import shattered_fixture
 
 

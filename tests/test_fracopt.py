@@ -1,4 +1,9 @@
 """Exact 0/1 linear-fractional solver: feasibility probes and ratio search."""
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from ptrack.fracopt import (
 )
 
 from oracles import brute_force_best_ratio, brute_force_feasible, satisfies
+from reference_search import ReferenceSearch
 
 
 def con(vars_, coeffs, sense, rhs):
@@ -130,7 +136,7 @@ class TestFeasibility:
                     assert satisfies(row, got.assignment)
 
 
-class _FullScanSearch(fracopt._Search):
+class _FullScanSearch(ReferenceSearch):
     """Reference propagation: scans every unfixed variable of a touched row."""
 
     def _check_constraint(self, ci, pending):
@@ -168,13 +174,51 @@ class _FullScanSearch(fracopt._Search):
         return True
 
 
+class _ExactlyOneFullScanSearch(_FullScanSearch):
+    """The full scan under the exactly-one group bound, recomputed at every node.
+
+    A group that holds every variable of its `== 1` unit row adds its best
+    unfixed w even when it is negative, and 0 once one of its variables is 1;
+    a partial group or a lone variable adds max(best unfixed w, 0).
+    """
+
+    def __init__(self, model, alpha, deadline=None):
+        super().__init__(model, alpha, deadline)
+        claimed = set()
+        self.groups = []
+        for c in model.constraints:
+            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
+                members = [v for v in c.vars if v not in claimed]
+                if members:
+                    claimed.update(members)
+                    self.groups.append((members, len(members) == len(c.vars)))
+        self.groups += [([v], False) for v in range(model.num_vars) if v not in claimed]
+
+    def _optimistic_bound(self):
+        total = 0.0
+        for members, exact in self.groups:
+            free = [self.w[v] for v in members if self.value[v] == -1]
+            if not exact:
+                total += max(free + [0.0])
+            elif all(self.value[v] != 1 for v in members):
+                total += max(free, default=-math.inf)
+        return total
+
+
 def assert_same_search(model, alpha):
-    """The slack-gated probe decides like the full scan, in the same number of nodes."""
-    gated = fracopt._Search(model, alpha, None)
+    """The probe decides like the full scan, with the same witness.
+
+    Under the exactly-one bound it takes exactly the full scan's nodes, so the
+    slack gate forces what the scan forces and the incremental bound equals
+    the recomputed one; against the reference's bound, which clips every
+    group at 0, it takes no more.
+    """
+    probe = fracopt._Search(model, alpha, None)
     full = _FullScanSearch(model, alpha, None)
-    assert gated.run() == full.run(), (model, alpha)
-    assert gated.nodes == full.nodes, (model, alpha)
-    return gated.nodes
+    sharp = _ExactlyOneFullScanSearch(model, alpha, None)
+    assert probe.run() == full.run() == sharp.run(), (model, alpha)
+    assert probe.nodes == sharp.nodes <= full.nodes, (model, alpha)
+    return probe.nodes
 
 
 class TestSlackGate:
@@ -248,7 +292,98 @@ class TestSlackGate:
         fracopt.maximize_ratio(model, *ratio_bracket(cfg), iters=10)
         assert {ok for _, ok in probes} == {True, False}
         nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
-        assert sum(nodes) > 1000
+        # A lost pruning or propagation rule shows here as more nodes.
+        assert 1000 < sum(nodes) <= 1094
+
+
+class TestExactlyOneBound:
+    def test_negative_selection_rows_are_refuted_at_the_root(self):
+        # Every option of both `== 1` rows loses at alpha 0.5, so no witness
+        # exists.  Clipping each group at 0 sees nothing to prune until a row
+        # is settled; the exactly-one bound sums the two best options, -0.5
+        # and -0.25, and refutes the probe without branching.
+        rows = (con([0, 1, 2], [1.0] * 3, "==", 1.0), con([3, 4, 5], [1.0] * 3, "==", 1.0))
+        m = SolverModel(6, rows, (0.0,) * 6, (1.0, 2.0, 3.0, 0.5, 1.0, 2.0))
+        reference = ReferenceSearch(m, 0.5)
+        probe = fracopt._Search(m, 0.5, None)
+        assert probe.run() == reference.run() == FeasibilityResult(None)
+        assert reference.nodes > 1
+        assert probe.nodes == 1
+        assert not brute_force_feasible(m, 0.5)
+
+    def test_partial_group_may_select_none(self):
+        # x1 serves both rows; the second row's group holds only x2 and x3,
+        # both losing.  Selecting neither is the only witness, so that group
+        # must bound at max(best, 0) = 0, not at its best w of -1.
+        rows = (con([0, 1], [1.0, 1.0], "==", 1.0), con([1, 2, 3], [1.0] * 3, "==", 1.0))
+        m = SolverModel(4, rows, (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 2.0, 2.0))
+        assert [exact for _, exact in m._rows.groups] == [True, False]
+        assert brute_force_feasible(m, 0.5)
+        assert feasible(m, 0.5).assignment == (0, 1, 0, 0)
+        assert_same_search(m, 0.5)
+
+
+def load_bench_scenes():
+    """perfbench/scenes.py, registered so that its dataclasses can resolve their module."""
+    name = "perfbench_scenes"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def bench_probes(monkeypatch, tmp_path, workload, command):
+    """(model, alpha) of every probe that `command` makes on each scene of a benchmark workload."""
+    from ptrack.cli import cli
+
+    scenes = load_bench_scenes().BUILDERS[workload](0, tmp_path)
+    real = fracopt.feasible
+    probes = []
+
+    def recording(model, alpha, time_budget=None):
+        probes.append((model, alpha))
+        return real(model, alpha, time_budget)
+
+    monkeypatch.setattr(fracopt, "feasible", recording)
+    for s in scenes:
+        argv = [command, "--out", str(tmp_path / f"{s.name}.out"), "--batch-start", str(s.batch[0]),
+                "--batch-end", str(s.batch[1])]
+        if command == "track":
+            argv += ["--tracks", str(s.files["broken"]), "--patterns", str(s.files["patterns"])]
+        else:
+            argv += ["--tracks", str(s.files["gt"])]
+        assert cli(argv) == 0
+    return probes
+
+
+class TestAgainstReference:
+    """Every probe of two benchmark workloads, decided again by the reference search."""
+
+    def test_track_noisy_link_probes(self, monkeypatch, tmp_path, capsys):
+        # Every out-row of these models holds a free exit on the empty
+        # pattern, so no exact group's best option is negative while the row
+        # is open: the bound is today's, and so is every node.
+        probes = bench_probes(monkeypatch, tmp_path, "track-noisy", "track")
+        nodes = []
+        for model, alpha in probes:
+            probe = fracopt._Search(model, alpha, None)
+            reference = ReferenceSearch(model, alpha)
+            assert probe.run() == reference.run(), alpha
+            assert probe.nodes == reference.nodes, alpha
+            nodes.append(probe.nodes)
+        assert len(nodes) == 10
+        assert sum(nodes) == 3489
+
+    def test_supervised_dense_mine_probes(self, monkeypatch, tmp_path, capsys):
+        probes = bench_probes(monkeypatch, tmp_path, "supervised-dense", "learn-patterns")
+        assert probes
+        for model, alpha in probes:
+            probe = fracopt._Search(model, alpha, None)
+            reference = ReferenceSearch(model, alpha)
+            assert probe.run() == reference.run(), alpha
+            assert probe.nodes <= reference.nodes, alpha
 
 
 class TestRatioSearch:

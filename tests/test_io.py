@@ -16,7 +16,6 @@ from ptrack import (
     TrackTable,
     patterns_from_text,
     patterns_to_text,
-    read_config,
     read_homography,
     read_patterns,
     read_track_table,
@@ -31,11 +30,12 @@ from ptrack import (
 )
 from ptrack.tracksio import (
     config_overrides_from_text,
-    config_to_text,
     history_to_csv,
     metrics_to_csv,
 )
 from ptrack.unsupervised import HistoryEntry
+
+from helpers import config_to_text
 
 # A warning from numpy while parsing means a value slipped past a check.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -396,14 +396,6 @@ class TestConfigText:
         from ptrack.tracksio import _CONFIG_PARSERS
 
         assert set(_CONFIG_PARSERS) == {f.name for f in dataclasses.fields(Config)}
-
-    def test_read_config_applies_overrides(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("link_radius=3.0\nfps=2.0\n")
-        cfg = read_config(path, link_radius=4.0, join_gap=None)
-        assert cfg.link_radius == 4.0
-        assert cfg.fps == 2.0
-        assert cfg.join_gap == Config().join_gap
 
 
 class TestHistoryCsv:

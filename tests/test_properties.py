@@ -15,6 +15,7 @@ import math
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import config_to_text, edge_score
 from oracles import rigid_transform
 from ptrack import (
     EMPTY_PATTERN,
@@ -32,8 +33,8 @@ from ptrack import (
     patterns_to_text,
 )
 from ptrack.core import validate_trajectory_set
-from ptrack.scoring import edge_score, objective, trajectory_score
-from ptrack.tracksio import config_overrides_from_text, config_to_text
+from ptrack.scoring import objective, trajectory_score
+from ptrack.tracksio import config_overrides_from_text
 
 RUNS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 

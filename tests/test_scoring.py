@@ -1,5 +1,6 @@
 """Edge scoring, trajectory aggregation, and the ratio objective."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ptrack import (
     Fragment,
     Pattern,
     PatternScorer,
-    Projection,
     ScorePair,
     SINK_NODE,
     SOURCE_NODE,
@@ -22,16 +22,16 @@ from ptrack import (
     build_graph,
     build_mine_model,
     corrupt,
-    edge_score,
     generate_candidates,
     generate_scene,
     input_trajectories,
     link,
     objective,
-    project_to_centerline,
     trajectory_score,
 )
+from ptrack.scoring import _project
 
+from helpers import edge_score
 from oracles import (
     dense_nearest_point,
     rigid_transform,
@@ -54,6 +54,21 @@ def pair_graph(pos_i, pos_j, batch=None):
         [(1, 2), (SOURCE_NODE, 1), (2, SINK_NODE)],
         batch,
     )
+
+
+@dataclass(frozen=True)
+class Projection:
+    """Closest point of a centerline to a query point."""
+
+    arc: float
+    foot: tuple[float, float]
+    dist: float
+
+
+def project_to_centerline(point, pattern):
+    """One point through the scorer's batched projection."""
+    arc, foot, dist = _project(np.asarray([point], dtype=float), pattern)
+    return Projection(arc=float(arc[0]), foot=(float(foot[0, 0]), float(foot[0, 1])), dist=float(dist[0]))
 
 
 class TestProjection:
@@ -92,9 +107,13 @@ class TestProjection:
         assert proj.arc == 0.0
         assert proj.foot == (0.0, 0.0)
 
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError, match="centerline"):
-            project_to_centerline((0.0, 0.0), EMPTY_PATTERN)
+    def test_empty_pattern_is_never_projected(self):
+        # The empty pattern has no centerline: its scorer projects nothing and
+        # charges entries nothing.
+        g = pair_graph((0.0, 0.0), (3.0, 0.0), batch=(0, 9))
+        scorer = PatternScorer(g, EMPTY_PATTERN, CFG)
+        assert g.scoring_cache[EMPTY_PATTERN.centerline].projections == {}
+        assert scorer.edge(SOURCE_NODE, 2) == (0.0, 0.0)
 
 
 class TestEdgeScoreTable:
@@ -173,11 +192,6 @@ class TestEdgeScoreTable:
         g = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(0, 3))
         assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, CFG).total == 0.0
         assert edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, CFG).total == 0.0
-
-    def test_source_to_sink_rejected(self):
-        g = pair_graph((0.0, 0.0), (1.0, 0.0))
-        with pytest.raises(ValueError, match="at least one detection"):
-            edge_score(g, SOURCE_NODE, SINK_NODE, LANE, CFG)
 
     def test_standing_still_scores_zero(self):
         g = pair_graph((3.0, 1.0), (3.0, 1.0))
