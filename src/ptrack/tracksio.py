@@ -10,18 +10,20 @@ x == y == -1 and a box carry image-plane boxes only and need a homography
 to project the box's bottom center onto the ground plane; a row whose box
 width and height are both -1 has no box, so its x, y is a ground position
 even when it is (-1, -1).
-Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`); frame and id must
-be finite integers that fit in int64, and ground positions, read or
-projected, must be finite.  An invalid track file is reported at its first
-offending line.  A degenerate homography, a projection to a non-finite
-position and a repeated frame in one track are reported, in that order,
-only once every line has passed.
+Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`): numpy's C reader
+parses them, and `float` parses again a block numpy refuses, as only it takes
+every such spelling and names the bad line.  Frame and id must be finite
+int64 integers, and ground positions, read or projected, must be finite.  An
+invalid track file is reported at its first offending line.  A degenerate
+homography, a projection to a non-finite position and a repeated frame in one
+track are reported, in that order, only once every line has passed.
 All writers are deterministic: fixed six-decimal formatting, newline line
 endings, rows sorted by frame then track.
 """
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,8 +44,8 @@ def _parse_floats(parts: list[str], line_no: int) -> list[float]:
         raise ValueError(f"malformed row at line {line_no}: {','.join(parts)!r}") from None
 
 
-# Rows are parsed this many at a time, so only one block's cell strings are
-# alive beside the float array, never the whole file's.
+# Rows are parsed this many at a time: only a block numpy refuses goes to
+# `float`, so at most one block's cell strings are alive beside the array.
 _BLOCK_ROWS = 2048
 _TRACK_COLUMNS = {"plain": 4, "mot": 10}
 # Frames and ids are stored in int64 columns: finite integers below 2**63.
@@ -64,6 +66,33 @@ def _is_float(cell: str) -> bool:
     return True
 
 
+def _parse_block(block: list[str], columns: int) -> tuple[np.ndarray, str | None]:
+    # numpy's C reader converts a cell as `float` does but also strips \x1c-\x1f
+    # around it, which `float` rejects; only \x1f survives `str.splitlines`.
+    if "\x1f" not in "".join(block):
+        with suppress(ValueError):
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+            if values.shape == (len(block), columns):
+                return values, None
+    return _python_block(block, columns)
+
+
+def _python_block(block: list[str], columns: int) -> tuple[np.ndarray, str | None]:
+    """`_parse_rows` on one block by `float`: it alone takes `1_000` or `٢` and names bad rows."""
+    counts = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
+    wrong = np.flatnonzero(counts != columns - 1)
+    ok = int(wrong[0]) if wrong.size else len(block)
+    message = None if ok == len(block) else f"line {{}} has {counts[ok] + 1} columns, expected {columns}"
+    cells = ",".join(block[:ok]).split(",") if ok else []
+    try:
+        numbers = list(map(float, cells))
+    except ValueError:
+        ok = next(k for k, cell in enumerate(cells) if not _is_float(cell)) // columns
+        numbers = list(map(float, cells[: ok * columns]))
+        message = "malformed row at line {}: " + repr(block[ok])
+    return np.reshape(numbers, (ok, columns)), message
+
+
 def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
     """Parse stripped CSV rows into a (rows, columns) float array.
 
@@ -72,25 +101,12 @@ def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
     error message, with `{}` in place of its line number.
     """
     values = np.empty((len(rows), columns))
-    flat = values.reshape(-1)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        counts = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
-        wrong = np.flatnonzero(counts != columns - 1)
-        ok = int(wrong[0]) if wrong.size else len(block)
-        message = None
-        if ok < len(block):
-            message = f"line {{}} has {counts[ok] + 1} columns, expected {columns}"
-        cells = ",".join(block[:ok]).split(",") if ok else []
-        try:
-            numbers = list(map(float, cells))
-        except ValueError:
-            ok = next(k for k, cell in enumerate(cells) if not _is_float(cell)) // columns
-            numbers = list(map(float, cells[: ok * columns]))
-            message = "malformed row at line {}: " + repr(block[ok])
-        flat[start * columns : (start + ok) * columns] = numbers
+        parsed, message = _parse_block(block, columns)
+        values[start : start + len(parsed)] = parsed
         if message is not None:
-            return values[: start + ok], message
+            return values[: start + len(parsed)], message
     return values, None
 
 
@@ -136,7 +152,7 @@ def track_table_from_csv(
     if first.size:
         raise ValueError(_ROW_ERRORS[failed[first[0]] - 1].format(line_of(first[0])))
     if parse_error is not None:
-        raise ValueError(parse_error.format(line_of(len(values))))
+        raise ValueError(parse_error.replace("{}", str(line_of(len(values))), 1))
 
     if boxed.any():
         boxed_rows = np.flatnonzero(boxed)
@@ -215,10 +231,13 @@ def write_tracks(path: PathLike, tracks: Sequence[Sequence[Detection]], fmt: str
 
 
 def read_homography(path: PathLike) -> np.ndarray:
-    values = [float(v) for v in Path(path).read_text().split()]
-    if len(values) != 9:
-        raise ValueError(f"homography file must hold 9 numbers, found {len(values)}")
-    return np.array(values).reshape(3, 3)
+    tokens = Path(path).read_text().split()
+    bad = next((t for t in tokens if not (_is_float(t) and np.isfinite(float(t)))), None)
+    if bad is not None:
+        raise ValueError(f"homography file {path}: {bad!r} is not a finite number")
+    if len(tokens) != 9:
+        raise ValueError(f"homography file {path} must hold 9 numbers, found {len(tokens)}")
+    return np.array([float(t) for t in tokens]).reshape(3, 3)
 
 
 def patterns_to_text(patterns: Sequence[Pattern]) -> str:

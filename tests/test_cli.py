@@ -302,6 +302,18 @@ class TestEval:
         assert cli(argv) == 0
         assert capsys.readouterr().out.splitlines()[0] == "IDF1 1.000000"
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "x"])
+    def test_a_bad_homography_entry_is_blamed_on_the_homography(self, tmp_path, capsys, token):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1,1,3,2,2,4,1,-1,-1,-1\n")
+        h = tmp_path / "h.txt"
+        h.write_text(f"1 0 0 0 1 0 0 0 {token}\n")
+        argv = ["eval", "--gt", str(gt), "--pred", str(gt), "--homography", str(h)]
+        assert cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: homography file {h}: {token!r} is not a finite number\n"
+
 
 class TestSynth:
     def test_crossing_outputs(self, tmp_path, capsys):

@@ -28,7 +28,9 @@ from ptrack import (
     write_plot,
     write_tracks,
 )
+from ptrack import tracksio
 from ptrack.tracksio import (
+    _BLOCK_ROWS,
     config_overrides_from_text,
     history_to_csv,
     metrics_to_csv,
@@ -36,6 +38,7 @@ from ptrack.tracksio import (
 from ptrack.unsupervised import HistoryEntry
 
 from helpers import config_to_text
+from reference_io import exact, outcome, reference_tracks_from_csv
 
 # A warning from numpy while parsing means a value slipped past a check.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -103,6 +106,12 @@ class TestTracksFromCsv:
     def test_malformed_number(self):
         with pytest.raises(ValueError, match=re.escape("malformed row at line 1: '1,2,x,4'")):
             tracks_from_csv("1,2,x,4\n")
+
+    @pytest.mark.parametrize("row", ["{},1,0,0", "1,{x},0,0", "1,1,}{,0"])
+    def test_a_malformed_row_is_quoted_with_its_braces(self, row):
+        with pytest.raises(ValueError) as info:
+            track_table_from_csv(f"1,1,0,0\n{row}\n")
+        assert str(info.value) == f"malformed row at line 2: {row!r}"
 
     def test_fractional_frame_rejected(self):
         with pytest.raises(ValueError, match="frame and id must be integers"):
@@ -180,8 +189,6 @@ class TestTracksFromCsv:
             tracks_from_csv("1,1,0,0,1,1,1,3,4,-1\n2.5,1,0,0,1,1,1,-1,-1,-1\n")
 
     def test_row_checks_report_the_earliest_line_across_blocks(self):
-        from ptrack.tracksio import _BLOCK_ROWS
-
         rows = [f"{k},1,0,0" for k in range(3 * _BLOCK_ROWS)]
         late = rows.copy()
         late[2 * _BLOCK_ROWS + 5] = "1,2,3"
@@ -284,6 +291,14 @@ class TestHomographyFile:
         path.write_text("1 0 0 0 1 0 0 0\n")
         with pytest.raises(ValueError, match="must hold 9 numbers, found 8"):
             read_homography(path)
+
+    @pytest.mark.parametrize("token", ["x", "nan", "-inf", "1e999", "1,0"])
+    def test_a_bad_or_non_finite_entry_names_the_file_and_the_token(self, tmp_path, token):
+        path = tmp_path / "h.txt"
+        path.write_text(f"1 0 0\n0 1 0\n0 0 {token}\n")
+        with pytest.raises(ValueError) as info:
+            read_homography(path)
+        assert str(info.value) == f"homography file {path}: {token!r} is not a finite number"
 
 
 class TestPatternsText:
@@ -466,91 +481,42 @@ class TestRenderSvg:
         assert path.read_text() == render_svg(patterns, tracks)
 
 
-def reference_tracks_from_csv(text, fmt="auto", homography=None):
-    """The former row-by-row parser, kept as the reference for valid files and errors."""
-    rows = {}
-    boxed, feet = [], []
-    resolved = None if fmt == "auto" else fmt
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if resolved is None:
-            resolved = {4: "plain", 10: "mot"}.get(len(parts))
-            if resolved is None:
-                raise ValueError(f"line {line_no} has {len(parts)} columns, expected 4 or 10")
-        expected = 4 if resolved == "plain" else 10
-        if len(parts) != expected:
-            raise ValueError(f"line {line_no} has {len(parts)} columns, expected {expected}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"malformed row at line {line_no}: {','.join(parts)!r}") from None
-        frame, track_id = values[0], values[1]
-        if frame != int(frame) or track_id != int(track_id):
-            raise ValueError(f"malformed row at line {line_no}: frame and id must be integers")
-        x, y = values[2:4] if resolved == "plain" else values[7:9]
-        track_rows = rows.setdefault(int(track_id), [])
-        if resolved == "mot" and x == y == -1.0 and values[4:6] != [-1.0, -1.0]:
-            if homography is None:
-                raise ValueError(
-                    f"row at line {line_no} has no ground position and no homography was given"
-                )
-            left, top, width, height = values[2:6]
-            feet += (left + width / 2.0, top + height, 1.0)
-            boxed += (int(track_id), len(track_rows), line_no)
-        track_rows.append((int(frame), x, y))
-    if feet:
-        mapped = (homography @ np.array(feet).reshape(-1, 3, 1))[:, :, 0]
-        degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
-        if degenerate.size:
-            raise ValueError(f"homography degenerates at line {boxed[3 * degenerate[0] + 2]}")
-        ground = (mapped[:, :2] / mapped[:, 2:]).tolist()
-        for track_id, k, (x, y) in zip(boxed[0::3], boxed[1::3], ground):
-            rows[track_id][k] = (rows[track_id][k][0], x, y)
-    tracks = []
-    det_id = 1
-    for track_id in sorted(rows):
-        entries = sorted(rows[track_id])
-        track = []
-        for k, (frame, x, y) in enumerate(entries):
-            if k > 0 and frame == entries[k - 1][0]:
-                raise ValueError(f"track {track_id} has two detections at frame {frame}")
-            track.append(Detection(id=det_id, frame=frame, pos=(x, y)))
-            det_id += 1
-        tracks.append(track)
-    return tracks
-
-
-def exact(tracks):
-    """Everything a detection holds, positions as bit patterns, nested by track."""
-    return [[(d.id, d.frame, d.pos[0].hex(), d.pos[1].hex()) for d in track] for track in tracks]
-
-
-def spell_int(rng: random.Random, k: int) -> str:
-    """An integer in one of the spellings Python's float() accepts."""
+def spell_int(rng: random.Random, k: int, python_only: bool = True) -> str:
+    """An integer in one of the spellings Python's float() accepts; without
+    `python_only`, only in those numpy's reader accepts too."""
     options = [str(k), f"{k}.0", f"{k}e0", f" {k} ", f"{float(k)!r}"]
     if k >= 0:
         options.append(f"+{k}")
-    if abs(k) >= 1000:
+    if abs(k) >= 1000 and python_only:
         options.append(f"{k:_}")
     return rng.choice(options)
 
 
-def spell_float(rng: random.Random, v: float) -> str:
-    return rng.choice([repr(v), f"{v:.6f}", f" {v!r}", f"{v:.3e}", repr(-0.0) if v == 0 else repr(v)])
+INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
-def random_rows(rng: random.Random, fmt: str, n: int) -> list[list[str]]:
-    """Valid rows with distinct (frame, id) pairs, in random order."""
-    pairs = rng.sample([(f, i) for f in range(-3, 40) for i in (-7, 0, 1, 2, 5, 1234, 10**12)], n)
+def spell_float(rng: random.Random, v: float, python_only: bool = True) -> str:
+    """`v` in a spelling Python's float() accepts; with `python_only`, also in
+    those numpy's reader refuses (digit underscores, non-ASCII digits)."""
+    options = [repr(v), f"{v:.6f}", f" {v!r}", f"{v:.3e}", repr(-0.0) if v == 0 else repr(v), f"\xa0{v!r}"]
+    if python_only:
+        options += [re.sub(r"(\d)(\d)", r"\1_\2", f"{v:.6f}", count=1), repr(v).translate(INDIC_DIGITS)]
+    return rng.choice(options)
+
+
+def random_rows(
+    rng: random.Random, fmt: str, n: int, frames: range = range(-3, 40), python_only: bool = True
+) -> list[list[str]]:
+    """Valid rows with distinct (frame, id) pairs, in random order; without
+    `python_only`, every cell is in a spelling numpy's reader accepts too."""
+    pairs = rng.sample([(f, i) for f in frames for i in (-7, 0, 1, 2, 5, 1234, 10**12)], n)
+    spell = lambda v: spell_float(rng, v, python_only)
     rows = []
     for frame, track_id in pairs:
         x, y = (rng.choice([-1.0, 0.0, rng.uniform(-500, 500)]) for _ in range(2))
-        cells = [spell_int(rng, frame), spell_int(rng, track_id)]
+        cells = [spell_int(rng, frame, python_only), spell_int(rng, track_id, python_only)]
         if fmt == "plain":
-            cells += [spell_float(rng, x), spell_float(rng, y)]
+            cells += [spell(x), spell(y)]
         else:
             kind = rng.choice(["ground", "box-only", "no-box"])
             box = [rng.uniform(-500, 500) for _ in range(4)]
@@ -561,7 +527,7 @@ def random_rows(rng: random.Random, fmt: str, n: int) -> list[list[str]]:
             elif kind == "no-box":
                 box[2] = box[3] = -1.0
             conf, z = rng.choice(["1", "nan", "-1", "0.5"]), rng.choice(["-1", "inf", "0"])
-            cells += [*(spell_float(rng, v) for v in box), conf, spell_float(rng, x), spell_float(rng, y), z]
+            cells += [*map(spell, box), conf, spell(x), spell(y), z]
         rows.append(cells)
     return rows
 
@@ -578,35 +544,60 @@ def render(rng: random.Random, rows: list[list[str]]) -> tuple[str, list[int]]:
     return ending.join(lines) + rng.choice(["", ending]), line_nos
 
 
-def outcome(parse, text, fmt, homography):
-    try:
-        return exact(parse(text, fmt, homography))
-    except ValueError as exc:
-        return str(exc)
+BAD_NUMBERS = ["x", "", "1.2.3", "0x10", "5_", "\x1f2"]
+
+
+def spoil(rng: random.Random, rows: list[list[str]], k: int, fault: str) -> None:
+    """Give row k a wrong column count, a malformed number or a fractional frame or id."""
+    if fault == "columns":
+        rows[k] = rows[k][:-1] if rng.random() < 0.5 else [*rows[k], "0"]
+    elif fault == "number":
+        cell = rng.choice(BAD_NUMBERS)
+        # A row's leading U+001F is stripped with its whitespace: not a fault there.
+        rows[k][rng.randrange(cell.startswith("\x1f"), len(rows[k]))] = cell
+    else:
+        rows[k][rng.randrange(2)] = rng.choice(["2.5", "-0.25", "1e-3"])
 
 
 class TestAgainstRowParser:
     """The columnar parser against the former row-by-row one on random files."""
 
     HOMOGRAPHY = np.array([[0.9, 0.1, 3.0], [-0.2, 1.1, -7.0], [1e-4, 2e-4, 1.0]])
+    # More than three blocks, so that each block can be read by a different path.
+    MANY_ROWS = 3 * _BLOCK_ROWS + 300
+
+    def assert_same_tables(self, text, fmt, homography):
+        expected = reference_tracks_from_csv(text, fmt, homography)
+        assert exact(tracks_from_csv(text, fmt, homography)) == exact(expected)
+        # The table reader holds the same columns as a table built from the
+        # reference lists, and both give the lists back.
+        table, rebuilt = track_table_from_csv(text, fmt, homography), TrackTable.from_tracks(expected)
+        for column in ("frames", "pos", "starts"):
+            got, want = getattr(table, column), getattr(rebuilt, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert exact(table.tracks()) == exact(rebuilt.tracks()) == exact(expected)
+
+    def assert_same_outcome(self, text, fmt, homography):
+        expected = outcome(reference_tracks_from_csv, text, fmt, homography)
+        assert outcome(tracks_from_csv, text, fmt, homography) == expected
+        read_table = lambda *args: track_table_from_csv(*args).tracks()
+        assert outcome(read_table, text, fmt, homography) == expected
+        return expected
+
+    def many_rows(self, rng):
+        """A file of `MANY_ROWS` rows, every cell in a spelling numpy's reader accepts."""
+        fmt = rng.choice(["plain", "mot"])
+        rows = random_rows(rng, fmt, self.MANY_ROWS, frames=range(-3, 1200), python_only=False)
+        return fmt, rows, self.HOMOGRAPHY if fmt == "mot" else None
 
     @pytest.mark.parametrize("seed", range(150))
     def test_valid_files_agree_bit_for_bit(self, seed):
         rng = random.Random(seed)
         fmt = rng.choice(["plain", "mot"])
-        rows = random_rows(rng, fmt, rng.randrange(0, 40))
+        rows = random_rows(rng, fmt, rng.randrange(0, 40), python_only=rng.random() < 0.5)
         text, _ = render(rng, rows)
         homography = self.HOMOGRAPHY if fmt == "mot" else None
-        given = rng.choice(["auto", fmt])
-        expected = reference_tracks_from_csv(text, given, homography)
-        assert exact(tracks_from_csv(text, given, homography)) == exact(expected)
-        # The table reader holds the same columns as a table built from the
-        # reference lists, and both give the lists back.
-        table, rebuilt = track_table_from_csv(text, given, homography), TrackTable.from_tracks(expected)
-        for column in ("frames", "pos", "starts"):
-            got, want = getattr(table, column), getattr(rebuilt, column)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert exact(table.tracks()) == exact(rebuilt.tracks()) == exact(expected)
+        self.assert_same_tables(text, rng.choice(["auto", fmt]), homography)
 
     @pytest.mark.parametrize("seed", range(300))
     def test_faulty_files_report_the_same_first_error(self, seed):
@@ -618,29 +609,87 @@ class TestAgainstRowParser:
             k = rng.randrange(len(rows))
             faults = ["columns", "number", "fraction", "duplicate"] + ["homography"] * (fmt == "mot")
             fault = rng.choice(faults)
-            if fault == "columns":
-                rows[k] = rows[k][:-1] if rng.random() < 0.5 else [*rows[k], "0"]
-            elif fault == "number":
-                rows[k][rng.randrange(len(rows[k]))] = rng.choice(["x", "", "1.2.3", "0x10", "5_"])
-            elif fault == "fraction":
-                rows[k][rng.randrange(2)] = rng.choice(["2.5", "-0.25", "1e-3"])
-            elif fault == "duplicate":
+            if fault == "duplicate":
                 rows.insert(rng.randrange(len(rows) + 1), [*rows[k][:2], *rows[rng.randrange(len(rows))][2:]])
-            else:
+            elif fault == "homography":
                 # Drop the homography, or pick one that sends this row's foot point to infinity.
                 rows[k][7:9] = ["-1", "-1"]
                 rows[k][2:6] = ["3", "2", "2", "4"]
                 homography = rng.choice([None, np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, -6.0]])])
+            else:
+                spoil(rng, rows, k, fault)
         text, _ = render(rng, rows)
-        given = rng.choice(["auto", fmt])
-        expected = outcome(reference_tracks_from_csv, text, given, homography)
-        assert isinstance(expected, str)
-        assert outcome(tracks_from_csv, text, given, homography) == expected
-        read_table = lambda *args: track_table_from_csv(*args).tracks()
-        assert outcome(read_table, text, given, homography) == expected
+        assert isinstance(self.assert_same_outcome(text, rng.choice(["auto", fmt]), homography), str)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_python_only_spelling_in_the_second_block(self, seed):
+        rng = random.Random(2000 + seed)
+        fmt, rows, homography = self.many_rows(rng)
+        k = rng.randrange(_BLOCK_ROWS, 2 * _BLOCK_ROWS)
+        # A ground position: x of a box-only row turns it into a ground row.
+        rows[k][2 if fmt == "plain" else 7] = rng.choice(["1_000", "٢", "-٣.٥", "1_0.2_5"])
+        text, _ = render(rng, rows)
+        self.assert_same_tables(text, rng.choice(["auto", fmt]), homography)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_first_fault_in_the_third_block(self, seed):
+        rng = random.Random(3000 + seed)
+        fmt, rows, homography = self.many_rows(rng)
+        first = rng.randrange(2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS)
+        for k in (first, rng.randrange(first + 1, len(rows))):
+            spoil(rng, rows, k, rng.choice(["columns", "number", "fraction"]))
+        text, line_nos = render(rng, rows)
+        message = self.assert_same_outcome(text, rng.choice(["auto", fmt]), homography)
+        assert f"line {line_nos[first]}" in message
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_unit_separator_inside_a_row(self, seed):
+        # numpy's reader strips U+001F around a cell, but float() rejects it.
+        rng = random.Random(4000 + seed)
+        fmt, rows, homography = self.many_rows(rng)
+        k = rng.randrange(len(rows))
+        rows[k][rng.randrange(1, len(rows[k]) - 1)] = rng.choice(["\x1f2", "2\x1f", "\x1f2\x1f"])
+        text, line_nos = render(rng, rows)
+        message = self.assert_same_outcome(text, rng.choice(["auto", fmt]), homography)
+        assert message.startswith(f"malformed row at line {line_nos[k]}: ")
 
     def test_a_bad_number_before_a_wrong_column_count(self):
         text = "1,1,0,0\n2,1,0,0\n3,1,x,0\n4,1,0,0\n\n\n5,1,0\n"
         message = "malformed row at line 3: '3,1,x,0'"
         assert outcome(reference_tracks_from_csv, text, "auto", None) == message
         assert outcome(tracks_from_csv, text, "auto", None) == message
+
+
+class TestParsePaths:
+    """Which blocks the Python parse reads: only those numpy's reader refuses."""
+
+    def crowd_csv(self):
+        # 5000 rows: two full blocks and a partial third.
+        tracks = [[Detection(1, f, (t + f / 7, f * 0.5 - t)) for f in range(100)] for t in range(50)]
+        return tracks_to_csv(tracks).splitlines()
+
+    def python_blocks(self, monkeypatch):
+        seen = []
+        python_block = tracksio._python_block
+
+        def spy(block, columns):
+            seen.append(block[0])
+            return python_block(block, columns)
+
+        monkeypatch.setattr(tracksio, "_python_block", spy)
+        return seen
+
+    def test_a_written_file_never_reaches_the_python_parse(self, monkeypatch):
+        rows = self.crowd_csv()
+        seen = self.python_blocks(monkeypatch)
+        assert len(track_table_from_csv("\n".join(rows)).frames) == len(rows) == 5000
+        assert seen == []
+
+    def test_one_python_only_cell_sends_exactly_its_block(self, monkeypatch):
+        rows = self.crowd_csv()
+        frame, track_id, _, y = rows[3000].split(",")
+        rows[3000] = f"{frame},{track_id},1_000,{y}"
+        seen = self.python_blocks(monkeypatch)
+        table = track_table_from_csv("\n".join(rows))
+        assert seen == [rows[_BLOCK_ROWS]]
+        assert exact(table.tracks()) == exact(reference_tracks_from_csv("\n".join(rows)))
