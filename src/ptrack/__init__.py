@@ -31,7 +31,6 @@ from .fracopt import (
     SolverModel,
     feasible,
     maximize_ratio,
-    ratio_model,
 )
 from .graphgen import build_graph, input_trajectories
 from .linker import LinkResult, build_link_model, link

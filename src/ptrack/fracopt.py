@@ -7,10 +7,11 @@ sum((numer - alpha * denom) * x) >= 0 subject to the constraints?  The answer
 is monotone in alpha whenever the denominator stays non-negative, so a
 bisection over alpha brackets the optimum to any fixed precision.
 
-`ratio_model` appends the total-score floor row: the summed denominator must
-exceed 0 by a margin scaled to the |denominators|, or an assignment with zero
-total (in linking, every detection its own path) would pass every probe
-vacuously.  It is left out when every denominator is 0.
+No row rules out a witness whose denominator is 0 or less, which passes
+every probe vacuously: in the linker's and the miner's models every path
+pays for its ends inside the batch and for the length it travels, so such
+covers are rare (a one-frame batch has them, and so has one where nothing
+moves).  `maximize_ratio` keeps the best witness with a positive denominator.
 
 `maximize_ratio` bisects [lo, hi] `iters` times; lo must lie at or below any
 achievable ratio.  It raises ValueError when nothing usable comes back:
@@ -29,8 +30,8 @@ its |coefficient|, then check those rows in order, pushing every variable a
 row forces.  So a row can force a variable only when that variable's
 |coefficient| exceeds the row's slack, and a row whose largest |coefficient|
 fits in its slack is skipped without looking at its variables: dense rows
-(the total-score floor, the miner's cost budget) cost next to nothing until
-they are nearly tight, and the forced variables are exactly those of a full
+(the miner's count and cost budgets) cost next to nothing until they are
+nearly tight, and the forced variables are exactly those of a full
 scan.  The alpha-independent row index is built once per model and shared by
 every probe.
 
@@ -51,7 +52,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -126,22 +126,6 @@ class SolverModel:
         value = float((self._numer_arr - alpha * self._denom_arr) @ x)
         scale = float(np.abs(self._numer_arr).sum() + abs(alpha) * np.abs(self._denom_arr).sum())
         return value >= -1e-9 * (1.0 + scale)
-
-
-def ratio_model(
-    num_vars: int,
-    constraints: Sequence[Constraint],
-    numer: Sequence[float],
-    denom: Sequence[float],
-) -> SolverModel:
-    """The model with the total-score floor row appended last (see the module docstring)."""
-    rows = list(constraints)
-    floor_vars = tuple(k for k, d in enumerate(denom) if d != 0.0)
-    if floor_vars:
-        floor_coeffs = tuple(denom[k] for k in floor_vars)
-        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
-        rows.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
-    return SolverModel(num_vars, tuple(rows), tuple(numer), tuple(denom))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Linking picks one outgoing and one incoming edge per detection so that the
 selected edges decompose into entry-to-exit paths, each path following a
 single pattern, and the summed aligned/total score ratio over all paths is
-maximal.  The search is exact: a bisection over the ratio with one 0/1
+maximal; each end inside the batch costs something on every pattern (see
+`scoring`).  The search is exact: a bisection over the ratio with one 0/1
 feasibility problem per probe.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import (
     Trajectory,
     validate_trajectory_set,
 )
-from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
+from .fracopt import Constraint, SolverModel, maximize_ratio
 from .scoring import PatternScorer, ratio_bracket
 
 
@@ -97,7 +98,7 @@ def build_link_model(
             coeffs = (1.0,) * len(ins) + (-1.0,) * len(outs)
             constraints.append(Constraint(cons_vars, coeffs, "==", 0.0))
 
-    return ratio_model(len(triples), constraints, numer, denom), triples
+    return SolverModel(len(triples), tuple(constraints), tuple(numer), tuple(denom)), triples
 
 
 def _decode(

@@ -5,8 +5,9 @@ range of corridor widths; the empty pattern is always on offer.  Mining picks
 a subset within a count budget and a total-cost budget, together with one
 pattern per trajectory, maximizing the same aligned/total ratio the linker
 uses, scored the same way: an entry or exit at the graph's batch boundary is
-free here too.  Keeping patterns cheap (short and narrow) is what forces the
-selection to generalize instead of memorizing every trajectory.
+free here too, and any other end is charged.  Keeping patterns cheap (short
+and narrow) is what forces the selection to generalize instead of memorizing
+every trajectory.
 
 Many candidates are twins: the same centerline at a width that flips no
 corridor gate, or one shape drawn from two trajectories, gives the same
@@ -14,8 +15,8 @@ corridor gate, or one shape drawn from two trajectories, gives the same
 cheapest candidate of each such score column (the lowest index on a cost
 tie; the empty pattern, which costs nothing, always stays) before it builds
 its model.  This is exact: a selection that uses a dearer twin can switch to
-the cheaper one, which leaves the ratio and the total-score floor as they
-were and can only lower the count and the summed cost of the selection.
+the cheaper one, which leaves both sums of the ratio as they were and can
+only lower the count and the summed cost of the selection.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .core import (
     Trajectory,
     tracking_area,
 )
-from .fracopt import Constraint, SolverModel, maximize_ratio, ratio_model
+from .fracopt import Constraint, SolverModel, maximize_ratio
 from .scoring import ScorePair, ratio_bracket, trajectory_score
 
 
@@ -151,7 +152,7 @@ def build_mine_model(
         costs = tuple(candidates.patterns[p].cost for p in range(1, n_cand))
         constraints.append(Constraint(sel, costs, "<=", _cost_budget(graph, cfg)))
 
-    return ratio_model(num_vars, constraints, numer, denom)
+    return SolverModel(num_vars, tuple(constraints), tuple(numer), tuple(denom))
 
 
 def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:

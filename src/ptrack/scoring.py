@@ -7,9 +7,11 @@ pattern's corridor end to end accumulates aligned == total; motion the pattern
 cannot explain accumulates total only.  The ratio of the two sums is the
 objective the linker maximizes.
 
-Entry and exit edges charge the centerline arc a path skips before its first
-detection or after its last.  They are free at the graph's batch boundary
-(and always on the empty pattern): `PatternScorer.edge` reads the rule off
+One end rule holds on every pattern: an entry at the batch's first frame and
+an exit at its last are free, and any other end is charged, so cutting a
+track into pieces is never free.  A pattern charges the centerline arc a path
+skips before its first detection or after its last; the empty pattern charges
+`EMPTY_END_TOTAL` at the empty rate.  `PatternScorer.edge` reads the rule off
 `DetectionGraph.batch`, so the linker, the miner, the split-half proxy and
 `objective` score any chain of detection ids the same way.
 
@@ -37,6 +39,11 @@ from .core import (
     Pattern,
     Trajectory,
 )
+
+
+# Total of an empty-pattern end inside the batch, in the units of the
+# detection positions: one unit of unexplained motion.
+EMPTY_END_TOTAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,11 @@ class _CenterlineTerms(dict):
     """What scoring one graph against one centerline computes, before any width or `Config`.
 
     `projections` maps every detection of the graph to (arc, foot x, foot y,
-    dist), all projected in one pass; it is empty for the empty pattern.  The
-    mapping itself gives (total, backward arc or 0, aligned inside the
-    corridor, gate) per detection pair, computed on first lookup; the empty
-    pattern sets only the total, the edge length.
+    dist), all projected in one pass; it is empty for the empty pattern, whose
+    ends cost `EMPTY_END_TOTAL` wherever they lie.  The mapping itself gives
+    (total, backward arc or 0, aligned inside the corridor, gate) per
+    detection pair, computed on first lookup; the empty pattern sets only the
+    total, the edge length.
     """
 
     def __init__(self, graph: DetectionGraph, pattern: Pattern):
@@ -155,17 +163,18 @@ class PatternScorer:
         """(total, aligned) of an entry (i is SOURCE_NODE), exit (j is SINK_NODE) or detection edge.
 
         An entry at the batch's first frame and an exit at its last are free:
-        the window, not the object, cut the path there.  So is every entry and
-        exit on the empty pattern.
+        the window, not the object, cut the path there.  Any other end costs
+        the arc it skips, or `EMPTY_END_TOTAL` at the empty rate when empty.
         """
-        if i == SOURCE_NODE:
-            if self.pattern.is_empty or self.graph.detection(j).frame == self.graph.batch[0]:
+        if i == SOURCE_NODE or j == SINK_NODE:
+            entry = i == SOURCE_NODE
+            det = self.graph.detection(j if entry else i)
+            if det.frame == self.graph.batch[0 if entry else 1]:
                 return 0.0, 0.0
-            return self._terms.projections[j][0], 0.0
-        if j == SINK_NODE:
-            if self.pattern.is_empty or self.graph.detection(i).frame == self.graph.batch[1]:
-                return 0.0, 0.0
-            return self.pattern.length - self._terms.projections[i][0], 0.0
+            if self.pattern.is_empty:
+                return EMPTY_END_TOTAL, self.cfg.empty_rate * EMPTY_END_TOTAL
+            arc = self._terms.projections[det.id][0]
+            return (arc if entry else self.pattern.length - arc), 0.0
         total, back, aligned, gate = self._terms[i, j]
         if self.pattern.is_empty:
             return total, self.cfg.empty_rate * total

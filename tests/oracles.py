@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ptrack import SINK_NODE, SOURCE_NODE, Constraint, SolverModel
+from ptrack import Config
 
 
 def dense_nearest_point(point, centerline, step=1e-3):
@@ -80,10 +80,21 @@ def straight_edge_score(pos_i, pos_j, centerline, width, empty, cfg):
     return total, aligned
 
 
-def straight_boundary_score(pos, centerline, width, empty, entry, at_boundary):
-    """Reference (total, aligned) for an entry or exit edge."""
-    if empty or at_boundary:
+# Total of an empty-pattern entry or exit away from the batch boundary.
+EMPTY_END_TOTAL = 1.0
+
+
+def straight_boundary_score(pos, centerline, width, empty, entry, at_boundary, cfg=Config()):
+    """Reference (total, aligned) for an entry or exit edge.
+
+    An end at the batch boundary is free on every pattern.  Any other end
+    costs the arc it skips on a pattern, and one unit of motion at the empty
+    rate on the empty pattern.
+    """
+    if at_boundary:
         return 0.0, 0.0
+    if empty:
+        return EMPTY_END_TOTAL, cfg.empty_rate * EMPTY_END_TOTAL
     a, b = centerline
     s, _, _ = _segment_projection(pos, a, b)
     if entry:
@@ -98,41 +109,6 @@ def satisfies(constraint, x):
     if constraint.sense == ">=":
         return value >= constraint.rhs - 1e-9
     return abs(value - constraint.rhs) <= 1e-9
-
-
-def with_floor_row(constraints, denom):
-    """The rows with the total-score floor appended last, written out by hand.
-
-    The floor keeps the summed denominator at or above 1e-7 * (1 + sum |denom|)
-    over the variables with a non-zero denominator; there is no floor row
-    when every denominator is 0.
-    """
-    rows = list(constraints)
-    floor_vars = tuple(k for k, n in enumerate(denom) if n != 0.0)
-    if floor_vars:
-        floor_coeffs = tuple(denom[k] for k in floor_vars)
-        floor = 1e-7 * (1.0 + sum(abs(c) for c in floor_coeffs))
-        rows.append(Constraint(floor_vars, floor_coeffs, ">=", floor))
-    return tuple(rows)
-
-
-def build_with_reference_floor(monkeypatch, module, build):
-    """Run `build`, recording what it hands to `module.ratio_model`.
-
-    Returns the built model and the model that `with_floor_row` makes from
-    the same rows and ratio terms.
-    """
-    real = module.ratio_model
-    calls = []
-
-    def recording(num_vars, constraints, numer, denom):
-        calls.append((num_vars, tuple(constraints), tuple(numer), tuple(denom)))
-        return real(num_vars, constraints, numer, denom)
-
-    monkeypatch.setattr(module, "ratio_model", recording)
-    model = build()
-    ((num_vars, rows, numer, denom),) = calls
-    return model, SolverModel(num_vars, with_floor_row(rows, denom), numer, denom)
 
 
 def enumerate_assignments(model):
@@ -231,15 +207,31 @@ def _best_labeling_ratio(option_lists):
     raise AssertionError("labeling ratio iteration failed to converge")
 
 
+def straight_chain_score(graph, nodes, pattern, cfg):
+    """Reference (total, aligned) of a chain of detection ids, ends included.
+
+    An end is at the boundary when its detection lies on the graph batch's
+    first frame (entry) or last frame (exit).
+    """
+    first, last = graph.batch
+    dets = [graph.detection(v) for v in nodes]
+    shape = (pattern.centerline, pattern.width, pattern.is_empty)
+    scores = [
+        straight_boundary_score(dets[0].pos, *shape, True, dets[0].frame == first, cfg),
+        straight_boundary_score(dets[-1].pos, *shape, False, dets[-1].frame == last, cfg),
+    ]
+    scores += [straight_edge_score(a.pos, b.pos, *shape, cfg) for a, b in zip(dets, dets[1:])]
+    return sum(t for t, _ in scores), sum(a for _, a in scores)
+
+
 def best_cover_objective(graph, patterns, cfg, cap=200_000):
     """Exact optimum of the linking objective by exhaustive cover enumeration.
 
-    Scores every chain of every cover against every pattern, then maximizes
-    the ratio of sums over the independent pattern choices.  Returns None
-    when the cover count exceeds `cap`.
+    Scores every chain of every cover against every (straight or empty)
+    pattern with `straight_chain_score`, then maximizes the ratio of sums
+    over the independent pattern choices.  Returns None when the cover count
+    exceeds `cap`, or when no cover has a positive total.
     """
-    from ptrack import Trajectory, trajectory_score
-
     covers = enumerate_path_covers(graph, cap)
     if covers is None:
         return None
@@ -250,8 +242,8 @@ def best_cover_objective(graph, patterns, cfg, cap=200_000):
         if opts is None:
             opts = []
             for pattern in patterns:
-                s = trajectory_score(graph, Trajectory(nodes), pattern, cfg)
-                opts.append((s.aligned, s.total))
+                total, aligned = straight_chain_score(graph, nodes, pattern, cfg)
+                opts.append((aligned, total))
             score_cache[nodes] = opts
         return opts
 

@@ -79,8 +79,14 @@ def test_01_edge_score_table():
     checks.append(_close(absorb.total, 3.0) and _close(absorb.aligned, 0.9))
     punish = edge_score(g, 1, 2, EMPTY_PATTERN, dissent)
     checks.append(_close(punish.total, 3.0) and _close(punish.aligned, -9.0))
-    checks.append(edge_score(g, SOURCE_NODE, 5, EMPTY_PATTERN, cfg).total == 0.0)
-    checks.append(edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, dissent).total == 0.0)
+    # The empty pattern's ends follow the same rule: one unit of motion at
+    # the empty rate inside the batch, free at its boundary.
+    enter = edge_score(g, SOURCE_NODE, 5, EMPTY_PATTERN, cfg)
+    checks.append(_close(enter.total, 1.0) and _close(enter.aligned, 0.3))
+    leave = edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, dissent)
+    checks.append(_close(leave.total, 1.0) and _close(leave.aligned, -3.0))
+    empty_free = edge_score(build_graph([track[:2]], cfg, batch=(0, 2)), 2, SINK_NODE, EMPTY_PATTERN, cfg)
+    checks.append(empty_free.total == 0.0 and empty_free.aligned == 0.0)
 
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 1.0

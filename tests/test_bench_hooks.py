@@ -72,7 +72,8 @@ def test_the_miner_scores_through_the_wrapped_name():
 
 def test_every_solve_goes_through_the_wrapped_names():
     # The benchmark counts one `maximize_ratio` call per `link` and per `mine`,
-    # and sizes each link model, floor row included, from `build_link_model`.
+    # and sizes each link model from `build_link_model`: its rows are the
+    # `==` rows of the detections, 2 + one per pattern each, and nothing else.
     from ptrack import build_link_model, link, mine
 
     flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
@@ -82,8 +83,8 @@ def test_every_solve_goes_through_the_wrapped_names():
     candidates = generate_candidates(g, trajectories, cfg)
     patterns = mine(g, trajectories, candidates, cfg).patterns
     model, _ = build_link_model(g, patterns, cfg)
-    floor = model.constraints[-1]
-    assert floor.sense == ">=" and floor.rhs > 0.0
+    assert all(c.sense == "==" for c in model.constraints)
+    assert len(model.constraints) == len(g.detections) * (2 + len(patterns))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -94,6 +95,7 @@ def test_every_solve_goes_through_the_wrapped_names():
     assert tracer.calls["fracopt.maximize_ratio"] == 2
     assert tracer.calls["linker.build_link_model"] == tracer.calls["miner.build_mine_model"] == 1
     assert tracer.counts["linker.rows"] == len(model.constraints)
+    assert tracer.counts["linker.nonzeros"] == sum(len(c.vars) for c in model.constraints)
 
 
 def test_the_miner_model_counts_distinct_score_columns():

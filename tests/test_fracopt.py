@@ -293,7 +293,7 @@ class TestSlackGate:
         assert {ok for _, ok in probes} == {True, False}
         nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
         # A lost pruning or propagation rule shows here as more nodes.
-        assert 1000 < sum(nodes) <= 1094
+        assert 650 < sum(nodes) <= 741
 
 
 class TestExactlyOneBound:
@@ -362,19 +362,22 @@ class TestAgainstReference:
     """Every probe of two benchmark workloads, decided again by the reference search."""
 
     def test_track_noisy_link_probes(self, monkeypatch, tmp_path, capsys):
-        # Every out-row of these models holds a free exit on the empty
-        # pattern, so no exact group's best option is negative while the row
-        # is open: the bound is today's, and so is every node.
+        # An exit inside the batch costs something on every pattern, so the
+        # out-row of a detection that does not stand on the batch's last
+        # frame can have a negative best option while it is open.  The
+        # exactly-one bound counts it and the reference's clipped bound does
+        # not: the probe visits at most the reference's nodes (1804 against
+        # 29274 here) and returns the same witness.
         probes = bench_probes(monkeypatch, tmp_path, "track-noisy", "track")
         nodes = []
         for model, alpha in probes:
             probe = fracopt._Search(model, alpha, None)
             reference = ReferenceSearch(model, alpha)
             assert probe.run() == reference.run(), alpha
-            assert probe.nodes == reference.nodes, alpha
+            assert probe.nodes <= reference.nodes, alpha
             nodes.append(probe.nodes)
         assert len(nodes) == 10
-        assert sum(nodes) == 3489
+        assert sum(nodes) == 1804
 
     def test_supervised_dense_mine_probes(self, monkeypatch, tmp_path, capsys):
         probes = bench_probes(monkeypatch, tmp_path, "supervised-dense", "learn-patterns")
@@ -416,8 +419,7 @@ class TestRatioSearch:
             maximize_ratio(m)
 
     def test_zero_denominators_are_degenerate(self):
-        m = fracopt.ratio_model(2, (cover_row(2),), (0.0, 0.0), (0.0, 0.0))
-        assert m.constraints == (cover_row(2),)
+        m = SolverModel(2, (cover_row(2),), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValueError, match="degenerate instance: every solution found has a denominator"):
             maximize_ratio(m)
 

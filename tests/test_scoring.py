@@ -109,11 +109,13 @@ class TestProjection:
 
     def test_empty_pattern_is_never_projected(self):
         # The empty pattern has no centerline: its scorer projects nothing and
-        # charges entries nothing.
+        # charges an interior entry one unit at the empty rate, wherever the
+        # detection lies.
         g = pair_graph((0.0, 0.0), (3.0, 0.0), batch=(0, 9))
         scorer = PatternScorer(g, EMPTY_PATTERN, CFG)
         assert g.scoring_cache[EMPTY_PATTERN.centerline].projections == {}
-        assert scorer.edge(SOURCE_NODE, 2) == (0.0, 0.0)
+        assert scorer.edge(SOURCE_NODE, 2) == (1.0, 0.3)
+        assert scorer.edge(SOURCE_NODE, 1) == (1.0, 0.3)
 
 
 class TestEdgeScoreTable:
@@ -188,10 +190,19 @@ class TestEdgeScoreTable:
         assert s.total == pytest.approx(4.0, rel=1e-9)
         assert edge_score(ends_at_end, 2, SINK_NODE, LANE, CFG) == ScorePair(0.0, 0.0)
 
-    def test_empty_pattern_entry_and_exit_are_free(self):
+    def test_empty_pattern_interior_entry_and_exit_cost_one_unit(self):
         g = pair_graph((4.0, 1.0), (5.0, 1.0), batch=(0, 3))
-        assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, CFG).total == 0.0
-        assert edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, CFG).total == 0.0
+        assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, CFG) == ScorePair(1.0, 0.3)
+        assert edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, CFG) == ScorePair(1.0, 0.3)
+        dissent = Config(empty_rate=-3.0)
+        assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, dissent) == ScorePair(1.0, -3.0)
+        assert edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, dissent) == ScorePair(1.0, -3.0)
+
+    def test_empty_pattern_entry_and_exit_are_free(self):
+        # At the batch boundary, as on every pattern.
+        g = pair_graph((4.0, 1.0), (5.0, 1.0))
+        assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, CFG) == ScorePair(0.0, 0.0)
+        assert edge_score(g, 2, SINK_NODE, EMPTY_PATTERN, CFG) == ScorePair(0.0, 0.0)
 
     def test_standing_still_scores_zero(self):
         g = pair_graph((3.0, 1.0), (3.0, 1.0))
@@ -326,8 +337,12 @@ class TestObjective:
         e1 = straight_edge_score(pos[1], pos[2], center, 2.0, False, CFG)
         e2 = straight_edge_score(pos[2], pos[3], center, 2.0, False, CFG)
         e3 = straight_edge_score(pos[4], pos[5], None, 0.0, True, CFG)
-        total = n1[0] + n2[0] + e1[0] + e2[0] + e3[0]
-        aligned = n1[1] + n2[1] + e1[1] + e2[1] + e3[1]
+        # Trajectory (4, 5) starts and stops inside the batch, on the empty pattern.
+        n3 = straight_boundary_score(pos[4], None, 0.0, True, True, False, CFG)
+        n4 = straight_boundary_score(pos[5], None, 0.0, True, False, False, CFG)
+        assert n3 == n4 == (1.0, 0.3)
+        total = n1[0] + n2[0] + e1[0] + e2[0] + e3[0] + n3[0] + n4[0]
+        aligned = n1[1] + n2[1] + e1[1] + e2[1] + e3[1] + n3[1] + n4[1]
         assert value == pytest.approx(aligned / total, rel=1e-9)
 
     def test_assignment_length_must_match(self):
@@ -416,9 +431,16 @@ def reference_detection_edge(graph, pattern, cfg, i, j):
 
 # The former trajectory score, whose callers passed the boundary flags that
 # producers derived from the batch; `batch_flags` derives them the same way.
+# Each end away from the boundary is charged: on a pattern the arc it skips,
+# on the empty pattern one unit at the empty rate.
 def reference_trajectory_score(graph, nodes, pattern, cfg, starts_at_batch_begin, ends_at_batch_end):
     total = aligned = 0.0
-    if not pattern.is_empty:
+    if pattern.is_empty:
+        for at_boundary in (starts_at_batch_begin, ends_at_batch_end):
+            if not at_boundary:
+                total += 1.0
+                aligned += cfg.empty_rate * 1.0
+    else:
         if not starts_at_batch_begin:
             total += reference_projection(graph.detection(nodes[0]).pos, pattern).arc
         if not ends_at_batch_end:
