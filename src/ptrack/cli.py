@@ -179,9 +179,10 @@ def _cmd_unsupervised(args) -> None:
     if args.history:
         write_history(args.history, result.history)
     best = max(h.proxy_score for h in result.history)
+    note = " (lower bound: probe budget hit)" if result.lower_bound_only else ""
     print(
         f"{len(kept)} trajectories, {len(result.patterns) - 1} patterns, "
-        f"proxy score {best:.6f}"
+        f"proxy score {best:.6f}{note}"
     )
 
 

@@ -7,7 +7,9 @@ the batch's middle frame, patterns mined from each half are scored on the
 other half, and the two cross scores are averaged.  Trajectories that only
 exist because two unrelated halves were stitched together score poorly on
 the half they were not mined from, so the proxy tracks real identity quality
-without labels.
+without labels.  Within a budget level each distinct trajectory set is
+mined, linked and proxy-scored once; a repeat reuses those results (in a
+timed run, a lower bound too, not re-solved) and still gets a history row.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Assignment, Config, DetectionGraph, Pattern, Trajectory
-from .linker import link
-from .miner import generate_candidates, mine
+from .linker import LinkResult, link
+from .miner import MineResult, generate_candidates, mine
 from .scoring import trajectory_score
 
 
@@ -30,12 +32,17 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class UnsupervisedResult:
-    """Best iterate of the alternation, picked by the split-half proxy score."""
+    """Best iterate of the alternation, picked by the split-half proxy score.
+
+    `lower_bound_only` is true when any alternation mine or link hit the
+    time budget; the split-half proxy's own mines are not covered yet.
+    """
 
     trajectories: tuple[Trajectory, ...]
     patterns: tuple[Pattern, ...]
     assignment: Assignment
     history: tuple[HistoryEntry, ...]
+    lower_bound_only: bool = False
 
 
 def _cross_score(
@@ -133,8 +140,10 @@ def run_unsupervised(
     Runs a fixed number of alternations per budget level, recording the
     split-half proxy score of every iterate, and stops early once a level
     ends with at least `stop_patterns` patterns (default: the pattern count
-    budget).  Returns the iterate with the best proxy score; ties go to the
-    earliest.  Raises if `iterations_per_level` is below 1.
+    budget).  Each distinct trajectory set is solved once per level, so a
+    fixed point or a cycle costs lookups only; every iteration still gets a
+    history row.  Returns the iterate with the best proxy score; ties go to
+    the earliest.  Raises if `iterations_per_level` is below 1.
     """
     if iterations_per_level < 1:
         raise ValueError(f"iterations_per_level must be at least 1, got {iterations_per_level}")
@@ -148,32 +157,27 @@ def run_unsupervised(
     current = tuple(initial)
     history: list[HistoryEntry] = []
     best: tuple[float, tuple[Trajectory, ...], tuple[Pattern, ...], Assignment] | None = None
-    iteration = 0
+    lower_bound_only = False
     for budget in schedule:
         level_cfg = cfg.with_cost_budget(budget)
-        previous: tuple[tuple[Trajectory, ...], tuple[Pattern, ...]] | None = None
-        level_patterns = 0
-        steps_left = iterations_per_level
-        while steps_left > 0:
-            candidates = generate_candidates(graph, current, level_cfg)
-            mined = mine(graph, current, candidates, level_cfg, time_budget=time_budget)
-            linked = link(graph, mined.patterns, level_cfg, time_budget=time_budget)
+        steps: dict[tuple[Trajectory, ...], tuple[MineResult, LinkResult]] = {}
+        proxies: dict[tuple[Trajectory, ...], float] = {}
+        for _ in range(iterations_per_level):
+            if current not in steps:
+                candidates = generate_candidates(graph, current, level_cfg)
+                mined = mine(graph, current, candidates, level_cfg, time_budget=time_budget)
+                linked = link(graph, mined.patterns, level_cfg, time_budget=time_budget)
+                steps[current] = (mined, linked)
+                lower_bound_only |= mined.lower_bound_only or linked.lower_bound_only
+            mined, linked = steps[current]
             current = linked.all_trajectories
-            level_patterns = len(mined.patterns) - 1
-            proxy = split_half_score(graph, current, level_cfg, time_budget)
-            repeat = 1
-            if previous == (current, mined.patterns):
-                # Fixed point: the remaining alternations at this level
-                # would reproduce this iterate, so record them directly.
-                repeat = steps_left
-            for _ in range(repeat):
-                iteration += 1
-                history.append(HistoryEntry(iteration, budget, level_patterns, proxy))
-            steps_left -= repeat
-            previous = (current, mined.patterns)
+            if current not in proxies:
+                proxies[current] = split_half_score(graph, current, level_cfg, time_budget)
+            proxy = proxies[current]
+            history.append(HistoryEntry(len(history) + 1, budget, len(mined.patterns) - 1, proxy))
             if best is None or proxy > best[0]:
                 best = (proxy, current, mined.patterns, linked.full_assignment)
-        if level_patterns >= stop_patterns:
+        if len(mined.patterns) - 1 >= stop_patterns:
             break
 
     best_score = max(h.proxy_score for h in history)
@@ -183,4 +187,5 @@ def run_unsupervised(
         patterns=best[2],
         assignment=best[3],
         history=tuple(history),
+        lower_bound_only=lower_bound_only,
     )

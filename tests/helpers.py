@@ -2,13 +2,36 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
-from ptrack import Config, DetectionGraph, Pattern, PatternScorer, ScorePair
+from ptrack import (
+    Config,
+    DetectionGraph,
+    Pattern,
+    PatternScorer,
+    ScorePair,
+    corrupt,
+    generate_scene,
+)
+
+# The two crossing corridors of the two-flow layout.
+CROSS = (
+    Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
+    Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
+)
 
 
 def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Config) -> ScorePair:
     """Score a single edge against a pattern; see `PatternScorer.edge`."""
     return ScorePair(*PatternScorer(graph, pattern, cfg).edge(i, j))
+
+
+def mark_lower_bound(monkeypatch, module, name: str) -> None:
+    """Patch `module.name` so every result it returns says a time budget was hit."""
+    solve = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *a, **kw: dataclasses.replace(solve(*a, **kw), lower_bound_only=True)
+    )
 
 
 def config_to_text(cfg: Config) -> str:
@@ -24,3 +47,12 @@ def config_to_text(cfg: Config) -> str:
             value = "true" if value else "false"
         lines.append(f"{field.name}={value}")
     return "".join(line + "\n" for line in lines)
+
+
+def crossing_family(n, sigma, ops, jitter=0.2):
+    """n agents alternating corridors, starting at frames 1..n, and the corrupted tracks."""
+    agents = tuple((k % 2, k + 1) for k in range(n))
+    scene = generate_scene(
+        CROSS, agents, speed=math.sqrt(2.0), lateral_sigma=sigma, speed_jitter=jitter, seed=1
+    )
+    return scene, corrupt(scene.track_lists(), ops)

@@ -119,3 +119,39 @@ def test_the_miner_model_counts_distinct_score_columns():
     assert tracer.counts["miner.candidates"] == 3
     assert tracer.counts["miner.vars"] == len(trajectories) * 3 + 2
     assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * (5 + 3)
+
+
+def test_the_unsupervised_loop_solves_each_distinct_iterate_once():
+    # Per budget level the benchmark counts one `link` and one alternation
+    # `mine` per distinct mine input, one `split_half_score` (and its two
+    # mines) per distinct link output, and one iteration per history row.
+    import ptrack.cli
+    from ptrack import link, mine
+    from ptrack.synth import two_flow_scene
+
+    cfg = Config.unsupervised(candidate_widths=(1.0,))
+    scene, corrupted = two_flow_scene(seed=0)
+    g = build_graph(corrupted, cfg, batch=scene.meta.batch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = ptrack.cli.run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=3)
+    finally:
+        tracer.uninstall()
+
+    inputs = outputs = 0
+    current = input_trajectories(g)
+    for budget in dict.fromkeys(h.cost_budget for h in res.history):
+        level_cfg = cfg.with_cost_budget(budget)
+        seen_inputs, seen_outputs = set(), set()
+        for _ in range(3):
+            seen_inputs.add(current)
+            mined = mine(g, current, generate_candidates(g, current, level_cfg), level_cfg)
+            current = link(g, mined.patterns, level_cfg).all_trajectories
+            seen_outputs.add(current)
+        inputs += len(seen_inputs)
+        outputs += len(seen_outputs)
+    assert tracer.calls["linker.link"] == inputs < len(res.history)
+    assert tracer.calls["unsupervised.split_half_score"] == outputs
+    assert tracer.calls["miner.mine"] == inputs + 2 * outputs
+    assert tracer.counts["unsupervised.iterations"] == len(res.history)

@@ -10,6 +10,8 @@ import re
 import pytest
 
 import ptrack.fracopt as fracopt
+import ptrack.unsupervised as unsupervised
+from helpers import mark_lower_bound
 from ptrack import Pattern, generate_scene, read_patterns, tracks_from_csv, write_tracks
 from ptrack.cli import cli
 
@@ -191,6 +193,22 @@ class TestTimeBudgetVariable:
         err = capsys.readouterr().err
         assert "probe timed out" in err
         assert "degenerate" not in err
+
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_unsupervised_notes_a_budget_hit(self, tmp_path, capsys, monkeypatch, hit):
+        if hit:
+            mark_lower_bound(monkeypatch, unsupervised, "link")
+        tracks = tmp_path / "flows.csv"
+        tracks.write_text(two_flow_csv(starts=(1, 7)))
+        argv = [
+            "unsupervised", "--tracks", str(tracks), "--out", str(tmp_path / "out.csv"),
+            "--patterns-out", str(tmp_path / "p.txt"), "--widths", "0.5,3.0",
+            "--levels", "1", "--iterations", "2", "--batch-start", "0", "--batch-end", "11",
+        ]
+        assert cli(argv) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(" (lower bound: probe budget hit)") == hit
+        assert line.startswith("4 trajectories, ")
 
 
 class TestTrack:

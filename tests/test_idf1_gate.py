@@ -9,21 +9,18 @@ repair cut true tracks into pieces and dropped them.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
+from helpers import CROSS, crossing_family
 from ptrack import (
     EMPTY_PATTERN,
     Config,
     Fragment,
-    Pattern,
     Swap,
     build_graph,
     corrupt,
     generate_candidates,
-    generate_scene,
     idf1,
     input_trajectories,
     link,
@@ -31,20 +28,6 @@ from ptrack import (
     run_unsupervised,
     tracks_from_trajectories,
 )
-
-CROSS = (
-    Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
-    Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
-)
-
-
-def crossing_family(n, sigma, ops, jitter=0.2):
-    """n agents alternating corridors, starting at frames 1..n, and the corrupted tracks."""
-    agents = tuple((k % 2, k + 1) for k in range(n))
-    scene = generate_scene(
-        CROSS, agents, speed=math.sqrt(2.0), lateral_sigma=sigma, speed_jitter=jitter, seed=1
-    )
-    return scene, corrupt(scene.track_lists(), ops)
 
 
 def assert_repair_keeps_idf1(gt, broken, graph, kept):

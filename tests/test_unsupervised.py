@@ -1,10 +1,16 @@
 """Alternating mining/linking loop and its split-half model selection."""
+from types import SimpleNamespace
+
 import pytest
 
+import ptrack.unsupervised as unsupervised
+from helpers import crossing_family, mark_lower_bound
 from ptrack import (
     Config,
     Detection,
     EMPTY_PATTERN,
+    Swap,
+    Trajectory,
     build_graph,
     default_schedule,
     generate_candidates,
@@ -14,6 +20,7 @@ from ptrack import (
     validate_trajectory_set,
 )
 from ptrack.synth import two_flow_scene
+from reference_unsupervised import reference_run_unsupervised
 
 
 def det(frame, x, y=0.0):
@@ -93,6 +100,7 @@ class TestRunUnsupervised:
         cfg = Config.unsupervised(candidate_widths=(1.0,))
         scene, g, ts = flow_fixture(cfg)
         res = run_unsupervised(g, ts, cfg, iterations_per_level=3)
+        assert not res.lower_bound_only
         assert validate_trajectory_set(g, res.trajectories) == []
         assert len(res.patterns) - 1 == 2
         best = max(h.proxy_score for h in res.history)
@@ -127,3 +135,85 @@ class TestRunUnsupervised:
         _, g, ts = flow_fixture(cfg)
         with pytest.raises(ValueError, match=f"iterations_per_level must be at least 1, got {iterations}"):
             run_unsupervised(g, ts, cfg, schedule=(1.0,), iterations_per_level=iterations)
+
+    @pytest.mark.parametrize("solver", ["mine", "link"])
+    def test_a_budget_hit_in_the_alternation_is_reported(self, monkeypatch, solver):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        mark_lower_bound(monkeypatch, unsupervised, solver)
+        res = run_unsupervised(g, ts, cfg, iterations_per_level=2)
+        assert res.lower_bound_only
+
+
+def same_result(new, ref):
+    assert new.history == ref.history
+    assert new.trajectories == ref.trajectories
+    assert new.patterns == ref.patterns
+    assert new.assignment == ref.assignment
+
+
+class TestAgainstReferenceLoop:
+    """The memoized loop returns what the former fixed-point loop returned."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_flow_scenes(self, seed):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        scene, corrupted = two_flow_scene(seed=seed)
+        g = build_graph(corrupted, cfg, batch=scene.meta.batch)
+        ts = input_trajectories(g)
+        same_result(run_unsupervised(g, ts, cfg), reference_run_unsupervised(g, ts, cfg))
+
+    @pytest.mark.parametrize("iterations", [2, 5])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1])
+    def test_noisy_crossing_family(self, sigma, iterations):
+        scene, broken = crossing_family(6, sigma, [Swap(0, 1, frame=8)])
+        cfg = Config.unsupervised()
+        g = build_graph(broken, cfg, scene.meta.batch)
+        ts = input_trajectories(g)
+        same_result(
+            run_unsupervised(g, ts, cfg, iterations_per_level=iterations),
+            reference_run_unsupervised(g, ts, cfg, iterations_per_level=iterations),
+        )
+
+    def test_zero_budget_fixed_point(self):
+        cfg = Config(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        kwargs = dict(schedule=(0.0,), iterations_per_level=5)
+        same_result(
+            run_unsupervised(g, ts, cfg, **kwargs), reference_run_unsupervised(g, ts, cfg, **kwargs)
+        )
+
+    def test_a_cycle_is_solved_once_per_distinct_input(self, monkeypatch):
+        # Stand-ins that cycle A -> B -> A: the former loop never saw a
+        # fixed point and solved all five iterations; the memoized loop
+        # solves A and B once each and lists the same five rows.
+        a, b = (Trajectory((0,)),), (Trajectory((1,)),)
+        mined_from = {a: ("empty", "p"), b: ("empty", "p", "q")}
+        linked_to = {mined_from[a]: b, mined_from[b]: a}
+        proxy = {a: 0.5, b: 0.25}
+        calls = {"mine": 0, "link": 0, "split_half_score": 0}
+
+        def stand_in(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(unsupervised, name, counted)
+
+        monkeypatch.setattr(unsupervised, "generate_candidates", lambda g, ts, cfg: None)
+        stand_in("mine", lambda g, ts, cands, cfg: SimpleNamespace(
+            patterns=mined_from[ts], lower_bound_only=False
+        ))
+        stand_in("link", lambda g, pats, cfg: SimpleNamespace(
+            all_trajectories=linked_to[pats], full_assignment=pats, lower_bound_only=False
+        ))
+        stand_in("split_half_score", lambda g, ts, cfg, time_budget: proxy[ts])
+        kwargs = dict(schedule=(1.0,), iterations_per_level=5)
+        ref = reference_run_unsupervised(None, a, Config(), **kwargs)
+        assert calls == {"mine": 5, "link": 5, "split_half_score": 5}
+        calls.update(dict.fromkeys(calls, 0))
+        res = run_unsupervised(None, a, Config(), **kwargs)
+        assert calls == {"mine": 2, "link": 2, "split_half_score": 2}
+        same_result(res, ref)
+        rows = [(h.n_patterns, h.proxy_score) for h in res.history]
+        assert rows == [(1, 0.25), (2, 0.5), (1, 0.25), (2, 0.5), (1, 0.25)]
