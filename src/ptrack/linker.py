@@ -54,6 +54,20 @@ def require_empty_pattern(patterns: Sequence[Pattern]) -> int:
     return empties[0]
 
 
+def reported_trajectories(
+    trajectories: Sequence[Trajectory],
+    assignment: Assignment,
+    patterns: Sequence[Pattern],
+    cfg: Config,
+) -> tuple[tuple[Trajectory, ...], Assignment]:
+    """The trajectories and their pattern indices, less those on the empty
+    pattern when `cfg.remove_empty` says to drop them."""
+    if not cfg.remove_empty:
+        return tuple(trajectories), assignment
+    kept = [(t, p) for t, p in zip(trajectories, assignment) if not patterns[p].is_empty]
+    return tuple(t for t, _ in kept), Assignment(tuple(p for _, p in kept))
+
+
 def build_link_model(
     graph: DetectionGraph, patterns: Sequence[Pattern], cfg: Config
 ) -> tuple[SolverModel, tuple[tuple[int, int, int], ...]]:
@@ -152,7 +166,7 @@ def link(
     Raises if the pattern set lacks the empty pattern, a detection has no
     outgoing or incoming edge, or no decomposition has positive total score.
     """
-    empty_idx = require_empty_pattern(patterns)
+    require_empty_pattern(patterns)
     for det in graph.detections:
         if not graph.out_neighbors[det.id]:
             raise ValueError(f"detection {det.id} has no outgoing edge")
@@ -163,18 +177,9 @@ def link(
     result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
     all_trajectories, full_assignment = _decode(graph, triples, result.witness)
 
-    if cfg.remove_empty:
-        kept = [
-            (t, p)
-            for t, p in zip(all_trajectories, full_assignment)
-            if p != empty_idx
-        ]
-        trajectories = tuple(t for t, _ in kept)
-        assignment = Assignment(tuple(p for _, p in kept))
-    else:
-        trajectories = all_trajectories
-        assignment = full_assignment
-
+    trajectories, assignment = reported_trajectories(
+        all_trajectories, full_assignment, patterns, cfg
+    )
     return LinkResult(
         trajectories=trajectories,
         assignment=assignment,

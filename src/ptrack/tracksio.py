@@ -1,4 +1,4 @@
-"""Reading and writing tracks and patterns, parsing configs, writing result tables.
+"""Reading and writing tracks and patterns, and reading homographies.
 
 Two track formats are supported: a plain four-column CSV (frame, id, x, y)
 and the ten-column challenge CSV (frame, id, four bbox fields, confidence,
@@ -26,13 +26,11 @@ import os
 from contextlib import suppress
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Detection, Pattern, TrackTable
-from .metrics import METRIC_COLUMNS
-from .unsupervised import HistoryEntry
 
 PathLike = str | os.PathLike
 
@@ -278,64 +276,3 @@ def read_patterns(path: PathLike) -> list[Pattern]:
 
 def write_patterns(path: PathLike, patterns: Sequence[Pattern]) -> None:
     Path(path).write_text(patterns_to_text(patterns))
-
-
-_CONFIG_PARSERS = {
-    "link_radius": float,
-    "join_radius": float,
-    "join_gap": float,
-    "fps": float,
-    "remove_empty": lambda v: {"true": True, "1": True, "false": False, "0": False}[v.lower()],
-    "max_patterns": int,
-    "pattern_cost_budget": float,
-    "reverse_penalty": float,
-    "empty_rate": float,
-    "candidate_widths": lambda v: tuple(float(w) for w in v.split(",") if w.strip()),
-}
-
-
-def config_overrides_from_text(text: str) -> dict:
-    """Parse `key=value` lines into Config field overrides."""
-    overrides: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
-            raise ValueError(f"line {line_no}: unknown config key {key!r}")
-        try:
-            overrides[key] = parser(value.strip())
-        except (ValueError, KeyError):
-            raise ValueError(f"line {line_no}: bad value for {key}: {value.strip()!r}") from None
-    return overrides
-
-
-def history_to_csv(history: Iterable[HistoryEntry]) -> str:
-    lines = ["iteration,cost_budget,n_patterns,proxy_score"]
-    for entry in history:
-        lines.append(
-            f"{entry.iteration},{entry.cost_budget:.6f},{entry.n_patterns},{entry.proxy_score:.6f}"
-        )
-    return "".join(line + "\n" for line in lines)
-
-
-def write_history(path: PathLike, history: Iterable[HistoryEntry]) -> None:
-    Path(path).write_text(history_to_csv(history))
-
-
-def metrics_to_csv(summary: dict[str, float]) -> str:
-    header = ",".join(METRIC_COLUMNS)
-    cells = []
-    for col in METRIC_COLUMNS:
-        value = summary[col]
-        cells.append(str(int(value)) if col in ("MT", "PT", "ML") else f"{value:.6f}")
-    return header + "\n" + ",".join(cells) + "\n"
-
-
-def write_metrics(path: PathLike, summary: dict[str, float]) -> None:
-    Path(path).write_text(metrics_to_csv(summary))

@@ -34,8 +34,8 @@ class HistoryEntry:
 class UnsupervisedResult:
     """Best iterate of the alternation, picked by the split-half proxy score.
 
-    `lower_bound_only` is true when any alternation mine or link hit the
-    time budget; the split-half proxy's own mines are not covered yet.
+    `lower_bound_only` is true when any mine or link hit the time budget,
+    the split-half proxy's own mines included.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -78,13 +78,13 @@ def split_half_score(
     trajectories: Sequence[Trajectory],
     cfg: Config,
     time_budget: float | None = None,
-) -> float:
-    """Label-free quality proxy for a trajectory set.
+) -> tuple[float, bool]:
+    """Label-free quality proxy for a trajectory set, and whether a mine hit the budget.
 
     Splits the set at the batch's middle frame (a trajectory goes to the half
     holding more of its frames), mines patterns from each half, and averages
-    the two cross-half objectives.  Raises on a degenerate split where one
-    half is empty.
+    the two cross-half objectives.  The flag is true when either half's mine
+    hit the time budget.  Raises on a degenerate split where one half is empty.
     """
     first, last = graph.batch
     mid = 0.5 * (first + last)
@@ -97,13 +97,14 @@ def split_half_score(
     if not half_a or not half_b:
         raise ValueError("degenerate split: a half of the batch has no trajectories")
     candidates_a = generate_candidates(graph, half_a, cfg)
-    patterns_a = mine(graph, half_a, candidates_a, cfg, time_budget=time_budget).patterns
+    mined_a = mine(graph, half_a, candidates_a, cfg, time_budget=time_budget)
     candidates_b = generate_candidates(graph, half_b, cfg)
-    patterns_b = mine(graph, half_b, candidates_b, cfg, time_budget=time_budget).patterns
-    return 0.5 * (
-        _cross_score(graph, half_b, patterns_a, cfg)
-        + _cross_score(graph, half_a, patterns_b, cfg)
+    mined_b = mine(graph, half_b, candidates_b, cfg, time_budget=time_budget)
+    score = 0.5 * (
+        _cross_score(graph, half_b, mined_a.patterns, cfg)
+        + _cross_score(graph, half_a, mined_b.patterns, cfg)
     )
+    return score, mined_a.lower_bound_only or mined_b.lower_bound_only
 
 
 def default_schedule(
@@ -172,7 +173,8 @@ def run_unsupervised(
             mined, linked = steps[current]
             current = linked.all_trajectories
             if current not in proxies:
-                proxies[current] = split_half_score(graph, current, level_cfg, time_budget)
+                proxies[current], proxy_hit = split_half_score(graph, current, level_cfg, time_budget)
+                lower_bound_only |= proxy_hit
             proxy = proxies[current]
             history.append(HistoryEntry(len(history) + 1, budget, len(mined.patterns) - 1, proxy))
             if best is None or proxy > best[0]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import ptrack.unsupervised as unsupervised
 from ptrack import (
     Config,
     DetectionGraph,
@@ -32,6 +33,18 @@ def mark_lower_bound(monkeypatch, module, name: str) -> None:
     monkeypatch.setattr(
         module, name, lambda *a, **kw: dataclasses.replace(solve(*a, **kw), lower_bound_only=True)
     )
+
+
+def mark_proxy_lower_bound(monkeypatch) -> None:
+    """Patch `split_half_score` so that only its own mines say a time budget was hit."""
+    proxy = unsupervised.split_half_score
+
+    def marked(*args, **kwargs):
+        with monkeypatch.context() as inner:
+            mark_lower_bound(inner, unsupervised, "mine")
+            return proxy(*args, **kwargs)
+
+    monkeypatch.setattr(unsupervised, "split_half_score", marked)
 
 
 def config_to_text(cfg: Config) -> str:

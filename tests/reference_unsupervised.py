@@ -47,7 +47,7 @@ def reference_run_unsupervised(
             linked = unsupervised.link(graph, mined.patterns, level_cfg, time_budget=time_budget)
             current = linked.all_trajectories
             level_patterns = len(mined.patterns) - 1
-            proxy = unsupervised.split_half_score(graph, current, level_cfg, time_budget)
+            proxy, _ = unsupervised.split_half_score(graph, current, level_cfg, time_budget)
             repeat = 1
             if previous == (current, mined.patterns):
                 # Fixed point: the remaining alternations at this level

@@ -5,14 +5,24 @@ checked exactly as a shell user would see them.
 """
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
 import ptrack.fracopt as fracopt
 import ptrack.unsupervised as unsupervised
-from helpers import mark_lower_bound
-from ptrack import Pattern, generate_scene, read_patterns, tracks_from_csv, write_tracks
+from helpers import mark_lower_bound, mark_proxy_lower_bound
+from ptrack import (
+    Config,
+    Pattern,
+    generate_scene,
+    read_patterns,
+    relative_widths,
+    tracking_extent,
+    tracks_from_csv,
+    write_tracks,
+)
 from ptrack.cli import cli
 
 
@@ -39,6 +49,24 @@ def two_flow_csv(starts: tuple[int, int] = (1, 2)) -> str:
                 rows.append(f"{start + k},{tid},{2.0 * k:.6f},{y:.6f}")
             tid += 1
     return "".join(row + "\n" for row in rows)
+
+
+class Resolved(Exception):
+    pass
+
+
+def resolved_config(tmp_path, monkeypatch, *extra) -> Config:
+    """The Config that `learn-patterns` on `two_flow_csv()` resolves from `extra`."""
+
+    def capture(tracks, cfg, batch):
+        raise Resolved(cfg)
+
+    monkeypatch.setattr("ptrack.cli.build_graph", capture)
+    tracks = tmp_path / "flows.csv"
+    tracks.write_text(two_flow_csv())
+    with pytest.raises(Resolved) as resolved:
+        cli(["learn-patterns", "--tracks", str(tracks), "--out", str(tmp_path / "p.txt"), *extra])
+    return resolved.value.args[0]
 
 
 class TestExitCodes:
@@ -194,9 +222,12 @@ class TestTimeBudgetVariable:
         assert "probe timed out" in err
         assert "degenerate" not in err
 
-    @pytest.mark.parametrize("hit", [False, True])
+    @pytest.mark.parametrize("hit", [False, True, "proxy"])
     def test_unsupervised_notes_a_budget_hit(self, tmp_path, capsys, monkeypatch, hit):
-        if hit:
+        # "proxy": only the split-half proxy's own mines hit the budget.
+        if hit == "proxy":
+            mark_proxy_lower_bound(monkeypatch)
+        elif hit:
             mark_lower_bound(monkeypatch, unsupervised, "link")
         tracks = tmp_path / "flows.csv"
         tracks.write_text(two_flow_csv(starts=(1, 7)))
@@ -207,7 +238,7 @@ class TestTimeBudgetVariable:
         ]
         assert cli(argv) == 0
         line = capsys.readouterr().out.strip()
-        assert line.endswith(" (lower bound: probe budget hit)") == hit
+        assert line.endswith(" (lower bound: probe budget hit)") == bool(hit)
         assert line.startswith("4 trajectories, ")
 
 
@@ -262,9 +293,6 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("flag, empty_rate", [((), -3.0), (("--empty-rate", "0.5"), 0.5)])
     def test_unsupervised_empty_rate(self, tmp_path, monkeypatch, flag, empty_rate):
-        class Resolved(Exception):
-            pass
-
         def capture(graph, initial, cfg, **kwargs):
             raise Resolved(cfg)
 
@@ -278,6 +306,51 @@ class TestConfigPrecedence:
         with pytest.raises(Resolved) as resolved:
             cli(argv)
         assert resolved.value.args[0].empty_rate == empty_rate
+
+    def test_relative_widths_override_the_config_file(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("candidate_widths=0.5\n")
+        got = resolved_config(tmp_path, monkeypatch, "--config", str(cfg), "--relative-widths")
+        extent = tracking_extent(d.pos for t in tracks_from_csv(two_flow_csv()) for d in t)
+        assert got.candidate_widths == relative_widths(extent)
+        assert got.candidate_widths != (0.5,)
+
+    def test_widths_and_relative_widths_exclude_each_other(self, tmp_path, capsys):
+        argv, _ = self.mine_argv(tmp_path, "--relative-widths")
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "--relative-widths: not allowed with argument --widths" in err
+
+
+# A value other than the default for each Config field, as flags and as a
+# `--config` line.
+FIELD_INPUTS = {
+    "link_radius": (["--link-radius", "2.5"], "link_radius=2.5"),
+    "join_radius": (["--join-radius", "5.5"], "join_radius=5.5"),
+    "join_gap": (["--join-gap", "3.5"], "join_gap=3.5"),
+    "fps": (["--fps", "2"], "fps=2"),
+    "remove_empty": (["--keep-empty"], "remove_empty=false"),
+    "max_patterns": (["--max-patterns", "3"], "max_patterns=3"),
+    "pattern_cost_budget": (["--cost-budget", "12.5"], "pattern_cost_budget=12.5"),
+    "reverse_penalty": (["--reverse-penalty", "0.5"], "reverse_penalty=0.5"),
+    "empty_rate": (["--empty-rate", "-1.5"], "empty_rate=-1.5"),
+    "candidate_widths": (["--widths", "0.5,2"], "candidate_widths=0.5,2"),
+}
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Config)])
+    def test_flag_and_config_key_set_the_same_field(self, tmp_path, monkeypatch, field):
+        flags, line = FIELD_INPUTS[field]
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(line + "\n")
+        by_flag = resolved_config(tmp_path, monkeypatch, *flags)
+        by_file = resolved_config(tmp_path, monkeypatch, "--config", str(cfg_file))
+        assert by_flag == by_file
+        value = getattr(by_flag, field)
+        assert value != getattr(Config(), field)
+        assert by_flag == dataclasses.replace(Config(), **{field: value})
 
 
 class TestEval:

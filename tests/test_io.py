@@ -1,7 +1,6 @@
 """Round-trip and error-path tests for the file formats and the SVG plot."""
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 
@@ -29,12 +28,8 @@ from ptrack import (
     write_tracks,
 )
 from ptrack import tracksio
-from ptrack.tracksio import (
-    _BLOCK_ROWS,
-    config_overrides_from_text,
-    history_to_csv,
-    metrics_to_csv,
-)
+from ptrack.cli import config_overrides_from_text, history_to_csv, metrics_to_csv
+from ptrack.tracksio import _BLOCK_ROWS
 from ptrack.unsupervised import HistoryEntry
 
 from helpers import config_to_text
@@ -406,11 +401,6 @@ class TestConfigText:
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="bad value for remove_empty: 'maybe'"):
             config_overrides_from_text("remove_empty=maybe\n")
-
-    def test_parser_covers_every_field(self):
-        from ptrack.tracksio import _CONFIG_PARSERS
-
-        assert set(_CONFIG_PARSERS) == {f.name for f in dataclasses.fields(Config)}
 
 
 class TestHistoryCsv:

@@ -36,7 +36,7 @@ from ptrack import (
 )
 from ptrack.core import validate_trajectory_set
 from ptrack.scoring import objective, trajectory_score
-from ptrack.tracksio import config_overrides_from_text
+from ptrack.cli import config_overrides_from_text
 
 RUNS = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 

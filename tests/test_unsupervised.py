@@ -1,10 +1,11 @@
 """Alternating mining/linking loop and its split-half model selection."""
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 import ptrack.unsupervised as unsupervised
-from helpers import crossing_family, mark_lower_bound
+from helpers import crossing_family, mark_lower_bound, mark_proxy_lower_bound
 from ptrack import (
     Config,
     Detection,
@@ -38,7 +39,7 @@ class TestSplitHalfScore:
         cfg = Config.unsupervised(candidate_widths=(1.0,))
         scene, _ = two_flow_scene(seed=0)
         g = build_graph(scene.track_lists(), cfg, batch=scene.meta.batch)
-        proxy = split_half_score(g, input_trajectories(g), cfg)
+        proxy, _ = split_half_score(g, input_trajectories(g), cfg)
         assert proxy == pytest.approx(1.0, rel=1e-9)
 
     def test_unrelated_halves_fall_back_to_empty_rate(self):
@@ -52,11 +53,30 @@ class TestSplitHalfScore:
         ]
         cfg = Config(candidate_widths=(1.0,))
         g = build_graph(tracks, cfg, batch=(0, 10))
-        proxy = split_half_score(g, input_trajectories(g), cfg)
+        proxy, _ = split_half_score(g, input_trajectories(g), cfg)
         assert proxy == pytest.approx(cfg.empty_rate, abs=1e-12)
         neg = Config.unsupervised(candidate_widths=(1.0,))
         # off-pattern coverage (aligned 0) beats the negative empty rate
-        assert split_half_score(g, input_trajectories(g), neg) == 0.0
+        assert split_half_score(g, input_trajectories(g), neg)[0] == 0.0
+
+    @pytest.mark.parametrize("hit", [None, 0, 1])
+    def test_a_budget_hit_in_either_half_is_reported(self, monkeypatch, hit):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        scene, _ = two_flow_scene(seed=0)
+        g = build_graph(scene.track_lists(), cfg, batch=scene.meta.batch)
+        mined = []
+        solve = unsupervised.mine
+
+        def mine(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            mined.append(result)
+            return dataclasses.replace(result, lower_bound_only=len(mined) - 1 == hit)
+
+        monkeypatch.setattr(unsupervised, "mine", mine)
+        proxy, lower_bound_only = split_half_score(g, input_trajectories(g), cfg)
+        assert len(mined) == 2
+        assert lower_bound_only == (hit is not None)
+        assert proxy == pytest.approx(1.0, rel=1e-9)
 
     def test_one_sided_split_is_degenerate(self):
         cfg = Config()
@@ -144,6 +164,13 @@ class TestRunUnsupervised:
         res = run_unsupervised(g, ts, cfg, iterations_per_level=2)
         assert res.lower_bound_only
 
+    def test_a_budget_hit_in_the_proxy_alone_is_reported(self, monkeypatch):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        mark_proxy_lower_bound(monkeypatch)
+        res = run_unsupervised(g, ts, cfg, iterations_per_level=2)
+        assert res.lower_bound_only
+
 
 def same_result(new, ref):
     assert new.history == ref.history
@@ -207,7 +234,7 @@ class TestAgainstReferenceLoop:
         stand_in("link", lambda g, pats, cfg: SimpleNamespace(
             all_trajectories=linked_to[pats], full_assignment=pats, lower_bound_only=False
         ))
-        stand_in("split_half_score", lambda g, ts, cfg, time_budget: proxy[ts])
+        stand_in("split_half_score", lambda g, ts, cfg, time_budget: (proxy[ts], False))
         kwargs = dict(schedule=(1.0,), iterations_per_level=5)
         ref = reference_run_unsupervised(None, a, Config(), **kwargs)
         assert calls == {"mine": 5, "link": 5, "split_half_score": 5}
