@@ -358,6 +358,12 @@ def cli(argv: list[str] | None = None) -> int:
         return 1
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has all it wants (`ptrack eval ... | head -1`); the
+        # flush at exit goes to devnull, where it cannot fail again.
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Shared data model: detections, graphs, patterns, trajectories, configuration.
 
-A track is a list of `Detection`s in frame order; the list is the only
-record of which track a detection belongs to.  `build_graph` keeps the input
-tracks as `DetectionGraph.source_tracks`, chains of detection ids.
+A detection is `Detection(frame, pos)`; identity is what linking produces.  A
+track is a list of detections in frame order, the only record of which track
+a detection belongs to.  A `DetectionGraph` names `detections[k]` by its
+position, id k + 1, and `build_graph` keeps the input tracks as
+`DetectionGraph.source_tracks`, chains of these ids.
 `TrackTable` holds the same tracks as three arrays, one row per detection,
 for code that only reads frames and positions (reading and scoring tracks);
 `TrackTable.tracks()` and `TrackTable.from_tracks` convert between the two.
@@ -41,13 +43,10 @@ def _finite_pair(value) -> bool:
 class Detection:
     """A single localized observation: ground-plane position at an integer frame."""
 
-    id: int
     frame: int
     pos: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or self.id < 0:
-            raise ValueError(f"detection id must be a non-negative int, got {self.id!r}")
         if not isinstance(self.frame, int):
             raise ValueError(f"frame must be an int, got {self.frame!r}")
         pos = self.pos
@@ -115,10 +114,8 @@ class TrackTable:
         return np.repeat(np.arange(len(self)), self.lengths)
 
     def tracks(self) -> list[list[Detection]]:
-        """Detection lists, one per track; detection ids count from 1 in row order."""
-        dets = list(
-            map(Detection, range(1, len(self.frames) + 1), self.frames.tolist(), zip(*self.pos.T.tolist()))
-        )
+        """Detection lists, one per track, one `Detection(frame, pos)` per row."""
+        dets = list(map(Detection, self.frames.tolist(), zip(*self.pos.T.tolist())))
         bounds = self.starts.tolist()
         return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -127,15 +124,15 @@ class TrackTable:
 class DetectionGraph:
     """Detections plus candidate transition edges between them.
 
-    Edges are ordered pairs of detection ids; the virtual entry and exit nodes
-    use the sentinels SOURCE_NODE and SINK_NODE.  `batch` is the frame range
-    the detections were observed in; it defaults to the detection span but may
-    be wider when the data is a window cut from a longer recording.  It is the
-    one source of the boundary rule: a path entering at the batch's first
-    frame or leaving at its last pays nothing for that entry or exit.
-    `source_tracks` holds the input tracks as chains of detection ids, a
-    cover of the detections along edges; it is empty when the graph was not
-    built from tracks.
+    Edges are ordered pairs of detection ids, where id k (of `ids`, 1..n) names
+    `detections[k - 1]`; the virtual entry and exit nodes use the sentinels
+    SOURCE_NODE and SINK_NODE.  `batch` is the frame range the detections were
+    observed in; it defaults to the detection span but may be wider when the
+    data is a window cut from a longer recording.  It is the one source of the
+    boundary rule: a path entering at the batch's first frame or leaving at its
+    last pays nothing for that entry or exit.  `source_tracks` holds the input
+    tracks as chains of detection ids, a cover of the detections along edges; it
+    is empty when the graph was not built from tracks.
     """
 
     detections: tuple[Detection, ...]
@@ -146,39 +143,41 @@ class DetectionGraph:
     def __post_init__(self) -> None:
         if not self.detections:
             raise ValueError("graph has no detections")
-        ids = [d.id for d in self.detections]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate detection ids")
-        by_id = {d.id: d for d in self.detections}
-        object.__setattr__(self, "_by_id", by_id)
         frames = [d.frame for d in self.detections]
         span = (min(frames), max(frames))
         if self.batch is None:
             object.__setattr__(self, "batch", span)
         else:
             first, last = self.batch
+            if not (float(first).is_integer() and float(last).is_integer()):
+                raise ValueError(f"batch {self.batch} bounds must be integers")
             if first > span[0] or last < span[1]:
                 raise ValueError(f"batch {self.batch} does not cover detection frames {span}")
             object.__setattr__(self, "batch", (int(first), int(last)))
         for i, j in self.edges:
             if i == SINK_NODE or j == SOURCE_NODE or (i, j) == (SOURCE_NODE, SINK_NODE):
                 raise ValueError(f"invalid edge ({i}, {j})")
-            if i >= 0 and i not in by_id:
-                raise ValueError(f"edge references unknown detection {i}")
-            if j >= 0 and j not in by_id:
-                raise ValueError(f"edge references unknown detection {j}")
-            if i >= 0 and j >= 0 and by_id[i].frame >= by_id[j].frame:
+            for node in (i, j):
+                if node not in self.ids and node not in (SOURCE_NODE, SINK_NODE):
+                    raise ValueError(f"edge references unknown detection {node}")
+            if i > 0 and j > 0 and frames[i - 1] >= frames[j - 1]:
                 raise ValueError(f"edge ({i}, {j}) does not move forward in time")
         if self.source_tracks:
             violations = validate_trajectory_set(self, [Trajectory(t) for t in self.source_tracks])
             if violations:
                 raise ValueError(f"source tracks are not a cover of the graph: {violations[0]}")
 
+    @cached_property
+    def ids(self) -> range:
+        return range(1, len(self.detections) + 1)
+
     def detection(self, det_id: int) -> Detection:
-        return self._by_id[det_id]
+        if det_id not in self.ids:
+            raise KeyError(det_id)
+        return self.detections[det_id - 1]
 
     def __contains__(self, det_id: int) -> bool:
-        return det_id in self._by_id
+        return det_id in self.ids
 
     @cached_property
     def scoring_cache(self) -> dict:
@@ -191,7 +190,7 @@ class DetectionGraph:
 
     @cached_property
     def out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        succ: dict[int, list[int]] = {d.id: [] for d in self.detections}
+        succ: dict[int, list[int]] = {k: [] for k in self.ids}
         succ[SOURCE_NODE] = []
         for i, j in self.sorted_edges:
             succ[i].append(j)
@@ -199,7 +198,7 @@ class DetectionGraph:
 
     @cached_property
     def in_neighbors(self) -> dict[int, tuple[int, ...]]:
-        pred: dict[int, list[int]] = {d.id: [] for d in self.detections}
+        pred: dict[int, list[int]] = {k: [] for k in self.ids}
         pred[SINK_NODE] = []
         for i, j in self.sorted_edges:
             pred[j].append(i)
@@ -462,9 +461,7 @@ def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajec
         for i, j in zip(traj.nodes, traj.nodes[1:]):
             if (i, j) not in graph.edges:
                 violations.append(f"transition ({i}, {j}) is not a graph edge")
-    for det in graph.detections:
-        if det.id not in seen:
-            violations.append(f"detection {det.id} uncovered")
+    violations += (f"detection {k} uncovered" for k in graph.ids if k not in seen)
     return violations
 
 

@@ -29,9 +29,9 @@ def build_graph(
         is between 1 and `join_gap` seconds;
       - entry and exit edges for every detection.
 
-    Detections are re-identified serially, and the non-empty input tracks
-    are kept, in order, as the graph's `source_tracks`; `batch` overrides
-    the frame range when the tracks are a window of a longer recording.
+    The graph holds the caller's detections, track after track, as ids 1..n,
+    and the non-empty input tracks, in order, as its `source_tracks`; `batch`
+    overrides the frame range when the tracks are a window of a longer recording.
     """
     detections: list[Detection] = []
     track_nodes: list[tuple[int, ...]] = []
@@ -42,7 +42,7 @@ def build_graph(
                     f"track {t_idx} frames are not strictly increasing at frame {det.frame}"
                 )
         first = len(detections) + 1
-        detections += (Detection(id=first + k, frame=d.frame, pos=d.pos) for k, d in enumerate(track))
+        detections += track
         if track:
             track_nodes.append(tuple(range(first, len(detections) + 1)))
     if not track_nodes:
@@ -52,30 +52,30 @@ def build_graph(
     for nodes in track_nodes:
         edges.update(zip(nodes, nodes[1:]))
 
-    by_frame: dict[int, list[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame, []).append(det)
+    by_frame: dict[int, list[tuple[int, Detection]]] = {}
+    for node, det in enumerate(detections, start=1):
+        by_frame.setdefault(det.frame, []).append((node, det))
     for frame, here in by_frame.items():
         there = by_frame.get(frame + 1)
         if not there:
             continue
-        for a in here:
-            for b in there:
+        for i, a in here:
+            for j, b in there:
                 if math.dist(a.pos, b.pos) <= cfg.link_radius:
-                    edges.add((a.id, b.id))
+                    edges.add((i, j))
 
     max_gap = cfg.join_gap_frames()
-    ends = [detections[nodes[-1] - 1] for nodes in track_nodes]
-    starts = [detections[nodes[0] - 1] for nodes in track_nodes]
-    for end in ends:
-        for start in starts:
+    ends = [(nodes[-1], detections[nodes[-1] - 1]) for nodes in track_nodes]
+    starts = [(nodes[0], detections[nodes[0] - 1]) for nodes in track_nodes]
+    for i, end in ends:
+        for j, start in starts:
             gap = start.frame - end.frame
             if 1 <= gap <= max_gap and math.dist(end.pos, start.pos) <= cfg.join_radius:
-                edges.add((end.id, start.id))
+                edges.add((i, j))
 
-    for det in detections:
-        edges.add((SOURCE_NODE, det.id))
-        edges.add((det.id, SINK_NODE))
+    for node in range(1, len(detections) + 1):
+        edges.add((SOURCE_NODE, node))
+        edges.add((node, SINK_NODE))
 
     return DetectionGraph(tuple(detections), frozenset(edges), batch, tuple(track_nodes))
 

@@ -97,8 +97,7 @@ def build_link_model(
 
     constraints: list[Constraint] = []
     n_patterns = len(patterns)
-    for det in graph.detections:
-        d = det.id
+    for d in graph.ids:
         outs = graph.out_neighbors[d]
         ins = graph.in_neighbors[d]
         out_vars = tuple(var_of[(p, d, j)] for p in range(n_patterns) for j in outs)
@@ -143,7 +142,7 @@ def _decode(
 
     def sort_key(item: tuple[tuple[int, ...], int]):
         head = graph.detection(item[0][0])
-        return (head.frame, head.pos[0], head.pos[1], head.id)
+        return (head.frame, head.pos[0], head.pos[1], item[0][0])
 
     paths.sort(key=sort_key)
     trajectories = tuple(Trajectory(nodes) for nodes, _ in paths)
@@ -167,11 +166,11 @@ def link(
     outgoing or incoming edge, or no decomposition has positive total score.
     """
     require_empty_pattern(patterns)
-    for det in graph.detections:
-        if not graph.out_neighbors[det.id]:
-            raise ValueError(f"detection {det.id} has no outgoing edge")
-        if not graph.in_neighbors[det.id]:
-            raise ValueError(f"detection {det.id} has no incoming edge")
+    for d in graph.ids:
+        if not graph.out_neighbors[d]:
+            raise ValueError(f"detection {d} has no outgoing edge")
+        if not graph.in_neighbors[d]:
+            raise ValueError(f"detection {d} has no incoming edge")
 
     model, triples = build_link_model(graph, patterns, cfg)
     result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)

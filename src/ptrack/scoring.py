@@ -106,8 +106,7 @@ class _CenterlineTerms(dict):
         self.projections: dict[int, tuple[float, float, float, float]] = {}
         if not pattern.is_empty:
             arc, foot, dist = _project(np.array([d.pos for d in graph.detections]), pattern)
-            ids = (d.id for d in graph.detections)
-            self.projections = dict(zip(ids, zip(arc.tolist(), *foot.T.tolist(), dist.tolist())))
+            self.projections = dict(zip(graph.ids, zip(arc.tolist(), *foot.T.tolist(), dist.tolist())))
 
     def __missing__(self, edge: tuple[int, int]) -> tuple[float, float, float, float]:
         terms = self[edge] = self._edge_terms(*edge)
@@ -168,12 +167,12 @@ class PatternScorer:
         """
         if i == SOURCE_NODE or j == SINK_NODE:
             entry = i == SOURCE_NODE
-            det = self.graph.detection(j if entry else i)
-            if det.frame == self.graph.batch[0 if entry else 1]:
+            node = j if entry else i
+            if self.graph.detection(node).frame == self.graph.batch[0 if entry else 1]:
                 return 0.0, 0.0
             if self.pattern.is_empty:
                 return EMPTY_END_TOTAL, self.cfg.empty_rate * EMPTY_END_TOTAL
-            arc = self._terms.projections[det.id][0]
+            arc = self._terms.projections[node][0]
             return (arc if entry else self.pattern.length - arc), 0.0
         total, back, aligned, gate = self._terms[i, j]
         if self.pattern.is_empty:

@@ -74,7 +74,7 @@ def generate_scene(
     """Walk agents along patterns; returns ground-truth tracks.
 
     Each agent is a (pattern index, start frame) pair and yields one track,
-    its detections in frame order with ids numbered serially from 1.
+    its `Detection(frame, pos)`s in frame order.
     Lateral offsets are Gaussian, redrawn until they stay strictly inside
     the corridor width.
     The batch range extends one frame beyond the observed span on both sides
@@ -84,7 +84,6 @@ def generate_scene(
         raise ValueError("no agents")
     rng = np.random.default_rng(seed)
     tracks: list[tuple[Detection, ...]] = []
-    det_id = 1
     base_step = speed / fps
     for p_idx, start_frame in agents:
         pattern = patterns[p_idx]
@@ -102,8 +101,7 @@ def generate_scene(
                     offset = rng.normal(0.0, lateral_sigma)
                 x += -ty * offset
                 y += tx * offset
-            dets.append(Detection(id=det_id, frame=frame, pos=(x, y)))
-            det_id += 1
+            dets.append(Detection(frame, (x, y)))
             frame += 1
             step = base_step
             if speed_jitter > 0.0:

@@ -186,8 +186,8 @@ def tracks_from_csv(
 ) -> list[list[Detection]]:
     """Parse tracks from CSV text; returns one detection list per track id.
 
-    Tracks are ordered by id and their detections by frame; detection ids
-    are renumbered serially from 1 in that order.
+    Tracks are ordered by id and their detections by frame; a detection is
+    its frame and position only, so the file's track ids are not kept.
     """
     return track_table_from_csv(text, fmt, homography).tracks()
 

@@ -149,12 +149,12 @@ def brute_force_feasible(model, alpha):
 def enumerate_path_covers(graph, cap=200_000):
     """All partitions of the detections into edge-connected forward chains.
 
-    Detections are processed in (frame, id) order; each one either opens a
+    Detections are processed in (frame, node) order; each one either opens a
     new chain or extends the chain whose current tail links to it, which
     yields every cover exactly once.  Returns None when more than `cap`
     covers exist.
     """
-    dets = sorted(graph.detections, key=lambda d: (d.frame, d.id))
+    nodes = sorted(graph.ids, key=lambda v: (graph.detection(v).frame, v))
     det_edges = {(i, j) for i, j in graph.edges if i >= 0 and j >= 0}
     covers = []
     chains: list[list[int]] = []
@@ -162,10 +162,10 @@ def enumerate_path_covers(graph, cap=200_000):
     def rec(k):
         if len(covers) > cap:
             return
-        if k == len(dets):
+        if k == len(nodes):
             covers.append(tuple(tuple(c) for c in chains))
             return
-        v = dets[k].id
+        v = nodes[k]
         chains.append([v])
         rec(k + 1)
         chains.pop()

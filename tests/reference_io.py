@@ -60,22 +60,20 @@ def reference_tracks_from_csv(text, fmt="auto", homography=None):
         for track_id, k, (x, y) in zip(boxed[0::3], boxed[1::3], ground):
             rows[track_id][k] = (rows[track_id][k][0], x, y)
     tracks = []
-    det_id = 1
     for track_id in sorted(rows):
         entries = sorted(rows[track_id])
         track = []
         for k, (frame, x, y) in enumerate(entries):
             if k > 0 and frame == entries[k - 1][0]:
                 raise ValueError(f"track {track_id} has two detections at frame {frame}")
-            track.append(Detection(id=det_id, frame=frame, pos=(x, y)))
-            det_id += 1
+            track.append(Detection(frame, (x, y)))
         tracks.append(track)
     return tracks
 
 
 def exact(tracks):
     """Everything a detection holds, positions as bit patterns, nested by track."""
-    return [[(d.id, d.frame, d.pos[0].hex(), d.pos[1].hex()) for d in track] for track in tracks]
+    return [[(d.frame, d.pos[0].hex(), d.pos[1].hex()) for d in track] for track in tracks]
 
 
 def outcome(parse, text, fmt, homography):

@@ -57,7 +57,7 @@ def test_01_edge_score_table():
     cfg = Config()
     dissent = Config(empty_rate=-3.0)
     track = [
-        Detection(id=k, frame=k, pos=pos)
+        Detection(k, pos)
         for k, pos in enumerate([(2.0, 1.0), (5.0, 1.0), (2.0, 5.0), (5.0, 5.0), (4.0, 1.0)], start=1)
     ]
     g = build_graph([track], cfg, batch=(0, 6))
@@ -153,7 +153,7 @@ def test_03_linker_matches_exhaustive_covers():
             xs = np.sort(rng.uniform(0.0, 6.0, n))
             ys = rng.uniform(-1.0, 1.0, n)
             tracks.append(
-                [Detection(id=0, frame=start + k, pos=(float(xs[k]), float(ys[k]))) for k in range(n)]
+                [Detection(start + k, (float(xs[k]), float(ys[k]))) for k in range(n)]
             )
         if sum(len(t) for t in tracks) > 12:
             continue
@@ -288,7 +288,7 @@ def _staggered_lane_tracks(n_agents: int) -> list[list[Detection]]:
     for a in range(n_agents):
         start = 1 + 5 * a
         tracks.append(
-            [Detection(id=0, frame=start + i, pos=(0.9 * i, 0.0)) for i in range(5)]
+            [Detection(start + i, (0.9 * i, 0.0)) for i in range(5)]
         )
     return tracks
 

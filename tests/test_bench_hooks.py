@@ -56,7 +56,7 @@ def test_the_miner_scores_through_the_wrapped_name():
     # module global: one per (trajectory, candidate) pair.
     from ptrack.miner import build_mine_model
 
-    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]
     cfg = Config(candidate_widths=(1.0, 3.0))
     g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
     trajectories = input_trajectories(g)
@@ -76,7 +76,7 @@ def test_every_solve_goes_through_the_wrapped_names():
     # `==` rows of the detections, 2 + one per pattern each, and nothing else.
     from ptrack import build_link_model, link, mine
 
-    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]
     cfg = Config(candidate_widths=(1.0, 3.0))
     g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
     trajectories = input_trajectories(g)
@@ -103,7 +103,7 @@ def test_the_miner_model_counts_distinct_score_columns():
     # so the benchmark's `miner.candidates` and `miner.vars` count those.
     from ptrack import mine
 
-    flow = lambda y, start: [Detection(0, start + k, (2.0 * k, y)) for k in range(4)]
+    flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]
     cfg = Config(candidate_widths=(1.0, 3.0))
     g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
     trajectories = input_trajectories(g)

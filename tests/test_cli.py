@@ -6,7 +6,10 @@ checked exactly as a shell user would see them.
 from __future__ import annotations
 
 import dataclasses
+import io
+import os
 import re
+import sys
 
 import pytest
 
@@ -404,6 +407,21 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: homography file {h}: {token!r} is not a finite number\n"
+
+
+    def test_a_closed_stdout_ends_quietly(self, tmp_path, capsys, monkeypatch):
+        # What `ptrack eval ... | head -1` meets once `head` has its line.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1,1,0,0\n2,1,1,0\n")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli(["eval", "--gt", str(gt), "--pred", str(gt)]) == 0
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestSynth:

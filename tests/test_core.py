@@ -25,26 +25,26 @@ from ptrack import (
 from ptrack.core import bounding_box
 
 
-def det(i, frame, x, y):
-    return Detection(id=i, frame=frame, pos=(x, y))
+def det(frame, x, y):
+    return Detection(frame, (x, y))
 
 
 def chain_graph():
     """Three detections in a row with their chain edges and entry/exit edges."""
-    dets = (det(1, 1, 0.0, 0.0), det(2, 2, 1.0, 0.0), det(3, 3, 2.0, 0.0))
+    dets = (det(1, 0.0, 0.0), det(2, 1.0, 0.0), det(3, 2.0, 0.0))
     edges = {(1, 2), (2, 3)}
-    for d in dets:
-        edges.add((SOURCE_NODE, d.id))
-        edges.add((d.id, SINK_NODE))
+    for k in (1, 2, 3):
+        edges.add((SOURCE_NODE, k))
+        edges.add((k, SINK_NODE))
     return DetectionGraph(dets, frozenset(edges))
 
 
 class TestDetection:
-    def test_holds_only_id_frame_and_position(self):
-        assert [f.name for f in dataclasses.fields(Detection)] == ["id", "frame", "pos"]
+    def test_holds_only_frame_and_position(self):
+        assert [f.name for f in dataclasses.fields(Detection)] == ["frame", "pos"]
 
     def test_position_is_coerced_to_floats(self):
-        d = det(1, 0, 1, 2)
+        d = det(0, 1, 2)
         assert d.pos == (1.0, 2.0)
         assert all(isinstance(c, float) for c in d.pos)
 
@@ -52,31 +52,27 @@ class TestDetection:
         "pos", [[1.0, 2.0], (np.float64(1.0), 2.0), np.array([1.0, 2.0]), (True, 2.0)]
     )
     def test_any_real_pair_becomes_a_tuple_of_plain_floats(self, pos):
-        d = Detection(id=1, frame=0, pos=pos)
+        d = Detection(0, pos)
         assert d.pos == (1.0, 2.0)
         assert type(d.pos) is tuple
         assert all(type(c) is float for c in d.pos)
 
     def test_float_tuple_position_is_kept(self):
         pos = (1.5, -0.0)
-        assert Detection(id=1, frame=0, pos=pos).pos is pos
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError, match="id"):
-            det(-1, 0, 0.0, 0.0)
+        assert Detection(0, pos).pos is pos
 
     def test_non_integer_frame_rejected(self):
         with pytest.raises(ValueError, match="frame"):
-            Detection(id=1, frame=1.5, pos=(0.0, 0.0))
+            Detection(1.5, (0.0, 0.0))
 
     def test_non_finite_position_rejected(self):
         with pytest.raises(ValueError, match="position"):
-            det(1, 0, math.nan, 0.0)
+            det(0, math.nan, 0.0)
 
 
 class TestTrackTable:
     def test_tracks_become_contiguous_rows(self):
-        tracks = [[det(4, 2, 1.0, 2.0), det(9, 3, -0.0, 5.5)], [], [det(1, -7, 3.0, 4.0)]]
+        tracks = [[det(2, 1.0, 2.0), det(3, -0.0, 5.5)], [], [det(-7, 3.0, 4.0)]]
         table = TrackTable.from_tracks(tracks)
         assert table.frames.dtype == np.int64 and table.frames.tolist() == [2, 3, -7]
         assert table.pos.tolist() == [[1.0, 2.0], [-0.0, 5.5], [3.0, 4.0]]
@@ -85,10 +81,10 @@ class TestTrackTable:
         assert table.lengths.tolist() == [2, 0, 1]
         assert table.owner.tolist() == [0, 0, 2]
 
-    def test_tracks_numbers_detections_from_one(self):
-        tracks = [[det(4, 2, 1.0, 2.0), det(9, 3, -0.0, 5.5)], [], [det(1, -7, 3.0, 4.0)]]
+    def test_tracks_become_detection_lists(self):
+        tracks = [[det(2, 1.0, 2.0), det(3, -0.0, 5.5)], [], [det(-7, 3.0, 4.0)]]
         back = TrackTable.from_tracks(tracks).tracks()
-        assert back == [[det(1, 2, 1.0, 2.0), det(2, 3, -0.0, 5.5)], [], [det(3, -7, 3.0, 4.0)]]
+        assert back == tracks
         assert math.copysign(1.0, back[0][1].pos[0]) == -1.0
         assert all(type(c) is float for t in back for d in t for c in d.pos)
 
@@ -99,7 +95,7 @@ class TestTrackTable:
 
     def test_frames_beyond_int64_rejected(self):
         with pytest.raises(ValueError, match="int64"):
-            TrackTable.from_tracks([[det(1, 2**63, 0.0, 0.0)]])
+            TrackTable.from_tracks([[det(2**63, 0.0, 0.0)]])
 
     @pytest.mark.parametrize(
         "frames, pos, starts, message",
@@ -119,29 +115,48 @@ class TestTrackTable:
 
 
 class TestDetectionGraph:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DetectionGraph((det(1, 0, 0, 0), det(1, 1, 1, 1)), frozenset())
+    def test_ids_are_positions_from_one(self):
+        g = chain_graph()
+        assert g.ids == range(1, 4)
+        assert [g.detection(k) for k in g.ids] == list(g.detections)
+        for k in (0, -1, 4):
+            assert k not in g
+            with pytest.raises(KeyError):
+                g.detection(k)
+
+    def test_equal_detections_are_distinct_nodes(self):
+        d = det(0, 0.0, 0.0)
+        g = DetectionGraph((d, d), frozenset({(SOURCE_NODE, 1), (SOURCE_NODE, 2)}))
+        assert g.ids == range(1, 3) and g.detection(1) is g.detection(2) is d
+        assert g.out_neighbors[SOURCE_NODE] == (1, 2)
 
     def test_backward_edge_rejected(self):
-        dets = (det(1, 2, 0, 0), det(2, 1, 1, 1))
+        dets = (det(2, 0, 0), det(1, 1, 1))
         with pytest.raises(ValueError, match="forward in time"):
             DetectionGraph(dets, frozenset({(1, 2)}))
 
     def test_edge_to_unknown_detection_rejected(self):
         with pytest.raises(ValueError, match="unknown detection"):
-            DetectionGraph((det(1, 0, 0, 0),), frozenset({(1, 9)}))
+            DetectionGraph((det(0, 0, 0),), frozenset({(1, 9)}))
+
+    @pytest.mark.parametrize("edge", [(-5, 2), (1, -7), (0, 2), (1, 0)])
+    def test_edge_to_a_negative_or_zero_id_rejected(self, edge):
+        # Only SOURCE_NODE may start an edge outside 1..n, only SINK_NODE end one.
+        dets = (det(0, 0, 0), det(1, 1, 1))
+        bad = next(v for v in edge if v not in (1, 2))
+        with pytest.raises(ValueError, match=f"edge references unknown detection {bad}$"):
+            DetectionGraph(dets, frozenset({edge}))
 
     def test_source_to_sink_edge_rejected(self):
         with pytest.raises(ValueError, match="invalid edge"):
-            DetectionGraph((det(1, 0, 0, 0),), frozenset({(SOURCE_NODE, SINK_NODE)}))
+            DetectionGraph((det(0, 0, 0),), frozenset({(SOURCE_NODE, SINK_NODE)}))
 
     def test_batch_defaults_to_frame_span(self):
         g = chain_graph()
         assert g.batch == (1, 3)
 
     def test_batch_may_be_wider_but_not_narrower(self):
-        dets = (det(1, 2, 0, 0),)
+        dets = (det(2, 0, 0),)
         assert DetectionGraph(dets, frozenset(), batch=(0, 5)).batch == (0, 5)
         with pytest.raises(ValueError, match="batch"):
             DetectionGraph(dets, frozenset(), batch=(3, 5))
@@ -342,5 +357,6 @@ class TestValidateTrajectorySet:
 def test_tracks_from_trajectories_materializes_detections():
     g = chain_graph()
     tracks = tracks_from_trajectories(g, [Trajectory((1, 2)), Trajectory((3,))])
-    assert [[d.id for d in t] for t in tracks] == [[1, 2], [3]]
-    assert tracks[0][1].pos == (1.0, 0.0)
+    first, second, third = g.detections
+    assert all(a is b for a, b in zip(tracks[0] + tracks[1], (first, second, third)))
+    assert [len(t) for t in tracks] == [2, 1]

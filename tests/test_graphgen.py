@@ -18,7 +18,7 @@ from ptrack.synth import crossing_scene, fragmented_corridor_scene, two_flow_sce
 
 
 def det(frame, x, y=0.0):
-    return Detection(id=0, frame=frame, pos=(float(x), float(y)))
+    return Detection(frame, (float(x), float(y)))
 
 
 class TestCrossEdges:
@@ -105,18 +105,19 @@ class TestGraphShape:
         assert g.batch == (4, 4)
 
     def test_detections_renumbered_serially_with_provenance(self):
-        g = build_graph([[det(1, 0.0), det(2, 1.0)], [det(1, 5.0)]], Config())
-        assert [d.id for d in g.detections] == [1, 2, 3]
-        assert [d.frame for d in g.detections] == [1, 2, 1]
-        assert [d.pos for d in g.detections] == [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)]
+        tracks = [[det(1, 0.0), det(2, 1.0)], [det(1, 5.0)]]
+        g = build_graph(tracks, Config())
+        assert g.ids == range(1, 4)
+        inputs = [d for t in tracks for d in t]
+        assert all(g.detection(k) is d for k, d in enumerate(inputs, start=1))
         assert g.source_tracks == ((1, 2), (3,))
 
     def test_every_detection_has_entry_and_exit(self):
         tracks = [[det(f, x) for f, x in [(1, 0.0), (2, 1.0), (3, 2.0)]], [det(2, 9.0)]]
         g = build_graph(tracks, Config())
-        for d in g.detections:
-            assert (SOURCE_NODE, d.id) in g.edges
-            assert (d.id, SINK_NODE) in g.edges
+        for k in g.ids:
+            assert (SOURCE_NODE, k) in g.edges
+            assert (k, SINK_NODE) in g.edges
 
     def test_edges_grow_with_radii(self):
         tracks = [[det(1, 0.0)], [det(2, 1.0)], [det(2, 3.0)], [det(4, 2.0)]]
@@ -129,6 +130,17 @@ class TestGraphShape:
         assert g.batch == (0, 10)
         with pytest.raises(ValueError, match="batch"):
             build_graph([[det(3, 0.0)]], Config(), batch=(4, 10))
+
+    def test_integral_float_batch_bounds_are_frames(self):
+        g = build_graph([[det(3, 0.0)]], Config(), batch=(0.0, 15.0))
+        assert g.batch == (0, 15) and all(type(b) is int for b in g.batch)
+
+    @pytest.mark.parametrize("batch", [(0.9, 2.5), (0, 2.5), (0.5, 3), (0, float("nan")), (0, float("inf"))])
+    def test_fractional_batch_bound_rejected(self, batch):
+        # Truncating (0.9, 2.5) to (0, 2) would free exits at frame 2, which
+        # a batch ending at 2.5 charges.
+        with pytest.raises(ValueError, match=r"batch \(.*\) bounds must be integers"):
+            build_graph([[det(1, 0.0), det(2, 1.0)]], Config(), batch=batch)
 
 
 class TestInputTrajectories:
@@ -180,7 +192,7 @@ class TestInputTrajectories:
 
     def test_requires_source_tracks(self):
         g = DetectionGraph(
-            (Detection(id=1, frame=1, pos=(0.0, 0.0)),),
+            (Detection(1, (0.0, 0.0)),),
             frozenset({(SOURCE_NODE, 1), (1, SINK_NODE)}),
         )
         with pytest.raises(ValueError, match="source track"):

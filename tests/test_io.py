@@ -41,16 +41,16 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 class TestTracksFromCsv:
     def test_plain_row(self):
-        # one row: one track holding one detection, renumbered from 1
-        assert tracks_from_csv("3,7,1.5,2.0\n") == [[Detection(1, 3, (1.5, 2.0))]]
+        # one row: one track holding one detection; the track id is not kept
+        assert tracks_from_csv("3,7,1.5,2.0\n") == [[Detection(3, (1.5, 2.0))]]
 
-    def test_tracks_ordered_by_id_and_detections_renumbered(self):
+    def test_tracks_ordered_by_id_and_detections_by_frame(self):
         text = "2,12,1,0\n1,4,0,0\n1,12,0.5,0\n2,4,1,1\n"
         tracks = tracks_from_csv(text)
         # input ids 4 and 12 become list positions 0 and 1, each in frame order
         assert tracks == [
-            [Detection(1, 1, (0.0, 0.0)), Detection(2, 2, (1.0, 1.0))],
-            [Detection(3, 1, (0.5, 0.0)), Detection(4, 2, (1.0, 0.0))],
+            [Detection(1, (0.0, 0.0)), Detection(2, (1.0, 1.0))],
+            [Detection(1, (0.5, 0.0)), Detection(2, (1.0, 0.0))],
         ]
 
     def test_mot_row_with_ground_position(self):
@@ -81,7 +81,7 @@ class TestTracksFromCsv:
             assert det.pos == (float(mapped[0] / mapped[2]), float(mapped[1] / mapped[2]))
 
     def test_mot_row_without_box_keeps_minus_one_ground_position(self):
-        (track,) = tracks_from_csv(tracks_to_csv([[Detection(1, 5, (-1.0, -1.0))]], fmt="mot"))
+        (track,) = tracks_from_csv(tracks_to_csv([[Detection(5, (-1.0, -1.0))]], fmt="mot"))
         assert track[0].pos == (-1.0, -1.0)
 
     def test_box_only_rows_report_the_first_offending_line(self):
@@ -434,7 +434,7 @@ class TestMetricsCsv:
 
 
 def det(frame: int, x: float, y: float) -> Detection:
-    return Detection(id=frame, frame=frame, pos=(x, y))
+    return Detection(frame, (x, y))
 
 
 class TestRenderSvg:
@@ -655,7 +655,7 @@ class TestParsePaths:
 
     def crowd_csv(self):
         # 5000 rows: two full blocks and a partial third.
-        tracks = [[Detection(1, f, (t + f / 7, f * 0.5 - t)) for f in range(100)] for t in range(50)]
+        tracks = [[Detection(f, (t + f / 7, f * 0.5 - t)) for f in range(100)] for t in range(50)]
         return tracks_to_csv(tracks).splitlines()
 
     def python_blocks(self, monkeypatch):

@@ -29,7 +29,7 @@ POLE = Pattern(((0.0, -3.0), (0.0, 2.0)), 1.0)
 
 
 def det(frame, x, y):
-    return Detection(id=0, frame=frame, pos=(float(x), float(y)))
+    return Detection(frame, (float(x), float(y)))
 
 
 def chain_track(xs, y=0.0, start=1):
@@ -210,7 +210,7 @@ class TestLinkErrors:
 
     def test_detection_without_exit_edge(self):
         g = DetectionGraph(
-            (Detection(id=1, frame=1, pos=(0.0, 0.0)),),
+            (Detection(1, (0.0, 0.0)),),
             frozenset({(SOURCE_NODE, 1)}),
         )
         with pytest.raises(ValueError, match="no outgoing edge"):
@@ -218,7 +218,7 @@ class TestLinkErrors:
 
     def test_detection_without_entry_edge(self):
         g = DetectionGraph(
-            (Detection(id=1, frame=1, pos=(0.0, 0.0)),),
+            (Detection(1, (0.0, 0.0)),),
             frozenset({(1, SINK_NODE)}),
         )
         with pytest.raises(ValueError, match="no incoming edge"):

@@ -23,7 +23,7 @@ from oracles import idf1_by_enumeration
 
 
 def det(frame, x, y=0.0):
-    return Detection(id=0, frame=frame, pos=(float(x), float(y)))
+    return Detection(frame, (float(x), float(y)))
 
 
 def straight_track(frames, y=0.0, x0=None):

@@ -27,7 +27,7 @@ from oracles import brute_force_best_ratio
 
 
 def det(frame, x, y=0.0):
-    return Detection(id=0, frame=frame, pos=(float(x), float(y)))
+    return Detection(frame, (float(x), float(y)))
 
 
 def two_flow_fixture(widths=DEFAULT_WIDTHS):

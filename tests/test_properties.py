@@ -10,7 +10,6 @@ pinned with `@example`.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -54,7 +53,6 @@ def thousandths(lo: int, hi: int):
 @st.composite
 def track_tables(draw, position=quarters(-160, 160)):
     """Random tracks with strictly increasing frames and gridded positions."""
-    ids = itertools.count(1)
     tracks = []
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(1, 5))
@@ -62,12 +60,7 @@ def track_tables(draw, position=quarters(-160, 160)):
         coords = draw(
             st.lists(st.tuples(position, position), min_size=length, max_size=length)
         )
-        tracks.append(
-            [
-                Detection(id=next(ids), frame=start + k, pos=pos)
-                for k, pos in enumerate(coords)
-            ]
-        )
+        tracks.append([Detection(start + k, pos) for k, pos in enumerate(coords)])
     return tracks
 
 
@@ -86,7 +79,7 @@ class TestCoverValidation:
         doubled = validate_trajectory_set(graph, [*cover, cover[0]])
         assert any("used twice" in v for v in doubled)
 
-        ghost = Trajectory(nodes=(max(d.id for d in graph.detections) + 7,))
+        ghost = Trajectory(nodes=(len(graph.detections) + 7,))
         haunted = validate_trajectory_set(graph, [*cover, ghost])
         assert any("unknown detection" in v for v in haunted)
 
@@ -119,10 +112,7 @@ def walks(draw):
 
 
 def _walk_graph(points, cfg):
-    track = [
-        Detection(id=k + 1, frame=k + 1, pos=(float(x), float(y)))
-        for k, (x, y) in enumerate(points)
-    ]
+    track = [Detection(k + 1, (float(x), float(y))) for k, (x, y) in enumerate(points)]
     return build_graph([track], cfg, batch=(0, len(points) + 1))
 
 
@@ -185,13 +175,12 @@ def mining_instances(draw):
     """Two jittered three-detection tracks and a pair of nested budgets."""
     gap = draw(st.integers(16, 80)) / 4.0
     tracks = []
-    ids = itertools.count(1)
     for base_y in (0.0, gap):
         dets = []
         for k in range(3):
             x = 2.0 * k + draw(st.integers(-2, 2)) / 4.0
             y = base_y + draw(st.integers(-4, 4)) / 4.0
-            dets.append(Detection(id=next(ids), frame=k + 1, pos=(x, y)))
+            dets.append(Detection(k + 1, (x, y)))
         tracks.append(dets)
     cost_lo = draw(st.integers(0, 80)) / 2.0
     cost_hi = cost_lo + draw(st.integers(0, 80)) / 2.0
@@ -227,9 +216,9 @@ class TestSerializationRoundTrips:
     @given(tracks=track_tables(position=thousandths(-100_000, 100_000)))
     # Corner cases pinned so that they do not depend on the draw: the MOT
     # marker for a box-only row is x == y == -1, and -0.0 is written as -0.000000.
-    @example(tracks=[[Detection(id=1, frame=1, pos=(-1.0, -1.0))]])
-    @example(tracks=[[Detection(1, 2, (-1.0, 0.5)), Detection(2, 3, (0.5, -1.0))]])
-    @example(tracks=[[Detection(1, 1, (-0.0, -0.0))], [Detection(2, 1, (-1.0, -1.0))]])
+    @example(tracks=[[Detection(1, (-1.0, -1.0))]])
+    @example(tracks=[[Detection(2, (-1.0, 0.5)), Detection(3, (0.5, -1.0))]])
+    @example(tracks=[[Detection(1, (-0.0, -0.0))], [Detection(1, (-1.0, -1.0))]])
     def test_track_tables_survive_both_formats(self, tracks):
         for fmt in ("plain", "mot"):
             text = tracks_to_csv(tracks, fmt=fmt)

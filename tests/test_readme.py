@@ -1,0 +1,83 @@
+"""The README's examples, replayed: its shell transcripts and its Python snippets.
+
+Each `$ ptrack ...` line of a quick-start transcript (with its `\\`
+continuations joined) runs through `cli(argv)` in a fresh directory, and
+what it prints must be the lines the README shows under it; where the README
+pipes to `head -1`, only the first printed line counts.  The library
+snippets then run, one after the other in one namespace, in the directory
+of the first transcript, whose files they read.
+"""
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ptrack.cli import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+HEAD_1 = " | head -1"
+
+
+def section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end >= 0 else None]
+
+
+def blocks(text: str, lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def transcript(block: str) -> list[tuple[str, list[str]]]:
+    """(command, printed lines) pairs, continuations joined, blank lines dropped."""
+    steps: list[tuple[str, list[str]]] = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines).strip()
+            steps.append((command, []))
+        elif line.strip():
+            steps[-1][1].append(line)
+    return steps
+
+
+def replay(block: str, capsys) -> None:
+    for command, printed in transcript(block):
+        head = command.endswith(HEAD_1)
+        argv = shlex.split(command.removesuffix(HEAD_1))
+        assert argv[0] == "ptrack", command
+        assert cli(argv[1:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        assert (out[:1] if head else out) == printed, command
+
+
+@pytest.fixture(autouse=True)
+def no_time_budget(monkeypatch):
+    monkeypatch.delenv("PTRACK_TIME_BUDGET_S", raising=False)
+
+
+QUICK_START = blocks(section("Command-line quick start"), "sh")
+SNIPPETS = blocks(section("Library usage"), "python")
+
+
+def test_the_readme_has_two_transcripts_and_two_snippets():
+    assert len(QUICK_START) == 2 and len(SNIPPETS) == 2
+
+
+def test_supervised_transcript_and_library_snippets(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    replay(QUICK_START[0], capsys)
+    namespace: dict = {}  # the second snippet goes on from the first
+    for snippet in SNIPPETS:
+        exec(compile(snippet, "README.md", "exec"), namespace)
+        assert capsys.readouterr().out
+
+
+def test_unsupervised_transcript(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    replay(QUICK_START[1], capsys)

@@ -44,13 +44,14 @@ LANE = Pattern(((0.0, 0.0), (10.0, 0.0)), 2.0)
 
 
 def make_graph(specs, edges=(), batch=None):
-    dets = tuple(Detection(id=i, frame=f, pos=(x, y)) for i, f, x, y in specs)
+    """Detections from (frame, x, y) specs; the k-th spec is detection k (from 1)."""
+    dets = tuple(Detection(f, (x, y)) for f, x, y in specs)
     return DetectionGraph(dets, frozenset(edges), batch)
 
 
 def pair_graph(pos_i, pos_j, batch=None):
     return make_graph(
-        [(1, 1, *pos_i), (2, 2, *pos_j)],
+        [(1, *pos_i), (2, *pos_j)],
         [(1, 2), (SOURCE_NODE, 1), (2, SINK_NODE)],
         batch,
     )
@@ -265,7 +266,7 @@ def test_forward_within_width_aligned_never_exceeds_total():
 
 def walker_graph():
     """Four detections walking the lane centerline, batch equal to their span."""
-    specs = [(k + 1, k + 1, 2.0 * k + 1.0, 0.0) for k in range(4)]
+    specs = [(k + 1, 2.0 * k + 1.0, 0.0) for k in range(4)]
     edges = [(k + 1, k + 2) for k in range(3)]
     edges += [(SOURCE_NODE, d) for d in (1, 2, 3, 4)]
     edges += [(d, SINK_NODE) for d in (1, 2, 3, 4)]
@@ -281,7 +282,7 @@ class TestTrajectoryScore:
 
     def test_single_detection_charges_both_arcs(self):
         g = make_graph(
-            [(1, 1, 4.0, 1.0)],
+            [(1, 4.0, 1.0)],
             [(SOURCE_NODE, 1), (1, SINK_NODE)],
             batch=(0, 2),
         )
@@ -298,12 +299,11 @@ class TestTrajectoryScore:
 
     def test_boundary_comes_from_the_graph_batch(self):
         # Detections 2 and 3 are inside the walker's batch, but they span a
-        # graph of their own: there both ends are free.
-        inner = Trajectory((2, 3))
-        cut = make_graph([(2, 2, 3.0, 0.0), (3, 3, 5.0, 0.0)], [(2, 3)])
-        charged = trajectory_score(walker_graph(), inner, LANE, CFG)
-        free = trajectory_score(cut, inner, LANE, CFG)
-        assert free.total == free.aligned == edge_score(cut, 2, 3, LANE, CFG).total
+        # graph of their own, as its detections 1 and 2: there both ends are free.
+        cut = make_graph([(2, 3.0, 0.0), (3, 5.0, 0.0)], [(1, 2)])
+        charged = trajectory_score(walker_graph(), Trajectory((2, 3)), LANE, CFG)
+        free = trajectory_score(cut, Trajectory((1, 2)), LANE, CFG)
+        assert free.total == free.aligned == edge_score(cut, 1, 2, LANE, CFG).total
         assert charged.total == pytest.approx(free.total + 3.0 + 5.0, rel=1e-12)
 
 
@@ -322,15 +322,15 @@ class TestObjective:
         assert value == pytest.approx(0.3, rel=1e-12)
 
     def test_mixed_instance_matches_edge_by_edge_oracle(self):
-        specs = [(1, 1, 1.0, 0.5), (2, 2, 3.0, 0.4), (3, 3, 5.5, 0.2), (4, 2, 2.0, 7.0), (5, 3, 2.4, 7.5)]
+        specs = [(1, 1.0, 0.5), (2, 3.0, 0.4), (3, 5.5, 0.2), (2, 2.0, 7.0), (3, 2.4, 7.5)]
         edges = [(1, 2), (2, 3), (4, 5)]
-        edges += [(SOURCE_NODE, d) for d, *_ in specs]
-        edges += [(d, SINK_NODE) for d, *_ in specs]
+        edges += [(SOURCE_NODE, d) for d in range(1, 6)]
+        edges += [(d, SINK_NODE) for d in range(1, 6)]
         g = make_graph(specs, edges, batch=(0, 4))
         ts = [Trajectory((1, 2, 3)), Trajectory((4, 5))]
         value = objective(g, ts, [EMPTY_PATTERN, LANE], Assignment((1, 0)), CFG)
 
-        pos = {i: (x, y) for i, _, x, y in specs}
+        pos = {i: (x, y) for i, (_, x, y) in enumerate(specs, start=1)}
         center = LANE.centerline
         n1 = straight_boundary_score(pos[1], center, 2.0, False, True, False)
         n2 = straight_boundary_score(pos[3], center, 2.0, False, False, False)
@@ -356,24 +356,24 @@ class TestObjective:
             objective(g, [Trajectory((1, 2, 3, 4))], [EMPTY_PATTERN], Assignment((3,)), CFG)
 
     def test_zero_total_is_degenerate(self):
-        g = make_graph([(1, 1, 4.0, 1.0)], [(SOURCE_NODE, 1), (1, SINK_NODE)])
+        g = make_graph([(1, 4.0, 1.0)], [(SOURCE_NODE, 1), (1, SINK_NODE)])
         with pytest.raises(ValueError, match="degenerate"):
             objective(g, [Trajectory((1,))], [EMPTY_PATTERN], Assignment((0,)), CFG)
 
 
 def test_rigid_motion_leaves_scores_unchanged():
     bent = Pattern(((0.0, 0.0), (4.0, 1.0), (9.0, -1.0)), 2.0)
-    specs = [(1, 1, 0.5, 0.3), (2, 2, 3.0, 0.8), (3, 3, 6.0, -0.2)]
+    specs = [(1, 0.5, 0.3), (2, 3.0, 0.8), (3, 6.0, -0.2)]
     edges = [(1, 2), (2, 3)]
-    edges += [(SOURCE_NODE, d) for d, *_ in specs]
-    edges += [(d, SINK_NODE) for d, *_ in specs]
+    edges += [(SOURCE_NODE, d) for d in (1, 2, 3)]
+    edges += [(d, SINK_NODE) for d in (1, 2, 3)]
     g = make_graph(specs, edges, batch=(0, 4))
     traj = Trajectory((1, 2, 3))
     base = trajectory_score(g, traj, bent, CFG)
 
     angle, tx, ty = 0.77, -12.0, 31.0
-    moved_pts = rigid_transform([(x, y) for _, _, x, y in specs], angle, tx, ty)
-    moved_specs = [(i, f, px, py) for (i, f, _, _), (px, py) in zip(specs, moved_pts)]
+    moved_pts = rigid_transform([(x, y) for _, x, y in specs], angle, tx, ty)
+    moved_specs = [(f, px, py) for (f, _, _), (px, py) in zip(specs, moved_pts)]
     moved_pattern = Pattern(tuple(rigid_transform(bent.centerline, angle, tx, ty)), 2.0)
     g2 = make_graph(moved_specs, edges, batch=(0, 4))
     moved = trajectory_score(g2, traj, moved_pattern, CFG)
@@ -463,11 +463,11 @@ def bits(*values):
 
 
 def points_graph(points):
-    """One detection per point, ids and frames 0..n-1, no edges.
+    """One detection per point, frames 0..n-1 (so point k is detection k + 1), no edges.
 
     The batch is one frame wider on each side, so no entry or exit is free.
     """
-    dets = tuple(Detection(id=k, frame=k, pos=(float(x), float(y))) for k, (x, y) in enumerate(points))
+    dets = tuple(Detection(k, (float(x), float(y))) for k, (x, y) in enumerate(points))
     return DetectionGraph(dets, frozenset(), batch=(-1, len(points)))
 
 
@@ -478,18 +478,20 @@ class TestScoreCache:
     """Cached scores equal the former scalar code exactly, and never leak across inputs."""
 
     def assert_matches_reference(self, points, centerline, pairs, widths=(0.5, 2.0, 7.0)):
+        """`pairs` index `points`; the graph's ids are those indices plus one."""
         g = points_graph(points)
+        pairs = [(i + 1, j + 1) for i, j in pairs]
         for width in widths:
             pattern = Pattern(centerline, width)
             for cfg in CFGS:
                 scorer = PatternScorer(g, pattern, cfg)
-                for det in g.detections:
+                for node, det in enumerate(g.detections, start=1):
                     want = reference_projection(det.pos, pattern)
-                    cached = g.scoring_cache[pattern.centerline].projections[det.id]
+                    cached = g.scoring_cache[pattern.centerline].projections[node]
                     assert bits(*cached) == bits(want.arc, *want.foot, want.dist)
                     got = project_to_centerline(det.pos, pattern)
                     assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
-                    assert bits(*scorer.edge(SOURCE_NODE, det.id)) == bits(want.arc, 0.0)
+                    assert bits(*scorer.edge(SOURCE_NODE, node)) == bits(want.arc, 0.0)
                 for i, j in pairs:
                     want = reference_detection_edge(g, pattern, cfg, i, j)
                     assert bits(*scorer.edge(i, j)) == bits(want.total, want.aligned), (i, j)
@@ -564,8 +566,8 @@ class TestScoreCache:
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
         self.assert_matches_reference(pts, LANE.centerline, pairs, widths=(2.0, 1.999))
         g = points_graph(pts)
-        assert PatternScorer(g, LANE, CFG).edge(0, 1)[1] > 0.0
-        assert PatternScorer(g, LANE, CFG).edge(2, 3)[1] == 0.0
+        assert PatternScorer(g, LANE, CFG).edge(1, 2)[1] > 0.0
+        assert PatternScorer(g, LANE, CFG).edge(3, 4)[1] == 0.0
 
     def test_backward_edges(self):
         pts = [(8.0, 1.0), (3.0, -1.5), (6.0, 30.0), (1.0, 0.0), (9.0, -4.0)]
@@ -598,7 +600,7 @@ class TestScoreCache:
     @staticmethod
     def every_score(graph, pattern, cfg):
         scorer = PatternScorer(graph, pattern, cfg)
-        ids = [d.id for d in graph.detections]
+        ids = list(graph.ids)
         out = [scorer.edge(i, j) for i in ids for j in ids]
         out += [scorer.edge(SOURCE_NODE, v) for v in ids] + [scorer.edge(v, SINK_NODE) for v in ids]
         whole = trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg)

@@ -35,7 +35,6 @@ class TestGenerateScene:
         (track,) = scene.tracks
         assert [d.frame for d in track] == [1, 2, 3, 4, 5, 6]
         assert [d.pos for d in track] == [(2.0 * k, 0.0) for k in range(6)]
-        assert [d.id for d in track] == [1, 2, 3, 4, 5, 6]
         # the agent's one track is its list: the graph adopts it whole
         graph = build_graph(scene.track_lists(), Config(), scene.meta.batch)
         assert graph.source_tracks == ((1, 2, 3, 4, 5, 6),)

@@ -25,7 +25,7 @@ from reference_unsupervised import reference_run_unsupervised
 
 
 def det(frame, x, y=0.0):
-    return Detection(id=0, frame=frame, pos=(float(x), float(y)))
+    return Detection(frame, (float(x), float(y)))
 
 
 def flow_fixture(cfg):
