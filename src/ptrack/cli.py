@@ -16,6 +16,7 @@ writes the command-level tables: the unsupervised history and eval's metrics.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -293,7 +294,9 @@ def _cmd_plot(args) -> None:
     print(f"wrote {args.out}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process and shared by every `cli` call."""
     parser = _Parser(prog="ptrack", description="Pattern-guided track refinement")
     sub = parser.add_subparsers(dest="command")
     inputs = [_input_parser()]

@@ -7,6 +7,13 @@ sum((numer - alpha * denom) * x) >= 0 subject to the constraints?  The answer
 is monotone in alpha whenever the denominator stays non-negative, so a
 bisection over alpha brackets the optimum to any fixed precision.
 
+A model has one form, arrays (see `SolverModel`): its rows in compressed
+sparse row (CSR) form with a sense code and a right-hand side each, and the
+two ratio terms.  The linker and the miner write those arrays directly
+(`SolverModel.from_rows`); `SolverModel(num_vars, constraints, numer,
+denom)` converts `Constraint` objects once, and `model.constraints` reads
+the rows back as `Constraint` objects.
+
 No row rules out a witness whose denominator is 0 or less, which passes
 every probe vacuously: in the linker's and the miner's models every path
 pays for its ends inside the batch and for the length it travels, so such
@@ -24,16 +31,17 @@ propagation and an optimistic bound on the parametric sum.  Instances here
 are small and highly structured (selection rows and flow conservation), which
 the propagation exploits; there is no approximation anywhere.
 
-Each branch runs one flat propagation loop over a stack of pending
-assignments: fix a variable, shift the activity range of each of its rows by
-its |coefficient|, then check those rows in order, pushing every variable a
-row forces.  So a row can force a variable only when that variable's
-|coefficient| exceeds the row's slack, and a row whose largest |coefficient|
-fits in its slack is skipped without looking at its variables: dense rows
-(the miner's count and cost budgets) cost next to nothing until they are
-nearly tight, and the forced variables are exactly those of a full
+Each branch runs one flat propagation loop: fix a variable, shift the
+activity range of each of its rows by its |coefficient|, then check those
+rows.  A variable that a row forces is fixed at once and stacked, and the
+rows of each stacked variable are checked in turn.  So a row can force a
+variable only when that variable's |coefficient| exceeds the row's slack,
+and a row whose largest |coefficient| fits in its slack, or that has no
+unfixed variable left, is skipped without looking at its variables: dense
+rows (the miner's count and cost budgets) cost next to nothing until they
+are nearly tight, and the forced variables are exactly those of a full
 scan.  The alpha-independent row index is built once per model and shared by
-every probe.
+every probe; both it and each probe's set-up are computed with numpy.
 
 The bound is kept per selection group (see `_RowIndex`) and updated on every
 assignment and undo, through a pointer into the group's variables sorted by
@@ -55,6 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
+# Row sense codes; a code indexes `_SENSES`.
+LE, EQ, GE = range(3)
 _SENSES = ("<=", "==", ">=")
 
 
@@ -78,33 +88,103 @@ class Constraint:
             raise ValueError("constraint coefficients must be finite")
 
 
-@dataclass(frozen=True)
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class SolverModel:
-    """Binary variables, constraints, and the two linear ratio terms."""
+    """Binary variables, linear rows and the two linear ratio terms, as arrays.
 
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-    numer: tuple[float, ...]
-    denom: tuple[float, ...]
+    Row r holds the variables `indices[indptr[r]:indptr[r + 1]]`, with the
+    coefficients at the same places of `coeffs`, the sense code `senses[r]`
+    (LE, EQ or GE for "<=", "==" and ">=") and the right-hand side `rhs[r]`.
+    `numer` and `denom` hold one float per variable.  The arrays are
+    read-only.
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
+    `SolverModel(num_vars, constraints, numer, denom)` converts `Constraint`
+    objects once; `SolverModel.from_rows` takes the arrays as they are.  Both
+    check the arrays and raise ValueError on a malformed model.  The
+    `constraints` view gives the rows as `Constraint` objects: the ones passed
+    in, or ones built on first read.
+    """
+
+    def __init__(self, num_vars, constraints, numer, denom):
+        constraints = tuple(constraints)
+        indptr = np.zeros(len(constraints) + 1, dtype=np.int64)
+        np.cumsum([len(c.vars) for c in constraints], out=indptr[1:])
+        flat = [v for c in constraints for v in c.vars]
+        self._set(
+            num_vars,
+            indptr,
+            np.array(flat) if flat else np.zeros(0, dtype=np.int64),
+            [q for c in constraints for q in c.coeffs],
+            [_SENSES.index(c.sense) for c in constraints],
+            [c.rhs for c in constraints],
+            numer,
+            denom,
+        )
+        self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def from_rows(cls, num_vars, indptr, indices, coeffs, senses, rhs, numer, denom) -> SolverModel:
+        """A model from its CSR rows and ratio terms (see the class docstring)."""
+        model = cls.__new__(cls)
+        model._set(num_vars, indptr, indices, coeffs, senses, rhs, numer, denom)
+        return model
+
+    def _set(self, num_vars, indptr, indices, coeffs, senses, rhs, numer, denom) -> None:
+        if not _is_int(num_vars):
+            raise ValueError(f"num_vars must be an int, got {num_vars!r}")
+        if num_vars < 1:
             raise ValueError("model needs at least one variable")
-        if len(self.numer) != self.num_vars or len(self.denom) != self.num_vars:
+        numer, denom, coeffs, rhs = (np.array(a, dtype=float) for a in (numer, denom, coeffs, rhs))
+        indptr, indices, senses = np.asarray(indptr), np.asarray(indices), np.asarray(senses)
+        if numer.shape != (num_vars,) or denom.shape != (num_vars,):
             raise ValueError("ratio term length does not match num_vars")
-        if not all(math.isfinite(v) for v in self.numer + self.denom):
+        if not (np.isfinite(numer).all() and np.isfinite(denom).all()):
             raise ValueError("ratio terms must be finite")
-        for con in self.constraints:
-            if any(v < 0 or v >= self.num_vars for v in con.vars):
-                raise ValueError("constraint references an unknown variable")
+        if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+            raise ValueError("constraint variables and row pointers must be integers")
+        indptr, indices = indptr.astype(np.int64), indices.astype(np.int64)
+        lengths = np.diff(indptr)
+        if (
+            rhs.ndim != 1
+            or indptr.shape != (len(rhs) + 1,)
+            or indptr[0] != 0
+            or (lengths < 0).any()
+            or indices.shape != (indptr[-1],)
+            or coeffs.shape != indices.shape
+            or senses.shape != rhs.shape
+        ):
+            raise ValueError("rows are not in CSR form")
+        if senses.size and (senses.dtype.kind not in "iu" or senses.min() < LE or senses.max() > GE):
+            raise ValueError("unknown sense code")
+        if not (np.isfinite(coeffs).all() and np.isfinite(rhs).all()):
+            raise ValueError("constraint coefficients must be finite")
+        if indices.size and (indices.min() < 0 or indices.max() >= num_vars):
+            raise ValueError("constraint references an unknown variable")
+        keys = np.repeat(np.arange(len(rhs)) * num_vars, lengths) + indices
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("constraint repeats a variable")
+        self.num_vars = int(num_vars)
+        self.indptr, self.indices, self.coeffs, self.senses, self.rhs, self.numer, self.denom = map(
+            _frozen, (indptr, indices, coeffs, senses.astype(np.int8), rhs, numer, denom)
+        )
 
     @cached_property
-    def _numer_arr(self) -> np.ndarray:
-        return np.asarray(self.numer)
-
-    @cached_property
-    def _denom_arr(self) -> np.ndarray:
-        return np.asarray(self.denom)
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as `Constraint` objects, built on first read."""
+        ptr, idx, q = self.indptr.tolist(), self.indices.tolist(), self.coeffs.tolist()
+        return tuple(
+            Constraint(tuple(idx[a:b]), tuple(q[a:b]), _SENSES[s], r)
+            for a, b, s, r in zip(ptr, ptr[1:], self.senses.tolist(), self.rhs.tolist())
+        )
 
     @cached_property
     def _rows(self) -> _RowIndex:
@@ -115,16 +195,16 @@ class SolverModel:
         x = np.asarray(assignment)
         if x.shape != (self.num_vars,):
             raise ValueError("assignment length does not match num_vars")
-        total = float(self._denom_arr @ x)
+        total = float(self.denom @ x)
         if total <= 0.0:
             return None
-        return float(self._numer_arr @ x) / total
+        return float(self.numer @ x) / total
 
     def certifies(self, assignment: tuple[int, ...], alpha: float) -> bool:
         """Whether an assignment witnesses feasibility at the given ratio level."""
         x = np.asarray(assignment)
-        value = float((self._numer_arr - alpha * self._denom_arr) @ x)
-        scale = float(np.abs(self._numer_arr).sum() + abs(alpha) * np.abs(self._denom_arr).sum())
+        value = float((self.numer - alpha * self.denom) @ x)
+        scale = float(np.abs(self.numer).sum() + abs(alpha) * np.abs(self.denom).sum())
         return value >= -1e-9 * (1.0 + scale)
 
 
@@ -154,60 +234,163 @@ class _Timeout(Exception):
     pass
 
 
+def _sum(values: np.ndarray) -> float:
+    """The sum of a vector, added left to right (numpy's `sum` adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of `values` (one column or more), added left to right.
+
+    Rows are taken longest first, so the rows that still have a k-th entry
+    are a prefix; one vector addition per entry position adds them all.
+    """
+    lengths = np.diff(indptr)
+    by_length = np.argsort(-lengths, kind="stable")
+    longest = lengths[by_length]
+    starts = indptr[:-1][by_length]
+    acc = np.zeros((len(lengths), *values.shape[1:]))
+    reaching = np.searchsorted(-longest, -np.arange(longest[0] if len(longest) else 0), side="left")
+    for k, m in enumerate(reaching.tolist()):
+        acc[:m] += values[starts[:m] + k]
+    sums = np.empty_like(acc)
+    sums[by_length] = acc
+    return sums
+
+
 class _RowIndex:
     """The part of a search that does not depend on alpha, built once per model.
 
     Per row, its shape: whether it has an upper and a lower side, its two
     bounds widened by the row's tolerance, its slack gate (largest
-    |coefficient| plus tolerance), its variables and its coefficients; and
-    the sums of its positive and of its negative coefficients.  Per
-    variable: the rows it appears in, as (row, coefficient).  Probes share it
-    read-only and bind these lists to locals.
+    |coefficient| plus tolerance), its variables and its coefficients; the
+    sums of its positive and of its negative coefficients; and its length.
+    Per variable: the rows it appears in, as (row, coefficient).  `var_ids`
+    holds the int of each variable and of the "none" option n, for probes to
+    share.  Probes share the index read-only and bind these lists to locals.
 
-    Each variable also belongs to one bound group, kept as (members, exact).
-    A `== 1` row with unit coefficients claims the variables no earlier such
-    row claimed; the group is exact when it claims every variable of its row,
-    and partial otherwise (the entry-only part of a link model's in-row,
-    say).  Each remaining variable is a partial group of its own.
+    Each variable also belongs to one bound group.  A `== 1` row with unit
+    coefficients claims the variables no earlier such row claimed; the group
+    is exact when it claims every variable of its row, and partial otherwise
+    (the entry-only part of a link model's in-row, say).  Each remaining
+    variable is a partial group of its own, after those.  Groups are kept as
+    arrays: `group_members` lists every group's variables in turn, group g's
+    from `group_starts[g]` on, with `group_exact[g]`; `member_group` is the
+    group of each entry of `group_members`, and `group_of` of each variable.
     """
 
     def __init__(self, model: SolverModel):
-        cons = model.constraints
-        self.shape = []
-        for c in cons:
-            tol = 1e-9 * (1.0 + abs(c.rhs) + sum(abs(q) for q in c.coeffs))
-            self.shape.append((
-                c.sense != ">=",
-                c.sense != "<=",
-                c.rhs + tol,
-                c.rhs - tol,
-                max((abs(q) for q in c.coeffs), default=0.0) + tol,
-                c.vars,
-                c.coeffs,
-            ))
-        self.pos = [sum(max(q, 0.0) for q in c.coeffs) for c in cons]
-        self.neg = [sum(min(q, 0.0) for q in c.coeffs) for c in cons]
-        n = model.num_vars
-        self.var_cons: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for ci, c in enumerate(cons):
-            for v, q in zip(c.vars, c.coeffs):
-                self.var_cons[v].append((ci, q))
+        indptr, indices, coeffs, rhs = model.indptr, model.indices, model.coeffs, model.rhs
+        n, n_rows = model.num_vars, len(rhs)
+        lengths = np.diff(indptr)
+        magnitude = np.abs(coeffs)
+        size, pos, neg = _row_sums(
+            np.column_stack([magnitude, np.maximum(coeffs, 0.0), np.minimum(coeffs, 0.0)]), indptr
+        ).T
+        tol = 1e-9 * ((1.0 + np.abs(rhs)) + size)
+        gate = np.zeros(n_rows)
+        nonempty = np.flatnonzero(lengths)
+        if nonempty.size:
+            gate[nonempty] = np.maximum.reduceat(magnitude, indptr[nonempty])
+        gate += tol
+        # One Python int per variable and per row and one float per distinct
+        # coefficient (by bits), shared by every list below: objects made per
+        # entry would more than double the memory of a large model's index.
+        self.var_ids, row_ids = list(range(n + 1)), list(range(n_rows))
+        _, first_at, value_of = np.unique(coeffs.view(np.int64), return_index=True, return_inverse=True)
+        values = coeffs[first_at].tolist()
+        ptr = indptr.tolist()
+        idx = list(map(self.var_ids.__getitem__, indices.tolist()))
+        q = list(map(values.__getitem__, value_of.tolist()))
+        self.shape = list(zip(
+            (model.senses != GE).tolist(),
+            (model.senses != LE).tolist(),
+            (rhs + tol).tolist(),
+            (rhs - tol).tolist(),
+            gate.tolist(),
+            [idx[a:b] for a, b in zip(ptr, ptr[1:])],
+            [q[a:b] for a, b in zip(ptr, ptr[1:])],
+        ))
+        del idx, q  # freed now, or a large model's index peaks at the end of this method
+        self.pos = pos.tolist()
+        self.neg = neg.tolist()
+        self.lengths = lengths.tolist()
 
-        self.group_of = [-1] * n
-        self.groups: list[tuple[list[int], bool]] = []
-        for c in cons:
-            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
-                claimed = [v for v in c.vars if self.group_of[v] == -1]
-                if claimed:
-                    self._add_group(claimed, len(claimed) == len(c.vars))
-        for v in range(n):
-            if self.group_of[v] == -1:
-                self._add_group([v], False)
+        # Entries by variable, each variable's in row order.
+        row_of = np.repeat(np.arange(n_rows), lengths)
+        by_var = np.argsort(indices, kind="stable")
+        entry_rows = list(map(row_ids.__getitem__, row_of[by_var].tolist()))
+        pairs = list(zip(entry_rows, map(values.__getitem__, value_of[by_var].tolist())))
+        ends = np.cumsum(np.bincount(indices, minlength=n)).tolist()
+        self.var_cons = [pairs[a:b] for a, b in zip([0, *ends], ends)]
+        del entry_rows, pairs
 
-    def _add_group(self, members: list[int], exact: bool) -> None:
-        for v in members:
-            self.group_of[v] = len(self.groups)
-        self.groups.append((members, exact))
+        # A variable's first entry in a unit row is its claim; the claims of
+        # one row, in row order, are its group.
+        unit = (model.senses == EQ) & (rhs == 1.0) & (
+            np.bincount(row_of[coeffs != 1.0], minlength=n_rows) == 0
+        )
+        in_unit = by_var[unit[row_of[by_var]]]
+        first = np.ones(len(in_unit), dtype=bool)
+        first[1:] = indices[in_unit[1:]] != indices[in_unit[:-1]]
+        claims = np.sort(in_unit[first])
+        claim_rows = row_of[claims]
+        head = np.ones(len(claims), dtype=bool)
+        head[1:] = claim_rows[1:] != claim_rows[:-1]
+        heads = np.flatnonzero(head)
+        sizes = np.diff(heads, append=len(claims))
+        claimed = np.zeros(n, dtype=bool)
+        claimed[indices[claims]] = True
+        lone = np.flatnonzero(~claimed)
+        self.group_members = np.concatenate([indices[claims], lone])
+        self.group_exact = np.concatenate([sizes == lengths[claim_rows[heads]], np.zeros(len(lone), bool)])
+        sizes = np.concatenate([sizes, np.ones(len(lone), dtype=np.int64)])
+        self.group_starts = np.cumsum(sizes) - sizes
+        self.member_group = np.repeat(np.arange(len(sizes)), sizes)
+        group_of = np.empty(n, dtype=np.int64)
+        group_of[self.group_members] = self.member_group
+        self.group_of = group_of.tolist()
+
+
+def _probe_setup(model: SolverModel, alpha: float) -> dict:
+    """The lists a probe at alpha starts from: w = numer - alpha * denom, its
+    tolerance and positive sum, the group rankings and the branching order.
+
+    Each group's options are its variables by decreasing w (ties in member
+    order), with the "none" option n placed after the positive ones in a
+    partial group and last in an exact one; `ptr[g]` is where group g's
+    options start, `slot[v]` where v sits.  The branching order is by
+    decreasing |w|, ties by index.  Sums add left to right.
+    """
+    rows = model._rows
+    n, members, group = model.num_vars, rows.group_members, rows.member_group
+    w = model.numer - alpha * model.denom
+    ranked = members[np.lexsort((-w[members], group))]
+    positive = np.bincount(group[w[members] > 0.0], minlength=len(rows.group_starts))
+    none_at = np.where(rows.group_exact, np.diff(rows.group_starts, append=n), positive)
+    place = np.arange(n) + group + (np.arange(n) - rows.group_starts[group] >= none_at[group])
+    opt_var = np.full(n + len(rows.group_starts), n)
+    opt_var[place] = ranked
+    opt_w = np.zeros(len(opt_var))
+    opt_w[place] = w[ranked]
+    slot = np.empty(n, dtype=np.int64)
+    slot[ranked] = place
+    ptr = rows.group_starts + np.arange(len(rows.group_starts))
+    # The lists share the variable ids of the row index and the floats of w.
+    var_ids, weights = rows.var_ids, w.tolist()
+    options = list(map(var_ids.__getitem__, opt_var.tolist()))
+    return dict(
+        w=weights,
+        w_tol=1e-9 * (1.0 + _sum(np.abs(w))),
+        pos_un_w=_sum(w[w > 0.0]),
+        opt_var=options,
+        opt_w=list(map([*weights, 0.0].__getitem__, options)),
+        slot=slot.tolist(),
+        ptr=ptr.tolist(),
+        contrib=opt_w[ptr].tolist(),
+        bound=_sum(opt_w[ptr]),
+        order=list(map(var_ids.__getitem__, np.argsort(-np.abs(w), kind="stable").tolist())),
+    )
 
 
 class _Search:
@@ -226,18 +409,19 @@ class _Search:
     def run(self) -> FeasibilityResult:
         model, deadline = self.model, self.deadline
         n = model.num_vars
-        w = [model.numer[v] - self.alpha * model.denom[v] for v in range(n)]
-        w_tol = 1e-9 * (1.0 + sum(abs(x) for x in w))
         rows = model._rows
         shape, var_cons, group_of = rows.shape, rows.var_cons, rows.group_of
+        setup = _probe_setup(model, self.alpha)
+        w, w_tol, order = setup["w"], setup["w_tol"], setup["order"]
         fixed_sum = [0.0] * len(shape)
         pos_un = list(rows.pos)
         neg_un = list(rows.neg)
+        free = list(rows.lengths)
         # value[n] is the "none" option of the bound groups, never fixed.
         value = [-1] * (n + 1)
         trail: list[int] = []
         fixed_w = 0.0
-        pos_un_w = sum(max(x, 0.0) for x in w)
+        pos_un_w = setup["pos_un_w"]
 
         # The group bound.  Each group's options sit in `opt_var`/`opt_w`
         # sorted by w, best first; ptr[g] is the first unfixed one, so
@@ -249,70 +433,53 @@ class _Search:
         # negative; its "none" comes last and is reached only when every
         # option is fixed to 0, which propagation rejects before any node
         # reads the bound.
-        opt_var: list[int] = []
-        opt_w: list[float] = []
-        slot = [0] * n
-        ptr: list[int] = []
-        for members, exact in rows.groups:
-            ranked = sorted(members, key=w.__getitem__, reverse=True)
-            ranked.insert(len(ranked) if exact else sum(w[v] > 0.0 for v in ranked), n)
-            ptr.append(len(opt_var))
-            for v in ranked:
-                if v < n:
-                    slot[v] = len(opt_var)
-                opt_var.append(v)
-                opt_w.append(w[v] if v < n else 0.0)
+        opt_var, opt_w, slot, ptr = setup["opt_var"], setup["opt_w"], setup["slot"], setup["ptr"]
         ones = [0] * len(ptr)
-        contrib = [opt_w[p] for p in ptr]
-        bound = sum(contrib)
-
-        order = sorted(range(n), key=lambda v: (-abs(w[v]), v))
+        contrib = setup["contrib"]
+        bound = setup["bound"]
         nodes = 0
 
-        def propagate(v: int, val: int) -> bool:
-            """Fix v = val and everything that forces, in the order of a pending stack."""
+        def fix(u: int, val: int) -> bool:
+            """Set u = val; False if the parametric sum can no longer reach 0."""
             nonlocal fixed_w, pos_un_w, bound
-            pending = [(v, val)]
-            pop, push = pending.pop, pending.append
-            while pending:
-                u, val = pop()
-                cur = value[u]
-                if cur != -1:
-                    if cur != val:
-                        return False
-                    continue
-                value[u] = val
-                trail.append(u)
-                wu = w[u]
-                if wu > 0.0:
-                    pos_un_w -= wu
-                cons_u = var_cons[u]
-                for ci, q in cons_u:
-                    if q > 0.0:
-                        pos_un[ci] -= q
-                    else:
-                        neg_un[ci] -= q
-                    if val:
-                        fixed_sum[ci] += q
-                g = group_of[u]
-                p = ptr[g]
+            value[u] = val
+            trail.append(u)
+            wu = w[u]
+            if wu > 0.0:
+                pos_un_w -= wu
+            for ci, q in var_cons[u]:
+                if q > 0.0:
+                    pos_un[ci] -= q
+                else:
+                    neg_un[ci] -= q
+                free[ci] -= 1
                 if val:
-                    fixed_w += wu
-                    ones[g] += 1
-                moved = slot[u] == p
-                if moved:
+                    fixed_sum[ci] += q
+            g = group_of[u]
+            p = ptr[g]
+            if val:
+                fixed_w += wu
+                ones[g] += 1
+            moved = slot[u] == p
+            if moved:
+                p += 1
+                while value[opt_var[p]] != -1:
                     p += 1
-                    while value[opt_var[p]] != -1:
-                        p += 1
-                    ptr[g] = p
-                if val or moved:
-                    best = 0.0 if ones[g] else opt_w[p]
-                    bound += best - contrib[g]
-                    contrib[g] = best
-                if fixed_w + pos_un_w < -w_tol:
-                    return False
+                ptr[g] = p
+            if val or moved:
+                best = 0.0 if ones[g] else opt_w[p]
+                bound += best - contrib[g]
+                contrib[g] = best
+            return fixed_w + pos_un_w >= -w_tol
 
-                for ci, _ in cons_u:
+        def propagate(v: int, val: int) -> bool:
+            """Fix v = val and all it forces, checking each fixed variable's rows in stack order."""
+            if not fix(v, val):
+                return False
+            stack = [v]
+            pop, push = stack.pop, stack.append
+            while stack:
+                for ci, _ in var_cons[pop()]:
                     up, down, top, bottom, gate, row_vars, row_coeffs = shape[ci]
                     fixed = fixed_sum[ci]
                     # Fixing an unfixed variable moves the row's activity
@@ -335,8 +502,12 @@ class _Search:
                         if most < bottom:
                             return False
                         slack = most - bottom
-                    if gate <= slack:
+                    if gate <= slack or not free[ci]:
                         continue
+                    # A variable fixed during this scan moves the row's sums;
+                    # the scan goes on from the sums it started with, which
+                    # are looser, and the row is checked again from that
+                    # variable.
                     neg = neg_un[ci]
                     pos = pos_un[ci]
                     for x, q in zip(row_vars, row_coeffs):
@@ -356,12 +527,16 @@ class _Search:
                             if fixed + hi_rest < bottom:
                                 can_zero = False
                         if can_zero:
-                            if not can_one:
-                                push((x, 0))
+                            if can_one:
+                                continue
+                            forced = 0
                         elif can_one:
-                            push((x, 1))
+                            forced = 1
                         else:
                             return False
+                        if not fix(x, forced):
+                            return False
+                        push(x)
             return True
 
         def undo(mark: int) -> None:
@@ -378,6 +553,7 @@ class _Search:
                         pos_un[ci] += q
                     else:
                         neg_un[ci] += q
+                    free[ci] += 1
                     if val:
                         fixed_sum[ci] -= q
                 g = group_of[u]
@@ -472,7 +648,7 @@ def maximize_ratio(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not isinstance(iters, int) or iters < 1:
+    if not _is_int(iters) or iters < 1:
         raise ValueError("iters must be a positive int")
     deadline = None if time_budget is None else time.monotonic() + time_budget
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     SINK_NODE,
     SOURCE_NODE,
@@ -22,7 +24,7 @@ from .core import (
     Trajectory,
     validate_trajectory_set,
 )
-from .fracopt import Constraint, SolverModel, maximize_ratio
+from .fracopt import EQ, SolverModel, maximize_ratio
 from .scoring import PatternScorer, ratio_bracket
 
 
@@ -73,18 +75,23 @@ def build_link_model(
 ) -> tuple[SolverModel, tuple[tuple[int, int, int], ...]]:
     """Construct the 0/1 model for linking.
 
-    One variable per (pattern, edge) triple.  Constraints: every detection
-    selects exactly one outgoing and one incoming edge across patterns, and the
-    selected pattern is conserved through each detection.  These rows already
-    make entries balance exits: summed over the n detections, #detection edges
-    + #exits = n = #detection edges + #entries.  Returns the model and the
-    triple for each variable index.
+    One variable per (pattern, edge) pair: variable p * E + e pairs pattern p
+    with edge e of the E edges of `graph.sorted_edges`.  Constraints: every
+    detection selects exactly one outgoing and one incoming edge across
+    patterns, and the selected pattern is conserved through each detection.
+    These rows already make entries balance exits: summed over the n
+    detections, #detection edges + #exits = n = #detection edges + #entries.
+
+    Detection d (of `graph.ids`) has rows (2 + P) * (d - 1) onwards: its
+    out-row, its in-row, then one conservation row per pattern p, the in-edges
+    at +1 before the out-edges at -1.  In every row, edges are in sorted
+    order and the out- and in-rows list pattern by pattern.  The rows are
+    written as CSR arrays.  Returns the model and the (pattern, tail, head)
+    triple of each variable.
     """
     edges = graph.sorted_edges
-    triples = tuple(
-        (p, i, j) for p in range(len(patterns)) for (i, j) in edges
-    )
-    var_of = {t: k for k, t in enumerate(triples)}
+    n_edges, n_patterns, n = len(edges), len(patterns), len(graph.detections)
+    triples = tuple((p, i, j) for p in range(n_patterns) for (i, j) in edges)
 
     numer = []
     denom = []
@@ -95,23 +102,48 @@ def build_link_model(
             numer.append(aligned)
             denom.append(total)
 
-    constraints: list[Constraint] = []
-    n_patterns = len(patterns)
-    for d in graph.ids:
-        outs = graph.out_neighbors[d]
-        ins = graph.in_neighbors[d]
-        out_vars = tuple(var_of[(p, d, j)] for p in range(n_patterns) for j in outs)
-        in_vars = tuple(var_of[(p, i, d)] for p in range(n_patterns) for i in ins)
-        constraints.append(Constraint(out_vars, (1.0,) * len(out_vars), "==", 1.0))
-        constraints.append(Constraint(in_vars, (1.0,) * len(in_vars), "==", 1.0))
-        for p in range(n_patterns):
-            cons_vars = tuple(var_of[(p, i, d)] for i in ins) + tuple(
-                var_of[(p, d, j)] for j in outs
-            )
-            coeffs = (1.0,) * len(ins) + (-1.0,) * len(outs)
-            constraints.append(Constraint(cons_vars, coeffs, "==", 0.0))
+    tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    # Out-edges of each detection are contiguous in sorted order; in-edges
+    # are gathered by a stable sort on the head.  rank is an edge's place
+    # among its detection's out- (or in-) edges.
+    out_e = np.flatnonzero(tail > 0)
+    in_e = np.argsort(head, kind="stable")
+    in_e = in_e[head[in_e] > 0]
+    out_d, in_d = tail[out_e] - 1, head[in_e] - 1
+    out_deg = np.bincount(out_d, minlength=n)
+    in_deg = np.bincount(in_d, minlength=n)
+    out_rank = np.arange(len(out_e)) - (np.cumsum(out_deg) - out_deg)[out_d]
+    in_rank = np.arange(len(in_e)) - (np.cumsum(in_deg) - in_deg)[in_d]
 
-    return SolverModel(len(triples), tuple(constraints), tuple(numer), tuple(denom)), triples
+    per_detection = 2 + n_patterns
+    lengths = np.empty((n, per_detection), dtype=np.int64)
+    lengths[:, 0] = n_patterns * out_deg
+    lengths[:, 1] = n_patterns * in_deg
+    lengths[:, 2:] = (in_deg + out_deg)[:, None]
+    indptr = np.zeros(n * per_detection + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    row_start = indptr[:-1].reshape(n, per_detection)
+
+    # For each pattern p, an edge of detection d sits in d's out- or in-row at
+    # p * degree + rank, and in d's conservation row of p at rank (an
+    # in-edge, +1) or at in-degree + rank (an out-edge, -1).
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    coeffs = np.empty(indptr[-1])
+    p = np.arange(n_patterns)[:, None]
+    for place, e, coeff in (
+        (row_start[out_d, 0] + p * out_deg[out_d] + out_rank, out_e, 1.0),
+        (row_start[in_d, 1] + p * in_deg[in_d] + in_rank, in_e, 1.0),
+        (row_start[in_d, 2 + p] + in_rank, in_e, 1.0),
+        (row_start[out_d, 2 + p] + in_deg[out_d] + out_rank, out_e, -1.0),
+    ):
+        indices[place] = p * n_edges + e
+        coeffs[place] = coeff
+    rhs = np.zeros((n, per_detection))
+    rhs[:, :2] = 1.0
+    model = SolverModel.from_rows(
+        len(triples), indptr, indices, coeffs, np.full(len(indptr) - 1, EQ), rhs.ravel(), numer, denom
+    )
+    return model, triples
 
 
 def _decode(

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     Assignment,
     Config,
@@ -32,7 +34,7 @@ from .core import (
     Trajectory,
     tracking_area,
 )
-from .fracopt import Constraint, SolverModel, maximize_ratio
+from .fracopt import EQ, LE, SolverModel, maximize_ratio
 from .scoring import ScorePair, ratio_bracket, trajectory_score
 
 
@@ -121,38 +123,44 @@ def build_mine_model(
     variables gate the non-empty candidates.  A trajectory may only use a
     selected candidate, at most `max_patterns` candidates may be selected,
     and their summed cost must fit the budget.  The empty pattern is always
-    available and never counts against either budget.
+    available and never counts against either budget.  The rows are written
+    as CSR arrays (see `SolverModel`); no `Constraint` is made.
     """
     n_traj = len(trajectories)
     n_cand = len(candidates)
-    assign_var = lambda t, p: t * n_cand + p
-    select_var = lambda p: n_traj * n_cand + (p - 1)
-    num_vars = n_traj * n_cand + (n_cand - 1)
+    n_assign = n_traj * n_cand
+    num_vars = n_assign + (n_cand - 1)
 
+    # Variable t * n_cand + p assigns trajectory t to candidate p; variable
+    # n_assign + p - 1 selects candidate p >= 1.
     numer = [0.0] * num_vars
     denom = [0.0] * num_vars
     for t, traj in enumerate(trajectories):
         for p, pattern in enumerate(candidates.patterns):
             score = trajectory_score(graph, traj, pattern, cfg)
-            numer[assign_var(t, p)] = score.aligned
-            denom[assign_var(t, p)] = score.total
+            numer[t * n_cand + p] = score.aligned
+            denom[t * n_cand + p] = score.total
 
-    constraints: list[Constraint] = []
-    for t in range(n_traj):
-        cvars = tuple(assign_var(t, p) for p in range(n_cand))
-        constraints.append(Constraint(cvars, (1.0,) * n_cand, "==", 1.0))
-    for t in range(n_traj):
-        for p in range(1, n_cand):
-            constraints.append(
-                Constraint((assign_var(t, p), select_var(p)), (1.0, -1.0), "<=", 0.0)
-            )
-    if n_cand > 1:
-        sel = tuple(select_var(p) for p in range(1, n_cand))
-        constraints.append(Constraint(sel, (1.0,) * len(sel), "<=", float(cfg.max_patterns)))
-        costs = tuple(candidates.patterns[p].cost for p in range(1, n_cand))
-        constraints.append(Constraint(sel, costs, "<=", _cost_budget(graph, cfg)))
-
-    return SolverModel(num_vars, tuple(constraints), tuple(numer), tuple(denom))
+    # Rows: each trajectory's `== 1` row over its candidates; for each
+    # trajectory t and candidate p >= 1, assign(t, p) - select(p) <= 0; then,
+    # when there is a candidate beyond the empty one, the count and the cost
+    # budget over the selection variables.
+    assign = np.arange(n_assign).reshape(n_traj, n_cand)
+    sel = np.arange(n_assign, num_vars)
+    n_gates = n_traj * (n_cand - 1)
+    gates = np.stack([assign[:, 1:], np.broadcast_to(sel, (n_traj, n_cand - 1))], axis=-1)
+    budgets = [float(cfg.max_patterns), _cost_budget(graph, cfg)] if n_cand > 1 else []
+    costs = [pattern.cost for pattern in candidates.patterns[1:]]
+    return SolverModel.from_rows(
+        num_vars,
+        np.cumsum([0] + [n_cand] * n_traj + [2] * n_gates + [n_cand - 1] * len(budgets)),
+        np.concatenate([assign.ravel(), gates.ravel(), sel, sel]),
+        np.concatenate([np.ones(n_assign), np.tile([1.0, -1.0], n_gates), np.ones(n_cand - 1), costs]),
+        [EQ] * n_traj + [LE] * (n_gates + len(budgets)),
+        [1.0] * n_traj + [0.0] * n_gates + budgets,
+        numer,
+        denom,
+    )
 
 
 def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:

@@ -317,7 +317,7 @@ class TestExactlyOneBound:
         # must bound at max(best, 0) = 0, not at its best w of -1.
         rows = (con([0, 1], [1.0, 1.0], "==", 1.0), con([1, 2, 3], [1.0] * 3, "==", 1.0))
         m = SolverModel(4, rows, (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 2.0, 2.0))
-        assert [exact for _, exact in m._rows.groups] == [True, False]
+        assert m._rows.group_exact.tolist() == [True, False]
         assert brute_force_feasible(m, 0.5)
         assert feasible(m, 0.5).assignment == (0, 1, 0, 0)
         assert_same_search(m, 0.5)
