@@ -188,22 +188,6 @@ class DetectionGraph:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    @cached_property
-    def out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        succ: dict[int, list[int]] = {k: [] for k in self.ids}
-        succ[SOURCE_NODE] = []
-        for i, j in self.sorted_edges:
-            succ[i].append(j)
-        return {k: tuple(v) for k, v in succ.items()}
-
-    @cached_property
-    def in_neighbors(self) -> dict[int, tuple[int, ...]]:
-        pred: dict[int, list[int]] = {k: [] for k in self.ids}
-        pred[SINK_NODE] = []
-        for i, j in self.sorted_edges:
-            pred[j].append(i)
-        return {k: tuple(v) for k, v in pred.items()}
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -24,12 +24,14 @@ moves).  `maximize_ratio` keeps the best witness with a positive denominator.
 achievable ratio.  It raises ValueError when nothing usable comes back:
 "degenerate instance: ..." when the probe at lo is infeasible or every
 witness has a denominator of 0 or less, and "probe timed out ..." when the
-time budget runs out before the probe at lo ends.
+time budget runs out before the probe at lo ends.  The budget becomes one
+deadline, which every probe of the search shares.
 
-Feasibility itself is decided exactly by depth-first search with bound
-propagation and an optimistic bound on the parametric sum.  Instances here
-are small and highly structured (selection rows and flow conservation), which
-the propagation exploits; there is no approximation anywhere.
+Feasibility itself is decided exactly by depth-first search (one loop over
+an explicit path of open nodes) with bound propagation and an optimistic
+bound on the parametric sum.  Instances here are small and highly structured
+(selection rows and flow conservation), which the propagation exploits;
+there is no approximation anywhere.
 
 Each branch runs one flat propagation loop: fix a variable, shift the
 activity range of each of its rows by its |coefficient|, then check those
@@ -56,9 +58,8 @@ comes first: every probe returns the same witness, with or without them.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +91,10 @@ class Constraint:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -210,8 +215,12 @@ class SolverModel:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A probe's witness or None, whether it timed out, and the search nodes it
+    visited; equality compares only the first two."""
+
     assignment: tuple[int, ...] | None
     timed_out: bool = False
+    nodes: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -228,10 +237,6 @@ class RatioSearchResult:
     witness: tuple[int, ...]
     achieved: float
     lower_bound_only: bool = False
-
-
-class _Timeout(Exception):
-    pass
 
 
 def _sum(values: np.ndarray) -> float:
@@ -393,239 +398,221 @@ def _probe_setup(model: SolverModel, alpha: float) -> dict:
     )
 
 
-class _Search:
-    """One exact feasibility probe: DFS with propagation and pruning.
-
-    `run` binds the model's row index and the probe's state to locals once;
-    its nested functions share them.
-    """
-
-    def __init__(self, model: SolverModel, alpha: float, deadline: float | None):
-        self.model = model
-        self.alpha = alpha
-        self.deadline = deadline
-        self.nodes = 0
-
-    def run(self) -> FeasibilityResult:
-        model, deadline = self.model, self.deadline
-        n = model.num_vars
-        rows = model._rows
-        shape, var_cons, group_of = rows.shape, rows.var_cons, rows.group_of
-        setup = _probe_setup(model, self.alpha)
-        w, w_tol, order = setup["w"], setup["w_tol"], setup["order"]
-        fixed_sum = [0.0] * len(shape)
-        pos_un = list(rows.pos)
-        neg_un = list(rows.neg)
-        free = list(rows.lengths)
-        # value[n] is the "none" option of the bound groups, never fixed.
-        value = [-1] * (n + 1)
-        trail: list[int] = []
-        fixed_w = 0.0
-        pos_un_w = setup["pos_un_w"]
-
-        # The group bound.  Each group's options sit in `opt_var`/`opt_w`
-        # sorted by w, best first; ptr[g] is the first unfixed one, so
-        # opt_w[ptr[g]] is the best a group can still add, and a group adds 0
-        # once one of its variables is 1 (they share a `== 1` row, or there
-        # is only one).  A partial group may select none of its variables, so
-        # its options include "none" (w 0) at its place in that order.  An
-        # exact group must select one, so its best unfixed w counts even when
-        # negative; its "none" comes last and is reached only when every
-        # option is fixed to 0, which propagation rejects before any node
-        # reads the bound.
-        opt_var, opt_w, slot, ptr = setup["opt_var"], setup["opt_w"], setup["slot"], setup["ptr"]
-        ones = [0] * len(ptr)
-        contrib = setup["contrib"]
-        bound = setup["bound"]
-        nodes = 0
-
-        def fix(u: int, val: int) -> bool:
-            """Set u = val; False if the parametric sum can no longer reach 0."""
-            nonlocal fixed_w, pos_un_w, bound
-            value[u] = val
-            trail.append(u)
-            wu = w[u]
-            if wu > 0.0:
-                pos_un_w -= wu
-            for ci, q in var_cons[u]:
-                if q > 0.0:
-                    pos_un[ci] -= q
-                else:
-                    neg_un[ci] -= q
-                free[ci] -= 1
-                if val:
-                    fixed_sum[ci] += q
-            g = group_of[u]
-            p = ptr[g]
-            if val:
-                fixed_w += wu
-                ones[g] += 1
-            moved = slot[u] == p
-            if moved:
-                p += 1
-                while value[opt_var[p]] != -1:
-                    p += 1
-                ptr[g] = p
-            if val or moved:
-                best = 0.0 if ones[g] else opt_w[p]
-                bound += best - contrib[g]
-                contrib[g] = best
-            return fixed_w + pos_un_w >= -w_tol
-
-        def propagate(v: int, val: int) -> bool:
-            """Fix v = val and all it forces, checking each fixed variable's rows in stack order."""
-            if not fix(v, val):
-                return False
-            stack = [v]
-            pop, push = stack.pop, stack.append
-            while stack:
-                for ci, _ in var_cons[pop()]:
-                    up, down, top, bottom, gate, row_vars, row_coeffs = shape[ci]
-                    fixed = fixed_sum[ci]
-                    # Fixing an unfixed variable moves the row's activity
-                    # range by |q|, so nothing is forced while every |q| fits
-                    # in the slack.  The gate's margin of tol leaves
-                    # float-boundary cases to the scan below.
-                    if up:
-                        least = fixed + neg_un[ci]
-                        if least > top:
-                            return False
-                        slack = top - least
-                        if down:
-                            most = fixed + pos_un[ci]
-                            if most < bottom:
-                                return False
-                            if most - bottom < slack:
-                                slack = most - bottom
-                    else:
-                        most = fixed + pos_un[ci]
-                        if most < bottom:
-                            return False
-                        slack = most - bottom
-                    if gate <= slack or not free[ci]:
-                        continue
-                    # A variable fixed during this scan moves the row's sums;
-                    # the scan goes on from the sums it started with, which
-                    # are looser, and the row is checked again from that
-                    # variable.
-                    neg = neg_un[ci]
-                    pos = pos_un[ci]
-                    for x, q in zip(row_vars, row_coeffs):
-                        if value[x] != -1:
-                            continue
-                        can_zero = can_one = True
-                        if up:
-                            lo_rest = neg - q if q < 0.0 else neg
-                            if fixed + q + lo_rest > top:
-                                can_one = False
-                            if fixed + lo_rest > top:
-                                can_zero = False
-                        if down:
-                            hi_rest = pos - q if q > 0.0 else pos
-                            if fixed + q + hi_rest < bottom:
-                                can_one = False
-                            if fixed + hi_rest < bottom:
-                                can_zero = False
-                        if can_zero:
-                            if can_one:
-                                continue
-                            forced = 0
-                        elif can_one:
-                            forced = 1
-                        else:
-                            return False
-                        if not fix(x, forced):
-                            return False
-                        push(x)
-            return True
-
-        def undo(mark: int) -> None:
-            nonlocal fixed_w, pos_un_w, bound
-            for _ in range(len(trail) - mark):
-                u = trail.pop()
-                val = value[u]
-                value[u] = -1
-                wu = w[u]
-                if wu > 0.0:
-                    pos_un_w += wu
-                for ci, q in var_cons[u]:
-                    if q > 0.0:
-                        pos_un[ci] += q
-                    else:
-                        neg_un[ci] += q
-                    free[ci] += 1
-                    if val:
-                        fixed_sum[ci] -= q
-                g = group_of[u]
-                if val:
-                    fixed_w -= wu
-                    ones[g] -= 1
-                moved = slot[u] < ptr[g]
-                if moved:
-                    ptr[g] = slot[u]
-                if val or moved:
-                    best = 0.0 if ones[g] else opt_w[ptr[g]]
-                    bound += best - contrib[g]
-                    contrib[g] = best
-
-        def satisfied() -> bool:
-            if fixed_w < -w_tol:
-                return False
-            for (up, down, top, bottom, *_), fixed in zip(shape, fixed_sum):
-                if up and fixed > top:
-                    return False
-                if down and fixed < bottom:
-                    return False
-            return True
-
-        def dfs(pos: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-                raise _Timeout
-            if fixed_w + bound < -w_tol:
-                return False
-            while pos < n and value[order[pos]] != -1:
-                pos += 1
-            if pos == n:
-                return satisfied()
-            v = order[pos]
-            first = 1 if w[v] > w_tol else 0
-            for val in (first, 1 - first):
-                mark = len(trail)
-                if propagate(v, val) and dfs(pos + 1):
-                    return True
-                undo(mark)
-            return False
-
-        limit = sys.getrecursionlimit()
-        needed = n * 2 + 200
-        if needed > limit:
-            sys.setrecursionlimit(needed)
-        try:
-            if dfs(0):
-                return FeasibilityResult(tuple(value[:n]))
-            return FeasibilityResult(None)
-        except _Timeout:
-            return FeasibilityResult(None, timed_out=True)
-        finally:
-            self.nodes = nodes
-            # dfs reaches itself through its closure; break that cycle so the
-            # probe's state is freed now, not at the next garbage collection.
-            del dfs
-            if needed > limit:
-                sys.setrecursionlimit(limit)
-
-
-def feasible(model: SolverModel, alpha: float, time_budget: float | None = None) -> FeasibilityResult:
+def feasible(model: SolverModel, alpha: float, deadline: float | None = None) -> FeasibilityResult:
     """Decide exactly whether some assignment reaches ratio level alpha.
 
     Searches for binary x satisfying all constraints with
-    sum((numer - alpha * denom) * x) >= 0.  With a time budget, an undecided
-    probe is reported as timed out (and callers treat it as infeasible).
+    sum((numer - alpha * denom) * x) >= 0, depth first in one loop over an
+    explicit path.  `deadline` is a `time.monotonic()` time: a probe that
+    starts at or after it returns timed out without searching, and one that
+    passes it (checked every 256 nodes) stops and returns timed out; callers
+    treat a timed-out probe as infeasible.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    return _Search(model, alpha, deadline).run()
+    if deadline is not None and time.monotonic() >= deadline:
+        return FeasibilityResult(None, timed_out=True)
+    n = model.num_vars
+    rows = model._rows
+    shape, var_cons, group_of = rows.shape, rows.var_cons, rows.group_of
+    setup = _probe_setup(model, alpha)
+    w, w_tol, order = setup["w"], setup["w_tol"], setup["order"]
+    fixed_sum = [0.0] * len(shape)
+    pos_un = list(rows.pos)
+    neg_un = list(rows.neg)
+    free = list(rows.lengths)
+    # value[n] is the "none" option of the bound groups, never fixed.
+    value = [-1] * (n + 1)
+    trail: list[int] = []
+    fixed_w = 0.0
+    pos_un_w = setup["pos_un_w"]
+
+    # The group bound.  Each group's options sit in `opt_var`/`opt_w` sorted
+    # by w, best first; ptr[g] is the first unfixed one, so opt_w[ptr[g]] is
+    # the best a group can still add, and a group adds 0 once one of its
+    # variables is 1 (they share a `== 1` row, or there is only one).  A
+    # partial group may select none of its variables, so its options include
+    # "none" (w 0) at its place in that order.  An exact group must select
+    # one, so its best unfixed w counts even when negative; its "none" comes
+    # last and is reached only when every option is fixed to 0, which
+    # propagation rejects before any node reads the bound.
+    opt_var, opt_w, slot, ptr = setup["opt_var"], setup["opt_w"], setup["slot"], setup["ptr"]
+    ones = [0] * len(ptr)
+    contrib = setup["contrib"]
+    bound = setup["bound"]
+
+    def fix(u: int, val: int) -> bool:
+        """Set u = val; False if the parametric sum can no longer reach 0."""
+        nonlocal fixed_w, pos_un_w, bound
+        value[u] = val
+        trail.append(u)
+        wu = w[u]
+        if wu > 0.0:
+            pos_un_w -= wu
+        for ci, q in var_cons[u]:
+            if q > 0.0:
+                pos_un[ci] -= q
+            else:
+                neg_un[ci] -= q
+            free[ci] -= 1
+            if val:
+                fixed_sum[ci] += q
+        g = group_of[u]
+        p = ptr[g]
+        if val:
+            fixed_w += wu
+            ones[g] += 1
+        moved = slot[u] == p
+        if moved:
+            p += 1
+            while value[opt_var[p]] != -1:
+                p += 1
+            ptr[g] = p
+        if val or moved:
+            best = 0.0 if ones[g] else opt_w[p]
+            bound += best - contrib[g]
+            contrib[g] = best
+        return fixed_w + pos_un_w >= -w_tol
+
+    def propagate(v: int, val: int) -> bool:
+        """Fix v = val and all it forces, checking each fixed variable's rows in stack order."""
+        if not fix(v, val):
+            return False
+        stack = [v]
+        pop, push = stack.pop, stack.append
+        while stack:
+            for ci, _ in var_cons[pop()]:
+                up, down, top, bottom, gate, row_vars, row_coeffs = shape[ci]
+                fixed = fixed_sum[ci]
+                # Fixing an unfixed variable moves the row's activity
+                # range by |q|, so nothing is forced while every |q| fits
+                # in the slack.  The gate's margin of tol leaves
+                # float-boundary cases to the scan below.
+                if up:
+                    least = fixed + neg_un[ci]
+                    if least > top:
+                        return False
+                    slack = top - least
+                    if down:
+                        most = fixed + pos_un[ci]
+                        if most < bottom:
+                            return False
+                        if most - bottom < slack:
+                            slack = most - bottom
+                else:
+                    most = fixed + pos_un[ci]
+                    if most < bottom:
+                        return False
+                    slack = most - bottom
+                if gate <= slack or not free[ci]:
+                    continue
+                # A variable fixed during this scan moves the row's sums;
+                # the scan goes on from the sums it started with, which
+                # are looser, and the row is checked again from that
+                # variable.
+                neg = neg_un[ci]
+                pos = pos_un[ci]
+                for x, q in zip(row_vars, row_coeffs):
+                    if value[x] != -1:
+                        continue
+                    can_zero = can_one = True
+                    if up:
+                        lo_rest = neg - q if q < 0.0 else neg
+                        if fixed + q + lo_rest > top:
+                            can_one = False
+                        if fixed + lo_rest > top:
+                            can_zero = False
+                    if down:
+                        hi_rest = pos - q if q > 0.0 else pos
+                        if fixed + q + hi_rest < bottom:
+                            can_one = False
+                        if fixed + hi_rest < bottom:
+                            can_zero = False
+                    if can_zero:
+                        if can_one:
+                            continue
+                        forced = 0
+                    elif can_one:
+                        forced = 1
+                    else:
+                        return False
+                    if not fix(x, forced):
+                        return False
+                    push(x)
+        return True
+
+    def undo(mark: int) -> None:
+        nonlocal fixed_w, pos_un_w, bound
+        for _ in range(len(trail) - mark):
+            u = trail.pop()
+            val = value[u]
+            value[u] = -1
+            wu = w[u]
+            if wu > 0.0:
+                pos_un_w += wu
+            for ci, q in var_cons[u]:
+                if q > 0.0:
+                    pos_un[ci] += q
+                else:
+                    neg_un[ci] += q
+                free[ci] += 1
+                if val:
+                    fixed_sum[ci] -= q
+            g = group_of[u]
+            if val:
+                fixed_w -= wu
+                ones[g] -= 1
+            moved = slot[u] < ptr[g]
+            if moved:
+                ptr[g] = slot[u]
+            if val or moved:
+                best = 0.0 if ones[g] else opt_w[ptr[g]]
+                bound += best - contrib[g]
+                contrib[g] = best
+
+    def satisfied() -> bool:
+        if fixed_w < -w_tol:
+            return False
+        for (up, down, top, bottom, *_), fixed in zip(shape, fixed_sum):
+            if up and fixed > top:
+                return False
+            if down and fixed < bottom:
+                return False
+        return True
+
+    # One (pos, v, mark, other) per open node on the path: v = order[pos] is
+    # set, mark is the trail's length before it was, and other is the value
+    # still to try, or -1.
+    path: list[tuple[int, int, int, int]] = []
+    pos = 0
+    nodes = 0
+    while True:
+        nodes += 1
+        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+            return FeasibilityResult(None, timed_out=True, nodes=nodes)
+        if fixed_w + bound >= -w_tol:
+            while pos < n and value[order[pos]] != -1:
+                pos += 1
+            if pos == n:
+                if satisfied():
+                    return FeasibilityResult(tuple(value[:n]), nodes=nodes)
+            else:
+                v = order[pos]
+                val = 1 if w[v] > w_tol else 0
+                path.append((pos, v, len(trail), 1 - val))
+                if propagate(v, val):
+                    pos += 1
+                    continue
+        # No accepted leaf below this node: undo back to the deepest open
+        # node with a value left, and try it.
+        while path:
+            pos, v, mark, val = path.pop()
+            undo(mark)
+            if val != -1:
+                path.append((pos, v, mark, -1))
+                if propagate(v, val):
+                    pos += 1
+                    break
+        else:
+            return FeasibilityResult(None, nodes=nodes)
 
 
 def maximize_ratio(
@@ -643,24 +630,18 @@ def maximize_ratio(
     the upper bracket.  After `iters` halvings the certified bound is within
     (hi - lo) * 2**-iters of the true optimum.
 
-    `time_budget` bounds the whole search: each probe gets the time that is
-    left, and a probe with no time left counts as timed out.
+    `time_budget`, None or a positive finite number of seconds, bounds the
+    whole search: it becomes one deadline that every probe shares, so a probe
+    that starts after it counts as timed out.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not _is_int(iters) or iters < 1:
         raise ValueError("iters must be a positive int")
+    if time_budget is not None and not (_is_real(time_budget) and 0.0 < time_budget < math.inf):
+        raise ValueError(f"time_budget must be None or positive and finite, got {time_budget!r}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-
-    def probe(alpha: float) -> FeasibilityResult:
-        if deadline is None:
-            return feasible(model, alpha)
-        left = deadline - time.monotonic()
-        if left <= 0.0:
-            return FeasibilityResult(None, timed_out=True)
-        return feasible(model, alpha, left)
-
-    first = probe(lo)
+    first = feasible(model, lo, deadline)
     if first.timed_out:
         raise ValueError(f"probe timed out at ratio bound {lo} before finding any solution")
     if first.assignment is None:
@@ -673,7 +654,7 @@ def maximize_ratio(
         if model.certifies(witness, mid):
             lo = mid
             continue
-        result = probe(mid)
+        result = feasible(model, mid, deadline)
         if result.assignment is not None:
             lo = mid
             ratio = model.ratio_of(result.assignment)

@@ -198,10 +198,12 @@ def link(
     outgoing or incoming edge, or no decomposition has positive total score.
     """
     require_empty_pattern(patterns)
+    tails = {i for i, _ in graph.sorted_edges}
+    heads = {j for _, j in graph.sorted_edges}
     for d in graph.ids:
-        if not graph.out_neighbors[d]:
+        if d not in tails:
             raise ValueError(f"detection {d} has no outgoing edge")
-        if not graph.in_neighbors[d]:
+        if d not in heads:
             raise ValueError(f"detection {d} has no incoming edge")
 
     model, triples = build_link_model(graph, patterns, cfg)

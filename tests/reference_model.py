@@ -4,10 +4,10 @@
 `miner.build_mine_model` as they were when each row was one `Constraint`
 tuple and variables were looked up in a dict of (pattern, edge) triples.
 `FormerRowIndex` is `fracopt._RowIndex` and `former_probe_setup` the
-alpha-dependent set-up of `fracopt._Search.run` as they were when both were
-built in Python loops over those tuples; their sums add left to right, as
-Python's `sum` did before 3.12.  The array form must give the same rows,
-numbers, index and set-up lists, bit for bit.
+alpha-dependent set-up of the probe (now `fracopt._probe_setup`) as they
+were when both were built in Python loops over those tuples; their sums add
+left to right, as Python's `sum` did before 3.12.  The array form must give
+the same rows, numbers, index and set-up lists, bit for bit.
 """
 from __future__ import annotations
 
@@ -48,11 +48,21 @@ def former_link_model(graph, patterns, cfg):
             numer.append(aligned)
             denom.append(total)
 
+    # Each detection's neighbours in sorted edge order, as the graph's former
+    # `out_neighbors` and `in_neighbors` listed them.
+    out_neighbors = {d: [] for d in graph.ids}
+    in_neighbors = {d: [] for d in graph.ids}
+    for i, j in edges:
+        if i in out_neighbors:
+            out_neighbors[i].append(j)
+        if j in in_neighbors:
+            in_neighbors[j].append(i)
+
     constraints = []
     n_patterns = len(patterns)
     for d in graph.ids:
-        outs = graph.out_neighbors[d]
-        ins = graph.in_neighbors[d]
+        outs = out_neighbors[d]
+        ins = in_neighbors[d]
         out_vars = tuple(var_of[(p, d, j)] for p in range(n_patterns) for j in outs)
         in_vars = tuple(var_of[(p, i, d)] for p in range(n_patterns) for i in ins)
         constraints.append(Constraint(out_vars, (1.0,) * len(out_vars), "==", 1.0))

@@ -1,9 +1,10 @@
 """The DFS probe before its propagation became one flat loop, kept as the reference.
 
-`ReferenceSearch` and `ReferenceRowIndex` are `fracopt._Search` and
-`fracopt._RowIndex` as they were when each assignment and each row check was
-a method call and the optimistic bound was recomputed with numpy at every
-node: every group clipped at 0, whether or not its selection row is complete.
+`ReferenceSearch` and `ReferenceRowIndex` are the probe (then the class
+`fracopt._Search`, now `fracopt.feasible`) and `fracopt._RowIndex` as they
+were when each assignment and each row check was a method call and the
+optimistic bound was recomputed with numpy at every node: every group
+clipped at 0, whether or not its selection row is complete.
 The current probe must decide every model the same way, with the same
 witness, in no more nodes.
 """

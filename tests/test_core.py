@@ -128,7 +128,7 @@ class TestDetectionGraph:
         d = det(0, 0.0, 0.0)
         g = DetectionGraph((d, d), frozenset({(SOURCE_NODE, 1), (SOURCE_NODE, 2)}))
         assert g.ids == range(1, 3) and g.detection(1) is g.detection(2) is d
-        assert g.out_neighbors[SOURCE_NODE] == (1, 2)
+        assert g.sorted_edges == ((SOURCE_NODE, 1), (SOURCE_NODE, 2))
 
     def test_backward_edge_rejected(self):
         dets = (det(2, 0, 0), det(1, 1, 1))
@@ -183,11 +183,12 @@ class TestDetectionGraph:
         with pytest.raises(ValueError, match=reason):
             dataclasses.replace(chain_graph(), source_tracks=tracks)
 
-    def test_neighbor_tables(self):
+    def test_sorted_edges(self):
         g = chain_graph()
-        assert set(g.out_neighbors[1]) == {2, SINK_NODE}
-        assert set(g.out_neighbors[2]) == {3, SINK_NODE}
-        assert set(g.in_neighbors[3]) == {SOURCE_NODE, 2}
+        assert g.sorted_edges == (
+            (SOURCE_NODE, 1), (SOURCE_NODE, 2), (SOURCE_NODE, 3),
+            (1, SINK_NODE), (1, 2), (2, SINK_NODE), (2, 3), (3, SINK_NODE),
+        )
         assert 2 in g and 9 not in g
 
 

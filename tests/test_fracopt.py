@@ -73,6 +73,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive int"):
             maximize_ratio(m, 0.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, 0.0, float("inf"), True, "1"])
+    def test_time_budget_must_be_positive_and_finite(self, budget):
+        # A NaN budget used to turn the budget off (every comparison with NaN
+        # is false), and a negative one failed as a timed-out probe.
+        m = SolverModel(1, (), (1.0,), (1.0,))
+        with pytest.raises(ValueError, match="time_budget must be None or positive and finite"):
+            maximize_ratio(m, time_budget=budget)
+        assert maximize_ratio(m, time_budget=np.float64(10.0)).witness == (1,)
+
 
 class TestModelQueries:
     def test_ratio_of(self):
@@ -211,12 +220,13 @@ def assert_same_search(model, alpha):
     Under the exactly-one bound it takes exactly the full scan's nodes, so the
     slack gate forces what the scan forces and the incremental bound equals
     the recomputed one; against the reference's bound, which clips every
-    group at 0, it takes no more.
+    group at 0, it takes no more.  `feasible` is the probe imported above, so
+    a test that patches `fracopt.feasible` still replays the unpatched one.
     """
-    probe = fracopt._Search(model, alpha, None)
+    probe = feasible(model, alpha)
     full = _FullScanSearch(model, alpha, None)
     sharp = _ExactlyOneFullScanSearch(model, alpha, None)
-    assert probe.run() == full.run() == sharp.run(), (model, alpha)
+    assert probe == full.run() == sharp.run(), (model, alpha)
     assert probe.nodes == sharp.nodes <= full.nodes, (model, alpha)
     return probe.nodes
 
@@ -283,8 +293,8 @@ class TestSlackGate:
         real = fracopt.feasible
         probes = []
 
-        def recording(model, alpha, time_budget=None):
-            result = real(model, alpha, time_budget)
+        def recording(model, alpha, deadline=None):
+            result = real(model, alpha, deadline)
             probes.append((alpha, result.assignment is not None))
             return result
 
@@ -305,8 +315,8 @@ class TestExactlyOneBound:
         rows = (con([0, 1, 2], [1.0] * 3, "==", 1.0), con([3, 4, 5], [1.0] * 3, "==", 1.0))
         m = SolverModel(6, rows, (0.0,) * 6, (1.0, 2.0, 3.0, 0.5, 1.0, 2.0))
         reference = ReferenceSearch(m, 0.5)
-        probe = fracopt._Search(m, 0.5, None)
-        assert probe.run() == reference.run() == FeasibilityResult(None)
+        probe = feasible(m, 0.5)
+        assert probe == reference.run() == FeasibilityResult(None)
         assert reference.nodes > 1
         assert probe.nodes == 1
         assert not brute_force_feasible(m, 0.5)
@@ -342,9 +352,9 @@ def bench_probes(monkeypatch, tmp_path, workload, command):
     real = fracopt.feasible
     probes = []
 
-    def recording(model, alpha, time_budget=None):
+    def recording(model, alpha, deadline=None):
         probes.append((model, alpha))
-        return real(model, alpha, time_budget)
+        return real(model, alpha, deadline)
 
     monkeypatch.setattr(fracopt, "feasible", recording)
     for s in scenes:
@@ -371,9 +381,9 @@ class TestAgainstReference:
         probes = bench_probes(monkeypatch, tmp_path, "track-noisy", "track")
         nodes = []
         for model, alpha in probes:
-            probe = fracopt._Search(model, alpha, None)
+            probe = feasible(model, alpha)
             reference = ReferenceSearch(model, alpha)
-            assert probe.run() == reference.run(), alpha
+            assert probe == reference.run(), alpha
             assert probe.nodes <= reference.nodes, alpha
             nodes.append(probe.nodes)
         assert len(nodes) == 10
@@ -383,9 +393,9 @@ class TestAgainstReference:
         probes = bench_probes(monkeypatch, tmp_path, "supervised-dense", "learn-patterns")
         assert probes
         for model, alpha in probes:
-            probe = fracopt._Search(model, alpha, None)
+            probe = feasible(model, alpha)
             reference = ReferenceSearch(model, alpha)
-            assert probe.run() == reference.run(), alpha
+            assert probe == reference.run(), alpha
             assert probe.nodes <= reference.nodes, alpha
 
 
@@ -460,23 +470,40 @@ def random_ratio_model(rng, max_vars=8):
             return m
 
 
+class _FakeClock:
+    """Stands in for the `time` module in fracopt: each reading returns `now`
+    and then moves it on by `step`."""
+
+    def __init__(self, step=0.0):
+        self.now = 0.0
+        self.step = step
+
+    def monotonic(self):
+        now = self.now
+        self.now += self.step
+        return now
+
+
 class TestTimeBudget:
     """A 300-variable unconstrained model needs 301 search nodes for its first
-    full assignment, past the per-256-node budget check, so a tiny budget
-    times out on every machine."""
+    full assignment, past the per-256-node deadline check."""
 
     @staticmethod
     def anchor():
         return SolverModel(300, (), (0.0,) * 300, (0.0,) * 300)
 
-    def test_tiny_budget_times_out(self):
-        res = feasible(self.anchor(), 0.0, time_budget=1e-9)
+    def test_tiny_budget_times_out(self, monkeypatch):
+        # The deadline lies between the probe's start and its 256th node.
+        monkeypatch.setattr(fracopt, "time", _FakeClock(step=1.0))
+        res = feasible(self.anchor(), 0.0, deadline=0.5)
         assert res == FeasibilityResult(None, timed_out=True)
+        assert res.nodes == 256
 
     def test_no_budget_completes(self):
         res = feasible(self.anchor(), 0.0)
         assert res.assignment == (0,) * 300
         assert not res.timed_out
+        assert res.nodes == 301
 
     def test_search_reports_timeout_at_bracket(self):
         with pytest.raises(ValueError, match="^probe timed out") as err:
@@ -484,49 +511,58 @@ class TestTimeBudget:
         assert "degenerate" not in str(err.value)
 
 
-class _FakeClock:
-    """Stands in for the `time` module in fracopt; only the probes advance it."""
+def test_probe_leaves_the_recursion_limit_alone(monkeypatch):
+    # A probe's depth grows with the model, and the search must not change
+    # interpreter state that every thread of the process shares.
+    def refuse(limit):
+        raise AssertionError(f"the probe set the recursion limit to {limit}")
 
-    def __init__(self):
-        self.now = 0.0
-
-    def monotonic(self):
-        return self.now
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    res = feasible(SolverModel(3000, (), np.zeros(3000), np.zeros(3000)), 0.0)
+    assert res.assignment == (0,) * 3000
+    assert res.nodes == 3001
 
 
 def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
     # Every probe costs 1 s of fake time, within a 2.5 s budget on its own,
-    # but the search needs more than two probes: with the budget spread over
-    # the whole search, the third probe runs out and the bound is partial.
+    # but the search needs more than two probes: with one deadline for the
+    # whole search, the third probe runs out and the bound is partial.
     m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
     unbounded = maximize_ratio(m, 0.0, 1.0, 10)
     clock = _FakeClock()
     real = fracopt.feasible
-    budgets = []
+    deadlines, results = [], []
 
-    def one_second_probe(model, alpha, time_budget=None):
-        budgets.append(time_budget)
-        if time_budget < 1.0:
-            clock.now += time_budget
-            return FeasibilityResult(None, timed_out=True)
-        clock.now += 1.0
-        return real(model, alpha)
+    def one_second_probe(model, alpha, deadline=None):
+        deadlines.append(deadline)
+        result = real(model, alpha, deadline)
+        if not result.timed_out:
+            if clock.now + 1.0 > deadline:
+                clock.now = deadline
+                result = FeasibilityResult(None, timed_out=True)
+            else:
+                clock.now += 1.0
+        results.append(result)
+        return result
 
     monkeypatch.setattr(fracopt, "time", clock)
     monkeypatch.setattr(fracopt, "feasible", one_second_probe)
     res = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=2.5)
     assert res.lower_bound_only
-    assert budgets[:3] == [2.5, 1.5, 0.5]
-    # once the budget is spent, later probes count as timed out without running
-    assert len(budgets) == 3
+    assert set(deadlines) == {2.5}
+    assert [r.timed_out for r in results[:3]] == [False, False, True]
     assert clock.now == 2.5
+    # once the deadline has passed, later probes time out without searching
+    assert len(results) > 3
+    assert all(r.timed_out and r.nodes == 0 for r in results[3:])
 
     clock.now = 0.0
-    budgets.clear()
+    deadlines.clear()
+    results.clear()
     ample = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=100.0)
     assert not ample.lower_bound_only
     assert ample == unbounded
-    assert len(budgets) > 2
+    assert len(results) > 2 and set(deadlines) == {100.0}
 
 
 def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
@@ -543,7 +579,7 @@ def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
 
     real = fracopt.feasible
 
-    def flaky(model, alpha, time_budget=None):
+    def flaky(model, alpha, deadline=None):
         if alpha > 0.49:
             return FeasibilityResult(None, timed_out=True)
         return real(model, alpha)

@@ -224,6 +224,23 @@ class TestLinkErrors:
         with pytest.raises(ValueError, match="no incoming edge"):
             link(g, (EMPTY_PATTERN,), Config())
 
+    def test_first_detection_without_an_edge_is_named(self):
+        # Detection 1 lacks an entry, detection 2 lacks both edges: the
+        # lowest id is named, its missing exit before its missing entry.
+        dets = (Detection(1, (0.0, 0.0)), Detection(1, (5.0, 0.0)))
+        g = DetectionGraph(dets, frozenset({(1, SINK_NODE)}))
+        with pytest.raises(ValueError, match="^detection 1 has no incoming edge$"):
+            link(g, (EMPTY_PATTERN,), Config())
+        g = DetectionGraph(dets, frozenset({(SOURCE_NODE, 2)}))
+        with pytest.raises(ValueError, match="^detection 1 has no outgoing edge$"):
+            link(g, (EMPTY_PATTERN,), Config())
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_time_budget_must_be_positive_and_finite(self, budget):
+        g = build_graph([chain_track([-2.0, 0.0, 2.0])], Config())
+        with pytest.raises(ValueError, match="time_budget"):
+            link(g, (EMPTY_PATTERN, LANE), Config(), time_budget=budget)
+
     def test_zero_score_instance_is_degenerate(self):
         g = build_graph([[det(1, 0.0, 0.0)]], Config())
         with pytest.raises(ValueError, match="degenerate"):

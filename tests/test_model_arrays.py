@@ -113,9 +113,9 @@ def recorded_models(monkeypatch):
         pairs.append((model, former_mine_model(graph, trajectories, candidates, cfg)))
         return model
 
-    def feasible(model, alpha, time_budget=None):
+    def feasible(model, alpha, deadline=None):
         alphas.setdefault(id(model), []).append(alpha)
-        return real_feasible(model, alpha, time_budget)
+        return real_feasible(model, alpha, deadline)
 
     monkeypatch.setattr(linker, "build_link_model", link_model)
     monkeypatch.setattr(miner, "build_mine_model", mine_model)
