@@ -45,11 +45,12 @@ from .metrics import (
 )
 from .miner import CandidateSet, MineResult, build_mine_model, generate_candidates, mine
 from .scoring import (
-    PatternScorer,
     ScorePair,
+    edge_scores,
     objective,
     ratio_bracket,
     trajectory_score,
+    trajectory_scores,
 )
 from .svgplot import render_svg, write_plot
 from .synth import (

@@ -27,6 +27,15 @@ RELATIVE_WIDTH_FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 _DUPLICATE_TOL = 1e-12
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
 def _finite_pair(value) -> bool:
     if len(value) != 2:
         return False
@@ -180,8 +189,26 @@ class DetectionGraph:
         return det_id in self.ids
 
     @cached_property
+    def frames(self) -> np.ndarray:
+        """Frame of each detection (int64, or Python ints beyond it); id k is row k - 1."""
+        return np.array([d.frame for d in self.detections])
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(x, y) of each detection, an (n, 2) float array; id k is row k - 1."""
+        return np.array([d.pos for d in self.detections], dtype=float)
+
+    def rows(self, trajectories: Sequence["Trajectory"]) -> tuple[np.ndarray, np.ndarray]:
+        """The trajectories' detections as rows (id - 1), concatenated, and where
+        each trajectory starts; `KeyError` on an id outside `ids`, as in `detection`."""
+        ids = [n for t in trajectories for n in t.nodes]
+        if ids and max(ids) > len(self.detections):  # a `Trajectory` holds no id below 1
+            raise KeyError(next(n for n in ids if n > len(self.detections)))
+        return np.array(ids, dtype=np.int64) - 1, np.cumsum([0, *map(len, trajectories)])
+
+    @cached_property
     def scoring_cache(self) -> dict:
-        """Width-free scoring terms per centerline, filled by `ptrack.scoring`."""
+        """What `ptrack.scoring` keeps: per centerline and per trajectory set."""
         return {}
 
     @cached_property
@@ -193,8 +220,9 @@ class DetectionGraph:
 class Trajectory:
     """An ordered chain of detection ids forming one object's path.
 
-    The graph it is scored on decides whether its entry and exit are free
-    (see `DetectionGraph.batch` and `PatternScorer.edge`).
+    Nodes are detection ids, positive ints (not bools).  The graph it is
+    scored on decides whether its entry and exit are free (see
+    `DetectionGraph.batch` and `scoring.edge_scores`).
     """
 
     nodes: tuple[int, ...]
@@ -202,10 +230,10 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("trajectory has no nodes")
+        if not all(type(n) is int and n >= 1 for n in self.nodes):
+            raise ValueError(f"trajectory nodes must be detection ids, ints from 1: {self.nodes!r}")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("trajectory repeats a detection")
-        if any(n < 0 for n in self.nodes):
-            raise ValueError("trajectory nodes must be detection ids")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -347,24 +375,23 @@ class Config:
     candidate_widths: tuple[float, ...] = DEFAULT_WIDTHS
 
     def __post_init__(self) -> None:
+        # Every number is a finite int or float, never a bool or a string.
         for name in ("link_radius", "join_radius", "join_gap", "fps"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if not isinstance(self.max_patterns, int) or self.max_patterns < 1:
+        if not (_is_int(self.max_patterns) and self.max_patterns >= 1):
             raise ValueError(f"max_patterns must be a positive int, got {self.max_patterns!r}")
-        if self.pattern_cost_budget is not None and not (
-            math.isfinite(self.pattern_cost_budget) and self.pattern_cost_budget >= 0
-        ):
-            raise ValueError("pattern_cost_budget must be non-negative when set")
-        if not (math.isfinite(self.reverse_penalty) and self.reverse_penalty >= 0):
-            raise ValueError("reverse_penalty must be non-negative")
-        if not math.isfinite(self.empty_rate):
-            raise ValueError("empty_rate must be finite")
-        widths = tuple(float(w) for w in self.candidate_widths)
-        if not widths or any(not math.isfinite(w) or w <= 0 for w in widths):
-            raise ValueError("candidate_widths must be non-empty positive floats")
-        object.__setattr__(self, "candidate_widths", widths)
+        for name in ("pattern_cost_budget", "reverse_penalty"):
+            v = getattr(self, name)
+            if not (_is_real(v) and v >= 0 or v is None and name == "pattern_cost_budget"):
+                raise ValueError(f"{name} must be non-negative and finite, got {v!r}")
+        if not _is_real(self.empty_rate):
+            raise ValueError(f"empty_rate must be finite, got {self.empty_rate!r}")
+        widths = tuple(self.candidate_widths)
+        if not (widths and all(_is_real(w) and w > 0 for w in widths)):
+            raise ValueError(f"candidate_widths must be positive and finite, got {self.candidate_widths!r}")
+        object.__setattr__(self, "candidate_widths", tuple(map(float, widths)))
 
     @classmethod
     def unsupervised(cls, **overrides) -> "Config":

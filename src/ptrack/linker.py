@@ -25,7 +25,7 @@ from .core import (
     validate_trajectory_set,
 )
 from .fracopt import EQ, SolverModel, maximize_ratio
-from .scoring import PatternScorer, ratio_bracket
+from .scoring import edge_scores, ratio_bracket
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,10 @@ def build_link_model(
     n_edges, n_patterns, n = len(edges), len(patterns), len(graph.detections)
     triples = tuple((p, i, j) for p in range(n_patterns) for (i, j) in edges)
 
-    numer = []
-    denom = []
-    for pattern in patterns:
-        scorer = PatternScorer(graph, pattern, cfg)
-        for i, j in edges:
-            total, aligned = scorer.edge(i, j)
-            numer.append(aligned)
-            denom.append(total)
-
     tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    scores = [edge_scores(graph, pattern, cfg, tail, head) for pattern in patterns]
+    denom = np.concatenate([total for total, _ in scores])
+    numer = np.concatenate([aligned for _, aligned in scores])
     # Out-edges of each detection are contiguous in sorted order; in-edges
     # are gathered by a stable sort on the head.  rank is an edge's place
     # among its detection's out- (or in-) edges.

@@ -35,7 +35,8 @@ from .core import (
     tracking_area,
 )
 from .fracopt import EQ, LE, SolverModel, maximize_ratio
-from .scoring import ScorePair, ratio_bracket, trajectory_score
+# Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
+from .scoring import ratio_bracket, trajectory_score, trajectory_scores
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,13 @@ def generate_candidates(
     first, last = graph.batch
     patterns: list[Pattern] = [EMPTY_PATTERN]
     source: list[int | None] = [None]
-    for t_idx, traj in enumerate(trajectories):
-        frames = [graph.detection(n).frame for n in traj.nodes]
-        if min(frames) <= first or max(frames) >= last:
+    rows, starts = graph.rows(trajectories)
+    frames, points, starts = graph.frames[rows].tolist(), graph.positions[rows].tolist(), starts.tolist()
+    for t_idx, (a, b) in enumerate(zip(starts, starts[1:])):
+        if min(frames[a:b]) <= first or max(frames[a:b]) >= last:
             continue
-        points = [graph.detection(n).pos for n in traj.nodes]
         try:
-            base = Pattern.from_points(points, cfg.candidate_widths[0])
+            base = Pattern.from_points(points[a:b], cfg.candidate_widths[0])
         except ValueError:
             continue
         for w in cfg.candidate_widths:
@@ -130,16 +131,14 @@ def build_mine_model(
     n_cand = len(candidates)
     n_assign = n_traj * n_cand
     num_vars = n_assign + (n_cand - 1)
+    columns = [trajectory_scores(graph, trajectories, p, cfg) for p in candidates.patterns]
 
     # Variable t * n_cand + p assigns trajectory t to candidate p; variable
     # n_assign + p - 1 selects candidate p >= 1.
-    numer = [0.0] * num_vars
-    denom = [0.0] * num_vars
-    for t, traj in enumerate(trajectories):
-        for p, pattern in enumerate(candidates.patterns):
-            score = trajectory_score(graph, traj, pattern, cfg)
-            numer[t * n_cand + p] = score.aligned
-            denom[t * n_cand + p] = score.total
+    denom, numer = (
+        np.concatenate([np.stack(side, axis=1).ravel(), np.zeros(n_cand - 1)])
+        for side in zip(*columns)
+    )
 
     # Rows: each trajectory's `== 1` row over its candidates; for each
     # trajectory t and candidate p >= 1, assign(t, p) - select(p) <= 0; then,
@@ -176,12 +175,14 @@ def _cheapest_twins(
     """Index of the cheapest candidate of each distinct score column, ascending.
 
     A column is the (total, aligned) score of every trajectory against the
-    candidate.  Cost ties go to the lowest index, so the empty pattern (index
-    0, cost 0) always stays and drops every candidate with its column.
+    candidate, as Python floats (0.0 == -0.0).  Cost ties go to the lowest
+    index, so the empty pattern (index 0, cost 0) always stays and drops
+    every candidate with its column.
     """
-    cheapest: dict[tuple[ScorePair, ...], int] = {}
+    cheapest: dict[tuple[float, ...], int] = {}
     for p, pattern in enumerate(candidates.patterns):
-        column = tuple(trajectory_score(graph, traj, pattern, cfg) for traj in trajectories)
+        total, aligned = trajectory_scores(graph, trajectories, pattern, cfg)
+        column = (*total.tolist(), *aligned.tolist())
         kept = cheapest.setdefault(column, p)
         if pattern.cost < candidates.patterns[kept].cost:
             cheapest[column] = p

@@ -11,22 +11,21 @@ One end rule holds on every pattern: an entry at the batch's first frame and
 an exit at its last are free, and any other end is charged, so cutting a
 track into pieces is never free.  A pattern charges the centerline arc a path
 skips before its first detection or after its last; the empty pattern charges
-`EMPTY_END_TOTAL` at the empty rate.  `PatternScorer.edge` reads the rule off
+`EMPTY_END_TOTAL` at the empty rate.  The rule is read off
 `DetectionGraph.batch`, so the linker, the miner, the split-half proxy and
 `objective` score any chain of detection ids the same way.
 
-The linker, the miner and the split-half proxy score the same detections
-against the same centerlines many times over, at many widths.  So each graph
-caches, per centerline, the projections of all its detections (one batched
-numpy pass) and, per scored edge, the terms that neither the width nor any
-`Config` field changes.  The width, `reverse_penalty` and `empty_rate` are
-applied each time the cache is read, so one entry serves every candidate width
-and every configuration, and a cached score equals a fresh one bit for bit.
+Scores are arrays, one pass per pattern: `edge_scores` for any edges and
+`trajectory_scores` for a trajectory set.  A graph's `scoring_cache` keeps
+each centerline's projection of all detections, and per trajectory set its
+edges and their width-free terms; the width and the `Config` are applied on
+each pass.  A trajectory's sum runs entry plus exit, then each edge in
+order, so a score is the same float however many are scored at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,114 +88,153 @@ def _project(points: np.ndarray, pattern: Pattern) -> tuple[np.ndarray, np.ndarr
     return arc, feet[rows, best], dist[rows, best]
 
 
-class _CenterlineTerms(dict):
-    """What scoring one graph against one centerline computes, before any width or `Config`.
+def _projection(graph: DetectionGraph, pattern: Pattern) -> tuple[np.ndarray, ...]:
+    """Arc, foot x, foot y, distance and max(|foot x|, |foot y|, 1) of every
+    detection on the pattern's centerline, cached on the graph."""
+    key = pattern.centerline
+    if key not in graph.scoring_cache:
+        arc, foot, dist = _project(graph.positions, pattern)
+        graph.scoring_cache[key] = (arc, *foot.T.copy(), dist, np.maximum(np.abs(foot).max(axis=1), 1.0))
+    return graph.scoring_cache[key]
 
-    `projections` maps every detection of the graph to (arc, foot x, foot y,
-    dist), all projected in one pass; it is empty for the empty pattern, whose
-    ends cost `EMPTY_END_TOTAL` wherever they lie.  The mapping itself gives
-    (total, backward arc or 0, aligned inside the corridor, gate) per
-    detection pair, computed on first lookup; the empty pattern sets only the
-    total, the edge length.
+
+def _end_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, rows, entry) -> tuple[np.ndarray, ...]:
+    """(total, aligned) of the entries (where `entry`, else exits) at `rows`.
+
+    An entry at the batch's first frame and an exit at its last are free: the
+    window, not the object, cut the path there.  Any other end costs the arc
+    it skips, or `EMPTY_END_TOTAL` at the empty rate when empty.
     """
+    frames = graph.frames[rows]
+    free = np.where(entry, frames == graph.batch[0], frames == graph.batch[1])
+    if pattern.is_empty:
+        return np.where(free, 0.0, EMPTY_END_TOTAL), np.where(free, 0.0, cfg.empty_rate * EMPTY_END_TOTAL)
+    arc = _projection(graph, pattern)[0][rows]
+    return np.where(free, 0.0, np.where(entry, arc, pattern.length - arc)), np.zeros(len(rows))
 
-    def __init__(self, graph: DetectionGraph, pattern: Pattern):
-        super().__init__()
-        self.graph = graph
-        self.projections: dict[int, tuple[float, float, float, float]] = {}
-        if not pattern.is_empty:
-            arc, foot, dist = _project(np.array([d.pos for d in graph.detections]), pattern)
-            self.projections = dict(zip(graph.ids, zip(arc.tolist(), *foot.T.tolist(), dist.tolist())))
 
-    def __missing__(self, edge: tuple[int, int]) -> tuple[float, float, float, float]:
-        terms = self[edge] = self._edge_terms(*edge)
-        return terms
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
-    def _edge_terms(self, i: int, j: int) -> tuple[float, float, float, float]:
-        pi = self.graph.detection(i).pos
-        pj = self.graph.detection(j).pos
-        edge_len = float(np.hypot(pj[0] - pi[0], pj[1] - pi[1]))
-        if not self.projections:
-            return (edge_len, 0.0, 0.0, 0.0)
-        arc_i, fxi, fyi, dist_i = self.projections[i]
-        arc_j, fxj, fyj, dist_j = self.projections[j]
-        total = edge_len + (arc_j - arc_i)
-        if arc_j < arc_i:
-            return (total, arc_i - arc_j, 0.0, 0.0)
-        ex, ey = pj[0] - pi[0], pj[1] - pi[1]
-        cx, cy = fxj - fxi, fyj - fyi
-        dot = abs(ex * cx + ey * cy)
-        chord_len = float(np.hypot(cx, cy))
+
+def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, cache=None) -> tuple:
+    """(total, aligned) of the detection edges from rows `i` to rows `j`.
+
+    `cache` keeps, per centerline, the terms that no width or `Config` changes.
+    """
+    terms = None if cache is None else cache.get(pattern.centerline)
+    if terms is None:
+        x, y = graph.positions.T
+        ex, ey = x[j] - x[i], y[j] - y[i]
+        edge_len = np.hypot(ex, ey)
+        if pattern.is_empty:
+            return edge_len, cfg.empty_rate * edge_len
+        arc, fx, fy, dist, scale = _projection(graph, pattern)
+        cx, cy = fx[j] - fx[i], fy[j] - fy[i]
+        dot = np.abs(ex * cx + ey * cy)
+        chord = np.hypot(cx, cy)
         # A chord this far below the foot coordinates is cancellation noise
         # from two nearly identical projections; treat it as a zero chord so
         # the 1 / |chord| factor cannot amplify rounding error.
-        coord_scale = max(abs(fxi), abs(fyi), abs(fxj), abs(fyj), 1.0)
-        if chord_len <= 1e-12 * coord_scale:
-            chord_len = 0.0
-        aligned = 0.0
-        if edge_len > 0.0:
-            aligned += dot / edge_len
-        if chord_len > 0.0:
-            aligned += dot / chord_len
-        return (total, 0.0, aligned, max(dist_i, dist_j))
+        chord[chord <= 1e-12 * np.maximum(scale[i], scale[j])] = 0.0
+        aligned = _divide(dot, edge_len) + _divide(dot, chord)
+        terms = (edge_len + (arc[j] - arc[i]), aligned, np.maximum(dist[i], dist[j]), arc[i] - arc[j])
+        if cache is not None:
+            cache[pattern.centerline] = terms
+    total, aligned, gate, back = terms
+    aligned = np.where(gate > pattern.width, 0.0, aligned)
+    # Moving against the pattern's direction: penalize in proportion to the
+    # arc covered backwards, regardless of corridor width.
+    backward = back > 0.0
+    aligned[backward] = -(1.0 + cfg.reverse_penalty) * back[backward]
+    return total, aligned
 
 
-class PatternScorer:
-    """Scores graph edges (entries, exits and detection edges) against one pattern.
+def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, heads) -> tuple[np.ndarray, ...]:
+    """(total, aligned) arrays of the edges `tails[k]` -> `heads[k]` against one pattern.
 
-    Reads the width-free terms of the pattern's centerline from the graph's
-    `scoring_cache` and applies the width and the `Config` on top, so all
-    widths of a centerline and all configurations share one cache entry.
+    An edge is an entry (tail SOURCE_NODE), an exit (head SINK_NODE) or a
+    detection edge, in the graph or not.  Raises `KeyError` on a detection id
+    outside `graph.ids`, as `DetectionGraph.detection` does.
     """
+    tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    if tails.ndim != 1 or tails.shape != heads.shape:
+        raise ValueError("tails and heads must be one-dimensional and of one length")
+    entry, exit_ = tails == SOURCE_NODE, heads == SINK_NODE
+    # The detections of each edge; an entry or an exit has one, in both places.
+    near, far = np.where(entry, heads, tails), np.where(exit_, tails, heads)
+    for ids in (near, far):
+        if ((ids < 1) | (ids > len(graph.detections))).any():
+            raise KeyError(int(ids[(ids < 1) | (ids > len(graph.detections))][0]))
+    ends, step = entry | exit_, ~(entry | exit_)
+    total, aligned = np.empty(len(tails)), np.empty(len(tails))
+    total[ends], aligned[ends] = _end_scores(graph, pattern, cfg, near[ends] - 1, entry[ends])
+    total[step], aligned[step] = _step_scores(graph, pattern, cfg, near[step] - 1, far[step] - 1)
+    return total, aligned
 
-    def __init__(self, graph: DetectionGraph, pattern: Pattern, cfg: Config):
-        self.graph = graph
-        self.pattern = pattern
-        self.cfg = cfg
-        key = pattern.centerline
-        if key not in graph.scoring_cache:
-            graph.scoring_cache[key] = _CenterlineTerms(graph, pattern)
-        self._terms = graph.scoring_cache[key]
 
-    def edge(self, i: int, j: int) -> tuple[float, float]:
-        """(total, aligned) of an entry (i is SOURCE_NODE), exit (j is SINK_NODE) or detection edge.
+class _Chains(NamedTuple):
+    """A trajectory set as rows: `ends` holds each trajectory's first detection,
+    then each one's last; `tails` and `heads` are its edges, which sit at
+    (`row`, `col`) of a trajectory-by-term matrix of `shape` whose column 0
+    is the entry plus the exit; `step_terms` is the cache of `_step_scores`."""
 
-        An entry at the batch's first frame and an exit at its last are free:
-        the window, not the object, cut the path there.  Any other end costs
-        the arc it skips, or `EMPTY_END_TOTAL` at the empty rate when empty.
-        """
-        if i == SOURCE_NODE or j == SINK_NODE:
-            entry = i == SOURCE_NODE
-            node = j if entry else i
-            if self.graph.detection(node).frame == self.graph.batch[0 if entry else 1]:
-                return 0.0, 0.0
-            if self.pattern.is_empty:
-                return EMPTY_END_TOTAL, self.cfg.empty_rate * EMPTY_END_TOTAL
-            arc = self._terms.projections[node][0]
-            return (arc if entry else self.pattern.length - arc), 0.0
-        total, back, aligned, gate = self._terms[i, j]
-        if self.pattern.is_empty:
-            return total, self.cfg.empty_rate * total
-        if back > 0.0:
-            # Moving against the pattern's direction: penalize in proportion
-            # to the arc covered backwards, regardless of corridor width.
-            return total, -(1.0 + self.cfg.reverse_penalty) * back
-        return total, 0.0 if gate > self.pattern.width else aligned
+    ends: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    shape: tuple[int, int]
+    step_terms: dict
+
+
+def _chains(graph: DetectionGraph, trajectories: tuple[Trajectory, ...]) -> _Chains:
+    chains = graph.scoring_cache.get(trajectories)
+    if chains is None:
+        rows, starts = graph.rows(trajectories)
+        k = np.delete(np.arange(len(rows)), starts[1:] - 1)  # rows followed by an edge
+        owner = np.searchsorted(starts, k, side="right") - 1
+        chains = graph.scoring_cache[trajectories] = _Chains(
+            np.concatenate([rows[starts[:-1]], rows[starts[1:] - 1]]),
+            rows[k],
+            rows[k + 1],
+            owner,
+            k - starts[owner] + 1,
+            (len(trajectories), int(np.diff(starts).max())),
+            {},
+        )
+    return chains
+
+
+def trajectory_scores(
+    graph: DetectionGraph, trajectories: Sequence[Trajectory], pattern: Pattern, cfg: Config
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total, aligned) arrays: each trajectory's edge scores against one pattern, summed.
+
+    A trajectory's sum is its entry plus its exit, then each detection edge in
+    order, one addition at a time.  Raises `KeyError` on a node outside `graph.ids`.
+    """
+    trajectories = tuple(trajectories)
+    if not trajectories:
+        return np.zeros(0), np.zeros(0)
+    chains = _chains(graph, trajectories)
+    n = len(trajectories)
+    ends = _end_scores(graph, pattern, cfg, chains.ends, np.arange(2 * n) < n)
+    sums = np.full((2, *chains.shape), -0.0)
+    sums[:, :, 0] = [s[:n] + s[n:] for s in ends]
+    sums[:, chains.row, chains.col] = _step_scores(
+        graph, pattern, cfg, chains.tails, chains.heads, chains.step_terms
+    )
+    # `cumsum` adds along a row in order, as `+=` would; the padding is -0.0,
+    # which leaves every sum as it is, the sign of a zero included.
+    total, aligned = np.cumsum(sums, axis=2)[:, :, -1]
+    return total, aligned
 
 
 def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """Sum edge scores along a trajectory, including its entry and exit edges."""
-    edge = PatternScorer(graph, pattern, cfg).edge
-    nodes = traj.nodes
-    entry_total, entry_aligned = edge(SOURCE_NODE, nodes[0])
-    exit_total, exit_aligned = edge(nodes[-1], SINK_NODE)
-    total = entry_total + exit_total
-    aligned = entry_aligned + exit_aligned
-    for a, b in zip(nodes, nodes[1:]):
-        edge_total, edge_aligned = edge(a, b)
-        total += edge_total
-        aligned += edge_aligned
-    return ScorePair(total, aligned)
+    """One trajectory's `trajectory_scores`, as a `ScorePair`."""
+    total, aligned = trajectory_scores(graph, (traj,), pattern, cfg)
+    return ScorePair(float(total[0]), float(aligned[0]))
 
 
 def objective(

@@ -16,10 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import Assignment, Config, DetectionGraph, Pattern, Trajectory
 from .linker import LinkResult, link
 from .miner import MineResult, generate_candidates, mine
-from .scoring import trajectory_score
+# Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
+from .scoring import trajectory_score, trajectory_scores
 
 
 @dataclass(frozen=True)
@@ -51,26 +54,18 @@ def _cross_score(
     patterns: Sequence[Pattern],
     cfg: Config,
 ) -> float:
-    """Objective of a trajectory set under its per-trajectory best patterns."""
-    total = 0.0
-    aligned = 0.0
-    for traj in trajectories:
-        best: tuple[float, float] | None = None
-        best_ratio = None
-        for pattern in patterns:
-            score = trajectory_score(graph, traj, pattern, cfg)
-            if score.total <= 0.0:
-                continue
-            ratio = score.aligned / score.total
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio = ratio
-                best = (score.total, score.aligned)
-        if best is not None:
-            total += best[0]
-            aligned += best[1]
-    if total <= 0.0:
+    """Objective of a trajectory set under its per-trajectory best patterns: the
+    first of the best aligned / total among positive totals, added in order."""
+    scores = (trajectory_scores(graph, trajectories, pattern, cfg) for pattern in patterns)
+    totals, aligned = (np.stack(side, axis=1) for side in zip(*scores))
+    scored = totals > 0.0
+    ratio = np.divide(aligned, totals, out=np.full_like(totals, -np.inf), where=scored)
+    rows = np.flatnonzero(scored.any(axis=1))
+    best = np.argmax(scored & (ratio == ratio.max(axis=1, keepdims=True)), axis=1)[rows]
+    total_sum, aligned_sum = (np.cumsum([0.0, *side[rows, best]])[-1] for side in (totals, aligned))
+    if total_sum <= 0.0:
         raise ValueError("degenerate instance: total score is not positive")
-    return aligned / total
+    return float(aligned_sum / total_sum)
 
 
 def split_half_score(
@@ -90,10 +85,11 @@ def split_half_score(
     mid = 0.5 * (first + last)
     half_a: list[Trajectory] = []
     half_b: list[Trajectory] = []
-    for traj in trajectories:
-        frames = [graph.detection(n).frame for n in traj.nodes]
-        early = sum(1 for f in frames if f <= mid)
-        (half_a if early >= len(frames) - early else half_b).append(traj)
+    rows, starts = graph.rows(trajectories)
+    frames, starts = graph.frames[rows].tolist(), starts.tolist()
+    for traj, a, b in zip(trajectories, starts, starts[1:]):
+        early = sum(1 for f in frames[a:b] if f <= mid)
+        (half_a if early >= b - a - early else half_b).append(traj)
     if not half_a or not half_b:
         raise ValueError("degenerate split: a half of the batch has no trajectories")
     candidates_a = generate_candidates(graph, half_a, cfg)

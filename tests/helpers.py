@@ -9,9 +9,9 @@ from ptrack import (
     Config,
     DetectionGraph,
     Pattern,
-    PatternScorer,
     ScorePair,
     corrupt,
+    edge_scores,
     generate_scene,
 )
 
@@ -23,8 +23,9 @@ CROSS = (
 
 
 def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Config) -> ScorePair:
-    """Score a single edge against a pattern; see `PatternScorer.edge`."""
-    return ScorePair(*PatternScorer(graph, pattern, cfg).edge(i, j))
+    """Score a single edge against a pattern: `edge_scores` on one edge."""
+    total, aligned = edge_scores(graph, pattern, cfg, [i], [j])
+    return ScorePair(float(total[0]), float(aligned[0]))
 
 
 def mark_lower_bound(monkeypatch, module, name: str) -> None:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from ptrack.fracopt import Constraint
 from ptrack.miner import _cost_budget
-from ptrack.scoring import PatternScorer, trajectory_score
+
+from reference_scoring import PatternScorer, trajectory_score
 
 
 def _sum(values, start=0):

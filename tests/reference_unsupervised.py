@@ -69,3 +69,39 @@ def reference_run_unsupervised(
         assignment=best[3],
         history=tuple(history),
     )
+
+
+def reference_split(graph, trajectories):
+    """The halves `split_half_score` mines, as its former loop over `graph.detection` made them."""
+    first, last = graph.batch
+    mid = 0.5 * (first + last)
+    half_a, half_b = [], []
+    for traj in trajectories:
+        frames = [graph.detection(n).frame for n in traj.nodes]
+        early = sum(1 for f in frames if f <= mid)
+        (half_a if early >= len(frames) - early else half_b).append(traj)
+    return half_a, half_b
+
+
+def reference_cross_score(graph, trajectories, patterns, cfg, trajectory_score):
+    """The former `_cross_score`: per trajectory, the first pattern of the best
+    aligned / total among positive totals, summed left to right."""
+    total = 0.0
+    aligned = 0.0
+    for traj in trajectories:
+        best = None
+        best_ratio = None
+        for pattern in patterns:
+            score = trajectory_score(graph, traj, pattern, cfg)
+            if score.total <= 0.0:
+                continue
+            ratio = score.aligned / score.total
+            if best_ratio is None or ratio > best_ratio:
+                best_ratio = ratio
+                best = (score.total, score.aligned)
+        if best is not None:
+            total += best[0]
+            aligned += best[1]
+    if total <= 0.0:
+        raise ValueError("degenerate instance: total score is not positive")
+    return aligned / total

@@ -51,23 +51,64 @@ def test_install_wraps_and_uninstall_restores():
         assert lookup(m, a) is fn
 
 
-def test_the_miner_scores_through_the_wrapped_name():
-    # The benchmark counts `trajectory_score` calls made through the miner's
-    # module global: one per (trajectory, candidate) pair.
-    from ptrack.miner import build_mine_model
-
+def two_flow_mining(widths=(1.0, 3.0)):
+    """Two straight flows inside a wider batch: (graph, trajectories, candidates, cfg)."""
     flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]
-    cfg = Config(candidate_widths=(1.0, 3.0))
+    cfg = Config(candidate_widths=widths)
     g = build_graph([flow(0.0, 1), flow(20.0, 2)], cfg, batch=(0, 7))
     trajectories = input_trajectories(g)
-    candidates = generate_candidates(g, trajectories, cfg)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        build_mine_model(g, trajectories, candidates, cfg)
-    finally:
-        tracer.uninstall()
-    assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * len(candidates) == 10
+    return g, trajectories, generate_candidates(g, trajectories, cfg), cfg
+
+
+def scored_columns(monkeypatch):
+    """Patch the miner's `trajectory_scores` and `build_mine_model` to record,
+    per call, the pattern scored and whether the model builder asked for it."""
+    import ptrack.miner as miner
+
+    calls = []
+    in_builder = []
+    score, build = miner.trajectory_scores, miner.build_mine_model
+
+    def counted(graph, trajectories, pattern, cfg):
+        calls.append((pattern, bool(in_builder)))
+        return score(graph, trajectories, pattern, cfg)
+
+    def building(*args):
+        in_builder.append(True)
+        try:
+            return build(*args)
+        finally:
+            in_builder.pop()
+
+    monkeypatch.setattr(miner, "trajectory_scores", counted)
+    monkeypatch.setattr(miner, "build_mine_model", building)
+    return calls
+
+
+def test_mine_scores_each_candidate_column_once(monkeypatch):
+    # One `trajectory_scores` pass per candidate picks the twins; the model
+    # builder then scores only the candidates it is handed, once each.
+    from ptrack import mine
+
+    g, trajectories, candidates, cfg = two_flow_mining()
+    assert len(candidates) == 5
+    calls = scored_columns(monkeypatch)
+    res = mine(g, trajectories, candidates, cfg)
+    picked = [p for p, in_builder in calls if not in_builder]
+    built = [p for p, in_builder in calls if in_builder]
+    assert picked == list(candidates.patterns)
+    # Neither width flips a corridor gate: one candidate per flow survives.
+    assert built == [candidates.patterns[k] for k in (0, 1, 3)]
+    assert res.selected_candidates == (0, 1, 3)
+
+
+def test_the_miner_model_scores_each_candidate_once(monkeypatch):
+    from ptrack.miner import build_mine_model
+
+    g, trajectories, candidates, cfg = two_flow_mining()
+    calls = scored_columns(monkeypatch)
+    build_mine_model(g, trajectories, candidates, cfg)
+    assert [p for p, _ in calls] == list(candidates.patterns)
 
 
 def test_every_solve_goes_through_the_wrapped_names():
@@ -118,7 +159,8 @@ def test_the_miner_model_counts_distinct_score_columns():
     # Neither width flips a corridor gate: one candidate per flow survives.
     assert tracer.counts["miner.candidates"] == 3
     assert tracer.counts["miner.vars"] == len(trajectories) * 3 + 2
-    assert tracer.calls["scoring.trajectory_score"] == len(trajectories) * (5 + 3)
+    # The miner scores in columns, not through the wrapped scalar name.
+    assert tracer.calls["scoring.trajectory_score"] == 0
 
 
 def test_the_unsupervised_loop_solves_each_distinct_iterate_once():

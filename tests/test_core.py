@@ -205,6 +205,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="detection ids"):
             Trajectory((SOURCE_NODE, 1))
 
+    @pytest.mark.parametrize(
+        "nodes", [(0, 1), (1, 0), (1.5,), (2.0,), (True,), (1, False), ("1",), (None,)]
+    )
+    def test_nodes_must_be_positive_ints(self, nodes):
+        # No graph holds id 0, a float or a bool; an array scorer that read
+        # row id - 1 would take id 0 for the last detection.
+        with pytest.raises(ValueError, match="detection ids"):
+            Trajectory(nodes)
+
     def test_length(self):
         assert len(Trajectory((1, 2, 3))) == 3
 
@@ -286,6 +295,39 @@ class TestConfig:
             Config(pattern_cost_budget=-1.0)
         with pytest.raises(ValueError):
             Config(candidate_widths=())
+
+    NOT_FINITE_REALS = [
+        ("link_radius", True),
+        ("join_radius", "4"),
+        ("fps", "2"),
+        ("max_patterns", True),
+        ("max_patterns", 2.0),
+        ("empty_rate", True),
+        ("empty_rate", "0.3"),
+        ("empty_rate", math.nan),
+        ("reverse_penalty", "1"),
+        ("reverse_penalty", False),
+        ("reverse_penalty", math.inf),
+        ("reverse_penalty", None),
+        ("empty_rate", None),
+        ("pattern_cost_budget", True),
+        ("pattern_cost_budget", "2"),
+        ("candidate_widths", (True,)),
+        ("candidate_widths", (1.0, "3")),
+        ("candidate_widths", "13"),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value", NOT_FINITE_REALS, ids=[f"{f}-{v!r:.12}" for f, v in NOT_FINITE_REALS]
+    )
+    def test_numbers_must_be_finite_reals_not_bools_or_strings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Config(**{field: value})
+
+    def test_numpy_and_int_numbers_are_accepted(self):
+        cfg = Config(link_radius=np.float64(2.5), empty_rate=-3, candidate_widths=(1, np.float64(2.0)))
+        assert cfg.link_radius == 2.5 and cfg.empty_rate == -3
+        assert cfg.candidate_widths == (1.0, 2.0) and all(type(w) is float for w in cfg.candidate_widths)
 
     def test_cost_budget_resolution(self):
         cfg = Config(max_patterns=5)

@@ -6,15 +6,17 @@ from ptrack import (
     Detection,
     DetectionGraph,
     Pattern,
-    PatternScorer,
     SINK_NODE,
     SOURCE_NODE,
+    ScorePair,
     build_graph,
     input_trajectories,
     tracks_from_trajectories,
     validate_trajectory_set,
 )
 from ptrack.synth import crossing_scene, fragmented_corridor_scene, two_flow_scene
+
+from helpers import edge_score
 
 
 def det(frame, x, y=0.0):
@@ -159,17 +161,16 @@ class TestInputTrajectories:
         lane = Pattern(((-1.0, 0.0), (10.0, 0.0)), 1.0)
         g = build_graph(tracks, Config())
         first, second = input_trajectories(g)
-        scorer = PatternScorer(g, lane, Config())
-        assert scorer.edge(SOURCE_NODE, first.nodes[0]) == (0.0, 0.0)
-        assert scorer.edge(first.nodes[-1], SINK_NODE)[0] > 0.0
-        assert scorer.edge(SOURCE_NODE, second.nodes[0])[0] > 0.0
-        assert scorer.edge(second.nodes[-1], SINK_NODE) == (0.0, 0.0)
+        score = lambda graph, i, j: edge_score(graph, i, j, lane, Config())
+        assert score(g, SOURCE_NODE, first.nodes[0]) == ScorePair(0.0, 0.0)
+        assert score(g, first.nodes[-1], SINK_NODE).total > 0.0
+        assert score(g, SOURCE_NODE, second.nodes[0]).total > 0.0
+        assert score(g, second.nodes[-1], SINK_NODE) == ScorePair(0.0, 0.0)
         widened = build_graph(tracks, Config(), batch=(0, 4))
         assert input_trajectories(widened) == (first, second)
-        scorer = PatternScorer(widened, lane, Config())
         for t in (first, second):
-            assert scorer.edge(SOURCE_NODE, t.nodes[0])[0] > 0.0
-            assert scorer.edge(t.nodes[-1], SINK_NODE)[0] > 0.0
+            assert score(widened, SOURCE_NODE, t.nodes[0]).total > 0.0
+            assert score(widened, t.nodes[-1], SINK_NODE).total > 0.0
 
     def test_empty_input_tracks_are_skipped(self):
         a = [det(1, 0.0), det(2, 1.0)]

@@ -1,6 +1,6 @@
 """Edge scoring, trajectory aggregation, and the ratio objective."""
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from ptrack import (
     EMPTY_PATTERN,
     Fragment,
     Pattern,
-    PatternScorer,
     ScorePair,
     SINK_NODE,
     SOURCE_NODE,
@@ -22,16 +21,20 @@ from ptrack import (
     build_graph,
     build_mine_model,
     corrupt,
+    edge_scores,
     generate_candidates,
     generate_scene,
     input_trajectories,
     link,
     objective,
     trajectory_score,
+    trajectory_scores,
 )
 from ptrack.scoring import _project
 
 from helpers import edge_score
+from reference_scoring import PatternScorer as ReferenceScorer
+from reference_scoring import trajectory_score as reference_trajectory_sum
 from oracles import (
     dense_nearest_point,
     rigid_transform,
@@ -113,10 +116,10 @@ class TestProjection:
         # charges an interior entry one unit at the empty rate, wherever the
         # detection lies.
         g = pair_graph((0.0, 0.0), (3.0, 0.0), batch=(0, 9))
-        scorer = PatternScorer(g, EMPTY_PATTERN, CFG)
-        assert g.scoring_cache[EMPTY_PATTERN.centerline].projections == {}
-        assert scorer.edge(SOURCE_NODE, 2) == (1.0, 0.3)
-        assert scorer.edge(SOURCE_NODE, 1) == (1.0, 0.3)
+        assert edge_score(g, SOURCE_NODE, 2, EMPTY_PATTERN, CFG) == ScorePair(1.0, 0.3)
+        assert edge_score(g, SOURCE_NODE, 1, EMPTY_PATTERN, CFG) == ScorePair(1.0, 0.3)
+        assert edge_score(g, 1, 2, EMPTY_PATTERN, CFG) == ScorePair(3.0, 0.3 * 3.0)
+        assert EMPTY_PATTERN.centerline not in g.scoring_cache
 
 
 class TestEdgeScoreTable:
@@ -484,22 +487,27 @@ class TestScoreCache:
         for width in widths:
             pattern = Pattern(centerline, width)
             for cfg in CFGS:
-                scorer = PatternScorer(g, pattern, cfg)
+                entries = edge_scores(g, pattern, cfg, [SOURCE_NODE] * len(g.ids), list(g.ids))
+                arc, foot_x, foot_y, dist, _ = g.scoring_cache[pattern.centerline]
                 for node, det in enumerate(g.detections, start=1):
                     want = reference_projection(det.pos, pattern)
-                    cached = g.scoring_cache[pattern.centerline].projections[node]
-                    assert bits(*cached) == bits(want.arc, *want.foot, want.dist)
+                    k = node - 1
+                    assert bits(arc[k], foot_x[k], foot_y[k], dist[k]) == bits(want.arc, *want.foot, want.dist)
                     got = project_to_centerline(det.pos, pattern)
                     assert bits(got.arc, *got.foot, got.dist) == bits(want.arc, *want.foot, want.dist)
-                    assert bits(*scorer.edge(SOURCE_NODE, node)) == bits(want.arc, 0.0)
-                for i, j in pairs:
-                    want = reference_detection_edge(g, pattern, cfg, i, j)
-                    assert bits(*scorer.edge(i, j)) == bits(want.total, want.aligned), (i, j)
+                    assert bits(entries[0][k], entries[1][k]) == bits(want.arc, 0.0)
+                self.assert_pairs_match(g, pattern, cfg, pairs)
         for cfg in CFGS:
-            scorer = PatternScorer(g, EMPTY_PATTERN, cfg)
-            for i, j in pairs:
-                want = reference_detection_edge(g, EMPTY_PATTERN, cfg, i, j)
-                assert bits(*scorer.edge(i, j)) == bits(want.total, want.aligned)
+            self.assert_pairs_match(g, EMPTY_PATTERN, cfg, pairs)
+
+    @staticmethod
+    def assert_pairs_match(g, pattern, cfg, pairs):
+        if not pairs:
+            return
+        total, aligned = edge_scores(g, pattern, cfg, *zip(*pairs))
+        for (i, j), t, a in zip(pairs, total, aligned):
+            want = reference_detection_edge(g, pattern, cfg, i, j)
+            assert bits(t, a) == bits(want.total, want.aligned), (i, j)
 
     def test_random_polylines(self):
         rng = np.random.default_rng(3)
@@ -566,8 +574,8 @@ class TestScoreCache:
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
         self.assert_matches_reference(pts, LANE.centerline, pairs, widths=(2.0, 1.999))
         g = points_graph(pts)
-        assert PatternScorer(g, LANE, CFG).edge(1, 2)[1] > 0.0
-        assert PatternScorer(g, LANE, CFG).edge(3, 4)[1] == 0.0
+        assert edge_score(g, 1, 2, LANE, CFG).aligned > 0.0
+        assert edge_score(g, 3, 4, LANE, CFG).aligned == 0.0
 
     def test_backward_edges(self):
         pts = [(8.0, 1.0), (3.0, -1.5), (6.0, 30.0), (1.0, 0.0), (9.0, -4.0)]
@@ -599,10 +607,10 @@ class TestScoreCache:
 
     @staticmethod
     def every_score(graph, pattern, cfg):
-        scorer = PatternScorer(graph, pattern, cfg)
         ids = list(graph.ids)
-        out = [scorer.edge(i, j) for i in ids for j in ids]
-        out += [scorer.edge(SOURCE_NODE, v) for v in ids] + [scorer.edge(v, SINK_NODE) for v in ids]
+        tails = [i for i in ids for _ in ids] + [SOURCE_NODE] * len(ids) + ids
+        heads = ids * len(ids) + ids + [SINK_NODE] * len(ids)
+        out = list(zip(*edge_scores(graph, pattern, cfg, tails, heads)))
         whole = trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg)
         out.append((whole.total, whole.aligned))
         return [bits(*s) for s in out]
@@ -678,3 +686,177 @@ class TestBoundaryRuleDifferential:
             assert value == pytest.approx(res.alpha_star, rel=1e-12)
         # The padded batch frees no end; the detection span frees some.
         assert (boundary_ends == 0) == padded
+
+
+def scalar_scores(graph, pattern, cfg, edges, trajectories):
+    """The former scalar scorer's edge and trajectory scores, as float bits."""
+    edge = ReferenceScorer(graph, pattern, cfg).edge
+    return (
+        [bits(*edge(i, j)) for i, j in edges],
+        [bits(*astuple(reference_trajectory_sum(graph, t, pattern, cfg))) for t in trajectories],
+    )
+
+
+def array_scores(graph, pattern, cfg, edges, trajectories):
+    """`edge_scores` and `trajectory_scores` as float bits, in the same layout."""
+    tails, heads = zip(*edges)
+    totals, aligned = trajectory_scores(graph, trajectories, pattern, cfg)
+    return (
+        [bits(t, a) for t, a in zip(*edge_scores(graph, pattern, cfg, tails, heads))],
+        [bits(t, a) for t, a in zip(totals, aligned)],
+    )
+
+
+def assert_same_as_scalar(graph, patterns, cfgs, trajectories):
+    """Every edge of the graph and every trajectory, bit for bit, also when
+    each trajectory is scored on its own."""
+    edges = graph.sorted_edges
+    for cfg in cfgs:
+        for pattern in patterns:
+            want = scalar_scores(graph, pattern, cfg, edges, trajectories)
+            assert array_scores(graph, pattern, cfg, edges, trajectories) == want
+            alone = [bits(*astuple(trajectory_score(graph, t, pattern, cfg))) for t in trajectories]
+            assert alone == want[1]
+
+
+def chain_graph(specs, chains, batch=None):
+    """Detections from (frame, x, y) specs, every entry and exit, and each chain's edges."""
+    edges = {(SOURCE_NODE, d) for d in range(1, len(specs) + 1)}
+    edges |= {(d, SINK_NODE) for d in range(1, len(specs) + 1)}
+    edges |= {pair for chain in chains for pair in zip(chain, chain[1:])}
+    return make_graph(specs, edges, batch), [Trajectory(tuple(c)) for c in chains]
+
+
+# Scorer settings that change each term: the default, no reverse penalty with
+# a negative empty rate, and a zero empty rate of either sign.
+SCALAR_CFGS = (
+    Config(),
+    Config(reverse_penalty=0.0, empty_rate=-3.0),
+    Config(empty_rate=0.0),
+    Config(empty_rate=-0.0),
+)
+
+
+class TestArrayScorerAgainstScalar:
+    """`edge_scores` and `trajectory_scores` give the former scalar scorer's floats, bit for bit."""
+
+    def test_seeded_random_graphs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(25):
+            verts = np.cumsum(rng.normal(size=(int(rng.integers(2, 7)), 2)) * 4.0, axis=0)
+            base = Pattern.from_points(verts.tolist(), 1.0)
+            n = int(rng.integers(2, 30))
+            frames = np.sort(rng.integers(0, 12, n))
+            pts = verts[rng.integers(0, len(verts), n)] + rng.normal(size=(n, 2)) * rng.choice([0.2, 2.0])
+            specs = [(int(f), float(x), float(y)) for f, (x, y) in zip(frames, pts)]
+            ids = rng.permutation(n) + 1
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+            chains = [sorted(c.tolist(), key=lambda d: (specs[d - 1][0], d)) for c in np.split(ids, cuts)]
+            chains = [c for c in chains if len({specs[d - 1][0] for d in c}) == len(c)]
+            if not chains:
+                continue
+            span = (int(frames[0]), int(frames[-1]))
+            batch = span if rng.random() < 0.5 else (span[0] - 1, span[1] + 1)
+            g, ts = chain_graph(specs, chains, batch)
+            patterns = [EMPTY_PATTERN] + [Pattern(base.centerline, w) for w in (0.3, 1.0, 4.0)]
+            assert_same_as_scalar(g, patterns, SCALAR_CFGS, ts)
+
+    def test_zero_length_edge(self):
+        specs = [(1, 2.0, 1.0), (2, 2.0, 1.0), (3, 2.0, 1.0), (4, 12.0, 0.5), (5, 12.0, 0.5)]
+        g, ts = chain_graph(specs, [(1, 2, 3), (4, 5)], batch=(0, 6))
+        assert edge_score(g, 1, 2, LANE, CFG) == ScorePair(0.0, 0.0)
+        assert_same_as_scalar(g, (EMPTY_PATTERN, LANE), SCALAR_CFGS, ts)
+
+    def test_chord_cancellation_near_a_million(self):
+        base = 1e6
+        specs = [(k + 1, base + k * 1e-10, 0.5 + 0.1 * k) for k in range(4)]
+        specs += [(k + 5, base + 1.0 + k * 3e-7, -0.3) for k in range(4)]
+        pattern = Pattern(((base - 100.0, 0.0), (base + 100.0, 0.0)), 1.0)
+        g, ts = chain_graph(specs, [(1, 2, 3, 4), (5, 6, 7, 8)], batch=(0, 9))
+        feet = _project(g.positions, pattern)[1]
+        chords = [math.hypot(*(feet[k + 1] - feet[k])) for k in (0, 1, 2, 4, 5, 6)]
+        assert any(0.0 < c <= 1e-12 * base for c in chords)
+        assert_same_as_scalar(g, (pattern, Pattern(pattern.centerline, 0.6)), SCALAR_CFGS, ts)
+
+    def test_gate_exactly_equal_to_the_width(self):
+        specs = [(1, 2.0, 2.0), (2, 5.0, 2.0), (3, 7.0, -2.0), (4, 9.0, 2.0000000000000004)]
+        g, ts = chain_graph(specs, [(1, 2, 3, 4)], batch=(0, 5))
+        assert edge_score(g, 1, 2, LANE, CFG).aligned > 0.0
+        assert edge_score(g, 3, 4, LANE, CFG).aligned == 0.0
+        patterns = (LANE, Pattern(LANE.centerline, 1.999), Pattern(LANE.centerline, 2.0000000000000004))
+        assert_same_as_scalar(g, patterns, SCALAR_CFGS, ts)
+
+    def test_backward_edge_without_a_reverse_penalty(self):
+        specs = [(1, 8.0, 1.0), (2, 3.0, -1.5), (3, 6.0, 30.0), (4, 1.0, 0.0)]
+        g, ts = chain_graph(specs, [(1, 2), (3, 4)], batch=(0, 5))
+        free = Config(reverse_penalty=0.0)
+        assert edge_score(g, 1, 2, LANE, free).aligned == -(8.0 - 3.0)
+        assert_same_as_scalar(g, (LANE, Pattern(LANE.centerline, 0.5)), (free, CFG), ts)
+
+    def test_negative_empty_rate(self):
+        specs = [(1, 1.0, 0.5), (2, 3.0, 0.4), (3, 5.5, 0.2), (2, 2.0, 7.0), (3, 2.4, 7.5)]
+        g, ts = chain_graph(specs, [(1, 2, 3), (4, 5)], batch=(0, 4))
+        dissent = Config.unsupervised()
+        assert trajectory_score(g, ts[1], EMPTY_PATTERN, dissent).aligned < 0.0
+        assert_same_as_scalar(g, (EMPTY_PATTERN, LANE), (dissent, Config(empty_rate=-0.25)), ts)
+
+    @pytest.mark.parametrize("batch", [None, (1, 9), (0, 4), (0, 9)], ids=["span", "first", "last", "padded"])
+    def test_entries_and_exits_on_and_off_the_batch_bounds(self, batch):
+        specs = [(1, 1.0, 0.5), (2, 3.0, 0.4), (4, 5.5, 0.2), (1, 2.0, 7.0), (3, 2.4, 7.5), (2, 9.0, 0.0)]
+        g, ts = chain_graph(specs, [(1, 2, 3), (4, 5), (6,)], batch)
+        assert_same_as_scalar(g, (EMPTY_PATTERN, LANE), SCALAR_CFGS, ts)
+
+    @pytest.mark.parametrize("base", [2**70, 2**63, -(2**70)])
+    def test_frames_beyond_int64(self, base):
+        # `Detection` takes any int frame; the batch bounds still free the ends.
+        specs = [(base + f, x, y) for f, x, y in ((1, 1.0, 0.5), (2, 3.0, 0.4), (4, 5.5, 0.2), (2, 9.0, 0.0))]
+        for batch in (None, (base, base + 5)):
+            g, ts = chain_graph(specs, [(1, 2, 3), (4,)], batch)
+            assert_same_as_scalar(g, (EMPTY_PATTERN, LANE), SCALAR_CFGS[:2], ts)
+
+    def test_the_empty_pattern(self):
+        specs = [(1, 0.0, 0.0), (2, 0.0, 0.0), (3, 4.0, 3.0), (2, -5.0, 1.0)]
+        g, ts = chain_graph(specs, [(1, 2, 3), (4,)], batch=(0, 3))
+        assert_same_as_scalar(g, (EMPTY_PATTERN,), SCALAR_CFGS, ts)
+        assert EMPTY_PATTERN.centerline not in g.scoring_cache
+
+    @pytest.mark.parametrize("workload", ["track-noisy", "supervised-dense", "unsupervised-two-flows"])
+    def test_benchmark_graphs(self, workload, tmp_path):
+        from test_fracopt import load_bench_scenes
+
+        for s in load_bench_scenes().BUILDERS[workload](0, tmp_path):
+            for rows in (s.gt, s.broken):
+                tracks = [[Detection(f, (x, y)) for f, x, y in t] for t in rows]
+                for cfg in (Config(), Config.unsupervised()):
+                    g = build_graph(tracks, cfg, s.batch)
+                    ts = input_trajectories(g)
+                    candidates = generate_candidates(g, ts, cfg)
+                    assert_same_as_scalar(g, candidates.patterns, (cfg,), ts)
+
+
+class TestIdsOutsideTheGraph:
+    """The array scorer refuses a detection id outside 1..n, as `graph.detection` does."""
+
+    def test_edge_scores(self):
+        g = pair_graph((0.0, 0.0), (1.0, 0.0))
+        for tails, heads, bad in (
+            ([1, 3], [2, 1], 3),
+            ([SOURCE_NODE], [0], 0),
+            ([2], [-3], -3),
+            ([SINK_NODE], [1], SINK_NODE),
+            ([1], [SOURCE_NODE], SOURCE_NODE),
+            ([SOURCE_NODE], [SINK_NODE], SINK_NODE),
+        ):
+            for pattern in (EMPTY_PATTERN, LANE):
+                with pytest.raises(KeyError, match=str(bad)):
+                    edge_scores(g, pattern, CFG, tails, heads)
+
+    def test_trajectory_scores(self):
+        g = pair_graph((0.0, 0.0), (1.0, 0.0))
+        for pattern in (EMPTY_PATTERN, LANE):
+            with pytest.raises(KeyError, match="3"):
+                trajectory_scores(g, [Trajectory((1,)), Trajectory((2, 3))], pattern, CFG)
+            with pytest.raises(KeyError, match="3"):
+                trajectory_score(g, Trajectory((3,)), pattern, CFG)
+            with pytest.raises(KeyError, match=str(10**30)):
+                trajectory_score(g, Trajectory((1, 10**30)), pattern, CFG)

@@ -10,6 +10,8 @@ from ptrack import (
     Config,
     Detection,
     EMPTY_PATTERN,
+    Pattern,
+    ScorePair,
     Swap,
     Trajectory,
     build_graph,
@@ -21,7 +23,8 @@ from ptrack import (
     validate_trajectory_set,
 )
 from ptrack.synth import two_flow_scene
-from reference_unsupervised import reference_run_unsupervised
+from reference_scoring import trajectory_score as scalar_trajectory_score
+from reference_unsupervised import reference_cross_score, reference_run_unsupervised, reference_split
 
 
 def det(frame, x, y=0.0):
@@ -34,7 +37,90 @@ def flow_fixture(cfg):
     return scene, g, input_trajectories(g)
 
 
+class TestCrossScore:
+    """`_cross_score` picks and sums as the former scalar loop did, bit for bit."""
+
+    @staticmethod
+    def same(g, trajectories, patterns, cfg):
+        got = unsupervised._cross_score(g, trajectories, patterns, cfg)
+        want = reference_cross_score(g, trajectories, patterns, cfg, scalar_trajectory_score)
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_two_flow_iterates(self):
+        for cfg in (Config.unsupervised(candidate_widths=(1.0,)), Config(candidate_widths=(1.0, 3.0))):
+            scene, g, ts = flow_fixture(cfg)
+            candidates = generate_candidates(g, ts, cfg)
+            for k in range(1, len(candidates)):
+                self.same(g, ts, candidates.patterns[: k + 1], cfg)
+                self.same(g, ts[::-1], candidates.patterns[k::-1], cfg)
+
+    def test_many_noisy_trajectories(self):
+        # More than eight trajectories: a pairwise sum would round differently.
+        cfg = Config.unsupervised(candidate_widths=(1.0, 3.0))
+        scene, broken = crossing_family(12, 0.3, [Swap(0, 1, frame=8), Swap(4, 5, frame=12)])
+        g = build_graph(broken, cfg, batch=scene.meta.batch)
+        ts = input_trajectories(g)
+        assert len(ts) > 8
+        patterns = generate_candidates(g, ts, cfg).patterns
+        self.same(g, ts, patterns, cfg)
+        self.same(g, ts, patterns[::3], Config(candidate_widths=(1.0, 3.0)))
+
+    def test_ties_go_to_the_first_pattern(self):
+        # The first walk scores 10 / 20 on the lane (its exit skips 10 of the
+        # lane's 15) and 3 / 6 on the empty pattern at rate 0.5: a tie whose
+        # totals differ, so the summed ratio shows which pattern was picked.
+        cfg = Config(empty_rate=0.5)
+        tracks = [[det(1, 0.0), det(2, 5.0)], [det(3, 5.0, 0.3), det(4, 10.0, 0.3), det(5, 15.0, 0.3)]]
+        g = build_graph(tracks, cfg, batch=(1, 5))
+        ts = input_trajectories(g)
+        lane = Pattern(((0.0, 0.0), (15.0, 0.0)), 1.0)
+        assert scalar_trajectory_score(g, ts[0], lane, cfg) == ScorePair(20.0, 10.0)
+        assert scalar_trajectory_score(g, ts[0], EMPTY_PATTERN, cfg) == ScorePair(6.0, 3.0)
+        for patterns in ((EMPTY_PATTERN, lane), (lane, EMPTY_PATTERN)):
+            self.same(g, ts, patterns, cfg)
+        assert unsupervised._cross_score(g, ts, (EMPTY_PATTERN, lane), cfg) != unsupervised._cross_score(
+            g, ts, (lane, EMPTY_PATTERN), cfg
+        )
+
+    def test_trajectories_without_a_positive_total_are_left_out(self):
+        # A detection standing still across the whole batch has total 0 on
+        # every pattern; the moving one carries the score.
+        cfg = Config()
+        still = [det(0, 3.0, 1.0), det(1, 3.0, 1.0), det(2, 3.0, 1.0)]
+        moving = [det(0, 0.0, 0.0), det(1, 2.0, 0.0), det(2, 4.0, 0.0)]
+        g = build_graph([still, moving], cfg)
+        lane = Pattern(((0.0, 0.0), (10.0, 0.0)), 1.0)
+        self.same(g, input_trajectories(g), (EMPTY_PATTERN, lane), cfg)
+        with pytest.raises(ValueError, match="degenerate"):
+            unsupervised._cross_score(g, input_trajectories(g)[:1], (EMPTY_PATTERN, lane), cfg)
+
+
 class TestSplitHalfScore:
+    def test_halves_are_split_at_the_middle_frame(self, monkeypatch):
+        # Tracks inside, across and at the middle of batches of odd and even
+        # length; a tie in frame counts goes to the early half.
+        tracks = [
+            [det(1, 0.0), det(2, 1.0)],
+            [det(3, 0.0, 3.0), det(4, 1.0, 3.0), det(5, 2.0, 3.0), det(6, 3.0, 3.0)],
+            [det(4, 0.0, 6.0), det(5, 1.0, 6.0), det(6, 2.0, 6.0)],
+            [det(5, 0.0, 9.0), det(6, 1.0, 9.0)],
+            [det(8, 0.0, 12.0), det(9, 1.0, 12.0)],
+        ]
+        halves = []
+        monkeypatch.setattr(
+            unsupervised, "generate_candidates", lambda g, ts, cfg: halves.append(list(ts))
+        )
+        monkeypatch.setattr(unsupervised, "mine", lambda *a, **kw: SimpleNamespace(
+            patterns=(EMPTY_PATTERN,), lower_bound_only=False
+        ))
+        cfg = Config(empty_rate=0.5)
+        for batch in ((0, 10), (1, 9), (0, 9), (1, 10)):
+            g = build_graph(tracks, cfg, batch=batch)
+            ts = input_trajectories(g)
+            halves.clear()
+            split_half_score(g, ts, cfg)
+            assert halves == list(reference_split(g, ts))
+
     def test_clean_tracks_score_perfectly(self):
         cfg = Config.unsupervised(candidate_widths=(1.0,))
         scene, _ = two_flow_scene(seed=0)
@@ -214,7 +300,7 @@ class TestAgainstReferenceLoop:
         # Stand-ins that cycle A -> B -> A: the former loop never saw a
         # fixed point and solved all five iterations; the memoized loop
         # solves A and B once each and lists the same five rows.
-        a, b = (Trajectory((0,)),), (Trajectory((1,)),)
+        a, b = (Trajectory((1,)),), (Trajectory((2,)),)
         mined_from = {a: ("empty", "p"), b: ("empty", "p", "q")}
         linked_to = {mined_from[a]: b, mined_from[b]: a}
         proxy = {a: 0.5, b: 0.25}
