@@ -239,6 +239,17 @@ class Trajectory:
         return len(self.nodes)
 
 
+def _checked_width(width) -> float:
+    if not (isinstance(width, (int, float)) and math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be positive and finite, got {width!r}")
+    return float(width)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Pattern:
     """A motion pattern: a centerline polyline with a corridor half-width.
@@ -264,9 +275,7 @@ class Pattern:
         for a, b in zip(pts, pts[1:]):
             if math.dist(a, b) <= _DUPLICATE_TOL:
                 raise ValueError("centerline has coincident consecutive points")
-        if not (isinstance(self.width, (int, float)) and math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"width must be positive and finite, got {self.width!r}")
-        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "width", _checked_width(self.width))
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]], width: float) -> "Pattern":
@@ -280,21 +289,35 @@ class Pattern:
             raise ValueError("not enough distinct points for a centerline")
         return cls(tuple(cleaned), width)
 
+    def with_width(self, width: float) -> "Pattern":
+        """`Pattern(self.centerline, width)`, without checking the centerline again.
+
+        The width is checked as the constructor checks it.  The new pattern
+        shares this one's `vertices` and `cum_arc`, which are read-only.
+        """
+        if self.is_empty:
+            return Pattern((), width)
+        twin = object.__new__(Pattern)
+        object.__setattr__(twin, "centerline", self.centerline)
+        object.__setattr__(twin, "width", _checked_width(width))
+        twin.__dict__.update(vertices=self.vertices, cum_arc=self.cum_arc)
+        return twin
+
     @property
     def is_empty(self) -> bool:
         return not self.centerline
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        return np.asarray(self.centerline, dtype=float)
+        return _frozen(np.asarray(self.centerline, dtype=float))
 
     @cached_property
     def cum_arc(self) -> np.ndarray:
         """Cumulative arc length at each centerline vertex, starting at 0."""
         if self.is_empty:
-            return np.zeros(0)
+            return _frozen(np.zeros(0))
         seg = np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
-        return np.concatenate(([0.0], np.cumsum(seg)))
+        return _frozen(np.concatenate(([0.0], np.cumsum(seg))))
 
     @property
     def length(self) -> float:

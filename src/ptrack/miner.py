@@ -16,7 +16,11 @@ cheapest candidate of each such score column (the lowest index on a cost
 tie; the empty pattern, which costs nothing, always stays) before it builds
 its model.  This is exact: a selection that uses a dearer twin can switch to
 the cheaper one, which leaves both sums of the ratio as they were and can
-only lower the count and the summed cost of the selection.
+only lower the count and the summed cost of the selection.  The columns
+are scored by centerline family, all candidates on one centerline (the
+empty pattern is a family of its own): one `centerline_scores` pass per
+family covers its distinct widths, since only the corridor gate depends on
+the width.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .core import (
 )
 from .fracopt import EQ, LE, SolverModel, maximize_ratio
 # Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
-from .scoring import ratio_bracket, trajectory_score, trajectory_scores
+from .scoring import centerline_scores, ratio_bracket, trajectory_score, trajectory_scores
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,9 @@ def generate_candidates(
 
     Trajectories touching the batch's first or last frame are skipped: they
     were cut by the observation window, so their shape is not a complete
-    pattern.  Each eligible centerline is offered at every configured width.
-    Degenerate (stationary) trajectories yield no candidates.
+    pattern.  Each eligible centerline is checked once and offered at every
+    configured width.  Degenerate (stationary) trajectories yield no
+    candidates.
     """
     first, last = graph.batch
     patterns: list[Pattern] = [EMPTY_PATTERN]
@@ -106,9 +111,8 @@ def generate_candidates(
             base = Pattern.from_points(points[a:b], cfg.candidate_widths[0])
         except ValueError:
             continue
-        for w in cfg.candidate_widths:
-            patterns.append(Pattern(base.centerline, w))
-            source.append(t_idx)
+        patterns += map(base.with_width, cfg.candidate_widths)
+        source += [t_idx] * len(cfg.candidate_widths)
     return CandidateSet(tuple(patterns), tuple(source))
 
 
@@ -166,6 +170,34 @@ def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:
     return cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
 
 
+def _score_columns(
+    graph: DetectionGraph,
+    trajectories: Sequence[Trajectory],
+    candidates: CandidateSet,
+    cfg: Config,
+) -> list[tuple[float, ...]]:
+    """Each candidate's score column: the total, then the aligned score of
+    every trajectory against it, as Python floats.
+
+    One `centerline_scores` pass per centerline family covers the family's
+    distinct widths; candidates equal in centerline and width share a column.
+    """
+    families: dict[tuple, dict[float, list[int]]] = {}
+    for p, pattern in enumerate(candidates.patterns):
+        families.setdefault(pattern.centerline, {}).setdefault(pattern.width, []).append(p)
+    columns: list[tuple[float, ...]] = [()] * len(candidates)
+    for by_width in families.values():
+        members = list(by_width.values())
+        pattern = candidates.patterns[members[0][0]]
+        total, aligned = centerline_scores(graph, trajectories, pattern, list(by_width), cfg)
+        total = total.tolist()
+        for same, row in zip(members, aligned.tolist()):
+            column = (*total, *row)
+            for p in same:
+                columns[p] = column
+    return columns
+
+
 def _cheapest_twins(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
@@ -174,17 +206,14 @@ def _cheapest_twins(
 ) -> tuple[int, ...]:
     """Index of the cheapest candidate of each distinct score column, ascending.
 
-    A column is the (total, aligned) score of every trajectory against the
-    candidate, as Python floats (0.0 == -0.0).  Cost ties go to the lowest
-    index, so the empty pattern (index 0, cost 0) always stays and drops
-    every candidate with its column.
+    Columns compare as Python floats (0.0 == -0.0).  Cost ties go to the
+    lowest index, so the empty pattern (index 0, cost 0) always stays and
+    drops every candidate with its column.
     """
     cheapest: dict[tuple[float, ...], int] = {}
-    for p, pattern in enumerate(candidates.patterns):
-        total, aligned = trajectory_scores(graph, trajectories, pattern, cfg)
-        column = (*total.tolist(), *aligned.tolist())
+    for p, column in enumerate(_score_columns(graph, trajectories, candidates, cfg)):
         kept = cheapest.setdefault(column, p)
-        if pattern.cost < candidates.patterns[kept].cost:
+        if candidates.patterns[p].cost < candidates.patterns[kept].cost:
             cheapest[column] = p
     return tuple(sorted(cheapest.values()))
 

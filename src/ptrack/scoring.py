@@ -15,12 +15,17 @@ skips before its first detection or after its last; the empty pattern charges
 `DetectionGraph.batch`, so the linker, the miner, the split-half proxy and
 `objective` score any chain of detection ids the same way.
 
-Scores are arrays, one pass per pattern: `edge_scores` for any edges and
-`trajectory_scores` for a trajectory set.  A graph's `scoring_cache` keeps
+Scores are arrays: `edge_scores` scores any edges against one pattern, and
+`centerline_scores` a trajectory set against one centerline at several
+widths in one pass.  Only the corridor gate depends on the width, so the
+totals are summed once and the aligned sums once per width;
+`trajectory_scores` is its one-width case.  A graph's `scoring_cache` keeps
 each centerline's projection of all detections, and per trajectory set its
 edges and their width-free terms; the width and the `Config` are applied on
 each pass.  A trajectory's sum runs entry plus exit, then each edge in
-order, so a score is the same float however many are scored at once.
+order, so a score is the same float however many trajectories or widths
+are scored at once.  `trajectory_score` scores one trajectory and keeps no
+entry for it.
 """
 from __future__ import annotations
 
@@ -117,9 +122,10 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, cache=None) -> tuple:
+def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, width, cache=None) -> tuple:
     """(total, aligned) of the detection edges from rows `i` to rows `j`.
 
+    `width` is one width, or a column of them for one row of `aligned` each.
     `cache` keeps, per centerline, the terms that no width or `Config` changes.
     """
     terms = None if cache is None else cache.get(pattern.centerline)
@@ -142,11 +148,11 @@ def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, cac
         if cache is not None:
             cache[pattern.centerline] = terms
     total, aligned, gate, back = terms
-    aligned = np.where(gate > pattern.width, 0.0, aligned)
+    aligned = np.where(gate > width, 0.0, aligned)
     # Moving against the pattern's direction: penalize in proportion to the
     # arc covered backwards, regardless of corridor width.
     backward = back > 0.0
-    aligned[backward] = -(1.0 + cfg.reverse_penalty) * back[backward]
+    aligned[..., backward] = -(1.0 + cfg.reverse_penalty) * back[backward]
     return total, aligned
 
 
@@ -169,7 +175,9 @@ def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, hea
     ends, step = entry | exit_, ~(entry | exit_)
     total, aligned = np.empty(len(tails)), np.empty(len(tails))
     total[ends], aligned[ends] = _end_scores(graph, pattern, cfg, near[ends] - 1, entry[ends])
-    total[step], aligned[step] = _step_scores(graph, pattern, cfg, near[step] - 1, far[step] - 1)
+    total[step], aligned[step] = _step_scores(
+        graph, pattern, cfg, near[step] - 1, far[step] - 1, pattern.width
+    )
     return total, aligned
 
 
@@ -188,13 +196,14 @@ class _Chains(NamedTuple):
     step_terms: dict
 
 
-def _chains(graph: DetectionGraph, trajectories: tuple[Trajectory, ...]) -> _Chains:
+def _chains(graph: DetectionGraph, trajectories: tuple[Trajectory, ...], keep: bool = True) -> _Chains:
+    """The set's rows, from `graph.scoring_cache`; built, and kept there if `keep`, on a miss."""
     chains = graph.scoring_cache.get(trajectories)
     if chains is None:
         rows, starts = graph.rows(trajectories)
         k = np.delete(np.arange(len(rows)), starts[1:] - 1)  # rows followed by an edge
         owner = np.searchsorted(starts, k, side="right") - 1
-        chains = graph.scoring_cache[trajectories] = _Chains(
+        chains = _Chains(
             np.concatenate([rows[starts[:-1]], rows[starts[1:] - 1]]),
             rows[k],
             rows[k + 1],
@@ -203,38 +212,60 @@ def _chains(graph: DetectionGraph, trajectories: tuple[Trajectory, ...]) -> _Cha
             (len(trajectories), int(np.diff(starts).max())),
             {},
         )
+        if keep:
+            graph.scoring_cache[trajectories] = chains
     return chains
+
+
+def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np.ndarray, cfg: Config):
+    """Total (one per trajectory) and aligned (one row per width) sums of `chains`."""
+    n = chains.shape[0]
+    ends_total, ends_aligned = _end_scores(graph, pattern, cfg, chains.ends, np.arange(2 * n) < n)
+    sums = np.full((1 + len(widths), *chains.shape), -0.0)
+    sums[0, :, 0] = ends_total[:n] + ends_total[n:]
+    sums[1:, :, 0] = ends_aligned[:n] + ends_aligned[n:]
+    sums[0, chains.row, chains.col], sums[1:, chains.row, chains.col] = _step_scores(
+        graph, pattern, cfg, chains.tails, chains.heads, widths, chains.step_terms
+    )
+    # `cumsum` adds along a row in order, as `+=` would; the padding is -0.0,
+    # which leaves every sum as it is, the sign of a zero included.
+    sums = np.cumsum(sums, axis=2)[:, :, -1]
+    return sums[0], sums[1:]
+
+
+def centerline_scores(
+    graph: DetectionGraph, trajectories: Sequence[Trajectory], pattern: Pattern, widths, cfg: Config
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total, aligned): each trajectory's edge scores against `pattern`'s centerline, summed.
+
+    `total` has one entry per trajectory, the same at every width; `aligned`
+    has one row per entry of `widths`, equal to `trajectory_scores` against
+    the centerline at that width (the empty pattern ignores the width).  A
+    trajectory's sum is its entry plus its exit, then each detection edge in
+    order, one addition at a time.  Raises `KeyError` on a node outside
+    `graph.ids`.
+    """
+    trajectories = tuple(trajectories)
+    widths = np.asarray(widths, dtype=float).reshape(-1, 1)
+    if not trajectories:
+        return np.zeros(0), np.zeros((len(widths), 0))
+    return _summed(graph, _chains(graph, trajectories), pattern, widths, cfg)
 
 
 def trajectory_scores(
     graph: DetectionGraph, trajectories: Sequence[Trajectory], pattern: Pattern, cfg: Config
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(total, aligned) arrays: each trajectory's edge scores against one pattern, summed.
-
-    A trajectory's sum is its entry plus its exit, then each detection edge in
-    order, one addition at a time.  Raises `KeyError` on a node outside `graph.ids`.
-    """
-    trajectories = tuple(trajectories)
-    if not trajectories:
-        return np.zeros(0), np.zeros(0)
-    chains = _chains(graph, trajectories)
-    n = len(trajectories)
-    ends = _end_scores(graph, pattern, cfg, chains.ends, np.arange(2 * n) < n)
-    sums = np.full((2, *chains.shape), -0.0)
-    sums[:, :, 0] = [s[:n] + s[n:] for s in ends]
-    sums[:, chains.row, chains.col] = _step_scores(
-        graph, pattern, cfg, chains.tails, chains.heads, chains.step_terms
-    )
-    # `cumsum` adds along a row in order, as `+=` would; the padding is -0.0,
-    # which leaves every sum as it is, the sign of a zero included.
-    total, aligned = np.cumsum(sums, axis=2)[:, :, -1]
-    return total, aligned
+    """(total, aligned) arrays: `centerline_scores` at the pattern's own width."""
+    total, aligned = centerline_scores(graph, trajectories, pattern, (pattern.width,), cfg)
+    return total, aligned[0]
 
 
 def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """One trajectory's `trajectory_scores`, as a `ScorePair`."""
-    total, aligned = trajectory_scores(graph, (traj,), pattern, cfg)
-    return ScorePair(float(total[0]), float(aligned[0]))
+    """One trajectory's `trajectory_scores`, as a `ScorePair`; `graph.scoring_cache`
+    keeps no entry for the trajectory."""
+    chains = _chains(graph, (traj,), keep=False)
+    total, aligned = _summed(graph, chains, pattern, np.array([[pattern.width]]), cfg)
+    return ScorePair(float(total[0]), float(aligned[0, 0]))
 
 
 def objective(
@@ -248,19 +279,23 @@ def objective(
 
     The ratio of summed aligned scores to summed total scores over all
     trajectories; 1.0 means every trajectory is fully explained by its
-    pattern.  Raises if the assignment does not match or the total is not
-    positive.
+    pattern.  The set is scored in one `trajectory_scores` pass per assigned
+    pattern, and the sums are added in trajectory order.  Raises if the
+    assignment does not match or the total is not positive.
     """
     if len(assignment) != len(trajectories):
         raise ValueError("assignment length does not match trajectory count")
     if any(p >= len(patterns) for p in assignment):
         raise ValueError("assignment references a missing pattern")
+    columns = {
+        p: [side.tolist() for side in trajectory_scores(graph, trajectories, patterns[p], cfg)]
+        for p in set(assignment)
+    }
     total = 0.0
     aligned = 0.0
-    for traj, p_idx in zip(trajectories, assignment):
-        score = trajectory_score(graph, traj, patterns[p_idx], cfg)
-        total += score.total
-        aligned += score.aligned
+    for t, p in enumerate(assignment):
+        total += columns[p][0][t]
+        aligned += columns[p][1][t]
     if total <= 0.0:
         raise ValueError("degenerate instance: total score is not positive")
     return aligned / total

@@ -81,14 +81,15 @@ def split_half_score(
     the two cross-half objectives.  The flag is true when either half's mine
     hit the time budget.  Raises on a degenerate split where one half is empty.
     """
-    first, last = graph.batch
-    mid = 0.5 * (first + last)
+    # Frame f is in the first half when f <= (first + last) / 2, tested in
+    # integers: a float midpoint rounds for frames beyond 2**53.
+    twice_mid = sum(graph.batch)
     half_a: list[Trajectory] = []
     half_b: list[Trajectory] = []
     rows, starts = graph.rows(trajectories)
     frames, starts = graph.frames[rows].tolist(), starts.tolist()
     for traj, a, b in zip(trajectories, starts, starts[1:]):
-        early = sum(1 for f in frames[a:b] if f <= mid)
+        early = sum(1 for f in frames[a:b] if 2 * f <= twice_mid)
         (half_a if early >= b - a - early else half_b).append(traj)
     if not half_a or not half_b:
         raise ValueError("degenerate split: a half of the batch has no trajectories")

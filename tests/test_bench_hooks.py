@@ -61,16 +61,22 @@ def two_flow_mining(widths=(1.0, 3.0)):
 
 
 def scored_columns(monkeypatch):
-    """Patch the miner's `trajectory_scores` and `build_mine_model` to record,
-    per call, the pattern scored and whether the model builder asked for it."""
+    """Patch the miner's `centerline_scores`, `trajectory_scores` and
+    `build_mine_model` to record, per scoring call, whether the model builder
+    asked for it, the centerline and the widths scored, and the pattern for
+    a `trajectory_scores` call (None for a `centerline_scores` pass)."""
     import ptrack.miner as miner
 
     calls = []
     in_builder = []
-    score, build = miner.trajectory_scores, miner.build_mine_model
+    family, score, build = miner.centerline_scores, miner.trajectory_scores, miner.build_mine_model
+
+    def counted_family(graph, trajectories, pattern, widths, cfg):
+        calls.append((bool(in_builder), pattern.centerline, tuple(widths), None))
+        return family(graph, trajectories, pattern, widths, cfg)
 
     def counted(graph, trajectories, pattern, cfg):
-        calls.append((pattern, bool(in_builder)))
+        calls.append((bool(in_builder), pattern.centerline, (pattern.width,), pattern))
         return score(graph, trajectories, pattern, cfg)
 
     def building(*args):
@@ -80,23 +86,30 @@ def scored_columns(monkeypatch):
         finally:
             in_builder.pop()
 
+    monkeypatch.setattr(miner, "centerline_scores", counted_family)
     monkeypatch.setattr(miner, "trajectory_scores", counted)
     monkeypatch.setattr(miner, "build_mine_model", building)
     return calls
 
 
 def test_mine_scores_each_candidate_column_once(monkeypatch):
-    # One `trajectory_scores` pass per candidate picks the twins; the model
-    # builder then scores only the candidates it is handed, once each.
+    # One `centerline_scores` pass per centerline family picks the twins: each
+    # family is scored once, over its distinct widths, so every candidate's
+    # column is scored exactly once.  The model builder then scores only the
+    # candidates it is handed, one `trajectory_scores` pass each.
     from ptrack import mine
 
     g, trajectories, candidates, cfg = two_flow_mining()
     assert len(candidates) == 5
     calls = scored_columns(monkeypatch)
     res = mine(g, trajectories, candidates, cfg)
-    picked = [p for p, in_builder in calls if not in_builder]
-    built = [p for p, in_builder in calls if in_builder]
-    assert picked == list(candidates.patterns)
+    picked = [(c, widths) for in_builder, c, widths, pattern in calls if not in_builder]
+    assert all(pattern is None for in_builder, _, _, pattern in calls if not in_builder)
+    assert [c for c, _ in picked] == list(dict.fromkeys(p.centerline for p in candidates.patterns))
+    covered = [(c, w) for c, widths in picked for w in widths]
+    assert len(covered) == len(set(covered)) == len(candidates)
+    assert set(covered) == {(p.centerline, p.width) for p in candidates.patterns}
+    built = [pattern for in_builder, _, _, pattern in calls if in_builder]
     # Neither width flips a corridor gate: one candidate per flow survives.
     assert built == [candidates.patterns[k] for k in (0, 1, 3)]
     assert res.selected_candidates == (0, 1, 3)
@@ -108,7 +121,7 @@ def test_the_miner_model_scores_each_candidate_once(monkeypatch):
     g, trajectories, candidates, cfg = two_flow_mining()
     calls = scored_columns(monkeypatch)
     build_mine_model(g, trajectories, candidates, cfg)
-    assert [p for p, _ in calls] == list(candidates.patterns)
+    assert [pattern for _, _, _, pattern in calls] == list(candidates.patterns)
 
 
 def test_every_solve_goes_through_the_wrapped_names():

@@ -261,6 +261,42 @@ class TestPattern:
         assert p.tangent_at(2.0) == pytest.approx((1.0, 0.0))
         assert p.tangent_at(7.0) == pytest.approx((0.0, 1.0))
 
+    CENTERLINES = (
+        ((0.0, 0.0), (10.0, 0.0)),
+        ((0.1, 0.7), (3.3, 4.9), (3.3, -1.0), (1e6, 2e-7)),
+    )
+
+    def test_with_width_is_the_constructor_at_that_width(self):
+        for centerline in self.CENTERLINES:
+            base = Pattern(centerline, 1.0)
+            for width in (1.0, 0.3, 7, 2.0000000000000004, 1e-300, 1e300, True):
+                twin, built = base.with_width(width), Pattern(centerline, width)
+                assert twin == built and hash(twin) == hash(built)
+                assert type(twin.width) is float
+                assert [twin.width.hex(), twin.length.hex(), twin.cost.hex()] == [
+                    built.width.hex(), built.length.hex(), built.cost.hex()
+                ]
+        assert EMPTY_PATTERN.with_width(3.0) == Pattern((), 3.0)
+
+    @pytest.mark.parametrize("width", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, "1", None, 1j])
+    def test_with_width_rejects_what_the_constructor_rejects(self, width):
+        base = Pattern(self.CENTERLINES[1], 1.0)
+        with pytest.raises(ValueError) as built:
+            Pattern(base.centerline, width)
+        with pytest.raises(ValueError) as twin:
+            base.with_width(width)
+        assert str(twin.value) == str(built.value)
+
+    def test_twins_share_read_only_arrays(self):
+        base = Pattern(self.CENTERLINES[1], 1.0)
+        twin = base.with_width(3.0)
+        assert twin.vertices is base.vertices and twin.cum_arc is base.cum_arc
+        for pattern in (base, twin, Pattern(self.CENTERLINES[0], 2.0), EMPTY_PATTERN):
+            for array in (pattern.vertices, pattern.cum_arc):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 5.0
+        assert base.cum_arc[0] == 0.0 and base.vertices[0, 0] == 0.1
+
 
 class TestAssignment:
     def test_negative_index_rejected(self):

@@ -1,13 +1,19 @@
 """Pattern mining: candidate generation and budgeted selection."""
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from ptrack import (
     Config,
     Detection,
+    DetectionGraph,
     EMPTY_PATTERN,
     Pattern,
+    SINK_NODE,
+    SOURCE_NODE,
+    Trajectory,
     build_graph,
     generate_candidates,
     generate_scene,
@@ -21,9 +27,11 @@ import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
 from ptrack.fracopt import maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
-from ptrack.scoring import ratio_bracket
+from ptrack.scoring import _projection, ratio_bracket
 
+import reference_miner
 from oracles import brute_force_best_ratio
+from reference_scoring import trajectory_score as reference_trajectory_score
 
 
 def det(frame, x, y=0.0):
@@ -374,3 +382,172 @@ class TestTwinReduction:
         assert res.patterns == tuple(cands.patterns[k] for k in res.selected_candidates)
         assert [cands.source[k] for k in res.selected_candidates] == [None, 0, 2]
         assert all(p.width == min(DEFAULT_WIDTHS) for p in res.patterns[1:])
+
+
+def bits(column):
+    """Exact identity of floats, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in column]
+
+
+def assert_family_pass_matches(g, ts, cands, cfg):
+    """The family pass gives the per-candidate loop's kept indices, and its
+    columns equal the per-candidate columns and the scalar scorer's sums bit
+    for bit.  Each side is computed on a fresh copy of the graph."""
+    fresh = lambda: dataclasses.replace(g)
+    got = miner._score_columns(fresh(), ts, cands, cfg)
+    want = reference_miner.cheapest_twins(fresh(), ts, cands, cfg)
+    assert miner._cheapest_twins(fresh(), ts, cands, cfg) == want
+    assert [bits(c) for c in got] == [bits(c) for c in reference_miner.score_columns(fresh(), ts, cands, cfg)]
+    scalar = fresh()
+    for pattern, column in zip(cands.patterns, got):
+        sums = [reference_trajectory_score(scalar, t, pattern, cfg) for t in ts]
+        assert bits(column) == bits([s.total for s in sums] + [s.aligned for s in sums])
+
+
+def chain_graph(specs, chains, batch):
+    """Detections from (frame, x, y) specs, every entry and exit, and each chain's edges."""
+    dets = tuple(Detection(f, (x, y)) for f, x, y in specs)
+    edges = {(SOURCE_NODE, d) for d in range(1, len(specs) + 1)}
+    edges |= {(d, SINK_NODE) for d in range(1, len(specs) + 1)}
+    edges |= {pair for chain in chains for pair in zip(chain, chain[1:])}
+    return DetectionGraph(dets, frozenset(edges), batch), tuple(Trajectory(tuple(c)) for c in chains)
+
+
+# Scorer settings that change each term: the default, a reverse penalty with a
+# negative empty rate, no reverse penalty, and a zero empty rate.
+FAMILY_CFGS = (
+    Config(),
+    Config(reverse_penalty=0.25, empty_rate=-3.0),
+    Config(reverse_penalty=0.0),
+    Config(empty_rate=0.0),
+)
+
+
+class TestFamilyPassAgainstPerCandidateLoop:
+    """One `centerline_scores` pass per centerline gives what one pass per candidate gave."""
+
+    def test_seeded_random_graphs_with_widths_on_the_gates(self):
+        rng = np.random.default_rng(20)
+        checked_gates = 0
+        for _ in range(30):
+            lines = [np.cumsum(rng.normal(size=(int(rng.integers(2, 6)), 2)) * 4.0, axis=0) for _ in range(2)]
+            n = int(rng.integers(2, 24))
+            frames = np.sort(rng.integers(0, 10, n))
+            near = lines[0][rng.integers(0, len(lines[0]), n)]
+            pts = near + rng.normal(size=(n, 2)) * rng.choice([0.3, 2.0])
+            specs = [(int(f), float(x), float(y)) for f, (x, y) in zip(frames, pts)]
+            ids = rng.permutation(n) + 1
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+            chains = [sorted(c.tolist(), key=lambda d: (specs[d - 1][0], d)) for c in np.split(ids, cuts)]
+            chains = [c for c in chains if len({specs[d - 1][0] for d in c}) == len(c)]
+            if not chains:
+                continue
+            span = (int(frames[0]), int(frames[-1]))
+            g, ts = chain_graph(specs, chains, span if rng.random() < 0.5 else (span[0] - 1, span[1] + 1))
+            bases = [Pattern.from_points(line.tolist(), 1.0) for line in lines]
+            # A width exactly at an edge's gate, max(dist_i, dist_j), keeps
+            # that edge inside the corridor; the next float up and down too.
+            dist = _projection(dataclasses.replace(g), bases[0])[3]
+            gates = [max(dist[a - 1], dist[b - 1]) for c in chains for a, b in zip(c, c[1:])]
+            gates = [w for w in gates if w > 0.0][:3]
+            checked_gates += len(gates)
+            widths = [*gates, *np.nextafter(gates, np.inf), *np.nextafter(gates, 0.0)]
+            widths = [float(w) for w in rng.permutation([*widths, 0.3, 1.0, 4.0, 1.0])]
+            patterns = [EMPTY_PATTERN]
+            for base in bases:
+                patterns += [base.with_width(w) for w in widths]
+            # An equal centerline in a separately built pattern joins the family.
+            patterns.append(Pattern(bases[0].centerline, widths[0]))
+            cands = CandidateSet(tuple(patterns), (None,) * len(patterns))
+            for cfg in FAMILY_CFGS:
+                assert_family_pass_matches(g, ts, cands, cfg)
+        assert checked_gates > 20
+
+    def test_backward_edges_under_the_reverse_penalty(self):
+        lane = Pattern(((0.0, 0.0), (10.0, 0.0)), 1.0)
+        specs = [(1, 9.0, 0.2), (2, 6.0, -0.4), (3, 6.5, 0.1), (4, 2.0, 3.0), (2, 1.0, 0.0), (3, 4.0, 0.9)]
+        g, ts = chain_graph(specs, [(1, 2, 3, 4), (5, 6)], batch=(0, 5))
+        cands = CandidateSet(
+            (EMPTY_PATTERN, *(lane.with_width(w) for w in (0.5, 0.9, 1.0, 3.0, 0.4))), (None,) * 6
+        )
+        for penalty in (0.0, 0.25, 2.0):
+            cfg = Config(reverse_penalty=penalty)
+            assert_family_pass_matches(g, ts, cands, cfg)
+            # The backward edges score the same at every width.
+            columns = miner._score_columns(g, ts, cands, cfg)
+            assert columns[1][2] == columns[4][2] < 0.0
+
+    def test_two_trajectories_sharing_one_centerline(self):
+        g, ts, cfg = two_flow_fixture()
+        cands = generate_candidates(g, ts, cfg)
+        assert cands.patterns[1:11] == cands.patterns[11:21]
+        assert_family_pass_matches(g, ts, cands, cfg)
+
+    def test_a_stationary_trajectory(self):
+        tracks = [
+            [det(2, 3.0, 1.0), det(3, 3.0, 1.0), det(4, 3.0, 1.0)],
+            [det(1, 0.0, 0.0), det(2, 2.0, 0.5), det(3, 4.0, 0.0), det(4, 6.0, 0.5)],
+        ]
+        for cfg in FAMILY_CFGS:
+            g = build_graph(tracks, cfg, batch=(0, 5))
+            ts = input_trajectories(g)
+            cands = generate_candidates(g, ts, cfg)
+            assert set(cands.source) == {None, 1}
+            assert_family_pass_matches(g, ts, cands, cfg)
+
+    def test_the_empty_pattern(self):
+        g, ts, cfg = two_flow_fixture()
+        for c in FAMILY_CFGS:
+            assert_family_pass_matches(g, ts, CandidateSet((EMPTY_PATTERN,), (None,)), c)
+        # A lane that scores both walks as the empty pattern does is its twin.
+        c = Config(empty_rate=0.0)
+        across = [det(1, 5.0, 10.0), det(2, 5.0, 12.0), det(3, 5.0, 14.0)]
+        along = [det(1, 8.0, 20.0), det(2, 8.0, 22.0), det(3, 8.0, 24.0)]
+        g = build_graph([across, along], c, batch=(1, 3))
+        lane = Pattern(((0.0, 0.0), (10.0, 0.0)), 1.0)
+        patterns = (EMPTY_PATTERN, lane, lane.with_width(3.0), Pattern(((8.0, 20.0), (8.0, 24.0)), 1.0))
+        cands = CandidateSet(patterns, (None,) * 4)
+        assert_family_pass_matches(g, input_trajectories(g), cands, c)
+        assert miner._cheapest_twins(g, input_trajectories(g), cands, c) == (0, 3)
+
+    def test_the_dense_fixture(self):
+        g, ts, cands, cfg = dense_crossing_fixture()
+        assert len(cands) == 121
+        assert len({p.centerline for p in cands.patterns}) == 3
+        assert_family_pass_matches(g, ts, cands, cfg)
+        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 1, 11)
+
+
+class TestCandidatesAtEachWidth:
+    """`generate_candidates` builds each width without checking the centerline again."""
+
+    @pytest.mark.parametrize(
+        "widths", [None, (0.5, 2.0000000000000004, 7, 1e-300)], ids=["dense", "odd-widths"]
+    )
+    def test_each_candidate_is_the_constructor_at_its_width(self, widths):
+        if widths is None:
+            g, ts, cands, cfg = dense_crossing_fixture()
+        else:
+            g, ts, cfg = two_flow_fixture(widths)
+            cands = generate_candidates(g, ts, cfg)
+        for pattern in cands.patterns[1:]:
+            built = Pattern(pattern.centerline, pattern.width)
+            assert pattern == built and hash(pattern) == hash(built)
+            assert [pattern.width.hex(), pattern.length.hex(), pattern.cost.hex()] == [
+                built.width.hex(), built.length.hex(), built.cost.hex()
+            ]
+        # The widths of one trajectory share its centerline's arrays.
+        first = cands.patterns[1 : 1 + len(cfg.candidate_widths)]
+        assert [p.width for p in first] == list(cfg.candidate_widths)
+        assert all(p.cum_arc is first[0].cum_arc and p.vertices is first[0].vertices for p in first)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_a_bad_width_raises_as_the_constructor_does(self, bad):
+        # `Config` rejects such widths, so the check is reached only past it.
+        g, ts, cfg = two_flow_fixture((1.0,))
+        object.__setattr__(cfg, "candidate_widths", (1.0, bad))
+        with pytest.raises(ValueError) as built:
+            Pattern(generate_candidates(g, ts, Config(candidate_widths=(1.0,))).patterns[1].centerline, bad)
+        with pytest.raises(ValueError) as generated:
+            generate_candidates(g, ts, cfg)
+        assert str(generated.value) == str(built.value)

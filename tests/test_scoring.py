@@ -30,7 +30,7 @@ from ptrack import (
     trajectory_score,
     trajectory_scores,
 )
-from ptrack.scoring import _project
+from ptrack.scoring import _Chains, _project
 
 from helpers import edge_score
 from reference_scoring import PatternScorer as ReferenceScorer
@@ -860,3 +860,58 @@ class TestIdsOutsideTheGraph:
                 trajectory_score(g, Trajectory((3,)), pattern, CFG)
             with pytest.raises(KeyError, match=str(10**30)):
                 trajectory_score(g, Trajectory((1, 10**30)), pattern, CFG)
+
+
+def chains_kept(graph):
+    """How many trajectory sets `graph.scoring_cache` holds rows for."""
+    return sum(isinstance(v, _Chains) for v in graph.scoring_cache.values())
+
+
+def reference_objective(graph, trajectories, patterns, assignment, cfg):
+    """The former `objective`: one scalar trajectory score per trajectory, added in order."""
+    total = aligned = 0.0
+    for traj, p in zip(trajectories, assignment):
+        score = reference_trajectory_sum(graph, traj, patterns[p], cfg)
+        total += score.total
+        aligned += score.aligned
+    return aligned / total
+
+
+class TestScoringCacheSize:
+    """`trajectory_score` keeps nothing per trajectory; `objective` keeps one entry per set."""
+
+    def test_one_trajectory_scores_keep_no_entry(self):
+        scene, broken, corridors = crossing_family(6, noisy=True)
+        g = build_graph(broken, CFG, scene.meta.batch)
+        ts = input_trajectories(g)
+        for traj in ts:
+            for pattern in (EMPTY_PATTERN, *corridors, Pattern(corridors[0].centerline, 0.3)):
+                trajectory_score(g, traj, pattern, CFG)
+        assert chains_kept(g) == 0
+        # What stays is one projection per centerline.
+        assert set(g.scoring_cache) == {p.centerline for p in corridors}
+        trajectory_scores(g, ts, corridors[0], CFG)
+        assert chains_kept(g) == 1
+
+    def test_objective_keeps_one_entry_for_its_set(self):
+        scene, broken, corridors = crossing_family(6, noisy=True)
+        g = build_graph(broken, CFG, scene.meta.batch)
+        ts = input_trajectories(g)
+        patterns = (EMPTY_PATTERN, *corridors)
+        for k in range(3):
+            objective(g, ts, patterns, Assignment(tuple((t + k) % 3 for t in range(len(ts)))), CFG)
+            assert chains_kept(g) == 1 and tuple(ts) in g.scoring_cache
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+    def test_objective_equals_the_scalar_sum_bit_for_bit(self, noisy):
+        scene, broken, corridors = crossing_family(6, noisy)
+        patterns = (EMPTY_PATTERN, *corridors, Pattern(corridors[1].centerline, 0.2))
+        rng = np.random.default_rng(7)
+        for cfg in SCALAR_CFGS:
+            g = build_graph(broken, cfg, scene.meta.batch)
+            for ts in (input_trajectories(g), link(g, patterns[:3], cfg).all_trajectories):
+                for _ in range(4):
+                    assignment = Assignment(tuple(int(p) for p in rng.integers(0, len(patterns), len(ts))))
+                    got = objective(g, ts, patterns, assignment, cfg)
+                    want = reference_objective(g, ts, patterns, assignment, cfg)
+                    assert bits(got) == bits(want)

@@ -2,6 +2,7 @@
 import dataclasses
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ptrack.unsupervised as unsupervised
@@ -163,6 +164,30 @@ class TestSplitHalfScore:
         assert len(mined) == 2
         assert lower_bound_only == (hit is not None)
         assert proxy == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("base", [0, 2**53, 2**60, 2**70], ids=["0", "2**53", "2**60", "2**70"])
+    def test_frames_beyond_float_precision_split_at_the_exact_middle(self, base, monkeypatch):
+        # Batch base - 1 .. base + 8: frames up to base + 3 are in the first
+        # half.  At 2**60 a float midpoint rounds down to base, which left
+        # both tracks in the second half and the split degenerate.
+        tracks = [
+            [det(base + k, 2.0 * k) for k in range(4)],
+            [det(base + k, 2.0 * k, 5.0) for k in range(4, 7)],
+        ]
+        cfg = Config(candidate_widths=(1.0,))
+        g = build_graph(tracks, cfg, batch=(base - 1, base + 8))
+        assert g.frames.dtype == (object if base >= 2**63 else np.int64)
+        ts = input_trajectories(g)
+        assert split_half_score(g, ts, cfg) == (0.3, False)
+        halves = []
+        monkeypatch.setattr(
+            unsupervised, "generate_candidates", lambda g, ts, cfg: halves.append(list(ts))
+        )
+        monkeypatch.setattr(unsupervised, "mine", lambda *a, **kw: SimpleNamespace(
+            patterns=(EMPTY_PATTERN,), lower_bound_only=False
+        ))
+        split_half_score(g, ts, cfg)
+        assert halves == [[ts[0]], [ts[1]]]
 
     def test_one_sided_split_is_degenerate(self):
         cfg = Config()
