@@ -49,6 +49,7 @@ from .scoring import (
     edge_scores,
     objective,
     ratio_bracket,
+    score_matrix,
     trajectory_score,
     trajectory_scores,
 )
@@ -79,6 +80,7 @@ from .tracksio import (
     write_tracks,
 )
 from .unsupervised import (
+    DegenerateSplit,
     HistoryEntry,
     UnsupervisedResult,
     default_schedule,

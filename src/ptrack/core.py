@@ -446,7 +446,7 @@ class Config:
 
 def relative_widths(extent: float, fractions: Sequence[float] = RELATIVE_WIDTH_FRACTIONS) -> tuple[float, ...]:
     """Candidate widths as fractions of the scene extent, for indoor-scale data."""
-    if not (math.isfinite(extent) and extent > 0):
+    if not (_is_real(extent) and extent > 0):
         raise ValueError(f"extent must be positive, got {extent!r}")
     return tuple(f * extent for f in fractions)
 

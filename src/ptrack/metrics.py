@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .core import Detection, TrackTable
+from .core import Detection, TrackTable, _is_real
 
 Tracks = Sequence[Sequence[Detection]] | TrackTable
 
@@ -34,7 +34,7 @@ class MatchConfig:
     max_dist: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.max_dist) and self.max_dist > 0):
+        if not (_is_real(self.max_dist) and self.max_dist > 0):
             raise ValueError(f"max_dist must be positive, got {self.max_dist!r}")
 
 

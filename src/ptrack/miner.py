@@ -17,10 +17,10 @@ tie; the empty pattern, which costs nothing, always stays) before it builds
 its model.  This is exact: a selection that uses a dearer twin can switch to
 the cheaper one, which leaves both sums of the ratio as they were and can
 only lower the count and the summed cost of the selection.  The columns
-are scored by centerline family, all candidates on one centerline (the
-empty pattern is a family of its own): one `centerline_scores` pass per
-family covers its distinct widths, since only the corridor gate depends on
-the width.
+come from one `scoring.score_matrix` call, which scores all candidates on
+one centerline (the empty pattern is a family of its own) in one pass, since
+only the corridor gate depends on the width; the model builder scores the
+kept candidates through it again, in one more call.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .core import (
 )
 from .fracopt import EQ, LE, SolverModel, maximize_ratio
 # Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
-from .scoring import centerline_scores, ratio_bracket, trajectory_score, trajectory_scores
+from .scoring import ratio_bracket, score_matrix, trajectory_score
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,11 @@ def build_mine_model(
     n_cand = len(candidates)
     n_assign = n_traj * n_cand
     num_vars = n_assign + (n_cand - 1)
-    columns = [trajectory_scores(graph, trajectories, p, cfg) for p in candidates.patterns]
-
     # Variable t * n_cand + p assigns trajectory t to candidate p; variable
     # n_assign + p - 1 selects candidate p >= 1.
     denom, numer = (
-        np.concatenate([np.stack(side, axis=1).ravel(), np.zeros(n_cand - 1)])
-        for side in zip(*columns)
+        np.concatenate([side.ravel(), np.zeros(n_cand - 1)])
+        for side in score_matrix(graph, trajectories, candidates.patterns, cfg)
     )
 
     # Rows: each trajectory's `== 1` row over its candidates; for each
@@ -170,34 +168,6 @@ def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:
     return cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
 
 
-def _score_columns(
-    graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
-    candidates: CandidateSet,
-    cfg: Config,
-) -> list[tuple[float, ...]]:
-    """Each candidate's score column: the total, then the aligned score of
-    every trajectory against it, as Python floats.
-
-    One `centerline_scores` pass per centerline family covers the family's
-    distinct widths; candidates equal in centerline and width share a column.
-    """
-    families: dict[tuple, dict[float, list[int]]] = {}
-    for p, pattern in enumerate(candidates.patterns):
-        families.setdefault(pattern.centerline, {}).setdefault(pattern.width, []).append(p)
-    columns: list[tuple[float, ...]] = [()] * len(candidates)
-    for by_width in families.values():
-        members = list(by_width.values())
-        pattern = candidates.patterns[members[0][0]]
-        total, aligned = centerline_scores(graph, trajectories, pattern, list(by_width), cfg)
-        total = total.tolist()
-        for same, row in zip(members, aligned.tolist()):
-            column = (*total, *row)
-            for p in same:
-                columns[p] = column
-    return columns
-
-
 def _cheapest_twins(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
@@ -206,12 +176,14 @@ def _cheapest_twins(
 ) -> tuple[int, ...]:
     """Index of the cheapest candidate of each distinct score column, ascending.
 
-    Columns compare as Python floats (0.0 == -0.0).  Cost ties go to the
+    A candidate's column is its `score_matrix` totals, then its aligned
+    scores, compared as Python floats (0.0 == -0.0).  Cost ties go to the
     lowest index, so the empty pattern (index 0, cost 0) always stays and
     drops every candidate with its column.
     """
+    columns = np.concatenate(score_matrix(graph, trajectories, candidates.patterns, cfg)).T.tolist()
     cheapest: dict[tuple[float, ...], int] = {}
-    for p, column in enumerate(_score_columns(graph, trajectories, candidates, cfg)):
+    for p, column in enumerate(map(tuple, columns)):
         kept = cheapest.setdefault(column, p)
         if candidates.patterns[p].cost < candidates.patterns[kept].cost:
             cheapest[column] = p

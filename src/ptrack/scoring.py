@@ -25,7 +25,9 @@ edges and their width-free terms; the width and the `Config` are applied on
 each pass.  A trajectory's sum runs entry plus exit, then each edge in
 order, so a score is the same float however many trajectories or widths
 are scored at once.  `trajectory_score` scores one trajectory and keeps no
-entry for it.
+entry for it.  `score_matrix` scores a set against several patterns, one
+`centerline_scores` pass per distinct centerline; the miner, the split-half
+proxy and `objective` score through it.
 """
 from __future__ import annotations
 
@@ -268,6 +270,32 @@ def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, 
     return ScorePair(float(total[0]), float(aligned[0, 0]))
 
 
+def score_matrix(
+    graph: DetectionGraph, trajectories: Sequence[Trajectory], patterns: Sequence[Pattern], cfg: Config
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total, aligned): trajectories × patterns arrays whose column p is
+    `trajectory_scores` against `patterns[p]`, bit for bit.
+
+    The patterns are grouped by centerline, then by width: one
+    `centerline_scores` pass per distinct centerline covers its distinct
+    widths, and patterns equal in both share a column.
+    """
+    trajectories = tuple(trajectories)
+    families: dict[tuple, dict[float, list[int]]] = {}
+    for p, pattern in enumerate(patterns):
+        families.setdefault(pattern.centerline, {}).setdefault(pattern.width, []).append(p)
+    # Each pattern's totals, then each pattern's aligned scores.
+    columns = [None] * (2 * len(patterns))
+    for by_width in families.values():
+        members = list(by_width.values())
+        total, aligned = centerline_scores(graph, trajectories, patterns[members[0][0]], list(by_width), cfg)
+        for same, row in zip(members, aligned):
+            for p in same:
+                columns[p], columns[len(patterns) + p] = total, row
+    total, aligned = np.array(columns).reshape(2, len(patterns), len(trajectories))
+    return total.T, aligned.T
+
+
 def objective(
     graph: DetectionGraph,
     trajectories: Sequence[Trajectory],
@@ -279,23 +307,18 @@ def objective(
 
     The ratio of summed aligned scores to summed total scores over all
     trajectories; 1.0 means every trajectory is fully explained by its
-    pattern.  The set is scored in one `trajectory_scores` pass per assigned
-    pattern, and the sums are added in trajectory order.  Raises if the
-    assignment does not match or the total is not positive.
+    pattern.  The set is scored in one `score_matrix` call over the
+    assigned patterns, and the sums are added in trajectory order.  Raises
+    if the assignment does not match or the total is not positive.
     """
     if len(assignment) != len(trajectories):
         raise ValueError("assignment length does not match trajectory count")
     if any(p >= len(patterns) for p in assignment):
         raise ValueError("assignment references a missing pattern")
-    columns = {
-        p: [side.tolist() for side in trajectory_scores(graph, trajectories, patterns[p], cfg)]
-        for p in set(assignment)
-    }
-    total = 0.0
-    aligned = 0.0
-    for t, p in enumerate(assignment):
-        total += columns[p][0][t]
-        aligned += columns[p][1][t]
-    if total <= 0.0:
+    used = sorted(set(assignment))
+    total, aligned = score_matrix(graph, trajectories, [patterns[p] for p in used], cfg)
+    picked = np.arange(len(assignment)), np.searchsorted(used, list(assignment))
+    total_sum, aligned_sum = (np.cumsum([0.0, *side[picked]])[-1] for side in (total, aligned))
+    if total_sum <= 0.0:
         raise ValueError("degenerate instance: total score is not positive")
-    return aligned / total
+    return float(aligned_sum / total_sum)

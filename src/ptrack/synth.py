@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, Pattern
+from .core import Detection, Pattern, _is_real
 
 Ops = Sequence["Swap | Fragment | Merge"]
 
@@ -82,6 +82,9 @@ def generate_scene(
     """
     if not agents:
         raise ValueError("no agents")
+    for name, value in (("speed", speed), ("fps", fps)):
+        if not (_is_real(value) and value > 0):
+            raise ValueError(f"{name} must be positive, got {value!r}")
     rng = np.random.default_rng(seed)
     tracks: list[tuple[Detection, ...]] = []
     base_step = speed / fps

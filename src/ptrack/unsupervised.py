@@ -10,6 +10,8 @@ the half they were not mined from, so the proxy tracks real identity quality
 without labels.  Within a budget level each distinct trajectory set is
 mined, linked and proxy-scored once; a repeat reuses those results (in a
 timed run, a lower bound too, not re-solved) and still gets a history row.
+A split that leaves a half empty scores -inf, so its iterate loses to any
+other.  Sets are scored against patterns through `scoring.score_matrix`.
 """
 from __future__ import annotations
 
@@ -18,11 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, Config, DetectionGraph, Pattern, Trajectory
+from .core import Assignment, Config, DetectionGraph, Pattern, Trajectory, _is_int
 from .linker import LinkResult, link
 from .miner import MineResult, generate_candidates, mine
 # Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
-from .scoring import trajectory_score, trajectory_scores
+from .scoring import score_matrix, trajectory_score
+
+
+class DegenerateSplit(ValueError):
+    """A half of the split-half proxy's split holds no trajectories."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,7 @@ def _cross_score(
 ) -> float:
     """Objective of a trajectory set under its per-trajectory best patterns: the
     first of the best aligned / total among positive totals, added in order."""
-    scores = (trajectory_scores(graph, trajectories, pattern, cfg) for pattern in patterns)
-    totals, aligned = (np.stack(side, axis=1) for side in zip(*scores))
+    totals, aligned = score_matrix(graph, trajectories, patterns, cfg)
     scored = totals > 0.0
     ratio = np.divide(aligned, totals, out=np.full_like(totals, -np.inf), where=scored)
     rows = np.flatnonzero(scored.any(axis=1))
@@ -79,7 +84,7 @@ def split_half_score(
     Splits the set at the batch's middle frame (a trajectory goes to the half
     holding more of its frames), mines patterns from each half, and averages
     the two cross-half objectives.  The flag is true when either half's mine
-    hit the time budget.  Raises on a degenerate split where one half is empty.
+    hit the time budget.  Raises `DegenerateSplit` when a half is empty.
     """
     # Frame f is in the first half when f <= (first + last) / 2, tested in
     # integers: a float midpoint rounds for frames beyond 2**53.
@@ -92,7 +97,7 @@ def split_half_score(
         early = sum(1 for f in frames[a:b] if 2 * f <= twice_mid)
         (half_a if early >= b - a - early else half_b).append(traj)
     if not half_a or not half_b:
-        raise ValueError("degenerate split: a half of the batch has no trajectories")
+        raise DegenerateSplit("degenerate split: a half of the batch has no trajectories")
     candidates_a = generate_candidates(graph, half_a, cfg)
     mined_a = mine(graph, half_a, candidates_a, cfg, time_budget=time_budget)
     candidates_b = generate_candidates(graph, half_b, cfg)
@@ -116,6 +121,8 @@ def default_schedule(
     patterns forces the miner to generalize across trajectories instead of
     memorizing each one; later levels relax the budget.
     """
+    if not _is_int(levels):
+        raise ValueError(f"levels must be an integer, got {levels!r}")
     candidates = generate_candidates(graph, initial, cfg)
     costs = [p.cost for p in candidates.patterns if not p.is_empty]
     if not costs:
@@ -141,8 +148,13 @@ def run_unsupervised(
     budget).  Each distinct trajectory set is solved once per level, so a
     fixed point or a cycle costs lookups only; every iteration still gets a
     history row.  Returns the iterate with the best proxy score; ties go to
-    the earliest.  Raises if `iterations_per_level` is below 1.
+    the earliest.  An iterate whose split leaves a half empty gets proxy
+    -inf, so it is returned only when every iterate is degenerate, and then
+    the first.  Raises if `iterations_per_level` is not an integer of at
+    least 1.
     """
+    if not _is_int(iterations_per_level):
+        raise ValueError(f"iterations_per_level must be an integer, got {iterations_per_level!r}")
     if iterations_per_level < 1:
         raise ValueError(f"iterations_per_level must be at least 1, got {iterations_per_level}")
     if schedule is None:
@@ -170,7 +182,10 @@ def run_unsupervised(
             mined, linked = steps[current]
             current = linked.all_trajectories
             if current not in proxies:
-                proxies[current], proxy_hit = split_half_score(graph, current, level_cfg, time_budget)
+                try:
+                    proxies[current], proxy_hit = split_half_score(graph, current, level_cfg, time_budget)
+                except DegenerateSplit:
+                    proxies[current], proxy_hit = -np.inf, False
                 lower_bound_only |= proxy_hit
             proxy = proxies[current]
             history.append(HistoryEntry(len(history) + 1, budget, len(mined.patterns) - 1, proxy))

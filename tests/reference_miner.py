@@ -2,9 +2,8 @@
 
 `score_columns` scores each candidate in its own `trajectory_scores` pass;
 `cheapest_twins` keeps the cheapest candidate of each distinct column, the
-lowest index on a cost tie.  `miner._score_columns` and
-`miner._cheapest_twins` must give the same columns, bit for bit, and the
-same indices.
+lowest index on a cost tie.  The columns of `scoring.score_matrix` must be
+these, bit for bit, and `miner._cheapest_twins` must keep the same indices.
 """
 from __future__ import annotations
 

@@ -61,23 +61,24 @@ def two_flow_mining(widths=(1.0, 3.0)):
 
 
 def scored_columns(monkeypatch):
-    """Patch the miner's `centerline_scores`, `trajectory_scores` and
-    `build_mine_model` to record, per scoring call, whether the model builder
-    asked for it, the centerline and the widths scored, and the pattern for
-    a `trajectory_scores` call (None for a `centerline_scores` pass)."""
+    """Patch the miner's `score_matrix`, the `centerline_scores` it calls and
+    `build_mine_model` to record each call: whether the model builder made
+    it, then the patterns of a `score_matrix` call, or the centerline and
+    the widths of a `centerline_scores` pass."""
     import ptrack.miner as miner
+    import ptrack.scoring as scoring
 
-    calls = []
+    matrices, passes = [], []
     in_builder = []
-    family, score, build = miner.centerline_scores, miner.trajectory_scores, miner.build_mine_model
+    matrix, family, build = miner.score_matrix, scoring.centerline_scores, miner.build_mine_model
+
+    def counted_matrix(graph, trajectories, patterns, cfg):
+        matrices.append((bool(in_builder), tuple(patterns)))
+        return matrix(graph, trajectories, patterns, cfg)
 
     def counted_family(graph, trajectories, pattern, widths, cfg):
-        calls.append((bool(in_builder), pattern.centerline, tuple(widths), None))
+        passes.append((bool(in_builder), pattern.centerline, tuple(widths)))
         return family(graph, trajectories, pattern, widths, cfg)
-
-    def counted(graph, trajectories, pattern, cfg):
-        calls.append((bool(in_builder), pattern.centerline, (pattern.width,), pattern))
-        return score(graph, trajectories, pattern, cfg)
 
     def building(*args):
         in_builder.append(True)
@@ -86,32 +87,33 @@ def scored_columns(monkeypatch):
         finally:
             in_builder.pop()
 
-    monkeypatch.setattr(miner, "centerline_scores", counted_family)
-    monkeypatch.setattr(miner, "trajectory_scores", counted)
+    monkeypatch.setattr(miner, "score_matrix", counted_matrix)
+    monkeypatch.setattr(scoring, "centerline_scores", counted_family)
     monkeypatch.setattr(miner, "build_mine_model", building)
-    return calls
+    return matrices, passes
 
 
 def test_mine_scores_each_candidate_column_once(monkeypatch):
-    # One `centerline_scores` pass per centerline family picks the twins: each
-    # family is scored once, over its distinct widths, so every candidate's
-    # column is scored exactly once.  The model builder then scores only the
-    # candidates it is handed, one `trajectory_scores` pass each.
+    # The twin pass makes one `score_matrix` call, which makes one
+    # `centerline_scores` pass per centerline family over its distinct
+    # widths, so every candidate's column is scored exactly once.  The model
+    # builder then makes one more call, over the kept candidates only.
     from ptrack import mine
 
     g, trajectories, candidates, cfg = two_flow_mining()
     assert len(candidates) == 5
-    calls = scored_columns(monkeypatch)
+    matrices, passes = scored_columns(monkeypatch)
     res = mine(g, trajectories, candidates, cfg)
-    picked = [(c, widths) for in_builder, c, widths, pattern in calls if not in_builder]
-    assert all(pattern is None for in_builder, _, _, pattern in calls if not in_builder)
+    # Neither width flips a corridor gate: one candidate per flow survives.
+    kept = tuple(candidates.patterns[k] for k in (0, 1, 3))
+    assert matrices == [(False, candidates.patterns), (True, kept)]
+    picked = [(c, widths) for in_builder, c, widths in passes if not in_builder]
     assert [c for c, _ in picked] == list(dict.fromkeys(p.centerline for p in candidates.patterns))
     covered = [(c, w) for c, widths in picked for w in widths]
     assert len(covered) == len(set(covered)) == len(candidates)
     assert set(covered) == {(p.centerline, p.width) for p in candidates.patterns}
-    built = [pattern for in_builder, _, _, pattern in calls if in_builder]
-    # Neither width flips a corridor gate: one candidate per flow survives.
-    assert built == [candidates.patterns[k] for k in (0, 1, 3)]
+    built = [(c, widths) for in_builder, c, widths in passes if in_builder]
+    assert built == [(p.centerline, (p.width,)) for p in kept]
     assert res.selected_candidates == (0, 1, 3)
 
 
@@ -119,9 +121,13 @@ def test_the_miner_model_scores_each_candidate_once(monkeypatch):
     from ptrack.miner import build_mine_model
 
     g, trajectories, candidates, cfg = two_flow_mining()
-    calls = scored_columns(monkeypatch)
+    matrices, passes = scored_columns(monkeypatch)
     build_mine_model(g, trajectories, candidates, cfg)
-    assert [pattern for _, _, _, pattern in calls] == list(candidates.patterns)
+    assert [patterns for _, patterns in matrices] == [candidates.patterns]
+    families = list(dict.fromkeys(p.centerline for p in candidates.patterns))
+    assert [c for _, c, _ in passes] == families
+    covered = [(c, w) for _, c, widths in passes for w in widths]
+    assert sorted(covered) == sorted((p.centerline, p.width) for p in candidates.patterns)
 
 
 def test_every_solve_goes_through_the_wrapped_names():

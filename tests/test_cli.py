@@ -527,3 +527,23 @@ class TestPipelines:
         assert hist.read_text().splitlines()[0] == "iteration,cost_budget,n_patterns,proxy_score"
         assert read_patterns(pats)
         assert tracks_from_csv(out.read_text())
+
+    def test_unsupervised_survives_a_degenerate_split(self, tmp_path, capsys):
+        # Both tracks end in the batch's first half, so the proxy's split
+        # leaves the second half empty: the iterate's proxy is -inf.
+        tracks = tmp_path / "early.csv"
+        rows = [f"{f},1,{f},0" for f in range(1, 6)] + [f"{f},2,{f},5" for f in range(2, 7)]
+        tracks.write_text("".join(row + "\n" for row in rows))
+        hist = tmp_path / "history.csv"
+        argv = [
+            "unsupervised", "--tracks", str(tracks), "--out", str(tmp_path / "out.csv"),
+            "--patterns-out", str(tmp_path / "p.txt"), "--history", str(hist),
+            "--batch-start", "0", "--batch-end", "40", "--budget-start", "100",
+            "--levels", "1", "--iterations", "1",
+        ]
+        assert cli(argv) == 0
+        assert capsys.readouterr().out == "2 trajectories, 2 patterns, proxy score -inf\n"
+        assert hist.read_text().splitlines() == [
+            "iteration,cost_budget,n_patterns,proxy_score", "1,100.000000,2,-inf"
+        ]
+        assert len(tracks_from_csv((tmp_path / "out.csv").read_text())) == 2

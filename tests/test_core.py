@@ -390,6 +390,10 @@ def test_relative_widths_scale_with_extent():
     assert len(widths) == 6
     with pytest.raises(ValueError, match="extent"):
         relative_widths(0.0)
+    for bad in ("3", True, float("inf"), None):
+        with pytest.raises(ValueError, match="extent"):
+            relative_widths(bad)
+    assert relative_widths(np.float64(100.0)) == widths
 
 
 def test_bounding_box_and_area():

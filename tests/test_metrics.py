@@ -507,3 +507,12 @@ class TestMatchConfig:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="max_dist"):
                 MatchConfig(bad)
+
+    @pytest.mark.parametrize("bad", ["3", True, None, 3 + 0j], ids=["str", "bool", "none", "complex"])
+    def test_gate_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match="max_dist"):
+            MatchConfig(bad)
+
+    def test_numpy_and_int_gates_are_taken(self):
+        assert MatchConfig(np.float64(1.5)).max_dist == 1.5
+        assert MatchConfig(2).max_dist == 2

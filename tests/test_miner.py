@@ -27,7 +27,7 @@ import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
 from ptrack.fracopt import maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
-from ptrack.scoring import _projection, ratio_bracket
+from ptrack.scoring import _projection, ratio_bracket, score_matrix
 
 import reference_miner
 from oracles import brute_force_best_ratio
@@ -389,12 +389,17 @@ def bits(column):
     return [float(v).hex() for v in column]
 
 
+def matrix_columns(g, ts, cands, cfg):
+    """Each candidate's `score_matrix` column: its totals, then its aligned scores."""
+    return np.concatenate(score_matrix(g, ts, cands.patterns, cfg)).T.tolist()
+
+
 def assert_family_pass_matches(g, ts, cands, cfg):
     """The family pass gives the per-candidate loop's kept indices, and its
     columns equal the per-candidate columns and the scalar scorer's sums bit
     for bit.  Each side is computed on a fresh copy of the graph."""
     fresh = lambda: dataclasses.replace(g)
-    got = miner._score_columns(fresh(), ts, cands, cfg)
+    got = matrix_columns(fresh(), ts, cands, cfg)
     want = reference_miner.cheapest_twins(fresh(), ts, cands, cfg)
     assert miner._cheapest_twins(fresh(), ts, cands, cfg) == want
     assert [bits(c) for c in got] == [bits(c) for c in reference_miner.score_columns(fresh(), ts, cands, cfg)]
@@ -424,7 +429,7 @@ FAMILY_CFGS = (
 
 
 class TestFamilyPassAgainstPerCandidateLoop:
-    """One `centerline_scores` pass per centerline gives what one pass per candidate gave."""
+    """`score_matrix`, one `centerline_scores` pass per centerline, gives what one pass per candidate gave."""
 
     def test_seeded_random_graphs_with_widths_on_the_gates(self):
         rng = np.random.default_rng(20)
@@ -474,7 +479,7 @@ class TestFamilyPassAgainstPerCandidateLoop:
             cfg = Config(reverse_penalty=penalty)
             assert_family_pass_matches(g, ts, cands, cfg)
             # The backward edges score the same at every width.
-            columns = miner._score_columns(g, ts, cands, cfg)
+            columns = matrix_columns(g, ts, cands, cfg)
             assert columns[1][2] == columns[4][2] < 0.0
 
     def test_two_trajectories_sharing_one_centerline(self):

@@ -1,6 +1,6 @@
 """Edge scoring, trajectory aggregation, and the ratio objective."""
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,10 +27,11 @@ from ptrack import (
     input_trajectories,
     link,
     objective,
+    score_matrix,
     trajectory_score,
     trajectory_scores,
 )
-from ptrack.scoring import _Chains, _project
+from ptrack.scoring import _Chains, _project, _projection
 
 from helpers import edge_score
 from reference_scoring import PatternScorer as ReferenceScorer
@@ -832,6 +833,78 @@ class TestArrayScorerAgainstScalar:
                     ts = input_trajectories(g)
                     candidates = generate_candidates(g, ts, cfg)
                     assert_same_as_scalar(g, candidates.patterns, (cfg,), ts)
+
+
+def assert_matrix_is_per_pattern(graph, trajectories, patterns, cfg):
+    """Column p of `score_matrix` is `trajectory_scores` against `patterns[p]`,
+    bit for bit; each side is computed on a fresh copy of the graph."""
+    total, aligned = score_matrix(replace(graph), trajectories, patterns, cfg)
+    assert total.shape == aligned.shape == (len(trajectories), len(patterns))
+    for p, pattern in enumerate(patterns):
+        want = trajectory_scores(replace(graph), trajectories, pattern, cfg)
+        assert bits(*total[:, p], *aligned[:, p]) == bits(*want[0], *want[1])
+    return total, aligned
+
+
+class TestScoreMatrixAgainstPerPattern:
+    """`score_matrix`, one pass per centerline, equals one `trajectory_scores` pass per pattern."""
+
+    def test_seeded_random_graphs(self):
+        rng = np.random.default_rng(21)
+        checked_gates = backward = 0
+        for _ in range(25):
+            lines = [np.cumsum(rng.normal(size=(int(rng.integers(2, 6)), 2)) * 4.0, axis=0) for _ in range(2)]
+            n = int(rng.integers(2, 24))
+            frames = np.sort(rng.integers(0, 10, n))
+            pts = lines[0][rng.integers(0, len(lines[0]), n)] + rng.normal(size=(n, 2)) * rng.choice([0.3, 2.0])
+            specs = [(int(f), float(x), float(y)) for f, (x, y) in zip(frames, pts)]
+            ids = rng.permutation(n) + 1
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+            chains = [sorted(c.tolist(), key=lambda d: (specs[d - 1][0], d)) for c in np.split(ids, cuts)]
+            chains = [c for c in chains if len({specs[d - 1][0] for d in c}) == len(c)]
+            # A stationary trajectory: three detections at one position.
+            specs += [(k, 3.0, -1.0) for k in range(3, 6)]
+            chains.append([n + 1, n + 2, n + 3])
+            span = (min(f for f, _, _ in specs), max(f for f, _, _ in specs))
+            g, ts = chain_graph(specs, chains, span if rng.random() < 0.5 else (span[0] - 1, span[1] + 1))
+            bases = [Pattern.from_points(line.tolist(), 1.0) for line in lines]
+            # Widths exactly at an edge's gate, max(dist_i, dist_j), and the
+            # floats either side of it.
+            dist = _projection(replace(g), bases[0])[3]
+            gates = [float(max(dist[a - 1], dist[b - 1])) for c in chains for a, b in zip(c, c[1:])]
+            gates = [w for w in gates if w > 0.0][:2]
+            checked_gates += len(gates)
+            widths = [*gates, *np.nextafter(gates, np.inf), *np.nextafter(gates, 0.0), 0.3, 1.0, 4.0]
+            # The two centerlines interleaved, each width twice, and the empty
+            # pattern at the front, in the middle and at the end.
+            patterns = [EMPTY_PATTERN]
+            for w in rng.permutation(widths * 2):
+                patterns += [bases[0].with_width(float(w)), bases[1].with_width(float(w))]
+                if rng.random() < 0.1:
+                    patterns.append(EMPTY_PATTERN)
+            patterns.append(EMPTY_PATTERN)
+            for cfg in SCALAR_CFGS:
+                _, aligned = assert_matrix_is_per_pattern(g, ts, patterns, cfg)
+                backward += int((aligned < 0.0).any())
+        assert checked_gates > 20 and backward > 0
+
+    def test_backward_edges_and_a_stationary_trajectory(self):
+        specs = [(1, 9.0, 0.2), (2, 6.0, -0.4), (3, 6.5, 0.1), (4, 2.0, 3.0), (2, 1.0, 0.0), (3, 1.0, 0.0)]
+        g, ts = chain_graph(specs, [(1, 2, 3, 4), (5, 6)], batch=(0, 5))
+        across = Pattern(((5.0, -5.0), (5.0, 5.0)), 1.0)
+        patterns = [LANE.with_width(0.4), across, EMPTY_PATTERN, LANE, across.with_width(6.0), LANE.with_width(0.4)]
+        for cfg in (*SCALAR_CFGS, Config(reverse_penalty=2.0)):
+            total, aligned = assert_matrix_is_per_pattern(g, ts, patterns, cfg)
+            # Duplicate patterns share a column; the backward walk scores
+            # below zero on the lane at every width.
+            assert bits(*total[:, 0], *aligned[:, 0]) == bits(*total[:, 5], *aligned[:, 5])
+            assert aligned[0, 0] == aligned[0, 3] < 0.0
+
+    def test_no_patterns_and_no_trajectories(self):
+        g, ts = chain_graph([(1, 0.0, 0.0), (2, 1.0, 0.0)], [(1, 2)], batch=(0, 3))
+        for trajectories, patterns in ((ts, []), ([], [LANE, EMPTY_PATTERN])):
+            total, aligned = score_matrix(g, trajectories, patterns, CFG)
+            assert total.shape == aligned.shape == (len(trajectories), len(patterns))
 
 
 class TestIdsOutsideTheGraph:

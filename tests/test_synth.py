@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptrack import Config, Pattern, build_graph
+import ptrack.synth
+from ptrack import Config, Detection, Pattern, build_graph
 from ptrack.metrics import idf1
 from ptrack.synth import (
     Fragment,
@@ -76,6 +77,27 @@ class TestGenerateScene:
 
         with pytest.raises(ValueError, match="empty pattern"):
             generate_scene((EMPTY_PATTERN,), agents=((0, 1),))
+
+    @pytest.mark.parametrize("name", ["speed", "fps"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
+    def test_speed_and_fps_must_be_positive(self, monkeypatch, name, bad):
+        # A speed of 0 or below never reaches the end of the pattern: should
+        # the check go, the walk stops at a cap instead of running forever.
+        made = []
+
+        def capped(*args):
+            made.append(None)
+            if len(made) > 1000:
+                raise RuntimeError("the walk does not end")
+            return Detection(*args)
+
+        monkeypatch.setattr(ptrack.synth, "Detection", capped)
+        with pytest.raises(ValueError, match=name):
+            generate_scene((LANE,), agents=((0, 1),), **{name: bad})
+
+    def test_numpy_speed_and_fps_are_taken(self):
+        scene = generate_scene((LANE,), agents=((0, 1),), speed=np.float64(2.0), fps=np.float64(1.0))
+        assert scene == generate_scene((LANE,), agents=((0, 1),), speed=2.0, fps=1)
 
 
 class TestCorrupt:

@@ -1,5 +1,6 @@
 """Alternating mining/linking loop and its split-half model selection."""
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,8 +193,9 @@ class TestSplitHalfScore:
     def test_one_sided_split_is_degenerate(self):
         cfg = Config()
         g = build_graph([[det(1, 0.0), det(2, 1.0), det(3, 2.0)]], cfg, batch=(0, 10))
-        with pytest.raises(ValueError, match="degenerate split"):
+        with pytest.raises(unsupervised.DegenerateSplit, match="degenerate split"):
             split_half_score(g, input_trajectories(g), cfg)
+        assert issubclass(unsupervised.DegenerateSplit, ValueError)
 
 
 class TestDefaultSchedule:
@@ -214,6 +216,13 @@ class TestDefaultSchedule:
         g = build_graph([[det(0, 0.0), det(1, 2.0)]], cfg, batch=(0, 1))
         with pytest.raises(ValueError, match="no candidate patterns"):
             default_schedule(g, input_trajectories(g), cfg)
+
+    @pytest.mark.parametrize("levels", [2.5, True, "2", np.int64(2)])
+    def test_levels_must_be_an_int(self, levels):
+        cfg = Config(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        with pytest.raises(ValueError, match=re.escape(f"levels must be an integer, got {levels!r}")):
+            default_schedule(g, ts, cfg, levels=levels)
 
 
 class TestRunUnsupervised:
@@ -265,6 +274,13 @@ class TestRunUnsupervised:
         cfg = Config()
         _, g, ts = flow_fixture(cfg)
         with pytest.raises(ValueError, match=f"iterations_per_level must be at least 1, got {iterations}"):
+            run_unsupervised(g, ts, cfg, schedule=(1.0,), iterations_per_level=iterations)
+
+    @pytest.mark.parametrize("iterations", [2.5, True, 2.0, None])
+    def test_iterations_must_be_an_int(self, iterations):
+        cfg = Config()
+        _, g, ts = flow_fixture(cfg)
+        with pytest.raises(ValueError, match=re.escape(f"iterations_per_level must be an integer, got {iterations!r}")):
             run_unsupervised(g, ts, cfg, schedule=(1.0,), iterations_per_level=iterations)
 
     @pytest.mark.parametrize("solver", ["mine", "link"])
@@ -355,3 +371,66 @@ class TestAgainstReferenceLoop:
         same_result(res, ref)
         rows = [(h.n_patterns, h.proxy_score) for h in res.history]
         assert rows == [(1, 0.25), (2, 0.5), (1, 0.25), (2, 0.5), (1, 0.25)]
+
+
+def one_sided_fixture():
+    """Two tracks early in a long batch: every split leaves the second half empty."""
+    cfg = Config()
+    tracks = [[det(f, f) for f in range(1, 6)], [det(f, f, 5.0) for f in range(2, 7)]]
+    g = build_graph(tracks, cfg, batch=(0, 40))
+    return g, input_trajectories(g), cfg
+
+
+def proxies_in_turn(monkeypatch, outcomes):
+    """Stand in for `split_half_score`: the k-th call raises or returns outcomes[k]."""
+    calls = iter(outcomes)
+
+    def proxy(graph, trajectories, cfg, time_budget=None):
+        outcome = next(calls)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome, False
+
+    monkeypatch.setattr(unsupervised, "split_half_score", proxy)
+
+
+class TestDegenerateSplit:
+    """An iterate whose split leaves a half empty scores -inf; the run goes on."""
+
+    def test_every_iterate_degenerate_returns_the_first(self, monkeypatch):
+        g, ts, cfg = one_sided_fixture()
+        linked = []
+        link = unsupervised.link
+        monkeypatch.setattr(unsupervised, "link", lambda *a, **kw: linked.append(link(*a, **kw)) or linked[-1])
+        res = run_unsupervised(g, ts, cfg, schedule=(100.0, 200.0), iterations_per_level=2, stop_patterns=99)
+        assert [h.proxy_score for h in res.history] == [-np.inf] * 4
+        assert [h.iteration for h in res.history] == [1, 2, 3, 4]
+        assert res.trajectories == linked[0].all_trajectories
+        assert res.assignment == linked[0].full_assignment
+
+    @pytest.mark.parametrize("first_degenerate", [True, False])
+    def test_a_finite_proxy_wins_over_a_degenerate_one(self, monkeypatch, first_degenerate):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        outcomes = [unsupervised.DegenerateSplit("degenerate split"), -5.0]
+        proxies_in_turn(monkeypatch, outcomes if first_degenerate else outcomes[::-1])
+        mined, linked = [], []
+        mine, link = unsupervised.mine, unsupervised.link
+        monkeypatch.setattr(unsupervised, "mine", lambda *a, **kw: mined.append(mine(*a, **kw)) or mined[-1])
+        monkeypatch.setattr(unsupervised, "link", lambda *a, **kw: linked.append(link(*a, **kw)) or linked[-1])
+        # The first level mines both flows; a zero budget mines no pattern.
+        schedule = (default_schedule(g, ts, cfg, levels=1)[0], 0.0)
+        res = run_unsupervised(g, ts, cfg, schedule=schedule, iterations_per_level=1, stop_patterns=99)
+        want = [-np.inf, -5.0] if first_degenerate else [-5.0, -np.inf]
+        assert [h.proxy_score for h in res.history] == want
+        assert [h.n_patterns for h in res.history] == [2, 0]
+        finite = 1 if first_degenerate else 0
+        assert res.patterns == mined[finite].patterns
+        assert res.trajectories == linked[finite].all_trajectories
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        proxies_in_turn(monkeypatch, [ValueError("degenerate instance: total score is not positive")])
+        with pytest.raises(ValueError, match="degenerate instance"):
+            run_unsupervised(g, ts, cfg, schedule=(1.0,), iterations_per_level=1)
