@@ -51,7 +51,6 @@ from .scoring import (
     ratio_bracket,
     score_matrix,
     trajectory_score,
-    trajectory_scores,
 )
 from .svgplot import render_svg, write_plot
 from .synth import (

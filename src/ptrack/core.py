@@ -208,7 +208,9 @@ class DetectionGraph:
 
     @cached_property
     def scoring_cache(self) -> dict:
-        """What `ptrack.scoring` keeps: per centerline and per trajectory set."""
+        """What `ptrack.scoring` keeps: per centerline, the projection of every
+        detection; per trajectory set that `score_matrix` scored, its rows
+        and their width-free terms."""
         return {}
 
     @cached_property
@@ -447,7 +449,7 @@ class Config:
 def relative_widths(extent: float, fractions: Sequence[float] = RELATIVE_WIDTH_FRACTIONS) -> tuple[float, ...]:
     """Candidate widths as fractions of the scene extent, for indoor-scale data."""
     if not (_is_real(extent) and extent > 0):
-        raise ValueError(f"extent must be positive, got {extent!r}")
+        raise ValueError(f"extent must be positive and finite, got {extent!r}")
     return tuple(f * extent for f in fractions)
 
 

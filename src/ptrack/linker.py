@@ -4,8 +4,10 @@ Linking picks one outgoing and one incoming edge per detection so that the
 selected edges decompose into entry-to-exit paths, each path following a
 single pattern, and the summed aligned/total score ratio over all paths is
 maximal; each end inside the batch costs something on every pattern (see
-`scoring`).  The search is exact: a bisection over the ratio with one 0/1
-feasibility problem per probe.
+`scoring`).  The search is a bisection over the ratio with one 0/1
+feasibility problem per probe.  It is certified to a gap, not exact: after
+`iters` halvings (10 by default) the bound is within (hi - lo) * 2**-iters
+of the optimum, and the decomposition returned need not be optimal.
 """
 from __future__ import annotations
 
@@ -36,7 +38,9 @@ class LinkResult:
     assigned to the empty pattern are dropped when the config says so);
     `all_trajectories` and `full_assignment` keep the complete decomposition.
     `alpha_star` is the exact objective value of that decomposition and
-    `search_alpha` the certified bisection bound it improves on.
+    `search_alpha` the certified bisection bound it improves on.  The
+    optimum lies within (hi - lo) * 2**-iters above `search_alpha`, so the
+    decomposition need not be optimal.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -186,7 +190,8 @@ def link(
     iters: int = 10,
     time_budget: float | None = None,
 ) -> LinkResult:
-    """Find the optimal pattern-guided decomposition of the graph.
+    """Find a pattern-guided decomposition of the graph, certified to within
+    (hi - lo) * 2**-iters of the best ratio, (lo, hi) being `ratio_bracket(cfg)`.
 
     Raises if the pattern set lacks the empty pattern, a detection has no
     outgoing or incoming edge, or no decomposition has positive total score.

@@ -35,7 +35,7 @@ class MatchConfig:
 
     def __post_init__(self) -> None:
         if not (_is_real(self.max_dist) and self.max_dist > 0):
-            raise ValueError(f"max_dist must be positive, got {self.max_dist!r}")
+            raise ValueError(f"max_dist must be positive and finite, got {self.max_dist!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ pattern per trajectory, maximizing the same aligned/total ratio the linker
 uses, scored the same way: an entry or exit at the graph's batch boundary is
 free here too, and any other end is charged.  Keeping patterns cheap (short
 and narrow) is what forces the selection to generalize instead of memorizing
-every trajectory.
+every trajectory.  Like the linker's, the search is certified to a gap, not
+exact: after `iters` halvings (5 by default) the bound is within
+(hi - lo) * 2**-iters of the optimum, and the selection returned need not
+be optimal.
 
 Many candidates are twins: the same centerline at a width that flips no
 corridor gate, or one shape drawn from two trajectories, gives the same
@@ -17,10 +20,11 @@ tie; the empty pattern, which costs nothing, always stays) before it builds
 its model.  This is exact: a selection that uses a dearer twin can switch to
 the cheaper one, which leaves both sums of the ratio as they were and can
 only lower the count and the summed cost of the selection.  The columns
-come from one `scoring.score_matrix` call, which scores all candidates on
-one centerline (the empty pattern is a family of its own) in one pass, since
-only the corridor gate depends on the width; the model builder scores the
-kept candidates through it again, in one more call.
+come from one `scoring.score_matrix` call, which builds the set's rows once
+and scores all candidates on one centerline (the empty pattern is a family
+of its own) in one pass, since only the corridor gate depends on the width;
+the model builder scores the kept candidates through it again, in one more
+call, which reuses the rows kept in `graph.scoring_cache`.
 """
 from __future__ import annotations
 
@@ -71,7 +75,9 @@ class MineResult:
     """Selected patterns (empty pattern first) and the per-trajectory choice.
 
     `alpha_star` is the exact objective of the returned assignment;
-    `search_alpha` the certified bisection bound.  `selected_candidates`
+    `search_alpha` the certified bisection bound, within (hi - lo) *
+    2**-iters below the optimum, so the selection need not be optimal.
+    `selected_candidates`
     are indices into the candidate set handed to `mine`, for traceability;
     of candidates with the same score column only the cheapest can appear,
     since the others were dropped before the solve without changing the
@@ -198,7 +204,9 @@ def mine(
     iters: int = 5,
     time_budget: float | None = None,
 ) -> MineResult:
-    """Pick the pattern subset and assignment with the best objective.
+    """Pick a pattern subset and assignment, certified to within
+    (hi - lo) * 2**-iters of the best objective, (lo, hi) being
+    `ratio_bracket(cfg)`.
 
     The returned pattern set always starts with the empty pattern; only
     candidates actually used by some trajectory are included beyond it.

@@ -16,18 +16,17 @@ skips before its first detection or after its last; the empty pattern charges
 `objective` score any chain of detection ids the same way.
 
 Scores are arrays: `edge_scores` scores any edges against one pattern, and
-`centerline_scores` a trajectory set against one centerline at several
-widths in one pass.  Only the corridor gate depends on the width, so the
-totals are summed once and the aligned sums once per width;
-`trajectory_scores` is its one-width case.  A graph's `scoring_cache` keeps
-each centerline's projection of all detections, and per trajectory set its
-edges and their width-free terms; the width and the `Config` are applied on
-each pass.  A trajectory's sum runs entry plus exit, then each edge in
-order, so a score is the same float however many trajectories or widths
-are scored at once.  `trajectory_score` scores one trajectory and keeps no
-entry for it.  `score_matrix` scores a set against several patterns, one
-`centerline_scores` pass per distinct centerline; the miner, the split-half
-proxy and `objective` score through it.
+`score_matrix` a trajectory set against several patterns.  It builds the
+set's rows once, then makes one pass per distinct centerline over that
+centerline's distinct widths: only the corridor gate depends on the width,
+so the totals are summed once and the aligned sums once per width.  A
+graph's `scoring_cache` keeps each centerline's projection of all
+detections, and per trajectory set its edges and their width-free terms;
+the width and the `Config` are applied on each pass.  A trajectory's sum
+runs entry plus exit, then each edge in order, so a score is the same float
+however many trajectories or patterns are scored at once.
+`trajectory_score` scores one trajectory and keeps no entry for it.  The
+miner, the split-half proxy and `objective` score through `score_matrix`.
 """
 from __future__ import annotations
 
@@ -183,6 +182,12 @@ def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, hea
     return total, aligned
 
 
+# A set's rows and their width-free terms are kept per set in the graph's
+# `scoring_cache`, because `mine` scores one set twice: `build_mine_model`
+# scores the kept candidates again, and on a one-width workload nearly every
+# candidate is kept.  Building them afresh on every call made the
+# unsupervised-two-flows benchmark's run_s 0.054 -> 0.057 s (median of ten
+# pairs of runs on a 2-core VM).
 class _Chains(NamedTuple):
     """A trajectory set as rows: `ends` holds each trajectory's first detection,
     then each one's last; `tails` and `heads` are its edges, which sit at
@@ -235,36 +240,9 @@ def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np
     return sums[0], sums[1:]
 
 
-def centerline_scores(
-    graph: DetectionGraph, trajectories: Sequence[Trajectory], pattern: Pattern, widths, cfg: Config
-) -> tuple[np.ndarray, np.ndarray]:
-    """(total, aligned): each trajectory's edge scores against `pattern`'s centerline, summed.
-
-    `total` has one entry per trajectory, the same at every width; `aligned`
-    has one row per entry of `widths`, equal to `trajectory_scores` against
-    the centerline at that width (the empty pattern ignores the width).  A
-    trajectory's sum is its entry plus its exit, then each detection edge in
-    order, one addition at a time.  Raises `KeyError` on a node outside
-    `graph.ids`.
-    """
-    trajectories = tuple(trajectories)
-    widths = np.asarray(widths, dtype=float).reshape(-1, 1)
-    if not trajectories:
-        return np.zeros(0), np.zeros((len(widths), 0))
-    return _summed(graph, _chains(graph, trajectories), pattern, widths, cfg)
-
-
-def trajectory_scores(
-    graph: DetectionGraph, trajectories: Sequence[Trajectory], pattern: Pattern, cfg: Config
-) -> tuple[np.ndarray, np.ndarray]:
-    """(total, aligned) arrays: `centerline_scores` at the pattern's own width."""
-    total, aligned = centerline_scores(graph, trajectories, pattern, (pattern.width,), cfg)
-    return total, aligned[0]
-
-
 def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """One trajectory's `trajectory_scores`, as a `ScorePair`; `graph.scoring_cache`
-    keeps no entry for the trajectory."""
+    """One trajectory's `score_matrix` entry against `pattern`, as a `ScorePair`;
+    `graph.scoring_cache` keeps no entry for the trajectory."""
     chains = _chains(graph, (traj,), keep=False)
     total, aligned = _summed(graph, chains, pattern, np.array([[pattern.width]]), cfg)
     return ScorePair(float(total[0]), float(aligned[0, 0]))
@@ -273,27 +251,30 @@ def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, 
 def score_matrix(
     graph: DetectionGraph, trajectories: Sequence[Trajectory], patterns: Sequence[Pattern], cfg: Config
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(total, aligned): trajectories × patterns arrays whose column p is
-    `trajectory_scores` against `patterns[p]`, bit for bit.
+    """(total, aligned): trajectories × patterns arrays of each trajectory's
+    edge scores against each pattern, summed.
 
-    The patterns are grouped by centerline, then by width: one
-    `centerline_scores` pass per distinct centerline covers its distinct
-    widths, and patterns equal in both share a column.
+    A trajectory's sum is its entry plus its exit, then each detection edge
+    in order, one addition at a time.  The patterns are grouped by
+    centerline, then by width: one pass per distinct centerline covers its
+    distinct widths (the empty pattern ignores the width), and patterns
+    equal in both share a column.  Raises `KeyError` on a node outside
+    `graph.ids`.
     """
     trajectories = tuple(trajectories)
-    families: dict[tuple, dict[float, list[int]]] = {}
-    for p, pattern in enumerate(patterns):
-        families.setdefault(pattern.centerline, {}).setdefault(pattern.width, []).append(p)
-    # Each pattern's totals, then each pattern's aligned scores.
-    columns = [None] * (2 * len(patterns))
-    for by_width in families.values():
-        members = list(by_width.values())
-        total, aligned = centerline_scores(graph, trajectories, patterns[members[0][0]], list(by_width), cfg)
-        for same, row in zip(members, aligned):
-            for p in same:
-                columns[p], columns[len(patterns) + p] = total, row
-    total, aligned = np.array(columns).reshape(2, len(patterns), len(trajectories))
-    return total.T, aligned.T
+    sums = np.zeros((2, len(patterns), len(trajectories)))
+    if trajectories:
+        chains = _chains(graph, trajectories)
+        families: dict[tuple, dict[float, list[int]]] = {}
+        for p, pattern in enumerate(patterns):
+            families.setdefault(pattern.centerline, {}).setdefault(pattern.width, []).append(p)
+        for by_width in families.values():
+            members = list(by_width.values())
+            widths = np.array(list(by_width), dtype=float)[:, None]
+            total, aligned = _summed(graph, chains, patterns[members[0][0]], widths, cfg)
+            for same, row in zip(members, aligned):
+                sums[0, same], sums[1, same] = total, row
+    return sums[0].T, sums[1].T
 
 
 def objective(

@@ -84,7 +84,7 @@ def generate_scene(
         raise ValueError("no agents")
     for name, value in (("speed", speed), ("fps", fps)):
         if not (_is_real(value) and value > 0):
-            raise ValueError(f"{name} must be positive, got {value!r}")
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     rng = np.random.default_rng(seed)
     tracks: list[tuple[Detection, ...]] = []
     base_step = speed / fps

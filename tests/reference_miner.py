@@ -1,20 +1,21 @@
 """The per-candidate twin pass that `ptrack.miner`'s family pass replaced, kept as the reference.
 
-`score_columns` scores each candidate in its own `trajectory_scores` pass;
-`cheapest_twins` keeps the cheapest candidate of each distinct column, the
-lowest index on a cost tie.  The columns of `scoring.score_matrix` must be
-these, bit for bit, and `miner._cheapest_twins` must keep the same indices.
+`score_columns` scores each candidate with the scalar reference scorer, one
+trajectory at a time; `cheapest_twins` keeps the cheapest candidate of each
+distinct column, the lowest index on a cost tie.  The columns of
+`scoring.score_matrix` must be these, bit for bit, and `miner._cheapest_twins`
+must keep the same indices.
 """
 from __future__ import annotations
 
-from ptrack.scoring import trajectory_scores
+from reference_scoring import trajectory_score
 
 
 def score_columns(graph, trajectories, candidates, cfg):
     columns = []
     for pattern in candidates.patterns:
-        total, aligned = trajectory_scores(graph, trajectories, pattern, cfg)
-        columns.append((*total.tolist(), *aligned.tolist()))
+        sums = [trajectory_score(graph, t, pattern, cfg) for t in trajectories]
+        columns.append((*(s.total for s in sums), *(s.aligned for s in sums)))
     return columns
 
 

@@ -4,7 +4,7 @@
 trajectory's edges in a Python loop: entry plus exit, then each detection
 edge in order.  Per graph and centerline, `_CenterlineTerms` holds the
 projection of every detection and, per edge on first lookup, the terms that
-no width or `Config` field changes.  `edge_scores` and `trajectory_scores`
+no width or `Config` field changes.  `edge_scores` and `score_matrix`
 must give the same floats, bit for bit.
 """
 from __future__ import annotations

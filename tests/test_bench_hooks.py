@@ -61,24 +61,24 @@ def two_flow_mining(widths=(1.0, 3.0)):
 
 
 def scored_columns(monkeypatch):
-    """Patch the miner's `score_matrix`, the `centerline_scores` it calls and
-    `build_mine_model` to record each call: whether the model builder made
-    it, then the patterns of a `score_matrix` call, or the centerline and
-    the widths of a `centerline_scores` pass."""
+    """Patch the miner's `score_matrix`, the family pass `scoring._summed` it
+    makes and `build_mine_model` to record each call: whether the model
+    builder made it, then the patterns of a `score_matrix` call, or the
+    centerline and the widths of a family pass."""
     import ptrack.miner as miner
     import ptrack.scoring as scoring
 
     matrices, passes = [], []
     in_builder = []
-    matrix, family, build = miner.score_matrix, scoring.centerline_scores, miner.build_mine_model
+    matrix, family, build = miner.score_matrix, scoring._summed, miner.build_mine_model
 
     def counted_matrix(graph, trajectories, patterns, cfg):
         matrices.append((bool(in_builder), tuple(patterns)))
         return matrix(graph, trajectories, patterns, cfg)
 
-    def counted_family(graph, trajectories, pattern, widths, cfg):
-        passes.append((bool(in_builder), pattern.centerline, tuple(widths)))
-        return family(graph, trajectories, pattern, widths, cfg)
+    def counted_family(graph, chains, pattern, widths, cfg):
+        passes.append((bool(in_builder), pattern.centerline, tuple(widths.ravel().tolist())))
+        return family(graph, chains, pattern, widths, cfg)
 
     def building(*args):
         in_builder.append(True)
@@ -88,16 +88,16 @@ def scored_columns(monkeypatch):
             in_builder.pop()
 
     monkeypatch.setattr(miner, "score_matrix", counted_matrix)
-    monkeypatch.setattr(scoring, "centerline_scores", counted_family)
+    monkeypatch.setattr(scoring, "_summed", counted_family)
     monkeypatch.setattr(miner, "build_mine_model", building)
     return matrices, passes
 
 
 def test_mine_scores_each_candidate_column_once(monkeypatch):
-    # The twin pass makes one `score_matrix` call, which makes one
-    # `centerline_scores` pass per centerline family over its distinct
-    # widths, so every candidate's column is scored exactly once.  The model
-    # builder then makes one more call, over the kept candidates only.
+    # The twin pass makes one `score_matrix` call, which makes one family
+    # pass per centerline over its distinct widths, so every candidate's
+    # column is scored exactly once.  The model builder then makes one more
+    # call, over the kept candidates only.
     from ptrack import mine
 
     g, trajectories, candidates, cfg = two_flow_mining()

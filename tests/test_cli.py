@@ -377,6 +377,17 @@ class TestEval:
         assert cli(argv) == 0
         assert capsys.readouterr().out.splitlines()[0] == "IDF1 0.000000"
 
+    def test_an_infinite_match_dist_is_refused_as_not_finite(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1,1,0,0\n2,1,1,0\n")
+        assert cli(["eval", "--gt", str(gt), "--pred", str(gt), "--match-dist", "inf"]) == 2
+        assert "max_dist must be positive and finite, got inf" in capsys.readouterr().err
+        # The library checks behind other options word it the same way.
+        with pytest.raises(ValueError, match="extent must be positive and finite, got inf"):
+            relative_widths(float("inf"))
+        with pytest.raises(ValueError, match="speed must be positive and finite, got inf"):
+            generate_scene((Pattern(((0.0, 0.0), (10.0, 0.0)), 1.0),), ((0, 1),), speed=float("inf"))
+
     def test_metrics_file(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("1,1,0,0\n2,1,1,0\n")

@@ -5,10 +5,12 @@ continuations joined) runs through `cli(argv)` in a fresh directory, and
 what it prints must be the lines the README shows under it; where the README
 pipes to `head -1`, only the first printed line counts.  The library
 snippets then run, one after the other in one namespace, in the directory
-of the first transcript, whose files they read.
+of the first transcript, whose files they read.  Every backticked dotted
+`ptrack.` name must name something the package has.
 """
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -81,3 +83,20 @@ def test_supervised_transcript_and_library_snippets(tmp_path, monkeypatch, capsy
 def test_unsupervised_transcript(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     replay(QUICK_START[1], capsys)
+
+
+def resolve(name: str):
+    """The object a dotted name names, by attribute or by submodule import."""
+    obj = importlib.import_module("ptrack")
+    parts = name.split(".")
+    for k, part in enumerate(parts[1:], 2):
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(".".join(parts[:k]))
+    return obj
+
+
+NAMES = sorted(set(re.findall(r"`(ptrack(?:\.\w+)+)", README)))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_readme_names_resolve(name):
+    resolve(name)

@@ -29,7 +29,6 @@ from ptrack import (
     objective,
     score_matrix,
     trajectory_score,
-    trajectory_scores,
 )
 from ptrack.scoring import _Chains, _project, _projection
 
@@ -699,9 +698,9 @@ def scalar_scores(graph, pattern, cfg, edges, trajectories):
 
 
 def array_scores(graph, pattern, cfg, edges, trajectories):
-    """`edge_scores` and `trajectory_scores` as float bits, in the same layout."""
+    """`edge_scores` and the `score_matrix` column as float bits, in the same layout."""
     tails, heads = zip(*edges)
-    totals, aligned = trajectory_scores(graph, trajectories, pattern, cfg)
+    totals, aligned = (side[:, 0] for side in score_matrix(graph, trajectories, [pattern], cfg))
     return (
         [bits(t, a) for t, a in zip(*edge_scores(graph, pattern, cfg, tails, heads))],
         [bits(t, a) for t, a in zip(totals, aligned)],
@@ -739,7 +738,7 @@ SCALAR_CFGS = (
 
 
 class TestArrayScorerAgainstScalar:
-    """`edge_scores` and `trajectory_scores` give the former scalar scorer's floats, bit for bit."""
+    """`edge_scores` and `score_matrix` give the former scalar scorer's floats, bit for bit."""
 
     def test_seeded_random_graphs(self):
         rng = np.random.default_rng(19)
@@ -836,18 +835,20 @@ class TestArrayScorerAgainstScalar:
 
 
 def assert_matrix_is_per_pattern(graph, trajectories, patterns, cfg):
-    """Column p of `score_matrix` is `trajectory_scores` against `patterns[p]`,
-    bit for bit; each side is computed on a fresh copy of the graph."""
+    """Column p of `score_matrix` is the scalar scorer's sums against
+    `patterns[p]`, bit for bit; each side is computed on a fresh copy of the
+    graph."""
     total, aligned = score_matrix(replace(graph), trajectories, patterns, cfg)
     assert total.shape == aligned.shape == (len(trajectories), len(patterns))
+    scalar = replace(graph)
     for p, pattern in enumerate(patterns):
-        want = trajectory_scores(replace(graph), trajectories, pattern, cfg)
-        assert bits(*total[:, p], *aligned[:, p]) == bits(*want[0], *want[1])
+        want = [reference_trajectory_sum(scalar, t, pattern, cfg) for t in trajectories]
+        assert bits(*total[:, p], *aligned[:, p]) == bits(*(w.total for w in want), *(w.aligned for w in want))
     return total, aligned
 
 
 class TestScoreMatrixAgainstPerPattern:
-    """`score_matrix`, one pass per centerline, equals one `trajectory_scores` pass per pattern."""
+    """`score_matrix`, one pass per centerline, equals the scalar scorer per pattern."""
 
     def test_seeded_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -928,7 +929,7 @@ class TestIdsOutsideTheGraph:
         g = pair_graph((0.0, 0.0), (1.0, 0.0))
         for pattern in (EMPTY_PATTERN, LANE):
             with pytest.raises(KeyError, match="3"):
-                trajectory_scores(g, [Trajectory((1,)), Trajectory((2, 3))], pattern, CFG)
+                score_matrix(g, [Trajectory((1,)), Trajectory((2, 3))], [pattern], CFG)
             with pytest.raises(KeyError, match="3"):
                 trajectory_score(g, Trajectory((3,)), pattern, CFG)
             with pytest.raises(KeyError, match=str(10**30)):
@@ -951,7 +952,8 @@ def reference_objective(graph, trajectories, patterns, assignment, cfg):
 
 
 class TestScoringCacheSize:
-    """`trajectory_score` keeps nothing per trajectory; `objective` keeps one entry per set."""
+    """`trajectory_score` keeps nothing per trajectory; `score_matrix` and
+    `objective` keep one entry per set."""
 
     def test_one_trajectory_scores_keep_no_entry(self):
         scene, broken, corridors = crossing_family(6, noisy=True)
@@ -963,8 +965,9 @@ class TestScoringCacheSize:
         assert chains_kept(g) == 0
         # What stays is one projection per centerline.
         assert set(g.scoring_cache) == {p.centerline for p in corridors}
-        trajectory_scores(g, ts, corridors[0], CFG)
-        assert chains_kept(g) == 1
+        for patterns in (corridors[:1], (EMPTY_PATTERN, *corridors)):
+            score_matrix(g, ts, patterns, CFG)
+            assert chains_kept(g) == 1 and tuple(ts) in g.scoring_cache
 
     def test_objective_keeps_one_entry_for_its_set(self):
         scene, broken, corridors = crossing_family(6, noisy=True)
