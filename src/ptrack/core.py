@@ -446,11 +446,11 @@ class Config:
         return max(1, int(round(self.join_gap * self.fps)))
 
 
-def relative_widths(extent: float, fractions: Sequence[float] = RELATIVE_WIDTH_FRACTIONS) -> tuple[float, ...]:
-    """Candidate widths as fractions of the scene extent, for indoor-scale data."""
+def relative_widths(extent: float) -> tuple[float, ...]:
+    """Candidate widths as `RELATIVE_WIDTH_FRACTIONS` of the scene extent, for indoor-scale data."""
     if not (_is_real(extent) and extent > 0):
         raise ValueError(f"extent must be positive and finite, got {extent!r}")
-    return tuple(f * extent for f in fractions)
+    return tuple(f * extent for f in RELATIVE_WIDTH_FRACTIONS)
 
 
 def bounding_box(points: Iterable[tuple[float, float]]) -> tuple[float, float, float, float]:

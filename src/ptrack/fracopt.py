@@ -9,10 +9,10 @@ bisection over alpha brackets the optimum to any fixed precision.
 
 A model has one form, arrays (see `SolverModel`): its rows in compressed
 sparse row (CSR) form with a sense code and a right-hand side each, and the
-two ratio terms.  The linker and the miner write those arrays directly
-(`SolverModel.from_rows`); `SolverModel(num_vars, constraints, numer,
-denom)` converts `Constraint` objects once, and `model.constraints` reads
-the rows back as `Constraint` objects.
+two ratio terms.  The linker and the miner write those arrays and pass them
+to the one constructor, `SolverModel(num_vars, indptr, indices, coeffs,
+senses, rhs, numer, denom)`; `model.constraints` reads the rows back as
+`Constraint` records.
 
 No row rules out a witness whose denominator is 0 or less, which passes
 every probe vacuously: in the linker's and the miner's models every path
@@ -71,22 +71,14 @@ _SENSES = ("<=", "==", ">=")
 
 @dataclass(frozen=True)
 class Constraint:
-    """A sparse linear constraint over binary variables."""
+    """One row of a `SolverModel`, as `model.constraints` gives it back: its
+    variables, their coefficients, its sense ("<=", "==" or ">=") and its
+    right-hand side."""
 
     vars: tuple[int, ...]
     coeffs: tuple[float, ...]
     sense: str
     rhs: float
-
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if len(self.vars) != len(self.coeffs):
-            raise ValueError("vars and coeffs lengths differ")
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError("constraint repeats a variable")
-        if not all(math.isfinite(c) for c in self.coeffs) or not math.isfinite(self.rhs):
-            raise ValueError("constraint coefficients must be finite")
 
 
 def _is_int(x) -> bool:
@@ -111,38 +103,12 @@ class SolverModel:
     `numer` and `denom` hold one float per variable.  The arrays are
     read-only.
 
-    `SolverModel(num_vars, constraints, numer, denom)` converts `Constraint`
-    objects once; `SolverModel.from_rows` takes the arrays as they are.  Both
-    check the arrays and raise ValueError on a malformed model.  The
-    `constraints` view gives the rows as `Constraint` objects: the ones passed
-    in, or ones built on first read.
+    The constructor checks the arrays and raises ValueError on a malformed
+    model.  The `constraints` view gives the rows as `Constraint` objects,
+    built on first read.
     """
 
-    def __init__(self, num_vars, constraints, numer, denom):
-        constraints = tuple(constraints)
-        indptr = np.zeros(len(constraints) + 1, dtype=np.int64)
-        np.cumsum([len(c.vars) for c in constraints], out=indptr[1:])
-        flat = [v for c in constraints for v in c.vars]
-        self._set(
-            num_vars,
-            indptr,
-            np.array(flat) if flat else np.zeros(0, dtype=np.int64),
-            [q for c in constraints for q in c.coeffs],
-            [_SENSES.index(c.sense) for c in constraints],
-            [c.rhs for c in constraints],
-            numer,
-            denom,
-        )
-        self.__dict__["constraints"] = constraints
-
-    @classmethod
-    def from_rows(cls, num_vars, indptr, indices, coeffs, senses, rhs, numer, denom) -> SolverModel:
-        """A model from its CSR rows and ratio terms (see the class docstring)."""
-        model = cls.__new__(cls)
-        model._set(num_vars, indptr, indices, coeffs, senses, rhs, numer, denom)
-        return model
-
-    def _set(self, num_vars, indptr, indices, coeffs, senses, rhs, numer, denom) -> None:
+    def __init__(self, num_vars, indptr, indices, coeffs, senses, rhs, numer, denom):
         if not _is_int(num_vars):
             raise ValueError(f"num_vars must be an int, got {num_vars!r}")
         if num_vars < 1:
@@ -270,9 +236,9 @@ class _RowIndex:
     bounds widened by the row's tolerance, its slack gate (largest
     |coefficient| plus tolerance), its variables and its coefficients; the
     sums of its positive and of its negative coefficients; and its length.
-    Per variable: the rows it appears in, as (row, coefficient).  `var_ids`
-    holds the int of each variable and of the "none" option n, for probes to
-    share.  Probes share the index read-only and bind these lists to locals.
+    Per variable: the rows it appears in, as (row, coefficient).  `refuted`
+    says whether some row fails under every assignment.  Probes share the
+    index read-only and bind these lists to locals.
 
     Each variable also belongs to one bound group.  A `== 1` row with unit
     coefficients claims the variables no earlier such row claimed; the group
@@ -298,25 +264,21 @@ class _RowIndex:
         if nonempty.size:
             gate[nonempty] = np.maximum.reduceat(magnitude, indptr[nonempty])
         gate += tol
-        # One Python int per variable and per row and one float per distinct
-        # coefficient (by bits), shared by every list below: objects made per
-        # entry would more than double the memory of a large model's index.
-        self.var_ids, row_ids = list(range(n + 1)), list(range(n_rows))
-        _, first_at, value_of = np.unique(coeffs.view(np.int64), return_index=True, return_inverse=True)
-        values = coeffs[first_at].tolist()
-        ptr = indptr.tolist()
-        idx = list(map(self.var_ids.__getitem__, indices.tolist()))
-        q = list(map(values.__getitem__, value_of.tolist()))
+        up, down, top, bottom = model.senses != GE, model.senses != LE, rhs + tol, rhs - tol
+        # A row whose whole activity range [neg, pos] misses its bounds fails
+        # under every assignment; without this flag the search would find
+        # that out once per leaf below the row's first variable.
+        self.refuted = bool((up & (neg > top)).any() or (down & (pos < bottom)).any())
+        ptr, idx, q = indptr.tolist(), indices.tolist(), coeffs.tolist()
         self.shape = list(zip(
-            (model.senses != GE).tolist(),
-            (model.senses != LE).tolist(),
-            (rhs + tol).tolist(),
-            (rhs - tol).tolist(),
+            up.tolist(),
+            down.tolist(),
+            top.tolist(),
+            bottom.tolist(),
             gate.tolist(),
             [idx[a:b] for a, b in zip(ptr, ptr[1:])],
             [q[a:b] for a, b in zip(ptr, ptr[1:])],
         ))
-        del idx, q  # freed now, or a large model's index peaks at the end of this method
         self.pos = pos.tolist()
         self.neg = neg.tolist()
         self.lengths = lengths.tolist()
@@ -324,11 +286,9 @@ class _RowIndex:
         # Entries by variable, each variable's in row order.
         row_of = np.repeat(np.arange(n_rows), lengths)
         by_var = np.argsort(indices, kind="stable")
-        entry_rows = list(map(row_ids.__getitem__, row_of[by_var].tolist()))
-        pairs = list(zip(entry_rows, map(values.__getitem__, value_of[by_var].tolist())))
+        pairs = list(zip(row_of[by_var].tolist(), coeffs[by_var].tolist()))
         ends = np.cumsum(np.bincount(indices, minlength=n)).tolist()
         self.var_cons = [pairs[a:b] for a, b in zip([0, *ends], ends)]
-        del entry_rows, pairs
 
         # A variable's first entry in a unit row is its claim; the claims of
         # one row, in row order, are its group.
@@ -381,20 +341,17 @@ def _probe_setup(model: SolverModel, alpha: float) -> dict:
     slot = np.empty(n, dtype=np.int64)
     slot[ranked] = place
     ptr = rows.group_starts + np.arange(len(rows.group_starts))
-    # The lists share the variable ids of the row index and the floats of w.
-    var_ids, weights = rows.var_ids, w.tolist()
-    options = list(map(var_ids.__getitem__, opt_var.tolist()))
     return dict(
-        w=weights,
+        w=w.tolist(),
         w_tol=1e-9 * (1.0 + _sum(np.abs(w))),
         pos_un_w=_sum(w[w > 0.0]),
-        opt_var=options,
-        opt_w=list(map([*weights, 0.0].__getitem__, options)),
+        opt_var=opt_var.tolist(),
+        opt_w=opt_w.tolist(),
         slot=slot.tolist(),
         ptr=ptr.tolist(),
         contrib=opt_w[ptr].tolist(),
         bound=_sum(opt_w[ptr]),
-        order=list(map(var_ids.__getitem__, np.argsort(-np.abs(w), kind="stable").tolist())),
+        order=np.argsort(-np.abs(w), kind="stable").tolist(),
     )
 
 
@@ -406,12 +363,15 @@ def feasible(model: SolverModel, alpha: float, deadline: float | None = None) ->
     explicit path.  `deadline` is a `time.monotonic()` time: a probe that
     starts at or after it returns timed out without searching, and one that
     passes it (checked every 256 nodes) stops and returns timed out; callers
-    treat a timed-out probe as infeasible.
+    treat a timed-out probe as infeasible.  A model with a row that fails
+    under every assignment (`_RowIndex.refuted`) is infeasible after one node.
     """
     if deadline is not None and time.monotonic() >= deadline:
         return FeasibilityResult(None, timed_out=True)
     n = model.num_vars
     rows = model._rows
+    if rows.refuted:
+        return FeasibilityResult(None, nodes=1)
     shape, var_cons, group_of = rows.shape, rows.var_cons, rows.group_of
     setup = _probe_setup(model, alpha)
     w, w_tol, order = setup["w"], setup["w_tol"], setup["order"]

@@ -138,7 +138,7 @@ def build_link_model(
         coeffs[place] = coeff
     rhs = np.zeros((n, per_detection))
     rhs[:, :2] = 1.0
-    model = SolverModel.from_rows(
+    model = SolverModel(
         len(triples), indptr, indices, coeffs, np.full(len(indptr) - 1, EQ), rhs.ravel(), numer, denom
     )
     return model, triples

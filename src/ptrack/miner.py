@@ -158,7 +158,7 @@ def build_mine_model(
     gates = np.stack([assign[:, 1:], np.broadcast_to(sel, (n_traj, n_cand - 1))], axis=-1)
     budgets = [float(cfg.max_patterns), _cost_budget(graph, cfg)] if n_cand > 1 else []
     costs = [pattern.cost for pattern in candidates.patterns[1:]]
-    return SolverModel.from_rows(
+    return SolverModel(
         num_vars,
         np.cumsum([0] + [n_cand] * n_traj + [2] * n_gates + [n_cand - 1] * len(budgets)),
         np.concatenate([assign.ravel(), gates.ravel(), sel, sel]),
@@ -171,7 +171,7 @@ def build_mine_model(
 
 
 def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:
-    return cfg.resolved_cost_budget(tracking_area(d.pos for d in graph.detections))
+    return cfg.resolved_cost_budget(tracking_area(graph.positions))
 
 
 def _cheapest_twins(

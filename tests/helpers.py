@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 import ptrack.unsupervised as unsupervised
 from ptrack import (
     Config,
@@ -14,6 +16,7 @@ from ptrack import (
     edge_scores,
     generate_scene,
 )
+from ptrack.fracopt import _SENSES, SolverModel
 
 # The two crossing corridors of the two-flow layout.
 CROSS = (
@@ -26,6 +29,24 @@ def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Con
     """Score a single edge against a pattern: `edge_scores` on one edge."""
     total, aligned = edge_scores(graph, pattern, cfg, [i], [j])
     return ScorePair(float(total[0]), float(aligned[0]))
+
+
+def rows_model(num_vars, rows, numer, denom) -> SolverModel:
+    """A `SolverModel` over `Constraint` rows: their CSR arrays, in row order."""
+    rows = tuple(rows)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(c.vars) for c in rows], out=indptr[1:])
+    flat = [v for c in rows for v in c.vars]
+    return SolverModel(
+        num_vars,
+        indptr,
+        np.array(flat) if flat else np.zeros(0, dtype=np.int64),
+        [q for c in rows for q in c.coeffs],
+        [_SENSES.index(c.sense) for c in rows],
+        [c.rhs for c in rows],
+        numer,
+        denom,
+    )
 
 
 def mark_lower_bound(monkeypatch, module, name: str) -> None:

@@ -36,7 +36,7 @@ from ptrack import (
 )
 from ptrack.core import SINK_NODE, SOURCE_NODE
 from ptrack.fracopt import Constraint, SolverModel, maximize_ratio
-from helpers import edge_score
+from helpers import edge_score, rows_model
 from test_metrics import shattered_fixture
 
 
@@ -107,7 +107,7 @@ def _random_ratio_instance(rng) -> tuple[SolverModel, float]:
                 rows.append(Constraint(sel, (1.0,) * size, "<=", float(rng.integers(1, size + 1))))
             else:
                 rows.append(Constraint(sel, (1.0,) * size, "==", 1.0))
-        model = SolverModel(n, tuple(rows), numer, denom)
+        model = rows_model(n, tuple(rows), numer, denom)
         best, _ = brute_force_best_ratio(model)
         if best is not None:
             return model, best

@@ -2,6 +2,7 @@
 import importlib.util
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ import ptrack.fracopt as fracopt
 from ptrack.fracopt import (
     Constraint,
     FeasibilityResult,
-    SolverModel,
     feasible,
     maximize_ratio,
 )
 
+from helpers import rows_model
 from oracles import brute_force_best_ratio, brute_force_feasible, satisfies
 from reference_search import ReferenceSearch
 
@@ -29,45 +30,29 @@ def cover_row(n):
 
 
 class TestValidation:
-    def test_constraint_rejects_unknown_sense(self):
-        with pytest.raises(ValueError, match="unknown sense"):
-            con([0], [1.0], "!", 0.0)
-
-    def test_constraint_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            con([0, 1], [1.0], "<=", 0.0)
-
-    def test_constraint_rejects_repeated_variable(self):
-        with pytest.raises(ValueError, match="repeats a variable"):
-            con([0, 0], [1.0, 1.0], "<=", 0.0)
-
-    def test_constraint_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            con([0], [float("nan")], "<=", 0.0)
-
     def test_model_needs_a_variable(self):
         with pytest.raises(ValueError, match="at least one variable"):
-            SolverModel(0, (), (), ())
+            rows_model(0, (), (), ())
 
     def test_model_checks_term_lengths(self):
         with pytest.raises(ValueError, match="length does not match"):
-            SolverModel(2, (), (1.0,), (1.0, 1.0))
+            rows_model(2, (), (1.0,), (1.0, 1.0))
 
     def test_model_checks_term_finiteness(self):
         with pytest.raises(ValueError, match="must be finite"):
-            SolverModel(1, (), (float("inf"),), (1.0,))
+            rows_model(1, (), (float("inf"),), (1.0,))
 
     def test_model_checks_constraint_indices(self):
         with pytest.raises(ValueError, match="unknown variable"):
-            SolverModel(2, (con([5], [1.0], "<=", 1.0),), (0.0, 0.0), (1.0, 1.0))
+            rows_model(2, (con([5], [1.0], "<=", 1.0),), (0.0, 0.0), (1.0, 1.0))
 
     def test_search_config_needs_ordered_bracket(self):
-        m = SolverModel(1, (), (1.0,), (1.0,))
+        m = rows_model(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="lo < hi"):
             maximize_ratio(m, 1.0, 0.0, 4)
 
     def test_search_config_needs_positive_int_iters(self):
-        m = SolverModel(1, (), (1.0,), (1.0,))
+        m = rows_model(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="positive int"):
             maximize_ratio(m, 0.0, 1.0, 0)
         with pytest.raises(ValueError, match="positive int"):
@@ -77,7 +62,7 @@ class TestValidation:
     def test_time_budget_must_be_positive_and_finite(self, budget):
         # A NaN budget used to turn the budget off (every comparison with NaN
         # is false), and a negative one failed as a timed-out probe.
-        m = SolverModel(1, (), (1.0,), (1.0,))
+        m = rows_model(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="time_budget must be None or positive and finite"):
             maximize_ratio(m, time_budget=budget)
         assert maximize_ratio(m, time_budget=np.float64(10.0)).witness == (1,)
@@ -85,7 +70,7 @@ class TestValidation:
 
 class TestModelQueries:
     def test_ratio_of(self):
-        m = SolverModel(2, (), (1.0, 3.0), (2.0, 2.0))
+        m = rows_model(2, (), (1.0, 3.0), (2.0, 2.0))
         assert m.ratio_of((1, 0)) == 0.5
         assert m.ratio_of((1, 1)) == 1.0
         assert m.ratio_of((0, 0)) is None
@@ -93,21 +78,21 @@ class TestModelQueries:
             m.ratio_of((1,))
 
     def test_certifies_at_exact_ratio(self):
-        m = SolverModel(1, (), (1.0,), (2.0,))
+        m = rows_model(1, (), (1.0,), (2.0,))
         assert m.certifies((1,), 0.5)
         assert not m.certifies((1,), 0.5 + 1e-6)
 
 
 class TestFeasibility:
     def test_single_variable_at_half(self):
-        m = SolverModel(1, (), (1.0,), (1.0,))
+        m = rows_model(1, (), (1.0,), (1.0,))
         res = feasible(m, 0.5)
         assert res.assignment == (1,)
         assert not res.timed_out
         assert m.certifies(res.assignment, 0.5)
 
     def test_forced_selection_caps_the_ratio(self):
-        m = SolverModel(2, (con([0, 1], [1.0, 1.0], "==", 1.0),), (0.0, 0.0), (1.0, 1.0))
+        m = rows_model(2, (con([0, 1], [1.0, 1.0], "==", 1.0),), (0.0, 0.0), (1.0, 1.0))
         res = feasible(m, 0.5)
         assert res.assignment is None
         assert not res.timed_out
@@ -116,8 +101,24 @@ class TestFeasibility:
 
     def test_contradictory_rows_are_infeasible(self):
         rows = (con([0], [1.0], "==", 1.0), con([0], [1.0], "<=", 0.0))
-        m = SolverModel(1, rows, (1.0,), (1.0,))
+        m = rows_model(1, rows, (1.0,), (1.0,))
         assert feasible(m, 0.0).assignment is None
+
+    @pytest.mark.parametrize(
+        "row", [con([], [], ">=", 1.0), con([39], [1.0], ">=", 2.0), con([39], [1.0], "<=", -1.0)]
+    )
+    def test_unsatisfiable_row_is_refuted_at_the_root(self, row):
+        # No assignment satisfies the row.  Checked only once one of its
+        # variables is fixed, it would fail at every leaf below that
+        # variable: 2**41 - 1 nodes for the empty row, so the deadlines turn
+        # a missing root rule into a timed-out result instead of a hang.
+        m = rows_model(40, (row,), np.zeros(40), np.zeros(40))
+        res = feasible(m, 0.0, deadline=time.monotonic() + 5.0)
+        assert res == FeasibilityResult(None)
+        assert res.nodes == 1
+        with pytest.raises(ValueError, match="no feasible solution"):
+            maximize_ratio(m, -1.0, 1.0, time_budget=5.0)
+        assert assert_same_search(m, 0.0) == 1
 
     def test_random_instances_agree_with_enumeration(self):
         rng = np.random.default_rng(42)
@@ -132,7 +133,7 @@ class TestFeasibility:
                 vars_ = tuple(int(v) for v in rng.choice(nv, size=size, replace=False))
                 coeffs = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(size))
                 rows.append(con(vars_, coeffs, senses[int(rng.integers(3))], float(rng.integers(-8, 9)) / 4.0))
-            m = SolverModel(nv, tuple(rows), numer, denom)
+            m = rows_model(nv, tuple(rows), numer, denom)
             alpha = float(rng.integers(-8, 9)) / 8.0
 
             got = feasible(m, alpha)
@@ -146,7 +147,20 @@ class TestFeasibility:
 
 
 class _FullScanSearch(ReferenceSearch):
-    """Reference propagation: scans every unfixed variable of a touched row."""
+    """Reference propagation: scans every unfixed variable of a touched row.
+
+    Like the probe, it refutes a model at the root, in one node, when some
+    row's whole activity range misses its bounds.
+    """
+
+    def run(self):
+        for ci, sense in enumerate(self.con_sense):
+            top = self.con_rhs[ci] + self.con_tol[ci]
+            bottom = self.con_rhs[ci] - self.con_tol[ci]
+            if (sense != ">=" and self.neg_un[ci] > top) or (sense != "<=" and self.pos_un[ci] < bottom):
+                self.nodes = 1
+                return FeasibilityResult(None)
+        return super().run()
 
     def _check_constraint(self, ci, pending):
         sense = self.con_sense[ci]
@@ -250,7 +264,7 @@ class TestSlackGate:
                 subset = rng.random(size) < 0.5
                 rhs = float(np.asarray(coeffs)[subset].sum()) + float(rng.integers(-1, 2)) / 4.0
                 rows.append(con(vars_, coeffs, senses[int(rng.integers(3))], rhs))
-            m = SolverModel(nv, tuple(rows), numer, denom)
+            m = rows_model(nv, tuple(rows), numer, denom)
             for alpha in (-0.5, 0.0, 0.5):
                 assert_same_search(m, alpha)
 
@@ -258,7 +272,7 @@ class TestSlackGate:
         # x0 + 2 x1 + x2 <= 2: nothing fixed leaves slack 2 (+tol), which the
         # gate skips; x0 = 1 leaves slack 1 < 2, so x1 must be forced to 0.
         rows = (con([0, 1, 2], [1.0, 2.0, 1.0], "<=", 2.0), con([0, 1, 2], [1.0, -2.0, 1.0], ">=", -2.0))
-        m = SolverModel(3, rows, (1.0, 1.5, 0.25), (1.0, 1.0, 1.0))
+        m = rows_model(3, rows, (1.0, 1.5, 0.25), (1.0, 1.0, 1.0))
         for alpha in (0.0, 0.4, 0.6, 0.9):
             assert_same_search(m, alpha)
 
@@ -267,7 +281,7 @@ class TestSlackGate:
         # 1 + tol (tol = 5e-9 here), just under b, so x1 is forced to 0 by the
         # scan; the gate must leave that float-boundary case to it.
         row = con([2, 1], [0.5, 1.0 + 7.5e-9], "<=", 1.5)
-        m = SolverModel(3, (row,), (0.1, 0.5, 1.0), (1.0, 1.0, 1.0))
+        m = rows_model(3, (row,), (0.1, 0.5, 1.0), (1.0, 1.0, 1.0))
         assert assert_same_search(m, 0.0) == 3
 
     def test_noisy_link_model_matches_full_scan(self, monkeypatch):
@@ -313,7 +327,7 @@ class TestExactlyOneBound:
         # is settled; the exactly-one bound sums the two best options, -0.5
         # and -0.25, and refutes the probe without branching.
         rows = (con([0, 1, 2], [1.0] * 3, "==", 1.0), con([3, 4, 5], [1.0] * 3, "==", 1.0))
-        m = SolverModel(6, rows, (0.0,) * 6, (1.0, 2.0, 3.0, 0.5, 1.0, 2.0))
+        m = rows_model(6, rows, (0.0,) * 6, (1.0, 2.0, 3.0, 0.5, 1.0, 2.0))
         reference = ReferenceSearch(m, 0.5)
         probe = feasible(m, 0.5)
         assert probe == reference.run() == FeasibilityResult(None)
@@ -326,7 +340,7 @@ class TestExactlyOneBound:
         # both losing.  Selecting neither is the only witness, so that group
         # must bound at max(best, 0) = 0, not at its best w of -1.
         rows = (con([0, 1], [1.0, 1.0], "==", 1.0), con([1, 2, 3], [1.0] * 3, "==", 1.0))
-        m = SolverModel(4, rows, (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 2.0, 2.0))
+        m = rows_model(4, rows, (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 2.0, 2.0))
         assert m._rows.group_exact.tolist() == [True, False]
         assert brute_force_feasible(m, 0.5)
         assert feasible(m, 0.5).assignment == (0, 1, 0, 0)
@@ -401,35 +415,35 @@ class TestAgainstReference:
 
 class TestRatioSearch:
     def test_uniform_ratio_is_reached(self):
-        m = SolverModel(2, (cover_row(2),), (2.0, 3.0), (2.0, 3.0))
+        m = rows_model(2, (cover_row(2),), (2.0, 3.0), (2.0, 3.0))
         res = maximize_ratio(m, 0.0, 1.0, 10)
         assert res.achieved == 1.0
         assert res.alpha >= 1.0 - 2.0**-10 - 1e-9
         assert not res.lower_bound_only
 
     def test_certified_bound_never_exceeds_witness_by_much(self):
-        m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
+        m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
         res = maximize_ratio(m)
         assert res.achieved is not None
         assert res.achieved >= res.alpha - 1e-6
 
     def test_search_is_deterministic(self):
-        m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
+        m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
         assert maximize_ratio(m) == maximize_ratio(m)
 
     def test_negative_bracket(self):
-        m = SolverModel(2, (cover_row(2),), (-3.0, -6.0), (1.0, 2.0))
+        m = rows_model(2, (cover_row(2),), (-3.0, -6.0), (1.0, 2.0))
         res = maximize_ratio(m, -4.0, 1.0, 12)
         assert res.achieved == -3.0
         assert -3.0 - 5.0 * 2.0**-12 - 1e-9 <= res.alpha <= -3.0 + 1e-9
 
     def test_infeasible_bracket_fails_loudly(self):
-        m = SolverModel(2, (con([0, 1], [1.0, 1.0], ">=", 3.0),), (1.0, 1.0), (1.0, 1.0))
+        m = rows_model(2, (con([0, 1], [1.0, 1.0], ">=", 3.0),), (1.0, 1.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="degenerate instance: no feasible solution at ratio bound 0.0"):
             maximize_ratio(m)
 
     def test_zero_denominators_are_degenerate(self):
-        m = SolverModel(2, (cover_row(2),), (0.0, 0.0), (0.0, 0.0))
+        m = rows_model(2, (cover_row(2),), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValueError, match="degenerate instance: every solution found has a denominator"):
             maximize_ratio(m)
 
@@ -465,7 +479,7 @@ def random_ratio_model(rng, max_vars=8):
                 rows.append(con(vars_, [1.0] * size, "==", 1.0))
             else:
                 rows.append(con(vars_, [1.0] * size, "<=", float(rng.integers(1, 3))))
-        m = SolverModel(nv, tuple(rows), numer, denom)
+        m = rows_model(nv, tuple(rows), numer, denom)
         if brute_force_best_ratio(m)[1] is not None:
             return m
 
@@ -490,7 +504,7 @@ class TestTimeBudget:
 
     @staticmethod
     def anchor():
-        return SolverModel(300, (), (0.0,) * 300, (0.0,) * 300)
+        return rows_model(300, (), (0.0,) * 300, (0.0,) * 300)
 
     def test_tiny_budget_times_out(self, monkeypatch):
         # The deadline lies between the probe's start and its 256th node.
@@ -518,7 +532,7 @@ def test_probe_leaves_the_recursion_limit_alone(monkeypatch):
         raise AssertionError(f"the probe set the recursion limit to {limit}")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    res = feasible(SolverModel(3000, (), np.zeros(3000), np.zeros(3000)), 0.0)
+    res = feasible(rows_model(3000, (), np.zeros(3000), np.zeros(3000)), 0.0)
     assert res.assignment == (0,) * 3000
     assert res.nodes == 3001
 
@@ -527,7 +541,7 @@ def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
     # Every probe costs 1 s of fake time, within a 2.5 s budget on its own,
     # but the search needs more than two probes: with one deadline for the
     # whole search, the third probe runs out and the bound is partial.
-    m = SolverModel(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
+    m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
     unbounded = maximize_ratio(m, 0.0, 1.0, 10)
     clock = _FakeClock()
     real = fracopt.feasible
@@ -574,7 +588,7 @@ def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
         con([1, 2], [1.0, 1.0], "==", 1.0),
         con([1, 3], [1.0, 1.0], "==", 1.0),
     )
-    m = SolverModel(4, rows, (1.0, 0.9, 0.55, 0.54), (2.0, 2.0, 1.0, 1.0))
+    m = rows_model(4, rows, (1.0, 0.9, 0.55, 0.54), (2.0, 2.0, 1.0, 1.0))
     assert maximize_ratio(m).achieved == pytest.approx(0.5225)
 
     real = fracopt.feasible

@@ -31,6 +31,7 @@ from ptrack.miner import CandidateSet
 from ptrack.synth import Fragment, Swap
 from ptrack.tracksio import read_tracks
 
+from helpers import rows_model
 from reference_model import (
     FormerModel,
     FormerRowIndex,
@@ -253,11 +254,12 @@ class TestRandomModels:
                     rows.append(Constraint(vars_, coeffs, senses[int(rng.integers(3))], float(rng.normal(0, 5))))
             numer = tuple(rng.normal(0, 1, nv).tolist())
             denom = tuple(rng.normal(0.5, 1, nv).tolist())
-            model = SolverModel(nv, rows, numer, denom)
+            model = rows_model(nv, rows, numer, denom)
+            # The view built from the arrays gives back the same rows.
             assert model.constraints == tuple(rows)
             assert_same_model(model, FormerModel(nv, tuple(rows), numer, denom), tuple(rng.uniform(-2, 2, 3)))
-            # The view built from the arrays gives back the same rows.
-            rebuilt = SolverModel.from_rows(
+            # The constructor takes a model's own read-only arrays back.
+            rebuilt = SolverModel(
                 nv, model.indptr, model.indices, model.coeffs, model.senses, model.rhs, numer, denom
             )
             assert rebuilt.constraints == tuple(rows)
@@ -268,7 +270,7 @@ class TestRandomModels:
             Constraint((0, 1, 2, 3), (0.0, -0.0, 1.0, 1.0), "<=", 1.0),
             Constraint((1, 3), (-0.0, 0.0), ">=", -0.0),
         )
-        model = SolverModel(4, rows, (1.0, 0.5, -0.5, 0.0), (1.0, 1.0, 1.0, 2.0))
+        model = rows_model(4, rows, (1.0, 0.5, -0.5, 0.0), (1.0, 1.0, 1.0, 2.0))
         assert_same_model(model, FormerModel(4, rows, model.numer.tolist(), model.denom.tolist()))
 
 
@@ -278,27 +280,31 @@ class TestMalformedModels:
     def test_fractional_variable_index(self):
         row = Constraint((1.5,), (1.0,), "<=", 1.0)
         with pytest.raises(ValueError, match="must be integers"):
-            SolverModel(2, (row,), (0.0, 0.0), (1.0, 1.0))
+            rows_model(2, (row,), (0.0, 0.0), (1.0, 1.0))
 
     def test_fractional_variable_count(self):
         with pytest.raises(ValueError, match="num_vars must be an int"):
-            SolverModel(2.0, (), (0.0, 0.0), (1.0, 1.0))
+            rows_model(2.0, (), (0.0, 0.0), (1.0, 1.0))
 
     def test_boolean_iteration_count(self):
-        m = SolverModel(1, (), (1.0,), (1.0,))
+        m = rows_model(1, (), (1.0,), (1.0,))
         with pytest.raises(ValueError, match="positive int"):
             maximize_ratio(m, 0.0, 1.0, True)
 
     def test_rows_that_are_not_csr(self):
         with pytest.raises(ValueError, match="CSR"):
-            SolverModel.from_rows(2, [0, 2], [0], [1.0], [0], [1.0], (0.0, 0.0), (1.0, 1.0))
+            SolverModel(2, [0, 2], [0], [1.0], [0], [1.0], (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="sense"):
-            SolverModel.from_rows(2, [0, 1], [0], [1.0], [3], [1.0], (0.0, 0.0), (1.0, 1.0))
+            SolverModel(2, [0, 1], [0], [1.0], [3], [1.0], (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="repeats"):
-            SolverModel.from_rows(2, [0, 2], [1, 1], [1.0, 1.0], [0], [1.0], (0.0, 0.0), (1.0, 1.0))
+            SolverModel(2, [0, 2], [1, 1], [1.0, 1.0], [0], [1.0], (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SolverModel(2, [0, 1], [0], [float("nan")], [0], [1.0], (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SolverModel(2, [0, 1], [0], [1.0], [2], [-float("inf")], (0.0, 0.0), (1.0, 1.0))
 
     def test_arrays_are_read_only(self):
-        m = SolverModel(2, (Constraint((0, 1), (1.0, 1.0), "==", 1.0),), (0.0, 1.0), (1.0, 1.0))
+        m = rows_model(2, (Constraint((0, 1), (1.0, 1.0), "==", 1.0),), (0.0, 1.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             m.numer[0] = 5.0
         with pytest.raises(ValueError):

@@ -6,10 +6,13 @@ what it prints must be the lines the README shows under it; where the README
 pipes to `head -1`, only the first printed line counts.  The library
 snippets then run, one after the other in one namespace, in the directory
 of the first transcript, whose files they read.  Every backticked dotted
-`ptrack.` name must name something the package has.
+`ptrack.` name must name something the package has, and so must every
+backticked `Name.attr` whose `Name` the package exports: a class attribute
+or a dataclass field.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import re
 import shlex
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import ptrack
 from ptrack.cli import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -100,3 +104,19 @@ NAMES = sorted(set(re.findall(r"`(ptrack(?:\.\w+)+)", README)))
 @pytest.mark.parametrize("name", NAMES)
 def test_readme_names_resolve(name):
     resolve(name)
+
+
+EXPORTED = {name for name in dir(ptrack) if not name.startswith("_")}
+MEMBERS = sorted({m for m in re.findall(r"`(\w+\.\w+)", README) if m.split(".")[0] in EXPORTED})
+
+
+def test_the_readme_mentions_members():
+    assert "Config.unsupervised" in MEMBERS and "TrackTable.from_tracks" in MEMBERS
+
+
+@pytest.mark.parametrize("mention", MEMBERS)
+def test_readme_members_resolve(mention):
+    name, attr = mention.split(".")
+    obj = getattr(ptrack, name)
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    assert hasattr(obj, attr) or attr in fields, mention
