@@ -56,7 +56,7 @@ class Detection:
     pos: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frame, int):
+        if not _is_int(self.frame):
             raise ValueError(f"frame must be an int, got {self.frame!r}")
         pos = self.pos
         if not _finite_pair(pos):
@@ -209,8 +209,7 @@ class DetectionGraph:
     @cached_property
     def scoring_cache(self) -> dict:
         """What `ptrack.scoring` keeps: per centerline, the projection of every
-        detection; per trajectory set that `score_matrix` scored, its rows
-        and their width-free terms."""
+        detection, and nothing per trajectory or trajectory set."""
         return {}
 
     @cached_property
@@ -454,7 +453,7 @@ def relative_widths(extent: float) -> tuple[float, ...]:
 
 
 def bounding_box(points: Iterable[tuple[float, float]]) -> tuple[float, float, float, float]:
-    arr = np.asarray(list(points), dtype=float)
+    arr = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
     if arr.size == 0:
         raise ValueError("no points")
     return (

@@ -22,9 +22,9 @@ the cheaper one, which leaves both sums of the ratio as they were and can
 only lower the count and the summed cost of the selection.  The columns
 come from one `scoring.score_matrix` call, which builds the set's rows once
 and scores all candidates on one centerline (the empty pattern is a family
-of its own) in one pass, since only the corridor gate depends on the width;
-the model builder scores the kept candidates through it again, in one more
-call, which reuses the rows kept in `graph.scoring_cache`.
+of its own) in one pass, since only the corridor gate depends on the width.
+The model is built from the kept columns of that matrix, so each set is
+scored once.
 """
 from __future__ import annotations
 
@@ -124,29 +124,28 @@ def generate_candidates(
 
 def build_mine_model(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    scores: tuple[np.ndarray, np.ndarray],
     candidates: CandidateSet,
     cfg: Config,
 ) -> SolverModel:
     """0/1 model for pattern selection.
 
-    Assignment variables pair each trajectory with each candidate; selection
-    variables gate the non-empty candidates.  A trajectory may only use a
-    selected candidate, at most `max_patterns` candidates may be selected,
-    and their summed cost must fit the budget.  The empty pattern is always
-    available and never counts against either budget.  The rows are written
-    as CSR arrays (see `SolverModel`); no `Constraint` is made.
+    `scores` is the (total, aligned) pair of trajectories × candidates
+    arrays that `score_matrix` gives for `candidates.patterns`; the builder
+    scores nothing itself.  Assignment variables pair each trajectory with
+    each candidate; selection variables gate the non-empty candidates.  A
+    trajectory may only use a selected candidate, at most `max_patterns`
+    candidates may be selected, and their summed cost must fit the budget.
+    The empty pattern is always available and never counts against either
+    budget.  The rows are written as CSR arrays (see `SolverModel`); no
+    `Constraint` is made.
     """
-    n_traj = len(trajectories)
-    n_cand = len(candidates)
+    n_traj, n_cand = scores[0].shape
     n_assign = n_traj * n_cand
     num_vars = n_assign + (n_cand - 1)
     # Variable t * n_cand + p assigns trajectory t to candidate p; variable
     # n_assign + p - 1 selects candidate p >= 1.
-    denom, numer = (
-        np.concatenate([side.ravel(), np.zeros(n_cand - 1)])
-        for side in score_matrix(graph, trajectories, candidates.patterns, cfg)
-    )
+    denom, numer = (np.concatenate([side.ravel(), np.zeros(n_cand - 1)]) for side in scores)
 
     # Rows: each trajectory's `== 1` row over its candidates; for each
     # trajectory t and candidate p >= 1, assign(t, p) - select(p) <= 0; then,
@@ -174,20 +173,15 @@ def _cost_budget(graph: DetectionGraph, cfg: Config) -> float:
     return cfg.resolved_cost_budget(tracking_area(graph.positions))
 
 
-def _cheapest_twins(
-    graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
-    candidates: CandidateSet,
-    cfg: Config,
-) -> tuple[int, ...]:
+def _cheapest_twins(scores: tuple[np.ndarray, np.ndarray], candidates: CandidateSet) -> tuple[int, ...]:
     """Index of the cheapest candidate of each distinct score column, ascending.
 
-    A candidate's column is its `score_matrix` totals, then its aligned
-    scores, compared as Python floats (0.0 == -0.0).  Cost ties go to the
-    lowest index, so the empty pattern (index 0, cost 0) always stays and
-    drops every candidate with its column.
+    A candidate's column is its totals in `scores`, then its aligned scores,
+    compared as Python floats (0.0 == -0.0).  Cost ties go to the lowest
+    index, so the empty pattern (index 0, cost 0) always stays and drops
+    every candidate with its column.
     """
-    columns = np.concatenate(score_matrix(graph, trajectories, candidates.patterns, cfg)).T.tolist()
+    columns = np.concatenate(scores).T.tolist()
     cheapest: dict[tuple[float, ...], int] = {}
     for p, column in enumerate(map(tuple, columns)):
         kept = cheapest.setdefault(column, p)
@@ -217,7 +211,8 @@ def mine(
     """
     if not trajectories:
         raise ValueError("no trajectories to mine from")
-    kept = _cheapest_twins(graph, trajectories, candidates, cfg)
+    scores = score_matrix(graph, trajectories, candidates.patterns, cfg)
+    kept = _cheapest_twins(scores, candidates)
     if cfg.pattern_cost_budget is None and len(kept) > 1:
         budget = _cost_budget(graph, cfg)
         cheapest = min(candidates.patterns[k].cost for k in kept[1:])
@@ -229,7 +224,7 @@ def mine(
     reduced = CandidateSet(
         tuple(candidates.patterns[k] for k in kept), tuple(candidates.source[k] for k in kept)
     )
-    model = build_mine_model(graph, trajectories, reduced, cfg)
+    model = build_mine_model(graph, tuple(side[:, kept] for side in scores), reduced, cfg)
     result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
 
     n_cand = len(reduced)

@@ -21,12 +21,12 @@ set's rows once, then makes one pass per distinct centerline over that
 centerline's distinct widths: only the corridor gate depends on the width,
 so the totals are summed once and the aligned sums once per width.  A
 graph's `scoring_cache` keeps each centerline's projection of all
-detections, and per trajectory set its edges and their width-free terms;
-the width and the `Config` are applied on each pass.  A trajectory's sum
-runs entry plus exit, then each edge in order, so a score is the same float
-however many trajectories or patterns are scored at once.
-`trajectory_score` scores one trajectory and keeps no entry for it.  The
-miner, the split-half proxy and `objective` score through `score_matrix`.
+detections and nothing else; the width and the `Config` are applied on
+each pass.  A trajectory's sum runs entry plus exit, then each edge in
+order, so a score is the same float however many trajectories or patterns
+are scored at once.  `trajectory_score` is the one-trajectory,
+one-pattern case of `score_matrix`; the miner, the split-half proxy and
+`objective` score through `score_matrix` too.
 """
 from __future__ import annotations
 
@@ -123,38 +123,32 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, width, cache=None) -> tuple:
+def _step_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, i, j, width) -> tuple:
     """(total, aligned) of the detection edges from rows `i` to rows `j`.
 
     `width` is one width, or a column of them for one row of `aligned` each.
-    `cache` keeps, per centerline, the terms that no width or `Config` changes.
     """
-    terms = None if cache is None else cache.get(pattern.centerline)
-    if terms is None:
-        x, y = graph.positions.T
-        ex, ey = x[j] - x[i], y[j] - y[i]
-        edge_len = np.hypot(ex, ey)
-        if pattern.is_empty:
-            return edge_len, cfg.empty_rate * edge_len
-        arc, fx, fy, dist, scale = _projection(graph, pattern)
-        cx, cy = fx[j] - fx[i], fy[j] - fy[i]
-        dot = np.abs(ex * cx + ey * cy)
-        chord = np.hypot(cx, cy)
-        # A chord this far below the foot coordinates is cancellation noise
-        # from two nearly identical projections; treat it as a zero chord so
-        # the 1 / |chord| factor cannot amplify rounding error.
-        chord[chord <= 1e-12 * np.maximum(scale[i], scale[j])] = 0.0
-        aligned = _divide(dot, edge_len) + _divide(dot, chord)
-        terms = (edge_len + (arc[j] - arc[i]), aligned, np.maximum(dist[i], dist[j]), arc[i] - arc[j])
-        if cache is not None:
-            cache[pattern.centerline] = terms
-    total, aligned, gate, back = terms
-    aligned = np.where(gate > width, 0.0, aligned)
+    x, y = graph.positions.T
+    ex, ey = x[j] - x[i], y[j] - y[i]
+    edge_len = np.hypot(ex, ey)
+    if pattern.is_empty:
+        return edge_len, cfg.empty_rate * edge_len
+    arc, fx, fy, dist, scale = _projection(graph, pattern)
+    cx, cy = fx[j] - fx[i], fy[j] - fy[i]
+    dot = np.abs(ex * cx + ey * cy)
+    chord = np.hypot(cx, cy)
+    # A chord this far below the foot coordinates is cancellation noise
+    # from two nearly identical projections; treat it as a zero chord so
+    # the 1 / |chord| factor cannot amplify rounding error.
+    chord[chord <= 1e-12 * np.maximum(scale[i], scale[j])] = 0.0
+    aligned = _divide(dot, edge_len) + _divide(dot, chord)
+    aligned = np.where(np.maximum(dist[i], dist[j]) > width, 0.0, aligned)
+    back = arc[i] - arc[j]
     # Moving against the pattern's direction: penalize in proportion to the
     # arc covered backwards, regardless of corridor width.
     backward = back > 0.0
     aligned[..., backward] = -(1.0 + cfg.reverse_penalty) * back[backward]
-    return total, aligned
+    return edge_len - back, aligned
 
 
 def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, heads) -> tuple[np.ndarray, ...]:
@@ -182,17 +176,11 @@ def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, hea
     return total, aligned
 
 
-# A set's rows and their width-free terms are kept per set in the graph's
-# `scoring_cache`, because `mine` scores one set twice: `build_mine_model`
-# scores the kept candidates again, and on a one-width workload nearly every
-# candidate is kept.  Building them afresh on every call made the
-# unsupervised-two-flows benchmark's run_s 0.054 -> 0.057 s (median of ten
-# pairs of runs on a 2-core VM).
 class _Chains(NamedTuple):
     """A trajectory set as rows: `ends` holds each trajectory's first detection,
     then each one's last; `tails` and `heads` are its edges, which sit at
     (`row`, `col`) of a trajectory-by-term matrix of `shape` whose column 0
-    is the entry plus the exit; `step_terms` is the cache of `_step_scores`."""
+    is the entry plus the exit."""
 
     ends: np.ndarray
     tails: np.ndarray
@@ -200,28 +188,20 @@ class _Chains(NamedTuple):
     row: np.ndarray
     col: np.ndarray
     shape: tuple[int, int]
-    step_terms: dict
 
 
-def _chains(graph: DetectionGraph, trajectories: tuple[Trajectory, ...], keep: bool = True) -> _Chains:
-    """The set's rows, from `graph.scoring_cache`; built, and kept there if `keep`, on a miss."""
-    chains = graph.scoring_cache.get(trajectories)
-    if chains is None:
-        rows, starts = graph.rows(trajectories)
-        k = np.delete(np.arange(len(rows)), starts[1:] - 1)  # rows followed by an edge
-        owner = np.searchsorted(starts, k, side="right") - 1
-        chains = _Chains(
-            np.concatenate([rows[starts[:-1]], rows[starts[1:] - 1]]),
-            rows[k],
-            rows[k + 1],
-            owner,
-            k - starts[owner] + 1,
-            (len(trajectories), int(np.diff(starts).max())),
-            {},
-        )
-        if keep:
-            graph.scoring_cache[trajectories] = chains
-    return chains
+def _chains(graph: DetectionGraph, trajectories: Sequence[Trajectory]) -> _Chains:
+    rows, starts = graph.rows(trajectories)
+    k = np.delete(np.arange(len(rows)), starts[1:] - 1)  # rows followed by an edge
+    owner = np.searchsorted(starts, k, side="right") - 1
+    return _Chains(
+        np.concatenate([rows[starts[:-1]], rows[starts[1:] - 1]]),
+        rows[k],
+        rows[k + 1],
+        owner,
+        k - starts[owner] + 1,
+        (len(trajectories), int(np.diff(starts).max())),
+    )
 
 
 def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np.ndarray, cfg: Config):
@@ -232,7 +212,7 @@ def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np
     sums[0, :, 0] = ends_total[:n] + ends_total[n:]
     sums[1:, :, 0] = ends_aligned[:n] + ends_aligned[n:]
     sums[0, chains.row, chains.col], sums[1:, chains.row, chains.col] = _step_scores(
-        graph, pattern, cfg, chains.tails, chains.heads, widths, chains.step_terms
+        graph, pattern, cfg, chains.tails, chains.heads, widths
     )
     # `cumsum` adds along a row in order, as `+=` would; the padding is -0.0,
     # which leaves every sum as it is, the sign of a zero included.
@@ -241,11 +221,9 @@ def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np
 
 
 def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """One trajectory's `score_matrix` entry against `pattern`, as a `ScorePair`;
-    `graph.scoring_cache` keeps no entry for the trajectory."""
-    chains = _chains(graph, (traj,), keep=False)
-    total, aligned = _summed(graph, chains, pattern, np.array([[pattern.width]]), cfg)
-    return ScorePair(float(total[0]), float(aligned[0, 0]))
+    """`score_matrix` of one trajectory against one pattern, as a `ScorePair`."""
+    total, aligned = score_matrix(graph, (traj,), (pattern,), cfg)
+    return ScorePair(float(total[0, 0]), float(aligned[0, 0]))
 
 
 def score_matrix(
@@ -261,7 +239,6 @@ def score_matrix(
     equal in both share a column.  Raises `KeyError` on a node outside
     `graph.ids`.
     """
-    trajectories = tuple(trajectories)
     sums = np.zeros((2, len(patterns), len(trajectories)))
     if trajectories:
         chains = _chains(graph, trajectories)

@@ -94,40 +94,39 @@ def scored_columns(monkeypatch):
 
 
 def test_mine_scores_each_candidate_column_once(monkeypatch):
-    # The twin pass makes one `score_matrix` call, which makes one family
-    # pass per centerline over its distinct widths, so every candidate's
-    # column is scored exactly once.  The model builder then makes one more
-    # call, over the kept candidates only.
+    # `mine` makes one `score_matrix` call, which makes one family pass per
+    # centerline over its distinct widths, so every candidate's column is
+    # scored exactly once.  The model builder takes the kept columns of that
+    # matrix and scores nothing.
     from ptrack import mine
 
     g, trajectories, candidates, cfg = two_flow_mining()
     assert len(candidates) == 5
     matrices, passes = scored_columns(monkeypatch)
     res = mine(g, trajectories, candidates, cfg)
-    # Neither width flips a corridor gate: one candidate per flow survives.
-    kept = tuple(candidates.patterns[k] for k in (0, 1, 3))
-    assert matrices == [(False, candidates.patterns), (True, kept)]
-    picked = [(c, widths) for in_builder, c, widths in passes if not in_builder]
-    assert [c for c, _ in picked] == list(dict.fromkeys(p.centerline for p in candidates.patterns))
-    covered = [(c, w) for c, widths in picked for w in widths]
+    assert matrices == [(False, candidates.patterns)]
+    assert not any(in_builder for in_builder, _, _ in passes)
+    assert [c for _, c, _ in passes] == list(dict.fromkeys(p.centerline for p in candidates.patterns))
+    covered = [(c, w) for _, c, widths in passes for w in widths]
     assert len(covered) == len(set(covered)) == len(candidates)
     assert set(covered) == {(p.centerline, p.width) for p in candidates.patterns}
-    built = [(c, widths) for in_builder, c, widths in passes if in_builder]
-    assert built == [(p.centerline, (p.width,)) for p in kept]
+    # Neither width flips a corridor gate: one candidate per flow survives.
     assert res.selected_candidates == (0, 1, 3)
 
 
 def test_the_miner_model_scores_each_candidate_once(monkeypatch):
-    from ptrack.miner import build_mine_model
+    # Each candidate is scored once, by the caller's `score_matrix` call; the
+    # model carries those scores as they are and the builder scores nothing.
+    from ptrack.miner import build_mine_model, score_matrix
 
     g, trajectories, candidates, cfg = two_flow_mining()
+    total, aligned = score_matrix(g, trajectories, candidates.patterns, cfg)
     matrices, passes = scored_columns(monkeypatch)
-    build_mine_model(g, trajectories, candidates, cfg)
-    assert [patterns for _, patterns in matrices] == [candidates.patterns]
-    families = list(dict.fromkeys(p.centerline for p in candidates.patterns))
-    assert [c for _, c, _ in passes] == families
-    covered = [(c, w) for _, c, widths in passes for w in widths]
-    assert sorted(covered) == sorted((p.centerline, p.width) for p in candidates.patterns)
+    model = build_mine_model(g, (total, aligned), candidates, cfg)
+    assert matrices == passes == []
+    n_assign = total.size
+    assert model.denom[:n_assign].tolist() == total.ravel().tolist()
+    assert model.numer[:n_assign].tolist() == aligned.ravel().tolist()
 
 
 def test_every_solve_goes_through_the_wrapped_names():

@@ -65,6 +65,13 @@ class TestDetection:
         with pytest.raises(ValueError, match="frame"):
             Detection(1.5, (0.0, 0.0))
 
+    @pytest.mark.parametrize("frame", [True, False])
+    def test_bool_frame_rejected(self, frame):
+        # A bool frame would reach the graph's batch and be written as
+        # "True", a row that `read_tracks` refuses.
+        with pytest.raises(ValueError, match="frame"):
+            Detection(frame, (0.0, 0.0))
+
     def test_non_finite_position_rejected(self):
         with pytest.raises(ValueError, match="position"):
             det(0, math.nan, 0.0)
@@ -403,6 +410,16 @@ def test_bounding_box_and_area():
     assert tracking_extent(pts) == pytest.approx(6.0)
     with pytest.raises(ValueError, match="no points"):
         bounding_box([])
+
+
+def test_bounding_box_reads_an_array_as_the_points_it_holds():
+    pts = [(0.5, 1.0), (-4.0, 5.0), (2.0, -1.25)]
+    box = bounding_box(pts)
+    assert box == (-4.0, -1.25, 2.0, 5.0)
+    assert bounding_box(np.array(pts)) == box
+    assert bounding_box(p for p in pts) == box
+    with pytest.raises(ValueError, match="no points"):
+        bounding_box(np.empty((0, 2)))
 
 
 class TestValidateTrajectorySet:

@@ -269,13 +269,23 @@ def test_small_instance_matches_exhaustive_selection():
     assert res.alpha_star >= best - 2.0**-12 - 1e-6
 
 
+def mine_model(g, ts, cands, cfg):
+    """The mine model over every candidate in `cands`, scored in one `score_matrix` call."""
+    return build_mine_model(g, score_matrix(g, ts, cands.patterns, cfg), cands, cfg)
+
+
+def cheapest_twins(g, ts, cands, cfg):
+    """`miner._cheapest_twins` of the candidates' `score_matrix`."""
+    return miner._cheapest_twins(score_matrix(g, ts, cands.patterns, cfg), cands)
+
+
 def recorded_mine(monkeypatch, g, ts, cands, cfg, **kwargs):
     """`mine`'s result and the candidate set it handed to `build_mine_model`."""
     seen = []
 
-    def recording(graph, trajectories, candidates, config):
+    def recording(graph, scores, candidates, config):
         seen.append(candidates)
-        return build_mine_model(graph, trajectories, candidates, config)
+        return build_mine_model(graph, scores, candidates, config)
 
     monkeypatch.setattr(miner, "build_mine_model", recording)
     res = mine(g, ts, cands, cfg, **kwargs)
@@ -291,7 +301,7 @@ class TestTwinReduction:
         assert len(cands) == 121
         res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
         assert len(reduced) == 3
-        full = maximize_ratio(build_mine_model(g, ts, cands, cfg), *ratio_bracket(cfg), iters=5)
+        full = maximize_ratio(mine_model(g, ts, cands, cfg), *ratio_bracket(cfg), iters=5)
         # The same assignment, its ratio summed over a shorter vector: equal
         # up to the rounding of the sums.
         assert res.alpha_star == pytest.approx(full.achieved, rel=1e-15, abs=0.0)
@@ -324,8 +334,8 @@ class TestTwinReduction:
             assert len(cands) == 5
             res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg, iters=14)
             assert len(reduced) < len(cands)
-            best, _ = brute_force_best_ratio(build_mine_model(g, ts, cands, cfg))
-            best_reduced, _ = brute_force_best_ratio(build_mine_model(g, ts, reduced, cfg))
+            best, _ = brute_force_best_ratio(mine_model(g, ts, cands, cfg))
+            best_reduced, _ = brute_force_best_ratio(mine_model(g, ts, reduced, cfg))
             assert best_reduced == pytest.approx(best, rel=0.0, abs=1e-12)
             assert res.alpha_star <= best + 1e-9
             lo, hi = ratio_bracket(cfg)
@@ -338,7 +348,7 @@ class TestTwinReduction:
         # Trajectories 0 and 1 share a shape, so candidates 1 and 2 are one
         # pattern at one cost; so are 3 and 4.
         assert cands.patterns[1] == cands.patterns[2] and cands.patterns[3] == cands.patterns[4]
-        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 1, 3)
+        assert cheapest_twins(g, ts, cands, cfg) == (0, 1, 3)
         res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
         assert reduced.source == (None, 0, 2)
         assert res.selected_candidates == (0, 1, 3)
@@ -347,7 +357,7 @@ class TestTwinReduction:
         g, ts, cfg = two_flow_fixture(widths=(3.0, 1.0))
         cands = generate_candidates(g, ts, cfg)
         assert [p.width for p in cands.patterns[1:3]] == [3.0, 1.0]
-        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 2, 6)
+        assert cheapest_twins(g, ts, cands, cfg) == (0, 2, 6)
 
     def test_twin_of_the_empty_pattern_is_dropped(self, monkeypatch):
         # Two walks across the lane, end to end in the batch: they gain no
@@ -364,7 +374,7 @@ class TestTwinReduction:
         assert [trajectory_score(g, t, lane, cfg) for t in ts] == [
             trajectory_score(g, t, EMPTY_PATTERN, cfg) for t in ts
         ]
-        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 2)
+        assert cheapest_twins(g, ts, cands, cfg) == (0, 2)
         res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
         assert reduced.patterns == (EMPTY_PATTERN, along_lane)
         assert res.selected_candidates == (0, 2)
@@ -400,7 +410,7 @@ def assert_family_pass_matches(g, ts, cands, cfg):
     fresh = lambda: dataclasses.replace(g)
     got = matrix_columns(fresh(), ts, cands, cfg)
     want = reference_miner.cheapest_twins(fresh(), ts, cands, cfg)
-    assert miner._cheapest_twins(fresh(), ts, cands, cfg) == want
+    assert cheapest_twins(fresh(), ts, cands, cfg) == want
     assert [bits(c) for c in got] == [bits(c) for c in reference_miner.score_columns(fresh(), ts, cands, cfg)]
 
 
@@ -508,14 +518,14 @@ class TestFamilyPassAgainstPerCandidateLoop:
         patterns = (EMPTY_PATTERN, lane, lane.with_width(3.0), Pattern(((8.0, 20.0), (8.0, 24.0)), 1.0))
         cands = CandidateSet(patterns, (None,) * 4)
         assert_family_pass_matches(g, input_trajectories(g), cands, c)
-        assert miner._cheapest_twins(g, input_trajectories(g), cands, c) == (0, 3)
+        assert cheapest_twins(g, input_trajectories(g), cands, c) == (0, 3)
 
     def test_the_dense_fixture(self):
         g, ts, cands, cfg = dense_crossing_fixture()
         assert len(cands) == 121
         assert len({p.centerline for p in cands.patterns}) == 3
         assert_family_pass_matches(g, ts, cands, cfg)
-        assert miner._cheapest_twins(g, ts, cands, cfg) == (0, 1, 11)
+        assert cheapest_twins(g, ts, cands, cfg) == (0, 1, 11)
 
 
 class TestCandidatesAtEachWidth:

@@ -24,6 +24,7 @@ from ptrack import (
     build_graph,
     generate_candidates,
     input_trajectories,
+    score_matrix,
 )
 from ptrack.cli import cli
 from ptrack.fracopt import Constraint, SolverModel, maximize_ratio
@@ -97,10 +98,15 @@ def assert_same_model(model, former, alphas=(0.0, 0.5)) -> None:
 
 @pytest.fixture
 def recorded_models(monkeypatch):
-    """Every link and mine model built while recording, with the former builder's model."""
+    """Every link and mine model built while recording, with the former builder's model.
+
+    The mine model is built from scores, so the trajectories `mine` scored
+    are read off its `score_matrix` call."""
     pairs = []
     real_link, real_mine, real_feasible = linker.build_link_model, miner.build_mine_model, fracopt.feasible
+    real_matrix = miner.score_matrix
     alphas = {}
+    mined = []
 
     def link_model(graph, patterns, cfg):
         model, triples = real_link(graph, patterns, cfg)
@@ -109,9 +115,13 @@ def recorded_models(monkeypatch):
         pairs.append((model, former))
         return model, triples
 
-    def mine_model(graph, trajectories, candidates, cfg):
-        model = real_mine(graph, trajectories, candidates, cfg)
-        pairs.append((model, former_mine_model(graph, trajectories, candidates, cfg)))
+    def matrix(graph, trajectories, patterns, cfg):
+        mined.append(trajectories)
+        return real_matrix(graph, trajectories, patterns, cfg)
+
+    def mine_model(graph, scores, candidates, cfg):
+        model = real_mine(graph, scores, candidates, cfg)
+        pairs.append((model, former_mine_model(graph, mined[-1], candidates, cfg)))
         return model
 
     def feasible(model, alpha, deadline=None):
@@ -119,6 +129,7 @@ def recorded_models(monkeypatch):
         return real_feasible(model, alpha, deadline)
 
     monkeypatch.setattr(linker, "build_link_model", link_model)
+    monkeypatch.setattr(miner, "score_matrix", matrix)
     monkeypatch.setattr(miner, "build_mine_model", mine_model)
     monkeypatch.setattr(fracopt, "feasible", feasible)
     return pairs, alphas
@@ -184,7 +195,8 @@ class TestNoisyFamily:
         truth = build_graph(scene.track_lists(), cfg, scene.meta.batch)
         trajectories = input_trajectories(truth)
         candidates = generate_candidates(truth, trajectories, cfg)
-        model = miner.build_mine_model(truth, trajectories, candidates, cfg)
+        scores = score_matrix(truth, trajectories, candidates.patterns, cfg)
+        model = miner.build_mine_model(truth, scores, candidates, cfg)
         former = former_mine_model(truth, trajectories, candidates, cfg)
         assert_same_model(model, former, (0.0, 0.5, 0.9))
 
@@ -198,7 +210,8 @@ class TestSmallMineModels:
         candidates = generate_candidates(graph, trajectories, cfg)
         for cands in (CandidateSet((EMPTY_PATTERN,), (None,)), candidates):
             for chosen in (trajectories, trajectories[:1]):
-                model = miner.build_mine_model(graph, chosen, cands, cfg)
+                scores = score_matrix(graph, chosen, cands.patterns, cfg)
+                model = miner.build_mine_model(graph, scores, cands, cfg)
                 assert_same_model(model, former_mine_model(graph, chosen, cands, cfg))
 
 

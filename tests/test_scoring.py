@@ -26,11 +26,14 @@ from ptrack import (
     generate_scene,
     input_trajectories,
     link,
+    mine,
     objective,
+    run_unsupervised,
     score_matrix,
     trajectory_score,
+    two_flow_scene,
 )
-from ptrack.scoring import _Chains, _project, _projection
+from ptrack.scoring import _project, _projection
 
 from helpers import edge_score
 from reference_scoring import PatternScorer as ReferenceScorer
@@ -595,7 +598,8 @@ class TestScoreCache:
         trajectories = input_trajectories(g)
         candidates = generate_candidates(g, trajectories, CFG)
         assert len(candidates) == 121
-        model = build_mine_model(g, trajectories, candidates, CFG)
+        scores = score_matrix(g, trajectories, candidates.patterns, CFG)
+        model = build_mine_model(g, scores, candidates, CFG)
         n_cand = len(candidates)
         for t, traj in enumerate(trajectories):
             for p, pattern in enumerate(candidates.patterns):
@@ -936,11 +940,6 @@ class TestIdsOutsideTheGraph:
                 trajectory_score(g, Trajectory((1, 10**30)), pattern, CFG)
 
 
-def chains_kept(graph):
-    """How many trajectory sets `graph.scoring_cache` holds rows for."""
-    return sum(isinstance(v, _Chains) for v in graph.scoring_cache.values())
-
-
 def reference_objective(graph, trajectories, patterns, assignment, cfg):
     """The former `objective`: one scalar trajectory score per trajectory, added in order."""
     total = aligned = 0.0
@@ -952,31 +951,41 @@ def reference_objective(graph, trajectories, patterns, assignment, cfg):
 
 
 class TestScoringCacheSize:
-    """`trajectory_score` keeps nothing per trajectory; `score_matrix` and
-    `objective` keep one entry per set."""
+    """A graph's `scoring_cache` keeps one projection per centerline and
+    nothing per trajectory or trajectory set."""
 
-    def test_one_trajectory_scores_keep_no_entry(self):
+    @staticmethod
+    def assert_only_centerlines(graph, centerlines=None):
+        for key, terms in graph.scoring_cache.items():
+            assert Pattern(key, 1.0).centerline == key
+            assert len(terms) == 5 and all(t.shape == (len(graph.detections),) for t in terms)
+        if centerlines is not None:
+            assert set(graph.scoring_cache) == centerlines
+
+    def test_only_centerlines_stay(self):
         scene, broken, corridors = crossing_family(6, noisy=True)
-        g = build_graph(broken, CFG, scene.meta.batch)
+        cfg = Config(candidate_widths=(1.0, 3.0))
+        g = build_graph(broken, cfg, scene.meta.batch)
         ts = input_trajectories(g)
+        patterns = (EMPTY_PATTERN, *corridors, Pattern(corridors[0].centerline, 0.3))
         for traj in ts:
-            for pattern in (EMPTY_PATTERN, *corridors, Pattern(corridors[0].centerline, 0.3)):
-                trajectory_score(g, traj, pattern, CFG)
-        assert chains_kept(g) == 0
-        # What stays is one projection per centerline.
-        assert set(g.scoring_cache) == {p.centerline for p in corridors}
-        for patterns in (corridors[:1], (EMPTY_PATTERN, *corridors)):
-            score_matrix(g, ts, patterns, CFG)
-            assert chains_kept(g) == 1 and tuple(ts) in g.scoring_cache
-
-    def test_objective_keeps_one_entry_for_its_set(self):
-        scene, broken, corridors = crossing_family(6, noisy=True)
-        g = build_graph(broken, CFG, scene.meta.batch)
-        ts = input_trajectories(g)
-        patterns = (EMPTY_PATTERN, *corridors)
+            for pattern in patterns:
+                trajectory_score(g, traj, pattern, cfg)
+        self.assert_only_centerlines(g, {p.centerline for p in corridors})
         for k in range(3):
-            objective(g, ts, patterns, Assignment(tuple((t + k) % 3 for t in range(len(ts)))), CFG)
-            assert chains_kept(g) == 1 and tuple(ts) in g.scoring_cache
+            score_matrix(g, ts, patterns[k:], cfg)
+            objective(g, ts, patterns, Assignment(tuple((t + k) % 4 for t in range(len(ts)))), cfg)
+        self.assert_only_centerlines(g, {p.centerline for p in corridors})
+        candidates = generate_candidates(g, ts, cfg)
+        mine(g, ts, candidates, cfg)
+        link(g, patterns[:3], cfg)
+        self.assert_only_centerlines(g, {p.centerline for p in (*corridors, *candidates.patterns[1:])})
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        scene, corrupted = two_flow_scene(seed=0)
+        g = build_graph(corrupted, cfg, batch=scene.meta.batch)
+        run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=2)
+        self.assert_only_centerlines(g)
+        assert g.scoring_cache
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
     def test_objective_equals_the_scalar_sum_bit_for_bit(self, noisy):
