@@ -962,6 +962,33 @@ class TestScoringCacheSize:
         if centerlines is not None:
             assert set(graph.scoring_cache) == centerlines
 
+    def test_one_trajectory_scores_keep_no_entry(self):
+        scene, broken, corridors = crossing_family(6, noisy=True)
+        g = build_graph(broken, CFG, scene.meta.batch)
+        ts = input_trajectories(g)
+        for traj in ts:
+            for pattern in (EMPTY_PATTERN, *corridors, Pattern(corridors[0].centerline, 0.3)):
+                trajectory_score(g, traj, pattern, CFG)
+                assert traj not in g.scoring_cache and (traj,) not in g.scoring_cache
+        self.assert_only_centerlines(g, {p.centerline for p in corridors})
+        for patterns in (corridors[:1], (EMPTY_PATTERN, *corridors)):
+            score_matrix(g, ts, patterns, CFG)
+            assert tuple(ts) not in g.scoring_cache
+            self.assert_only_centerlines(g, {p.centerline for p in corridors})
+
+    def test_objective_keeps_one_entry_for_its_set(self):
+        """Repeated `objective` calls on one set keep one projection per
+        centerline of its patterns; the cache does not grow per call."""
+        scene, broken, corridors = crossing_family(6, noisy=True)
+        g = build_graph(broken, CFG, scene.meta.batch)
+        ts = input_trajectories(g)
+        patterns = (EMPTY_PATTERN, *corridors)
+        for k in range(3):
+            objective(g, ts, patterns, Assignment(tuple((t + k) % 3 for t in range(len(ts)))), CFG)
+            assert tuple(ts) not in g.scoring_cache
+            self.assert_only_centerlines(g, {p.centerline for p in corridors})
+            assert len(g.scoring_cache) == len(corridors)
+
     def test_only_centerlines_stay(self):
         scene, broken, corridors = crossing_family(6, noisy=True)
         cfg = Config(candidate_widths=(1.0, 3.0))
