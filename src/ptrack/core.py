@@ -3,7 +3,8 @@
 A detection is `Detection(frame, pos)`; identity is what linking produces.  A
 track is a list of detections in frame order, the only record of which track
 a detection belongs to.  A `DetectionGraph` names `detections[k]` by its
-position, id k + 1, and `build_graph` keeps the input tracks as
+position, id k + 1, holds its edges as `graph.edges`, the id pairs as sorted
+rows of one (E, 2) int64 array, and `build_graph` keeps the input tracks as
 `DetectionGraph.source_tracks`, chains of these ids.
 `TrackTable` holds the same tracks as three arrays, one row per detection,
 for code that only reads frames and positions (reading and scoring tracks);
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +48,19 @@ def _finite_pair(value) -> bool:
         and isinstance(y, (int, float))
         and math.isfinite(y)
     )
+
+
+def _edge_array(edges) -> np.ndarray:
+    """Any collection of (i, j) int pairs as sorted unique rows of a read-only (E, 2) int64 array."""
+    pairs = None if isinstance(edges, np.ndarray) else list(edges)
+    edges = edges if pairs is None else np.array(pairs or np.zeros((0, 2), np.int64))
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
+    bools = edges.dtype == bool or pairs and {bool, np.bool_} & set(map(type, chain.from_iterable(pairs)))
+    if bools or not np.can_cast(edges.dtype, np.int64):
+        raise ValueError("edge ids must be ints, not bools, floats or strings")
+    edges = edges[np.lexsort(edges.T[::-1])].astype(np.int64, copy=False)
+    return _frozen(edges[np.diff(edges, axis=0, prepend=edges[:1] - 1).any(axis=1)])  # drop repeats
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,7 @@ class TrackTable:
         return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionGraph:
     """Detections plus candidate transition edges between them.
 
@@ -141,36 +156,42 @@ class DetectionGraph:
     boundary rule: a path entering at the batch's first frame or leaving at its
     last pays nothing for that entry or exit.  `source_tracks` holds the input
     tracks as chains of detection ids, a cover of the detections along edges; it
-    is empty when the graph was not built from tracks.
+    is empty when the graph was not built from tracks.  The constructor takes
+    any collection of int pairs as `edges` and keeps them as a read-only
+    (E, 2) int64 array of unique rows in lexicographic order.
     """
 
     detections: tuple[Detection, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     batch: tuple[int, int] | None = None
     source_tracks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.detections:
             raise ValueError("graph has no detections")
-        frames = [d.frame for d in self.detections]
-        span = (min(frames), max(frames))
-        if self.batch is None:
-            object.__setattr__(self, "batch", span)
-        else:
-            first, last = self.batch
-            if not (float(first).is_integer() and float(last).is_integer()):
-                raise ValueError(f"batch {self.batch} bounds must be integers")
-            if first > span[0] or last < span[1]:
-                raise ValueError(f"batch {self.batch} does not cover detection frames {span}")
-            object.__setattr__(self, "batch", (int(first), int(last)))
-        for i, j in self.edges:
-            if i == SINK_NODE or j == SOURCE_NODE or (i, j) == (SOURCE_NODE, SINK_NODE):
-                raise ValueError(f"invalid edge ({i}, {j})")
-            for node in (i, j):
-                if node not in self.ids and node not in (SOURCE_NODE, SINK_NODE):
-                    raise ValueError(f"edge references unknown detection {node}")
-            if i > 0 and j > 0 and frames[i - 1] >= frames[j - 1]:
-                raise ValueError(f"edge ({i}, {j}) does not move forward in time")
+        frames = self.frames
+        span = (int(frames.min()), int(frames.max()))
+        batch = span if self.batch is None else self.batch
+        if not all(_is_int(b) or isinstance(b, float) and b.is_integer() for b in batch):
+            raise ValueError(f"batch {batch} bounds must be integers")
+        first, last = batch
+        if first > span[0] or last < span[1]:
+            raise ValueError(f"batch {batch} does not cover detection frames {span}")
+        object.__setattr__(self, "batch", (int(first), int(last)))
+        edges = _edge_array(self.edges)
+        object.__setattr__(self, "edges", edges)
+        # Each check names the first offending edge in sorted order.
+        tail, head = edges.T
+        invalid = (tail == SINK_NODE) | (head == SOURCE_NODE) | (tail == SOURCE_NODE) & (head == SINK_NODE)
+        if invalid.any():
+            raise ValueError("invalid edge ({}, {})".format(*edges[invalid][0]))
+        unknown = ((edges < 1) | (edges > len(frames))) & (edges != SOURCE_NODE) & (edges != SINK_NODE)
+        if unknown.any():
+            raise ValueError(f"edge references unknown detection {edges[unknown][0]}")
+        inner = edges[(tail > 0) & (head > 0)]
+        backward = inner[frames[inner[:, 0] - 1] >= frames[inner[:, 1] - 1]]
+        if len(backward):
+            raise ValueError("edge ({}, {}) does not move forward in time".format(*backward[0]))
         if self.source_tracks:
             violations = validate_trajectory_set(self, [Trajectory(t) for t in self.source_tracks])
             if violations:
@@ -211,10 +232,6 @@ class DetectionGraph:
         """What `ptrack.scoring` keeps: per centerline, the projection of every
         detection, and nothing per trajectory or trajectory set."""
         return {}
-
-    @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -284,6 +301,8 @@ class Pattern:
         cleaned: list[tuple[float, float]] = []
         for p in points:
             q = (float(p[0]), float(p[1]))
+            if not _finite_pair(q):
+                raise ValueError(f"centerline point {q!r} is not finite")
             if not cleaned or math.dist(cleaned[-1], q) > _DUPLICATE_TOL:
                 cleaned.append(q)
         if len(cleaned) < 2:
@@ -404,6 +423,8 @@ class Config:
             v = getattr(self, name)
             if not (_is_real(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if not math.isfinite(self.join_gap * self.fps):
+            raise ValueError(f"join_gap * fps must be finite, got {self.join_gap!r} * {self.fps!r}")
         if not (_is_int(self.max_patterns) and self.max_patterns >= 1):
             raise ValueError(f"max_patterns must be a positive int, got {self.max_patterns!r}")
         for name in ("pattern_cost_budget", "reverse_penalty"):
@@ -485,6 +506,13 @@ def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajec
     """
     violations: list[str] = []
     seen: set[int] = set()
+    n, k = len(graph.detections), len(graph.detections) + 3
+    # Step and edge i -> j as the key i * k + j, which rises with (i, j); a step
+    # off the graph as -1, no edge's key.  A last key above all ends the search.
+    edge_keys = np.append(graph.edges @ (k, 1), k * k)
+    steps = ((i, j) for t in trajectories for i, j in zip(t.nodes, t.nodes[1:]))
+    keys = np.array([i * k + j if i <= n and j <= n else -1 for i, j in steps], dtype=np.int64)
+    linked = iter((edge_keys[np.searchsorted(edge_keys, keys)] == keys).tolist())
     for traj in trajectories:
         for node in traj.nodes:
             if node not in graph:
@@ -494,7 +522,7 @@ def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajec
                 violations.append(f"detection {node} used twice")
             seen.add(node)
         for i, j in zip(traj.nodes, traj.nodes[1:]):
-            if (i, j) not in graph.edges:
+            if not next(linked):
                 violations.append(f"transition ({i}, {j}) is not a graph edge")
     violations += (f"detection {k} uncovered" for k in graph.ids if k not in seen)
     return violations

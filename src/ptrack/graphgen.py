@@ -77,7 +77,7 @@ def build_graph(
         edges.add((SOURCE_NODE, node))
         edges.add((node, SINK_NODE))
 
-    return DetectionGraph(tuple(detections), frozenset(edges), batch, tuple(track_nodes))
+    return DetectionGraph(tuple(detections), edges, batch, tuple(track_nodes))
 
 
 def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:

@@ -1,11 +1,11 @@
 """Re-links detections into trajectories guided by a pattern set.
 
-Linking picks one outgoing and one incoming edge per detection so that the
-selected edges decompose into entry-to-exit paths, each path following a
-single pattern, and the summed aligned/total score ratio over all paths is
-maximal; each end inside the batch costs something on every pattern (see
-`scoring`).  The search is a bisection over the ratio with one 0/1
-feasibility problem per probe.  It is certified to a gap, not exact: after
+Linking picks one outgoing and one incoming edge (rows of `graph.edges`) per
+detection so that the selected edges decompose into entry-to-exit paths, each
+path following a single pattern, and the summed aligned/total score ratio over
+all paths is maximal; each end inside the batch costs something on every
+pattern (see `scoring`).  The search is a bisection over the ratio with one
+0/1 feasibility problem per probe.  It is certified to a gap, not exact: after
 `iters` halvings (10 by default) the bound is within (hi - lo) * 2**-iters
 of the optimum, and the decomposition returned need not be optimal.
 """
@@ -80,7 +80,7 @@ def build_link_model(
     """Construct the 0/1 model for linking.
 
     One variable per (pattern, edge) pair: variable p * E + e pairs pattern p
-    with edge e of the E edges of `graph.sorted_edges`.  Constraints: every
+    with edge e, row e of `graph.edges`.  Constraints: every
     detection selects exactly one outgoing and one incoming edge across
     patterns, and the selected pattern is conserved through each detection.
     These rows already make entries balance exits: summed over the n
@@ -93,11 +93,11 @@ def build_link_model(
     written as CSR arrays.  Returns the model and the (pattern, tail, head)
     triple of each variable.
     """
-    edges = graph.sorted_edges
-    n_edges, n_patterns, n = len(edges), len(patterns), len(graph.detections)
-    triples = tuple((p, i, j) for p in range(n_patterns) for (i, j) in edges)
+    n_edges, n_patterns, n = len(graph.edges), len(patterns), len(graph.detections)
+    pairs = graph.edges.tolist()
+    triples = tuple((p, i, j) for p in range(n_patterns) for i, j in pairs)
 
-    tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    tail, head = graph.edges.T
     scores = [edge_scores(graph, pattern, cfg, tail, head) for pattern in patterns]
     denom = np.concatenate([total for total, _ in scores])
     numer = np.concatenate([aligned for _, aligned in scores])
@@ -197,13 +197,11 @@ def link(
     outgoing or incoming edge, or no decomposition has positive total score.
     """
     require_empty_pattern(patterns)
-    tails = {i for i, _ in graph.sorted_edges}
-    heads = {j for _, j in graph.sorted_edges}
-    for d in graph.ids:
-        if d not in tails:
-            raise ValueError(f"detection {d} has no outgoing edge")
-        if d not in heads:
-            raise ValueError(f"detection {d} has no incoming edge")
+    n = len(graph.detections)
+    out_deg, in_deg = (np.bincount(ends[ends > 0], minlength=n + 1)[1:] for ends in graph.edges.T)
+    if not (out_deg.all() and in_deg.all()):
+        d = int(np.argmin((out_deg > 0) & (in_deg > 0)))
+        raise ValueError(f"detection {d + 1} has no {'incoming' if out_deg[d] else 'outgoing'} edge")
 
     model, triples = build_link_model(graph, patterns, cfg)
     result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)

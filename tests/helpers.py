@@ -25,6 +25,11 @@ CROSS = (
 )
 
 
+def edge_set(graph: DetectionGraph) -> set[tuple[int, int]]:
+    """The graph's edges as a set of (i, j) tuples of Python ints."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
 def edge_score(graph: DetectionGraph, i: int, j: int, pattern: Pattern, cfg: Config) -> ScorePair:
     """Score a single edge against a pattern: `edge_scores` on one edge."""
     total, aligned = edge_scores(graph, pattern, cfg, [i], [j])

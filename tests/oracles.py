@@ -14,6 +14,8 @@ import numpy as np
 
 from ptrack import Config
 
+from helpers import edge_set
+
 
 def dense_nearest_point(point, centerline, step=1e-3):
     """Nearest point on a polyline found by brute-force sampling.
@@ -155,7 +157,7 @@ def enumerate_path_covers(graph, cap=200_000):
     covers exist.
     """
     nodes = sorted(graph.ids, key=lambda v: (graph.detection(v).frame, v))
-    det_edges = {(i, j) for i, j in graph.edges if i >= 0 and j >= 0}
+    det_edges = {(i, j) for i, j in edge_set(graph) if i >= 0 and j >= 0}
     covers = []
     chains: list[list[int]] = []
 

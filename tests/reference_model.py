@@ -36,7 +36,7 @@ class FormerModel(NamedTuple):
 
 def former_link_model(graph, patterns, cfg):
     """(model, triples) as the former `build_link_model` made them."""
-    edges = graph.sorted_edges
+    edges = sorted(map(tuple, graph.edges.tolist()))
     triples = tuple((p, i, j) for p in range(len(patterns)) for (i, j) in edges)
     var_of = {t: k for k, t in enumerate(triples)}
 

@@ -160,6 +160,15 @@ class TestExitCodes:
         assert cli(argv + ["--cost-budget", "8"]) == 0
         assert capsys.readouterr().out.startswith("1 patterns, objective ")
 
+    def test_a_join_gap_beyond_any_frame_count_is_a_usage_error(self, tmp_path, capsys):
+        tracks, patterns = lane_files(tmp_path)
+        argv = ["track", "--tracks", str(tracks), "--patterns", str(patterns),
+                "--out", str(tmp_path / "out.csv"), "--join-gap", "1e200", "--fps", "1e200"]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "join_gap * fps must be finite" in err
+
     def test_unsupervised_without_iterations_is_a_data_error(self, tmp_path, capsys):
         tracks = tmp_path / "tracks.csv"
         tracks.write_text(two_flow_csv())

@@ -135,7 +135,7 @@ class TestDetectionGraph:
         d = det(0, 0.0, 0.0)
         g = DetectionGraph((d, d), frozenset({(SOURCE_NODE, 1), (SOURCE_NODE, 2)}))
         assert g.ids == range(1, 3) and g.detection(1) is g.detection(2) is d
-        assert g.sorted_edges == ((SOURCE_NODE, 1), (SOURCE_NODE, 2))
+        assert g.edges.tolist() == [[SOURCE_NODE, 1], [SOURCE_NODE, 2]]
 
     def test_backward_edge_rejected(self):
         dets = (det(2, 0, 0), det(1, 1, 1))
@@ -158,6 +158,65 @@ class TestDetectionGraph:
         with pytest.raises(ValueError, match="invalid edge"):
             DetectionGraph((det(0, 0, 0),), frozenset({(SOURCE_NODE, SINK_NODE)}))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(3, 2), (2, 1), (2, SOURCE_NODE)], r"invalid edge \(2, -1\)"),
+            ([(2, 9), (1, 7), (1, 2)], "unknown detection 7$"),
+            ([(3, 1), (2, 1), (1, 2)], r"edge \(2, 1\) does not move forward"),
+        ],
+    )
+    def test_each_error_names_the_first_offending_edge_in_sorted_order(self, edges, message):
+        dets = (det(0, 0, 0), det(1, 1, 1), det(2, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            DetectionGraph(dets, edges)
+
+    def test_edges_from_any_collection_become_one_sorted_array(self):
+        dets = (det(0, 0, 0), det(1, 1, 1))
+        want = [[SOURCE_NODE, 1], [SOURCE_NODE, 2], [1, SINK_NODE], [1, 2], [2, SINK_NODE]]
+        pairs = [(1, 2), (SOURCE_NODE, 2), (1, SINK_NODE), (SOURCE_NODE, 1), (2, SINK_NODE)]
+        for edges in (
+            frozenset(pairs),
+            pairs + pairs[:2],  # duplicates are kept once
+            np.array(pairs[::-1], dtype=np.int32),
+            [np.array(p) for p in pairs],
+        ):
+            g = DetectionGraph(dets, edges)
+            assert g.edges.dtype == np.int64 and g.edges.tolist() == want
+            assert not g.edges.flags.writeable
+        same = dataclasses.replace(g, source_tracks=((1, 2),))
+        assert same.edges.tolist() == want and same.source_tracks == ((1, 2),)
+        assert DetectionGraph(dets, []).edges.shape == (0, 2)
+        assert DetectionGraph(dets, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1.0, 2)],
+            [(1, 2.5)],
+            [(True, 2)],
+            [(1, np.True_)],
+            [("1", 2)],
+            np.array([[1.0, 2.0]]),
+            np.array([[True, False]]),
+            np.array([[1, 2]], dtype=np.uint64),
+            np.array([[1, 2]], dtype=object),
+        ],
+        ids=repr,
+    )
+    def test_ids_that_are_not_ints_are_refused(self, edges):
+        dets = (det(0, 0, 0), det(1, 1, 1))
+        with pytest.raises(ValueError, match="edge ids must be ints"):
+            DetectionGraph(dets, edges)
+
+    @pytest.mark.parametrize(
+        "edges", [[(1, 2, 3)], [1, 2], [(1, 2), (1,)], np.array([1, 2]), np.zeros((1, 2, 2), dtype=int)], ids=repr
+    )
+    def test_edges_that_are_not_pairs_are_refused(self, edges):
+        dets = (det(0, 0, 0), det(1, 1, 1))
+        with pytest.raises(ValueError):
+            DetectionGraph(dets, edges)
+
     def test_batch_defaults_to_frame_span(self):
         g = chain_graph()
         assert g.batch == (1, 3)
@@ -167,6 +226,12 @@ class TestDetectionGraph:
         assert DetectionGraph(dets, frozenset(), batch=(0, 5)).batch == (0, 5)
         with pytest.raises(ValueError, match="batch"):
             DetectionGraph(dets, frozenset(), batch=(3, 5))
+
+    @pytest.mark.parametrize("batch", [("0", "5"), (True, 5), (0, False), (0, np.True_)], ids=repr)
+    def test_batch_bounds_that_are_strings_or_bools_are_refused(self, batch):
+        # As `Detection` refuses a bool frame, a bool bound is not read as 0 or 1.
+        with pytest.raises(ValueError, match=r"batch \(.*\) bounds must be integers"):
+            DetectionGraph((det(1, 0, 0),), frozenset(), batch=batch)
 
     def test_source_tracks_default_to_empty(self):
         assert chain_graph().source_tracks == ()
@@ -192,10 +257,10 @@ class TestDetectionGraph:
 
     def test_sorted_edges(self):
         g = chain_graph()
-        assert g.sorted_edges == (
-            (SOURCE_NODE, 1), (SOURCE_NODE, 2), (SOURCE_NODE, 3),
-            (1, SINK_NODE), (1, 2), (2, SINK_NODE), (2, 3), (3, SINK_NODE),
-        )
+        assert g.edges.tolist() == [
+            [SOURCE_NODE, 1], [SOURCE_NODE, 2], [SOURCE_NODE, 3],
+            [1, SINK_NODE], [1, 2], [2, SINK_NODE], [2, 3], [3, SINK_NODE],
+        ]
         assert 2 in g and 9 not in g
 
 
@@ -242,6 +307,20 @@ class TestPattern:
         p = Pattern.from_points([(0, 0), (0, 0), (3, 0), (3, 0), (3, 4)], 1.0)
         assert p.centerline == ((0.0, 0.0), (3.0, 0.0), (3.0, 4.0))
         assert p.length == pytest.approx(7.0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (math.nan, 0), (1, 0)],
+            [(math.nan, 0), (0, 0), (1, 0)],
+            [(0, 0), (1, 0), (1, math.inf)],
+            [(0, 0), (math.inf, 0), (math.inf, 0)],
+        ],
+        ids=repr,
+    )
+    def test_from_points_refuses_a_point_that_is_not_finite(self, points):
+        with pytest.raises(ValueError, match="centerline point .* is not finite"):
+            Pattern.from_points(points, 1.0)
 
     def test_empty_pattern_properties(self):
         assert EMPTY_PATTERN.is_empty
@@ -388,6 +467,12 @@ class TestConfig:
         assert Config(join_gap=2.0, fps=1.0).join_gap_frames() == 2
         assert Config(join_gap=2.0, fps=10.0).join_gap_frames() == 20
         assert Config(join_gap=0.01, fps=1.0).join_gap_frames() == 1
+
+    def test_join_gap_in_frames_must_be_finite(self):
+        # 1e200 * 1e200 overflows to inf, which no frame count can hold.
+        with pytest.raises(ValueError, match=r"join_gap \* fps must be finite"):
+            Config(join_gap=1e200, fps=1e200)
+        assert Config(join_gap=1e150, fps=1e150).join_gap_frames() == round(1e150 * 1e150)
 
 
 def test_relative_widths_scale_with_extent():

@@ -236,7 +236,7 @@ class TestRandomModels:
         rng = np.random.default_rng(17)
         for _ in range(60):
             graph = random_graph(rng)
-            if not graph.edges:
+            if not len(graph.edges):
                 continue
             corridors = tuple(
                 Pattern(tuple(map(tuple, rng.normal(0, 4, (2, 2)))), float(rng.uniform(0.5, 2.0)))

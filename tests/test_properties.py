@@ -14,7 +14,7 @@ import math
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import config_to_text, edge_score
+from helpers import config_to_text, edge_score, edge_set
 from oracles import rigid_transform
 from reference_io import outcome, reference_tracks_from_csv
 from ptrack import (
@@ -146,9 +146,9 @@ class TestGeometricInvariance:
             GEO_PATTERN.width * scale,
         )
         moved = _walk_graph(rigid_transform(points, angle, *shift, scale=scale), moved_cfg)
-        assert set(moved.edges) == set(base.edges)
+        assert edge_set(moved) == edge_set(base)
 
-        for i, j in base.edges:
+        for i, j in edge_set(base):
             before = edge_score(base, i, j, GEO_PATTERN, GEO_CFG)
             after = edge_score(moved, i, j, moved_pattern, moved_cfg)
             assert math.isclose(after.total, scale * before.total, rel_tol=1e-9, abs_tol=1e-9)

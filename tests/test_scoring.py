@@ -714,7 +714,7 @@ def array_scores(graph, pattern, cfg, edges, trajectories):
 def assert_same_as_scalar(graph, patterns, cfgs, trajectories):
     """Every edge of the graph and every trajectory, bit for bit, also when
     each trajectory is scored on its own."""
-    edges = graph.sorted_edges
+    edges = sorted(map(tuple, graph.edges.tolist()))
     for cfg in cfgs:
         for pattern in patterns:
             want = scalar_scores(graph, pattern, cfg, edges, trajectories)
