@@ -25,8 +25,8 @@ from .core import (
     validate_trajectory_set,
 )
 from .fracopt import (
+    Argmax,
     Constraint,
-    FeasibilityResult,
     RatioSearchResult,
     SolverModel,
     feasible,

@@ -4,10 +4,10 @@ Linking picks one outgoing and one incoming edge (rows of `graph.edges`) per
 detection so that the selected edges decompose into entry-to-exit paths, each
 path following a single pattern, and the summed aligned/total score ratio over
 all paths is maximal; each end inside the batch costs something on every
-pattern (see `scoring`).  The search is a bisection over the ratio with one
-0/1 feasibility problem per probe.  It is certified to a gap, not exact: after
-`iters` halvings (10 by default) the bound is within (hi - lo) * 2**-iters
-of the optimum, and the decomposition returned need not be optimal.
+pattern (see `scoring`).  The solve is exact: Dinkelbach's method over the
+model's LP (see `fracopt`), whose vertices have been integral on every link
+model measured.  At equal ratio the decomposition with the fewest
+trajectories (entry edges) wins, then the one with the largest total.
 """
 from __future__ import annotations
 
@@ -37,10 +37,8 @@ class LinkResult:
     `trajectories` and `assignment` are the reported output (trajectories
     assigned to the empty pattern are dropped when the config says so);
     `all_trajectories` and `full_assignment` keep the complete decomposition.
-    `alpha_star` is the exact objective value of that decomposition and
-    `search_alpha` the certified bisection bound it improves on.  The
-    optimum lies within (hi - lo) * 2**-iters above `search_alpha`, so the
-    decomposition need not be optimal.
+    `alpha_star` is the exact objective value of that decomposition: the
+    optimum, unless `lower_bound_only` says the time budget cut the solve.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -48,7 +46,6 @@ class LinkResult:
     all_trajectories: tuple[Trajectory, ...]
     full_assignment: Assignment
     alpha_star: float
-    search_alpha: float
     lower_bound_only: bool = False
 
 
@@ -90,8 +87,11 @@ def build_link_model(
     out-row, its in-row, then one conservation row per pattern p, the in-edges
     at +1 before the out-edges at -1.  In every row, edges are in sorted
     order and the out- and in-rows list pattern by pattern.  The rows are
-    written as CSR arrays.  Returns the model and the (pattern, tail, head)
-    triple of each variable.
+    written as CSR arrays.  At equal ratio the fewest trajectories (entry
+    edges) win, then the largest total, so that a cover whose total is 0
+    never wins a tie: the tiebreak is 1 per entry edge less a small multiple
+    of the total.  Returns the model and the (pattern, tail, head) triple of
+    each variable.
     """
     n_edges, n_patterns, n = len(graph.edges), len(patterns), len(graph.detections)
     pairs = graph.edges.tolist()
@@ -138,8 +138,12 @@ def build_link_model(
         coeffs[place] = coeff
     rhs = np.zeros((n, per_detection))
     rhs[:, :2] = 1.0
+    # Fewest entries first; among those, the largest total, which the
+    # weight keeps below half an entry.
+    tiebreak = np.tile(tail == SOURCE_NODE, n_patterns) - denom / (2.0 * (1.0 + np.abs(denom).sum()))
     model = SolverModel(
-        len(triples), indptr, indices, coeffs, np.full(len(indptr) - 1, EQ), rhs.ravel(), numer, denom
+        len(triples), indptr, indices, coeffs, np.full(len(indptr) - 1, EQ), rhs.ravel(), numer, denom,
+        tiebreak,
     )
     return model, triples
 
@@ -187,11 +191,9 @@ def link(
     graph: DetectionGraph,
     patterns: Sequence[Pattern],
     cfg: Config,
-    iters: int = 10,
     time_budget: float | None = None,
 ) -> LinkResult:
-    """Find a pattern-guided decomposition of the graph, certified to within
-    (hi - lo) * 2**-iters of the best ratio, (lo, hi) being `ratio_bracket(cfg)`.
+    """Find the pattern-guided decomposition of the graph with the best ratio.
 
     Raises if the pattern set lacks the empty pattern, a detection has no
     outgoing or incoming edge, or no decomposition has positive total score.
@@ -204,7 +206,7 @@ def link(
         raise ValueError(f"detection {d + 1} has no {'incoming' if out_deg[d] else 'outgoing'} edge")
 
     model, triples = build_link_model(graph, patterns, cfg)
-    result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
+    result = maximize_ratio(model, ratio_bracket(cfg)[0], time_budget=time_budget)
     all_trajectories, full_assignment = _decode(graph, triples, result.witness)
 
     trajectories, assignment = reported_trajectories(
@@ -215,7 +217,6 @@ def link(
         assignment=assignment,
         all_trajectories=all_trajectories,
         full_assignment=full_assignment,
-        alpha_star=result.achieved,
-        search_alpha=result.alpha,
+        alpha_star=result.alpha,
         lower_bound_only=result.lower_bound_only,
     )

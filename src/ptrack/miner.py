@@ -7,10 +7,11 @@ pattern per trajectory, maximizing the same aligned/total ratio the linker
 uses, scored the same way: an entry or exit at the graph's batch boundary is
 free here too, and any other end is charged.  Keeping patterns cheap (short
 and narrow) is what forces the selection to generalize instead of memorizing
-every trajectory.  Like the linker's, the search is certified to a gap, not
-exact: after `iters` halvings (5 by default) the bound is within
-(hi - lo) * 2**-iters of the optimum, and the selection returned need not
-be optimal.
+every trajectory.  The solve is exact: Dinkelbach's method (see `fracopt`)
+over an oracle that enumerates every selection within both budgets, each
+trajectory taking its best pattern in the selection or the empty one.
+Above `ENUMERATION_CAP` selections the oracle is HiGHS, as in the linker.
+At equal ratio the selection with the least summed cost wins.
 
 Many candidates are twins: the same centerline at a width that flips no
 corridor gate, or one shape drawn from two trajectories, gives the same
@@ -28,6 +29,7 @@ scored once.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +44,7 @@ from .core import (
     Trajectory,
     tracking_area,
 )
-from .fracopt import EQ, LE, SolverModel, maximize_ratio
+from .fracopt import EQ, LE, HighsOracle, SolverModel, maximize_ratio
 # Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
 from .scoring import ratio_bracket, score_matrix, trajectory_score
 
@@ -74,22 +76,108 @@ class CandidateSet:
 class MineResult:
     """Selected patterns (empty pattern first) and the per-trajectory choice.
 
-    `alpha_star` is the exact objective of the returned assignment;
-    `search_alpha` the certified bisection bound, within (hi - lo) *
-    2**-iters below the optimum, so the selection need not be optimal.
-    `selected_candidates`
-    are indices into the candidate set handed to `mine`, for traceability;
-    of candidates with the same score column only the cheapest can appear,
-    since the others were dropped before the solve without changing the
-    optimum.
+    `alpha_star` is the exact objective of the returned assignment: the
+    optimum, unless `lower_bound_only` says the time budget cut the solve.
+    `selected_candidates` are indices into the candidate set handed to
+    `mine`, for traceability; of candidates with the same score column only
+    the cheapest can appear, since the others were dropped before the solve
+    without changing the optimum.
     """
 
     patterns: tuple[Pattern, ...]
     assignment: Assignment
     alpha_star: float
-    search_alpha: float
     selected_candidates: tuple[int, ...]
     lower_bound_only: bool = False
+
+
+# Above this many selections within the budgets, the mine oracle is HiGHS.
+ENUMERATION_CAP = 4096
+
+
+class MineModel(SolverModel):
+    """A mine model (see `build_mine_model`) that keeps its layout: the
+    trajectory and candidate counts, the non-empty candidates' costs and
+    the (count, cost) budgets, None when only the empty candidate is left.
+    Its oracle enumerates the selections while there are at most
+    `ENUMERATION_CAP` of them."""
+
+    def __init__(self, shape, costs, budgets, *arrays):
+        super().__init__(*arrays, tiebreak=np.concatenate([np.zeros(shape[0] * shape[1]), costs]))
+        self.shape, self.costs, self.budgets = shape, np.asarray(costs, dtype=float), budgets
+
+    def oracle(self):
+        selections = _selections(self.costs, self.budgets)
+        return HighsOracle(self) if selections is None else _SelectionOracle(self, selections)
+
+
+def _selections(costs: np.ndarray, budgets: tuple[float, float] | None):
+    """Every set of non-empty candidates within both budgets, or None when
+    there are more than `ENUMERATION_CAP`.
+
+    Sets come level by level, level k holding the sets of k candidates, and
+    set 0 is the empty one.  Returns, per set, its parent (the set without
+    its last candidate), that last candidate and its summed cost, added in
+    candidate order as `SolverModel.satisfied` adds the cost row; then where
+    each level starts.  The budgets are read only when there is a candidate.
+    """
+    root = np.zeros(1, dtype=np.int64)
+    parent, added, spent, starts = [root], [root], [np.zeros(1)], [0]
+    if budgets is not None:
+        count, cost = budgets
+        # The cost row's slack, as `SolverModel.satisfied` allows it.
+        limit = cost + 1e-9 * (1.0 + abs(cost) + np.abs(costs).sum())
+        candidates = np.arange(1, len(costs) + 1)
+        while len(starts) <= count:
+            first = starts[-1]
+            below, col = np.nonzero((candidates > added[-1][:, None]) & (spent[-1][:, None] + costs <= limit))
+            if not below.size:
+                break
+            starts.append(first + len(added[-1]))
+            if starts[-1] + below.size > ENUMERATION_CAP:
+                return None
+            parent.append(first + below)
+            added.append(candidates[col])
+            spent.append(spent[-1][below] + costs[col])
+    return np.concatenate(parent), np.concatenate(added), np.concatenate(spent), starts
+
+
+class _SelectionOracle:
+    """The argmax of w·x over a mine model, by enumeration of the selections.
+
+    For each selection, each trajectory takes its best option among the
+    selection and the empty pattern (the first best, so the empty one on a
+    tie); a set's best options are its parent's, raised by its last
+    candidate.  Among the selections whose value is within the tolerance of
+    the best, the cheapest wins, then the one enumerated first.
+    """
+
+    def __init__(self, model: MineModel, selections):
+        self.model = model
+        self.parent, self.added, self.spent, self.starts = selections
+
+    def argmax(self, w: np.ndarray, deadline: float | None, tol: float):
+        n_traj, n_cand = self.model.shape
+        scores = w[: n_traj * n_cand].reshape(n_traj, n_cand)
+        best = np.empty((len(self.added), n_traj))
+        best[0] = scores[:, 0]
+        for a, b in zip(self.starts[1:], [*self.starts[2:], len(self.added)]):
+            if deadline is not None and time.monotonic() >= deadline:
+                return None, True
+            best[a:b] = np.maximum(best[self.parent[a:b]], scores[:, self.added[a:b]].T)
+        values = best.sum(axis=1)
+        near = np.flatnonzero(values >= values.max() - tol)
+        pick = int(near[np.argmin(self.spent[near])])
+        members = []
+        while pick:
+            members.append(int(self.added[pick]))
+            pick = int(self.parent[pick])
+        options = np.array([0, *reversed(members)])
+        chosen = options[np.argmax(scores[:, options], axis=1)]
+        x = np.zeros(self.model.num_vars, dtype=np.int64)
+        x[np.arange(n_traj) * n_cand + chosen] = 1
+        x[n_traj * n_cand + options[1:] - 1] = 1
+        return x, False
 
 
 def generate_candidates(
@@ -127,7 +215,7 @@ def build_mine_model(
     scores: tuple[np.ndarray, np.ndarray],
     candidates: CandidateSet,
     cfg: Config,
-) -> SolverModel:
+) -> MineModel:
     """0/1 model for pattern selection.
 
     `scores` is the (total, aligned) pair of trajectories × candidates
@@ -138,7 +226,8 @@ def build_mine_model(
     candidates may be selected, and their summed cost must fit the budget.
     The empty pattern is always available and never counts against either
     budget.  The rows are written as CSR arrays (see `SolverModel`); no
-    `Constraint` is made.
+    `Constraint` is made.  A selection variable's tiebreak is its
+    candidate's cost, so that at equal ratio the cheapest selection wins.
     """
     n_traj, n_cand = scores[0].shape
     n_assign = n_traj * n_cand
@@ -157,7 +246,10 @@ def build_mine_model(
     gates = np.stack([assign[:, 1:], np.broadcast_to(sel, (n_traj, n_cand - 1))], axis=-1)
     budgets = [float(cfg.max_patterns), _cost_budget(graph, cfg)] if n_cand > 1 else []
     costs = [pattern.cost for pattern in candidates.patterns[1:]]
-    return SolverModel(
+    return MineModel(
+        (n_traj, n_cand),
+        costs,
+        tuple(budgets) or None,
         num_vars,
         np.cumsum([0] + [n_cand] * n_traj + [2] * n_gates + [n_cand - 1] * len(budgets)),
         np.concatenate([assign.ravel(), gates.ravel(), sel, sel]),
@@ -177,16 +269,17 @@ def _cheapest_twins(scores: tuple[np.ndarray, np.ndarray], candidates: Candidate
     """Index of the cheapest candidate of each distinct score column, ascending.
 
     A candidate's column is its totals in `scores`, then its aligned scores,
-    compared as Python floats (0.0 == -0.0).  Cost ties go to the lowest
-    index, so the empty pattern (index 0, cost 0) always stays and drops
-    every candidate with its column.
+    keyed on its bytes once `+ 0.0` has turned -0.0 into 0.0, so that the
+    two compare equal as floats do.  Cost ties go to the lowest index, so
+    the empty pattern (index 0, cost 0) always stays and drops every
+    candidate with its column.
     """
-    columns = np.concatenate(scores).T.tolist()
-    cheapest: dict[tuple[float, ...], int] = {}
-    for p, column in enumerate(map(tuple, columns)):
-        kept = cheapest.setdefault(column, p)
+    columns = np.ascontiguousarray(np.concatenate(scores).T) + 0.0
+    cheapest: dict[bytes, int] = {}
+    for p, column in enumerate(columns):
+        kept = cheapest.setdefault(column.tobytes(), p)
         if candidates.patterns[p].cost < candidates.patterns[kept].cost:
-            cheapest[column] = p
+            cheapest[column.tobytes()] = p
     return tuple(sorted(cheapest.values()))
 
 
@@ -195,12 +288,9 @@ def mine(
     trajectories: Sequence[Trajectory],
     candidates: CandidateSet,
     cfg: Config,
-    iters: int = 5,
     time_budget: float | None = None,
 ) -> MineResult:
-    """Pick a pattern subset and assignment, certified to within
-    (hi - lo) * 2**-iters of the best objective, (lo, hi) being
-    `ratio_bracket(cfg)`.
+    """Pick the pattern subset and assignment with the best objective.
 
     The returned pattern set always starts with the empty pattern; only
     candidates actually used by some trajectory are included beyond it.
@@ -225,7 +315,7 @@ def mine(
         tuple(candidates.patterns[k] for k in kept), tuple(candidates.source[k] for k in kept)
     )
     model = build_mine_model(graph, tuple(side[:, kept] for side in scores), reduced, cfg)
-    result = maximize_ratio(model, *ratio_bracket(cfg), iters=iters, time_budget=time_budget)
+    result = maximize_ratio(model, ratio_bracket(cfg)[0], time_budget=time_budget)
 
     n_cand = len(reduced)
     chosen: list[int] = []
@@ -243,8 +333,7 @@ def mine(
     return MineResult(
         patterns=patterns,
         assignment=assignment,
-        alpha_star=result.achieved,
-        search_alpha=result.alpha,
+        alpha_star=result.alpha,
         selected_candidates=selected,
         lower_bound_only=result.lower_bound_only,
     )

@@ -58,7 +58,7 @@ class ScorePair:
 
 
 def ratio_bracket(cfg: Config) -> tuple[float, float]:
-    """(lo, hi) bracket of the ratio search: every achievable ratio lies inside.
+    """(lo, hi): every achievable ratio lies inside, and the search starts at lo.
 
     On a pattern, aligned never exceeds total; on the empty pattern aligned is
     `empty_rate` times total, so the top is the larger of 1 and the empty rate.

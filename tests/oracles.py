@@ -139,6 +139,15 @@ def brute_force_best_ratio(model):
     return best, witness
 
 
+def brute_force_argmax_value(model, alpha):
+    """The largest (numer - alpha * denom)·x over the model's 0/1 points, or None."""
+    values = [
+        sum((m - alpha * n) * x for m, n, x in zip(model.numer, model.denom, bits))
+        for bits in enumerate_assignments(model)
+    ]
+    return max(values, default=None)
+
+
 def brute_force_feasible(model, alpha):
     """Whether some constraint-satisfying assignment reaches the ratio level."""
     for bits in enumerate_assignments(model):

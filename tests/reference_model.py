@@ -3,11 +3,7 @@
 `former_link_model` and `former_mine_model` are `linker.build_link_model` and
 `miner.build_mine_model` as they were when each row was one `Constraint`
 tuple and variables were looked up in a dict of (pattern, edge) triples.
-`FormerRowIndex` is `fracopt._RowIndex` and `former_probe_setup` the
-alpha-dependent set-up of the probe (now `fracopt._probe_setup`) as they
-were when both were built in Python loops over those tuples; their sums add
-left to right, as Python's `sum` did before 3.12.  The array form must give
-the same rows, numbers, index and set-up lists, bit for bit.
+The array form must give the same rows and numbers, bit for bit.
 """
 from __future__ import annotations
 
@@ -17,14 +13,6 @@ from ptrack.fracopt import Constraint
 from ptrack.miner import _cost_budget
 
 from reference_scoring import PatternScorer, trajectory_score
-
-
-def _sum(values, start=0):
-    """`sum` as Python adds floats before 3.12: left to right, uncompensated."""
-    total = start
-    for v in values:
-        total += v
-    return total
 
 
 class FormerModel(NamedTuple):
@@ -110,81 +98,3 @@ def former_mine_model(graph, trajectories, candidates, cfg):
         constraints.append(Constraint(sel, costs, "<=", _cost_budget(graph, cfg)))
 
     return FormerModel(num_vars, tuple(constraints), tuple(numer), tuple(denom))
-
-
-class FormerRowIndex:
-    """The row index built row by row from a model's `constraints`.
-
-    Per row, its shape: whether it has an upper and a lower side, its two
-    bounds widened by the row's tolerance, its slack gate (largest
-    |coefficient| plus tolerance), its variables and its coefficients; and
-    the sums of its positive and of its negative coefficients.  Per
-    variable: the rows it appears in, as (row, coefficient).  Each variable
-    also belongs to one bound group, kept as (members, exact).
-    """
-
-    def __init__(self, model):
-        cons = model.constraints
-        self.shape = []
-        for c in cons:
-            tol = 1e-9 * (1.0 + abs(c.rhs) + _sum(abs(q) for q in c.coeffs))
-            self.shape.append((
-                c.sense != ">=",
-                c.sense != "<=",
-                c.rhs + tol,
-                c.rhs - tol,
-                max((abs(q) for q in c.coeffs), default=0.0) + tol,
-                c.vars,
-                c.coeffs,
-            ))
-        self.pos = [_sum(max(q, 0.0) for q in c.coeffs) for c in cons]
-        self.neg = [_sum(min(q, 0.0) for q in c.coeffs) for c in cons]
-        n = model.num_vars
-        self.var_cons: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for ci, c in enumerate(cons):
-            for v, q in zip(c.vars, c.coeffs):
-                self.var_cons[v].append((ci, q))
-
-        self.group_of = [-1] * n
-        self.groups: list[tuple[list[int], bool]] = []
-        for c in cons:
-            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
-                claimed = [v for v in c.vars if self.group_of[v] == -1]
-                if claimed:
-                    self._add_group(claimed, len(claimed) == len(c.vars))
-        for v in range(n):
-            if self.group_of[v] == -1:
-                self._add_group([v], False)
-
-    def _add_group(self, members: list[int], exact: bool) -> None:
-        for v in members:
-            self.group_of[v] = len(self.groups)
-        self.groups.append((members, exact))
-
-
-def former_probe_setup(model, alpha):
-    """The lists a probe at alpha started from, keyed as `fracopt._probe_setup` keys them."""
-    n = model.num_vars
-    rows = FormerRowIndex(model)
-    w = [model.numer[v] - alpha * model.denom[v] for v in range(n)]
-    w_tol = 1e-9 * (1.0 + _sum(abs(x) for x in w))
-    pos_un_w = _sum(max(x, 0.0) for x in w)
-    opt_var: list[int] = []
-    opt_w: list[float] = []
-    slot = [0] * n
-    ptr: list[int] = []
-    for members, exact in rows.groups:
-        ranked = sorted(members, key=w.__getitem__, reverse=True)
-        ranked.insert(len(ranked) if exact else sum(w[v] > 0.0 for v in ranked), n)
-        ptr.append(len(opt_var))
-        for v in ranked:
-            if v < n:
-                slot[v] = len(opt_var)
-            opt_var.append(v)
-            opt_w.append(w[v] if v < n else 0.0)
-    contrib = [opt_w[p] for p in ptr]
-    order = sorted(range(n), key=lambda v: (-abs(w[v]), v))
-    return dict(
-        w=w, w_tol=w_tol, pos_un_w=pos_un_w, opt_var=opt_var, opt_w=opt_w, slot=slot,
-        ptr=ptr, contrib=contrib, bound=_sum(contrib), order=order,
-    )

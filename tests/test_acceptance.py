@@ -116,17 +116,15 @@ def _random_ratio_instance(rng) -> tuple[SolverModel, float]:
 def test_02_ratio_solver_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    margin = 2.0**-10
     worst = 0.0
     ok = True
     for _ in range(200):
         model, best = _random_ratio_instance(rng)
         result = maximize_ratio(model)
-        gap = abs(result.achieved - best)
+        gap = abs(result.alpha - best)
         worst = max(worst, gap)
-        ok = ok and gap <= margin + 1e-9
-        ok = ok and result.alpha <= best + 1e-9
-        ok = ok and result.alpha >= best - margin - 1e-9
+        ok = ok and gap <= 1e-9
+        ok = ok and model.ratio_of(result.witness) == result.alpha
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     _report(2, "ratio solver vs enumeration", ok, f"worst gap {worst:.2e}, {elapsed:.1f}s")
@@ -141,7 +139,6 @@ def test_03_linker_matches_exhaustive_covers():
         Pattern(((0.0, -1.0), (6.0, 1.0)), 1.5),
     )
     cfg = Config(link_radius=3.0, join_radius=3.0)
-    margin = 2.0**-10
     done = 0
     worst = 0.0
     ok = True
@@ -162,10 +159,10 @@ def test_03_linker_matches_exhaustive_covers():
         want = best_cover_objective(g, patterns, cfg)
         if want is None:
             continue
-        res = link(g, patterns, cfg, iters=10)
+        res = link(g, patterns, cfg)
         gap = abs(res.alpha_star - want)
         worst = max(worst, gap)
-        ok = ok and gap <= margin and res.alpha_star <= want + 1e-9
+        ok = ok and gap <= 1e-9
         done += 1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0

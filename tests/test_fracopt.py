@@ -1,4 +1,4 @@
-"""Exact 0/1 linear-fractional solver: feasibility probes and ratio search."""
+"""Exact 0/1 linear-fractional solver: the argmax oracle and the Dinkelbach search."""
 import importlib.util
 import math
 import sys
@@ -7,18 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import LinearConstraint, milp
 
 import ptrack.fracopt as fracopt
 from ptrack.fracopt import (
+    Argmax,
     Constraint,
-    FeasibilityResult,
+    HighsOracle,
     feasible,
     maximize_ratio,
 )
 
 from helpers import rows_model
-from oracles import brute_force_best_ratio, brute_force_feasible, satisfies
-from reference_search import ReferenceSearch
+from oracles import brute_force_argmax_value, brute_force_best_ratio, brute_force_feasible, satisfies
 
 
 def con(vars_, coeffs, sense, rhs):
@@ -47,16 +48,11 @@ class TestValidation:
             rows_model(2, (con([5], [1.0], "<=", 1.0),), (0.0, 0.0), (1.0, 1.0))
 
     def test_search_config_needs_ordered_bracket(self):
+        # The search starts at the bracket's lower end, a finite number.
         m = rows_model(1, (), (1.0,), (1.0,))
-        with pytest.raises(ValueError, match="lo < hi"):
-            maximize_ratio(m, 1.0, 0.0, 4)
-
-    def test_search_config_needs_positive_int_iters(self):
-        m = rows_model(1, (), (1.0,), (1.0,))
-        with pytest.raises(ValueError, match="positive int"):
-            maximize_ratio(m, 0.0, 1.0, 0)
-        with pytest.raises(ValueError, match="positive int"):
-            maximize_ratio(m, 0.0, 1.0, 1.5)
+        for start in (math.inf, math.nan, True, "0"):
+            with pytest.raises(ValueError, match="start must be a finite number"):
+                maximize_ratio(m, start)
 
     @pytest.mark.parametrize("budget", [float("nan"), -1.0, 0.0, float("inf"), True, "1"])
     def test_time_budget_must_be_positive_and_finite(self, budget):
@@ -83,206 +79,109 @@ class TestModelQueries:
         assert not m.certifies((1,), 0.5 + 1e-6)
 
 
+def assert_exact_argmax(model, alpha):
+    """`feasible` returns a point that meets every row, whose value is the
+    enumerated maximum and decides the level as enumeration does."""
+    step = feasible(model, alpha)
+    want = brute_force_argmax_value(model, alpha)
+    assert not step.timed_out
+    if want is None:
+        assert step.assignment is None, (model, alpha)
+        return step
+    assert step.assignment is not None, (model, alpha)
+    assert all(satisfies(row, step.assignment) for row in model.constraints)
+    w = np.asarray(model.numer) - alpha * np.asarray(model.denom)
+    assert step.value == float(w @ np.asarray(step.assignment))
+    assert step.value == pytest.approx(want, rel=1e-12, abs=1e-12), (model, alpha)
+    assert (step.value >= 0.0) == brute_force_feasible(model, alpha)
+    return step
+
+
+def random_row_model(rng, nv, rows, dense=False):
+    """Coefficients, right-hand sides and terms on a grid of 1/4, so sums are exact."""
+    senses = ("<=", "==", ">=")
+    numer = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
+    denom = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
+    out = []
+    for _ in range(rows):
+        size = int(rng.integers(max(2, nv // 2), nv + 1)) if dense else int(rng.integers(1, nv + 1))
+        vars_ = [int(v) for v in rng.choice(nv, size=size, replace=False)]
+        if dense:
+            # Right-hand sides are sums of coefficient subsets, so rows are often tight.
+            coeffs = [float(rng.choice([-1, 1]) * rng.integers(1, 9)) / 4.0 for _ in vars_]
+            rhs = float(np.asarray(coeffs)[rng.random(size) < 0.5].sum()) + float(rng.integers(-1, 2)) / 4.0
+        else:
+            coeffs = [float(rng.integers(-8, 9)) / 4.0 for _ in vars_]
+            rhs = float(rng.integers(-8, 9)) / 4.0
+        out.append(con(vars_, coeffs, senses[int(rng.integers(3))], rhs))
+    return rows_model(nv, tuple(out), numer, denom)
+
+
 class TestFeasibility:
     def test_single_variable_at_half(self):
         m = rows_model(1, (), (1.0,), (1.0,))
         res = feasible(m, 0.5)
-        assert res.assignment == (1,)
-        assert not res.timed_out
+        assert res == Argmax((1,), 0.5)
         assert m.certifies(res.assignment, 0.5)
 
     def test_forced_selection_caps_the_ratio(self):
         m = rows_model(2, (con([0, 1], [1.0, 1.0], "==", 1.0),), (0.0, 0.0), (1.0, 1.0))
         res = feasible(m, 0.5)
-        assert res.assignment is None
+        assert sum(res.assignment) == 1
+        assert res.value == -0.5
         assert not res.timed_out
         ok = feasible(m, 0.0)
-        assert ok.assignment is not None and sum(ok.assignment) == 1
+        assert sum(ok.assignment) == 1 and ok.value == 0.0
 
     def test_contradictory_rows_are_infeasible(self):
         rows = (con([0], [1.0], "==", 1.0), con([0], [1.0], "<=", 0.0))
         m = rows_model(1, rows, (1.0,), (1.0,))
-        assert feasible(m, 0.0).assignment is None
+        assert feasible(m, 0.0) == Argmax(None)
 
     @pytest.mark.parametrize(
         "row", [con([], [], ">=", 1.0), con([39], [1.0], ">=", 2.0), con([39], [1.0], "<=", -1.0)]
     )
     def test_unsatisfiable_row_is_refuted_at_the_root(self, row):
-        # No assignment satisfies the row.  Checked only once one of its
-        # variables is fixed, it would fail at every leaf below that
-        # variable: 2**41 - 1 nodes for the empty row, so the deadlines turn
-        # a missing root rule into a timed-out result instead of a hang.
+        # No assignment satisfies the row: HiGHS reports the model infeasible
+        # at once, 40 variables or not.
         m = rows_model(40, (row,), np.zeros(40), np.zeros(40))
-        res = feasible(m, 0.0, deadline=time.monotonic() + 5.0)
-        assert res == FeasibilityResult(None)
-        assert res.nodes == 1
+        assert feasible(m, 0.0, deadline=time.monotonic() + 5.0) == Argmax(None)
         with pytest.raises(ValueError, match="no feasible solution"):
-            maximize_ratio(m, -1.0, 1.0, time_budget=5.0)
-        assert assert_same_search(m, 0.0) == 1
+            maximize_ratio(m, -1.0, time_budget=5.0)
 
     def test_random_instances_agree_with_enumeration(self):
         rng = np.random.default_rng(42)
-        senses = ("<=", "==", ">=")
-        for trial in range(120):
-            nv = int(rng.integers(2, 9))
-            numer = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
-            denom = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
-            rows = []
-            for _ in range(int(rng.integers(0, 5))):
-                size = int(rng.integers(1, nv + 1))
-                vars_ = tuple(int(v) for v in rng.choice(nv, size=size, replace=False))
-                coeffs = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(size))
-                rows.append(con(vars_, coeffs, senses[int(rng.integers(3))], float(rng.integers(-8, 9)) / 4.0))
-            m = rows_model(nv, tuple(rows), numer, denom)
-            alpha = float(rng.integers(-8, 9)) / 8.0
-
-            got = feasible(m, alpha)
-            want = brute_force_feasible(m, alpha)
-            assert (got.assignment is not None) == want, (trial, m, alpha)
-            if got.assignment is not None:
-                w = np.asarray(numer) - alpha * np.asarray(denom)
-                assert float(w @ np.asarray(got.assignment)) >= 0.0
-                for row in rows:
-                    assert satisfies(row, got.assignment)
-
-
-class _FullScanSearch(ReferenceSearch):
-    """Reference propagation: scans every unfixed variable of a touched row.
-
-    Like the probe, it refutes a model at the root, in one node, when some
-    row's whole activity range misses its bounds.
-    """
-
-    def run(self):
-        for ci, sense in enumerate(self.con_sense):
-            top = self.con_rhs[ci] + self.con_tol[ci]
-            bottom = self.con_rhs[ci] - self.con_tol[ci]
-            if (sense != ">=" and self.neg_un[ci] > top) or (sense != "<=" and self.pos_un[ci] < bottom):
-                self.nodes = 1
-                return FeasibilityResult(None)
-        return super().run()
-
-    def _check_constraint(self, ci, pending):
-        sense = self.con_sense[ci]
-        rhs = self.con_rhs[ci]
-        tol = self.con_tol[ci]
-        fixed = self.fixed_sum[ci]
-        if sense != ">=" and fixed + self.neg_un[ci] > rhs + tol:
-            return False
-        if sense != "<=" and fixed + self.pos_un[ci] < rhs - tol:
-            return False
-        for u, q in zip(self.con_vars[ci], self.con_coeffs[ci]):
-            if self.value[u] != -1:
-                continue
-            lo_rest = self.neg_un[ci] - min(q, 0.0)
-            hi_rest = self.pos_un[ci] - max(q, 0.0)
-            can_zero = True
-            can_one = True
-            if sense != ">=":
-                if fixed + q + lo_rest > rhs + tol:
-                    can_one = False
-                if fixed + lo_rest > rhs + tol:
-                    can_zero = False
-            if sense != "<=":
-                if fixed + q + hi_rest < rhs - tol:
-                    can_one = False
-                if fixed + hi_rest < rhs - tol:
-                    can_zero = False
-            if not can_zero and not can_one:
-                return False
-            if not can_zero:
-                pending.append((u, 1))
-            elif not can_one:
-                pending.append((u, 0))
-        return True
-
-
-class _ExactlyOneFullScanSearch(_FullScanSearch):
-    """The full scan under the exactly-one group bound, recomputed at every node.
-
-    A group that holds every variable of its `== 1` unit row adds its best
-    unfixed w even when it is negative, and 0 once one of its variables is 1;
-    a partial group or a lone variable adds max(best unfixed w, 0).
-    """
-
-    def __init__(self, model, alpha, deadline=None):
-        super().__init__(model, alpha, deadline)
-        claimed = set()
-        self.groups = []
-        for c in model.constraints:
-            if c.sense == "==" and c.rhs == 1.0 and all(q == 1.0 for q in c.coeffs):
-                members = [v for v in c.vars if v not in claimed]
-                if members:
-                    claimed.update(members)
-                    self.groups.append((members, len(members) == len(c.vars)))
-        self.groups += [([v], False) for v in range(model.num_vars) if v not in claimed]
-
-    def _optimistic_bound(self):
-        total = 0.0
-        for members, exact in self.groups:
-            free = [self.w[v] for v in members if self.value[v] == -1]
-            if not exact:
-                total += max(free + [0.0])
-            elif all(self.value[v] != 1 for v in members):
-                total += max(free, default=-math.inf)
-        return total
-
-
-def assert_same_search(model, alpha):
-    """The probe decides like the full scan, with the same witness.
-
-    Under the exactly-one bound it takes exactly the full scan's nodes, so the
-    slack gate forces what the scan forces and the incremental bound equals
-    the recomputed one; against the reference's bound, which clips every
-    group at 0, it takes no more.  `feasible` is the probe imported above, so
-    a test that patches `fracopt.feasible` still replays the unpatched one.
-    """
-    probe = feasible(model, alpha)
-    full = _FullScanSearch(model, alpha, None)
-    sharp = _ExactlyOneFullScanSearch(model, alpha, None)
-    assert probe == full.run() == sharp.run(), (model, alpha)
-    assert probe.nodes == sharp.nodes <= full.nodes, (model, alpha)
-    return probe.nodes
+        for _ in range(120):
+            m = random_row_model(rng, int(rng.integers(2, 9)), int(rng.integers(0, 5)))
+            assert_exact_argmax(m, float(rng.integers(-8, 9)) / 8.0)
 
 
 class TestSlackGate:
+    """Dense mixed-sign rows, tight rows and rows a coefficient fills exactly:
+    the argmax is enumeration's, on small models and on a noisy link model."""
+
     def test_random_dense_mixed_sign_models_match_full_scan(self):
-        # Coefficients and right-hand sides are multiples of 1/4, so row sums
-        # are exact and slacks often equal a coefficient exactly; right-hand
-        # sides are sums of coefficient subsets, so rows are often tight.
         rng = np.random.default_rng(7)
-        senses = ("<=", "==", ">=")
         for _ in range(250):
-            nv = int(rng.integers(3, 11))
-            numer = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
-            denom = tuple(float(rng.integers(-8, 9)) / 4.0 for _ in range(nv))
-            rows = []
-            for _ in range(int(rng.integers(1, 6))):
-                size = int(rng.integers(max(2, nv // 2), nv + 1))
-                vars_ = [int(v) for v in rng.choice(nv, size=size, replace=False)]
-                coeffs = [float(rng.choice([-1, 1]) * rng.integers(1, 9)) / 4.0 for _ in vars_]
-                subset = rng.random(size) < 0.5
-                rhs = float(np.asarray(coeffs)[subset].sum()) + float(rng.integers(-1, 2)) / 4.0
-                rows.append(con(vars_, coeffs, senses[int(rng.integers(3))], rhs))
-            m = rows_model(nv, tuple(rows), numer, denom)
+            m = random_row_model(rng, int(rng.integers(3, 11)), int(rng.integers(1, 6)), dense=True)
             for alpha in (-0.5, 0.0, 0.5):
-                assert_same_search(m, alpha)
+                assert_exact_argmax(m, alpha)
 
     def test_slack_equal_to_a_coefficient(self):
-        # x0 + 2 x1 + x2 <= 2: nothing fixed leaves slack 2 (+tol), which the
-        # gate skips; x0 = 1 leaves slack 1 < 2, so x1 must be forced to 0.
+        # x0 + 2 x1 + x2 <= 2: x0 = 1 leaves a slack of 1, so x1 must be 0.
         rows = (con([0, 1, 2], [1.0, 2.0, 1.0], "<=", 2.0), con([0, 1, 2], [1.0, -2.0, 1.0], ">=", -2.0))
         m = rows_model(3, rows, (1.0, 1.5, 0.25), (1.0, 1.0, 1.0))
         for alpha in (0.0, 0.4, 0.6, 0.9):
-            assert_same_search(m, alpha)
+            assert_exact_argmax(m, alpha)
 
     def test_coefficient_above_slack_by_less_than_tolerance(self):
-        # 0.5 x2 + b x1 <= 1.5 with b = 1 + 7.5e-9: once x2 = 1 the slack is
-        # 1 + tol (tol = 5e-9 here), just under b, so x1 is forced to 0 by the
-        # scan; the gate must leave that float-boundary case to it.
+        # 0.5 x2 + b x1 <= 1.5 with b = 1 + 7.5e-9 rules out x1 = x2 = 1 by
+        # more than the row's tolerance (4e-9), though by less than HiGHS's
+        # default feasibility tolerance (1e-7): the LP vertex x1 = 1 / b is
+        # fractional, and the exact answer drops x1.
         row = con([2, 1], [0.5, 1.0 + 7.5e-9], "<=", 1.5)
         m = rows_model(3, (row,), (0.1, 0.5, 1.0), (1.0, 1.0, 1.0))
-        assert assert_same_search(m, 0.0) == 3
+        assert assert_exact_argmax(m, 0.0).assignment == (1, 0, 1)
 
     def test_noisy_link_model_matches_full_scan(self, monkeypatch):
         from ptrack import EMPTY_PATTERN, Config, Pattern, build_graph
@@ -303,48 +202,95 @@ class TestSlackGate:
         graph = build_graph(broken, cfg, scene.meta.batch)
         model, _ = build_link_model(graph, (EMPTY_PATTERN, *corridors), cfg)
 
-        # Replay every probe of the linker's bisection, feasible and not.
-        real = fracopt.feasible
-        probes = []
+        steps = record_steps(monkeypatch)
+        res = fracopt.maximize_ratio(model, ratio_bracket(cfg)[0])
+        # Each step's argmax is the MIP optimum; the last proves alpha*.
+        for step_model, alpha, step in steps:
+            assert step.value == pytest.approx(milp_value(step_model, alpha), rel=1e-9, abs=1e-9)
+        assert [s.value > model.tolerance(a) for _, a, s in steps] == [True] * (len(steps) - 1) + [False]
+        assert res.alpha == model.ratio_of(steps[-1][2].assignment)
+        assert 2 <= len(steps) <= 4
 
-        def recording(model, alpha, deadline=None):
-            result = real(model, alpha, deadline)
-            probes.append((alpha, result.assignment is not None))
-            return result
 
-        monkeypatch.setattr(fracopt, "feasible", recording)
-        fracopt.maximize_ratio(model, *ratio_bracket(cfg), iters=10)
-        assert {ok for _, ok in probes} == {True, False}
-        nodes = [assert_same_search(model, alpha) for alpha, _ in probes]
-        # A lost pruning or propagation rule shows here as more nodes.
-        assert 650 < sum(nodes) <= 741
+def record_steps(monkeypatch):
+    """Patch `fracopt.feasible` to record (model, alpha, result) of every step."""
+    real = fracopt.feasible
+    steps = []
+
+    def recording(model, alpha, deadline=None, oracle=None):
+        result = real(model, alpha, deadline, oracle)
+        steps.append((model, alpha, result))
+        return result
+
+    monkeypatch.setattr(fracopt, "feasible", recording)
+    return steps
+
+
+def milp_value(model, alpha):
+    """The argmax value at alpha by scipy's public MIP solver, an oracle
+    independent of the solver's HiGHS object."""
+    n, m = model.num_vars, len(model.rhs)
+    a = np.zeros((m, n))
+    rows = np.repeat(np.arange(m), np.diff(model.indptr))
+    a[rows, model.indices] = model.coeffs
+    lower = np.where(model.senses == fracopt.LE, -np.inf, model.rhs)
+    upper = np.where(model.senses == fracopt.GE, np.inf, model.rhs)
+    w = model.numer - alpha * model.denom
+    constraints = [LinearConstraint(a, lower, upper)] if m else []
+    res = milp(-w, constraints=constraints, integrality=np.ones(n), bounds=(0, 1),
+               options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    return float(w @ np.round(res.x))
 
 
 class TestExactlyOneBound:
     def test_negative_selection_rows_are_refuted_at_the_root(self):
-        # Every option of both `== 1` rows loses at alpha 0.5, so no witness
-        # exists.  Clipping each group at 0 sees nothing to prune until a row
-        # is settled; the exactly-one bound sums the two best options, -0.5
-        # and -0.25, and refutes the probe without branching.
+        # Every option of both `== 1` rows loses at alpha 0.5, so alpha is out
+        # of reach: the best is -0.5 on the first row and -0.25 on the second.
         rows = (con([0, 1, 2], [1.0] * 3, "==", 1.0), con([3, 4, 5], [1.0] * 3, "==", 1.0))
         m = rows_model(6, rows, (0.0,) * 6, (1.0, 2.0, 3.0, 0.5, 1.0, 2.0))
-        reference = ReferenceSearch(m, 0.5)
-        probe = feasible(m, 0.5)
-        assert probe == reference.run() == FeasibilityResult(None)
-        assert reference.nodes > 1
-        assert probe.nodes == 1
+        step = assert_exact_argmax(m, 0.5)
+        assert step == Argmax((1, 0, 0, 1, 0, 0), -0.75)
         assert not brute_force_feasible(m, 0.5)
 
     def test_partial_group_may_select_none(self):
-        # x1 serves both rows; the second row's group holds only x2 and x3,
-        # both losing.  Selecting neither is the only witness, so that group
-        # must bound at max(best, 0) = 0, not at its best w of -1.
+        # x1 serves both rows, and selecting neither x2 nor x3 is the only
+        # point with a non-negative value.
         rows = (con([0, 1], [1.0, 1.0], "==", 1.0), con([1, 2, 3], [1.0] * 3, "==", 1.0))
         m = rows_model(4, rows, (0.0, 1.0, 0.0, 0.0), (1.0, 1.0, 2.0, 2.0))
-        assert m._rows.group_exact.tolist() == [True, False]
         assert brute_force_feasible(m, 0.5)
-        assert feasible(m, 0.5).assignment == (0, 1, 0, 0)
-        assert_same_search(m, 0.5)
+        assert assert_exact_argmax(m, 0.5) == Argmax((0, 1, 0, 0), 0.5)
+
+
+class TestTieBreak:
+    """At equal value the least tiebreak·x wins, in the LP and in the MIP."""
+
+    @staticmethod
+    def model(tiebreak):
+        # Every point has ratio 1; the cover row keeps one variable at least.
+        m = rows_model(3, (cover_row(3),), (1.0, 2.0, 1.0), (1.0, 2.0, 1.0))
+        return fracopt.SolverModel(
+            3, m.indptr, m.indices, m.coeffs, m.senses, m.rhs, m.numer, m.denom, tiebreak
+        )
+
+    @pytest.mark.parametrize("mip", [False, True], ids=["lp", "mip"])
+    def test_least_tiebreak_wins(self, mip):
+        for tiebreak, want in (((3.0, 1.0, 2.0), (0, 1, 0)), ((1.0, 3.0, -1.0), (0, 0, 1))):
+            m = self.model(tiebreak)
+            oracle = m.oracle()
+            if mip:
+                oracle.use_mip()
+            step = feasible(m, 1.0, None, oracle)
+            assert step == Argmax(want, 0.0)
+            assert maximize_ratio(m).witness == want
+
+    def test_no_tiebreak_keeps_one_run(self, monkeypatch):
+        m = rows_model(3, (cover_row(3),), (1.0, 2.0, 1.0), (1.0, 2.0, 1.0))
+        runs = []
+        real = HighsOracle._minimize
+        monkeypatch.setattr(HighsOracle, "_minimize", lambda self, *a: runs.append(a) or real(self, *a))
+        feasible(m, 1.0)
+        assert len(runs) == 1
 
 
 def load_bench_scenes():
@@ -358,19 +304,12 @@ def load_bench_scenes():
     return sys.modules[name]
 
 
-def bench_probes(monkeypatch, tmp_path, workload, command):
-    """(model, alpha) of every probe that `command` makes on each scene of a benchmark workload."""
+def bench_steps(monkeypatch, tmp_path, workload, command):
+    """(model, alpha, result) of every step that `command` makes on each scene of a benchmark workload."""
     from ptrack.cli import cli
 
     scenes = load_bench_scenes().BUILDERS[workload](0, tmp_path)
-    real = fracopt.feasible
-    probes = []
-
-    def recording(model, alpha, deadline=None):
-        probes.append((model, alpha))
-        return real(model, alpha, deadline)
-
-    monkeypatch.setattr(fracopt, "feasible", recording)
+    steps = record_steps(monkeypatch)
     for s in scenes:
         argv = [command, "--out", str(tmp_path / f"{s.name}.out"), "--batch-start", str(s.batch[0]),
                 "--batch-end", str(s.batch[1])]
@@ -379,53 +318,40 @@ def bench_probes(monkeypatch, tmp_path, workload, command):
         else:
             argv += ["--tracks", str(s.files["gt"])]
         assert cli(argv) == 0
-    return probes
+    return steps
 
 
 class TestAgainstReference:
-    """Every probe of two benchmark workloads, decided again by the reference search."""
+    """Every step of two benchmark workloads, checked against scipy's public MIP solver."""
 
     def test_track_noisy_link_probes(self, monkeypatch, tmp_path, capsys):
-        # An exit inside the batch costs something on every pattern, so the
-        # out-row of a detection that does not stand on the batch's last
-        # frame can have a negative best option while it is open.  The
-        # exactly-one bound counts it and the reference's clipped bound does
-        # not: the probe visits at most the reference's nodes (1804 against
-        # 29274 here) and returns the same witness.
-        probes = bench_probes(monkeypatch, tmp_path, "track-noisy", "track")
-        nodes = []
-        for model, alpha in probes:
-            probe = feasible(model, alpha)
-            reference = ReferenceSearch(model, alpha)
-            assert probe == reference.run(), alpha
-            assert probe.nodes <= reference.nodes, alpha
-            nodes.append(probe.nodes)
-        assert len(nodes) == 10
-        assert sum(nodes) == 1804
+        # Two link solves; each step's LP vertex is integral, and the search
+        # needs two steps per model where the bisection made five probes.
+        steps = bench_steps(monkeypatch, tmp_path, "track-noisy", "track")
+        for model, alpha, step in steps:
+            assert step.value == pytest.approx(milp_value(model, alpha), rel=1e-9, abs=1e-9), alpha
+        assert len({id(model) for model, _, _ in steps}) == 2
+        assert len(steps) == 4
 
     def test_supervised_dense_mine_probes(self, monkeypatch, tmp_path, capsys):
-        probes = bench_probes(monkeypatch, tmp_path, "supervised-dense", "learn-patterns")
-        assert probes
-        for model, alpha in probes:
-            probe = feasible(model, alpha)
-            reference = ReferenceSearch(model, alpha)
-            assert probe == reference.run(), alpha
-            assert probe.nodes <= reference.nodes, alpha
+        steps = bench_steps(monkeypatch, tmp_path, "supervised-dense", "learn-patterns")
+        assert steps
+        for model, alpha, step in steps:
+            assert step.value == pytest.approx(milp_value(model, alpha), rel=1e-9, abs=1e-9), alpha
 
 
 class TestRatioSearch:
     def test_uniform_ratio_is_reached(self):
         m = rows_model(2, (cover_row(2),), (2.0, 3.0), (2.0, 3.0))
-        res = maximize_ratio(m, 0.0, 1.0, 10)
-        assert res.achieved == 1.0
-        assert res.alpha >= 1.0 - 2.0**-10 - 1e-9
+        res = maximize_ratio(m, 0.0)
+        assert res.alpha == 1.0
         assert not res.lower_bound_only
 
     def test_certified_bound_never_exceeds_witness_by_much(self):
         m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
         res = maximize_ratio(m)
-        assert res.achieved is not None
-        assert res.achieved >= res.alpha - 1e-6
+        assert res.alpha == m.ratio_of(res.witness) == brute_force_best_ratio(m)[0] == 0.5
+        assert m.certifies(res.witness, res.alpha)
 
     def test_search_is_deterministic(self):
         m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
@@ -433,9 +359,8 @@ class TestRatioSearch:
 
     def test_negative_bracket(self):
         m = rows_model(2, (cover_row(2),), (-3.0, -6.0), (1.0, 2.0))
-        res = maximize_ratio(m, -4.0, 1.0, 12)
-        assert res.achieved == -3.0
-        assert -3.0 - 5.0 * 2.0**-12 - 1e-9 <= res.alpha <= -3.0 + 1e-9
+        res = maximize_ratio(m, -4.0)
+        assert res.alpha == -3.0
 
     def test_infeasible_bracket_fails_loudly(self):
         m = rows_model(2, (con([0, 1], [1.0, 1.0], ">=", 3.0),), (1.0, 1.0), (1.0, 1.0))
@@ -452,18 +377,24 @@ class TestRatioSearch:
         for _ in range(60):
             m = random_ratio_model(rng, max_vars=8)
             best, _ = brute_force_best_ratio(m)
-            res = maximize_ratio(m, 0.0, 1.0, 10)
-            assert res.achieved is not None
-            assert abs(res.achieved - best) <= 2.0**-10 + 1e-6
-            assert best - 2.0**-10 - 1e-6 <= res.alpha <= best + 1e-6
-            assert res.achieved >= res.alpha - 1e-6
+            res = maximize_ratio(m, 0.0)
+            assert res.alpha == m.ratio_of(res.witness)
+            assert abs(res.alpha - best) <= 1e-12
+
+    def test_a_start_above_the_optimum_still_ends_there(self):
+        # Dinkelbach's first step at a level above every ratio returns a
+        # witness, whose ratio is at most the optimum; the search goes on up.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = random_ratio_model(rng, max_vars=6)
+            assert maximize_ratio(m, 10.0).alpha == pytest.approx(brute_force_best_ratio(m)[0], abs=1e-12)
 
 
 def random_ratio_model(rng, max_vars=8):
     """Instances with positive denominators and ratios inside [0, 1].
 
     Rejects candidates until an assignment selecting at least one variable
-    satisfies every row, so the search bracket is always feasible.
+    satisfies every row, so the search always has a witness.
     """
     while True:
         nv = int(rng.integers(3, max_vars + 1))
@@ -498,112 +429,126 @@ class _FakeClock:
         return now
 
 
-class TestTimeBudget:
-    """A 300-variable unconstrained model needs 301 search nodes for its first
-    full assignment, past the per-256-node deadline check."""
+class _RecordingHighs:
+    """A HiGHS handle that records the options set on it and passes every call on."""
 
+    def __init__(self, highs):
+        self.highs = highs
+        self.options = []
+
+    def setOptionValue(self, name, value):
+        self.options.append((name, value))
+        return self.highs.setOptionValue(name, value)
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+
+class TestTimeBudget:
     @staticmethod
     def anchor():
         return rows_model(300, (), (0.0,) * 300, (0.0,) * 300)
 
     def test_tiny_budget_times_out(self, monkeypatch):
-        # The deadline lies between the probe's start and its 256th node.
+        # The step starts before the deadline, which has passed by the time
+        # HiGHS would start: the step times out without a run.
         monkeypatch.setattr(fracopt, "time", _FakeClock(step=1.0))
         res = feasible(self.anchor(), 0.0, deadline=0.5)
-        assert res == FeasibilityResult(None, timed_out=True)
-        assert res.nodes == 256
+        assert res == Argmax(None, timed_out=True)
 
     def test_no_budget_completes(self):
         res = feasible(self.anchor(), 0.0)
-        assert res.assignment == (0,) * 300
-        assert not res.timed_out
-        assert res.nodes == 301
+        assert res == Argmax((0,) * 300, 0.0)
 
     def test_search_reports_timeout_at_bracket(self):
         with pytest.raises(ValueError, match="^probe timed out") as err:
             maximize_ratio(self.anchor(), time_budget=1e-9)
         assert "degenerate" not in str(err.value)
 
+    def test_highs_runs_with_the_time_left(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(fracopt, "time", clock)
+        m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
+        oracle = m.oracle()
+        oracle.highs = _RecordingHighs(oracle.highs)
+        clock.now = 7.0
+        assert feasible(m, 0.0, 10.0, oracle).assignment == (1, 1, 1)
+        assert oracle.highs.options == [("time_limit", 3.0)]
+
 
 def test_probe_leaves_the_recursion_limit_alone(monkeypatch):
-    # A probe's depth grows with the model, and the search must not change
-    # interpreter state that every thread of the process shares.
+    # The solve must not change interpreter state that every thread of the
+    # process shares, however large the model.
     def refuse(limit):
-        raise AssertionError(f"the probe set the recursion limit to {limit}")
+        raise AssertionError(f"the solver set the recursion limit to {limit}")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     res = feasible(rows_model(3000, (), np.zeros(3000), np.zeros(3000)), 0.0)
     assert res.assignment == (0,) * 3000
-    assert res.nodes == 3001
 
 
 def test_budget_bounds_the_whole_search_not_each_probe(monkeypatch):
-    # Every probe costs 1 s of fake time, within a 2.5 s budget on its own,
-    # but the search needs more than two probes: with one deadline for the
-    # whole search, the third probe runs out and the bound is partial.
+    # Every step costs 1 s of fake time, within a 2.5 s budget on its own,
+    # but the search needs three steps: with one deadline for the whole
+    # search, the third runs out and the result is a lower bound.
     m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
-    unbounded = maximize_ratio(m, 0.0, 1.0, 10)
+    unbounded = maximize_ratio(m, 0.0)
     clock = _FakeClock()
     real = fracopt.feasible
     deadlines, results = [], []
 
-    def one_second_probe(model, alpha, deadline=None):
+    def one_second_step(model, alpha, deadline=None, oracle=None):
         deadlines.append(deadline)
-        result = real(model, alpha, deadline)
+        result = real(model, alpha, deadline, oracle)
         if not result.timed_out:
             if clock.now + 1.0 > deadline:
                 clock.now = deadline
-                result = FeasibilityResult(None, timed_out=True)
+                result = Argmax(None, timed_out=True)
             else:
                 clock.now += 1.0
         results.append(result)
         return result
 
     monkeypatch.setattr(fracopt, "time", clock)
-    monkeypatch.setattr(fracopt, "feasible", one_second_probe)
-    res = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=2.5)
+    monkeypatch.setattr(fracopt, "feasible", one_second_step)
+    res = fracopt.maximize_ratio(m, 0.0, time_budget=2.5)
     assert res.lower_bound_only
     assert set(deadlines) == {2.5}
-    assert [r.timed_out for r in results[:3]] == [False, False, True]
+    assert [r.timed_out for r in results] == [False, False, True]
     assert clock.now == 2.5
-    # once the deadline has passed, later probes time out without searching
-    assert len(results) > 3
-    assert all(r.timed_out and r.nodes == 0 for r in results[3:])
+    # The last witness stands: here it is already the optimum, unproven.
+    assert res.alpha == unbounded.alpha == 0.5
 
     clock.now = 0.0
     deadlines.clear()
     results.clear()
-    ample = fracopt.maximize_ratio(m, 0.0, 1.0, 10, time_budget=100.0)
+    ample = fracopt.maximize_ratio(m, 0.0, time_budget=100.0)
     assert not ample.lower_bound_only
     assert ample == unbounded
-    assert len(results) > 2 and set(deadlines) == {100.0}
+    assert len(results) == 3 and set(deadlines) == {100.0}
 
 
 def test_timed_out_probe_leaves_lower_bound_only(monkeypatch):
-    # Greedy first dive picks x1 (largest gain at the bracket), reaching
-    # ratio 1.9/4; the true optimum x2+x3 at 2.09/4 sits above the faked
-    # timeout threshold, so the search must flag its bound as partial.
+    # The first step, at 0, already finds the optimum x0 + x2 + x3 at
+    # 2.09 / 4; the step that would prove it is cut, so the ratio stands as
+    # a lower bound.
     rows = (
         con([0], [1.0], "==", 1.0),
         con([1, 2], [1.0, 1.0], "==", 1.0),
         con([1, 3], [1.0, 1.0], "==", 1.0),
     )
     m = rows_model(4, rows, (1.0, 0.9, 0.55, 0.54), (2.0, 2.0, 1.0, 1.0))
-    assert maximize_ratio(m).achieved == pytest.approx(0.5225)
+    assert maximize_ratio(m).alpha == pytest.approx(0.5225)
 
     real = fracopt.feasible
 
-    def flaky(model, alpha, deadline=None):
+    def flaky(model, alpha, deadline=None, oracle=None):
         if alpha > 0.49:
-            return FeasibilityResult(None, timed_out=True)
-        return real(model, alpha)
+            return Argmax(None, timed_out=True)
+        return real(model, alpha, deadline, oracle)
 
     monkeypatch.setattr(fracopt, "feasible", flaky)
-    res = fracopt.maximize_ratio(m, 0.0, 1.0, 10)
+    res = fracopt.maximize_ratio(m, 0.0)
     assert res.lower_bound_only
-    assert res.alpha >= 0.475 - 1e-9
-    assert res.alpha < 0.5
-    # the certified bound undershoots the true optimum, which lives in the
-    # region the timed-out probes never explored
-    assert res.achieved == pytest.approx(0.5225)
-    assert res.achieved >= res.alpha
+    assert res.witness == (1, 0, 1, 1)
+    assert res.alpha == pytest.approx(0.5225)

@@ -25,12 +25,12 @@ from ptrack import (
 )
 import ptrack.miner as miner
 from ptrack.core import DEFAULT_WIDTHS
-from ptrack.fracopt import maximize_ratio
+from ptrack.fracopt import HighsOracle, maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
 from ptrack.scoring import _projection, ratio_bracket, score_matrix
 
 import reference_miner
-from oracles import brute_force_best_ratio
+from oracles import brute_force_best_ratio, enumerate_assignments
 
 
 def det(frame, x, y=0.0):
@@ -106,13 +106,12 @@ class TestMine:
         assert res.selected_candidates[0] == 0
         assert len(res.selected_candidates) == len(res.patterns)
         assert set(a) == set(range(1, len(res.patterns)))
-        assert res.alpha_star >= res.search_alpha - 1e-6
 
     def test_pattern_count_budget_bites(self):
         g, ts, cfg = two_flow_fixture(widths=(0.5, 1.0))
         cfg = Config(candidate_widths=(0.5, 1.0), max_patterns=1)
         cands = generate_candidates(g, ts, cfg)
-        res = mine(g, ts, cands, cfg, iters=12)
+        res = mine(g, ts, cands, cfg)
         assert len(res.patterns) == 2
         # covered flow: aligned == total == 12 per trajectory; other flow on
         # the empty pattern: 6 m of motion and two ends inside the batch at
@@ -171,7 +170,7 @@ class TestMine:
     def test_relaxing_budgets_never_lowers_certified_bound(self):
         g, ts, _ = two_flow_fixture(widths=(0.5, 1.0))
         by_count = [
-            mine(g, ts, generate_candidates(g, ts, cfg), cfg, iters=10).search_alpha
+            mine(g, ts, generate_candidates(g, ts, cfg), cfg).alpha_star
             for cfg in (
                 Config(candidate_widths=(0.5, 1.0), max_patterns=1),
                 Config(candidate_widths=(0.5, 1.0), max_patterns=2),
@@ -179,7 +178,7 @@ class TestMine:
         ]
         assert by_count[0] <= by_count[1] + 1e-9
         by_cost = [
-            mine(g, ts, generate_candidates(g, ts, cfg), cfg, iters=10).search_alpha
+            mine(g, ts, generate_candidates(g, ts, cfg), cfg).alpha_star
             for cfg in (
                 Config(candidate_widths=(0.5, 1.0), pattern_cost_budget=3.0),
                 Config(candidate_widths=(0.5, 1.0), pattern_cost_budget=6.0),
@@ -264,9 +263,8 @@ def test_small_instance_matches_exhaustive_selection():
             if total > 0.0 and (best is None or aligned / total > best):
                 best = aligned / total
 
-    res = mine(g, ts, cands, cfg, iters=12)
-    assert res.alpha_star <= best + 1e-9
-    assert res.alpha_star >= best - 2.0**-12 - 1e-6
+    res = mine(g, ts, cands, cfg)
+    assert abs(res.alpha_star - best) <= 1e-9
 
 
 def mine_model(g, ts, cands, cfg):
@@ -301,14 +299,14 @@ class TestTwinReduction:
         assert len(cands) == 121
         res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
         assert len(reduced) == 3
-        full = maximize_ratio(mine_model(g, ts, cands, cfg), *ratio_bracket(cfg), iters=5)
+        full = maximize_ratio(mine_model(g, ts, cands, cfg), ratio_bracket(cfg)[0])
         # The same assignment, its ratio summed over a shorter vector: equal
         # up to the rounding of the sums.
-        assert res.alpha_star == pytest.approx(full.achieved, rel=1e-15, abs=0.0)
-        assert res.search_alpha == full.alpha
+        assert res.alpha_star == pytest.approx(full.alpha, rel=1e-15, abs=0.0)
         n = len(cands)
         full_choice = [full.witness[t * n : (t + 1) * n].index(1) for t in range(len(ts))]
-        assert full_choice == [res.selected_candidates[p] for p in res.assignment]
+        # Twins of one cost tie, so the full model may pick any of them.
+        assert [cands.patterns[k] for k in full_choice] == [res.patterns[p] for p in res.assignment]
 
     def test_forced_twins_match_brute_force_on_the_full_model(self, monkeypatch):
         # Noise-free straight flows: no width flips a corridor gate, and the
@@ -332,15 +330,12 @@ class TestTwinReduction:
             ts = input_trajectories(g)
             cands = generate_candidates(g, ts, cfg)
             assert len(cands) == 5
-            res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg, iters=14)
+            res, reduced = recorded_mine(monkeypatch, g, ts, cands, cfg)
             assert len(reduced) < len(cands)
             best, _ = brute_force_best_ratio(mine_model(g, ts, cands, cfg))
             best_reduced, _ = brute_force_best_ratio(mine_model(g, ts, reduced, cfg))
             assert best_reduced == pytest.approx(best, rel=0.0, abs=1e-12)
-            assert res.alpha_star <= best + 1e-9
-            lo, hi = ratio_bracket(cfg)
-            assert res.alpha_star >= best - 2.0**-14 * (hi - lo) - 1e-9
-            assert res.search_alpha >= best - 2.0**-14 * (hi - lo) - 1e-9
+            assert abs(res.alpha_star - best) <= 1e-9
 
     def test_equal_cost_twins_resolve_to_the_lowest_index(self, monkeypatch):
         g, ts, cfg = two_flow_fixture(widths=(1.0,))
@@ -561,3 +556,131 @@ class TestCandidatesAtEachWidth:
         with pytest.raises(ValueError) as generated:
             generate_candidates(g, ts, cfg)
         assert str(generated.value) == str(built.value)
+
+
+def least_cost_optimum(model, costs):
+    """Brute force: the best ratio, and the least summed selection cost among
+    the points that reach it."""
+    best, _ = brute_force_best_ratio(model)
+    n_sel = len(costs)
+    spent = [
+        sum(c for c, x in zip(costs, bits[model.num_vars - n_sel :]) if x)
+        for bits in enumerate_assignments(model)
+        if model.ratio_of(bits) is not None and model.ratio_of(bits) >= best - 1e-12
+    ]
+    return best, min(spent)
+
+
+def selection_cost(model, witness):
+    n_sel = len(model.costs)
+    return sum(c for c, x in zip(model.costs.tolist(), witness[model.num_vars - n_sel :]) if x)
+
+
+def small_mining_instance(rng):
+    """Two short noisy flows and their candidates at two widths: 14 variables."""
+    tracks = []
+    for _ in range(2):
+        y, start = float(rng.integers(-4, 5)), int(rng.integers(1, 3))
+        tracks.append([det(start + k, 2.0 * k + float(rng.integers(-2, 3)) / 4.0, y) for k in range(3)])
+    cfg = Config(
+        candidate_widths=(0.5, 3.0),
+        max_patterns=int(rng.integers(1, 3)),
+        pattern_cost_budget=float(rng.integers(0, 30)) / 2.0,
+        empty_rate=float(rng.choice([0.3, -3.0])),
+    )
+    g = build_graph(tracks, cfg, batch=(0, 6))
+    ts = input_trajectories(g)
+    return g, ts, generate_candidates(g, ts, cfg), cfg
+
+
+class TestMineOracle:
+    """The enumeration oracle, its HiGHS fallback above the cap, and the tie rule."""
+
+    def test_both_oracles_match_brute_force(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            g, ts, cands, cfg = small_mining_instance(rng)
+            model = mine_model(g, ts, cands, cfg)
+            assert model.num_vars == 14
+            best, cost = least_cost_optimum(model, model.costs.tolist())
+            start = ratio_bracket(cfg)[0]
+            enumerated = maximize_ratio(model, start)
+            with monkeypatch.context() as m:
+                m.setattr(miner, "ENUMERATION_CAP", 0)
+                solved = maximize_ratio(model, start)
+            for res in (enumerated, solved):
+                assert res.alpha == pytest.approx(best, rel=0.0, abs=1e-12)
+                assert selection_cost(model, res.witness) == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [None, 0], ids=["enumeration", "highs"])
+    def test_least_summed_cost_wins_a_tie(self, monkeypatch, cap):
+        # No width flips a corridor gate here, so each trajectory's candidate
+        # at 0.5 and at 3 score alike; the model keeps both (the twin pass is
+        # skipped), and the narrow, cheaper ones must be picked.
+        if cap is not None:
+            monkeypatch.setattr(miner, "ENUMERATION_CAP", cap)
+        g, ts, cfg = two_flow_fixture(widths=(3.0, 0.5))
+        cands = generate_candidates(g, ts, cfg)
+        model = mine_model(g, ts, cands, cfg)
+        res = maximize_ratio(model, 0.0)
+        assert res.alpha == 1.0
+        chosen = {p for t in range(len(ts)) for p in range(1, len(cands)) if res.witness[t * len(cands) + p]}
+        assert {cands.patterns[p].width for p in chosen} == {0.5}
+        assert len(chosen) == 2
+
+    def test_a_zero_area_scene_with_only_the_empty_candidate(self):
+        # Both tracks lie on one line and touch the batch's ends, so no
+        # candidate is drawn and the default cost budget cannot be sized; no
+        # budget is needed when only the empty pattern is on offer.
+        tracks = [[det(k, 2.0 * k) for k in range(1, 5)], [det(k, 2.0 * k + 1.0) for k in range(1, 5)]]
+        cfg = Config()
+        g = build_graph(tracks, cfg)
+        ts = input_trajectories(g)
+        cands = generate_candidates(g, ts, cfg)
+        assert len(cands) == 1 and tracking_area(g.positions) == 0.0
+        with pytest.raises(ValueError, match="span no area"):
+            cfg.resolved_cost_budget(0.0)
+        res = mine(g, ts, cands, cfg)
+        assert res.patterns == (EMPTY_PATTERN,)
+        assert res.alpha_star == pytest.approx(0.3, rel=1e-12)
+
+    def test_the_enumeration_checks_the_deadline(self, monkeypatch):
+        import ptrack.fracopt as fracopt
+
+        class Clock:
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now - 1.0
+
+        clock = Clock()
+        monkeypatch.setattr(fracopt, "time", clock)
+        monkeypatch.setattr(miner, "time", clock)
+        g, ts, cfg = two_flow_fixture(widths=(1.0,))
+        model = mine_model(g, ts, generate_candidates(g, ts, cfg), cfg)
+        assert not isinstance(model.oracle(), HighsOracle)
+        # The deadline is set at 0 and the step starts at 1, before it; the
+        # enumeration's first level reads 2, past it.
+        with pytest.raises(ValueError, match="^probe timed out"):
+            maximize_ratio(model, 0.0, time_budget=1.5)
+
+    def test_above_the_cap_highs_answers(self, monkeypatch):
+        g, ts, cfg = two_flow_fixture(widths=(1.0, 3.0))
+        cands = generate_candidates(g, ts, cfg)
+        enumerated = mine(g, ts, cands, cfg)
+        monkeypatch.setattr(miner, "ENUMERATION_CAP", 2)
+        assert isinstance(mine_model(g, ts, cands, cfg).oracle(), HighsOracle)
+        assert mine(g, ts, cands, cfg) == enumerated
+
+
+def test_a_negative_zero_column_is_a_twin():
+    # Columns that differ only in the sign of a zero are one column, as the
+    # floats compare; the cheaper candidate (width 1, index 2) stays.
+    lane = Pattern(((0.0, 0.0), (10.0, 0.0)), 3.0)
+    cands = CandidateSet((EMPTY_PATTERN, lane, lane.with_width(1.0)), (None, None, None))
+    total = np.array([[1.0, 0.0, -0.0], [2.0, 3.0, 3.0]])
+    aligned = np.array([[0.3, -0.0, 0.0], [0.6, 1.0, 1.0]])
+    assert miner._cheapest_twins((total, aligned), cands) == (0, 2)
+    same_cost = CandidateSet((EMPTY_PATTERN, lane, lane), (None, None, None))
+    assert miner._cheapest_twins((total, aligned), same_cost) == (0, 1)

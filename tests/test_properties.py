@@ -203,12 +203,11 @@ class TestRelaxationMonotonicity:
             cfg = dataclasses.replace(
                 MINE_CFG, pattern_cost_budget=cost_budget, max_patterns=max_patterns
             )
-            res = mine(graph, trajectories, candidates, cfg, iters=6)
-            assert res.alpha_star >= res.search_alpha - 1e-6
+            res = mine(graph, trajectories, candidates, cfg)
             assert res.alpha_star <= 1.0 + 1e-9
             results.append(res)
 
-        assert results[1].search_alpha >= results[0].search_alpha - 1e-9
+        assert results[1].alpha_star >= results[0].alpha_star - 1e-9
 
 
 class TestSerializationRoundTrips:

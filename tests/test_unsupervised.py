@@ -12,6 +12,7 @@ from ptrack import (
     Config,
     Detection,
     EMPTY_PATTERN,
+    Fragment,
     Pattern,
     ScorePair,
     Swap,
@@ -297,6 +298,31 @@ class TestRunUnsupervised:
         mark_proxy_lower_bound(monkeypatch)
         res = run_unsupervised(g, ts, cfg, iterations_per_level=2)
         assert res.lower_bound_only
+
+
+class TestRecordedStalls:
+    """Runs on which the former bisection's depth-first probe ran for a
+    minute or more.  Each solve gets a budget, so a stall shows as a lower
+    bound instead of a hang."""
+
+    def test_two_flows_from_a_zero_budget_level(self):
+        # The zero-budget level links the six tracks into 18 trajectories;
+        # the link after the next mine over them stalled.
+        cfg = Config.unsupervised(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        first = default_schedule(g, ts, cfg, 1)[0]
+        res = run_unsupervised(g, ts, cfg, schedule=(0.0, first), iterations_per_level=1, time_budget=20.0)
+        assert not res.lower_bound_only
+        assert [h.cost_budget for h in res.history] == [0.0, first]
+        assert validate_trajectory_set(g, res.trajectories) == []
+
+    def test_six_agent_noisy_crossing_family(self):
+        scene, broken = crossing_family(6, 0.3, [Swap(0, 1, frame=8), Fragment(2, frame=9)])
+        cfg = Config(candidate_widths=(1.0, 3.0))
+        g = build_graph(broken, cfg, scene.meta.batch)
+        res = run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=1, time_budget=20.0)
+        assert not res.lower_bound_only
+        assert validate_trajectory_set(g, res.trajectories) == []
 
 
 def same_result(new, ref):
