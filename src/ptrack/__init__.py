@@ -25,11 +25,9 @@ from .core import (
     validate_trajectory_set,
 )
 from .fracopt import (
-    Argmax,
     Constraint,
     RatioSearchResult,
     SolverModel,
-    feasible,
     maximize_ratio,
 )
 from .graphgen import build_graph, input_trajectories

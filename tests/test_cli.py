@@ -11,9 +11,11 @@ import os
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import ptrack.fracopt as fracopt
+import ptrack.metrics as metrics
 import ptrack.unsupervised as unsupervised
 from helpers import mark_lower_bound, mark_proxy_lower_bound
 from ptrack import (
@@ -365,7 +367,71 @@ class TestConfigTable:
         assert by_flag == dataclasses.replace(Config(), **{field: value})
 
 
+CROWD_HOMOGRAPHY = ((0.05, 0.002, -3.0), (0.001, 0.06, -2.0), (0.00001, 0.00002, 1.0))
+
+
+def crowd_files(tmp_path):
+    """A crowd on lanes, with each track cut into pieces, and its closed-form scores.
+
+    Sixteen lanes 6 m apart each carry three agents one step apart in time,
+    61 detections each; agent k is cut into k % 4 + 1 pieces.  The truth is
+    written as ground positions; the pieces in MOT form, as boxes whose
+    bottom centres the homography maps onto the truth.  At a 0.01 m gate
+    each true row has exactly its own piece's row as partner, so every
+    piece is matched and each cut is one identity switch.
+    """
+    h = np.array(CROWD_HOMOGRAPHY)
+    gt_rows, mot_rows = [], []
+    longest = cuts = total = tid = 0
+    for lane in range(16):
+        for agent in range(3):
+            k = 3 * lane + agent
+            track = [(agent + 1 + s, 2.0 * s, 6.0 * lane) for s in range(61)]
+            gt_rows += [f"{f},{k + 1},{x:.6f},{y:.6f}" for f, x, y in track]
+            bounds = [len(track) * j // (k % 4 + 1) for j in range(k % 4 + 2)]
+            pieces = [track[a:b] for a, b in zip(bounds, bounds[1:])]
+            for piece in pieces:
+                tid += 1
+                for f, x, y in piece:
+                    u, v, w = np.linalg.solve(h, [x, y, 1.0])
+                    mot_rows.append(f"{f},{tid},{u / w - 10.0:.6f},{v / w - 50.0:.6f},20,50,1,-1,-1,-1")
+            longest += max(map(len, pieces))
+            cuts += len(pieces) - 1
+            total += len(track)
+    gt, pred, hom = tmp_path / "gt.csv", tmp_path / "pred.csv", tmp_path / "h.txt"
+    gt.write_text("\n".join(gt_rows) + "\n")
+    pred.write_text("\n".join(mot_rows) + "\n")
+    hom.write_text("\n".join(" ".join(repr(v) for v in row) for row in CROWD_HOMOGRAPHY) + "\n")
+    return gt, pred, hom, longest / total, 1.0 - cuts / total
+
+
 class TestEval:
+    def test_crowd_scores_in_closed_form(self, tmp_path, capsys, monkeypatch):
+        gt, pred, hom, idf1, mota = crowd_files(tmp_path)
+        frames_one_by_one = []
+        match_frame = metrics._match_frame
+        monkeypatch.setattr(
+            metrics, "_match_frame", lambda *a: frames_one_by_one.append(a) or match_frame(*a)
+        )
+        argv = ["eval", "--gt", str(gt), "--pred", str(pred), "--homography", str(hom),
+                "--match-dist", "0.01"]
+        assert cli(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"IDF1 {idf1:.6f}"
+        assert f"MOTA {mota:.6f}" in lines
+        assert "MT 48" in lines
+        assert 0.4 < idf1 < 0.7 and 0.95 < mota < 0.99
+        # Every frame of the crowd is settled: none is matched one by one.
+        assert frames_one_by_one == []
+
+    def test_a_huge_match_dist_scores(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("1,1,0,0\n2,1,1,0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,1,5e199,0\n2,1,1,0\n")
+        assert cli(["eval", "--gt", str(gt), "--pred", str(pred), "--match-dist", "1e200"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "IDF1 1.000000"
+
     def test_perfect_agreement(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("1,1,0,0\n2,1,1,0\n3,1,2,0\n")

@@ -1,5 +1,6 @@
 """Identity and per-frame tracking metrics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ptrack.metrics import (
     ClearReport,
     IdfReport,
     MatchConfig,
-    _overlap_counts,
+    _gate_pairs,
     clear_scores,
     idf1,
     summarize,
@@ -100,7 +101,7 @@ class TestIdf1:
 
 
 def overlap_by_frame_loop(gt, pred, max_dist):
-    """The former `_overlap_counts`: every same-frame pair, one by one."""
+    """Co-occurring in-gate frames of each track pair: every same-frame pair, one by one."""
     counts = np.zeros((len(gt), len(pred)), dtype=int)
     pred_at: dict = {}
     for p, track in enumerate(pred):
@@ -145,9 +146,23 @@ def random_tracks(rng, n_tracks, n_frames, grid, frame0=0, offset=0.0):
     return tracks
 
 
+def overlap_counts(gt: TrackTable, pred: TrackTable, max_dist):
+    """Co-occurring in-gate frames of each (gt, pred) track pair, counted off the gate pairs.
+
+    Each pair must be one of a single frame, listed once, with its exact distance.
+    """
+    i, j, dist = _gate_pairs(gt, pred, max_dist)
+    assert len({(a, b) for a, b in zip(i.tolist(), j.tolist())}) == len(i)
+    assert np.array_equal(gt.frames[i], pred.frames[j])
+    assert dist.tolist() == [math.dist(gt.pos[a], pred.pos[b]) for a, b in zip(i, j)]
+    counts = np.zeros((len(gt), len(pred)), dtype=int)
+    np.add.at(counts, (gt.owner[i], pred.owner[j]), 1)
+    return counts
+
+
 class TestOverlapCounts:
     def assert_same(self, gt, pred, max_dist):
-        got = _overlap_counts(TrackTable.from_tracks(gt), TrackTable.from_tracks(pred), max_dist)
+        got = overlap_counts(TrackTable.from_tracks(gt), TrackTable.from_tracks(pred), max_dist)
         want = overlap_by_frame_loop(gt, pred, max_dist)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -162,7 +177,7 @@ class TestOverlapCounts:
             pred = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
             got = self.assert_same(gt, pred, 5.0)
             tables = TrackTable.from_tracks(gt), TrackTable.from_tracks(pred)
-            on_gate += int(got.sum() - _overlap_counts(*tables, math.nextafter(5.0, 0.0)).sum())
+            on_gate += int(got.sum() - overlap_counts(*tables, math.nextafter(5.0, 0.0)).sum())
         assert on_gate > 100
 
     def test_pythagorean_triangle_sits_on_the_gate(self):
@@ -239,7 +254,7 @@ class TestOverlapCounts:
         for gt, pred in (([], []), ([], [track]), ([track], []), ([[]], [[]]), ([[], track], [track, []])):
             self.assert_same(gt, pred, 3.0)
         tables = TrackTable.from_tracks([[], track]), TrackTable.from_tracks([track, []])
-        assert _overlap_counts(*tables, 3.0).tolist() == [[0, 0], [3, 0]]
+        assert overlap_counts(*tables, 3.0).tolist() == [[0, 0], [3, 0]]
 
     def test_idtp_equals_padded_minimum_disagreement(self):
         # Dense overlaps on a 3x3 grid make many assignments tie.
@@ -382,12 +397,158 @@ class TestClearAgainstFrameLoop:
             rep = self.assert_same(gt, pred, 1.0)
             assert (rep.id_switches, rep.gt_matched_frames) == (switches, matched)
 
+    def test_a_carried_track_twice_in_a_frame_takes_both_its_rows(self):
+        # At frame 2 predicted track 0 has a row on each truth track, each
+        # row that truth row's only partner.  Truth 1 carries track 0 over,
+        # which takes both of its rows out of the leftover: truth 0 goes
+        # unmatched, where the gate pairs alone would match it.
+        gt = [[det(1, 0.0), det(2, 0.0)], [det(1, 10.0), det(2, 10.0)]]
+        pred = [[det(1, 10.0), det(2, 0.0), det(2, 10.0)], [det(1, 0.0)]]
+        rep = self.assert_same(gt, pred, 1.0)
+        assert (rep.tp, rep.fp, rep.fn, rep.id_switches) == (3, 1, 1, 0)
+
+    def test_a_truth_track_twice_in_a_frame_carries_before_its_leftover(self):
+        # At frame 2 the truth track's second row carries predicted track 1
+        # over and its first row takes track 0: one switch, 1 -> 0, where
+        # row order (0, then 1) would count two.
+        gt = [[det(1, 10.0), det(2, 0.0), det(2, 10.0)]]
+        pred = [[det(2, 0.0)], [det(1, 10.0), det(2, 10.0)]]
+        rep = self.assert_same(gt, pred, 1.0)
+        assert (rep.tp, rep.id_switches) == (3, 1)
+
     def test_empty_tracks_and_a_truth_track_twice_in_a_frame(self):
         gt = [[], [det(1, 0.0), det(2, 0.0), det(2, 0.2)], []]
         pred = [[], [det(1, 0.0), det(2, 0.0)], [det(2, 0.3)], []]
         rep = self.assert_same(gt, pred, 1.0)
         assert rep.gt_matched_frames == (0, 3, 0) and rep.id_switches == 1
         self.assert_same([[det(1, 0.0)], []], [[], []], 1.0)
+
+
+def unsettled_frames(gt, pred, max_dist):
+    """Frames with a row in two gate pairs or a track with two rows, one by one."""
+    rows = {}
+    for side, tracks in enumerate((gt, pred)):
+        for t, track in enumerate(tracks):
+            for d in track:
+                rows.setdefault(d.frame, ([], []))[side].append((t, d.pos))
+    found = set()
+    for frame, (g_rows, p_rows) in rows.items():
+        near = [[math.dist(g, p) <= max_dist for _, p in p_rows] for _, g in g_rows]
+        crowded = any(sum(r) > 1 for r in near) or any(sum(c) > 1 for c in zip(*near))
+        twice = any(len({t for t, _ in side}) < len(side) for side in (g_rows, p_rows))
+        if crowded or twice:
+            found.add(frame)
+    return found
+
+
+def lane_scene(rng, n_frames=240):
+    """Six lanes walked for `n_frames` frames, at gate 1, mostly one row per partner.
+
+    Each lane's prediction is its truth moved by up to 0.3 and cut into four
+    pieces.  Two walkers cross every lane, so near each crossing a row has
+    two partners.  At frame 10 a predicted track has a second, far-off row,
+    the only thing unsettling that frame; at frame 110 lane 1's predicted row
+    steps out of the gate while a one-row track sits inside it, so the
+    carried partner is lost for a frame and regained after.
+    """
+    def moved(track):
+        return [det(d.frame, d.pos[0] + rng.uniform(-0.3, 0.3), d.pos[1] + rng.uniform(-0.3, 0.3))
+                for d in track]
+
+    gt, pred = [], []
+    for lane in range(6):
+        track = [det(f, 0.1 * f, 5.0 * lane) for f in range(n_frames)]
+        gt.append(track)
+        noisy = moved(track)
+        if lane == 1:
+            noisy[110] = det(110, noisy[110].pos[0], 5.0 + 1.5)
+            pred.append([det(110, 11.0, 5.0 - 0.2)])
+        inner = sorted(rng.choice(np.arange(20, n_frames - 20), 3, replace=False).tolist())
+        cuts = [0, *inner, n_frames]
+        pred.extend(noisy[a:b] for a, b in zip(cuts, cuts[1:]))
+    for start in (30, 140):
+        walker = [det(f, 0.1 * f + 0.5, 0.25 * (f - start) - 2.0) for f in range(start, start + 120)]
+        gt.append(walker)
+        pred.append(moved(walker))
+    pred[0].append(det(10, 50.0, 0.0))
+    return gt, pred
+
+
+class TestSettledFrames:
+    """Long scenes that mix settled frames with ones matched frame by frame."""
+
+    def test_lanes_with_crossings_fragments_and_a_lost_partner(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            gt, pred = lane_scene(rng)
+            unsettled = unsettled_frames(gt, pred, 1.0)
+            assert 10 in unsettled and 110 not in unsettled
+            assert 20 < len(unsettled) < 120
+            rep = TestClearAgainstFrameLoop().assert_same(gt, pred, 1.0)
+            # Eighteen cuts, and the lost partner costs two switches and one false positive.
+            assert rep.id_switches >= 20 and rep.fp >= 2
+            assert idf1(gt, pred, MatchConfig(1.0)).idtp == idtp_by_padded_matrix(gt, pred, 1.0)
+
+    def test_random_lanes_at_several_gates(self):
+        # Lanes 2 apart with noise up to 0.9 on each axis: at gate 1.5 a few
+        # frames have a row with two partners, at gate 2 many do.
+        rng = np.random.default_rng(43)
+        for gate in (1.5, 2.0):
+            gt = [[det(f, 0.2 * f, 2.0 * k) for f in range(int(rng.integers(0, 20)), 200)] for k in range(5)]
+            pred = []
+            for track in gt:
+                noisy = [det(d.frame, d.pos[0] + rng.uniform(-0.9, 0.9), d.pos[1] + rng.uniform(-0.9, 0.9))
+                         for d in track if rng.random() < 0.95]
+                cut = int(rng.integers(0, len(noisy)))
+                pred.extend([noisy[:cut], noisy[cut:]])
+            assert 0 < len(unsettled_frames(gt, pred, gate)) < 200
+            TestClearAgainstFrameLoop().assert_same(gt, pred, gate)
+            assert idf1(gt, pred, MatchConfig(gate)).idtp == idtp_by_padded_matrix(gt, pred, gate)
+
+
+class TestLargeGates:
+    @pytest.mark.parametrize("gate", [1e200, 1e303])
+    def test_summarize_scales_with_positions_and_gate(self, gate):
+        # Scaling by a power of two is exact, so every distance and every
+        # gate decision scales with it; the scores must not move.
+        e = math.frexp(gate)[1] - 1
+        gt, pred = lane_scene(np.random.default_rng(47), n_frames=120)
+
+        def scaled(k):
+            tracks = [[det(d.frame, math.ldexp(d.pos[0], k), math.ldexp(d.pos[1], k)) for d in t]
+                      for t in (*gt, *pred)]
+            cfg = MatchConfig(math.ldexp(gate, k - e))
+            return summarize(tracks[:len(gt)], tracks[len(gt):], cfg)
+
+        want = summarize(gt, pred, MatchConfig(math.ldexp(gate, -e)))
+        assert 0.0 < want["IDF1"] < 1.0 and 0.0 < want["MOTA"] < 1.0
+        # At k = e the gate is `gate` itself.
+        for k in (-300, -20, 0, 20, e):
+            assert scaled(k) == want
+
+    def test_largest_gates_score_without_overflow(self):
+        gt = [[det(0, 0.0), det(1, 1.0)]]
+        pred = [[det(0, 0.5), det(1, 1.0, 0.5)]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gate in (1e200, 1e308, 1.7976931348623157e308):
+                assert idf1(gt, pred, MatchConfig(gate)).idtp == 2
+                assert summarize(gt, pred, MatchConfig(gate))["MOTA"] == 1.0
+
+    def test_leftover_cost_stays_finite_at_a_huge_gate(self):
+        gt = [[det(0, 0.0)], [det(0, 3e303)]]
+        pred = [[det(0, 5e302)], [det(0, 4.5e303)]]
+        rep = clear_scores(gt, pred, MatchConfig(1e303))
+        assert (rep.tp, rep.fp, rep.fn, rep.gt_matched_frames) == (1, 1, 1, (1, 0))
+        # A predicted row inside the gate of both truth rows: the frame is
+        # matched by the leftover assignment, which takes the nearer one.
+        gt = [[det(0, 0.0)], [det(0, 1.5e303)]]
+        pred = [[det(0, 0.8e303)], [det(0, -9e303)]]
+        rep = clear_scores(gt, pred, MatchConfig(1e303))
+        assert rep.gt_matched_frames == (0, 1)
+        scale = math.ldexp(1.0, -1000)
+        small = [[[det(0, d.pos[0] * scale) for d in t] for t in side] for side in (gt, pred)]
+        assert clear_scores(*small, MatchConfig(1e303 * scale)) == rep
 
 
 class TestClearScores:
@@ -486,6 +647,22 @@ class TestSummarize:
         monkeypatch.setattr(ptrack.metrics, "clear_scores", counted)
         assert summarize(gt, pred) == want
         assert len(calls) == 1
+
+    def test_runs_the_gate_pair_pass_once(self, monkeypatch):
+        gt, pred = shattered_fixture()
+        want = summarize(gt, pred)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _gate_pairs(*args)
+
+        monkeypatch.setattr(ptrack.metrics, "_gate_pairs", counted)
+        assert summarize(gt, pred) == want
+        assert len(calls) == 1
+        # Called alone, a score finds its own pairs; handed them, it finds none.
+        assert idf1(gt, pred) == idf1(gt, pred, _pairs=_gate_pairs(*calls[0]))
+        assert len(calls) == 2
 
     def test_tables_score_as_their_detection_lists(self):
         rng = np.random.default_rng(31)
