@@ -50,15 +50,29 @@ def _finite_pair(value) -> bool:
     )
 
 
+def _check_ids(kinds: set[type]) -> None:
+    if kinds & {bool, np.bool_} or not all(np.can_cast(k, np.int64) for k in kinds):
+        raise ValueError("edge ids must be ints, not bools, floats or strings")
+
+
 def _edge_array(edges) -> np.ndarray:
-    """Any collection of (i, j) int pairs as sorted unique rows of a read-only (E, 2) int64 array."""
-    pairs = None if isinstance(edges, np.ndarray) else list(edges)
-    edges = edges if pairs is None else np.array(pairs or np.zeros((0, 2), np.int64))
+    """Any collection of (i, j) int pairs as sorted unique rows of a read-only (E, 2) int64 array.
+
+    The ids of a collection other than an array are type-checked before
+    `np.fromiter` converts them, as it would truncate a float.
+    """
+    if not isinstance(edges, np.ndarray):
+        pairs = list(edges)
+        if not (set(map(type, pairs)) <= {tuple, list, np.ndarray} and set(map(len, pairs)) <= {2}):
+            raise ValueError("edges must be (i, j) pairs")
+        _check_ids(set(map(type, chain.from_iterable(pairs))))
+        try:
+            edges = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("edge ids must fit in int64") from None
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
-    bools = edges.dtype == bool or pairs and {bool, np.bool_} & set(map(type, chain.from_iterable(pairs)))
-    if bools or not np.can_cast(edges.dtype, np.int64):
-        raise ValueError("edge ids must be ints, not bools, floats or strings")
+    _check_ids({edges.dtype.type})
     edges = edges[np.lexsort(edges.T[::-1])].astype(np.int64, copy=False)
     return _frozen(edges[np.diff(edges, axis=0, prepend=edges[:1] - 1).any(axis=1)])  # drop repeats
 

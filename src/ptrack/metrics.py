@@ -10,6 +10,10 @@ that the matched pairs' co-occurring in-gate frames, the identity-true-
 positives, are as many as possible; misses plus false positives total
 total_gt + total_pred - 2 * idtp, so this matching also minimizes per-frame
 disagreement.  The co-occurring frames of two tracks are their gate pairs.
+The matching splits over the connected blocks of the (truth track,
+predicted track) overlap graph (Ristani et al., arXiv 1609.01775): past a
+small overlap matrix, a block with one track on either side keeps its
+largest overlap, and each other block runs an assignment of its own.
 
 The per-frame score (MOTA) instead matches each frame independently,
 carrying matches over between frames so that identity switches can be
@@ -22,10 +26,12 @@ costs a million gates.  So settled frames are matched all at once; only the
 others go frame by frame.
 
 Every metric takes tracks either as detection lists or as a `TrackTable`,
-and works on the table: lists are converted once on entry.  Every gate
-decision and every matching cost is the exact `math.dist` of the pair;
-the KD-tree query and the leftover costs measure it in a power-of-two unit
-taken from the gate, so they stay finite at any finite gate.
+and works on the table: lists are converted once on entry.  The gate pairs
+come from a sort-based join over cells a power of two wide (`_gate_pairs`),
+which squares no coordinate, so rows any finite distance apart compare
+without overflow.  Every gate decision agrees with the exact `math.dist` of
+the pair, and every matching cost is that distance, measured in a power-of-
+two unit taken from the gate so that it stays finite at any finite gate.
 """
 from __future__ import annotations
 
@@ -35,13 +41,12 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from .core import Detection, TrackTable, _is_real
 
 Tracks = Sequence[Sequence[Detection]] | TrackTable
-# Gate pairs: truth rows, predicted rows and their distances.
-Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+# Gate pairs: truth rows and predicted rows.
+Pairs = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -87,38 +92,142 @@ def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unit(gate: float) -> float:
-    """The power of two, at least 1, that gate-sized numbers are measured in.
+    """The power of two, at least 1, that the leftover costs are measured in.
 
     The gate is less than twice the unit, and dividing by a power of two is
-    exact above the subnormal range; so the KD-tree radius and frame spacing
-    and the leftover cost stay finite at any finite gate, and scale with it.
+    exact above the subnormal range; so a million gates stays finite at any
+    finite gate, and the costs scale with it.
     """
     return math.ldexp(1.0, max(math.frexp(gate)[1] - 1, 0))
 
 
-def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> Pairs:
-    """Rows (gt, pred) of one frame within the gate of each other, and their distances.
+def _cell_scale(gate: float) -> float:
+    """2**-e for the join's cell side 2**e, the least power of two above gate * (1 + 2**-48).
 
-    Detections become points (frame * spacing, x, y), in units of `_unit`,
-    with a frame spacing twice the search radius, so the KD-tree query only
-    pairs detections of one frame.  The radius is loose, and far-out frames
-    can round to one coordinate; the exact frame and gate tests decide.
-    Unbalanced trees build faster; the query is exact for any tree, so no pair
-    depends on the build.
+    A pair within the gate is then less than a cell apart on each axis, as
+    `math.dist` is at least either rounded difference up to an ulp.  The
+    side is at least 2**-1022, so the scale is a finite float.
     """
-    if not (len(gt.frames) and len(pred.frames)):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    unit = _unit(max_dist)
-    radius = 2.0 * (max_dist / unit)
-    points = (np.column_stack((side.frames * (2.0 * radius), side.pos / unit)) for side in (gt, pred))
-    g_tree, p_tree = (cKDTree(p, balanced_tree=False, compact_nodes=False) for p in points)
-    near = g_tree.sparse_distance_matrix(p_tree, radius, output_type="ndarray")
-    i, j = near["i"], near["j"]
-    same = gt.frames[i] == pred.frames[j]
-    i, j = i[same], j[same]
-    dist = _dists(gt.pos[i], pred.pos[j])
-    inside = dist <= max_dist
-    return i[inside], j[inside], dist[inside]
+    mantissa, e = math.frexp(gate)
+    return math.ldexp(1.0, -max(e + (mantissa > 1.0 - 2.0**-48), -1022))
+
+
+def _candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, k) with lo[query] <= k < hi[query]: the pairs the join examines."""
+    counts = hi - lo
+    query = np.repeat(np.arange(len(lo)), counts)
+    return query, np.arange(len(query)) + (lo - np.cumsum(counts) + counts)[query]
+
+
+@np.errstate(over="ignore")
+def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> Pairs:
+    """Rows (gt, pred) of one frame within the gate of each other.
+
+    A sort-based join.  Each row falls in a square cell of its frame, of a
+    power-of-two side just above the gate (`_cell_scale`), so a pair within
+    the gate lies in neighbouring cells: scaling by a power of two is exact,
+    and where it under- or overflows, its rounding keeps such a pair in
+    neighbouring cells.  A cell is coded as one int64 ordered by (frame,
+    column, row of cells): frames as offsets from the first, or as ranks
+    when they are sparser than the rows, and columns and rows as offsets
+    from the lowest, clipped where the code would pass 2**62 (which only
+    merges outer cells).  Each predicted row is filed under its own column
+    and the two beside it, so one sorted search per truth row finds the
+    3 x 3 cells around it.
+
+    `np.hypot` decides every candidate farther than eight ulps of the gate
+    from it; both it and `math.dist` are within an ulp of the exact norm of
+    the same rounded differences, so they agree there.  `math.dist` decides
+    the rest.
+    """
+    n_g = len(gt.frames)
+    if not (n_g and len(pred.frames)):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    frames = np.concatenate((gt.frames, pred.frames))
+    first, last = int(frames.min()), int(frames.max())
+    if last - first < len(frames):
+        frame, n_frames = frames - first, last - first + 1
+    else:
+        ranked, frame = np.unique(frames, return_inverse=True)
+        n_frames = len(ranked)
+    cell = np.floor(np.concatenate((gt.pos, pred.pos)).T * _cell_scale(max_dist), order="C")
+    np.clip(cell, -(2.0**62), 2.0**62, out=cell)
+    cell -= cell.min(axis=1, keepdims=True)
+    span_x, span_y = (int(v) for v in cell.max(axis=1))
+    budget = 2**62 // n_frames
+    cap_x = min(span_x, math.isqrt(budget) - 3)
+    cap_y = min(span_y, budget // (cap_x + 3) - 3)
+    col, row = np.minimum(cell, [[cap_x], [cap_y]]).astype(np.int64) + 1
+    side = cap_y + 3
+    code = (frame * (cap_x + 3) + col) * side + row
+    g_order, p_order = np.argsort(code[:n_g]), np.argsort(code[n_g:])
+    g_code, p_code = code[:n_g][g_order], code[n_g:][p_order]
+    filed = np.concatenate((p_code - side, p_code, p_code + side))
+    by_code = np.argsort(filed, kind="stable")
+    lo, hi = np.searchsorted(filed[by_code], np.concatenate((g_code - 1, g_code + 2))).reshape(2, -1)
+    query, k = _candidates(lo, hi)
+    i, j = g_order[query], p_order[by_code[k] % len(p_code)]
+    d = np.take(gt.pos, i, axis=0) - np.take(pred.pos, j, axis=0)
+    near = np.hypot(d[:, 0], d[:, 1])
+    inside = near <= max_dist
+    band = np.flatnonzero(np.abs(near - max_dist) <= 8.0 * math.ulp(max_dist))
+    inside[band] = _dists(np.take(gt.pos, i[band], axis=0), np.take(pred.pos, j[band], axis=0)) <= max_dist
+    return i[inside], j[inside]
+
+
+# An overlap matrix of at most this many cells runs one assignment: below
+# it, a dense `linear_sum_assignment` costs less than finding the blocks.
+_ONE_ASSIGNMENT_CELLS = 2**12
+
+
+def _idtp(g_owner: np.ndarray, p_owner: np.ndarray, n_g: int, n_p: int) -> int:
+    """The most gate pairs a one-to-one track matching keeps.
+
+    `g_owner` and `p_owner` are the tracks of each gate pair.  A maximum-
+    weight matching is one per connected block of the overlap graph, so a
+    small overlap matrix runs one assignment; in a larger one, a block with
+    one track on either side (a star) keeps its largest overlap, and each
+    other block runs an assignment on a matrix of its own tracks.
+    """
+    if n_g * n_p <= _ONE_ASSIGNMENT_CELLS:
+        return _most_overlap(np.bincount(g_owner * n_p + p_owner, minlength=n_g * n_p).reshape(n_g, n_p))
+    keys, overlap = np.unique(g_owner * n_p + p_owner, return_counts=True)
+    g, p = np.divmod(keys, n_p)
+    # A truth track is a star's centre when each of its partners overlaps it alone; so is a predicted one.
+    g_star = np.bincount(g, np.bincount(p)[p] > 1, minlength=n_g) == 0
+    p_star = np.bincount(p, np.bincount(g)[g] > 1, minlength=n_p) == 0
+    star = g_star[g] | p_star[p]
+    best = np.zeros(n_g + n_p, dtype=np.int64)
+    np.maximum.at(best, np.where(g_star[g], g, n_g + p)[star], overlap[star])
+    idtp = int(best.sum())
+    if star.all():
+        return idtp
+    g, p, overlap = g[~star], p[~star], overlap[~star]
+    # Imported here: scipy.sparse.csgraph adds about 3 ms to the import, and
+    # only an overlap graph with a block other than a star needs it.
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    n = n_g + n_p
+    _, label = connected_components(coo_array((overlap, (g, n_g + p)), shape=(n, n)), directed=False)
+    block = label[g]
+    order = np.argsort(block, kind="stable")
+    pieces = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+    return idtp + sum(_most_overlap(_matrix(g[k], p[k], overlap[k])) for k in pieces)
+
+
+def _matrix(g: np.ndarray, p: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """The overlap matrix of tracks `g` by tracks `p` alone, from each (g, p) pair's overlap."""
+    rows, g = np.unique(g, return_inverse=True)
+    cols, p = np.unique(p, return_inverse=True)
+    matrix = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    matrix[g, p] = overlap
+    return matrix
+
+
+def _most_overlap(matrix: np.ndarray) -> int:
+    """The most overlap a one-to-one matching of the matrix's rows to its columns keeps."""
+    return int(matrix[linear_sum_assignment(matrix, maximize=True)].sum())
 
 
 def idf1(
@@ -137,11 +246,8 @@ def idf1(
     total_gt, total_pred = len(gt.frames), len(pred.frames)
     if total_gt == 0 and total_pred == 0:
         return IdfReport(1.0, 1.0, 1.0, 0, 0, 0)
-    i, j, _ = _gate_pairs(gt, pred, cfg.max_dist) if _pairs is None else _pairs
-    n_g, n_p = len(gt), len(pred)
-    overlap = np.bincount(gt.owner[i] * n_p + pred.owner[j], minlength=n_g * n_p).reshape(n_g, n_p)
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
-    idtp = int(overlap[rows, cols].sum())
+    i, j = _gate_pairs(gt, pred, cfg.max_dist) if _pairs is None else _pairs
+    idtp = _idtp(gt.owner[i], pred.owner[j], len(gt), len(pred))
     idfn = total_gt - idtp
     idfp = total_pred - idtp
     f1 = 2.0 * idtp / (total_gt + total_pred)
@@ -215,7 +321,7 @@ def clear_scores(
         if total_pred == 0:
             return ClearReport(1.0, 1.0, 1.0, 0, 0, 0, 0, ())
         raise ValueError("no ground-truth detections to evaluate against")
-    gi, pj, dist = _gate_pairs(gt, pred, cfg.max_dist) if _pairs is None else _pairs
+    gi, pj = _gate_pairs(gt, pred, cfg.max_dist) if _pairs is None else _pairs
     g_owner, p_owner = gt.owner, pred.owner
     # Rows sorted by frame, stably: within a frame by track, as a table keeps its tracks in order.
     g_order = np.argsort(gt.frames, kind="stable")
@@ -239,6 +345,7 @@ def clear_scores(
         s_ends = np.searchsorted(match_f[0][by_frame], unsettled).tolist()
         u_pairs = np.flatnonzero(~settled)
         u_pairs = u_pairs[np.argsort(pair_frames[u_pairs], kind="stable")]
+        u_cost = _dists(gt.pos[gi[u_pairs]], pred.pos[pj[u_pairs]]) / unit
         g_rank, p_rank = np.argsort(g_order), np.argsort(p_order)
         last_match = np.full(len(gt), -1)
         s_done = 0
@@ -251,7 +358,7 @@ def clear_scores(
                 continue
             here = u_pairs[ua:ub]
             cost = np.full((gb - ga, pb - pa), gate * 1e6)
-            cost[g_rank[gi[here]] - ga, p_rank[pj[here]] - pa] = dist[here] / unit
+            cost[g_rank[gi[here]] - ga, p_rank[pj[here]] - pa] = u_cost[ua:ub]
             g, p = _match_frame(g_owner[g_order[ga:gb]], p_owner[p_order[pa:pb]], cost, gate, last_match)
             match_g.append(g)
             match_p.append(p)

@@ -432,6 +432,15 @@ class TestEval:
         assert cli(["eval", "--gt", str(gt), "--pred", str(pred), "--match-dist", "1e200"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "IDF1 1.000000"
 
+    def test_detections_far_apart_score(self, tmp_path, capsys):
+        # Rows 1e200 apart: a KD-tree query squaring their differences overflowed.
+        both = tmp_path / "o.csv"
+        both.write_text("1,1,0,0\n2,1,1e200,0\n")
+        assert cli(["eval", "--gt", str(both), "--pred", str(both)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "IDF1 1.000000"
+        assert "MOTA 1.000000" in lines
+
     def test_perfect_agreement(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("1,1,0,0\n2,1,1,0\n3,1,2,0\n")

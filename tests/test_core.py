@@ -209,8 +209,15 @@ class TestDetectionGraph:
         with pytest.raises(ValueError, match="edge ids must be ints"):
             DetectionGraph(dets, edges)
 
+    def test_ids_beyond_int64_are_refused(self):
+        dets = (det(0, 0, 0), det(1, 1, 1))
+        with pytest.raises(ValueError, match="edge ids must fit in int64"):
+            DetectionGraph(dets, [(1, 2**63)])
+
     @pytest.mark.parametrize(
-        "edges", [[(1, 2, 3)], [1, 2], [(1, 2), (1,)], np.array([1, 2]), np.zeros((1, 2, 2), dtype=int)], ids=repr
+        "edges",
+        [[(1, 2, 3)], [1, 2], [(1, 2), (1,)], [{1, 2}], np.array([1, 2]), np.zeros((1, 2, 2), dtype=int)],
+        ids=repr,
     )
     def test_edges_that_are_not_pairs_are_refused(self, edges):
         dets = (det(0, 0, 0), det(1, 1, 1))

@@ -1,6 +1,7 @@
 """Identity and per-frame tracking metrics."""
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ptrack.metrics import (
     IdfReport,
     MatchConfig,
     _gate_pairs,
+    _unit,
     clear_scores,
     idf1,
     summarize,
@@ -21,6 +23,7 @@ from ptrack.metrics import (
 )
 
 from oracles import idf1_by_enumeration
+from reference_metrics import reference_gate_pairs
 
 
 def det(frame, x, y=0.0):
@@ -149,15 +152,35 @@ def random_tracks(rng, n_tracks, n_frames, grid, frame0=0, offset=0.0):
 def overlap_counts(gt: TrackTable, pred: TrackTable, max_dist):
     """Co-occurring in-gate frames of each (gt, pred) track pair, counted off the gate pairs.
 
-    Each pair must be one of a single frame, listed once, with its exact distance.
+    Each pair must be one of a single frame, listed once; the costs that
+    `clear_scores` builds from the pairs must be their exact distances.
     """
-    i, j, dist = _gate_pairs(gt, pred, max_dist)
+    i, j = _gate_pairs(gt, pred, max_dist)
     assert len({(a, b) for a, b in zip(i.tolist(), j.tolist())}) == len(i)
     assert np.array_equal(gt.frames[i], pred.frames[j])
-    assert dist.tolist() == [math.dist(gt.pos[a], pred.pos[b]) for a, b in zip(i, j)]
+    if len(gt.frames):
+        assert_exact_leftover_costs(gt, pred, max_dist)
     counts = np.zeros((len(gt), len(pred)), dtype=int)
     np.add.at(counts, (gt.owner[i], pred.owner[j]), 1)
     return counts
+
+
+def assert_exact_leftover_costs(gt: TrackTable, pred: TrackTable, max_dist):
+    """Each frame that `clear_scores` matches one by one gets the exact `math.dist` costs.
+
+    The cost of the frame's rows (truth by predicted, in table order) is
+    their distance in `_unit`s inside the gate and a million gates outside.
+    """
+    with mock.patch.object(ptrack.metrics, "_match_frame", wraps=ptrack.metrics._match_frame) as spy:
+        clear_scores(gt, pred, MatchConfig(max_dist))
+    unit = _unit(max_dist)
+    want = []
+    for frame in sorted(unsettled_frames(gt.tracks(), pred.tracks(), max_dist)):
+        g_pos, p_pos = gt.pos[gt.frames == frame], pred.pos[pred.frames == frame]
+        if len(g_pos) and len(p_pos):
+            dist = [[math.dist(g, p) for p in p_pos] for g in g_pos]
+            want.append([[d / unit if d <= max_dist else max_dist / unit * 1e6 for d in row] for row in dist])
+    assert [call.args[2].tolist() for call in spy.call_args_list] == want
 
 
 class TestOverlapCounts:
@@ -264,6 +287,106 @@ class TestOverlapCounts:
             gt = random_tracks(rng, n_g, 15, 3)
             pred = random_tracks(rng, n_p, 15, 3)
             assert idf1(gt, pred, MatchConfig(1.0)).idtp == idtp_by_padded_matrix(gt, pred, 1.0)
+
+
+def pair_set(pairs):
+    return set(zip(pairs[0].tolist(), pairs[1].tolist()))
+
+
+class TestJoinAgainstKDTree:
+    """The sort-based join finds the pairs that the former KD-tree query found."""
+
+    def assert_same(self, gt, pred, max_dist):
+        tables = TrackTable.from_tracks(gt), TrackTable.from_tracks(pred)
+        got = pair_set(_gate_pairs(*tables, max_dist))
+        assert got == pair_set(reference_gate_pairs(*tables, max_dist))
+        return got
+
+    def test_random_integer_scenes_with_pairs_on_the_gate(self):
+        # Gates at and one ulp below a power of two sit at the edges of the
+        # cell-side rule.
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            gt = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
+            pred = random_tracks(rng, int(rng.integers(0, 8)), 6, 10)
+            for gate in (5.0, 4.0, math.nextafter(4.0, 0.0), 2.0, 1.0):
+                self.assert_same(gt, pred, gate)
+
+    def test_partners_one_ulp_inside_and_outside(self):
+        for base in (0.0, 1000.0, -1000.0, 2.0**40):
+            for gate in (5.0, 4.0, 0.01, 3.0, 2.0**-20):
+                gt = [[det(f, base, base) for f in (1, 2, 3, 4)]]
+                pred = []
+                for f, side in ((1, -math.inf), (2, math.inf)):
+                    edge = math.nextafter(base + gate, side)
+                    low = math.nextafter(base - gate, -side)
+                    pred += [[det(f, edge, base)], [det(f, base, edge)], [det(f, low, base)], [det(f, base, low)]]
+                pred += [[det(3, base + gate, base)], [det(4, base, base - gate)]]
+                got = self.assert_same(gt, pred, gate)
+                assert 0 < len(got) < len(pred)
+
+    def test_frames_at_and_beyond_2_53(self):
+        rng = np.random.default_rng(19)
+        for base in (2**53 - 3, 2**53, 2**62, 2**63 - 8):
+            # Dense frames take offsets from the first; sparse ones, down to
+            # a frame below 7, take ranks.
+            for spread in (1, 2**20, base // 7):
+                frames = [base - 7 * spread, base, base + 1, base + 2, base + 3]
+                gt = [[det(f, int(rng.integers(0, 4)), int(rng.integers(0, 4))) for f in frames] for _ in range(3)]
+                pred = [[det(f, int(rng.integers(0, 4)), int(rng.integers(0, 4))) for f in frames] for _ in range(4)]
+                assert self.assert_same(gt, pred, 1.5)
+
+    @pytest.mark.parametrize("k", [-300, -100, -20, 0, 20, 100, 300])
+    def test_coordinates_scaled_by_a_power_of_two(self, k):
+        # Scaling is exact, so the scaled scenes pair the same rows.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            gt = random_tracks(rng, int(rng.integers(1, 8)), 6, 10, offset=-5.0)
+            pred = random_tracks(rng, int(rng.integers(1, 8)), 6, 10, offset=-5.0)
+
+            def scaled(tracks):
+                return [[det(d.frame, math.ldexp(d.pos[0], k), math.ldexp(d.pos[1], k)) for d in t] for t in tracks]
+
+            got = self.assert_same(scaled(gt), scaled(pred), math.ldexp(5.0, k))
+            assert got == self.assert_same(gt, pred, 5.0)
+
+    @pytest.mark.parametrize(
+        "gate", [5e-324, 3 * 5e-324, 2.0**-1023, 2.0**-1022 - 5e-324, 2.0**-1022, 1e-300, 1.0, 1e300, 2.0**1023,
+                 1.7976931348623157e308],
+    )
+    def test_gates_from_subnormal_to_the_largest_float(self, gate):
+        rng = np.random.default_rng(29)
+        for scale in (gate / 5.0, 1.0):
+            if scale == 0.0:
+                continue
+            for _ in range(10):
+                scenes = [random_tracks(rng, int(rng.integers(1, 6)), 5, 9, offset=-4.0) for _ in range(2)]
+                gt, pred = ([[det(d.frame, d.pos[0] * scale, d.pos[1] * scale) for d in t] for t in side]
+                            for side in scenes)
+                self.assert_same(gt, pred, gate)
+
+
+class TestJoinCandidates:
+    @pytest.mark.parametrize("along", ["y", "x"])
+    def test_a_queue_examines_linearly_many_candidates(self, monkeypatch, along):
+        # One frame, 5 000 truth rows on a line 10 apart and a partner of
+        # each 0.5 off it: a sweep along x alone examines n**2 candidates
+        # on the queue along y.
+        n = 5000
+        examined = []
+        candidates = ptrack.metrics._candidates
+        monkeypatch.setattr(
+            ptrack.metrics, "_candidates", lambda lo, hi: examined.append(int((hi - lo).sum())) or candidates(lo, hi)
+        )
+
+        def line(off):
+            return TrackTable.from_tracks(
+                [[det(0, off, 10.0 * k) if along == "y" else det(0, 10.0 * k, off)] for k in range(n)]
+            )
+
+        i, j = _gate_pairs(line(0.0), line(0.5), 3.0)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(k, k) for k in range(n)]
+        assert len(examined) == 1 and examined[0] <= 4 * n
 
 
 def clear_by_frame_loop(gt, pred, max_dist):
@@ -506,6 +629,92 @@ class TestSettledFrames:
             assert idf1(gt, pred, MatchConfig(gate)).idtp == idtp_by_padded_matrix(gt, pred, gate)
 
 
+def swapped_lanes(rng, n_tracks, n_frames):
+    """Lanes 2 apart at gate 1, and a prediction with tails swapped between lanes and cut.
+
+    A swap puts two truth tracks and two predicted tracks in one block of
+    the overlap graph; a cut adds a predicted track.
+    """
+    gt = [[det(f, 0.5 * f, 2.0 * k) for f in range(int(rng.integers(0, 5)), n_frames)] for k in range(n_tracks)]
+    pred = [list(t) for t in gt]
+    for _ in range(int(rng.integers(1, 4))):
+        a, b = rng.choice(len(pred), 2, replace=False)
+        frame = int(rng.integers(0, n_frames))
+        pred[a], pred[b] = ([d for d in pred[a] if d.frame < frame] + [d for d in pred[b] if d.frame >= frame],
+                            [d for d in pred[b] if d.frame < frame] + [d for d in pred[a] if d.frame >= frame])
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(0, len(pred)))
+        cut = int(rng.integers(0, len(pred[k]) + 1))
+        pred[k:k + 1] = [pred[k][:cut], pred[k][cut:]]
+    return gt, pred
+
+
+class TestIdf1Blocks:
+    # At the default cell limit every scene runs one dense assignment; at 0
+    # every non-star block gets its own.
+    @pytest.mark.parametrize("cells", [None, 0])
+    def test_swaps_and_cuts_match_the_padded_matrix(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(ptrack.metrics, "_ONE_ASSIGNMENT_CELLS", cells)
+        matrices = []
+        assign = ptrack.metrics.linear_sum_assignment
+        monkeypatch.setattr(
+            ptrack.metrics, "linear_sum_assignment", lambda m, **kw: matrices.append(m) or assign(m, **kw)
+        )
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            gt, pred = swapped_lanes(rng, int(rng.integers(2, 7)), 25)
+            assert idf1(gt, pred, MatchConfig(1.0)).idtp == idtp_by_padded_matrix(gt, pred, 1.0)
+        # Many scenes had a block with two or more tracks on both sides.
+        assert sum(min(m.shape) >= 2 for m in matrices) > 30
+
+    def test_stars_run_no_assignment(self, monkeypatch):
+        # Each truth track overlaps only its own pieces, as in a crowd cut
+        # into fragments; some tracks are whole.
+        calls = []
+        monkeypatch.setattr(ptrack.metrics, "linear_sum_assignment", lambda *a, **kw: calls.append(a))
+        rng = np.random.default_rng(37)
+        gt = [[det(f, 0.5 * f, 2.0 * k) for f in range(40)] for k in range(100)]
+        pred, longest = [], 0
+        for track in gt:
+            cuts = sorted(rng.choice(np.arange(1, 40), int(rng.integers(0, 4)), replace=False).tolist())
+            pieces = [track[a:b] for a, b in zip([0, *cuts], [*cuts, 40])]
+            pred += pieces
+            longest += max(map(len, pieces))
+        assert len(gt) * len(pred) > ptrack.metrics._ONE_ASSIGNMENT_CELLS
+        assert idf1(gt, pred, MatchConfig(1.0)).idtp == longest
+        # A predicted track overlapping two truth tracks that meet is a star too.
+        monkeypatch.setattr(ptrack.metrics, "_ONE_ASSIGNMENT_CELLS", 0)
+        meeting = [[det(0, 0.0), det(1, 0.0)], [det(0, 3.0), det(1, 3.0)]]
+        assert idf1(meeting, [[det(0, 1.5), det(1, 1.5)]], MatchConfig(1.5)).idtp == 2
+        assert calls == []
+
+    def test_many_blocks_each_get_their_own_assignment(self, monkeypatch):
+        # 150 pairs of lanes, each pair's prediction swapped at its own frame:
+        # 150 blocks of two truth and two predicted tracks, 300 x 300
+        # together.  The second lane of a pair starts late, so taking each
+        # truth track's largest overlap alone would count some frames twice,
+        # and the two lanes of a block are 150 tracks apart in the table.
+        shapes = []
+        assign = ptrack.metrics.linear_sum_assignment
+        monkeypatch.setattr(
+            ptrack.metrics, "linear_sum_assignment", lambda m, **kw: shapes.append(m.shape) or assign(m, **kw)
+        )
+        first, second, pred, want = [], [], [], 0
+        for b in range(150):
+            start, swap = 2 * (b % 5), 10 + b % 7
+            a = [det(f, 0.5 * f, 10.0 * b) for f in range(20)]
+            c = [det(f, 0.5 * f, 10.0 * b + 2.0) for f in range(start, 20)]
+            first.append(a)
+            second.append(c)
+            pred += [a[:swap] + c[swap - start:], c[:swap - start] + a[swap:]]
+            want += max(2 * swap - start, 2 * (20 - swap))
+        gt = first + second
+        assert 300 * 300 > ptrack.metrics._ONE_ASSIGNMENT_CELLS
+        assert idf1(gt, pred, MatchConfig(1.0)).idtp == want == idtp_by_padded_matrix(gt, pred, 1.0)
+        assert shapes == [(2, 2)] * 150
+
+
 class TestLargeGates:
     @pytest.mark.parametrize("gate", [1e200, 1e303])
     def test_summarize_scales_with_positions_and_gate(self, gate):
@@ -534,6 +743,16 @@ class TestLargeGates:
             for gate in (1e200, 1e308, 1.7976931348623157e308):
                 assert idf1(gt, pred, MatchConfig(gate)).idtp == 2
                 assert summarize(gt, pred, MatchConfig(gate))["MOTA"] == 1.0
+
+    @pytest.mark.parametrize("gate", [1.0, 1e300, 1.7976931348623157e308])
+    def test_detections_far_apart_score_without_overflow(self, gate):
+        # Rows 1e300 apart, and at frame 1 rows whose difference overflows to
+        # infinity; at the largest gate the rows 1e300 apart pair both ways.
+        far = [[det(0, -1e300), det(1, -1.5e308)], [det(0, 1e300, -1e300), det(1, 1.5e308)]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = summarize(far, far, MatchConfig(gate))
+        assert scores["IDF1"] == scores["MOTA"] == 1.0
 
     def test_leftover_cost_stays_finite_at_a_huge_gate(self):
         gt = [[det(0, 0.0)], [det(0, 3e303)]]
