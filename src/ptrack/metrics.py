@@ -13,7 +13,8 @@ disagreement.  The co-occurring frames of two tracks are their gate pairs.
 The matching splits over the connected blocks of the (truth track,
 predicted track) overlap graph (Ristani et al., arXiv 1609.01775): past a
 small overlap matrix, a block with one track on either side keeps its
-largest overlap, and each other block runs an assignment of its own.
+largest overlap, and the other blocks share one assignment over their
+tracks alone.
 
 The per-frame score (MOTA) instead matches each frame independently,
 carrying matches over between frames so that identity switches can be
@@ -129,9 +130,10 @@ def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> Pairs:
     and where it under- or overflows, its rounding keeps such a pair in
     neighbouring cells.  A cell is coded as one int64 ordered by (frame,
     column, row of cells): frames as offsets from the first, or as ranks
-    when they are sparser than the rows, and columns and rows as offsets
-    from the lowest, clipped where the code would pass 2**62 (which only
-    merges outer cells).  Each predicted row is filed under its own column
+    when they are sparser than the rows, and columns and rows as integer
+    offsets from the lowest, so each stays exact.  Cells are clipped to
+    +-2**61 first, and offsets where the code would pass 2**62; both only
+    merge outer cells.  Each predicted row is filed under its own column
     and the two beside it, so one sorted search per truth row finds the
     3 x 3 cells around it.
 
@@ -151,13 +153,14 @@ def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> Pairs:
         ranked, frame = np.unique(frames, return_inverse=True)
         n_frames = len(ranked)
     cell = np.floor(np.concatenate((gt.pos, pred.pos)).T * _cell_scale(max_dist), order="C")
-    np.clip(cell, -(2.0**62), 2.0**62, out=cell)
+    np.clip(cell, -(2.0**61), 2.0**61, out=cell)
+    cell = cell.astype(np.int64)
     cell -= cell.min(axis=1, keepdims=True)
     span_x, span_y = (int(v) for v in cell.max(axis=1))
     budget = 2**62 // n_frames
     cap_x = min(span_x, math.isqrt(budget) - 3)
     cap_y = min(span_y, budget // (cap_x + 3) - 3)
-    col, row = np.minimum(cell, [[cap_x], [cap_y]]).astype(np.int64) + 1
+    col, row = np.minimum(cell, [[cap_x], [cap_y]]) + 1
     side = cap_y + 3
     code = (frame * (cap_x + 3) + col) * side + row
     g_order, p_order = np.argsort(code[:n_g]), np.argsort(code[n_g:])
@@ -186,8 +189,8 @@ def _idtp(g_owner: np.ndarray, p_owner: np.ndarray, n_g: int, n_p: int) -> int:
     `g_owner` and `p_owner` are the tracks of each gate pair.  A maximum-
     weight matching is one per connected block of the overlap graph, so a
     small overlap matrix runs one assignment; in a larger one, a block with
-    one track on either side (a star) keeps its largest overlap, and each
-    other block runs an assignment on a matrix of its own tracks.
+    one track on either side (a star) keeps its largest overlap, and the
+    other blocks run one assignment on a matrix of their tracks alone.
     """
     if n_g * n_p <= _ONE_ASSIGNMENT_CELLS:
         return _most_overlap(np.bincount(g_owner * n_p + p_owner, minlength=n_g * n_p).reshape(n_g, n_p))
@@ -202,18 +205,10 @@ def _idtp(g_owner: np.ndarray, p_owner: np.ndarray, n_g: int, n_p: int) -> int:
     idtp = int(best.sum())
     if star.all():
         return idtp
-    g, p, overlap = g[~star], p[~star], overlap[~star]
-    # Imported here: scipy.sparse.csgraph adds about 3 ms to the import, and
-    # only an overlap graph with a block other than a star needs it.
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    n = n_g + n_p
-    _, label = connected_components(coo_array((overlap, (g, n_g + p)), shape=(n, n)), directed=False)
-    block = label[g]
-    order = np.argsort(block, kind="stable")
-    pieces = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
-    return idtp + sum(_most_overlap(_matrix(g[k], p[k], overlap[k])) for k in pieces)
+    # The other blocks share one assignment over their own tracks; a track
+    # of one block overlaps no track of another, so it adds up their best.
+    rest = ~star
+    return idtp + _most_overlap(_matrix(g[rest], p[rest], overlap[rest]))
 
 
 def _matrix(g: np.ndarray, p: np.ndarray, overlap: np.ndarray) -> np.ndarray:

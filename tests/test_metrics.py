@@ -336,6 +336,19 @@ class TestJoinAgainstKDTree:
                 pred = [[det(f, int(rng.integers(0, 4)), int(rng.integers(0, 4))) for f in frames] for _ in range(4)]
                 assert self.assert_same(gt, pred, 1.5)
 
+    def test_a_narrow_column_far_along_y(self):
+        # A few columns leave room for a row span above 2**53, where a
+        # float offset from the lowest cell would round two neighbouring
+        # cells 64 apart.
+        for far in (-(2.0**59), 2.0**59, -(2.0**62), 2.0**62, -1e300):
+            gt = [[det(1, 0.0, 65.9)], [det(1, 0.0, far)]]
+            pred = [[det(1, 0.0, 66.1)], [det(1, 3.0, far)]]
+            # The KD-tree overflows squaring 1e300.
+            got = pair_set(_gate_pairs(TrackTable.from_tracks(gt), TrackTable.from_tracks(pred), 1.0))
+            assert got == {(0, 0)}
+            if abs(far) < 1e150:
+                assert self.assert_same(gt, pred, 1.0) == got
+
     @pytest.mark.parametrize("k", [-300, -100, -20, 0, 20, 100, 300])
     def test_coordinates_scaled_by_a_power_of_two(self, k):
         # Scaling is exact, so the scaled scenes pair the same rows.
@@ -651,7 +664,7 @@ def swapped_lanes(rng, n_tracks, n_frames):
 
 class TestIdf1Blocks:
     # At the default cell limit every scene runs one dense assignment; at 0
-    # every non-star block gets its own.
+    # the blocks other than stars share one over their own tracks.
     @pytest.mark.parametrize("cells", [None, 0])
     def test_swaps_and_cuts_match_the_padded_matrix(self, monkeypatch, cells):
         if cells is not None:
@@ -689,7 +702,7 @@ class TestIdf1Blocks:
         assert idf1(meeting, [[det(0, 1.5), det(1, 1.5)]], MatchConfig(1.5)).idtp == 2
         assert calls == []
 
-    def test_many_blocks_each_get_their_own_assignment(self, monkeypatch):
+    def test_many_blocks_share_one_assignment(self, monkeypatch):
         # 150 pairs of lanes, each pair's prediction swapped at its own frame:
         # 150 blocks of two truth and two predicted tracks, 300 x 300
         # together.  The second lane of a pair starts late, so taking each
@@ -712,7 +725,7 @@ class TestIdf1Blocks:
         gt = first + second
         assert 300 * 300 > ptrack.metrics._ONE_ASSIGNMENT_CELLS
         assert idf1(gt, pred, MatchConfig(1.0)).idtp == want == idtp_by_padded_matrix(gt, pred, 1.0)
-        assert shapes == [(2, 2)] * 150
+        assert shapes == [(300, 300)]
 
 
 class TestLargeGates:
