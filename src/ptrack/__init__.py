@@ -24,12 +24,7 @@ from .core import (
     tracks_from_trajectories,
     validate_trajectory_set,
 )
-from .fracopt import (
-    Constraint,
-    RatioSearchResult,
-    SolverModel,
-    maximize_ratio,
-)
+from .fracopt import RatioSearchResult, SolverModel, maximize_ratio
 from .graphgen import build_graph, input_trajectories
 from .linker import LinkResult, build_link_model, link
 from .metrics import (

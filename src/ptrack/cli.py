@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (missing or
 malformed files, degenerate instances).  The PTRACK_TIME_BUDGET_S environment
 variable, when set, caps the time of each ratio search (one per `link` or
-`mine` call), summed over its probes; results computed under a hit budget
-are reported as lower bounds, and a budget spent before any solution exits 2.
+`mine` call), summed over its Dinkelbach steps; results computed under a hit
+budget are reported as lower bounds, and a budget spent before any solution
+exits 2.
 
 `track`, `learn-patterns` and `unsupervised` share their inputs: the track
 file and its parsing, the batch window and the `Config` fields, each given
@@ -22,13 +23,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .core import (
-    Config,
-    EMPTY_PATTERN,
-    relative_widths,
-    tracking_extent,
-    tracks_from_trajectories,
-)
+from .core import EMPTY_PATTERN, Config, relative_widths, tracking_extent, tracks_from_trajectories
 from .graphgen import build_graph, input_trajectories
 from .linker import link, reported_trajectories
 from .metrics import METRIC_COLUMNS, MatchConfig, summarize
@@ -44,7 +39,7 @@ from .tracksio import (
     write_patterns,
     write_tracks,
 )
-from .unsupervised import HistoryEntry, default_schedule, run_unsupervised
+from .unsupervised import HistoryEntry, default_schedule, doubling_schedule, run_unsupervised
 
 
 class _UsageError(Exception):
@@ -205,10 +200,10 @@ def _cmd_learn_patterns(args) -> None:
 def _cmd_unsupervised(args) -> None:
     graph, cfg, budget = _read_inputs(args)
     initial = input_trajectories(graph)
-    if args.budget_start is not None:
-        schedule = tuple(args.budget_start * (2.0**k) for k in range(args.levels))
-    else:
+    if args.budget_start is None:
         schedule = default_schedule(graph, initial, cfg, args.levels)
+    else:
+        schedule = doubling_schedule(args.budget_start, args.levels)
     result = run_unsupervised(
         graph,
         initial,

@@ -9,6 +9,8 @@ rows of one (E, 2) int64 array, and `build_graph` keeps the input tracks as
 `TrackTable` holds the same tracks as three arrays, one row per detection,
 for code that only reads frames and positions (reading and scoring tracks);
 `TrackTable.tracks()` and `TrackTable.from_tracks` convert between the two.
+`_gate_pairs`, the one join of two tables' rows within a radius, finds
+`eval`'s gate pairs and `build_graph`'s link and join edges.
 """
 from __future__ import annotations
 
@@ -156,6 +158,88 @@ class TrackTable:
         dets = list(map(Detection, self.frames.tolist(), zip(*self.pos.T.tolist())))
         bounds = self.starts.tolist()
         return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`math.dist` between paired rows of two position arrays, one pair at a time."""
+    return np.fromiter(map(math.dist, zip(*a.T.tolist()), zip(*b.T.tolist())), float, len(a))
+
+
+def _cell_scale(gate: float) -> float:
+    """2**-e for the join's cell side 2**e, the least power of two above gate * (1 + 2**-48).
+
+    A pair within the gate is then less than a cell apart on each axis, as
+    `math.dist` is at least either rounded difference up to an ulp.  The
+    side is at least 2**-1022, so the scale is a finite float.
+    """
+    mantissa, e = math.frexp(gate)
+    return math.ldexp(1.0, -max(e + (mantissa > 1.0 - 2.0**-48), -1022))
+
+
+def _candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, k) with lo[query] <= k < hi[query]: the pairs the join examines."""
+    counts = hi - lo
+    query = np.repeat(np.arange(len(lo)), counts)
+    return query, np.arange(len(query)) + (lo - np.cumsum(counts) + counts)[query]
+
+
+@np.errstate(over="ignore")
+def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (gt, pred) of one frame within the gate `max_dist` of each other:
+    the gate pairs of `metrics`, and the link and join edges of `build_graph`.
+
+    A sort-based join.  Each row falls in a square cell of its frame, of a
+    power-of-two side just above the gate (`_cell_scale`), so a pair within
+    the gate lies in neighbouring cells: scaling by a power of two is exact,
+    and where it under- or overflows, its rounding keeps such a pair in
+    neighbouring cells.  A cell is coded as one int64 ordered by (frame,
+    column, row of cells): frames as offsets from the first, or as ranks
+    when they are sparser than the rows, and columns and rows as integer
+    offsets from the lowest, so each stays exact.  Cells are clipped to
+    +-2**61 first, and offsets where the code would pass 2**62; both only
+    merge outer cells.  Each predicted row is filed under its own column
+    and the two beside it, so one sorted search per truth row finds the
+    3 x 3 cells around it.
+
+    `np.hypot` decides every candidate farther than eight ulps of the gate
+    from it; both it and `math.dist` are within an ulp of the exact norm of
+    the same rounded differences, so they agree there.  `math.dist` decides
+    the rest.
+    """
+    n_g = len(gt.frames)
+    if not (n_g and len(pred.frames)):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    frames = np.concatenate((gt.frames, pred.frames))
+    first, last = int(frames.min()), int(frames.max())
+    if last - first < len(frames):
+        frame, n_frames = frames - first, last - first + 1
+    else:
+        ranked, frame = np.unique(frames, return_inverse=True)
+        n_frames = len(ranked)
+    cell = np.floor(np.concatenate((gt.pos, pred.pos)).T * _cell_scale(max_dist), order="C")
+    np.clip(cell, -(2.0**61), 2.0**61, out=cell)
+    cell = cell.astype(np.int64)
+    cell -= cell.min(axis=1, keepdims=True)
+    span_x, span_y = (int(v) for v in cell.max(axis=1))
+    budget = 2**62 // n_frames
+    cap_x = min(span_x, math.isqrt(budget) - 3)
+    cap_y = min(span_y, budget // (cap_x + 3) - 3)
+    col, row = np.minimum(cell, [[cap_x], [cap_y]]) + 1
+    side = cap_y + 3
+    code = (frame * (cap_x + 3) + col) * side + row
+    g_order, p_order = np.argsort(code[:n_g]), np.argsort(code[n_g:])
+    g_code, p_code = code[:n_g][g_order], code[n_g:][p_order]
+    filed = np.concatenate((p_code - side, p_code, p_code + side))
+    by_code = np.argsort(filed, kind="stable")
+    lo, hi = np.searchsorted(filed[by_code], np.concatenate((g_code - 1, g_code + 2))).reshape(2, -1)
+    query, k = _candidates(lo, hi)
+    i, j = g_order[query], p_order[by_code[k] % len(p_code)]
+    d = np.take(gt.pos, i, axis=0) - np.take(pred.pos, j, axis=0)
+    near = np.hypot(d[:, 0], d[:, 1])
+    inside = near <= max_dist
+    band = np.flatnonzero(np.abs(near - max_dist) <= 8.0 * math.ulp(max_dist))
+    inside[band] = _dists(np.take(gt.pos, i[band], axis=0), np.take(pred.pos, j[band], axis=0)) <= max_dist
+    return i[inside], j[inside]
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,7 +62,7 @@ _OPTIONS = (
     ("simplex_strategy", 1),  # dual simplex
     ("mip_rel_gap", 0.0),
     ("mip_abs_gap", 0.0),
-    # The model's rows hold to 1e-9 (`SolverModel.satisfied`); so must HiGHS's.
+    # The model's rows hold to 1e-9 of their scale (`SolverModel.slack`); so must HiGHS's.
     ("primal_feasibility_tolerance", 1e-9),
     ("dual_feasibility_tolerance", 1e-9),
     ("mip_feasibility_tolerance", 1e-9),
@@ -167,14 +167,22 @@ class SolverModel:
         """A fresh oracle for one solve (see `HighsOracle`)."""
         return HighsOracle(self)
 
+    @cached_property
+    def _row_of(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+    @cached_property
+    def slack(self) -> np.ndarray:
+        """How far each row may pass its right-hand side, as `satisfied` and
+        the miner's enumeration allow: 1e-9 of 1 + |rhs| + its |coefficients|."""
+        scale = np.bincount(self._row_of, np.abs(self.coeffs), minlength=len(self.rhs))
+        return _frozen(1e-9 * (1.0 + np.abs(self.rhs) + scale))
+
     def satisfied(self, x: np.ndarray) -> bool:
-        """Whether a 0/1 vector meets every row, each to within 1e-9 of its scale."""
-        row_of = np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
-        activity = np.bincount(row_of, self.coeffs * x[self.indices], minlength=len(self.rhs))
-        scale = np.bincount(row_of, np.abs(self.coeffs), minlength=len(self.rhs))
-        tol = 1e-9 * (1.0 + np.abs(self.rhs) + scale)
-        over = (self.senses != GE) & (activity > self.rhs + tol)
-        under = (self.senses != LE) & (activity < self.rhs - tol)
+        """Whether a 0/1 vector meets every row, each to within its `slack`."""
+        activity = np.bincount(self._row_of, self.coeffs * x[self.indices], minlength=len(self.rhs))
+        over = (self.senses != GE) & (activity > self.rhs + self.slack)
+        under = (self.senses != LE) & (activity < self.rhs - self.slack)
         return not (over.any() or under.any())
 
     def tolerance(self, alpha: float) -> float:
@@ -190,11 +198,6 @@ class SolverModel:
         if total <= 0.0:
             return None
         return float(self.numer @ x) / total
-
-    def certifies(self, assignment: tuple[int, ...], alpha: float) -> bool:
-        """Whether an assignment witnesses feasibility at the given ratio level."""
-        x = np.asarray(assignment)
-        return float((self.numer - alpha * self.denom) @ x) >= -self.tolerance(alpha)
 
 
 class HighsOracle:

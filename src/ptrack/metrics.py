@@ -28,11 +28,12 @@ others go frame by frame.
 
 Every metric takes tracks either as detection lists or as a `TrackTable`,
 and works on the table: lists are converted once on entry.  The gate pairs
-come from a sort-based join over cells a power of two wide (`_gate_pairs`),
-which squares no coordinate, so rows any finite distance apart compare
-without overflow.  Every gate decision agrees with the exact `math.dist` of
-the pair, and every matching cost is that distance, measured in a power-of-
-two unit taken from the gate so that it stays finite at any finite gate.
+come from `core._gate_pairs` (`build_graph`'s edges do too), a sort-based
+join over cells a power of two wide, which squares no coordinate, so rows
+any finite distance apart compare without overflow.  Every gate decision
+agrees with the exact `math.dist` of the pair, and every matching cost is
+that distance, measured in a power-of-two unit taken from the gate so that
+it stays finite at any finite gate.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Detection, TrackTable, _is_real
+from .core import Detection, TrackTable, _dists, _gate_pairs, _is_real
 
 Tracks = Sequence[Sequence[Detection]] | TrackTable
 # Gate pairs: truth rows and predicted rows.
@@ -87,11 +88,6 @@ def _table(tracks: Tracks) -> TrackTable:
     return tracks if isinstance(tracks, TrackTable) else TrackTable.from_tracks(tracks)
 
 
-def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`math.dist` between paired rows of two position arrays, one pair at a time."""
-    return np.fromiter(map(math.dist, zip(*a.T.tolist()), zip(*b.T.tolist())), float, len(a))
-
-
 def _unit(gate: float) -> float:
     """The power of two, at least 1, that the leftover costs are measured in.
 
@@ -100,82 +96,6 @@ def _unit(gate: float) -> float:
     finite gate, and the costs scale with it.
     """
     return math.ldexp(1.0, max(math.frexp(gate)[1] - 1, 0))
-
-
-def _cell_scale(gate: float) -> float:
-    """2**-e for the join's cell side 2**e, the least power of two above gate * (1 + 2**-48).
-
-    A pair within the gate is then less than a cell apart on each axis, as
-    `math.dist` is at least either rounded difference up to an ulp.  The
-    side is at least 2**-1022, so the scale is a finite float.
-    """
-    mantissa, e = math.frexp(gate)
-    return math.ldexp(1.0, -max(e + (mantissa > 1.0 - 2.0**-48), -1022))
-
-
-def _candidates(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (query, k) with lo[query] <= k < hi[query]: the pairs the join examines."""
-    counts = hi - lo
-    query = np.repeat(np.arange(len(lo)), counts)
-    return query, np.arange(len(query)) + (lo - np.cumsum(counts) + counts)[query]
-
-
-@np.errstate(over="ignore")
-def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> Pairs:
-    """Rows (gt, pred) of one frame within the gate of each other.
-
-    A sort-based join.  Each row falls in a square cell of its frame, of a
-    power-of-two side just above the gate (`_cell_scale`), so a pair within
-    the gate lies in neighbouring cells: scaling by a power of two is exact,
-    and where it under- or overflows, its rounding keeps such a pair in
-    neighbouring cells.  A cell is coded as one int64 ordered by (frame,
-    column, row of cells): frames as offsets from the first, or as ranks
-    when they are sparser than the rows, and columns and rows as integer
-    offsets from the lowest, so each stays exact.  Cells are clipped to
-    +-2**61 first, and offsets where the code would pass 2**62; both only
-    merge outer cells.  Each predicted row is filed under its own column
-    and the two beside it, so one sorted search per truth row finds the
-    3 x 3 cells around it.
-
-    `np.hypot` decides every candidate farther than eight ulps of the gate
-    from it; both it and `math.dist` are within an ulp of the exact norm of
-    the same rounded differences, so they agree there.  `math.dist` decides
-    the rest.
-    """
-    n_g = len(gt.frames)
-    if not (n_g and len(pred.frames)):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    frames = np.concatenate((gt.frames, pred.frames))
-    first, last = int(frames.min()), int(frames.max())
-    if last - first < len(frames):
-        frame, n_frames = frames - first, last - first + 1
-    else:
-        ranked, frame = np.unique(frames, return_inverse=True)
-        n_frames = len(ranked)
-    cell = np.floor(np.concatenate((gt.pos, pred.pos)).T * _cell_scale(max_dist), order="C")
-    np.clip(cell, -(2.0**61), 2.0**61, out=cell)
-    cell = cell.astype(np.int64)
-    cell -= cell.min(axis=1, keepdims=True)
-    span_x, span_y = (int(v) for v in cell.max(axis=1))
-    budget = 2**62 // n_frames
-    cap_x = min(span_x, math.isqrt(budget) - 3)
-    cap_y = min(span_y, budget // (cap_x + 3) - 3)
-    col, row = np.minimum(cell, [[cap_x], [cap_y]]) + 1
-    side = cap_y + 3
-    code = (frame * (cap_x + 3) + col) * side + row
-    g_order, p_order = np.argsort(code[:n_g]), np.argsort(code[n_g:])
-    g_code, p_code = code[:n_g][g_order], code[n_g:][p_order]
-    filed = np.concatenate((p_code - side, p_code, p_code + side))
-    by_code = np.argsort(filed, kind="stable")
-    lo, hi = np.searchsorted(filed[by_code], np.concatenate((g_code - 1, g_code + 2))).reshape(2, -1)
-    query, k = _candidates(lo, hi)
-    i, j = g_order[query], p_order[by_code[k] % len(p_code)]
-    d = np.take(gt.pos, i, axis=0) - np.take(pred.pos, j, axis=0)
-    near = np.hypot(d[:, 0], d[:, 1])
-    inside = near <= max_dist
-    band = np.flatnonzero(np.abs(near - max_dist) <= 8.0 * math.ulp(max_dist))
-    inside[band] = _dists(np.take(gt.pos, i[band], axis=0), np.take(pred.pos, j[band], axis=0)) <= max_dist
-    return i[inside], j[inside]
 
 
 # An overlap matrix of at most this many cells runs one assignment: below

@@ -107,13 +107,16 @@ class MineModel(SolverModel):
         self.shape, self.costs, self.budgets = shape, np.asarray(costs, dtype=float), budgets
 
     def oracle(self):
-        selections = _selections(self.costs, self.budgets)
+        # The cost row, the model's last, is enumerated to its limit: its
+        # right-hand side plus the slack that `satisfied` allows it.
+        budgets = None if self.budgets is None else (self.budgets[0], self.rhs[-1] + self.slack[-1])
+        selections = _selections(self.costs, budgets)
         return HighsOracle(self) if selections is None else _SelectionOracle(self, selections)
 
 
 def _selections(costs: np.ndarray, budgets: tuple[float, float] | None):
-    """Every set of non-empty candidates within both budgets, or None when
-    there are more than `ENUMERATION_CAP`.
+    """Every set of non-empty candidates within both budgets, (count, cost
+    limit), or None when there are more than `ENUMERATION_CAP`.
 
     Sets come level by level, level k holding the sets of k candidates, and
     set 0 is the empty one.  Returns, per set, its parent (the set without
@@ -124,9 +127,7 @@ def _selections(costs: np.ndarray, budgets: tuple[float, float] | None):
     root = np.zeros(1, dtype=np.int64)
     parent, added, spent, starts = [root], [root], [np.zeros(1)], [0]
     if budgets is not None:
-        count, cost = budgets
-        # The cost row's slack, as `SolverModel.satisfied` allows it.
-        limit = cost + 1e-9 * (1.0 + abs(cost) + np.abs(costs).sum())
+        count, limit = budgets
         candidates = np.arange(1, len(costs) + 1)
         while len(starts) <= count:
             first = starts[-1]
@@ -317,13 +318,9 @@ def mine(
     model = build_mine_model(graph, tuple(side[:, kept] for side in scores), reduced, cfg)
     result = maximize_ratio(model, ratio_bracket(cfg)[0], time_budget=time_budget)
 
-    n_cand = len(reduced)
-    chosen: list[int] = []
-    for t in range(len(trajectories)):
-        row = result.witness[t * n_cand : (t + 1) * n_cand]
-        picks = [kept[p] for p, x in enumerate(row) if x]
-        assert len(picks) == 1, "each trajectory must use exactly one pattern"
-        chosen.append(picks[0])
+    picks = np.reshape(result.witness[: len(trajectories) * len(reduced)], (-1, len(reduced)))
+    assert (picks.sum(axis=1) == 1).all(), "each trajectory must use exactly one pattern"
+    chosen = [kept[p] for p in picks.argmax(axis=1).tolist()]
 
     used = sorted({p for p in chosen if p != 0})
     selected = (0, *used)

@@ -15,6 +15,7 @@ other.  Sets are scored against patterns through `scoring.score_matrix`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,14 +122,25 @@ def default_schedule(
     patterns forces the miner to generalize across trajectories instead of
     memorizing each one; later levels relax the budget.
     """
-    if not _is_int(levels):
-        raise ValueError(f"levels must be an integer, got {levels!r}")
     candidates = generate_candidates(graph, initial, cfg)
     costs = [p.cost for p in candidates.patterns if not p.is_empty]
     if not costs:
         raise ValueError("no candidate patterns to build a budget schedule from")
-    start = 2.5 * min(costs)
-    return tuple(start * (2.0**k) for k in range(levels))
+    return doubling_schedule(2.5 * min(costs), levels)
+
+
+def doubling_schedule(start: float, levels: int) -> tuple[float, ...]:
+    """`levels` cost budgets from `start`, each twice the one before; a
+    budget that is not finite raises ValueError, before any solve."""
+    if not _is_int(levels):
+        raise ValueError(f"levels must be an integer, got {levels!r}")
+    schedule: list[float] = []
+    for k in range(levels):
+        budget = 2.0 * schedule[-1] if schedule else float(start)
+        if not math.isfinite(budget):
+            raise ValueError(f"cost budget of level {k + 1} is not finite: {start!r} doubled {k} times")
+        schedule.append(budget)
+    return tuple(schedule)
 
 
 def run_unsupervised(

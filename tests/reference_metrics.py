@@ -1,4 +1,4 @@
-"""The former KD-tree gate-pair pass, kept as the reference for `metrics._gate_pairs`.
+"""The former KD-tree gate-pair pass, kept as the reference for `core._gate_pairs`.
 
 `reference_gate_pairs` queries two `cKDTree`s with `sparse_distance_matrix`
 and tests every candidate with `math.dist`; the join must find the same pairs.

@@ -51,6 +51,24 @@ def test_install_wraps_and_uninstall_restores():
         assert lookup(m, a) is fn
 
 
+def test_a_traced_graph_build_counts_its_detections_and_edges():
+    # The benchmark reads `graphgen.detections` and `graphgen.edges` off the
+    # graph that the command line's `build_graph` returns.
+    import ptrack.cli
+    from ptrack.synth import two_flow_scene
+
+    scene, corrupted = two_flow_scene(seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        g = ptrack.cli.build_graph(corrupted, Config(), scene.meta.batch)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["graphgen.build_graph"] == 1
+    assert tracer.counts["graphgen.detections"] == len(g.detections) == sum(map(len, corrupted))
+    assert tracer.counts["graphgen.edges"] == len(g.edges) == g.edges.shape[0] > 2 * len(g.detections)
+
+
 def two_flow_mining(widths=(1.0, 3.0)):
     """Two straight flows inside a wider batch: (graph, trajectories, candidates, cfg)."""
     flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]

@@ -181,6 +181,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: iterations_per_level must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("start", [(), ("--budget-start", "10"), ("--budget-start", "inf")])
+    def test_a_budget_schedule_beyond_any_float_is_a_data_error(self, tmp_path, capsys, monkeypatch, start):
+        # 1100 doublings of any positive budget overflow; the schedule is
+        # refused before the first solve, as one error line.
+        tracks = tmp_path / "tracks.csv"
+        assert cli(["synth", "--preset", "two-flows", "--out-gt", str(tmp_path / "gt.csv"),
+                    "--out-tracks", str(tracks)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("ptrack.cli.run_unsupervised", lambda *a, **kw: pytest.fail("a solve ran"))
+        argv = ["unsupervised", "--tracks", str(tracks), "--out", str(tmp_path / "out.csv"),
+                "--patterns-out", str(tmp_path / "mined.txt"), "--levels", "1100", *start]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost budget of level ") and err.count("\n") == 1
+        assert "is not finite" in err and "Traceback" not in err
+
 
 class TestTimeBudgetVariable:
     def track_argv(self, tmp_path):

@@ -73,11 +73,6 @@ class TestModelQueries:
         with pytest.raises(ValueError, match="length"):
             m.ratio_of((1,))
 
-    def test_certifies_at_exact_ratio(self):
-        m = rows_model(1, (), (1.0,), (2.0,))
-        assert m.certifies((1,), 0.5)
-        assert not m.certifies((1,), 0.5 + 1e-6)
-
 
 def assert_exact_argmax(model, alpha):
     """`feasible` returns a point that meets every row, whose value is the
@@ -122,7 +117,7 @@ class TestFeasibility:
         m = rows_model(1, (), (1.0,), (1.0,))
         res = feasible(m, 0.5)
         assert res == Argmax((1,), 0.5)
-        assert m.certifies(res.assignment, 0.5)
+        assert float((m.numer - 0.5 * m.denom) @ np.asarray(res.assignment)) == res.value
 
     def test_forced_selection_caps_the_ratio(self):
         m = rows_model(2, (con([0, 1], [1.0, 1.0], "==", 1.0),), (0.0, 0.0), (1.0, 1.0))
@@ -351,7 +346,8 @@ class TestRatioSearch:
         m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))
         res = maximize_ratio(m)
         assert res.alpha == m.ratio_of(res.witness) == brute_force_best_ratio(m)[0] == 0.5
-        assert m.certifies(res.witness, res.alpha)
+        # The witness's parametric value at its own ratio is 0: alpha is reached, not passed.
+        assert float((m.numer - res.alpha * m.denom) @ np.asarray(res.witness)) == 0.0
 
     def test_search_is_deterministic(self):
         m = rows_model(3, (cover_row(3),), (1.0, 0.5, 0.25), (2.0, 1.0, 1.0))

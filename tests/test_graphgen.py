@@ -1,4 +1,10 @@
 """Detection graph assembly from input track tables."""
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from ptrack import (
@@ -11,12 +17,26 @@ from ptrack import (
     ScorePair,
     build_graph,
     input_trajectories,
+    read_homography,
+    read_tracks,
     tracks_from_trajectories,
     validate_trajectory_set,
 )
 from ptrack.synth import crossing_scene, fragmented_corridor_scene, two_flow_scene
 
 from helpers import edge_score, edge_set
+from reference_graph import reference_build_graph
+
+SCENES = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# The configs the columnar build is checked under: the defaults, a join gap
+# of 50 and of 2 000 000 frames, and a tight link radius with a wide join.
+CONFIGS = {
+    "default": Config(),
+    "fps25": Config(fps=25),
+    "fps1e6": Config(fps=1e6),
+    "radii": Config(link_radius=0.5, join_radius=9),
+}
 
 
 def det(frame, x, y=0.0):
@@ -92,6 +112,22 @@ class TestTrackEdges:
     def test_non_increasing_frames_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             build_graph([[det(5, 0.0), det(5, 1.0)]], Config())
+
+    def test_the_first_step_back_is_named(self):
+        # Track 2, after an empty one, is the first to step back: at its
+        # second detection, or at its third; track 3 steps back too.
+        for second, frame in ((4, 4), (5, 2)):
+            tracks = [[det(1, 0.0), det(2, 0.0)], [], [det(4, 0.0), det(second, 0.0), det(2, 0.0)],
+                      [det(9, 0.0), det(8, 0.0)]]
+            for build in (build_graph, reference_build_graph):
+                with pytest.raises(ValueError, match=rf"^track 2 frames are not strictly increasing at frame {frame}$"):
+                    build(tracks, Config())
+
+    @pytest.mark.parametrize("frame", [INT64_MAX + 1, INT64_MIN - 1, 2**70])
+    def test_frames_beyond_int64_rejected(self, frame):
+        # As every reader and `eval` refuse them: the graph's frames are an int64 column.
+        with pytest.raises(ValueError, match="frames must fit in int64"):
+            build_graph([[det(0, 0.0)], [det(frame, 0.0)]], Config())
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no detections"):
@@ -198,3 +234,101 @@ class TestInputTrajectories:
         )
         with pytest.raises(ValueError, match="source track"):
             input_trajectories(g)
+
+
+def load_scenes():
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", SCENES)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(tmp_path_factory):
+    """Every benchmark workload's input tracks at seeds 0 and 1, read from its
+    files as the command line reads them: {(workload, seed, side): (tracks, batch)}."""
+    scenes = load_scenes()
+    inputs = {}
+    for name, builder in scenes.BUILDERS.items():
+        for seed in (0, 1):
+            for s in builder(seed, tmp_path_factory.mktemp(f"{name}{seed}")):
+                homography = read_homography(s.files["homography"]) if "homography" in s.files else None
+                batch = None if name == "eval-crowd" else s.batch
+                for side in ("gt", "broken", "pred"):
+                    if side in s.files:
+                        h = homography if side == "pred" else None
+                        inputs.setdefault((name, seed, side), []).append((read_tracks(s.files[side], "auto", h), batch))
+    return inputs
+
+
+def assert_same_graph(tracks, cfg, batch=None):
+    """`build_graph` gives the reference's edges, detections, source tracks and batch."""
+    got, want = build_graph(tracks, cfg, batch), reference_build_graph(tracks, cfg, batch)
+    assert got.edges.dtype == np.int64
+    assert np.array_equal(got.edges, want.edges)
+    assert got.detections == want.detections
+    assert got.source_tracks == want.source_tracks
+    assert got.batch == want.batch
+    return got
+
+
+class TestAgainstReference:
+    """The columnar build gives the graph the former pair-by-pair build gave."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("workload", ["track-noisy", "supervised-dense", "unsupervised-two-flows"])
+    def test_workload_scenes(self, workload_inputs, workload, seed, config):
+        for side in ("gt", "broken"):
+            for tracks, batch in workload_inputs[(workload, seed, side)]:
+                assert_same_graph(tracks, CONFIGS[config], batch)
+
+    @pytest.mark.parametrize(
+        "seed, config", [(0, "default"), (0, "fps25"), (0, "fps1e6"), (0, "radii"), (1, "default")]
+    )
+    def test_crowd_truth_and_prediction(self, workload_inputs, seed, config):
+        for side in ("gt", "pred"):
+            ((tracks, _),) = workload_inputs[("eval-crowd", seed, side)]
+            g = assert_same_graph(tracks, CONFIGS[config])
+            assert len(g.detections) == 24_400
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_random_scenes_with_partners_at_each_radius(self, config):
+        # Integer positions put many pairs at exactly a radius.  Each track's
+        # end gets partners at, one ulp inside and one ulp outside the link
+        # radius one frame on, and the join radius 1..3 frames on.
+        cfg = CONFIGS[config]
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            tracks = [[det(0, 0.0, 0.0)]]
+            for _ in range(int(rng.integers(1, 9))):
+                start = int(rng.integers(0, 6))
+                frames = np.cumsum(rng.integers(1, 3, size=int(rng.integers(0, 5)))) + start
+                tracks.append([det(int(f), float(rng.integers(0, 8)), float(rng.integers(0, 8))) for f in frames])
+            for track in [t for t in tracks if t]:
+                end = track[-1]
+                for radius, after in ((cfg.link_radius, 1), (cfg.join_radius, int(rng.integers(1, 4)))):
+                    x, y = end.pos
+                    for side in (-math.inf, math.inf):
+                        tracks.append([det(end.frame + after, math.nextafter(x + radius, side), y)])
+                        tracks.append([det(end.frame + after, x, math.nextafter(y - radius, side))])
+                    tracks.append([det(end.frame + after, x + radius, y)])
+            assert_same_graph(tracks, cfg)
+
+    @pytest.mark.parametrize("config", [*CONFIGS.values(), Config(join_gap=1e30)])
+    def test_frames_at_the_int64_limits_wrap_no_edge(self, config):
+        # Rows at the last frame and the first, in one place: the next frame
+        # of the last is not the first, and a gap of 2**64 - 1 frames is
+        # joined only under a join gap that long.
+        near = [det(INT64_MIN, 0.0), det(INT64_MIN + 1, 0.5)]
+        far = [det(INT64_MAX - 1, 0.0), det(INT64_MAX, 0.5)]
+        tracks = [far, near, [det(INT64_MIN, 1.0)], [det(INT64_MAX, 1.0)], [det(INT64_MAX - 1, 0.2)]]
+        g = assert_same_graph(tracks, config)
+        frames = g.frames
+        inner = g.edges[(g.edges > 0).all(axis=1)]
+        assert (frames[inner[:, 1] - 1] > frames[inner[:, 0] - 1]).all()
+        longest = inner[(frames[inner[:, 0] - 1] == INT64_MIN) & (frames[inner[:, 1] - 1] == INT64_MAX)]
+        assert longest.tolist() == ([[5, 6]] if config.join_gap_frames() >= 2**64 - 1 else [])
+        # Links into the last frame and out of the first stay.
+        assert {(7, 6), (5, 4)} <= edge_set(g)

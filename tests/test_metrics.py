@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import ptrack.core
 import ptrack.metrics
 from ptrack import Detection, TrackTable
+from ptrack.core import _gate_pairs
 from ptrack.metrics import (
     METRIC_COLUMNS,
     ClearReport,
     IdfReport,
     MatchConfig,
-    _gate_pairs,
     _unit,
     clear_scores,
     idf1,
@@ -387,9 +388,9 @@ class TestJoinCandidates:
         # on the queue along y.
         n = 5000
         examined = []
-        candidates = ptrack.metrics._candidates
+        candidates = ptrack.core._candidates
         monkeypatch.setattr(
-            ptrack.metrics, "_candidates", lambda lo, hi: examined.append(int((hi - lo).sum())) or candidates(lo, hi)
+            ptrack.core, "_candidates", lambda lo, hi: examined.append(int((hi - lo).sum())) or candidates(lo, hi)
         )
 
         def line(off):

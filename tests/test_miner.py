@@ -1,6 +1,7 @@
 """Pattern mining: candidate generation and budgeted selection."""
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -672,6 +673,35 @@ class TestMineOracle:
         monkeypatch.setattr(miner, "ENUMERATION_CAP", 2)
         assert isinstance(mine_model(g, ts, cands, cfg).oracle(), HighsOracle)
         assert mine(g, ts, cands, cfg) == enumerated
+
+
+class TestCostRowSlack:
+    """The enumeration allows the cost row the slack `SolverModel.satisfied` allows it."""
+
+    def model(self, cost):
+        # One trajectory; candidate 1 (ratio 1) costs `cost` against a
+        # budget of 10, candidate 2 (ratio 0.5) costs 3.
+        g, _, _ = two_flow_fixture(widths=(1.0,))
+        lane = lambda length: Pattern(((0.0, 0.0), (length, 0.0)), 1.0)
+        cands = CandidateSet((EMPTY_PATTERN, lane(cost), lane(3.0)), (None, None, None))
+        scores = (np.ones((1, 3)), np.array([[0.3, 1.0, 0.5]]))
+        return build_mine_model(g, scores, cands, Config(max_patterns=2, pattern_cost_budget=10.0))
+
+    def test_a_selection_at_the_edge_is_kept_and_one_ulp_past_it_is_not(self):
+        cost = 10.0
+        for _ in range(3):  # the slack moves with the cost by far less than an ulp
+            model = self.model(cost)
+            cost = float(model.rhs[-1] + model.slack[-1])
+        at, past = self.model(cost), self.model(math.nextafter(cost, math.inf))
+        assert at.slack[-1] == 1e-9 * (1.0 + 10.0 + (cost + 3.0))
+        assert at.costs[0] == at.rhs[-1] + at.slack[-1] < past.costs[0]
+        assert past.costs[0] > past.rhs[-1] + past.slack[-1]
+        first = np.array([0, 1, 0, 1, 0])  # trajectory 0 on candidate 1, which is selected
+        for model, kept in ((at, True), (past, False)):
+            assert model.satisfied(first) is kept
+            assert (1 in model.oracle().added.tolist()) is kept
+            witness = maximize_ratio(model, 0.0).witness
+            assert witness == ((0, 1, 0, 1, 0) if kept else (0, 0, 1, 0, 1))
 
 
 def test_a_negative_zero_column_is_a_twin():

@@ -1,5 +1,6 @@
 """Alternating mining/linking loop and its split-half model selection."""
 import dataclasses
+import math
 import re
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from helpers import crossing_family, mark_lower_bound, mark_proxy_lower_bound
 from ptrack import (
     Config,
     Detection,
+    DetectionGraph,
     EMPTY_PATTERN,
     Fragment,
     Pattern,
@@ -26,6 +28,7 @@ from ptrack import (
     validate_trajectory_set,
 )
 from ptrack.synth import two_flow_scene
+from ptrack.unsupervised import doubling_schedule
 from reference_scoring import trajectory_score as scalar_trajectory_score
 from reference_unsupervised import reference_cross_score, reference_run_unsupervised, reference_split
 
@@ -177,7 +180,14 @@ class TestSplitHalfScore:
             [det(base + k, 2.0 * k, 5.0) for k in range(4, 7)],
         ]
         cfg = Config(candidate_widths=(1.0,))
-        g = build_graph(tracks, cfg, batch=(base - 1, base + 8))
+        if base < 2**63:
+            g = build_graph(tracks, cfg, batch=(base - 1, base + 8))
+        else:
+            # `build_graph` keeps frames in int64; a graph past it is built
+            # directly, with the edges of the same tracks at frame 0.
+            at_zero = [[det(d.frame - base, *d.pos) for d in t] for t in tracks]
+            edges = build_graph(at_zero, cfg).edges
+            g = DetectionGraph(tuple(d for t in tracks for d in t), edges, (base - 1, base + 8), ((1, 2, 3, 4), (5, 6, 7)))
         assert g.frames.dtype == (object if base >= 2**63 else np.int64)
         ts = input_trajectories(g)
         assert split_half_score(g, ts, cfg) == (0.3, False)
@@ -224,6 +234,35 @@ class TestDefaultSchedule:
         _, g, ts = flow_fixture(cfg)
         with pytest.raises(ValueError, match=re.escape(f"levels must be an integer, got {levels!r}")):
             default_schedule(g, ts, cfg, levels=levels)
+
+
+class TestDoublingSchedule:
+    def test_doubles_exactly(self):
+        assert doubling_schedule(3.0, 4) == (3.0, 6.0, 12.0, 24.0)
+        assert doubling_schedule(0.1, 60) == tuple(0.1 * 2.0**k for k in range(60))
+        assert doubling_schedule(5.0, 0) == ()
+
+    def test_the_largest_finite_budgets_are_kept(self):
+        assert doubling_schedule(1.0, 1024)[-1] == 2.0**1023
+
+    @pytest.mark.parametrize(
+        "start, levels, level", [(1.0, 1025, 1025), (40.0, 1100, 1020), (math.inf, 1, 1), (math.nan, 3, 1)]
+    )
+    def test_a_budget_that_is_not_finite_is_refused(self, start, levels, level):
+        with pytest.raises(ValueError, match=f"^cost budget of level {level} is not finite"):
+            doubling_schedule(start, levels)
+
+    def test_the_default_schedule_overflows_as_a_value_error(self):
+        # `2.0**k` raised OverflowError from k = 1024 on.
+        cfg = Config(candidate_widths=(1.0,))
+        _, g, ts = flow_fixture(cfg)
+        with pytest.raises(ValueError, match="is not finite"):
+            default_schedule(g, ts, cfg, levels=1100)
+
+    @pytest.mark.parametrize("levels", [2.5, True, "2", np.int64(2)])
+    def test_levels_must_be_an_int(self, levels):
+        with pytest.raises(ValueError, match=re.escape(f"levels must be an integer, got {levels!r}")):
+            doubling_schedule(1.0, levels)
 
 
 class TestRunUnsupervised:
