@@ -370,3 +370,7 @@ def cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,13 +14,19 @@ for code that only reads frames and positions (reading and scoring tracks);
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from importlib.machinery import PathFinder
 from itertools import chain
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  numpy 2.4's `np.unique` imports it on its first call; load it at start-up.
+import scipy
 
 SOURCE_NODE = -1
 SINK_NODE = -2
@@ -29,6 +35,36 @@ DEFAULT_WIDTHS = (0.5, 1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0)
 RELATIVE_WIDTH_FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 _DUPLICATE_TOL = 1e-12
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded without the package inits above it.
+
+    `import scipy.optimize` spends about 0.4 s in its package init, and ptrack
+    needs only two compiled modules from it (`fracopt`'s HiGHS handle and
+    `metrics`' assignment solver).  A module already in `sys.modules` is
+    returned as it is.  A new one is found under its full name, and goes
+    into `sys.modules` under that name before `exec_module`, so a later
+    `import scipy.optimize` reuses it: a pybind11 module initialised twice
+    fails on its already-registered types.  Such a later import does not
+    bind it as an attribute of its parent package; scipy's own code imports
+    it by name, which finds it.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    path = Path(scipy.__file__).parent.joinpath(*name.split(".")[1:-1])
+    spec = PathFinder.find_spec(name, [str(path)])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
 
 
 def _is_int(value) -> bool:

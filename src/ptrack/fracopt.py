@@ -26,9 +26,12 @@ starts from the last basis.  An LP optimum at an integral vertex is an
 integer optimum, since the LP bounds the 0/1 problem; at a fractional
 vertex the same object becomes a mixed-integer program (MIP) for the rest
 of the solve.  The handle is scipy's private `_highspy._core._Highs`;
-`tests/test_fracopt.py` pins the methods used here.  HiGHS runs with its
-feasibility tolerances at the model's 1e-9, and `feasible` still checks
-every witness against every row and fails loudly on a broken one.
+`tests/test_highs_handle.py` pins the methods used here.
+`core._scipy_extension` loads that compiled module from scipy's directory
+without running `scipy.optimize`'s package init, which would add about
+0.4 s to the start of every command.  HiGHS runs with its feasibility
+tolerances at the model's 1e-9, and `feasible` still checks every witness
+against every row and fails loudly on a broken one.
 
 `maximize_ratio` starts at `start`, which must lie at or below every
 achievable ratio (`scoring.ratio_bracket` gives it for the linker and the
@@ -48,8 +51,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .core import _scipy_extension
+
 # A private module: see the module docstring.
-from scipy.optimize._highspy import _core as _highs
+_highs = _scipy_extension("scipy.optimize._highspy._core")
 
 # Row sense codes; a code indexes `_SENSES`.
 LE, EQ, GE = range(3)

@@ -33,7 +33,10 @@ join over cells a power of two wide, which squares no coordinate, so rows
 any finite distance apart compare without overflow.  Every gate decision
 agrees with the exact `math.dist` of the pair, and every matching cost is
 that distance, measured in a power-of-two unit taken from the gate so that
-it stays finite at any finite gate.
+it stays finite at any finite gate.  The assignments are scipy's
+`linear_sum_assignment`, taken from its compiled module `scipy.optimize._lsap`
+by `core._scipy_extension`, so importing ptrack does not run
+`scipy.optimize`'s package init.
 """
 from __future__ import annotations
 
@@ -42,9 +45,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .core import Detection, TrackTable, _dists, _gate_pairs, _is_real
+from .core import Detection, TrackTable, _dists, _gate_pairs, _is_real, _scipy_extension
+
+linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
 Tracks = Sequence[Sequence[Detection]] | TrackTable
 # Gate pairs: truth rows and predicted rows.

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it on first use; load it with the rest.
 
 from .core import Detection, Pattern, _is_real
 

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +27,19 @@ CROSS = (
     Pattern(((0.0, 0.0), (12.0, 12.0)), 1.0),
     Pattern(((0.0, 12.0), (12.0, 0.0)), 1.0),
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports this checkout's `ptrack`,
+    with no time budget set; its output is captured as text."""
+    env = {k: v for k, v in os.environ.items() if k != "PTRACK_TIME_BUDGET_S"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
+    )
 
 
 def edge_set(graph: DetectionGraph) -> set[tuple[int, int]]:

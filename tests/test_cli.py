@@ -17,7 +17,7 @@ import pytest
 import ptrack.fracopt as fracopt
 import ptrack.metrics as metrics
 import ptrack.unsupervised as unsupervised
-from helpers import mark_lower_bound, mark_proxy_lower_bound
+from helpers import mark_lower_bound, mark_proxy_lower_bound, run_python
 from ptrack import (
     Config,
     Pattern,
@@ -196,6 +196,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cost budget of level ") and err.count("\n") == 1
         assert "is not finite" in err and "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    """`python -m ptrack.cli` is the `ptrack` command."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_prints_and_exits_as_cli(self, tmp_path, capsys, code):
+        one = tmp_path / "one.csv"
+        one.write_text("1,1,0,0\n")
+        argv = {
+            0: ["eval", "--gt", str(one), "--pred", str(one)],
+            1: ["eval", "--gt", str(one), "--pred", str(one), "--bogus"],
+            2: ["eval", "--gt", str(tmp_path / "absent.csv"), "--pred", str(one)],
+        }[code]
+        assert cli(argv) == code
+        expected = capsys.readouterr()
+        assert expected.out or expected.err
+        proc = run_python("-m", "ptrack.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
 
 
 class TestTimeBudgetVariable:

@@ -1,9 +1,11 @@
 """Domain type construction, validation, and the trajectory-set checker."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from ptrack import (
     Assignment,
@@ -22,7 +24,7 @@ from ptrack import (
     tracks_from_trajectories,
     validate_trajectory_set,
 )
-from ptrack.core import bounding_box
+from ptrack.core import _scipy_extension, bounding_box
 
 
 def det(frame, x, y):
@@ -552,3 +554,16 @@ def test_tracks_from_trajectories_materializes_detections():
     first, second, third = g.detections
     assert all(a is b for a, b in zip(tracks[0] + tracks[1], (first, second, third)))
     assert [len(t) for t in tracks] == [2, 1]
+
+
+class TestScipyExtension:
+    def test_a_loaded_module_is_returned_as_it_is(self, monkeypatch):
+        loaded = object()
+        monkeypatch.setitem(sys.modules, "scipy.optimize._not_on_disk", loaded)
+        assert _scipy_extension("scipy.optimize._not_on_disk") is loaded
+
+    def test_a_missing_module_is_named_with_the_scipy_version(self):
+        name = "scipy.optimize._no_such_module"
+        with pytest.raises(ImportError, match=rf"^scipy {scipy.__version__} has no {name}$"):
+            _scipy_extension(name)
+        assert name not in sys.modules
