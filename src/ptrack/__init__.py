@@ -7,6 +7,16 @@ or fully unsupervised (alternating mining and linking with split-half model
 selection).
 """
 
+import os
+
+# ptrack computes on one thread; its matrix products are vector dots and 3x3
+# maps, far below the sizes OpenBLAS splits across threads.  Unless told
+# otherwise, the OpenBLAS that numpy loads starts a worker per core that
+# busy-waits for work for its first ~0.1 s, taking tens of ms of another
+# core at the start of every command.  OpenBLAS reads this when numpy loads,
+# so it has no effect if numpy was imported before ptrack.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     Assignment,
     Config,

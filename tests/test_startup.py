@@ -2,13 +2,15 @@
 
 `ptrack` loads scipy's HiGHS binding and its assignment solver with
 `core._scipy_extension`, without running `scipy.optimize`'s package init.
-These tests check module sets, not times, so they do not depend on the
-machine's speed.
+These tests check module sets and thread counts, not times, so they do not
+depend on the machine's speed.
 """
 from __future__ import annotations
 
 import json
+import os
 
+import pytest
 from helpers import run_python
 
 # Writes a tiny scene to the working directory, runs the workloads' commands
@@ -122,3 +124,26 @@ print(json.dumps({
 }))
 """, tmp_path)
     assert result == {"same_core": True, "same_lsap": True}
+
+
+THREADS = """
+import json, os
+{setup}
+import ptrack
+print(json.dumps({{"threads": len(os.listdir("/proc/self/task")), "env": os.environ["OPENBLAS_NUM_THREADS"]}}))
+"""
+
+counts_threads = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+
+
+@counts_threads
+def test_import_starts_no_blas_worker_threads(tmp_path):
+    # OpenBLAS's workers busy-wait on another core at every start; ptrack needs none.
+    result = run_json(THREADS.format(setup='os.environ.pop("OPENBLAS_NUM_THREADS", None)'), tmp_path)
+    assert result == {"threads": 1, "env": "1"}
+
+
+@counts_threads
+def test_import_keeps_a_blas_thread_count_set_by_the_user(tmp_path):
+    result = run_json(THREADS.format(setup='os.environ["OPENBLAS_NUM_THREADS"] = "2"'), tmp_path)
+    assert result["env"] == "2"
