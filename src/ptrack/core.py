@@ -68,11 +68,12 @@ def _scipy_extension(name: str):
 
 
 def _is_int(value) -> bool:
+    """A Python int that is not a bool; a numpy integer, whose arithmetic wraps, is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    """A finite int or float that is not a bool."""
+    """A finite int or float, not a bool: `np.float64` is a float, other numpy scalars are not."""
     return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
@@ -263,6 +264,7 @@ def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> tuple[np.n
     col, row = np.minimum(cell, [[cap_x], [cap_y]]) + 1
     side = cap_y + 3
     code = (frame * (cap_x + 3) + col) * side + row
+    del frames, frame, cell, col, row  # freed: what follows sets a crowd eval's peak memory
     g_order, p_order = np.argsort(code[:n_g]), np.argsort(code[n_g:])
     g_code, p_code = code[:n_g][g_order], code[n_g:][p_order]
     filed = np.concatenate((p_code - side, p_code, p_code + side))

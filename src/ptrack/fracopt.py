@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _scipy_extension
+from .core import _frozen, _is_int, _is_real, _scipy_extension
 
 # A private module: see the module docstring.
 _highs = _scipy_extension("scipy.optimize._highspy._core")
@@ -85,19 +85,6 @@ class Constraint:
     coeffs: tuple[float, ...]
     sense: str
     rhs: float
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class SolverModel:
@@ -355,9 +342,9 @@ def maximize_ratio(
     `time_budget`, None or a positive finite number of seconds, bounds the
     whole search as one deadline.
     """
-    if not (_is_real(start) and math.isfinite(start)):
+    if not _is_real(start):
         raise ValueError(f"start must be a finite number, got {start!r}")
-    if time_budget is not None and not (_is_real(time_budget) and 0.0 < time_budget < math.inf):
+    if time_budget is not None and not (_is_real(time_budget) and time_budget > 0.0):
         raise ValueError(f"time_budget must be None or positive and finite, got {time_budget!r}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     oracle = model.oracle()

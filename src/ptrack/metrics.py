@@ -24,7 +24,9 @@ is its gate pairs, whatever is carried over: a carried pair is a gate pair,
 and with one row per track it takes no other pair's row out of the
 leftover, where the rest of the pairs form a matching and every other entry
 costs a million gates.  So settled frames are matched all at once; only the
-others go frame by frame.
+others go frame by frame.  When all are settled, a truth track's matched
+rows are its matches, in time order where its frames rise, as a read
+table's do.
 
 Every metric takes tracks either as detection lists or as a `TrackTable`,
 and works on the table: lists are converted once on entry.  The gate pairs
@@ -181,8 +183,15 @@ def _keep_last(last_match: np.ndarray, g: np.ndarray, p: np.ndarray) -> None:
     last_match[tracks] = p[::-1][last]
 
 
+def _rises(frames: np.ndarray, owner: np.ndarray) -> bool:
+    """Whether each track's frames rise strictly, as in a table the reader built."""
+    return bool(np.all((frames[1:] > frames[:-1]) | (owner[1:] != owner[:-1])))
+
+
 def _repeated_frames(frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Frames where a track has two rows, from rows sorted by (frame, track)."""
+    """Frames where a track has two rows: sorted stably by frame, a frame's rows are by track."""
+    order = np.argsort(frames, kind="stable")
+    frames, owner = frames[order], owner[order]
     twice = (frames[1:] == frames[:-1]) & (owner[1:] == owner[:-1])
     return frames[1:][twice]
 
@@ -242,23 +251,30 @@ def clear_scores(
         raise ValueError("no ground-truth detections to evaluate against")
     gi, pj = _gate_pairs(gt, pred, cfg.max_dist) if _pairs is None else _pairs
     g_owner, p_owner = gt.owner, pred.owner
-    # Rows sorted by frame, stably: within a frame by track, as a table keeps its tracks in order.
-    g_order = np.argsort(gt.frames, kind="stable")
-    p_order = np.argsort(pred.frames, kind="stable")
-    g_frames, p_frames = gt.frames[g_order], pred.frames[p_order]
+    rises = _rises(gt.frames, g_owner), _rises(pred.frames, p_owner)
     unsettled = np.unique(np.concatenate((
         gt.frames[np.bincount(gi, minlength=total_gt) > 1],
         pred.frames[np.bincount(pj, minlength=total_pred) > 1],
-        _repeated_frames(g_frames, g_owner[g_order]),
-        _repeated_frames(p_frames, p_owner[p_order]),
+        *(_repeated_frames(t.frames, o) for t, o, r in zip((gt, pred), (g_owner, p_owner), rises) if not r),
     )))
-    pair_frames = gt.frames[gi]
-    settled = ~np.isin(pair_frames, unsettled)
-    # Matches as (truth track, predicted track, frame), each frame's in its order.
-    match_g, match_p, match_f = [g_owner[gi[settled]]], [p_owner[pj[settled]]], [pair_frames[settled]]
-    if len(unsettled):
+    if not len(unsettled):
+        # Every gate pair is a match, at most one per truth row: a truth
+        # track's rows in time order, where matched, are its matches in order.
+        partner = np.full(total_gt, -1)
+        partner[gi] = p_owner[pj]
+        in_time = slice(None) if rises[0] else np.lexsort((gt.frames, g_owner))
+        g_seq, p_seq = g_owner[in_time], partner[in_time]
+        g_seq, p_seq = g_seq[p_seq >= 0], p_seq[p_seq >= 0]
+    else:
+        pair_frames = gt.frames[gi]
+        settled = ~np.isin(pair_frames, unsettled)
+        # Matches as (truth track, predicted track, frame), each frame's in its order.
+        match_g, match_p, match_f = [g_owner[gi[settled]]], [p_owner[pj[settled]]], [pair_frames[settled]]
         unit = _unit(cfg.max_dist)
         gate = cfg.max_dist / unit
+        # Rows sorted by frame, stably: within a frame by track, as a table keeps its tracks in order.
+        g_order, p_order = (np.argsort(t.frames, kind="stable") for t in (gt, pred))
+        g_frames, p_frames = gt.frames[g_order], pred.frames[p_order]
         by_frame = np.argsort(match_f[0], kind="stable")
         s_g, s_p = match_g[0][by_frame], match_p[0][by_frame]
         s_ends = np.searchsorted(match_f[0][by_frame], unsettled).tolist()
@@ -282,18 +298,18 @@ def clear_scores(
             match_g.append(g)
             match_p.append(p)
             match_f.append(np.full(len(g), frame))
-    g, p, f = map(np.concatenate, (match_g, match_p, match_f))
-    # Each truth track's matches in time order; lexsort is stable, so a
-    # frame's matches keep their order.
-    order = np.lexsort((f, g))
-    g_seq, p_seq = g[order], p[order]
+        g, p, f = map(np.concatenate, (match_g, match_p, match_f))
+        # Each truth track's matches in time order; lexsort is stable, so a
+        # frame's matches keep their order.
+        order = np.lexsort((f, g))
+        g_seq, p_seq = g[order], p[order]
     switches = int(np.count_nonzero((g_seq[1:] == g_seq[:-1]) & (p_seq[1:] != p_seq[:-1])))
-    tp = len(g)
+    tp = len(g_seq)
     fp, fn = total_pred - tp, total_gt - tp
     mota = 1.0 - (fp + fn + switches) / total_gt
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / total_gt
-    matched_frames = np.bincount(g, minlength=len(gt))
+    matched_frames = np.bincount(g_seq, minlength=len(gt))
     return ClearReport(mota, precision, recall, tp, fp, fn, switches, tuple(matched_frames.tolist()))
 
 

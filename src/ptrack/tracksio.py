@@ -10,11 +10,13 @@ x == y == -1 and a box carry image-plane boxes only and need a homography
 to project the box's bottom center onto the ground plane; a row whose box
 width and height are both -1 has no box, so its x, y is a ground position
 even when it is (-1, -1).
-Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`): numpy's C reader
-parses them, and `float` parses again a block numpy refuses, as only it takes
-every such spelling and names the bad line.  Frame and id must be finite
-int64 integers, and ground positions, read or projected, must be finite.  An
-invalid track file is reported at its first offending line.  A degenerate
+Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`).  numpy's C reader
+parses a clean file, each line a row it takes, from its lines as they are;
+any other goes row by stripped row, and `float` parses again a block numpy
+refuses, as only it takes every such spelling and names the bad line.  Frame
+and id must be finite int64 integers, and ground positions, read or
+projected, must be finite.  An invalid track file is reported at its first
+offending line, whichever path reads it, with the same message.  A degenerate
 homography, a projection to a non-finite position and a repeated frame in one
 track are reported, in that order, only once every line has passed.
 All writers are deterministic: fixed six-decimal formatting, newline line
@@ -64,15 +66,14 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _parse_block(block: list[str], columns: int) -> tuple[np.ndarray, str | None]:
-    # numpy's C reader converts a cell as `float` does but also strips \x1c-\x1f
-    # around it, which `float` rejects; only \x1f survives `str.splitlines`.
-    if "\x1f" not in "".join(block):
-        with suppress(ValueError):
-            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
-            if values.shape == (len(block), columns):
-                return values, None
-    return _python_block(block, columns)
+def _numpy_block(block: list[str], columns: int) -> np.ndarray | None:
+    """The block's rows by numpy's C reader, or None unless it reads each line as one row of `columns`."""
+    # numpy skips an empty line, and warns on a block of nothing else.
+    with suppress(ValueError):
+        values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2) if block[0] else None
+        if values is not None and values.shape == (len(block), columns):
+            return values
+    return None
 
 
 def _python_block(block: list[str], columns: int) -> tuple[np.ndarray, str | None]:
@@ -101,11 +102,25 @@ def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
     values = np.empty((len(rows), columns))
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        parsed, message = _parse_block(block, columns)
+        # numpy's C reader converts a cell as `float` does but also strips \x1c-\x1f
+        # around it, which `float` rejects; only \x1f survives `str.splitlines`.
+        parsed = None if "\x1f" in "".join(block) else _numpy_block(block, columns)
+        parsed, message = _python_block(block, columns) if parsed is None else (parsed, None)
         values[start : start + len(parsed)] = parsed
         if message is not None:
             return values[: start + len(parsed)], message
     return values, None
+
+
+def _clean_rows(lines: list[str], columns: int) -> np.ndarray | None:
+    """Every line as one row, all by numpy's reader; None where a block deviates."""
+    values = np.empty((len(lines), columns))
+    for start in range(0, len(lines), _BLOCK_ROWS):
+        parsed = _numpy_block(lines[start : start + _BLOCK_ROWS], columns)
+        if parsed is None:
+            return None
+        values[start : start + len(parsed)] = parsed
+    return values
 
 
 def track_table_from_csv(
@@ -118,58 +133,62 @@ def track_table_from_csv(
     if fmt not in ("auto", *_TRACK_COLUMNS):
         raise ValueError(f"unknown track format {fmt!r}")
     lines = text.splitlines()
-    rows = [row for row in map(str.strip, lines) if row]
 
     def line_of(row: int) -> int:
         return [n for n, line in enumerate(lines, start=1) if line.strip()][row]
 
-    if not rows:
+    first = next(filter(str.strip, lines), None)
+    if first is None:
         return TrackTable.from_tracks([])
     if fmt == "auto":
-        found = rows[0].count(",") + 1
+        found = first.count(",") + 1
         fmt = {4: "plain", 10: "mot"}.get(found, "")
         if not fmt:
             raise ValueError(f"line {line_of(0)} has {found} columns, expected 4 or 10")
-    values, parse_error = _parse_rows(rows, _TRACK_COLUMNS[fmt])
+    # A clean file, each line a row that numpy reads and no \x1f anywhere (see
+    # `_parse_rows`), is read as it is; any other goes row by stripped row.
+    parse_error = None
+    values = None if "\x1f" in text else _clean_rows(lines, _TRACK_COLUMNS[fmt])
+    if values is None:
+        values, parse_error = _parse_rows([row for row in map(str.strip, lines) if row], _TRACK_COLUMNS[fmt])
 
-    frame_id = values[:, :2]
-    integral = np.all(
-        (-_INT64_LIMIT <= frame_id) & (frame_id < _INT64_LIMIT) & (np.trunc(frame_id) == frame_id),
-        axis=1,
-    )
+    # A float no int64 equals converts to one it differs from, or from 2**63 up may saturate to 2**63 - 1.
+    with np.errstate(invalid="ignore"):
+        frame_id = values[:, :2].astype(np.int64)
+    integral = (frame_id == values[:, :2]) & (values[:, :2] < _INT64_LIMIT)
+    integral = integral[:, 0] & integral[:, 1]
     pos = values[:, [2, 3] if fmt == "plain" else [7, 8]]
+    finite = np.isfinite(pos[:, 0]) & np.isfinite(pos[:, 1])
     boxed = np.zeros(len(values), dtype=bool)
     if fmt == "mot":
         # A box-only row has x == y == -1 and a box; width == height == -1 marks no box.
-        boxed = np.all(pos == -1.0, axis=1) & ~np.all(values[:, 4:6] == -1.0, axis=1)
-    failed = np.select(
-        [~integral, boxed & (homography is None), ~boxed & ~np.isfinite(pos).all(axis=1)],
-        [1, 2, 3],
-    )
-    first = np.flatnonzero(failed)
-    if first.size:
-        raise ValueError(_ROW_ERRORS[failed[first[0]] - 1].format(line_of(first[0])))
+        boxed = (pos[:, 0] == -1.0) & (pos[:, 1] == -1.0) & ((values[:, 4] != -1.0) | (values[:, 5] != -1.0))
+    # A boxed row's (-1, -1) is finite: a row that is not finite is never boxed.
+    failed = ~(integral & finite) | boxed & (homography is None)
+    if failed.any():
+        k = int(failed.argmax())
+        raise ValueError(_ROW_ERRORS[0 if not integral[k] else 2 if not finite[k] else 1].format(line_of(k)))
     if parse_error is not None:
         raise ValueError(parse_error.replace("{}", str(line_of(len(values))), 1))
 
     if boxed.any():
-        boxed_rows = np.flatnonzero(boxed)
-        left, top, width, height = values[boxed_rows, 2:6].T
-        with np.errstate(over="ignore", invalid="ignore"):
-            feet = np.column_stack((left + width / 2.0, top + height, np.ones(len(boxed_rows))))
+        rows = slice(None) if boxed.all() else np.flatnonzero(boxed)
+        left, top, width, height = values[rows, 2:6].T
+        with np.errstate(all="ignore"):
+            feet = np.column_stack((left + width / 2.0, top + height, np.ones(len(left))))
             # Stacked matrix-vector products: each foot point maps exactly as
             # `homography @ foot` maps it alone.
             mapped = (homography @ feet.reshape(-1, 3, 1))[:, :, 0]
-            degenerate = np.flatnonzero(mapped[:, 2] == 0.0)
-            if degenerate.size:
-                raise ValueError(f"homography degenerates at line {line_of(boxed_rows[degenerate[0]])}")
             ground = mapped[:, :2] / mapped[:, 2:]
-        infinite = np.flatnonzero(~np.isfinite(ground).all(axis=1))
-        if infinite.size:
-            raise ValueError(_ROW_ERRORS[2].format(line_of(boxed_rows[infinite[0]])))
-        pos[boxed_rows] = ground
+        # A degenerate row's ground is not finite either; it is reported first.
+        if not np.isfinite(ground).all():
+            degenerate = mapped[:, 2] == 0.0
+            bad = degenerate if degenerate.any() else ~np.isfinite(ground).all(axis=1)
+            message = "homography degenerates at line {}" if degenerate.any() else _ROW_ERRORS[2]
+            raise ValueError(message.format(line_of(np.flatnonzero(boxed)[bad.argmax()])))
+        pos[rows] = ground
 
-    frames, ids = values[:, 0].astype(np.int64), values[:, 1].astype(np.int64)
+    frames, ids = frame_id[:, 0], frame_id[:, 1]
     order = np.lexsort((frames, ids))
     frames, ids, pos = frames[order], ids[order], pos[order]
     same_track = ids[1:] == ids[:-1]

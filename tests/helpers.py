@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import math
 import os
 import subprocess
@@ -30,6 +32,17 @@ CROSS = (
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@functools.cache
+def bench_scenes():
+    """perfbench/scenes.py, loaded once and registered as `perfbench_scenes`,
+    the module its dataclasses look themselves up in."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", SRC.parent / "perfbench" / "scenes.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:

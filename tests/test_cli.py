@@ -17,7 +17,7 @@ import pytest
 import ptrack.fracopt as fracopt
 import ptrack.metrics as metrics
 import ptrack.unsupervised as unsupervised
-from helpers import mark_lower_bound, mark_proxy_lower_bound, run_python
+from helpers import bench_scenes, mark_lower_bound, mark_proxy_lower_bound, run_python
 from ptrack import (
     Config,
     Pattern,
@@ -29,6 +29,8 @@ from ptrack import (
     write_tracks,
 )
 from ptrack.cli import cli
+from ptrack.tracksio import read_homography, track_table_from_csv
+from reference_io import exact, reference_tracks_from_csv
 
 
 @pytest.fixture(autouse=True)
@@ -552,6 +554,37 @@ class TestEval:
         assert sys.stdout.name == os.devnull
         sys.stdout.close()
         assert capsys.readouterr().err == ""
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=lambda seed: f"seed{seed}")
+def bench_crowd(request, tmp_path_factory):
+    """The eval-crowd benchmark scene at one seed, written as `perfbench/scenes.py` writes it."""
+    (scene,) = bench_scenes().BUILDERS["eval-crowd"](request.param, tmp_path_factory.mktemp("crowd"))
+    return scene
+
+
+class TestBenchCrowd:
+    """The eval-crowd benchmark workload: its files read exactly, and its scores."""
+
+    def test_both_files_read_as_the_row_parser_reads_them(self, bench_crowd):
+        homography = read_homography(bench_crowd.files["homography"])
+        for side in ("gt", "pred"):
+            text = bench_crowd.files[side].read_text()
+            table = track_table_from_csv(text, "auto", homography)
+            assert len(table.frames) == 24_400
+            assert exact(table.tracks()) == exact(reference_tracks_from_csv(text, "auto", homography))
+
+    def test_eval_prints_the_scores_of_the_scene_facts(self, bench_crowd, capsys):
+        files = bench_crowd.files
+        argv = ["eval", "--gt", str(files["gt"]), "--pred", str(files["pred"]),
+                "--homography", str(files["homography"]), "--match-dist", "0.01"]
+        assert cli(argv) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert printed["IDF1"] == f"{bench_crowd.facts['idf1']:.6f}"
+        assert printed["MOTA"] == f"{bench_crowd.facts['mota']:.6f}"
+
+    def test_the_scene_module_is_loaded_once(self):
+        assert bench_scenes() is bench_scenes() is sys.modules["perfbench_scenes"]
 
 
 class TestSynth:

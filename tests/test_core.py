@@ -1,6 +1,7 @@
 """Domain type construction, validation, and the trajectory-set checker."""
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,7 +25,10 @@ from ptrack import (
     tracks_from_trajectories,
     validate_trajectory_set,
 )
-from ptrack.core import _scipy_extension, bounding_box
+from ptrack.core import _is_int, _is_real, _scipy_extension, bounding_box
+from ptrack.fracopt import maximize_ratio
+
+from helpers import rows_model
 
 
 def det(frame, x, y):
@@ -482,6 +486,52 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"join_gap \* fps must be finite"):
             Config(join_gap=1e200, fps=1e200)
         assert Config(join_gap=1e150, fps=1e150).join_gap_frames() == round(1e150 * 1e150)
+
+
+class TestNumberGuards:
+    """`core._is_int` and `core._is_real` are the one pair of number checks.
+
+    An int is a Python int; a numpy integer, whose arithmetic wraps, is not.
+    A real is a finite int or float; `np.float64` is a float, while other
+    numpy scalars compute at their own width and are not taken.  A bool is
+    never a number.  Each check is seen through the solver and `Config`.
+    """
+
+    INTS = [(1, True), (7, True)] + [
+        (v, False) for v in (np.int64(1), np.uint8(1), 1.0, True, np.bool_(True), math.nan)
+    ]
+    REALS = [(1, True), (0.5, True), (np.float64(0.5), True)] + [
+        (v, False)
+        for v in (np.int64(1), np.float32(0.5), True, np.bool_(True), math.nan, math.inf, np.float64(-math.inf))
+    ]
+
+    @pytest.mark.parametrize("value, taken", INTS, ids=repr)
+    def test_an_int_is_a_python_int(self, value, taken):
+        assert _is_int(value) is taken
+        if taken:
+            assert rows_model(value, (), (1.0,) * value, (1.0,) * value).num_vars == value
+            assert Config(max_patterns=value).max_patterns == value
+            return
+        with pytest.raises(ValueError, match=re.escape(f"num_vars must be an int, got {value!r}")):
+            rows_model(value, (), (1.0,), (1.0,))
+        with pytest.raises(ValueError, match="max_patterns must be a positive int"):
+            Config(max_patterns=value)
+
+    @pytest.mark.parametrize("value, taken", REALS, ids=repr)
+    def test_a_real_is_a_finite_int_or_float(self, value, taken):
+        assert _is_real(value) is taken
+        model = rows_model(1, (), (1.0,), (1.0,))
+        if taken:
+            assert maximize_ratio(model, start=-value).witness == (1,)
+            assert maximize_ratio(model, time_budget=value).witness == (1,)
+            assert Config(link_radius=value).link_radius == value
+            return
+        with pytest.raises(ValueError, match="start must be a finite number"):
+            maximize_ratio(model, start=value)
+        with pytest.raises(ValueError, match="time_budget must be None or positive and finite"):
+            maximize_ratio(model, time_budget=value)
+        with pytest.raises(ValueError, match="link_radius must be positive and finite"):
+            Config(link_radius=value)
 
 
 def test_relative_widths_scale_with_extent():

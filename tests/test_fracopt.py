@@ -1,9 +1,7 @@
 """Exact 0/1 linear-fractional solver: the argmax oracle and the Dinkelbach search."""
-import importlib.util
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from ptrack.fracopt import (
     maximize_ratio,
 )
 
-from helpers import rows_model
+from helpers import bench_scenes, rows_model
 from oracles import brute_force_argmax_value, brute_force_best_ratio, brute_force_feasible, satisfies
 
 
@@ -288,22 +286,11 @@ class TestTieBreak:
         assert len(runs) == 1
 
 
-def load_bench_scenes():
-    """perfbench/scenes.py, registered so that its dataclasses can resolve their module."""
-    name = "perfbench_scenes"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 def bench_steps(monkeypatch, tmp_path, workload, command):
     """(model, alpha, result) of every step that `command` makes on each scene of a benchmark workload."""
     from ptrack.cli import cli
 
-    scenes = load_bench_scenes().BUILDERS[workload](0, tmp_path)
+    scenes = bench_scenes().BUILDERS[workload](0, tmp_path)
     steps = record_steps(monkeypatch)
     for s in scenes:
         argv = [command, "--out", str(tmp_path / f"{s.name}.out"), "--batch-start", str(s.batch[0]),

@@ -1,8 +1,5 @@
 """Detection graph assembly from input track tables."""
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +21,9 @@ from ptrack import (
 )
 from ptrack.synth import crossing_scene, fragmented_corridor_scene, two_flow_scene
 
-from helpers import edge_score, edge_set
+from helpers import bench_scenes, edge_score, edge_set
 from reference_graph import reference_build_graph
 
-SCENES = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # The configs the columnar build is checked under: the defaults, a join gap
 # of 50 and of 2 000 000 frames, and a tight link radius with a wide join.
@@ -236,19 +232,11 @@ class TestInputTrajectories:
             input_trajectories(g)
 
 
-def load_scenes():
-    spec = importlib.util.spec_from_file_location("perfbench_scenes", SCENES)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def workload_inputs(tmp_path_factory):
     """Every benchmark workload's input tracks at seeds 0 and 1, read from its
     files as the command line reads them: {(workload, seed, side): (tracks, batch)}."""
-    scenes = load_scenes()
+    scenes = bench_scenes()
     inputs = {}
     for name, builder in scenes.BUILDERS.items():
         for seed in (0, 1):

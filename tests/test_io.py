@@ -179,6 +179,13 @@ class TestTracksFromCsv:
         with pytest.raises(ValueError, match="malformed row at line 2: ground position must be finite"):
             tracks_from_csv(text, homography=h)
 
+    def test_a_degenerate_row_is_reported_before_an_earlier_non_finite_one(self):
+        # Row 1 projects to infinity; row 2's foot point maps to w == 0.
+        h = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 1.0, -6.0]])
+        text = "1,2,1e200,1e200,2,2,1,-1,-1,-1\n2,2,3,2,2,4,1,-1,-1,-1\n"
+        with pytest.raises(ValueError, match="^homography degenerates at line 2$"):
+            track_table_from_csv(text, homography=h)
+
     def test_integer_check_comes_before_missing_homography(self):
         with pytest.raises(ValueError, match="line 2: frame and id must be integers"):
             tracks_from_csv("1,1,0,0,1,1,1,3,4,-1\n2.5,1,0,0,1,1,1,-1,-1,-1\n")
@@ -642,6 +649,60 @@ class TestAgainstRowParser:
         text, line_nos = render(rng, rows)
         message = self.assert_same_outcome(text, rng.choice(["auto", fmt]), homography)
         assert message.startswith(f"malformed row at line {line_nos[k]}: ")
+        # Without blank lines, numpy's reader would take every other line.
+        message = self.assert_same_outcome("\n".join(map(",".join, rows)), fmt, homography)
+        assert message.startswith(f"malformed row at line {k + 1}: ")
+
+    def many_lines(self, rng):
+        """A file of `MANY_ROWS` rows as a list of lines, and its format and homography."""
+        fmt, rows, homography = self.many_rows(rng)
+        return [",".join(cells) for cells in rows], fmt, homography
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_file_that_starts_with_blank_lines(self, seed):
+        rng = random.Random(5000 + seed)
+        lines, fmt, homography = self.many_lines(rng)
+        blank = [rng.choice(["", " ", "\t", "\xa0"]) for _ in range(rng.randrange(1, 4))]
+        self.assert_same_tables("\n".join(blank + lines), rng.choice(["auto", fmt]), homography)
+        spoil_at = rng.randrange(len(lines))
+        lines[spoil_at] = "1,2,3"
+        message = self.assert_same_outcome("\n".join(blank + lines), fmt, homography)
+        assert message == f"line {len(blank) + spoil_at + 1} has 3 columns, expected {len(lines[0].split(','))}"
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t \t"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_whole_block_of_blank_lines(self, seed, blank):
+        # numpy's reader skips an empty line, warns on a block of nothing
+        # else, and refuses a whitespace-only one.
+        rng = random.Random(6000 + seed)
+        lines, fmt, homography = self.many_lines(rng)
+        lines[_BLOCK_ROWS:_BLOCK_ROWS] = [blank] * (_BLOCK_ROWS + rng.randrange(3))
+        self.assert_same_tables("\n".join(lines), rng.choice(["auto", fmt]), homography)
+        k = rng.randrange(2 * _BLOCK_ROWS + 2, len(lines))
+        lines[k] = lines[k].replace(",", ",x", 1)
+        assert self.assert_same_outcome("\n".join(lines), fmt, homography).startswith(f"malformed row at line {k + 1}: ")
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_crlf_line_endings(self, seed):
+        rng = random.Random(7000 + seed)
+        lines, fmt, homography = self.many_lines(rng)
+        self.assert_same_tables("\r\n".join(lines) + "\r\n", rng.choice(["auto", fmt]), homography)
+        k = rng.randrange(len(lines))
+        lines[k] = "0.5" + lines[k][lines[k].index(","):]
+        message = self.assert_same_outcome("\r\n".join(lines) + "\r\n", fmt, homography)
+        assert message == f"malformed row at line {k + 1}: frame and id must be integers"
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_lone_line_separator_other_than_a_newline(self, separator):
+        # `str.splitlines` ends a line at each of these; both readers count it.
+        rng = random.Random(8000 + ord(separator))
+        lines, fmt, homography = self.many_lines(rng)
+        k = rng.randrange(1, len(lines) - 1)
+        text = "\n".join(lines[:k]) + separator + "\n".join(lines[k:])
+        self.assert_same_tables(text, rng.choice(["auto", fmt]), homography)
+        lines[k + 1] = lines[k + 1] + ",0"
+        text = "\n".join(lines[:k]) + separator + "\n".join(lines[k:])
+        assert self.assert_same_outcome(text, fmt, homography).startswith(f"line {k + 2} has ")
 
     def test_a_bad_number_before_a_wrong_column_count(self):
         text = "1,1,0,0\n2,1,0,0\n3,1,x,0\n4,1,0,0\n\n\n5,1,0\n"
@@ -683,3 +744,15 @@ class TestParsePaths:
         table = track_table_from_csv("\n".join(rows))
         assert seen == [rows[_BLOCK_ROWS]]
         assert exact(table.tracks()) == exact(reference_tracks_from_csv("\n".join(rows)))
+
+    def test_a_clean_file_skips_the_row_by_row_path(self, monkeypatch):
+        rows = self.crowd_csv()
+        calls = []
+        parse_rows = tracksio._parse_rows
+        monkeypatch.setattr(tracksio, "_parse_rows", lambda *args: calls.append(args) or parse_rows(*args))
+        for text in ("\n".join(rows), "\r\n".join(rows) + "\r\n"):
+            assert len(track_table_from_csv(text).frames) == 5000
+        assert calls == []
+        # An empty line, here the last, sends the file down the row-by-row path.
+        assert len(track_table_from_csv("\n".join(rows) + "\n\n").frames) == 5000
+        assert len(calls) == 1

@@ -509,6 +509,24 @@ class TestClearAgainstFrameLoop:
             if any(gt):
                 self.assert_same(gt, pred, float(rng.choice([1.0, 2.0])))
 
+    def test_tracks_listed_out_of_frame_order(self):
+        # With every frame settled, the matches of a truth track whose list
+        # is out of frame order are still taken in time order.
+        rng = np.random.default_rng(31)
+        settled = switches = 0
+        for _ in range(100):
+            gt = random_tracks(rng, int(rng.integers(1, 6)), 10, 50)
+            pred = []
+            for track in gt:
+                cut = int(rng.integers(0, len(track) + 1))
+                pred += [track[:cut], track[cut:]]
+            for track in gt + pred:
+                rng.shuffle(track)
+            if any(gt):
+                settled += not unsettled_frames(gt, pred, 1.0)
+                switches += self.assert_same(gt, pred, 1.0).id_switches
+        assert settled > 80 and switches > 50
+
     def test_far_coordinates_and_small_gates(self):
         rng = np.random.default_rng(29)
         for offset, gate in ((1000.0, 1.0), (-1000.0, 0.01), (0.0, 0.01)):

@@ -31,9 +31,8 @@ from ptrack.miner import CandidateSet
 from ptrack.synth import Fragment, Swap
 from ptrack.tracksio import read_tracks
 
-from helpers import rows_model
+from helpers import bench_scenes, rows_model
 from reference_model import FormerModel, former_link_model, former_mine_model
-from test_fracopt import load_bench_scenes
 
 
 def bits(values) -> list[int]:
@@ -106,7 +105,7 @@ class TestBenchmarkScenes:
     @pytest.mark.parametrize("workload", ["track-noisy", "supervised-dense", "unsupervised-two-flows"])
     def test_every_model_of_a_workload(self, workload, seed, recorded_models, tmp_path, capsys):
         pairs = recorded_models
-        for s in load_bench_scenes().BUILDERS[workload](seed, tmp_path):
+        for s in bench_scenes().BUILDERS[workload](seed, tmp_path):
             for argv in workload_argv(workload, s, tmp_path):
                 assert cli(argv) == 0
         assert pairs
@@ -117,7 +116,7 @@ class TestBenchmarkScenes:
     def test_crowd_window(self, seed, tmp_path):
         # eval-crowd solves nothing; link a window of its ground truth instead:
         # the first 12 frames of its first two lane rows, on their two lanes.
-        (s,) = load_bench_scenes().BUILDERS["eval-crowd"](seed, tmp_path)
+        (s,) = bench_scenes().BUILDERS["eval-crowd"](seed, tmp_path)
         tracks = [
             [d for d in t if d.frame <= 12] for t in read_tracks(s.files["gt"])
             if t[0].pos[1] < 12.0 and t[0].frame <= 12
@@ -134,7 +133,7 @@ class TestBenchmarkScenes:
 class TestNoisyFamily:
     @pytest.mark.parametrize("agents", [4, 5, 6, 7, 8])
     def test_link_and_mine_models(self, agents):
-        scenes = load_bench_scenes()
+        scenes = bench_scenes()
         scene, broken = scenes.noisy_family(
             agents, 0.3, 0.2, 1, [Swap(0, 1, frame=8), Fragment(2, frame=9)]
         )

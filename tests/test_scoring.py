@@ -35,7 +35,7 @@ from ptrack import (
 )
 from ptrack.scoring import _project, _projection
 
-from helpers import edge_score
+from helpers import bench_scenes, edge_score
 from reference_scoring import PatternScorer as ReferenceScorer
 from reference_scoring import trajectory_score as reference_trajectory_sum
 from oracles import (
@@ -826,9 +826,7 @@ class TestArrayScorerAgainstScalar:
 
     @pytest.mark.parametrize("workload", ["track-noisy", "supervised-dense", "unsupervised-two-flows"])
     def test_benchmark_graphs(self, workload, tmp_path):
-        from test_fracopt import load_bench_scenes
-
-        for s in load_bench_scenes().BUILDERS[workload](0, tmp_path):
+        for s in bench_scenes().BUILDERS[workload](0, tmp_path):
             for rows in (s.gt, s.broken):
                 tracks = [[Detection(f, (x, y)) for f, x, y in t] for t in rows]
                 for cfg in (Config(), Config.unsupervised()):
