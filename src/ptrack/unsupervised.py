@@ -8,8 +8,10 @@ other half, and the two cross scores are averaged.  Trajectories that only
 exist because two unrelated halves were stitched together score poorly on
 the half they were not mined from, so the proxy tracks real identity quality
 without labels.  Within a budget level each distinct trajectory set is
-mined, linked and proxy-scored once; a repeat reuses those results (in a
-timed run, a lower bound too, not re-solved) and still gets a history row.
+mined and proxy-scored once; over the whole run each distinct mined pattern
+set is linked once, since the link never reads the cost budget.  A repeat
+reuses those results (in a timed run, a lower bound too, at any later level,
+not re-solved) and still gets a history row.
 A split that leaves a half empty scores -inf, so its iterate loses to any
 other.  Sets are scored against patterns through `scoring.score_matrix`.
 """
@@ -157,13 +159,14 @@ def run_unsupervised(
     Runs a fixed number of alternations per budget level, recording the
     split-half proxy score of every iterate, and stops early once a level
     ends with at least `stop_patterns` patterns (default: the pattern count
-    budget).  Each distinct trajectory set is solved once per level, so a
-    fixed point or a cycle costs lookups only; every iteration still gets a
-    history row.  Returns the iterate with the best proxy score; ties go to
-    the earliest.  An iterate whose split leaves a half empty gets proxy
-    -inf, so it is returned only when every iterate is degenerate, and then
-    the first.  Raises if `iterations_per_level` is not an integer of at
-    least 1.
+    budget).  Each distinct trajectory set is mined once per level and each
+    distinct pattern set is linked once per run, a timed-out link's lower
+    bound included, so a fixed point or a cycle costs lookups only; every
+    iteration still gets a history row.  Returns the iterate with the best
+    proxy score; ties go to the earliest.  An iterate whose split leaves a
+    half empty gets proxy -inf, so it is returned only when every iterate is
+    degenerate, and then the first.  Raises if `iterations_per_level` is not
+    an integer of at least 1.
     """
     if not _is_int(iterations_per_level):
         raise ValueError(f"iterations_per_level must be an integer, got {iterations_per_level!r}")
@@ -180,6 +183,8 @@ def run_unsupervised(
     history: list[HistoryEntry] = []
     best: tuple[float, tuple[Trajectory, ...], tuple[Pattern, ...], Assignment] | None = None
     lower_bound_only = False
+    # `link` never reads the cost budget, so a pattern set links alike at every level.
+    links: dict[tuple[Pattern, ...], LinkResult] = {}
     for budget in schedule:
         level_cfg = cfg.with_cost_budget(budget)
         steps: dict[tuple[Trajectory, ...], tuple[MineResult, LinkResult]] = {}
@@ -188,7 +193,9 @@ def run_unsupervised(
             if current not in steps:
                 candidates = generate_candidates(graph, current, level_cfg)
                 mined = mine(graph, current, candidates, level_cfg, time_budget=time_budget)
-                linked = link(graph, mined.patterns, level_cfg, time_budget=time_budget)
+                if mined.patterns not in links:
+                    links[mined.patterns] = link(graph, mined.patterns, level_cfg, time_budget=time_budget)
+                linked = links[mined.patterns]
                 steps[current] = (mined, linked)
                 lower_bound_only |= mined.lower_bound_only or linked.lower_bound_only
             mined, linked = steps[current]

@@ -200,9 +200,10 @@ def test_the_miner_model_counts_distinct_score_columns():
 
 
 def test_the_unsupervised_loop_solves_each_distinct_iterate_once():
-    # Per budget level the benchmark counts one `link` and one alternation
-    # `mine` per distinct mine input, one `split_half_score` (and its two
-    # mines) per distinct link output, and one iteration per history row.
+    # Per budget level the benchmark counts one alternation `mine` per
+    # distinct mine input and one `split_half_score` (and its two mines) per
+    # distinct link output; over the run, one `link` per distinct mined
+    # pattern set; and one iteration per history row.
     import ptrack.cli
     from ptrack import link, mine
     from ptrack.synth import two_flow_scene
@@ -218,6 +219,7 @@ def test_the_unsupervised_loop_solves_each_distinct_iterate_once():
         tracer.uninstall()
 
     inputs = outputs = 0
+    pattern_sets = set()
     current = input_trajectories(g)
     for budget in dict.fromkeys(h.cost_budget for h in res.history):
         level_cfg = cfg.with_cost_budget(budget)
@@ -225,11 +227,12 @@ def test_the_unsupervised_loop_solves_each_distinct_iterate_once():
         for _ in range(3):
             seen_inputs.add(current)
             mined = mine(g, current, generate_candidates(g, current, level_cfg), level_cfg)
+            pattern_sets.add(mined.patterns)
             current = link(g, mined.patterns, level_cfg).all_trajectories
             seen_outputs.add(current)
         inputs += len(seen_inputs)
         outputs += len(seen_outputs)
-    assert tracer.calls["linker.link"] == inputs < len(res.history)
+    assert tracer.calls["linker.link"] == len(pattern_sets) < inputs < len(res.history)
     assert tracer.calls["unsupervised.split_half_score"] == outputs
     assert tracer.calls["miner.mine"] == inputs + 2 * outputs
     assert tracer.counts["unsupervised.iterations"] == len(res.history)

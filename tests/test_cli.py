@@ -587,6 +587,21 @@ class TestBenchCrowd:
         assert bench_scenes() is bench_scenes() is sys.modules["perfbench_scenes"]
 
 
+def test_the_bench_unsupervised_scene_links_once(tmp_path, capsys, monkeypatch):
+    """The unsupervised-two-flows workload's command: its two links mine one pattern set."""
+    (scene,) = bench_scenes().unsupervised_two_flows(0, tmp_path)
+    calls = []
+    link = unsupervised.link
+    monkeypatch.setattr(unsupervised, "link", lambda *a, **kw: calls.append(a) or link(*a, **kw))
+    argv = ["unsupervised", "--tracks", str(scene.files["broken"]), "--out", str(tmp_path / "out.csv"),
+            "--patterns-out", str(tmp_path / "learned.txt"), "--history", str(tmp_path / "history.csv"),
+            "--widths", "1.0", "--stop-patterns", "2",
+            "--batch-start", str(scene.batch[0]), "--batch-end", str(scene.batch[1])]
+    assert cli(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "6 trajectories, 2 patterns, proxy score 0.998874\n"
+
+
 class TestSynth:
     def test_crossing_outputs(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"

@@ -81,6 +81,28 @@ def test_supervised_noisy_family_with_true_corridors(n, sigma, fragment):
     assert assert_repair_keeps_idf1(scene.track_lists(), broken, g, res.trajectories) == 1.0
 
 
+# Each case is `n, sigma, fragment`; the rows of ROADMAP item 1 that lower
+# IDF1 (0.804 -> 0.627, 0.792 -> 0.688, 0.792 -> 0.753, 0.842 -> 0.723 and
+# 0.854 -> 0.806, in order) are pinned until the mining generalizes.
+LOWERS_IDF1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+@pytest.mark.parametrize(
+    "n, sigma, fragment",
+    [(4, 0.1, False), (6, 0.3, False), (8, 0.3, False)]
+    + [pytest.param(*case, marks=LOWERS_IDF1) for case in
+       [(4, 0.3, False), (6, 0.1, True), (6, 0.3, True), (8, 0.3, True), (8, 0.5, True)]],
+)
+def test_unsupervised_noisy_family_rows(n, sigma, fragment):
+    ops = [Swap(0, 1, frame=8)] + ([Fragment(2, frame=9)] if fragment else [])
+    scene, broken = crossing_family(n, sigma, ops)
+    cfg = Config.unsupervised()
+    g = build_graph(broken, cfg, scene.meta.batch)
+    res = run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=2)
+    kept = [t for t, p in zip(res.trajectories, res.assignment) if not res.patterns[p].is_empty]
+    assert_repair_keeps_idf1(scene.track_lists(), broken, g, kept)
+
+
 def test_unsupervised_noisy_family():
     """6 agents, sigma 0.1: this run raised "degenerate instance" from the split-half proxy."""
     scene, broken = crossing_family(6, 0.1, [Swap(0, 1, frame=8)])

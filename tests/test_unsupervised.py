@@ -394,6 +394,19 @@ class TestAgainstReferenceLoop:
             reference_run_unsupervised(g, ts, cfg, iterations_per_level=iterations),
         )
 
+    # At 4 agents a repeated pattern set is linked at a later level: the
+    # memo reuses a link across budget levels.
+    @pytest.mark.parametrize("sigma", [0.1, 0.3])
+    def test_four_agent_noisy_family(self, sigma):
+        scene, broken = crossing_family(4, sigma, [Swap(0, 1, frame=8)])
+        cfg = Config.unsupervised()
+        g = build_graph(broken, cfg, scene.meta.batch)
+        ts = input_trajectories(g)
+        same_result(
+            run_unsupervised(g, ts, cfg, iterations_per_level=2),
+            reference_run_unsupervised(g, ts, cfg, iterations_per_level=2),
+        )
+
     def test_zero_budget_fixed_point(self):
         cfg = Config(candidate_widths=(1.0,))
         _, g, ts = flow_fixture(cfg)
@@ -436,6 +449,67 @@ class TestAgainstReferenceLoop:
         same_result(res, ref)
         rows = [(h.n_patterns, h.proxy_score) for h in res.history]
         assert rows == [(1, 0.25), (2, 0.5), (1, 0.25), (2, 0.5), (1, 0.25)]
+
+
+class TestLinkMemo:
+    """One `link` per distinct mined pattern set over the whole run."""
+
+    # Stand-ins: A and B both mine ("empty", "p"), which links to B.
+    A, B = (Trajectory((1,)),), (Trajectory((2,)),)
+    PATTERNS = ("empty", "p")
+
+    def stand_ins(self, monkeypatch, first_link_bound=False):
+        """Counted stand-ins; only the first `link` may say it hit the time budget."""
+        calls = {"mine": 0, "link": 0, "split_half_score": 0}
+
+        def mine(g, ts, cands, cfg, time_budget=None):
+            calls["mine"] += 1
+            return SimpleNamespace(patterns=self.PATTERNS, lower_bound_only=False)
+
+        def link(g, pats, cfg, time_budget=None):
+            calls["link"] += 1
+            hit = first_link_bound and calls["link"] == 1
+            return SimpleNamespace(all_trajectories=self.B, full_assignment=pats, lower_bound_only=hit)
+
+        def split_half_score(g, ts, cfg, time_budget=None):
+            calls["split_half_score"] += 1
+            return 0.5, False
+
+        monkeypatch.setattr(unsupervised, "generate_candidates", lambda g, ts, cfg: None)
+        for fn in (mine, link, split_half_score):
+            monkeypatch.setattr(unsupervised, fn.__name__, fn)
+        return calls
+
+    @pytest.mark.parametrize(
+        "schedule, iterations", [((1.0,), 2), ((1.0, 2.0), 1)], ids=["one level", "two levels"]
+    )
+    def test_two_sets_mining_one_pattern_set_link_once(self, monkeypatch, schedule, iterations):
+        calls = self.stand_ins(monkeypatch)
+        kwargs = dict(schedule=schedule, iterations_per_level=iterations, stop_patterns=5)
+        res = run_unsupervised(None, self.A, Config(), **kwargs)
+        assert calls == {"mine": 2, "link": 1, "split_half_score": len(schedule)}
+        assert not res.lower_bound_only
+        same_result(res, reference_run_unsupervised(None, self.A, Config(), **kwargs))
+
+    def test_a_reused_lower_bound_still_marks_the_run(self, monkeypatch):
+        # Only the first link hits the budget; B reuses it at the second level.
+        calls = self.stand_ins(monkeypatch, first_link_bound=True)
+        res = run_unsupervised(None, self.A, Config(), schedule=(1.0, 2.0), iterations_per_level=1,
+                               stop_patterns=5)
+        assert calls["link"] == 1
+        assert res.lower_bound_only
+
+    def test_the_link_does_not_read_the_cost_budget(self):
+        # The memo holds across levels, which differ only in the cost budget.
+        scene, broken = crossing_family(4, 0.3, [Swap(0, 1, frame=8)])
+        cfg = Config.unsupervised()
+        g = build_graph(broken, cfg, scene.meta.batch)
+        ts = input_trajectories(g)
+        schedule = default_schedule(g, ts, cfg)
+        lo, hi = (cfg.with_cost_budget(b) for b in (schedule[0], schedule[-1]))
+        patterns = unsupervised.mine(g, ts, generate_candidates(g, ts, hi), hi).patterns
+        assert len(patterns) > 2
+        assert unsupervised.link(g, patterns, lo) == unsupervised.link(g, patterns, hi)
 
 
 def one_sided_fixture():
