@@ -125,17 +125,19 @@ def _input_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_config(args, tracks) -> Config:
+def _resolve_config(args, table) -> Config:
     overrides = config_overrides_from_text(Path(args.config).read_text()) if args.config else {}
     for name in _CONFIG_TABLE:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
     if args.relative_widths:
-        if not tracks:
+        if not len(table.frames):
             raise ValueError("--relative-widths needs input tracks to measure")
-        extent = tracking_extent(d.pos for t in tracks for d in t)
-        overrides["candidate_widths"] = relative_widths(extent)
+        try:
+            overrides["candidate_widths"] = relative_widths(tracking_extent(table.pos))
+        except ValueError as exc:
+            raise ValueError(f"--relative-widths: {exc}") from None
     make = Config.unsupervised if args.command == "unsupervised" else Config
     return make(**overrides)
 
@@ -165,9 +167,9 @@ def _batch_range(args) -> tuple[int, int] | None:
 def _read_inputs(args):
     """The shared inputs: the graph of the input tracks, its Config and the time budget."""
     homography = read_homography(args.homography) if args.homography else None
-    tracks = read_tracks(args.tracks, args.format, homography)
-    cfg = _resolve_config(args, tracks)
-    return build_graph(tracks, cfg, _batch_range(args)), cfg, _time_budget()
+    table = read_track_table(args.tracks, args.format, homography)
+    cfg = _resolve_config(args, table)
+    return build_graph(table, cfg, _batch_range(args)), cfg, _time_budget()
 
 
 def _print_summary(line: str, lower_bound_only: bool) -> None:

@@ -2,13 +2,11 @@
 
 A detection is `Detection(frame, pos)`; identity is what linking produces.  A
 track is a list of detections in frame order, the only record of which track
-a detection belongs to.  A `DetectionGraph` names `detections[k]` by its
-position, id k + 1, holds its edges as `graph.edges`, the id pairs as sorted
-rows of one (E, 2) int64 array, and `build_graph` keeps the input tracks as
-`DetectionGraph.source_tracks`, chains of these ids.
-`TrackTable` holds the same tracks as three arrays, one row per detection,
-for code that only reads frames and positions (reading and scoring tracks);
-`TrackTable.tracks()` and `TrackTable.from_tracks` convert between the two.
+a detection belongs to.  `TrackTable` holds tracks as three arrays, one row
+per detection; `TrackTable.tracks()` and `as_track_table` convert between the
+two.  A `DetectionGraph` holds one table, names its row k by id k + 1, takes
+the table's tracks as its `source_tracks`, and holds its edges as
+`graph.edges`, the id pairs as sorted rows of one (E, 2) int64 array.
 `_gate_pairs`, the one join of two tables' rows within a radius, finds
 `eval`'s gate pairs and `build_graph`'s link and join edges.
 """
@@ -95,7 +93,7 @@ def _check_ids(kinds: set[type]) -> None:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """Any collection of (i, j) int pairs as sorted unique rows of a read-only (E, 2) int64 array.
+    """Any collection of (i, j) int pairs as the rows of an (E, 2) int64 array.
 
     The ids of a collection other than an array are type-checked before
     `np.fromiter` converts them, as it would truncate a float.
@@ -112,8 +110,7 @@ def _edge_array(edges) -> np.ndarray:
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
     _check_ids({edges.dtype.type})
-    edges = edges[np.lexsort(edges.T[::-1])].astype(np.int64, copy=False)
-    return _frozen(edges[np.diff(edges, axis=0, prepend=edges[:1] - 1).any(axis=1)])  # drop repeats
+    return edges.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -195,6 +192,14 @@ class TrackTable:
         dets = list(map(Detection, self.frames.tolist(), zip(*self.pos.T.tolist())))
         bounds = self.starts.tolist()
         return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+Tracks = Sequence[Sequence[Detection]] | TrackTable
+
+
+def as_track_table(tracks: Tracks) -> TrackTable:
+    """A `TrackTable` as it is, or detection lists converted once by `TrackTable.from_tracks`."""
+    return tracks if isinstance(tracks, TrackTable) else TrackTable.from_tracks(tracks)
 
 
 def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,30 +287,29 @@ def _gate_pairs(gt: TrackTable, pred: TrackTable, max_dist: float) -> tuple[np.n
 
 @dataclass(frozen=True, eq=False)
 class DetectionGraph:
-    """Detections plus candidate transition edges between them.
+    """Detections, the rows of a `TrackTable`, plus candidate transition edges between them.
 
-    Edges are ordered pairs of detection ids, where id k (of `ids`, 1..n) names
-    `detections[k - 1]`; the virtual entry and exit nodes use the sentinels
-    SOURCE_NODE and SINK_NODE.  `batch` is the frame range the detections were
-    observed in; it defaults to the detection span but may be wider when the
-    data is a window cut from a longer recording.  It is the one source of the
-    boundary rule: a path entering at the batch's first frame or leaving at its
-    last pays nothing for that entry or exit.  `source_tracks` holds the input
-    tracks as chains of detection ids, a cover of the detections along edges; it
-    is empty when the graph was not built from tracks.  The constructor takes
-    any collection of int pairs as `edges` and keeps them as a read-only
-    (E, 2) int64 array of unique rows in lexicographic order.
+    An edge is an ordered pair of detection ids: id k (of `ids`, 1..n) names row k - 1
+    of `table`, whose columns are the graph's `frames` (int64) and `positions` ((n, 2)
+    floats), and SOURCE_NODE and SINK_NODE name the virtual entry and exit.  `batch` is
+    the frame range the detections were observed in; it defaults to the detection span
+    but may be wider when the data is a window cut from a longer recording.  It is the
+    one source of the boundary rule: a path entering at the batch's first frame or
+    leaving at its last pays nothing for that entry or exit.  The table's non-empty
+    tracks, in order, are the graph's `source_tracks` as chains of ids, and each of
+    their steps (row r to row r + 1) must be an edge; loose detections are a table of
+    one-row tracks.  The constructor takes any collection of int pairs as `edges` and
+    keeps them as a read-only (E, 2) int64 array of unique rows in lexicographic order.
     """
 
-    detections: tuple[Detection, ...]
+    table: TrackTable
     edges: np.ndarray
     batch: tuple[int, int] | None = None
-    source_tracks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.detections:
-            raise ValueError("graph has no detections")
         frames = self.frames
+        if not len(frames):
+            raise ValueError("graph has no detections")
         span = (int(frames.min()), int(frames.max()))
         batch = span if self.batch is None else self.batch
         if not all(_is_int(b) or isinstance(b, float) and b.is_integer() for b in batch):
@@ -314,53 +318,66 @@ class DetectionGraph:
         if first > span[0] or last < span[1]:
             raise ValueError(f"batch {batch} does not cover detection frames {span}")
         object.__setattr__(self, "batch", (int(first), int(last)))
-        edges = _edge_array(self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges, k = _edge_array(self.edges), len(frames) + 3
         # Each check names the first offending edge in sorted order.
         tail, head = edges.T
         invalid = (tail == SINK_NODE) | (head == SOURCE_NODE) | (tail == SOURCE_NODE) & (head == SINK_NODE)
         if invalid.any():
-            raise ValueError("invalid edge ({}, {})".format(*edges[invalid][0]))
+            raise ValueError("invalid edge ({}, {})".format(*min(edges[invalid].tolist())))
         unknown = ((edges < 1) | (edges > len(frames))) & (edges != SOURCE_NODE) & (edges != SINK_NODE)
         if unknown.any():
-            raise ValueError(f"edge references unknown detection {edges[unknown][0]}")
-        inner = edges[(tail > 0) & (head > 0)]
+            pair, bad = min((p, b) for p, b in zip(edges.tolist(), unknown.tolist()) if any(b))
+            raise ValueError(f"edge references unknown detection {pair[bad.index(True)]}")
+        # Sorted and deduplicated as the keys of `_linked`, from which (i, j) come back exact.
+        keys = np.sort(edges @ (k, 1))
+        keys = keys[np.diff(keys, prepend=-k * k) > 0]  # drop repeats
+        tail = (keys + 2) // k
+        edges = _frozen(np.column_stack((tail, keys - tail * k)))
+        object.__setattr__(self, "edges", edges)
+        inner = edges[(edges > 0).all(axis=1)]
         backward = inner[frames[inner[:, 0] - 1] >= frames[inner[:, 1] - 1]]
         if len(backward):
             raise ValueError("edge ({}, {}) does not move forward in time".format(*backward[0]))
-        if self.source_tracks:
-            violations = validate_trajectory_set(self, [Trajectory(t) for t in self.source_tracks])
-            if violations:
-                raise ValueError(f"source tracks are not a cover of the graph: {violations[0]}")
+        # A track's steps: every id whose next row is of the same track goes on to the next id.
+        tails = np.flatnonzero(np.diff(self.table.owner) == 0) + 1
+        missing = tails[~self._linked(tails * k + tails + 1)]
+        if len(missing):
+            raise ValueError(f"source track step ({missing[0]}, {missing[0] + 1}) is not a graph edge")
+
+    def _linked(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key i * (n + 3) + j, which rises with (i, j), names an edge i -> j."""
+        k = len(self.frames) + 3
+        edge_keys = np.append(self.edges @ (k, 1), k * k)  # a last key above all ends the search
+        return edge_keys[np.searchsorted(edge_keys, keys)] == keys
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.table.frames
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.table.pos
+
+    @cached_property
+    def source_tracks(self) -> tuple[tuple[int, ...], ...]:
+        bounds = self.table.starts.tolist()
+        return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:]) if b > a)
+
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        """One `Detection` per row, built on first read: for tests and tools, not the pipeline."""
+        return tuple(chain.from_iterable(self.table.tracks()))
 
     @cached_property
     def ids(self) -> range:
-        return range(1, len(self.detections) + 1)
-
-    def detection(self, det_id: int) -> Detection:
-        if det_id not in self.ids:
-            raise KeyError(det_id)
-        return self.detections[det_id - 1]
-
-    def __contains__(self, det_id: int) -> bool:
-        return det_id in self.ids
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        """Frame of each detection (int64, or Python ints beyond it); id k is row k - 1."""
-        return np.array([d.frame for d in self.detections])
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """(x, y) of each detection, an (n, 2) float array; id k is row k - 1."""
-        return np.array([d.pos for d in self.detections], dtype=float)
+        return range(1, len(self.frames) + 1)
 
     def rows(self, trajectories: Sequence["Trajectory"]) -> tuple[np.ndarray, np.ndarray]:
         """The trajectories' detections as rows (id - 1), concatenated, and where
-        each trajectory starts; `KeyError` on an id outside `ids`, as in `detection`."""
+        each trajectory starts; `KeyError` on an id outside `ids`."""
         ids = [n for t in trajectories for n in t.nodes]
-        if ids and max(ids) > len(self.detections):  # a `Trajectory` holds no id below 1
-            raise KeyError(next(n for n in ids if n > len(self.detections)))
+        if ids and max(ids) > len(self.frames):  # a `Trajectory` holds no id below 1
+            raise KeyError(next(n for n in ids if n > len(self.frames)))
         return np.array(ids, dtype=np.int64) - 1, np.cumsum([0, *map(len, trajectories)])
 
     @cached_property
@@ -642,16 +659,14 @@ def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajec
     """
     violations: list[str] = []
     seen: set[int] = set()
-    n, k = len(graph.detections), len(graph.detections) + 3
-    # Step and edge i -> j as the key i * k + j, which rises with (i, j); a step
-    # off the graph as -1, no edge's key.  A last key above all ends the search.
-    edge_keys = np.append(graph.edges @ (k, 1), k * k)
+    n, k = len(graph.frames), len(graph.frames) + 3
+    # Step i -> j as its key i * k + j (see `DetectionGraph._linked`); a step off the graph as -1, no key.
     steps = ((i, j) for t in trajectories for i, j in zip(t.nodes, t.nodes[1:]))
     keys = np.array([i * k + j if i <= n and j <= n else -1 for i, j in steps], dtype=np.int64)
-    linked = iter((edge_keys[np.searchsorted(edge_keys, keys)] == keys).tolist())
+    linked = iter(graph._linked(keys).tolist())
     for traj in trajectories:
         for node in traj.nodes:
-            if node not in graph:
+            if node not in graph.ids:
                 violations.append(f"unknown detection {node}")
                 continue
             if node in seen:
@@ -667,5 +682,6 @@ def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajec
 def tracks_from_trajectories(
     graph: DetectionGraph, trajectories: Sequence[Trajectory]
 ) -> list[list[Detection]]:
-    """Materialize trajectories back into detection lists."""
-    return [[graph.detection(n) for n in traj.nodes] for traj in trajectories]
+    """Materialize trajectories back into detection lists, one `Detection` per node."""
+    rows, starts = graph.rows(trajectories)
+    return TrackTable(graph.frames[rows], graph.positions[rows], starts).tracks()

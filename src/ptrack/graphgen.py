@@ -4,27 +4,26 @@ Input tracks contribute their detections and their own consecutive
 transitions; extra edges let the linker move between tracks (to undo identity
 switches) and bridge gaps between track fragments.  Entry and exit edges make
 every detection reachable, so a feasible decomposition always exists.
-The graph keeps the input tracks as `source_tracks`, the one record of which
-track each detection came from.  The link and join edges come from the
-join that `eval` finds its gate pairs with (`core._gate_pairs`), over one
-`TrackTable` of the tracks: `eval`'s exact `math.dist` gate.
+The graph holds the input as one `TrackTable`, whose tracks are its
+`source_tracks`, the one record of which track each detection came from.
+The link and join edges come from the join that `eval` finds its gate pairs
+with (`core._gate_pairs`), over that table: `eval`'s exact `math.dist` gate.
 """
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
 import numpy as np
 
-from .core import SINK_NODE, SOURCE_NODE, Config, Detection, DetectionGraph, TrackTable, Trajectory, _gate_pairs
+from .core import (
+    SINK_NODE, SOURCE_NODE, Config, DetectionGraph, TrackTable, Tracks, Trajectory, _gate_pairs, as_track_table
+)
 
 
 def build_graph(
-    tracks: Sequence[Sequence[Detection]],
+    tracks: Tracks,
     cfg: Config,
     batch: tuple[int, int] | None = None,
 ) -> DetectionGraph:
-    """Assemble the detection graph from input tracks.
+    """Assemble the detection graph from input tracks, a `TrackTable` or detection lists.
 
     Edges added, deduplicated:
       - consecutive detections of the same input track, whatever their gap;
@@ -33,12 +32,12 @@ def build_graph(
         is between 1 and `join_gap` seconds;
       - entry and exit edges for every detection.
 
-    The graph holds the caller's detections, track after track, as ids 1..n,
-    and the non-empty input tracks, in order, as its `source_tracks`; `batch`
-    overrides the frame range when the tracks are a window of a longer recording.
-    Frames must fit in int64, as in every `TrackTable`.
+    The graph holds the tracks as one table (lists are converted once), its
+    rows as ids 1..n; `batch` overrides the frame range when the tracks are a
+    window of a longer recording.  Frames must fit in int64, as in every
+    `TrackTable`.
     """
-    table = TrackTable.from_tracks(tracks)
+    table = as_track_table(tracks)
     frames, pos, starts = table.frames, table.pos, table.starts
     full = starts[1:] > starts[:-1]
     firsts, lasts = starts[:-1][full], starts[1:][full] - 1
@@ -69,16 +68,9 @@ def build_graph(
     rows = np.hstack(([tails, tails + 1], [linkable[i], j], [end[join], start[join]]))
     entry, exit_ = np.full_like(ids, SOURCE_NODE), np.full_like(ids, SINK_NODE)
     edges = np.hstack((rows + 1, [entry, ids], [ids, exit_])).T.astype(np.int64)
-    source_tracks = tuple(tuple(range(f + 1, l + 2)) for f, l in zip(firsts.tolist(), lasts.tolist()))
-    return DetectionGraph(tuple(chain.from_iterable(tracks)), edges, batch, source_tracks)
+    return DetectionGraph(table, edges, batch)
 
 
 def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:
-    """Adopt the graph's source tracks as a trajectory set.
-
-    Useful as the starting point for pattern mining or for scoring the input
-    as-is.  Requires the graph to have been built from tracks.
-    """
-    if not graph.source_tracks:
-        raise ValueError("graph has no source tracks: it was not built from tracks")
+    """The graph's source tracks as a trajectory set: the usual start for mining or for scoring the input."""
     return tuple(Trajectory(nodes) for nodes in graph.source_tracks)

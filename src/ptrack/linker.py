@@ -93,7 +93,7 @@ def build_link_model(
     of the total.  Returns the model and the (pattern, tail, head) triple of
     each variable.
     """
-    n_edges, n_patterns, n = len(graph.edges), len(patterns), len(graph.detections)
+    n_edges, n_patterns, n = len(graph.edges), len(patterns), len(graph.frames)
     pairs = graph.edges.tolist()
     triples = tuple((p, i, j) for p in range(n_patterns) for i, j in pairs)
 
@@ -155,9 +155,7 @@ def _decode(
 ) -> tuple[tuple[Trajectory, ...], Assignment]:
     succ: dict[int, tuple[int, int]] = {}
     starts: list[tuple[int, int]] = []
-    for k, x in enumerate(witness):
-        if not x:
-            continue
+    for k in np.flatnonzero(witness).tolist():
         p, i, j = triples[k]
         if i == SOURCE_NODE:
             starts.append((j, p))
@@ -173,12 +171,9 @@ def _decode(
                 break
             nodes.append(nxt)
         paths.append((tuple(nodes), p))
-
-    def sort_key(item: tuple[tuple[int, ...], int]):
-        head = graph.detection(item[0][0])
-        return (head.frame, head.pos[0], head.pos[1], item[0][0])
-
-    paths.sort(key=sort_key)
+    heads = np.array([nodes[0] for nodes, _ in paths], dtype=np.int64)  # sort by their frame, x, y, id
+    x, y = graph.positions[heads - 1].T
+    paths = [paths[k] for k in np.lexsort((heads, y, x, graph.frames[heads - 1]))]
     trajectories = tuple(Trajectory(nodes) for nodes, _ in paths)
     assignment = Assignment(tuple(p for _, p in paths))
     violations = validate_trajectory_set(graph, trajectories)
@@ -199,7 +194,7 @@ def link(
     outgoing or incoming edge, or no decomposition has positive total score.
     """
     require_empty_pattern(patterns)
-    n = len(graph.detections)
+    n = len(graph.frames)
     out_deg, in_deg = (np.bincount(ends[ends > 0], minlength=n + 1)[1:] for ends in graph.edges.T)
     if not (out_deg.all() and in_deg.all()):
         d = int(np.argmin((out_deg > 0) & (in_deg > 0)))

@@ -44,15 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, TrackTable, _dists, _gate_pairs, _is_real, _scipy_extension
+from .core import TrackTable, Tracks, _dists, _gate_pairs, _is_real, _scipy_extension, as_track_table
 
 linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
-Tracks = Sequence[Sequence[Detection]] | TrackTable
 # Gate pairs: truth rows and predicted rows.
 Pairs = tuple[np.ndarray, np.ndarray]
 
@@ -88,10 +86,6 @@ class ClearReport:
     fn: int
     id_switches: int
     gt_matched_frames: tuple[int, ...]
-
-
-def _table(tracks: Tracks) -> TrackTable:
-    return tracks if isinstance(tracks, TrackTable) else TrackTable.from_tracks(tracks)
 
 
 def _unit(gate: float) -> float:
@@ -163,7 +157,7 @@ def idf1(
     truth scores zero.  `_pairs`, the tables' gate pairs, spares finding
     them again.
     """
-    gt, pred = _table(gt), _table(pred)
+    gt, pred = as_track_table(gt), as_track_table(pred)
     total_gt, total_pred = len(gt.frames), len(pred.frames)
     if total_gt == 0 and total_pred == 0:
         return IdfReport(1.0, 1.0, 1.0, 0, 0, 0)
@@ -243,7 +237,7 @@ def clear_scores(
     minus the error rate and can go negative when errors outnumber true
     detections.  `_pairs` is as for `idf1`.
     """
-    gt, pred = _table(gt), _table(pred)
+    gt, pred = as_track_table(gt), as_track_table(pred)
     total_gt, total_pred = len(gt.frames), len(pred.frames)
     if total_gt == 0:
         if total_pred == 0:
@@ -319,7 +313,7 @@ def track_coverage(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -
     A truth track is mostly tracked when at least 80% of its frames are
     matched, mostly lost below 20%, partially tracked in between.
     """
-    gt = _table(gt)
+    gt = as_track_table(gt)
     return _coverage(gt, clear_scores(gt, pred, cfg))
 
 
@@ -347,7 +341,7 @@ def summarize(gt: Tracks, pred: Tracks, cfg: MatchConfig = MatchConfig()) -> dic
     The inputs are converted and their gate pairs found once; `idf1` and
     `clear_scores` get the tables and the pairs.
     """
-    gt, pred = _table(gt), _table(pred)
+    gt, pred = as_track_table(gt), as_track_table(pred)
     pairs = _gate_pairs(gt, pred, cfg.max_dist)
     idf = idf1(gt, pred, cfg, _pairs=pairs)
     clear = clear_scores(gt, pred, cfg, _pairs=pairs)

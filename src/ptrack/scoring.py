@@ -165,8 +165,8 @@ def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, hea
     # The detections of each edge; an entry or an exit has one, in both places.
     near, far = np.where(entry, heads, tails), np.where(exit_, tails, heads)
     for ids in (near, far):
-        if ((ids < 1) | (ids > len(graph.detections))).any():
-            raise KeyError(int(ids[(ids < 1) | (ids > len(graph.detections))][0]))
+        if ((ids < 1) | (ids > len(graph.frames))).any():
+            raise KeyError(int(ids[(ids < 1) | (ids > len(graph.frames))][0]))
     ends, step = entry | exit_, ~(entry | exit_)
     total, aligned = np.empty(len(tails)), np.empty(len(tails))
     total[ends], aligned[ends] = _end_scores(graph, pattern, cfg, near[ends] - 1, entry[ends])

@@ -18,6 +18,7 @@ from ptrack import (
     DetectionGraph,
     Pattern,
     ScorePair,
+    TrackTable,
     corrupt,
     edge_scores,
     generate_scene,
@@ -53,6 +54,11 @@ def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProce
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
     )
+
+
+def loose_graph(detections, edges, batch=None) -> DetectionGraph:
+    """The graph of `detections`, each a one-row track of its own, with `edges`."""
+    return DetectionGraph(TrackTable.from_tracks([[d] for d in detections]), edges, batch)
 
 
 def edge_set(graph: DetectionGraph) -> set[tuple[int, int]]:

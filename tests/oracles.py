@@ -165,7 +165,7 @@ def enumerate_path_covers(graph, cap=200_000):
     yields every cover exactly once.  Returns None when more than `cap`
     covers exist.
     """
-    nodes = sorted(graph.ids, key=lambda v: (graph.detection(v).frame, v))
+    nodes = sorted(graph.ids, key=lambda v: (graph.detections[v - 1].frame, v))
     det_edges = {(i, j) for i, j in edge_set(graph) if i >= 0 and j >= 0}
     covers = []
     chains: list[list[int]] = []
@@ -225,7 +225,7 @@ def straight_chain_score(graph, nodes, pattern, cfg):
     first frame (entry) or last frame (exit).
     """
     first, last = graph.batch
-    dets = [graph.detection(v) for v in nodes]
+    dets = [graph.detections[v - 1] for v in nodes]
     shape = (pattern.centerline, pattern.width, pattern.is_empty)
     scores = [
         straight_boundary_score(dets[0].pos, *shape, True, dets[0].frame == first, cfg),

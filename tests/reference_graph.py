@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ptrack.core import SINK_NODE, SOURCE_NODE, Config, Detection, DetectionGraph
+from ptrack.core import SINK_NODE, SOURCE_NODE, Config, Detection, DetectionGraph, TrackTable
 
 
 
@@ -78,4 +78,6 @@ def reference_build_graph(
         edges.add((node, SINK_NODE))
 
 
-    return DetectionGraph(tuple(detections), edges, batch, tuple(track_nodes))
+    graph = DetectionGraph(TrackTable.from_tracks(tracks), edges, batch)
+    assert graph.source_tracks == tuple(track_nodes)
+    return graph

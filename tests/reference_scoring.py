@@ -60,8 +60,8 @@ class _CenterlineTerms(dict):
         return terms
 
     def _edge_terms(self, i: int, j: int) -> tuple[float, float, float, float]:
-        pi = self.graph.detection(i).pos
-        pj = self.graph.detection(j).pos
+        pi = self.graph.detections[i - 1].pos
+        pj = self.graph.detections[j - 1].pos
         edge_len = float(np.hypot(pj[0] - pi[0], pj[1] - pi[1]))
         if not self.projections:
             return (edge_len, 0.0, 0.0, 0.0)
@@ -116,7 +116,7 @@ class PatternScorer:
         if i == SOURCE_NODE or j == SINK_NODE:
             entry = i == SOURCE_NODE
             node = j if entry else i
-            if self.graph.detection(node).frame == self.graph.batch[0 if entry else 1]:
+            if self.graph.detections[node - 1].frame == self.graph.batch[0 if entry else 1]:
                 return 0.0, 0.0
             if self.pattern.is_empty:
                 return EMPTY_END_TOTAL, self.cfg.empty_rate * EMPTY_END_TOTAL

@@ -77,7 +77,7 @@ def reference_split(graph, trajectories):
     mid = 0.5 * (first + last)
     half_a, half_b = [], []
     for traj in trajectories:
-        frames = [graph.detection(n).frame for n in traj.nodes]
+        frames = [graph.detections[n - 1].frame for n in traj.nodes]
         early = sum(1 for f in frames if f <= mid)
         (half_a if early >= len(frames) - early else half_b).append(traj)
     return half_a, half_b

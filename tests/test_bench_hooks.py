@@ -69,6 +69,32 @@ def test_a_traced_graph_build_counts_its_detections_and_edges():
     assert tracer.counts["graphgen.edges"] == len(g.edges) == g.edges.shape[0] > 2 * len(g.detections)
 
 
+def test_a_traced_track_command_counts_the_graph_it_builds(tmp_path, monkeypatch):
+    # A `--trace 1` round reads `len(result.detections)` off the graph that
+    # `track` builds from its file; a graph that cannot give that count must
+    # fail here rather than in a traced benchmark run.
+    import ptrack.cli
+
+    files = {name: str(tmp_path / f"{name}.csv") for name in ("gt", "tracks", "patterns", "out")}
+    assert ptrack.cli.cli(["synth", "--preset", "two-flows", "--out-gt", files["gt"],
+                           "--out-tracks", files["tracks"], "--out-patterns", files["patterns"]]) == 0
+    graphs = []
+    build = ptrack.cli.build_graph
+    monkeypatch.setattr(ptrack.cli, "build_graph", lambda *a: graphs.append(build(*a)) or graphs[-1])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = ptrack.cli.cli(["track", "--tracks", files["tracks"], "--patterns", files["patterns"],
+                               "--out", files["out"]])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    (g,) = graphs
+    rows = Path(files["tracks"]).read_text().splitlines()
+    assert tracer.counts["graphgen.detections"] == len(rows) == len(g.frames)
+    assert tracer.counts["graphgen.edges"] == len(g.edges)
+
+
 def two_flow_mining(widths=(1.0, 3.0)):
     """Two straight flows inside a wider batch: (graph, trajectories, candidates, cfg)."""
     flow = lambda y, start: [Detection(start + k, (2.0 * k, y)) for k in range(4)]

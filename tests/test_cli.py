@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import ptrack.cli
 import ptrack.fracopt as fracopt
 import ptrack.metrics as metrics
 import ptrack.unsupervised as unsupervised
@@ -21,6 +22,7 @@ from helpers import bench_scenes, mark_lower_bound, mark_proxy_lower_bound, run_
 from ptrack import (
     Config,
     Pattern,
+    TrackTable,
     generate_scene,
     read_patterns,
     relative_widths,
@@ -129,6 +131,13 @@ class TestExitCodes:
         argv = ["learn-patterns", "--tracks", str(empty), "--out", str(out), "--relative-widths"]
         assert cli(argv) == 2
         assert "needs input tracks" in capsys.readouterr().err
+
+    def test_relative_widths_need_tracks_with_an_extent(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("1,1,2.5,3.0\n")
+        argv = ["learn-patterns", "--tracks", str(one), "--out", str(tmp_path / "mined.txt"), "--relative-widths"]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == "error: --relative-widths: extent must be positive and finite, got 0.0\n"
 
     def test_collinear_tracks_need_an_explicit_cost_budget(self, tmp_path, capsys):
         # Three noise-free agents on one straight lane span no area, so the
@@ -600,6 +609,35 @@ def test_the_bench_unsupervised_scene_links_once(tmp_path, capsys, monkeypatch):
     assert cli(argv) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == "6 trajectories, 2 patterns, proxy score 0.998874\n"
+
+
+def test_track_commands_hand_the_read_table_to_the_graph(tmp_path, capsys, monkeypatch):
+    """`track`, `learn-patterns` and `unsupervised` on the benchmark scenes build
+    their graphs from the reader's table: no detection lists are read, and no
+    table is made from lists."""
+    called = []
+    read_tracks, from_tracks = ptrack.cli.read_tracks, TrackTable.from_tracks.__func__
+    monkeypatch.setattr(ptrack.cli, "read_tracks", lambda *a: called.append("read_tracks") or read_tracks(*a))
+    monkeypatch.setattr(
+        TrackTable, "from_tracks", classmethod(lambda cls, t: called.append("from_tracks") or from_tracks(cls, t))
+    )
+    scenes = bench_scenes()
+    noisy = scenes.track_noisy(0, tmp_path)[0]
+    (dense,) = scenes.supervised_dense(0, tmp_path)
+    (flows,) = scenes.unsupervised_two_flows(0, tmp_path)
+    batch = lambda s: ["--batch-start", str(s.batch[0]), "--batch-end", str(s.batch[1])]
+    learned, out = str(tmp_path / "learned.txt"), str(tmp_path / "out.csv")
+    for argv in (
+        ["track", "--tracks", str(noisy.files["broken"]), "--patterns", str(noisy.files["patterns"]),
+         "--out", out, *batch(noisy)],
+        ["learn-patterns", "--tracks", str(dense.files["gt"]), "--out", learned, *batch(dense)],
+        ["track", "--tracks", str(dense.files["broken"]), "--patterns", learned, "--out", out, *batch(dense)],
+        ["unsupervised", "--tracks", str(flows.files["broken"]), "--out", out, "--patterns-out", learned,
+         "--widths", "1.0", "--stop-patterns", "2", *batch(flows)],
+    ):
+        assert cli(argv) == 0, argv
+    assert capsys.readouterr().out.splitlines()[-1] == "6 trajectories, 2 patterns, proxy score 0.998874"
+    assert called == []
 
 
 class TestSynth:

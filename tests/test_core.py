@@ -19,6 +19,7 @@ from ptrack import (
     SOURCE_NODE,
     TrackTable,
     Trajectory,
+    input_trajectories,
     relative_widths,
     tracking_area,
     tracking_extent,
@@ -28,7 +29,7 @@ from ptrack import (
 from ptrack.core import _is_int, _is_real, _scipy_extension, bounding_box
 from ptrack.fracopt import maximize_ratio
 
-from helpers import rows_model
+from helpers import edge_set, loose_graph, rows_model
 
 
 def det(frame, x, y):
@@ -42,7 +43,7 @@ def chain_graph():
     for k in (1, 2, 3):
         edges.add((SOURCE_NODE, k))
         edges.add((k, SINK_NODE))
-    return DetectionGraph(dets, frozenset(edges))
+    return loose_graph(dets, frozenset(edges))
 
 
 class TestDetection:
@@ -131,26 +132,24 @@ class TestDetectionGraph:
     def test_ids_are_positions_from_one(self):
         g = chain_graph()
         assert g.ids == range(1, 4)
-        assert [g.detection(k) for k in g.ids] == list(g.detections)
+        assert g.detections == (det(1, 0.0, 0.0), det(2, 1.0, 0.0), det(3, 2.0, 0.0))
         for k in (0, -1, 4):
-            assert k not in g
-            with pytest.raises(KeyError):
-                g.detection(k)
+            assert k not in g.ids
 
     def test_equal_detections_are_distinct_nodes(self):
         d = det(0, 0.0, 0.0)
-        g = DetectionGraph((d, d), frozenset({(SOURCE_NODE, 1), (SOURCE_NODE, 2)}))
-        assert g.ids == range(1, 3) and g.detection(1) is g.detection(2) is d
+        g = loose_graph((d, d), frozenset({(SOURCE_NODE, 1), (SOURCE_NODE, 2)}))
+        assert g.ids == range(1, 3) and g.detections == (d, d)
         assert g.edges.tolist() == [[SOURCE_NODE, 1], [SOURCE_NODE, 2]]
 
     def test_backward_edge_rejected(self):
         dets = (det(2, 0, 0), det(1, 1, 1))
         with pytest.raises(ValueError, match="forward in time"):
-            DetectionGraph(dets, frozenset({(1, 2)}))
+            loose_graph(dets, frozenset({(1, 2)}))
 
     def test_edge_to_unknown_detection_rejected(self):
         with pytest.raises(ValueError, match="unknown detection"):
-            DetectionGraph((det(0, 0, 0),), frozenset({(1, 9)}))
+            loose_graph((det(0, 0, 0),), frozenset({(1, 9)}))
 
     @pytest.mark.parametrize("edge", [(-5, 2), (1, -7), (0, 2), (1, 0)])
     def test_edge_to_a_negative_or_zero_id_rejected(self, edge):
@@ -158,11 +157,11 @@ class TestDetectionGraph:
         dets = (det(0, 0, 0), det(1, 1, 1))
         bad = next(v for v in edge if v not in (1, 2))
         with pytest.raises(ValueError, match=f"edge references unknown detection {bad}$"):
-            DetectionGraph(dets, frozenset({edge}))
+            loose_graph(dets, frozenset({edge}))
 
     def test_source_to_sink_edge_rejected(self):
         with pytest.raises(ValueError, match="invalid edge"):
-            DetectionGraph((det(0, 0, 0),), frozenset({(SOURCE_NODE, SINK_NODE)}))
+            loose_graph((det(0, 0, 0),), frozenset({(SOURCE_NODE, SINK_NODE)}))
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -175,7 +174,7 @@ class TestDetectionGraph:
     def test_each_error_names_the_first_offending_edge_in_sorted_order(self, edges, message):
         dets = (det(0, 0, 0), det(1, 1, 1), det(2, 2, 2))
         with pytest.raises(ValueError, match=message):
-            DetectionGraph(dets, edges)
+            loose_graph(dets, edges)
 
     def test_edges_from_any_collection_become_one_sorted_array(self):
         dets = (det(0, 0, 0), det(1, 1, 1))
@@ -187,13 +186,13 @@ class TestDetectionGraph:
             np.array(pairs[::-1], dtype=np.int32),
             [np.array(p) for p in pairs],
         ):
-            g = DetectionGraph(dets, edges)
+            g = loose_graph(dets, edges)
             assert g.edges.dtype == np.int64 and g.edges.tolist() == want
             assert not g.edges.flags.writeable
-        same = dataclasses.replace(g, source_tracks=((1, 2),))
+        same = DetectionGraph(TrackTable.from_tracks([dets]), edges)
         assert same.edges.tolist() == want and same.source_tracks == ((1, 2),)
-        assert DetectionGraph(dets, []).edges.shape == (0, 2)
-        assert DetectionGraph(dets, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+        assert loose_graph(dets, []).edges.shape == (0, 2)
+        assert loose_graph(dets, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
 
     @pytest.mark.parametrize(
         "edges",
@@ -213,12 +212,12 @@ class TestDetectionGraph:
     def test_ids_that_are_not_ints_are_refused(self, edges):
         dets = (det(0, 0, 0), det(1, 1, 1))
         with pytest.raises(ValueError, match="edge ids must be ints"):
-            DetectionGraph(dets, edges)
+            loose_graph(dets, edges)
 
     def test_ids_beyond_int64_are_refused(self):
         dets = (det(0, 0, 0), det(1, 1, 1))
         with pytest.raises(ValueError, match="edge ids must fit in int64"):
-            DetectionGraph(dets, [(1, 2**63)])
+            loose_graph(dets, [(1, 2**63)])
 
     @pytest.mark.parametrize(
         "edges",
@@ -228,7 +227,7 @@ class TestDetectionGraph:
     def test_edges_that_are_not_pairs_are_refused(self, edges):
         dets = (det(0, 0, 0), det(1, 1, 1))
         with pytest.raises(ValueError):
-            DetectionGraph(dets, edges)
+            loose_graph(dets, edges)
 
     def test_batch_defaults_to_frame_span(self):
         g = chain_graph()
@@ -236,37 +235,37 @@ class TestDetectionGraph:
 
     def test_batch_may_be_wider_but_not_narrower(self):
         dets = (det(2, 0, 0),)
-        assert DetectionGraph(dets, frozenset(), batch=(0, 5)).batch == (0, 5)
+        assert loose_graph(dets, frozenset(), batch=(0, 5)).batch == (0, 5)
         with pytest.raises(ValueError, match="batch"):
-            DetectionGraph(dets, frozenset(), batch=(3, 5))
+            loose_graph(dets, frozenset(), batch=(3, 5))
 
     @pytest.mark.parametrize("batch", [("0", "5"), (True, 5), (0, False), (0, np.True_)], ids=repr)
     def test_batch_bounds_that_are_strings_or_bools_are_refused(self, batch):
         # As `Detection` refuses a bool frame, a bool bound is not read as 0 or 1.
         with pytest.raises(ValueError, match=r"batch \(.*\) bounds must be integers"):
-            DetectionGraph((det(1, 0, 0),), frozenset(), batch=batch)
+            loose_graph((det(1, 0, 0),), frozenset(), batch=batch)
 
-    def test_source_tracks_default_to_empty(self):
-        assert chain_graph().source_tracks == ()
+    def test_loose_detections_are_one_row_source_tracks(self):
+        g = chain_graph()
+        assert g.source_tracks == ((1,), (2,), (3,))
+        assert input_trajectories(g) == (Trajectory((1,)), Trajectory((2,)), Trajectory((3,)))
 
     def test_source_tracks_that_cover_the_graph_along_edges_are_kept(self):
         g = chain_graph()
         for tracks in (((1, 2, 3),), ((1, 2), (3,)), ((1,), (2,), (3,))):
-            assert dataclasses.replace(g, source_tracks=tracks).source_tracks == tracks
+            # An empty track of the table is no source track.
+            table = TrackTable.from_tracks([[], *([g.detections[n - 1] for n in t] for t in tracks), []])
+            assert DetectionGraph(table, g.edges).source_tracks == tracks
 
     @pytest.mark.parametrize(
-        "tracks, reason",
-        [
-            (((1, 2), (2, 3)), "used twice"),
-            (((1, 2),), "uncovered"),
-            (((1, 2, 3), (4,)), "unknown detection"),
-            (((1, 3), (2,)), "not a graph edge"),
-            (((1, 2, 3, 2),), "repeats"),
-        ],
+        "missing, named", [({(2, 3)}, (2, 3)), ({(1, 2), (2, 3)}, (1, 2))], ids=["second", "first"]
     )
-    def test_source_tracks_must_cover_the_graph_along_edges(self, tracks, reason):
-        with pytest.raises(ValueError, match=reason):
-            dataclasses.replace(chain_graph(), source_tracks=tracks)
+    def test_a_track_step_that_is_not_an_edge_is_refused(self, missing, named):
+        g = chain_graph()
+        table = TrackTable.from_tracks([g.detections])
+        edges = edge_set(g) - missing
+        with pytest.raises(ValueError, match=re.escape(f"source track step {named} is not a graph edge")):
+            DetectionGraph(table, edges)
 
     def test_sorted_edges(self):
         g = chain_graph()
@@ -274,7 +273,7 @@ class TestDetectionGraph:
             [SOURCE_NODE, 1], [SOURCE_NODE, 2], [SOURCE_NODE, 3],
             [1, SINK_NODE], [1, 2], [2, SINK_NODE], [2, 3], [3, SINK_NODE],
         ]
-        assert 2 in g and 9 not in g
+        assert 2 in g.ids and 9 not in g.ids
 
 
 class TestTrajectory:
@@ -601,8 +600,7 @@ class TestValidateTrajectorySet:
 def test_tracks_from_trajectories_materializes_detections():
     g = chain_graph()
     tracks = tracks_from_trajectories(g, [Trajectory((1, 2)), Trajectory((3,))])
-    first, second, third = g.detections
-    assert all(a is b for a, b in zip(tracks[0] + tracks[1], (first, second, third)))
+    assert tracks[0] + tracks[1] == list(g.detections)
     assert [len(t) for t in tracks] == [2, 1]
 
 

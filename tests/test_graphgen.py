@@ -7,11 +7,11 @@ import pytest
 from ptrack import (
     Config,
     Detection,
-    DetectionGraph,
     Pattern,
     SINK_NODE,
     SOURCE_NODE,
     ScorePair,
+    TrackTable,
     build_graph,
     input_trajectories,
     read_homography,
@@ -142,8 +142,7 @@ class TestGraphShape:
         tracks = [[det(1, 0.0), det(2, 1.0)], [det(1, 5.0)]]
         g = build_graph(tracks, Config())
         assert g.ids == range(1, 4)
-        inputs = [d for t in tracks for d in t]
-        assert all(g.detection(k) is d for k, d in enumerate(inputs, start=1))
+        assert g.detections == tuple(d for t in tracks for d in t)
         assert g.source_tracks == ((1, 2), (3,))
 
     def test_every_detection_has_entry_and_exit(self):
@@ -223,14 +222,6 @@ class TestInputTrajectories:
         assert shape(adopted) == shape(corrupted)
         assert shape(adopted) != shape(scene.tracks)
 
-    def test_requires_source_tracks(self):
-        g = DetectionGraph(
-            (Detection(1, (0.0, 0.0)),),
-            frozenset({(SOURCE_NODE, 1), (1, SINK_NODE)}),
-        )
-        with pytest.raises(ValueError, match="source track"):
-            input_trajectories(g)
-
 
 @pytest.fixture(scope="module")
 def workload_inputs(tmp_path_factory):
@@ -251,13 +242,16 @@ def workload_inputs(tmp_path_factory):
 
 
 def assert_same_graph(tracks, cfg, batch=None):
-    """`build_graph` gives the reference's edges, detections, source tracks and batch."""
-    got, want = build_graph(tracks, cfg, batch), reference_build_graph(tracks, cfg, batch)
-    assert got.edges.dtype == np.int64
-    assert np.array_equal(got.edges, want.edges)
-    assert got.detections == want.detections
-    assert got.source_tracks == want.source_tracks
-    assert got.batch == want.batch
+    """`build_graph` of the lists and of their `TrackTable` give the
+    reference's edges, detections, frames, positions, source tracks and batch."""
+    want = reference_build_graph(tracks, cfg, batch)
+    for got in (build_graph(tracks, cfg, batch), build_graph(TrackTable.from_tracks(tracks), cfg, batch)):
+        assert got.edges.dtype == got.frames.dtype == np.int64
+        assert np.array_equal(got.edges, want.edges)
+        assert got.detections == want.detections
+        assert np.array_equal(got.frames, want.frames) and np.array_equal(got.positions, want.positions)
+        assert got.source_tracks == want.source_tracks
+        assert got.batch == want.batch
     return got
 
 

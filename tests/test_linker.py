@@ -7,7 +7,6 @@ import pytest
 from ptrack import (
     Config,
     Detection,
-    DetectionGraph,
     EMPTY_PATTERN,
     Pattern,
     SINK_NODE,
@@ -22,6 +21,7 @@ import ptrack.linker as linker
 from ptrack.linker import require_empty_pattern
 from ptrack.scoring import ratio_bracket
 
+from helpers import loose_graph
 from oracles import best_cover_objective, enumerate_assignments
 
 LANE = Pattern(((-3.0, 0.0), (3.0, 0.0)), 1.0)
@@ -205,7 +205,7 @@ def test_identity_switch_gets_repaired():
     # corrupted input mixes the two corridors; the repair must reproduce the
     # clean per-agent tracks exactly (the scene has no lateral noise)
     repaired = {
-        frozenset((g.detection(v).frame, g.detection(v).pos) for v in t.nodes)
+        frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in t.nodes)
         for t in res.trajectories
     }
     truth = {frozenset((d.frame, d.pos) for d in track) for track in scene.tracks}
@@ -233,7 +233,7 @@ class TestLinkErrors:
             link(g, (LANE,), Config())
 
     def test_detection_without_exit_edge(self):
-        g = DetectionGraph(
+        g = loose_graph(
             (Detection(1, (0.0, 0.0)),),
             frozenset({(SOURCE_NODE, 1)}),
         )
@@ -241,7 +241,7 @@ class TestLinkErrors:
             link(g, (EMPTY_PATTERN,), Config())
 
     def test_detection_without_entry_edge(self):
-        g = DetectionGraph(
+        g = loose_graph(
             (Detection(1, (0.0, 0.0)),),
             frozenset({(1, SINK_NODE)}),
         )
@@ -252,10 +252,10 @@ class TestLinkErrors:
         # Detection 1 lacks an entry, detection 2 lacks both edges: the
         # lowest id is named, its missing exit before its missing entry.
         dets = (Detection(1, (0.0, 0.0)), Detection(1, (5.0, 0.0)))
-        g = DetectionGraph(dets, frozenset({(1, SINK_NODE)}))
+        g = loose_graph(dets, frozenset({(1, SINK_NODE)}))
         with pytest.raises(ValueError, match="^detection 1 has no incoming edge$"):
             link(g, (EMPTY_PATTERN,), Config())
-        g = DetectionGraph(dets, frozenset({(SOURCE_NODE, 2)}))
+        g = loose_graph(dets, frozenset({(SOURCE_NODE, 2)}))
         with pytest.raises(ValueError, match="^detection 1 has no outgoing edge$"):
             link(g, (EMPTY_PATTERN,), Config())
 

@@ -9,7 +9,6 @@ import pytest
 from ptrack import (
     Config,
     Detection,
-    DetectionGraph,
     EMPTY_PATTERN,
     Pattern,
     SINK_NODE,
@@ -30,6 +29,7 @@ from ptrack.fracopt import HighsOracle, maximize_ratio
 from ptrack.miner import CandidateSet, build_mine_model
 from ptrack.scoring import _projection, ratio_bracket, score_matrix
 
+from helpers import loose_graph
 import reference_miner
 from oracles import brute_force_best_ratio, enumerate_assignments
 
@@ -416,7 +416,7 @@ def chain_graph(specs, chains, batch):
     edges = {(SOURCE_NODE, d) for d in range(1, len(specs) + 1)}
     edges |= {(d, SINK_NODE) for d in range(1, len(specs) + 1)}
     edges |= {pair for chain in chains for pair in zip(chain, chain[1:])}
-    return DetectionGraph(dets, frozenset(edges), batch), tuple(Trajectory(tuple(c)) for c in chains)
+    return loose_graph(dets, frozenset(edges), batch), tuple(Trajectory(tuple(c)) for c in chains)
 
 
 # Scorer settings that change each term: the default, a reverse penalty with a

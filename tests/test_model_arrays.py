@@ -31,7 +31,7 @@ from ptrack.miner import CandidateSet
 from ptrack.synth import Fragment, Swap
 from ptrack.tracksio import read_tracks
 
-from helpers import bench_scenes, rows_model
+from helpers import bench_scenes, loose_graph, rows_model
 from reference_model import FormerModel, former_link_model, former_mine_model
 
 
@@ -179,7 +179,7 @@ def random_graph(rng) -> DetectionGraph:
         for j in range(1, n + 1):
             if frames[i - 1] < frames[j - 1] and rng.random() < 0.5:
                 edges.add((i, j))
-    return DetectionGraph(dets, frozenset(edges))
+    return loose_graph(dets, frozenset(edges))
 
 
 class TestRandomModels:

@@ -9,7 +9,6 @@ from ptrack import (
     Assignment,
     Config,
     Detection,
-    DetectionGraph,
     EMPTY_PATTERN,
     Fragment,
     Pattern,
@@ -35,7 +34,7 @@ from ptrack import (
 )
 from ptrack.scoring import _project, _projection
 
-from helpers import bench_scenes, edge_score
+from helpers import bench_scenes, edge_score, loose_graph
 from reference_scoring import PatternScorer as ReferenceScorer
 from reference_scoring import trajectory_score as reference_trajectory_sum
 from oracles import (
@@ -52,7 +51,7 @@ LANE = Pattern(((0.0, 0.0), (10.0, 0.0)), 2.0)
 def make_graph(specs, edges=(), batch=None):
     """Detections from (frame, x, y) specs; the k-th spec is detection k (from 1)."""
     dets = tuple(Detection(f, (x, y)) for f, x, y in specs)
-    return DetectionGraph(dets, frozenset(edges), batch)
+    return loose_graph(dets, frozenset(edges), batch)
 
 
 def pair_graph(pos_i, pos_j, batch=None):
@@ -404,8 +403,8 @@ def reference_projection(point, pattern):
 
 
 def reference_detection_edge(graph, pattern, cfg, i, j):
-    pi = graph.detection(i).pos
-    pj = graph.detection(j).pos
+    pi = graph.detections[i - 1].pos
+    pj = graph.detections[j - 1].pos
     edge_len = float(np.hypot(pj[0] - pi[0], pj[1] - pi[1]))
     if pattern.is_empty:
         return ScorePair(edge_len, cfg.empty_rate * edge_len)
@@ -448,9 +447,9 @@ def reference_trajectory_score(graph, nodes, pattern, cfg, starts_at_batch_begin
                 aligned += cfg.empty_rate * 1.0
     else:
         if not starts_at_batch_begin:
-            total += reference_projection(graph.detection(nodes[0]).pos, pattern).arc
+            total += reference_projection(graph.detections[nodes[0] - 1].pos, pattern).arc
         if not ends_at_batch_end:
-            total += pattern.length - reference_projection(graph.detection(nodes[-1]).pos, pattern).arc
+            total += pattern.length - reference_projection(graph.detections[nodes[-1] - 1].pos, pattern).arc
     for a, b in zip(nodes, nodes[1:]):
         score = reference_detection_edge(graph, pattern, cfg, a, b)
         total += score.total
@@ -460,7 +459,7 @@ def reference_trajectory_score(graph, nodes, pattern, cfg, starts_at_batch_begin
 
 def batch_flags(graph, nodes):
     first, last = graph.batch
-    return graph.detection(nodes[0]).frame == first, graph.detection(nodes[-1]).frame == last
+    return graph.detections[nodes[0] - 1].frame == first, graph.detections[nodes[-1] - 1].frame == last
 
 
 def bits(*values):
@@ -474,7 +473,7 @@ def points_graph(points):
     The batch is one frame wider on each side, so no entry or exit is free.
     """
     dets = tuple(Detection(k, (float(x), float(y))) for k, (x, y) in enumerate(points))
-    return DetectionGraph(dets, frozenset(), batch=(-1, len(points)))
+    return loose_graph(dets, frozenset(), batch=(-1, len(points)))
 
 
 CFGS = (Config(), Config(reverse_penalty=0.25, empty_rate=-3.0))
@@ -812,8 +811,14 @@ class TestArrayScorerAgainstScalar:
 
     @pytest.mark.parametrize("base", [2**70, 2**63, -(2**70)])
     def test_frames_beyond_int64(self, base):
-        # `Detection` takes any int frame; the batch bounds still free the ends.
-        specs = [(base + f, x, y) for f, x, y in ((1, 1.0, 0.5), (2, 3.0, 0.4), (4, 5.5, 0.2), (2, 9.0, 0.0))]
+        # A graph's frames are its table's int64 column, so frames beyond it
+        # are refused.  Moved to that end of int64, the scene scores as the
+        # scalar reference does, and the batch bounds still free the ends.
+        moves = ((1, 1.0, 0.5), (2, 3.0, 0.4), (4, 5.5, 0.2), (2, 9.0, 0.0))
+        with pytest.raises(ValueError, match="frames must fit in int64"):
+            chain_graph([(base + f, x, y) for f, x, y in moves], [(1, 2, 3), (4,)])
+        base = 2**63 - 6 if base > 0 else -(2**63)
+        specs = [(base + f, x, y) for f, x, y in moves]
         for batch in (None, (base, base + 5)):
             g, ts = chain_graph(specs, [(1, 2, 3), (4,)], batch)
             assert_same_as_scalar(g, (EMPTY_PATTERN, LANE), SCALAR_CFGS[:2], ts)

@@ -12,7 +12,6 @@ from helpers import crossing_family, mark_lower_bound, mark_proxy_lower_bound
 from ptrack import (
     Config,
     Detection,
-    DetectionGraph,
     EMPTY_PATTERN,
     Fragment,
     Pattern,
@@ -170,25 +169,22 @@ class TestSplitHalfScore:
         assert lower_bound_only == (hit is not None)
         assert proxy == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("base", [0, 2**53, 2**60, 2**70], ids=["0", "2**53", "2**60", "2**70"])
+    @pytest.mark.parametrize(
+        "base", [0, 2**53, 2**60, 2**63 - 9], ids=["0", "2**53", "2**60", "2**63 - 9"]
+    )
     def test_frames_beyond_float_precision_split_at_the_exact_middle(self, base, monkeypatch):
         # Batch base - 1 .. base + 8: frames up to base + 3 are in the first
         # half.  At 2**60 a float midpoint rounds down to base, which left
-        # both tracks in the second half and the split degenerate.
+        # both tracks in the second half and the split degenerate.  The
+        # last base ends the batch at the last int64 frame, where twice the
+        # middle passes int64.
         tracks = [
             [det(base + k, 2.0 * k) for k in range(4)],
             [det(base + k, 2.0 * k, 5.0) for k in range(4, 7)],
         ]
         cfg = Config(candidate_widths=(1.0,))
-        if base < 2**63:
-            g = build_graph(tracks, cfg, batch=(base - 1, base + 8))
-        else:
-            # `build_graph` keeps frames in int64; a graph past it is built
-            # directly, with the edges of the same tracks at frame 0.
-            at_zero = [[det(d.frame - base, *d.pos) for d in t] for t in tracks]
-            edges = build_graph(at_zero, cfg).edges
-            g = DetectionGraph(tuple(d for t in tracks for d in t), edges, (base - 1, base + 8), ((1, 2, 3, 4), (5, 6, 7)))
-        assert g.frames.dtype == (object if base >= 2**63 else np.int64)
+        g = build_graph(tracks, cfg, batch=(base - 1, base + 8))
+        assert g.frames.dtype == np.int64
         ts = input_trajectories(g)
         assert split_half_score(g, ts, cfg) == (0.3, False)
         halves = []
@@ -287,7 +283,7 @@ class TestRunUnsupervised:
         assert any(h.proxy_score == best and h.n_patterns == 2 for h in res.history)
         # the refined trajectories reproduce the clean tracks
         shapes = {
-            frozenset((g.detection(v).frame, g.detection(v).pos) for v in t.nodes)
+            frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in t.nodes)
             for t, p in zip(res.trajectories, res.assignment)
             if p != 0
         }
