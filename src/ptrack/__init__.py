@@ -27,7 +27,7 @@ from .core import (
     SINK_NODE,
     SOURCE_NODE,
     TrackTable,
-    Trajectory,
+    TrajectorySet,
     relative_widths,
     tracking_area,
     tracking_extent,

@@ -4,9 +4,9 @@ A detection is `Detection(frame, pos)`; identity is what linking produces.  A
 track is a list of detections in frame order, the only record of which track
 a detection belongs to.  `TrackTable` holds tracks as three arrays, one row
 per detection; `TrackTable.tracks()` and `as_track_table` convert between the
-two.  A `DetectionGraph` holds one table, names its row k by id k + 1, takes
-the table's tracks as its `source_tracks`, and holds its edges as
-`graph.edges`, the id pairs as sorted rows of one (E, 2) int64 array.
+two.  A `DetectionGraph` holds one table, names its row k by id k + 1, and
+holds its edges as `graph.edges`, the id pairs as sorted rows of one (E, 2)
+int64 array.  A `TrajectorySet` holds trajectories as arrays of graph rows.
 `_gate_pairs`, the one join of two tables' rows within a radius, finds
 `eval`'s gate pairs and `build_graph`'s link and join edges.
 """
@@ -145,24 +145,14 @@ class TrackTable:
     starts: np.ndarray
 
     def __post_init__(self) -> None:
-        frames, starts = np.asarray(self.frames), np.asarray(self.starts)
-        pos = np.asarray(self.pos, dtype=float)
+        frames, pos = np.asarray(self.frames), np.asarray(self.pos, dtype=float)
         if frames.dtype != np.int64 or frames.ndim != 1:
             raise ValueError("frames must be a one-dimensional int64 array")
         if pos.shape != (len(frames), 2) or not np.isfinite(pos).all():
             raise ValueError(f"pos must be {len(frames)} finite (x, y) rows")
-        if not (
-            starts.ndim == 1
-            and starts.dtype.kind in "iu"
-            and starts.size
-            and starts[0] == 0
-            and starts[-1] == len(frames)
-            and np.all(starts[1:] >= starts[:-1])
-        ):
-            raise ValueError("starts must rise from 0 to the row count")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "starts", starts.astype(np.int64, copy=False))
+        object.__setattr__(self, "starts", _checked_starts(self.starts, len(frames)))
 
     @classmethod
     def from_tracks(cls, tracks: Sequence[Sequence[Detection]]) -> "TrackTable":
@@ -192,6 +182,17 @@ class TrackTable:
         dets = list(map(Detection, self.frames.tolist(), zip(*self.pos.T.tolist())))
         bounds = self.starts.tolist()
         return [dets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _checked_starts(starts, n: int) -> np.ndarray:
+    """`starts` as an int64 array, if it rises from 0 to `n`."""
+    starts = np.asarray(starts)
+    if not (
+        starts.ndim == 1 and starts.dtype.kind in "iu" and starts.size
+        and starts[0] == 0 and starts[-1] == n and np.all(starts[1:] >= starts[:-1])
+    ):
+        raise ValueError("starts must rise from 0 to the row count")
+    return starts.astype(np.int64, copy=False)
 
 
 Tracks = Sequence[Sequence[Detection]] | TrackTable
@@ -295,9 +296,8 @@ class DetectionGraph:
     the frame range the detections were observed in; it defaults to the detection span
     but may be wider when the data is a window cut from a longer recording.  It is the
     one source of the boundary rule: a path entering at the batch's first frame or
-    leaving at its last pays nothing for that entry or exit.  The table's non-empty
-    tracks, in order, are the graph's `source_tracks` as chains of ids, and each of
-    their steps (row r to row r + 1) must be an edge; loose detections are a table of
+    leaving at its last pays nothing for that entry or exit.  Each step of a track of
+    the table (row r to row r + 1) must be an edge; loose detections are a table of
     one-row tracks.  The constructor takes any collection of int pairs as `edges` and
     keeps them as a read-only (E, 2) int64 array of unique rows in lexicographic order.
     """
@@ -359,11 +359,6 @@ class DetectionGraph:
         return self.table.pos
 
     @cached_property
-    def source_tracks(self) -> tuple[tuple[int, ...], ...]:
-        bounds = self.table.starts.tolist()
-        return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(bounds, bounds[1:]) if b > a)
-
-    @cached_property
     def detections(self) -> tuple[Detection, ...]:
         """One `Detection` per row, built on first read: for tests and tools, not the pipeline."""
         return tuple(chain.from_iterable(self.table.tracks()))
@@ -372,14 +367,6 @@ class DetectionGraph:
     def ids(self) -> range:
         return range(1, len(self.frames) + 1)
 
-    def rows(self, trajectories: Sequence["Trajectory"]) -> tuple[np.ndarray, np.ndarray]:
-        """The trajectories' detections as rows (id - 1), concatenated, and where
-        each trajectory starts; `KeyError` on an id outside `ids`."""
-        ids = [n for t in trajectories for n in t.nodes]
-        if ids and max(ids) > len(self.frames):  # a `Trajectory` holds no id below 1
-            raise KeyError(next(n for n in ids if n > len(self.frames)))
-        return np.array(ids, dtype=np.int64) - 1, np.cumsum([0, *map(len, trajectories)])
-
     @cached_property
     def scoring_cache(self) -> dict:
         """What `ptrack.scoring` keeps: per centerline, the projection of every
@@ -387,27 +374,69 @@ class DetectionGraph:
         return {}
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered chain of detection ids forming one object's path.
+@dataclass(frozen=True, eq=False)
+class TrajectorySet:
+    """Trajectories as one pair of read-only int64 arrays.
 
-    Nodes are detection ids, positive ints (not bools).  The graph it is
+    Trajectory k is graph rows `rows[starts[k]:starts[k + 1]]`, in path
+    order; detection id = row + 1, as in `DetectionGraph`.  No trajectory is
+    empty, holds an id below 1 or repeats a detection.  The graph it is
     scored on decides whether its entry and exit are free (see
-    `DetectionGraph.batch` and `scoring.edge_scores`).
+    `DetectionGraph.batch` and `scoring.edge_scores`).  Sets compare and
+    hash by both arrays; indexing by an int, a slice, indices or a mask
+    gives the set of the trajectories picked, in order.
     """
 
-    nodes: tuple[int, ...]
+    rows: np.ndarray
+    starts: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.nodes:
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a one-dimensional integer array")
+        object.__setattr__(self, "rows", rows := _frozen(rows.astype(np.int64)))
+        object.__setattr__(self, "starts", _frozen(np.array(_checked_starts(self.starts, len(rows)))))
+        lengths = self.starts[1:] - self.starts[:-1]
+        if not lengths.all():
             raise ValueError("trajectory has no nodes")
-        if not all(type(n) is int and n >= 1 for n in self.nodes):
-            raise ValueError(f"trajectory nodes must be detection ids, ints from 1: {self.nodes!r}")
-        if len(set(self.nodes)) != len(self.nodes):
+        bad = (rows < 0) | (rows == np.iinfo(np.int64).max)  # the id, row + 1, is an int64 from 1
+        if bad.any():
+            raise ValueError(f"trajectory nodes must be detection ids, ints from 1: {int(rows[bad][0]) + 1}")
+        # A stable sort keeps each row's uses in trajectory order, so a repeat within one is adjacent.
+        order = np.argsort(rows, kind="stable")
+        owner = np.repeat(np.arange(len(lengths)), lengths)[order]
+        if ((np.diff(rows[order]) == 0) & (np.diff(owner) == 0)).any():
             raise ValueError("trajectory repeats a detection")
 
+    @classmethod
+    def from_nodes(cls, chains: Iterable[Sequence[int]]) -> "TrajectorySet":
+        """The set of the id sequences `chains`; ids are ints (not bools) from 1 below 2**63."""
+        chains = [tuple(nodes) for nodes in chains]
+        for nodes in chains:
+            if not all(type(n) is int and 1 <= n < 2**63 for n in nodes):
+                raise ValueError(f"trajectory nodes must be detection ids, ints from 1: {nodes!r}")
+        return cls(np.fromiter(chain.from_iterable(chains), np.int64) - 1, np.cumsum([0, *map(len, chains)]))
+
+    @property
+    def nodes(self) -> tuple[tuple[int, ...], ...]:
+        """Each trajectory's detection ids, in path order."""
+        ids, bounds = (self.rows + 1).tolist(), self.starts.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.starts) - 1
+
+    def __getitem__(self, key) -> "TrajectorySet":
+        picked = np.atleast_1d(np.arange(len(self))[key])
+        _, rows = _candidates(self.starts[picked], self.starts[picked + 1])
+        return TrajectorySet(self.rows[rows], np.concatenate(([0], np.cumsum(np.diff(self.starts)[picked]))))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, TrajectorySet) and np.array_equal(self.starts, other.starts)
+        return same and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows.tobytes(), self.starts.tobytes()))
 
 
 def _checked_width(width) -> float:
@@ -650,38 +679,31 @@ def tracking_extent(points: Iterable[tuple[float, float]]) -> float:
     return max(x1 - x0, y1 - y0)
 
 
-def validate_trajectory_set(graph: DetectionGraph, trajectories: Sequence[Trajectory]) -> list[str]:
+def validate_trajectory_set(graph: DetectionGraph, trajectories: TrajectorySet) -> list[str]:
     """Check that trajectories partition the detections along graph edges.
 
-    Returns a list of human-readable violations; an empty list means the set
-    is a valid decomposition (every detection in exactly one trajectory and
-    every transition an existing edge).
+    Returns human-readable violations: unknown ids, detections used twice,
+    steps that are not edges, uncovered detections, each kind in set or id
+    order.  An empty list means a valid decomposition (every detection in
+    exactly one trajectory and every transition an existing edge).
     """
-    violations: list[str] = []
-    seen: set[int] = set()
     n, k = len(graph.frames), len(graph.frames) + 3
+    rows, starts = trajectories.rows, trajectories.starts
+    known = rows < n
+    uses = np.bincount(rows[known], minlength=n)
     # Step i -> j as its key i * k + j (see `DetectionGraph._linked`); a step off the graph as -1, no key.
-    steps = ((i, j) for t in trajectories for i, j in zip(t.nodes, t.nodes[1:]))
-    keys = np.array([i * k + j if i <= n and j <= n else -1 for i, j in steps], dtype=np.int64)
-    linked = iter(graph._linked(keys).tolist())
-    for traj in trajectories:
-        for node in traj.nodes:
-            if node not in graph.ids:
-                violations.append(f"unknown detection {node}")
-                continue
-            if node in seen:
-                violations.append(f"detection {node} used twice")
-            seen.add(node)
-        for i, j in zip(traj.nodes, traj.nodes[1:]):
-            if not next(linked):
-                violations.append(f"transition ({i}, {j}) is not a graph edge")
-    violations += (f"detection {k} uncovered" for k in graph.ids if k not in seen)
-    return violations
+    tails = np.delete(np.arange(len(rows)), starts[1:] - 1)
+    i, j = rows[tails] + 1, rows[tails + 1] + 1
+    off = ~graph._linked(np.where(known[tails] & known[tails + 1], i * k + j, -1))
+    return [
+        *(f"unknown detection {d}" for d in (rows[~known] + 1).tolist()),
+        *(f"detection {d} used twice" for d in (np.flatnonzero(uses > 1) + 1).tolist()),
+        *(f"transition ({a}, {b}) is not a graph edge" for a, b in zip(i[off].tolist(), j[off].tolist())),
+        *(f"detection {d} uncovered" for d in (np.flatnonzero(uses == 0) + 1).tolist()),
+    ]
 
 
-def tracks_from_trajectories(
-    graph: DetectionGraph, trajectories: Sequence[Trajectory]
-) -> list[list[Detection]]:
-    """Materialize trajectories back into detection lists, one `Detection` per node."""
-    rows, starts = graph.rows(trajectories)
-    return TrackTable(graph.frames[rows], graph.positions[rows], starts).tracks()
+def tracks_from_trajectories(graph: DetectionGraph, trajectories: TrajectorySet) -> TrackTable:
+    """The trajectories as tracks: the graph's table gathered by the set's rows."""
+    rows = trajectories.rows
+    return TrackTable(graph.frames[rows], graph.positions[rows], trajectories.starts)

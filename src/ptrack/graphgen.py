@@ -4,8 +4,9 @@ Input tracks contribute their detections and their own consecutive
 transitions; extra edges let the linker move between tracks (to undo identity
 switches) and bridge gaps between track fragments.  Entry and exit edges make
 every detection reachable, so a feasible decomposition always exists.
-The graph holds the input as one `TrackTable`, whose tracks are its
-`source_tracks`, the one record of which track each detection came from.
+The graph holds the input as one `TrackTable`, the one record of which
+track each detection came from; `input_trajectories` reads its non-empty
+tracks as a `TrajectorySet`.
 The link and join edges come from the join that `eval` finds its gate pairs
 with (`core._gate_pairs`), over that table: `eval`'s exact `math.dist` gate.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    SINK_NODE, SOURCE_NODE, Config, DetectionGraph, TrackTable, Tracks, Trajectory, _gate_pairs, as_track_table
+    SINK_NODE, SOURCE_NODE, Config, DetectionGraph, TrackTable, Tracks, TrajectorySet, _gate_pairs,
+    as_track_table,
 )
 
 
@@ -71,6 +73,6 @@ def build_graph(
     return DetectionGraph(table, edges, batch)
 
 
-def input_trajectories(graph: DetectionGraph) -> tuple[Trajectory, ...]:
-    """The graph's source tracks as a trajectory set: the usual start for mining or for scoring the input."""
-    return tuple(Trajectory(nodes) for nodes in graph.source_tracks)
+def input_trajectories(graph: DetectionGraph) -> TrajectorySet:
+    """The table's non-empty tracks as a trajectory set: the usual start for mining or scoring the input."""
+    return TrajectorySet(np.arange(len(graph.frames)), np.unique(graph.table.starts))

@@ -17,13 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    SINK_NODE,
     SOURCE_NODE,
     Assignment,
     Config,
     DetectionGraph,
     Pattern,
-    Trajectory,
+    TrajectorySet,
     validate_trajectory_set,
 )
 from .fracopt import EQ, SolverModel, maximize_ratio
@@ -41,9 +40,9 @@ class LinkResult:
     optimum, unless `lower_bound_only` says the time budget cut the solve.
     """
 
-    trajectories: tuple[Trajectory, ...]
+    trajectories: TrajectorySet
     assignment: Assignment
-    all_trajectories: tuple[Trajectory, ...]
+    all_trajectories: TrajectorySet
     full_assignment: Assignment
     alpha_star: float
     lower_bound_only: bool = False
@@ -58,17 +57,17 @@ def require_empty_pattern(patterns: Sequence[Pattern]) -> int:
 
 
 def reported_trajectories(
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     assignment: Assignment,
     patterns: Sequence[Pattern],
     cfg: Config,
-) -> tuple[tuple[Trajectory, ...], Assignment]:
+) -> tuple[TrajectorySet, Assignment]:
     """The trajectories and their pattern indices, less those on the empty
     pattern when `cfg.remove_empty` says to drop them."""
     if not cfg.remove_empty:
-        return tuple(trajectories), assignment
-    kept = [(t, p) for t, p in zip(trajectories, assignment) if not patterns[p].is_empty]
-    return tuple(t for t, _ in kept), Assignment(tuple(p for _, p in kept))
+        return trajectories, assignment
+    kept = [k for k, p in enumerate(assignment) if not patterns[p].is_empty]
+    return trajectories[kept], Assignment(tuple(assignment[k] for k in kept))
 
 
 def build_link_model(
@@ -148,38 +147,32 @@ def build_link_model(
     return model, triples
 
 
-def _decode(
-    graph: DetectionGraph,
-    triples: tuple[tuple[int, int, int], ...],
-    witness: tuple[int, ...],
-) -> tuple[tuple[Trajectory, ...], Assignment]:
-    succ: dict[int, tuple[int, int]] = {}
-    starts: list[tuple[int, int]] = []
-    for k in np.flatnonzero(witness).tolist():
-        p, i, j = triples[k]
-        if i == SOURCE_NODE:
-            starts.append((j, p))
-        else:
-            succ[i] = (j, p)
-    paths: list[tuple[tuple[int, ...], int]] = []
-    for v, p in starts:
-        nodes = [v]
-        while True:
-            nxt, p_next = succ[nodes[-1]]
-            assert p_next == p, "pattern changed along a trajectory"
-            if nxt == SINK_NODE:
-                break
-            nodes.append(nxt)
-        paths.append((tuple(nodes), p))
-    heads = np.array([nodes[0] for nodes, _ in paths], dtype=np.int64)  # sort by their frame, x, y, id
-    x, y = graph.positions[heads - 1].T
-    paths = [paths[k] for k in np.lexsort((heads, y, x, graph.frames[heads - 1]))]
-    trajectories = tuple(Trajectory(nodes) for nodes, _ in paths)
-    assignment = Assignment(tuple(p for _, p in paths))
+def _decode(graph: DetectionGraph, witness: tuple[int, ...]) -> tuple[TrajectorySet, Assignment]:
+    """The paths of a link witness (variable k: pattern k // E on edge k % E) and their patterns.
+
+    Pointer jumping over each detection's predecessor finds its path's head;
+    rows sort by path, then frame, which rises along every edge.  Paths are
+    ordered by their head's frame, x, y and id."""
+    pattern, edge = np.divmod(np.flatnonzero(witness), len(graph.edges))
+    tail, head = graph.edges[edge].T
+    entry, step, out = tail == SOURCE_NODE, (tail > 0) & (head > 0), tail > 0
+    root = np.arange(len(graph.frames))
+    root[head[step] - 1] = tail[step] - 1
+    while not np.array_equal(root, jumped := root[root]):
+        root = jumped
+    heads = head[entry] - 1
+    order = np.lexsort((heads, *graph.positions[heads, ::-1].T, graph.frames[heads]))
+    path = np.full_like(root, -1)  # a root that no entry reaches, caught below
+    path[heads[order]] = np.arange(len(heads))
+    path = path[root]
+    path_pattern = np.append(pattern[entry][order], -1)
+    assert (pattern[out] == path_pattern[path[tail[out] - 1]]).all(), "pattern changed along a trajectory"
+    rows = np.lexsort((graph.frames, path))
+    trajectories = TrajectorySet(rows, np.searchsorted(path[rows], np.arange(len(heads) + 1)))
     violations = validate_trajectory_set(graph, trajectories)
     if violations:
         raise AssertionError(f"solver produced an invalid decomposition: {violations[:3]}")
-    return trajectories, assignment
+    return trajectories, Assignment(tuple(path_pattern[:-1].tolist()))
 
 
 def link(
@@ -200,13 +193,11 @@ def link(
         d = int(np.argmin((out_deg > 0) & (in_deg > 0)))
         raise ValueError(f"detection {d + 1} has no {'incoming' if out_deg[d] else 'outgoing'} edge")
 
-    model, triples = build_link_model(graph, patterns, cfg)
+    model, _ = build_link_model(graph, patterns, cfg)
     result = maximize_ratio(model, ratio_bracket(cfg)[0], time_budget=time_budget)
-    all_trajectories, full_assignment = _decode(graph, triples, result.witness)
+    all_trajectories, full_assignment = _decode(graph, result.witness)
 
-    trajectories, assignment = reported_trajectories(
-        all_trajectories, full_assignment, patterns, cfg
-    )
+    trajectories, assignment = reported_trajectories(all_trajectories, full_assignment, patterns, cfg)
     return LinkResult(
         trajectories=trajectories,
         assignment=assignment,

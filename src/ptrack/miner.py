@@ -21,7 +21,7 @@ tie; the empty pattern, which costs nothing, always stays) before it builds
 its model.  This is exact: a selection that uses a dearer twin can switch to
 the cheaper one, which leaves both sums of the ratio as they were and can
 only lower the count and the summed cost of the selection.  The columns
-come from one `scoring.score_matrix` call, which builds the set's rows once
+come from one `scoring.score_matrix` call, which reads the set's edges once
 and scores all candidates on one centerline (the empty pattern is a family
 of its own) in one pass, since only the corridor gate depends on the width.
 The model is built from the kept columns of that matrix, so each set is
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .core import (
     DetectionGraph,
     EMPTY_PATTERN,
     Pattern,
-    Trajectory,
+    TrajectorySet,
     tracking_area,
 )
 from .fracopt import EQ, LE, HighsOracle, SolverModel, maximize_ratio
@@ -183,7 +182,7 @@ class _SelectionOracle:
 
 def generate_candidates(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     cfg: Config,
 ) -> CandidateSet:
     """Candidate centerlines from trajectories fully inside the graph's batch.
@@ -197,13 +196,13 @@ def generate_candidates(
     first, last = graph.batch
     patterns: list[Pattern] = [EMPTY_PATTERN]
     source: list[int | None] = [None]
-    rows, starts = graph.rows(trajectories)
-    frames, points, starts = graph.frames[rows].tolist(), graph.positions[rows].tolist(), starts.tolist()
-    for t_idx, (a, b) in enumerate(zip(starts, starts[1:])):
-        if min(frames[a:b]) <= first or max(frames[a:b]) >= last:
-            continue
+    rows, starts = trajectories.rows, trajectories.starts
+    frames, firsts = graph.frames[rows], starts[:-1]
+    inside = (np.minimum.reduceat(frames, firsts) > first) & (np.maximum.reduceat(frames, firsts) < last)
+    points, bounds = graph.positions[rows].tolist(), starts.tolist()
+    for t_idx in np.flatnonzero(inside).tolist():
         try:
-            base = Pattern.from_points(points[a:b], cfg.candidate_widths[0])
+            base = Pattern.from_points(points[bounds[t_idx] : bounds[t_idx + 1]], cfg.candidate_widths[0])
         except ValueError:
             continue
         patterns += map(base.with_width, cfg.candidate_widths)
@@ -286,7 +285,7 @@ def _cheapest_twins(scores: tuple[np.ndarray, np.ndarray], candidates: Candidate
 
 def mine(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     candidates: CandidateSet,
     cfg: Config,
     time_budget: float | None = None,

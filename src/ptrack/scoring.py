@@ -16,17 +16,17 @@ skips before its first detection or after its last; the empty pattern charges
 `objective` score any chain of detection ids the same way.
 
 Scores are arrays: `edge_scores` scores any edges against one pattern, and
-`score_matrix` a trajectory set against several patterns.  It builds the
-set's rows once, then makes one pass per distinct centerline over that
-centerline's distinct widths: only the corridor gate depends on the width,
-so the totals are summed once and the aligned sums once per width.  A
-graph's `scoring_cache` keeps each centerline's projection of all
-detections and nothing else; the width and the `Config` are applied on
-each pass.  A trajectory's sum runs entry plus exit, then each edge in
-order, so a score is the same float however many trajectories or patterns
-are scored at once.  `trajectory_score` is the one-trajectory,
-one-pattern case of `score_matrix`; the miner, the split-half proxy and
-`objective` score through `score_matrix` too.
+`score_matrix` a `TrajectorySet` against several patterns.  It reads the
+set's edges off its arrays once, then makes one pass per distinct
+centerline over that centerline's distinct widths: only the corridor gate
+depends on the width, so the totals are summed once and the aligned sums
+once per width.  A graph's `scoring_cache` keeps each centerline's
+projection of all detections and nothing else; the width and the `Config`
+are applied on each pass.  A trajectory's sum runs entry plus exit, then
+each edge in order, so a score is the same float however many
+trajectories or patterns are scored at once.  `trajectory_score` is the
+one-trajectory, one-pattern case of `score_matrix`; the miner, the
+split-half proxy and `objective` score through `score_matrix` too.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .core import (
     Config,
     DetectionGraph,
     Pattern,
-    Trajectory,
+    TrajectorySet,
 )
 
 
@@ -155,8 +155,8 @@ def edge_scores(graph: DetectionGraph, pattern: Pattern, cfg: Config, tails, hea
     """(total, aligned) arrays of the edges `tails[k]` -> `heads[k]` against one pattern.
 
     An edge is an entry (tail SOURCE_NODE), an exit (head SINK_NODE) or a
-    detection edge, in the graph or not.  Raises `KeyError` on a detection id
-    outside `graph.ids`, as `DetectionGraph.detection` does.
+    detection edge, in the graph or not.  Raises `KeyError`, naming the id,
+    on a detection id outside `graph.ids`.
     """
     tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
     if tails.ndim != 1 or tails.shape != heads.shape:
@@ -190,8 +190,10 @@ class _Chains(NamedTuple):
     shape: tuple[int, int]
 
 
-def _chains(graph: DetectionGraph, trajectories: Sequence[Trajectory]) -> _Chains:
-    rows, starts = graph.rows(trajectories)
+def _chains(graph: DetectionGraph, trajectories: TrajectorySet) -> _Chains:
+    rows, starts = trajectories.rows, trajectories.starts
+    if rows.max() >= len(graph.frames):
+        raise KeyError(int(rows[rows >= len(graph.frames)][0]) + 1)
     k = np.delete(np.arange(len(rows)), starts[1:] - 1)  # rows followed by an edge
     owner = np.searchsorted(starts, k, side="right") - 1
     return _Chains(
@@ -220,14 +222,16 @@ def _summed(graph: DetectionGraph, chains: _Chains, pattern: Pattern, widths: np
     return sums[0], sums[1:]
 
 
-def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """`score_matrix` of one trajectory against one pattern, as a `ScorePair`."""
-    total, aligned = score_matrix(graph, (traj,), (pattern,), cfg)
+def trajectory_score(graph: DetectionGraph, traj: TrajectorySet, pattern: Pattern, cfg: Config) -> ScorePair:
+    """`score_matrix` of a one-trajectory set against one pattern, as a `ScorePair`."""
+    if len(traj) != 1:
+        raise ValueError(f"expected one trajectory, got {len(traj)}")
+    total, aligned = score_matrix(graph, traj, (pattern,), cfg)
     return ScorePair(float(total[0, 0]), float(aligned[0, 0]))
 
 
 def score_matrix(
-    graph: DetectionGraph, trajectories: Sequence[Trajectory], patterns: Sequence[Pattern], cfg: Config
+    graph: DetectionGraph, trajectories: TrajectorySet, patterns: Sequence[Pattern], cfg: Config
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total, aligned): trajectories × patterns arrays of each trajectory's
     edge scores against each pattern, summed.
@@ -236,7 +240,7 @@ def score_matrix(
     in order, one addition at a time.  The patterns are grouped by
     centerline, then by width: one pass per distinct centerline covers its
     distinct widths (the empty pattern ignores the width), and patterns
-    equal in both share a column.  Raises `KeyError` on a node outside
+    equal in both share a column.  Raises `KeyError` on an id outside
     `graph.ids`.
     """
     sums = np.zeros((2, len(patterns), len(trajectories)))
@@ -256,7 +260,7 @@ def score_matrix(
 
 def objective(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     patterns: Sequence[Pattern],
     assignment: Assignment,
     cfg: Config,

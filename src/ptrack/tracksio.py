@@ -11,9 +11,9 @@ to project the box's bottom center onto the ground plane; a row whose box
 width and height are both -1 has no box, so its x, y is a ground position
 even when it is (-1, -1).
 Numbers use Python float syntax (`1e3`, ` 2 `, `1_000`).  numpy's C reader
-parses a clean file, each line a row it takes, from its lines as they are;
-any other goes row by stripped row, and `float` parses again a block numpy
-refuses, as only it takes every such spelling and names the bad line.  Frame
+parses the lines a block at a time as they are; a block it refuses is
+stripped, cleared of blank lines and given to it again, then to `float`, as
+only `float` takes every such spelling and names the bad line.  Frame
 and id must be finite int64 integers, and ground positions, read or
 projected, must be finite.  An invalid track file is reported at its first
 offending line, whichever path reads it, with the same message.  A degenerate
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, Pattern, TrackTable
+from .core import Detection, Pattern, TrackTable, Tracks, as_track_table
 
 PathLike = str | os.PathLike
 
@@ -66,18 +66,21 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _numpy_block(block: list[str], columns: int) -> np.ndarray | None:
+def _numpy_block(block: list[str], columns: int, unit_sep: bool) -> np.ndarray | None:
     """The block's rows by numpy's C reader, or None unless it reads each line as one row of `columns`."""
-    # numpy skips an empty line, and warns on a block of nothing else.
+    # numpy skips a blank line, and warns on a block of nothing else.  It strips \x1c-\x1f around a
+    # cell, which `float` rejects; only \x1f survives `str.splitlines`, and `unit_sep` says the file has it.
+    if not block or not block[0].strip() or unit_sep and "\x1f" in "".join(block):
+        return None
     with suppress(ValueError):
-        values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2) if block[0] else None
-        if values is not None and values.shape == (len(block), columns):
+        values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+        if values.shape == (len(block), columns):
             return values
     return None
 
 
 def _python_block(block: list[str], columns: int) -> tuple[np.ndarray, str | None]:
-    """`_parse_rows` on one block by `float`: it alone takes `1_000` or `٢` and names bad rows."""
+    """`_parse_rows` on stripped rows by `float`: it alone takes `1_000` or `٢` and names bad rows."""
     counts = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
     wrong = np.flatnonzero(counts != columns - 1)
     ok = int(wrong[0]) if wrong.size else len(block)
@@ -92,35 +95,27 @@ def _python_block(block: list[str], columns: int) -> tuple[np.ndarray, str | Non
     return np.reshape(numbers, (ok, columns)), message
 
 
-def _parse_rows(rows: list[str], columns: int) -> tuple[np.ndarray, str | None]:
-    """Parse stripped CSV rows into a (rows, columns) float array.
+def _parse_rows(lines: list[str], columns: int, unit_sep: bool) -> tuple[np.ndarray, str | None]:
+    """Parse CSV lines into a (rows, columns) float array, one row per non-blank line.
 
-    Parsing stops at the first row with the wrong column count or a
-    malformed number.  Returns the rows parsed before it and that row's
-    error message, with `{}` in place of its line number.
+    Only a block that numpy refuses as it is goes on stripped, without blank
+    lines, to numpy and then `float`.  Parsing stops at the first row with
+    the wrong column count or a malformed number.  Returns the rows parsed
+    before it and that row's error message, with `{}` for its line number.
     """
-    values = np.empty((len(rows), columns))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        # numpy's C reader converts a cell as `float` does but also strips \x1c-\x1f
-        # around it, which `float` rejects; only \x1f survives `str.splitlines`.
-        parsed = None if "\x1f" in "".join(block) else _numpy_block(block, columns)
-        parsed, message = _python_block(block, columns) if parsed is None else (parsed, None)
-        values[start : start + len(parsed)] = parsed
-        if message is not None:
-            return values[: start + len(parsed)], message
-    return values, None
-
-
-def _clean_rows(lines: list[str], columns: int) -> np.ndarray | None:
-    """Every line as one row, all by numpy's reader; None where a block deviates."""
-    values = np.empty((len(lines), columns))
+    values, filled = np.empty((len(lines), columns)), 0
     for start in range(0, len(lines), _BLOCK_ROWS):
-        parsed = _numpy_block(lines[start : start + _BLOCK_ROWS], columns)
+        block = lines[start : start + _BLOCK_ROWS]
+        parsed, message = _numpy_block(block, columns, unit_sep), None
         if parsed is None:
-            return None
-        values[start : start + len(parsed)] = parsed
-    return values
+            block = [row for row in map(str.strip, block) if row]
+            parsed = _numpy_block(block, columns, unit_sep)
+            parsed, message = _python_block(block, columns) if parsed is None else (parsed, None)
+        values[filled : filled + len(parsed)] = parsed
+        filled += len(parsed)
+        if message is not None:
+            break
+    return values[:filled], message
 
 
 def track_table_from_csv(
@@ -145,12 +140,7 @@ def track_table_from_csv(
         fmt = {4: "plain", 10: "mot"}.get(found, "")
         if not fmt:
             raise ValueError(f"line {line_of(0)} has {found} columns, expected 4 or 10")
-    # A clean file, each line a row that numpy reads and no \x1f anywhere (see
-    # `_parse_rows`), is read as it is; any other goes row by stripped row.
-    parse_error = None
-    values = None if "\x1f" in text else _clean_rows(lines, _TRACK_COLUMNS[fmt])
-    if values is None:
-        values, parse_error = _parse_rows([row for row in map(str.strip, lines) if row], _TRACK_COLUMNS[fmt])
+    values, parse_error = _parse_rows(lines, _TRACK_COLUMNS[fmt], "\x1f" in text)
 
     # A float no int64 equals converts to one it differs from, or from 2**63 up may saturate to 2**63 - 1.
     with np.errstate(invalid="ignore"):
@@ -211,24 +201,18 @@ def tracks_from_csv(
     return track_table_from_csv(text, fmt, homography).tracks()
 
 
-def tracks_to_csv(tracks: Sequence[Sequence[Detection]], fmt: str = "plain") -> str:
-    """Serialize tracks; ids are assigned from list positions, starting at 1."""
-    if fmt not in ("plain", "mot"):
+_TRACK_LINES = {"plain": "{},{},{:.6f},{:.6f}\n", "mot": "{},{},-1,-1,-1,-1,1,{:.6f},{:.6f},-1\n"}
+
+
+def tracks_to_csv(tracks: Tracks, fmt: str = "plain") -> str:
+    """Serialize a `TrackTable` or detection lists; track ids count from 1 in track order."""
+    if fmt not in _TRACK_LINES:
         raise ValueError(f"unknown track format {fmt!r}")
-    rows = []
-    for t_idx, track in enumerate(tracks, start=1):
-        for det in track:
-            rows.append((det.frame, t_idx, det.pos[0], det.pos[1]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    lines = []
-    for frame, track_id, x, y in rows:
-        if fmt == "plain":
-            lines.append(f"{frame},{track_id},{x:.6f},{y:.6f}")
-        else:
-            lines.append(
-                f"{frame},{track_id},-1,-1,-1,-1,1,{x:.6f},{y:.6f},-1"
-            )
-    return "".join(line + "\n" for line in lines)
+    table = as_track_table(tracks)
+    ids = table.owner + 1
+    order = np.lexsort((ids, table.frames))
+    x, y = table.pos[order].T.tolist()
+    return "".join(map(_TRACK_LINES[fmt].format, table.frames[order].tolist(), ids[order].tolist(), x, y))
 
 
 def read_tracks(
@@ -243,7 +227,7 @@ def read_track_table(
     return track_table_from_csv(Path(path).read_text(), fmt, homography)
 
 
-def write_tracks(path: PathLike, tracks: Sequence[Sequence[Detection]], fmt: str = "plain") -> None:
+def write_tracks(path: PathLike, tracks: Tracks, fmt: str = "plain") -> None:
     Path(path).write_text(tracks_to_csv(tracks, fmt))
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, Config, DetectionGraph, Pattern, Trajectory, _is_int
+from .core import Assignment, Config, DetectionGraph, Pattern, TrajectorySet, _is_int
 from .linker import LinkResult, link
 from .miner import MineResult, generate_candidates, mine
 # Unused here: perfbench/tracing.py wraps `trajectory_score` by this name.
@@ -50,7 +50,7 @@ class UnsupervisedResult:
     the split-half proxy's own mines included.
     """
 
-    trajectories: tuple[Trajectory, ...]
+    trajectories: TrajectorySet
     patterns: tuple[Pattern, ...]
     assignment: Assignment
     history: tuple[HistoryEntry, ...]
@@ -59,7 +59,7 @@ class UnsupervisedResult:
 
 def _cross_score(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     patterns: Sequence[Pattern],
     cfg: Config,
 ) -> float:
@@ -78,7 +78,7 @@ def _cross_score(
 
 def split_half_score(
     graph: DetectionGraph,
-    trajectories: Sequence[Trajectory],
+    trajectories: TrajectorySet,
     cfg: Config,
     time_budget: float | None = None,
 ) -> tuple[float, bool]:
@@ -89,16 +89,12 @@ def split_half_score(
     the two cross-half objectives.  The flag is true when either half's mine
     hit the time budget.  Raises `DegenerateSplit` when a half is empty.
     """
-    # Frame f is in the first half when f <= (first + last) / 2, tested in
-    # integers: a float midpoint rounds for frames beyond 2**53.
-    twice_mid = sum(graph.batch)
-    half_a: list[Trajectory] = []
-    half_b: list[Trajectory] = []
-    rows, starts = graph.rows(trajectories)
-    frames, starts = graph.frames[rows].tolist(), starts.tolist()
-    for traj, a, b in zip(trajectories, starts, starts[1:]):
-        early = sum(1 for f in frames[a:b] if 2 * f <= twice_mid)
-        (half_a if early >= b - a - early else half_b).append(traj)
+    # Frame f is in the first half when f <= (first + last) // 2, the midpoint
+    # rounded down in Python ints: a float one rounds for frames beyond 2**53.
+    rows, starts = trajectories.rows, trajectories.starts
+    early = np.add.reduceat(graph.frames[rows] <= sum(graph.batch) // 2, starts[:-1], dtype=np.int64)
+    first_half = 2 * early >= np.diff(starts)
+    half_a, half_b = trajectories[first_half], trajectories[~first_half]
     if not half_a or not half_b:
         raise DegenerateSplit("degenerate split: a half of the batch has no trajectories")
     candidates_a = generate_candidates(graph, half_a, cfg)
@@ -114,7 +110,7 @@ def split_half_score(
 
 def default_schedule(
     graph: DetectionGraph,
-    initial: Sequence[Trajectory],
+    initial: TrajectorySet,
     cfg: Config,
     levels: int = 5,
 ) -> tuple[float, ...]:
@@ -147,7 +143,7 @@ def doubling_schedule(start: float, levels: int) -> tuple[float, ...]:
 
 def run_unsupervised(
     graph: DetectionGraph,
-    initial: Sequence[Trajectory],
+    initial: TrajectorySet,
     cfg: Config,
     schedule: Sequence[float] | None = None,
     iterations_per_level: int = 5,
@@ -179,16 +175,16 @@ def run_unsupervised(
     if stop_patterns is None:
         stop_patterns = cfg.max_patterns
 
-    current = tuple(initial)
+    current = initial
     history: list[HistoryEntry] = []
-    best: tuple[float, tuple[Trajectory, ...], tuple[Pattern, ...], Assignment] | None = None
+    best: tuple[float, TrajectorySet, tuple[Pattern, ...], Assignment] | None = None
     lower_bound_only = False
     # `link` never reads the cost budget, so a pattern set links alike at every level.
     links: dict[tuple[Pattern, ...], LinkResult] = {}
     for budget in schedule:
         level_cfg = cfg.with_cost_budget(budget)
-        steps: dict[tuple[Trajectory, ...], tuple[MineResult, LinkResult]] = {}
-        proxies: dict[tuple[Trajectory, ...], float] = {}
+        steps: dict[TrajectorySet, tuple[MineResult, LinkResult]] = {}
+        proxies: dict[TrajectorySet, float] = {}
         for _ in range(iterations_per_level):
             if current not in steps:
                 candidates = generate_candidates(graph, current, level_cfg)

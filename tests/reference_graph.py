@@ -4,7 +4,7 @@
 an all-pairs `math.dist` loop for the link edges, an all-pairs loop over
 track ends and track starts for the join edges, and a set of id tuples for
 the graph.  The columnar build must give the same `edges`, `detections`,
-`source_tracks` and `batch`.
+input trajectories and `batch`.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 from ptrack.core import SINK_NODE, SOURCE_NODE, Config, Detection, DetectionGraph, TrackTable
+from ptrack.graphgen import input_trajectories
 
 
 
@@ -30,7 +31,7 @@ def reference_build_graph(
       - entry and exit edges for every detection.
 
     The graph holds the caller's detections, track after track, as ids 1..n,
-    and the non-empty input tracks, in order, as its `source_tracks`; `batch`
+    and the non-empty input tracks, in order, as its input trajectories; `batch`
     overrides the frame range when the tracks are a window of a longer recording.
     """
     detections: list[Detection] = []
@@ -79,5 +80,5 @@ def reference_build_graph(
 
 
     graph = DetectionGraph(TrackTable.from_tracks(tracks), edges, batch)
-    assert graph.source_tracks == tuple(track_nodes)
+    assert input_trajectories(graph).nodes == tuple(track_nodes)
     return graph

@@ -14,7 +14,7 @@ from reference_scoring import trajectory_score
 def score_columns(graph, trajectories, candidates, cfg):
     columns = []
     for pattern in candidates.patterns:
-        sums = [trajectory_score(graph, t, pattern, cfg) for t in trajectories]
+        sums = [trajectory_score(graph, t, pattern, cfg) for t in trajectories.nodes]
         columns.append((*(s.total for s in sums), *(s.aligned for s in sums)))
     return columns
 

@@ -76,7 +76,7 @@ def former_mine_model(graph, trajectories, candidates, cfg):
 
     numer = [0.0] * num_vars
     denom = [0.0] * num_vars
-    for t, traj in enumerate(trajectories):
+    for t, traj in enumerate(trajectories.nodes):
         for p, pattern in enumerate(candidates.patterns):
             score = trajectory_score(graph, traj, pattern, cfg)
             numer[assign_var(t, p)] = score.aligned

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ptrack.core import SINK_NODE, SOURCE_NODE, Config, DetectionGraph, Pattern, Trajectory
+from ptrack.core import SINK_NODE, SOURCE_NODE, Config, DetectionGraph, Pattern
 from ptrack.scoring import EMPTY_END_TOTAL, ScorePair
 
 
@@ -132,10 +132,9 @@ class PatternScorer:
         return total, 0.0 if gate > self.pattern.width else aligned
 
 
-def trajectory_score(graph: DetectionGraph, traj: Trajectory, pattern: Pattern, cfg: Config) -> ScorePair:
-    """Sum edge scores along a trajectory, including its entry and exit edges."""
+def trajectory_score(graph: DetectionGraph, nodes: tuple[int, ...], pattern: Pattern, cfg: Config) -> ScorePair:
+    """Sum edge scores along a trajectory, its detection ids, including its entry and exit edges."""
     edge = PatternScorer(graph, pattern, cfg).edge
-    nodes = traj.nodes
     entry_total, entry_aligned = edge(SOURCE_NODE, nodes[0])
     exit_total, exit_aligned = edge(nodes[-1], SINK_NODE)
     total = entry_total + exit_total

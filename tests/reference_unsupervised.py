@@ -32,7 +32,7 @@ def reference_run_unsupervised(
     if stop_patterns is None:
         stop_patterns = cfg.max_patterns
 
-    current = tuple(initial)
+    current = initial
     history: list[HistoryEntry] = []
     best = None
     iteration = 0
@@ -76,8 +76,8 @@ def reference_split(graph, trajectories):
     first, last = graph.batch
     mid = 0.5 * (first + last)
     half_a, half_b = [], []
-    for traj in trajectories:
-        frames = [graph.detections[n - 1].frame for n in traj.nodes]
+    for traj, nodes in zip(trajectories, trajectories.nodes):
+        frames = [graph.detections[n - 1].frame for n in nodes]
         early = sum(1 for f in frames if f <= mid)
         (half_a if early >= len(frames) - early else half_b).append(traj)
     return half_a, half_b
@@ -88,7 +88,7 @@ def reference_cross_score(graph, trajectories, patterns, cfg, trajectory_score):
     aligned / total among positive totals, summed left to right."""
     total = 0.0
     aligned = 0.0
-    for traj in trajectories:
+    for traj in trajectories.nodes:
         best = None
         best_ratio = None
         for pattern in patterns:

@@ -266,7 +266,7 @@ def test_08_unsupervised_matches_supervised():
 
     blind_cfg = Config.unsupervised(candidate_widths=(1.0,))
     res = run_unsupervised(g, input_trajectories(g), blind_cfg, iterations_per_level=3)
-    kept = [t for t, p in zip(res.trajectories, res.assignment) if p != 0]
+    kept = res.trajectories[[p != 0 for p in res.assignment]]
     blind_idf1 = idf1(gt, tracks_from_trajectories(g, kept)).idf1
 
     elapsed = time.perf_counter() - t0

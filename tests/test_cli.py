@@ -21,6 +21,7 @@ import ptrack.unsupervised as unsupervised
 from helpers import bench_scenes, mark_lower_bound, mark_proxy_lower_bound, run_python
 from ptrack import (
     Config,
+    Detection,
     Pattern,
     TrackTable,
     generate_scene,
@@ -613,18 +614,21 @@ def test_the_bench_unsupervised_scene_links_once(tmp_path, capsys, monkeypatch):
 
 def test_track_commands_hand_the_read_table_to_the_graph(tmp_path, capsys, monkeypatch):
     """`track`, `learn-patterns` and `unsupervised` on the benchmark scenes build
-    their graphs from the reader's table: no detection lists are read, and no
-    table is made from lists."""
+    their graphs from the reader's table and write the linker's table: no
+    detection lists are read, no table is made from lists, and no `Detection`
+    is built."""
+    scenes = bench_scenes()
+    noisy = scenes.track_noisy(0, tmp_path)[0]
+    (dense,) = scenes.supervised_dense(0, tmp_path)
+    (flows,) = scenes.unsupervised_two_flows(0, tmp_path)
     called = []
     read_tracks, from_tracks = ptrack.cli.read_tracks, TrackTable.from_tracks.__func__
     monkeypatch.setattr(ptrack.cli, "read_tracks", lambda *a: called.append("read_tracks") or read_tracks(*a))
     monkeypatch.setattr(
         TrackTable, "from_tracks", classmethod(lambda cls, t: called.append("from_tracks") or from_tracks(cls, t))
     )
-    scenes = bench_scenes()
-    noisy = scenes.track_noisy(0, tmp_path)[0]
-    (dense,) = scenes.supervised_dense(0, tmp_path)
-    (flows,) = scenes.unsupervised_two_flows(0, tmp_path)
+    made = Detection.__post_init__
+    monkeypatch.setattr(Detection, "__post_init__", lambda d: called.append("Detection") or made(d))
     batch = lambda s: ["--batch-start", str(s.batch[0]), "--batch-end", str(s.batch[1])]
     learned, out = str(tmp_path / "learned.txt"), str(tmp_path / "out.csv")
     for argv in (

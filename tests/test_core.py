@@ -18,7 +18,7 @@ from ptrack import (
     SINK_NODE,
     SOURCE_NODE,
     TrackTable,
-    Trajectory,
+    TrajectorySet,
     input_trajectories,
     relative_widths,
     tracking_area,
@@ -190,7 +190,7 @@ class TestDetectionGraph:
             assert g.edges.dtype == np.int64 and g.edges.tolist() == want
             assert not g.edges.flags.writeable
         same = DetectionGraph(TrackTable.from_tracks([dets]), edges)
-        assert same.edges.tolist() == want and same.source_tracks == ((1, 2),)
+        assert same.edges.tolist() == want and input_trajectories(same).nodes == ((1, 2),)
         assert loose_graph(dets, []).edges.shape == (0, 2)
         assert loose_graph(dets, np.zeros((0, 2), dtype=np.int64)).edges.shape == (0, 2)
 
@@ -247,15 +247,15 @@ class TestDetectionGraph:
 
     def test_loose_detections_are_one_row_source_tracks(self):
         g = chain_graph()
-        assert g.source_tracks == ((1,), (2,), (3,))
-        assert input_trajectories(g) == (Trajectory((1,)), Trajectory((2,)), Trajectory((3,)))
+        assert input_trajectories(g).nodes == ((1,), (2,), (3,))
+        assert input_trajectories(g) == TrajectorySet.from_nodes([(1,), (2,), (3,)])
 
     def test_source_tracks_that_cover_the_graph_along_edges_are_kept(self):
         g = chain_graph()
         for tracks in (((1, 2, 3),), ((1, 2), (3,)), ((1,), (2,), (3,))):
-            # An empty track of the table is no source track.
+            # An empty track of the table is no input trajectory.
             table = TrackTable.from_tracks([[], *([g.detections[n - 1] for n in t] for t in tracks), []])
-            assert DetectionGraph(table, g.edges).source_tracks == tracks
+            assert input_trajectories(DetectionGraph(table, g.edges)).nodes == tracks
 
     @pytest.mark.parametrize(
         "missing, named", [({(2, 3)}, (2, 3)), ({(1, 2), (2, 3)}, (1, 2))], ids=["second", "first"]
@@ -277,29 +277,83 @@ class TestDetectionGraph:
 
 
 class TestTrajectory:
+    """A `TrajectorySet` refuses what no trajectory may be, built from ids or from rows."""
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no nodes"):
-            Trajectory(())
+            TrajectorySet.from_nodes([()])
+        with pytest.raises(ValueError, match="no nodes"):
+            TrajectorySet(np.array([0]), np.array([0, 0, 1]))
 
     def test_repeated_node_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
-            Trajectory((1, 2, 1))
+            TrajectorySet.from_nodes([(1, 2, 1)])
+        with pytest.raises(ValueError, match="repeats"):
+            TrajectorySet(np.array([5, 0, 1, 0]), np.array([0, 1, 4]))
+        # One detection in two trajectories is for `validate_trajectory_set` to report.
+        assert TrajectorySet.from_nodes([(1, 2), (2,)]).nodes == ((1, 2), (2,))
 
     def test_sentinel_node_rejected(self):
         with pytest.raises(ValueError, match="detection ids"):
-            Trajectory((SOURCE_NODE, 1))
+            TrajectorySet.from_nodes([(SOURCE_NODE, 1)])
 
     @pytest.mark.parametrize(
-        "nodes", [(0, 1), (1, 0), (1.5,), (2.0,), (True,), (1, False), ("1",), (None,)]
+        "nodes",
+        [(0, 1), (1, 0), (1.5,), (2.0,), (True,), (1, False), ("1",), (None,), (np.int64(1),), (1, 10**30), (2**63,)],
     )
     def test_nodes_must_be_positive_ints(self, nodes):
         # No graph holds id 0, a float or a bool; an array scorer that read
         # row id - 1 would take id 0 for the last detection.
         with pytest.raises(ValueError, match="detection ids"):
-            Trajectory(nodes)
+            TrajectorySet.from_nodes([(1,), nodes])
+
+    @pytest.mark.parametrize("rows", [[-1], [0, -3], [np.iinfo(np.int64).max]], ids=repr)
+    def test_rows_must_name_ids_from_1(self, rows):
+        with pytest.raises(ValueError, match="detection ids"):
+            TrajectorySet(np.array(rows), np.array([0, len(rows)]))
+
+    @pytest.mark.parametrize(
+        "rows, starts",
+        [([0.0], [0, 1]), ([[0]], [0, 1]), ([0], [1, 1]), ([0], [0, 2]), ([0, 1], [0, 2, 1, 2]), ([0], [0.0, 1.0])],
+        ids=repr,
+    )
+    def test_arrays_that_are_not_a_set_are_refused(self, rows, starts):
+        with pytest.raises(ValueError, match="rows|starts"):
+            TrajectorySet(np.array(rows), np.array(starts))
+
+    def test_arrays_are_read_only_int64_copies(self):
+        rows = np.array([2, 0, 1], dtype=np.int32)
+        ts = TrajectorySet(rows, [0, 1, 3])
+        rows[0] = 7
+        assert ts.nodes == ((3,), (1, 2))
+        for array in (ts.rows, ts.starts):
+            assert array.dtype == np.int64 and not array.flags.writeable
 
     def test_length(self):
-        assert len(Trajectory((1, 2, 3))) == 3
+        assert len(TrajectorySet.from_nodes([(1, 2, 3)])) == 1
+        assert len(TrajectorySet.from_nodes([(1, 2), (3,)])) == 2
+        assert len(TrajectorySet.from_nodes([])) == 0
+
+    def test_indexing_picks_trajectories_in_order(self):
+        ts = TrajectorySet.from_nodes([(1, 2, 3), (5,), (4, 6)])
+        assert ts[1].nodes == ((5,),)
+        assert ts[-1].nodes == ((4, 6),)
+        assert ts[[2, 0]].nodes == ((4, 6), (1, 2, 3))
+        assert ts[np.array([True, False, True])].nodes == ((1, 2, 3), (4, 6))
+        assert ts[1:].nodes == ((5,), (4, 6))
+        assert ts[:0] == TrajectorySet.from_nodes([])
+        assert [t.nodes for t in ts] == [((1, 2, 3),), ((5,),), ((4, 6),)]
+        with pytest.raises(IndexError):
+            ts[3]
+
+    def test_sets_compare_and_hash_by_both_arrays(self):
+        a = TrajectorySet.from_nodes([(1, 2), (3,)])
+        assert a == TrajectorySet(np.array([0, 1, 2]), np.array([0, 2, 3]))
+        assert hash(a) == hash(TrajectorySet.from_nodes([(1, 2), (3,)]))
+        assert a != TrajectorySet.from_nodes([(1,), (2, 3)])  # same rows, other starts
+        assert a != TrajectorySet.from_nodes([(2, 1), (3,)])  # same starts, other rows
+        assert a != a.nodes
+        assert len({a, TrajectorySet.from_nodes([(1, 2), (3,)]), a[:1]}) == 2
 
 
 class TestPattern:
@@ -565,43 +619,60 @@ def test_bounding_box_reads_an_array_as_the_points_it_holds():
         bounding_box(np.empty((0, 2)))
 
 
+def chains(*nodes):
+    return TrajectorySet.from_nodes(nodes)
+
+
 class TestValidateTrajectorySet:
     def test_single_covering_chain_is_valid(self):
         g = chain_graph()
-        assert validate_trajectory_set(g, [Trajectory((1, 2, 3))]) == []
+        assert validate_trajectory_set(g, chains((1, 2, 3))) == []
 
     def test_detection_used_twice(self):
         g = chain_graph()
-        out = validate_trajectory_set(g, [Trajectory((1, 2)), Trajectory((2, 3))])
+        out = validate_trajectory_set(g, chains((1, 2), (2, 3)))
         assert "detection 2 used twice" in out
 
     def test_detection_uncovered(self):
         g = chain_graph()
-        out = validate_trajectory_set(g, [Trajectory((1, 2))])
+        out = validate_trajectory_set(g, chains((1, 2)))
         assert "detection 3 uncovered" in out
 
     def test_non_edge_transition(self):
         g = chain_graph()
-        out = validate_trajectory_set(g, [Trajectory((1, 3)), Trajectory((2,))])
+        out = validate_trajectory_set(g, chains((1, 3), (2,)))
         assert "transition (1, 3) is not a graph edge" in out
 
     def test_unknown_detection(self):
         g = chain_graph()
-        out = validate_trajectory_set(g, [Trajectory((1, 2, 3)), Trajectory((9,))])
+        out = validate_trajectory_set(g, chains((1, 2, 3), (9,)))
         assert "unknown detection 9" in out
+
+    def test_every_fault_at_once(self):
+        # 9 is no detection, 3 is used twice and 4 never, and 3 -> 5 skips a frame with no edge.
+        g = loose_graph([det(k, float(k), 0.0) for k in range(1, 6)], [(1, 2), (2, 3), (3, 4), (4, 5)])
+        out = validate_trajectory_set(g, chains((1, 9, 2), (3,), (3, 5)))
+        assert out == [
+            "unknown detection 9",
+            "detection 3 used twice",
+            "transition (1, 9) is not a graph edge",
+            "transition (9, 2) is not a graph edge",
+            "transition (3, 5) is not a graph edge",
+            "detection 4 uncovered",
+        ]
 
     def test_valid_set_covers_every_detection_once(self):
         g = chain_graph()
-        ts = [Trajectory((1, 2)), Trajectory((3,))]
+        ts = chains((1, 2), (3,))
         assert validate_trajectory_set(g, ts) == []
-        assert sum(len(t) for t in ts) == len(g.detections)
+        assert len(ts.rows) == len(g.detections)
 
 
 def test_tracks_from_trajectories_materializes_detections():
     g = chain_graph()
-    tracks = tracks_from_trajectories(g, [Trajectory((1, 2)), Trajectory((3,))])
-    assert tracks[0] + tracks[1] == list(g.detections)
-    assert [len(t) for t in tracks] == [2, 1]
+    tracks = tracks_from_trajectories(g, chains((3,), (1, 2)))
+    assert tracks.frames.tolist() == [3, 1, 2] and tracks.starts.tolist() == [0, 1, 3]
+    assert tracks.tracks() == [[g.detections[2]], list(g.detections[:2])]
 
 
 class TestScipyExtension:

@@ -143,7 +143,7 @@ class TestGraphShape:
         g = build_graph(tracks, Config())
         assert g.ids == range(1, 4)
         assert g.detections == tuple(d for t in tracks for d in t)
-        assert g.source_tracks == ((1, 2), (3,))
+        assert input_trajectories(g).nodes == ((1, 2), (3,))
 
     def test_every_detection_has_entry_and_exit(self):
         tracks = [[det(f, x) for f, x in [(1, 0.0), (2, 1.0), (3, 2.0)]], [det(2, 9.0)]]
@@ -185,23 +185,23 @@ class TestInputTrajectories:
         g = build_graph(tracks, Config())
         ts = input_trajectories(g)
         assert validate_trajectory_set(g, ts) == []
-        assert [t.nodes for t in ts] == [(1, 2, 3), (4, 5)]
+        assert ts.nodes == ((1, 2, 3), (4, 5))
 
     def test_graph_batch_decides_free_entries_and_exits(self):
         tracks = [[det(1, 0.0), det(2, 1.0)], [det(2, 8.0), det(3, 8.5)]]
         lane = Pattern(((-1.0, 0.0), (10.0, 0.0)), 1.0)
         g = build_graph(tracks, Config())
-        first, second = input_trajectories(g)
+        first, second = input_trajectories(g).nodes
         score = lambda graph, i, j: edge_score(graph, i, j, lane, Config())
-        assert score(g, SOURCE_NODE, first.nodes[0]) == ScorePair(0.0, 0.0)
-        assert score(g, first.nodes[-1], SINK_NODE).total > 0.0
-        assert score(g, SOURCE_NODE, second.nodes[0]).total > 0.0
-        assert score(g, second.nodes[-1], SINK_NODE) == ScorePair(0.0, 0.0)
+        assert score(g, SOURCE_NODE, first[0]) == ScorePair(0.0, 0.0)
+        assert score(g, first[-1], SINK_NODE).total > 0.0
+        assert score(g, SOURCE_NODE, second[0]).total > 0.0
+        assert score(g, second[-1], SINK_NODE) == ScorePair(0.0, 0.0)
         widened = build_graph(tracks, Config(), batch=(0, 4))
-        assert input_trajectories(widened) == (first, second)
+        assert input_trajectories(widened).nodes == (first, second)
         for t in (first, second):
-            assert score(widened, SOURCE_NODE, t.nodes[0]).total > 0.0
-            assert score(widened, t.nodes[-1], SINK_NODE).total > 0.0
+            assert score(widened, SOURCE_NODE, t[0]).total > 0.0
+            assert score(widened, t[-1], SINK_NODE).total > 0.0
 
     def test_empty_input_tracks_are_skipped(self):
         a = [det(1, 0.0), det(2, 1.0)]
@@ -210,14 +210,14 @@ class TestInputTrajectories:
         for tracks in ([[], a, b], [a, [], b], [a, b, []]):
             padded = build_graph(tracks, Config())
             assert input_trajectories(padded) == input_trajectories(g)
-            assert padded.source_tracks == ((1, 2), (3, 4))
+            assert input_trajectories(padded).nodes == ((1, 2), (3, 4))
             assert edge_set(padded) == edge_set(g)
 
     @pytest.mark.parametrize("preset", [crossing_scene, fragmented_corridor_scene, two_flow_scene])
     def test_follow_the_corrupted_lists(self, preset):
         scene, corrupted = preset(seed=0)
         g = build_graph(corrupted, Config(), batch=scene.meta.batch)
-        adopted = tracks_from_trajectories(g, input_trajectories(g))
+        adopted = tracks_from_trajectories(g, input_trajectories(g)).tracks()
         shape = lambda tracks: [[(d.frame, d.pos) for d in t] for t in tracks]
         assert shape(adopted) == shape(corrupted)
         assert shape(adopted) != shape(scene.tracks)
@@ -243,14 +243,14 @@ def workload_inputs(tmp_path_factory):
 
 def assert_same_graph(tracks, cfg, batch=None):
     """`build_graph` of the lists and of their `TrackTable` give the
-    reference's edges, detections, frames, positions, source tracks and batch."""
+    reference's edges, detections, frames, positions, input trajectories and batch."""
     want = reference_build_graph(tracks, cfg, batch)
     for got in (build_graph(tracks, cfg, batch), build_graph(TrackTable.from_tracks(tracks), cfg, batch)):
         assert got.edges.dtype == got.frames.dtype == np.int64
         assert np.array_equal(got.edges, want.edges)
         assert got.detections == want.detections
         assert np.array_equal(got.frames, want.frames) and np.array_equal(got.positions, want.positions)
-        assert got.source_tracks == want.source_tracks
+        assert input_trajectories(got) == input_trajectories(want)
         assert got.batch == want.batch
     return got
 

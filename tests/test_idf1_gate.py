@@ -99,7 +99,7 @@ def test_unsupervised_noisy_family_rows(n, sigma, fragment):
     cfg = Config.unsupervised()
     g = build_graph(broken, cfg, scene.meta.batch)
     res = run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=2)
-    kept = [t for t, p in zip(res.trajectories, res.assignment) if not res.patterns[p].is_empty]
+    kept = res.trajectories[[not res.patterns[p].is_empty for p in res.assignment]]
     assert_repair_keeps_idf1(scene.track_lists(), broken, g, kept)
 
 
@@ -109,5 +109,5 @@ def test_unsupervised_noisy_family():
     cfg = Config.unsupervised()
     g = build_graph(broken, cfg, scene.meta.batch)
     res = run_unsupervised(g, input_trajectories(g), cfg, iterations_per_level=2)
-    kept = [t for t, p in zip(res.trajectories, res.assignment) if not res.patterns[p].is_empty]
+    kept = res.trajectories[[not res.patterns[p].is_empty for p in res.assignment]]
     assert_repair_keeps_idf1(scene.track_lists(), broken, g, kept)

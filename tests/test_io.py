@@ -748,11 +748,14 @@ class TestParsePaths:
     def test_a_clean_file_skips_the_row_by_row_path(self, monkeypatch):
         rows = self.crowd_csv()
         calls = []
-        parse_rows = tracksio._parse_rows
-        monkeypatch.setattr(tracksio, "_parse_rows", lambda *args: calls.append(args) or parse_rows(*args))
+        numpy_block = tracksio._numpy_block
+        monkeypatch.setattr(tracksio, "_numpy_block", lambda *args: calls.append(args[0][0]) or numpy_block(*args))
+        # numpy reads each of the three blocks once, as its lines are.
         for text in ("\n".join(rows), "\r\n".join(rows) + "\r\n"):
             assert len(track_table_from_csv(text).frames) == 5000
-        assert calls == []
-        # An empty line, here the last, sends the file down the row-by-row path.
+            assert calls == rows[::_BLOCK_ROWS]
+            calls.clear()
+        # An empty line, here in the last block, sends that block alone down
+        # the row-by-row path: stripped and read again.
         assert len(track_table_from_csv("\n".join(rows) + "\n\n").frames) == 5000
-        assert len(calls) == 1
+        assert calls == [*rows[::_BLOCK_ROWS], rows[2 * _BLOCK_ROWS]]

@@ -135,7 +135,7 @@ class TestLinkBasics:
         res = link(g, (EMPTY_PATTERN, LANE), Config())
         assert res.alpha_star == 1.0
         assert tuple(res.assignment) == (1,)
-        assert [t.nodes for t in res.trajectories] == [(1, 2, 3)]
+        assert res.trajectories.nodes == ((1, 2, 3),)
         assert not res.lower_bound_only
 
     def test_far_off_pattern_goes_to_empty(self):
@@ -143,8 +143,8 @@ class TestLinkBasics:
         res = link(g, (EMPTY_PATTERN, LANE), Config())
         assert res.alpha_star == pytest.approx(0.3, rel=1e-12)
         assert tuple(res.full_assignment) == (0,)
-        assert res.trajectories == ()
-        assert [t.nodes for t in res.all_trajectories] == [(1, 2, 3)]
+        assert res.trajectories.nodes == ()
+        assert res.all_trajectories.nodes == ((1, 2, 3),)
 
     def test_empty_only_pattern_set(self):
         g = build_graph([chain_track([-2.0, 0.0, 2.0])], Config())
@@ -185,6 +185,22 @@ class TestLinkBasics:
         assert 0.0 < weight[0] * np.abs(model.denom).sum() < 0.5
         assert (model.tiebreak[~moving] == entries[~moving]).all()
 
+    def test_paths_come_in_the_order_of_their_heads(self):
+        # Heads 1, 2 and 3 enter at frame 1 and x = 0: y puts 1 last, and the
+        # id puts 2 before 3, which share a position.  Path 3 -> 7 -> 4 joins
+        # down in id, so its rows in frame order are not in id order.
+        dets = [
+            det(1, 0.0, 2.0), det(1, 0.0, 0.0), det(1, 0.0, 0.0), det(3, 2.0, 1.0), det(2, 1.0, 0.0),
+            det(2, 1.0, 2.0), det(2, 1.0, 1.0), det(1, -1.0, 5.0), det(2, 0.0, 0.0),
+        ]
+        steps = [(2, 5), (3, 7), (7, 4), (1, 6)]
+        ends = [(SOURCE_NODE, k) for k in range(1, 10)] + [(k, SINK_NODE) for k in range(1, 10)]
+        g = loose_graph(dets, steps + ends)
+        res = link(g, (EMPTY_PATTERN,), Config())
+        assert res.all_trajectories.nodes == ((8,), (2, 5), (3, 7, 4), (1, 6), (9,))
+        assert res.all_trajectories.rows.tolist() == [7, 1, 4, 2, 6, 3, 0, 5, 8]
+        assert tuple(res.full_assignment) == (0,) * 5
+
     def test_decoded_solution_scores_its_alpha(self):
         tracks = [chain_track([-2.0, -1.0, 0.0]), chain_track([0.5, 1.2, 2.0], y=0.4)]
         g = build_graph(tracks, Config())
@@ -205,8 +221,8 @@ def test_identity_switch_gets_repaired():
     # corrupted input mixes the two corridors; the repair must reproduce the
     # clean per-agent tracks exactly (the scene has no lateral noise)
     repaired = {
-        frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in t.nodes)
-        for t in res.trajectories
+        frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in nodes)
+        for nodes in res.trajectories.nodes
     }
     truth = {frozenset((d.frame, d.pos) for d in track) for track in scene.tracks}
     assert repaired == truth
@@ -214,8 +230,7 @@ def test_identity_switch_gets_repaired():
         frozenset((d.frame, d.pos) for d in track) for track in corrupted
     }
     assert corrupted_shapes != truth
-    for traj, p in zip(res.trajectories, res.assignment):
-        assert p != 0
+    assert len(res.assignment) == len(res.trajectories) and 0 not in res.assignment
 
 
 def test_more_patterns_never_hurt_the_certified_bound():

@@ -13,7 +13,7 @@ from ptrack import (
     Pattern,
     SINK_NODE,
     SOURCE_NODE,
-    Trajectory,
+    TrajectorySet,
     build_graph,
     generate_candidates,
     generate_scene,
@@ -416,7 +416,7 @@ def chain_graph(specs, chains, batch):
     edges = {(SOURCE_NODE, d) for d in range(1, len(specs) + 1)}
     edges |= {(d, SINK_NODE) for d in range(1, len(specs) + 1)}
     edges |= {pair for chain in chains for pair in zip(chain, chain[1:])}
-    return loose_graph(dets, frozenset(edges), batch), tuple(Trajectory(tuple(c)) for c in chains)
+    return loose_graph(dets, frozenset(edges), batch), TrajectorySet.from_nodes(map(tuple, chains))
 
 
 # Scorer settings that change each term: the default, a reverse penalty with a

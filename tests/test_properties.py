@@ -22,7 +22,8 @@ from ptrack import (
     Config,
     Detection,
     Pattern,
-    Trajectory,
+    TrackTable,
+    TrajectorySet,
     build_graph,
     generate_candidates,
     input_trajectories,
@@ -69,25 +70,26 @@ class TestCoverValidation:
     @given(tracks=track_tables())
     def test_input_cover_is_valid_and_mutations_are_flagged(self, tracks):
         graph = build_graph(tracks, CFG, batch=(0, 12))
-        cover = list(input_trajectories(graph))
+        cover = input_trajectories(graph)
         assert validate_trajectory_set(graph, cover) == []
 
         dropped = validate_trajectory_set(graph, cover[1:])
         assert dropped
         assert all("uncovered" in v for v in dropped)
 
-        doubled = validate_trajectory_set(graph, [*cover, cover[0]])
+        nodes = cover.nodes
+        doubled = validate_trajectory_set(graph, TrajectorySet.from_nodes([*nodes, nodes[0]]))
         assert any("used twice" in v for v in doubled)
 
-        ghost = Trajectory(nodes=(len(graph.detections) + 7,))
-        haunted = validate_trajectory_set(graph, [*cover, ghost])
+        ghost = (len(graph.detections) + 7,)
+        haunted = validate_trajectory_set(graph, TrajectorySet.from_nodes([*nodes, ghost]))
         assert any("unknown detection" in v for v in haunted)
 
-        multi = next((t for t in cover if len(t) > 1), None)
+        multi = next((k for k, t in enumerate(nodes) if len(t) > 1), None)
         if multi is not None:
-            flipped = Trajectory(nodes=tuple(reversed(multi.nodes)))
-            rest = [t for t in cover if t is not multi]
-            broken = validate_trajectory_set(graph, [*rest, flipped])
+            flipped = tuple(reversed(nodes[multi]))
+            rest = nodes[:multi] + nodes[multi + 1 :]
+            broken = validate_trajectory_set(graph, TrajectorySet.from_nodes([*rest, flipped]))
             assert any("not a graph edge" in v for v in broken)
 
 
@@ -162,8 +164,8 @@ class TestGeometricInvariance:
 
         patterns = (EMPTY_PATTERN, GEO_PATTERN)
         moved_patterns = (EMPTY_PATTERN, moved_pattern)
-        value = objective(base, [traj], patterns, (1,), GEO_CFG)
-        moved_value = objective(moved, [traj], moved_patterns, (1,), moved_cfg)
+        value = objective(base, traj, patterns, (1,), GEO_CFG)
+        moved_value = objective(moved, traj, moved_patterns, (1,), moved_cfg)
         assert math.isclose(moved_value, value, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -214,13 +216,20 @@ class TestSerializationRoundTrips:
     @RUNS
     @given(tracks=track_tables(position=thousandths(-100_000, 100_000)))
     # Corner cases pinned so that they do not depend on the draw: the MOT
-    # marker for a box-only row is x == y == -1, and -0.0 is written as -0.000000.
+    # marker for a box-only row is x == y == -1, and -0.0 is written as
+    # -0.000000.  The last has tracks whose frames interleave and meet.
     @example(tracks=[[Detection(1, (-1.0, -1.0))]])
     @example(tracks=[[Detection(2, (-1.0, 0.5)), Detection(3, (0.5, -1.0))]])
     @example(tracks=[[Detection(1, (-0.0, -0.0))], [Detection(1, (-1.0, -1.0))]])
+    @example(tracks=[
+        [Detection(1, (0.5, -0.0)), Detection(3, (1.0, 2.0)), Detection(4, (-0.0, 1.5))],
+        [Detection(2, (4.0, 4.0)), Detection(3, (-0.0, 0.0)), Detection(5, (3.0, -2.5))],
+    ])
     def test_track_tables_survive_both_formats(self, tracks):
         for fmt in ("plain", "mot"):
             text = tracks_to_csv(tracks, fmt=fmt)
+            # A table writes the bytes its detection lists write.
+            assert tracks_to_csv(TrackTable.from_tracks(tracks), fmt=fmt) == text
             back = tracks_from_csv(text)
             assert [[(d.frame, d.pos) for d in t] for t in back] == [
                 [(d.frame, d.pos) for d in t] for t in tracks

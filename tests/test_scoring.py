@@ -16,7 +16,7 @@ from ptrack import (
     SINK_NODE,
     SOURCE_NODE,
     Swap,
-    Trajectory,
+    TrajectorySet,
     build_graph,
     build_mine_model,
     corrupt,
@@ -52,6 +52,11 @@ def make_graph(specs, edges=(), batch=None):
     """Detections from (frame, x, y) specs; the k-th spec is detection k (from 1)."""
     dets = tuple(Detection(f, (x, y)) for f, x, y in specs)
     return loose_graph(dets, frozenset(edges), batch)
+
+
+def chains(*nodes):
+    """The trajectory set of the given id tuples."""
+    return TrajectorySet.from_nodes(nodes)
 
 
 def pair_graph(pos_i, pos_j, batch=None):
@@ -281,7 +286,7 @@ def walker_graph():
 class TestTrajectoryScore:
     def test_full_batch_walk_is_fully_aligned(self):
         g = walker_graph()
-        s = trajectory_score(g, Trajectory((1, 2, 3, 4)), LANE, CFG)
+        s = trajectory_score(g, chains((1, 2, 3, 4)), LANE, CFG)
         assert s.total > 0.0
         assert s.aligned == s.total
 
@@ -291,13 +296,13 @@ class TestTrajectoryScore:
             [(SOURCE_NODE, 1), (1, SINK_NODE)],
             batch=(0, 2),
         )
-        s = trajectory_score(g, Trajectory((1,)), LANE, CFG)
+        s = trajectory_score(g, chains((1,)), LANE, CFG)
         assert s.total == pytest.approx(10.0, rel=1e-9)
         assert s.aligned == 0.0
 
     def test_empty_pattern_is_proportional(self):
         g = walker_graph()
-        traj = Trajectory((1, 2, 3, 4))
+        traj = chains((1, 2, 3, 4))
         s = trajectory_score(g, traj, EMPTY_PATTERN, CFG)
         assert s.total == pytest.approx(6.0, rel=1e-9)
         assert s.aligned == pytest.approx(0.3 * s.total, rel=1e-12)
@@ -306,8 +311,8 @@ class TestTrajectoryScore:
         # Detections 2 and 3 are inside the walker's batch, but they span a
         # graph of their own, as its detections 1 and 2: there both ends are free.
         cut = make_graph([(2, 3.0, 0.0), (3, 5.0, 0.0)], [(1, 2)])
-        charged = trajectory_score(walker_graph(), Trajectory((2, 3)), LANE, CFG)
-        free = trajectory_score(cut, Trajectory((1, 2)), LANE, CFG)
+        charged = trajectory_score(walker_graph(), chains((2, 3)), LANE, CFG)
+        free = trajectory_score(cut, chains((1, 2)), LANE, CFG)
         assert free.total == free.aligned == edge_score(cut, 1, 2, LANE, CFG).total
         assert charged.total == pytest.approx(free.total + 3.0 + 5.0, rel=1e-12)
 
@@ -315,14 +320,14 @@ class TestTrajectoryScore:
 class TestObjective:
     def test_perfect_cover_scores_one(self):
         g = walker_graph()
-        ts = [Trajectory((1, 2, 3, 4))]
+        ts = chains((1, 2, 3, 4))
         assert objective(g, ts, [EMPTY_PATTERN, LANE], Assignment((1,)), CFG) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_all_empty_scores_at_empty_rate(self):
         g = walker_graph()
-        ts = [Trajectory((1, 2)), Trajectory((3, 4))]
+        ts = chains((1, 2), (3, 4))
         value = objective(g, ts, [EMPTY_PATTERN, LANE], Assignment((0, 0)), CFG)
         assert value == pytest.approx(0.3, rel=1e-12)
 
@@ -332,7 +337,7 @@ class TestObjective:
         edges += [(SOURCE_NODE, d) for d in range(1, 6)]
         edges += [(d, SINK_NODE) for d in range(1, 6)]
         g = make_graph(specs, edges, batch=(0, 4))
-        ts = [Trajectory((1, 2, 3)), Trajectory((4, 5))]
+        ts = chains((1, 2, 3), (4, 5))
         value = objective(g, ts, [EMPTY_PATTERN, LANE], Assignment((1, 0)), CFG)
 
         pos = {i: (x, y) for i, (_, x, y) in enumerate(specs, start=1)}
@@ -353,17 +358,17 @@ class TestObjective:
     def test_assignment_length_must_match(self):
         g = walker_graph()
         with pytest.raises(ValueError, match="length"):
-            objective(g, [Trajectory((1, 2, 3, 4))], [EMPTY_PATTERN], Assignment((0, 0)), CFG)
+            objective(g, chains((1, 2, 3, 4)), [EMPTY_PATTERN], Assignment((0, 0)), CFG)
 
     def test_missing_pattern_index_rejected(self):
         g = walker_graph()
         with pytest.raises(ValueError, match="missing pattern"):
-            objective(g, [Trajectory((1, 2, 3, 4))], [EMPTY_PATTERN], Assignment((3,)), CFG)
+            objective(g, chains((1, 2, 3, 4)), [EMPTY_PATTERN], Assignment((3,)), CFG)
 
     def test_zero_total_is_degenerate(self):
         g = make_graph([(1, 4.0, 1.0)], [(SOURCE_NODE, 1), (1, SINK_NODE)])
         with pytest.raises(ValueError, match="degenerate"):
-            objective(g, [Trajectory((1,))], [EMPTY_PATTERN], Assignment((0,)), CFG)
+            objective(g, chains((1,)), [EMPTY_PATTERN], Assignment((0,)), CFG)
 
 
 def test_rigid_motion_leaves_scores_unchanged():
@@ -373,7 +378,7 @@ def test_rigid_motion_leaves_scores_unchanged():
     edges += [(SOURCE_NODE, d) for d in (1, 2, 3)]
     edges += [(d, SINK_NODE) for d in (1, 2, 3)]
     g = make_graph(specs, edges, batch=(0, 4))
-    traj = Trajectory((1, 2, 3))
+    traj = chains((1, 2, 3))
     base = trajectory_score(g, traj, bent, CFG)
 
     angle, tx, ty = 0.77, -12.0, 31.0
@@ -600,9 +605,9 @@ class TestScoreCache:
         scores = score_matrix(g, trajectories, candidates.patterns, CFG)
         model = build_mine_model(g, scores, candidates, CFG)
         n_cand = len(candidates)
-        for t, traj in enumerate(trajectories):
+        for t, (traj, nodes) in enumerate(zip(trajectories, trajectories.nodes)):
             for p, pattern in enumerate(candidates.patterns):
-                want = reference_trajectory_score(g, traj.nodes, pattern, CFG, *batch_flags(g, traj.nodes))
+                want = reference_trajectory_score(g, nodes, pattern, CFG, *batch_flags(g, nodes))
                 got = trajectory_score(g, traj, pattern, CFG)
                 assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
                 k = t * n_cand + p
@@ -614,7 +619,7 @@ class TestScoreCache:
         tails = [i for i in ids for _ in ids] + [SOURCE_NODE] * len(ids) + ids
         heads = ids * len(ids) + ids + [SINK_NODE] * len(ids)
         out = list(zip(*edge_scores(graph, pattern, cfg, tails, heads)))
-        whole = trajectory_score(graph, Trajectory(tuple(ids)), pattern, cfg)
+        whole = trajectory_score(graph, chains(tuple(ids)), pattern, cfg)
         out.append((whole.total, whole.aligned))
         return [bits(*s) for s in out]
 
@@ -677,14 +682,14 @@ class TestBoundaryRuleDifferential:
             g = build_graph(broken, cfg, scene.meta.batch if padded else None)
             res = link(g, patterns, cfg)
             for trajectories in (input_trajectories(g), res.all_trajectories):
-                for traj in trajectories:
-                    flags = batch_flags(g, traj.nodes)
+                for traj, nodes in zip(trajectories, trajectories.nodes):
+                    flags = batch_flags(g, nodes)
                     boundary_ends += sum(flags)
                     for pattern in patterns:
                         got = trajectory_score(g, traj, pattern, cfg)
-                        want = reference_trajectory_score(g, traj.nodes, pattern, cfg, *flags)
+                        want = reference_trajectory_score(g, nodes, pattern, cfg, *flags)
                         assert bits(got.total, got.aligned) == bits(want.total, want.aligned)
-            rebuilt = [Trajectory(t.nodes) for t in res.all_trajectories]
+            rebuilt = TrajectorySet.from_nodes(res.all_trajectories.nodes)
             value = objective(g, rebuilt, patterns, res.full_assignment, cfg)
             assert value == pytest.approx(res.alpha_star, rel=1e-12)
         # The padded batch frees no end; the detection span frees some.
@@ -696,7 +701,7 @@ def scalar_scores(graph, pattern, cfg, edges, trajectories):
     edge = ReferenceScorer(graph, pattern, cfg).edge
     return (
         [bits(*edge(i, j)) for i, j in edges],
-        [bits(*astuple(reference_trajectory_sum(graph, t, pattern, cfg))) for t in trajectories],
+        [bits(*astuple(reference_trajectory_sum(graph, t, pattern, cfg))) for t in trajectories.nodes],
     )
 
 
@@ -727,7 +732,7 @@ def chain_graph(specs, chains, batch=None):
     edges = {(SOURCE_NODE, d) for d in range(1, len(specs) + 1)}
     edges |= {(d, SINK_NODE) for d in range(1, len(specs) + 1)}
     edges |= {pair for chain in chains for pair in zip(chain, chain[1:])}
-    return make_graph(specs, edges, batch), [Trajectory(tuple(c)) for c in chains]
+    return make_graph(specs, edges, batch), TrajectorySet.from_nodes(map(tuple, chains))
 
 
 # Scorer settings that change each term: the default, no reverse penalty with
@@ -849,7 +854,7 @@ def assert_matrix_is_per_pattern(graph, trajectories, patterns, cfg):
     assert total.shape == aligned.shape == (len(trajectories), len(patterns))
     scalar = replace(graph)
     for p, pattern in enumerate(patterns):
-        want = [reference_trajectory_sum(scalar, t, pattern, cfg) for t in trajectories]
+        want = [reference_trajectory_sum(scalar, t, pattern, cfg) for t in trajectories.nodes]
         assert bits(*total[:, p], *aligned[:, p]) == bits(*(w.total for w in want), *(w.aligned for w in want))
     return total, aligned
 
@@ -936,17 +941,18 @@ class TestIdsOutsideTheGraph:
         g = pair_graph((0.0, 0.0), (1.0, 0.0))
         for pattern in (EMPTY_PATTERN, LANE):
             with pytest.raises(KeyError, match="3"):
-                score_matrix(g, [Trajectory((1,)), Trajectory((2, 3))], [pattern], CFG)
+                score_matrix(g, chains((1,), (2, 3)), [pattern], CFG)
             with pytest.raises(KeyError, match="3"):
-                trajectory_score(g, Trajectory((3,)), pattern, CFG)
-            with pytest.raises(KeyError, match=str(10**30)):
-                trajectory_score(g, Trajectory((1, 10**30)), pattern, CFG)
+                trajectory_score(g, chains((3,)), pattern, CFG)
+        # An id beyond int64 is refused when the set is built, before any score.
+        with pytest.raises(ValueError, match="detection ids"):
+            chains((1, 10**30))
 
 
 def reference_objective(graph, trajectories, patterns, assignment, cfg):
     """The former `objective`: one scalar trajectory score per trajectory, added in order."""
     total = aligned = 0.0
-    for traj, p in zip(trajectories, assignment):
+    for traj, p in zip(trajectories.nodes, assignment):
         score = reference_trajectory_sum(graph, traj, patterns[p], cfg)
         total += score.total
         aligned += score.aligned
@@ -972,11 +978,11 @@ class TestScoringCacheSize:
         for traj in ts:
             for pattern in (EMPTY_PATTERN, *corridors, Pattern(corridors[0].centerline, 0.3)):
                 trajectory_score(g, traj, pattern, CFG)
-                assert traj not in g.scoring_cache and (traj,) not in g.scoring_cache
+                assert traj not in g.scoring_cache
         self.assert_only_centerlines(g, {p.centerline for p in corridors})
         for patterns in (corridors[:1], (EMPTY_PATTERN, *corridors)):
             score_matrix(g, ts, patterns, CFG)
-            assert tuple(ts) not in g.scoring_cache
+            assert ts not in g.scoring_cache
             self.assert_only_centerlines(g, {p.centerline for p in corridors})
 
     def test_objective_keeps_one_entry_for_its_set(self):
@@ -988,7 +994,7 @@ class TestScoringCacheSize:
         patterns = (EMPTY_PATTERN, *corridors)
         for k in range(3):
             objective(g, ts, patterns, Assignment(tuple((t + k) % 3 for t in range(len(ts)))), CFG)
-            assert tuple(ts) not in g.scoring_cache
+            assert ts not in g.scoring_cache
             self.assert_only_centerlines(g, {p.centerline for p in corridors})
             assert len(g.scoring_cache) == len(corridors)
 

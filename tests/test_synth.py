@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ptrack.synth
-from ptrack import Config, Detection, Pattern, build_graph
+from ptrack import Config, Detection, Pattern, build_graph, input_trajectories
 from ptrack.metrics import idf1
 from ptrack.synth import (
     Fragment,
@@ -38,7 +38,7 @@ class TestGenerateScene:
         assert [d.pos for d in track] == [(2.0 * k, 0.0) for k in range(6)]
         # the agent's one track is its list: the graph adopts it whole
         graph = build_graph(scene.track_lists(), Config(), scene.meta.batch)
-        assert graph.source_tracks == ((1, 2, 3, 4, 5, 6),)
+        assert input_trajectories(graph).nodes == ((1, 2, 3, 4, 5, 6),)
         assert scene.meta.batch == (0, 7)
         assert scene.meta.pattern_of_agent == (0,)
 

@@ -17,7 +17,7 @@ from ptrack import (
     Pattern,
     ScorePair,
     Swap,
-    Trajectory,
+    TrajectorySet,
     build_graph,
     default_schedule,
     generate_candidates,
@@ -79,8 +79,8 @@ class TestCrossScore:
         g = build_graph(tracks, cfg, batch=(1, 5))
         ts = input_trajectories(g)
         lane = Pattern(((0.0, 0.0), (15.0, 0.0)), 1.0)
-        assert scalar_trajectory_score(g, ts[0], lane, cfg) == ScorePair(20.0, 10.0)
-        assert scalar_trajectory_score(g, ts[0], EMPTY_PATTERN, cfg) == ScorePair(6.0, 3.0)
+        assert scalar_trajectory_score(g, ts.nodes[0], lane, cfg) == ScorePair(20.0, 10.0)
+        assert scalar_trajectory_score(g, ts.nodes[0], EMPTY_PATTERN, cfg) == ScorePair(6.0, 3.0)
         for patterns in ((EMPTY_PATTERN, lane), (lane, EMPTY_PATTERN)):
             self.same(g, ts, patterns, cfg)
         assert unsupervised._cross_score(g, ts, (EMPTY_PATTERN, lane), cfg) != unsupervised._cross_score(
@@ -283,8 +283,8 @@ class TestRunUnsupervised:
         assert any(h.proxy_score == best and h.n_patterns == 2 for h in res.history)
         # the refined trajectories reproduce the clean tracks
         shapes = {
-            frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in t.nodes)
-            for t, p in zip(res.trajectories, res.assignment)
+            frozenset((g.detections[v - 1].frame, g.detections[v - 1].pos) for v in nodes)
+            for nodes, p in zip(res.trajectories.nodes, res.assignment)
             if p != 0
         }
         truth = {frozenset((d.frame, d.pos) for d in track) for track in scene.tracks}
@@ -415,7 +415,7 @@ class TestAgainstReferenceLoop:
         # Stand-ins that cycle A -> B -> A: the former loop never saw a
         # fixed point and solved all five iterations; the memoized loop
         # solves A and B once each and lists the same five rows.
-        a, b = (Trajectory((1,)),), (Trajectory((2,)),)
+        a, b = TrajectorySet.from_nodes([(1,)]), TrajectorySet.from_nodes([(2,)])
         mined_from = {a: ("empty", "p"), b: ("empty", "p", "q")}
         linked_to = {mined_from[a]: b, mined_from[b]: a}
         proxy = {a: 0.5, b: 0.25}
@@ -451,7 +451,7 @@ class TestLinkMemo:
     """One `link` per distinct mined pattern set over the whole run."""
 
     # Stand-ins: A and B both mine ("empty", "p"), which links to B.
-    A, B = (Trajectory((1,)),), (Trajectory((2,)),)
+    A, B = TrajectorySet.from_nodes([(1,)]), TrajectorySet.from_nodes([(2,)])
     PATTERNS = ("empty", "p")
 
     def stand_ins(self, monkeypatch, first_link_bound=False):
