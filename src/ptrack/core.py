@@ -427,9 +427,13 @@ class TrajectorySet:
         return len(self.starts) - 1
 
     def __getitem__(self, key) -> "TrajectorySet":
+        # Trajectories of a checked set pass the constructor's checks again, so they are not run.
         picked = np.atleast_1d(np.arange(len(self))[key])
         _, rows = _candidates(self.starts[picked], self.starts[picked + 1])
-        return TrajectorySet(self.rows[rows], np.concatenate(([0], np.cumsum(np.diff(self.starts)[picked]))))
+        subset = object.__new__(TrajectorySet)
+        starts = np.concatenate(([0], np.cumsum(np.diff(self.starts)[picked])))
+        subset.__dict__.update(rows=_frozen(self.rows[rows]), starts=_frozen(starts))
+        return subset
 
     def __eq__(self, other) -> bool:
         same = isinstance(other, TrajectorySet) and np.array_equal(self.starts, other.starts)

@@ -207,9 +207,12 @@ class HighsOracle:
     search (see `maximize_ratio`).  In the LP, the optimal face is where
     every column with a nonzero reduced cost keeps its value: those columns
     are fixed and tiebreak·x is minimized over the rest, then the bounds
-    are restored.  A MIP has no reduced costs, so there a row w·x >= the
-    optimum's value, less the tolerance, is added for that second run and
-    removed after it.  A deadline that cuts the second run cuts the step.
+    are restored; that run is skipped when every column left free is basic
+    and every row at a bound is an equality row, as the fixed columns and
+    those rows then pin the face to the vertex x.  A MIP has no reduced
+    costs, so there a row w·x >= the optimum's value, less the tolerance, is
+    added for that second run and removed after it.  A deadline that cuts
+    the second run cuts the step.
     """
 
     def __init__(self, model: SolverModel):
@@ -239,7 +242,14 @@ class HighsOracle:
             tied, timed_out = self._minimize(self.model.tiebreak, deadline)
             self.highs.deleteRows(1, np.array([len(self.model.rhs)], dtype=np.int32))
         else:
-            fixed = self.cols[np.abs(self.highs.getSolution().col_dual) > tol]
+            loose = np.abs(self.highs.getSolution().col_dual) <= tol
+            # The face is x alone when every loose column and inequality row is basic.  HiGHS gives
+            # basic row r as -1 - r, which indexes the rows, placed after the columns in reverse.
+            must = np.concatenate((loose, (self.model.senses != EQ)[::-1]))
+            status, basic = self.highs.getBasicVariables()
+            if status == _highs.HighsStatus.kOk and must[basic].sum() == must.sum():
+                return x, False
+            fixed = self.cols[~loose]
             self.highs.changeColsBounds(len(fixed), fixed, x[fixed] * 1.0, x[fixed] * 1.0)
             tied, timed_out = self._minimize(self.model.tiebreak, deadline)
             self.highs.changeColsBounds(len(fixed), fixed, np.zeros(len(fixed)), np.ones(len(fixed)))

@@ -18,15 +18,18 @@ tracks alone.
 
 The per-frame score (MOTA) instead matches each frame independently,
 carrying matches over between frames so that identity switches can be
-counted.  A frame is settled when no row of it is in two gate pairs and no
-track, true or predicted, has two rows in it.  A settled frame's matching
-is its gate pairs, whatever is carried over: a carried pair is a gate pair,
-and with one row per track it takes no other pair's row out of the
-leftover, where the rest of the pairs form a matching and every other entry
-costs a million gates.  So settled frames are matched all at once; only the
-others go frame by frame.  When all are settled, a truth track's matched
-rows are its matches, in time order where its frames rise, as a read
-table's do.
+counted: a truth track keeps its latest partner while inside the gate, and
+the leftover rows share one assignment, where a pair outside the gate costs
+a million gates; so leftover gate pairs that already form a matching are
+the answer without one.  A frame is settled when no row of it is in two gate
+pairs and no track, true or predicted, has two rows in it.  A settled
+frame's matching is its gate pairs, whatever is carried over: a carried
+pair is a gate pair, and with one row per track it takes no other pair's
+row out of the leftover.  So settled frames are matched all at once; when
+all are, a truth track's matched rows are its matches, in time order where
+its frames rise, as a read table's do.  The others go frame by frame in
+Python over their own rows and gate pairs, after one sorted search for each
+truth track's latest settled match before them.
 
 Every metric takes tracks either as detection lists or as a `TrackTable`,
 and works on the table: lists are converted once on entry.  The gate pairs
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrackTable, Tracks, _dists, _gate_pairs, _is_real, _scipy_extension, as_track_table
+from .core import TrackTable, Tracks, _gate_pairs, _is_real, _scipy_extension, as_track_table
 
 linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
@@ -171,12 +174,6 @@ def idf1(
     return IdfReport(f1, idpr, idrc, idtp, idfp, idfn)
 
 
-def _keep_last(last_match: np.ndarray, g: np.ndarray, p: np.ndarray) -> None:
-    """`last_match[g] = p`, pair by pair: where `g` repeats, its last `p` stays."""
-    tracks, last = np.unique(g[::-1], return_index=True)
-    last_match[tracks] = p[::-1][last]
-
-
 def _rises(frames: np.ndarray, owner: np.ndarray) -> bool:
     """Whether each track's frames rise strictly, as in a table the reader built."""
     return bool(np.all((frames[1:] > frames[:-1]) | (owner[1:] != owner[:-1])))
@@ -190,39 +187,74 @@ def _repeated_frames(frames: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return frames[1:][twice]
 
 
-def _spans(sorted_frames: np.ndarray, frames: np.ndarray) -> zip[tuple[int, int]]:
-    """(start, end) of each of `frames` in a sorted frame column."""
-    return zip(*(np.searchsorted(sorted_frames, frames, side).tolist() for side in ("left", "right")))
+def _in_frames(k: np.ndarray, n: int, *columns: np.ndarray) -> list[list[tuple]]:
+    """Tuples of the columns' entries, in their order, bucketed by their frame index `k` in 0..n-1."""
+    order = np.argsort(k, kind="stable")
+    bounds = np.searchsorted(k[order], np.arange(n + 1)).tolist()
+    rows = list(zip(*(c[order].tolist() for c in columns)))
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _match_frame(
-    g_here: np.ndarray, p_here: np.ndarray, cost: np.ndarray, gate: float, last_match: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One frame's matches as (truth track, predicted track), carried pairs first.
-
-    `g_here` and `p_here` are the tracks of the frame's rows, each sorted;
-    `cost` holds the rows' gate pairs' distances and a million gates
-    elsewhere.  The leftover follows in row order, as a truth track with two
-    rows here may match twice; `last_match` is brought up to date.
-    """
-    # Carry-over: a truth row keeps its track's previous partner when that
-    # track is here (at its last row in this frame) and inside the gate; of
-    # the rows claiming one partner, the first keeps it.
-    partner = last_match[g_here]
-    at = np.searchsorted(p_here, partner, side="right") - 1
-    claim = np.flatnonzero((partner >= 0) & (at >= 0) & (p_here[at] == partner))
-    claim = claim[cost[claim, at[claim]] <= gate]
-    _, first = np.unique(partner[claim], return_index=True)
-    carried = claim[first]
-    left_g = np.ones(len(g_here), dtype=bool)
-    left_g[carried] = False
-    left_p = ~np.isin(p_here, partner[carried])
-    left = cost[left_g][:, left_p]
-    rows, cols = linear_sum_assignment(left)
-    keep = left[rows, cols] <= gate
-    g_new, p_new = g_here[left_g][rows[keep]], p_here[left_p][cols[keep]]
-    _keep_last(last_match, g_new, p_new)
-    return np.concatenate((g_here[carried], g_new)), np.concatenate((partner[carried], p_new))
+def _match_by_frame(
+    gt: TrackTable, pred: TrackTable, g_owner: np.ndarray, p_owner: np.ndarray,
+    gi: np.ndarray, pj: np.ndarray, unsettled: np.ndarray, max_dist: float,
+) -> np.ndarray:
+    """Every match as a column (truth track, predicted track), each truth track's
+    in time order: the settled frames' gate pairs, and the `unsettled` frames
+    (sorted) matched one by one, as the module notes say."""
+    n = len(unsettled)
+    # A row is in the k-th unsettled frame when its frame is unsettled[k].
+    g_k, p_k = (np.searchsorted(unsettled, t.frames) for t in (gt, pred))
+    g_in, p_in = (unsettled.take(k, mode="clip") == t.frames for k, t in ((g_k, gt), (p_k, pred)))
+    settled = ~g_in[gi]
+    matched = np.array((g_owner[gi[settled]], p_owner[pj[settled]], gt.frames[gi[settled]]))
+    g_s, p_s, f_s = matched = matched[:, np.lexsort(matched[2::-2])]
+    # Keyed (track, unsettled frames before it), a track's latest settled match before the k-th
+    # unsettled frame is its last key at or below (track, k); index -1 reads an appended non-track.
+    keys = g_s * (n + 1) + np.searchsorted(unsettled, f_s)
+    g_rows, p_rows, u = np.flatnonzero(g_in), np.flatnonzero(p_in), np.flatnonzero(~settled)
+    tracks = g_owner[g_rows]
+    at = np.searchsorted(keys, tracks * (n + 1) + g_k[g_rows], "right") - 1
+    found = np.append(g_s, -1)[at] == tracks
+    # Each unsettled frame's truth rows with that match as (frame, predicted track), else
+    # (least frame, -1), which any match outranks; its predicted rows; its gate pairs.
+    prior_f = np.where(found, np.append(f_s, 0)[at], np.iinfo(np.int64).min)
+    here_g = _in_frames(g_k[g_rows], n, g_rows, tracks, prior_f, np.where(found, np.append(p_s, -1)[at], -1))
+    here_p = _in_frames(p_k[p_rows], n, p_rows, p_owner[p_rows])
+    here_pairs = _in_frames(g_k[gi[u]], n, gi[u], pj[u], g_owner[gi[u]], p_owner[pj[u]])
+    near = {(i, j) for pairs_here in here_pairs for i, j, _, _ in pairs_here}
+    unit = _unit(max_dist)
+    gate = max_dist / unit
+    last = {}  # truth track -> (frame, predicted track) of its latest unsettled match
+    matches = []  # truth track, predicted track, frame, ...: each frame's in its order
+    for frame, rows_g, rows_p, pairs_here in zip(unsettled.tolist(), here_g, here_p, here_pairs):
+        # Carry-over: a truth row keeps its track's latest partner when that
+        # track is here (at its last row in this frame) and inside the gate;
+        # of the rows claiming one partner, the first keeps it.
+        last_row = {p: row for row, p in rows_p}
+        carried = {}  # predicted track -> (truth row, truth track)
+        for row, g, f, p in rows_g:
+            p = max((f, p), last.get(g, (f, p)))[1]
+            if p not in carried and (row, last_row.get(p)) in near:
+                carried[p] = row, g
+        taken = {row for row, _ in carried.values()}
+        left = sorted((i, j, g, p) for i, j, g, p in pairs_here if i not in taken and p not in carried)
+        # Leftover gate pairs that form a matching are the answer (see the module notes).
+        if len({i for i, _, _, _ in left}) == len(left) == len({j for _, j, _, _ in left}):
+            new = [(g, p) for _, _, g, p in left]
+        else:
+            left_g = [(row, g) for row, g, _, _ in rows_g if row not in taken]
+            left_p = [(row, p) for row, p in rows_p if p not in carried]
+            cost = [[math.dist(gt.pos[i], pred.pos[j]) / unit for j, _ in left_p] for i, _ in left_g]
+            cost = [[d if d <= gate else gate * 1e6 for d in costs] for costs in cost]
+            rows, cols = (x.tolist() for x in linear_sum_assignment(cost))
+            new = [(left_g[a][1], left_p[c][1]) for a, c in zip(rows, cols) if cost[a][c] <= gate]
+        for g, p in [(g, p) for p, (_, g) in carried.items()] + new:
+            last[g] = frame, p
+            matches += g, p, frame
+    matched = np.concatenate((matched, np.array(matches, dtype=np.int64).reshape(-1, 3).T), axis=1)
+    # By truth track, then frame; lexsort is stable, so a frame's matches keep their order.
+    return matched[:2, np.lexsort(matched[2::-2])]
 
 
 def clear_scores(
@@ -260,43 +292,7 @@ def clear_scores(
         g_seq, p_seq = g_owner[in_time], partner[in_time]
         g_seq, p_seq = g_seq[p_seq >= 0], p_seq[p_seq >= 0]
     else:
-        pair_frames = gt.frames[gi]
-        settled = ~np.isin(pair_frames, unsettled)
-        # Matches as (truth track, predicted track, frame), each frame's in its order.
-        match_g, match_p, match_f = [g_owner[gi[settled]]], [p_owner[pj[settled]]], [pair_frames[settled]]
-        unit = _unit(cfg.max_dist)
-        gate = cfg.max_dist / unit
-        # Rows sorted by frame, stably: within a frame by track, as a table keeps its tracks in order.
-        g_order, p_order = (np.argsort(t.frames, kind="stable") for t in (gt, pred))
-        g_frames, p_frames = gt.frames[g_order], pred.frames[p_order]
-        by_frame = np.argsort(match_f[0], kind="stable")
-        s_g, s_p = match_g[0][by_frame], match_p[0][by_frame]
-        s_ends = np.searchsorted(match_f[0][by_frame], unsettled).tolist()
-        u_pairs = np.flatnonzero(~settled)
-        u_pairs = u_pairs[np.argsort(pair_frames[u_pairs], kind="stable")]
-        u_cost = _dists(gt.pos[gi[u_pairs]], pred.pos[pj[u_pairs]]) / unit
-        g_rank, p_rank = np.argsort(g_order), np.argsort(p_order)
-        last_match = np.full(len(gt), -1)
-        s_done = 0
-        spans = (_spans(f, unsettled) for f in (g_frames, p_frames, pair_frames[u_pairs]))
-        for frame, s_end, (ga, gb), (pa, pb), (ua, ub) in zip(unsettled.tolist(), s_ends, *spans):
-            # The settled frames since the last unsettled one took their pairs.
-            _keep_last(last_match, s_g[s_done:s_end], s_p[s_done:s_end])
-            s_done = s_end
-            if ga == gb or pa == pb:
-                continue
-            here = u_pairs[ua:ub]
-            cost = np.full((gb - ga, pb - pa), gate * 1e6)
-            cost[g_rank[gi[here]] - ga, p_rank[pj[here]] - pa] = u_cost[ua:ub]
-            g, p = _match_frame(g_owner[g_order[ga:gb]], p_owner[p_order[pa:pb]], cost, gate, last_match)
-            match_g.append(g)
-            match_p.append(p)
-            match_f.append(np.full(len(g), frame))
-        g, p, f = map(np.concatenate, (match_g, match_p, match_f))
-        # Each truth track's matches in time order; lexsort is stable, so a
-        # frame's matches keep their order.
-        order = np.lexsort((f, g))
-        g_seq, p_seq = g[order], p[order]
+        g_seq, p_seq = _match_by_frame(gt, pred, g_owner, p_owner, gi, pj, unsettled, cfg.max_dist)
     switches = int(np.count_nonzero((g_seq[1:] == g_seq[:-1]) & (p_seq[1:] != p_seq[:-1])))
     tp = len(g_seq)
     fp, fn = total_pred - tp, total_gt - tp

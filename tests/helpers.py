@@ -46,6 +46,22 @@ def bench_scenes():
     return module
 
 
+def workload_argv(workload: str, s, work: Path) -> list[list[str]]:
+    """The CLI commands of a solver workload of `perfbench` on its scene `s`, as
+    `perfbench/workload.py` runs them; the output tracks go to work/<scene>.out."""
+    batch = ["--batch-start", str(s.batch[0]), "--batch-end", str(s.batch[1])]
+    out = str(work / f"{s.name}.out")
+    if workload == "track-noisy":
+        return [["track", "--tracks", str(s.files["broken"]), "--patterns", str(s.files["patterns"]),
+                 "--out", out, *batch]]
+    if workload == "supervised-dense":
+        learned = str(work / "learned.txt")
+        return [["learn-patterns", "--tracks", str(s.files["gt"]), "--out", learned, *batch],
+                ["track", "--tracks", str(s.files["broken"]), "--patterns", learned, "--out", out, *batch]]
+    return [["unsupervised", "--tracks", str(s.files["broken"]), "--out", out,
+             "--patterns-out", str(work / "learned.txt"), "--widths", "1.0", "--stop-patterns", "2", *batch]]
+
+
 def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """`python *args` in a fresh interpreter that imports this checkout's `ptrack`,
     with no time budget set; its output is captured as text."""

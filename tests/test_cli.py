@@ -456,9 +456,9 @@ class TestEval:
     def test_crowd_scores_in_closed_form(self, tmp_path, capsys, monkeypatch):
         gt, pred, hom, idf1, mota = crowd_files(tmp_path)
         frames_one_by_one = []
-        match_frame = metrics._match_frame
+        match_by_frame = metrics._match_by_frame
         monkeypatch.setattr(
-            metrics, "_match_frame", lambda *a: frames_one_by_one.append(a) or match_frame(*a)
+            metrics, "_match_by_frame", lambda *a: frames_one_by_one.append(a) or match_by_frame(*a)
         )
         argv = ["eval", "--gt", str(gt), "--pred", str(pred), "--homography", str(hom),
                 "--match-dist", "0.01"]

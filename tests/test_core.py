@@ -346,6 +346,23 @@ class TestTrajectory:
         with pytest.raises(IndexError):
             ts[3]
 
+    def test_a_subset_equals_the_checked_construction(self, monkeypatch):
+        # Subsets of a checked set are built from its arrays without the
+        # constructor's checks, and come out as the checked set of their ids.
+        ts = TrajectorySet.from_nodes([(1, 2, 3), (5,), (4, 6), (8, 7)])
+        keys = [1, -1, [2, 0, 2], np.array([True, False, True, True]),
+                slice(1, None), slice(None, 0), slice(None, None, -2)]
+        checks = []
+        post_init = TrajectorySet.__post_init__
+        monkeypatch.setattr(TrajectorySet, "__post_init__", lambda t: checks.append(t) or post_init(t))
+        subsets = [ts[key] for key in keys]
+        assert checks == []
+        for key, subset in zip(keys, subsets):
+            picked = np.atleast_1d(np.arange(len(ts))[key]).tolist()
+            assert subset == TrajectorySet.from_nodes([ts.nodes[k] for k in picked])
+            for array in (subset.rows, subset.starts):
+                assert array.dtype == np.int64 and not array.flags.writeable
+
     def test_sets_compare_and_hash_by_both_arrays(self):
         a = TrajectorySet.from_nodes([(1, 2), (3,)])
         assert a == TrajectorySet(np.array([0, 1, 2]), np.array([0, 2, 3]))

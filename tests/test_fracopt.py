@@ -1,7 +1,10 @@
 """Exact 0/1 linear-fractional solver: the argmax oracle and the Dinkelbach search."""
+import itertools
 import math
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ptrack.fracopt import (
     maximize_ratio,
 )
 
-from helpers import bench_scenes, rows_model
+from helpers import bench_scenes, rows_model, workload_argv
 from oracles import brute_force_argmax_value, brute_force_best_ratio, brute_force_feasible, satisfies
 
 
@@ -284,6 +287,91 @@ class TestTieBreak:
         monkeypatch.setattr(HighsOracle, "_minimize", lambda self, *a: runs.append(a) or real(self, *a))
         feasible(m, 1.0)
         assert len(runs) == 1
+
+
+class TestForcedTieBreak:
+    """The tie-break run is skipped where the LP's optimal face is its vertex alone."""
+
+    def test_least_tiebreak_among_the_optimal_points(self, monkeypatch):
+        # One `== 1` row per group of variables: every LP vertex is a 0/1
+        # point, and the optimal face is the product of each group's best.
+        # Small integer terms make ties common, so the tie run happens on
+        # some models and is skipped on others.
+        rng = np.random.default_rng(53)
+        runs, steps = [], []
+        real_minimize, real_feasible = HighsOracle._minimize, fracopt.feasible
+        monkeypatch.setattr(HighsOracle, "_minimize", lambda self, *a: runs.append(a) or real_minimize(self, *a))
+        monkeypatch.setattr(fracopt, "feasible", lambda *a: steps.append(a) or real_feasible(*a))
+        skipped = tied = 0
+        for _ in range(60):
+            sizes = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+            bounds = np.cumsum([0, *sizes]).tolist()
+            n = bounds[-1]
+            rows = [con(range(a, b), [1.0] * (b - a), "==", 1.0) for a, b in zip(bounds, bounds[1:])]
+            numer, denom = rng.integers(0, 4, n).astype(float), rng.integers(1, 4, n).astype(float)
+            tiebreak = rng.random(n)
+            m = rows_model(n, rows, numer, denom)
+            m = fracopt.SolverModel(n, m.indptr, m.indices, m.coeffs, m.senses, m.rhs, numer, denom, tiebreak)
+            points = []
+            for picks in itertools.product(*(range(a, b) for a, b in zip(bounds, bounds[1:]))):
+                x = np.zeros(n, dtype=int)
+                x[list(picks)] = 1
+                points.append((Fraction(int(numer @ x), int(denom @ x)), -float(tiebreak @ x), tuple(x.tolist())))
+            runs.clear()
+            steps.clear()
+            assert maximize_ratio(m).witness == max(points)[2]
+            skipped += len(runs) == len(steps)
+            tied += len(runs) == len(steps) + 1
+        assert skipped + tied == 60 and skipped > 10 and tied > 10
+
+    @pytest.mark.parametrize(
+        "senses, basic, runs",
+        [
+            (("<=", "==", "=="), [0, 1, -1], 1),  # the inequality row is basic
+            (("==", "==", "<="), [0, 1, -1], 2),  # an inequality row is at its bound
+            (("==", "==", "=="), [0, 1, -2], 1),
+            (("==", "==", "=="), [0, -2, -3], 2),  # a loose column is at its bound
+            (("==", "==", "=="), None, 2),  # the basis is not read, as HiGHS reports an error
+        ],
+    )
+    def test_the_skip_reads_the_basis(self, monkeypatch, senses, basic, runs):
+        # The point (1, 1) alone satisfies the rows, and every point ties at
+        # ratio 1, so every column is loose; a stand-in handle reports the
+        # basis: column j as j, row r as -1 - r.
+        class Handle:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def getBasicVariables(self):
+                if basic is None:
+                    return fracopt._highs.HighsStatus.kError, np.array([0, 1, -2], dtype=np.int32)
+                return fracopt._highs.HighsStatus.kOk, np.array(basic, dtype=np.int32)
+
+        rows = (con([0, 1], [1.0, 1.0], senses[0], 2.0), con([0], [1.0], senses[1], 1.0),
+                con([1], [1.0], senses[2], 1.0))
+        m = rows_model(2, rows, (1.0, 1.0), (1.0, 1.0))
+        m = fracopt.SolverModel(2, m.indptr, m.indices, m.coeffs, m.senses, m.rhs, m.numer, m.denom, (1.0, 1.0))
+        oracle = m.oracle()
+        oracle.highs = Handle(oracle.highs)
+        made = []
+        real = HighsOracle._minimize
+        monkeypatch.setattr(HighsOracle, "_minimize", lambda self, *a: made.append(a) or real(self, *a))
+        assert feasible(m, 1.0, None, oracle) == Argmax((1, 1), 0.0)
+        assert len(made) == runs
+
+    def test_track_noisy_links_run_two_steps_and_no_tie_run(self, monkeypatch, tmp_path, capsys):
+        from ptrack.cli import cli
+
+        runs = []
+        real = HighsOracle._minimize
+        monkeypatch.setattr(HighsOracle, "_minimize", lambda self, *a: runs.append(self) or real(self, *a))
+        for s in bench_scenes().track_noisy(0, tmp_path):
+            for argv in workload_argv("track-noisy", s, tmp_path):
+                assert cli(argv) == 0
+        assert sorted(Counter(map(id, runs)).values()) == [2, 2]
 
 
 def bench_steps(monkeypatch, tmp_path, workload, command):

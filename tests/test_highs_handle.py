@@ -19,7 +19,8 @@ import scipy
 
 USED = (
     "passModel", "changeColsCost", "changeColsIntegrality", "changeColsBounds", "run",
-    "getSolution", "getModelStatus", "setOptionValue", "addRow", "deleteRows", "modelStatusToString",
+    "getSolution", "getBasicVariables", "getModelStatus", "setOptionValue", "addRow", "deleteRows",
+    "modelStatusToString",
 )
 
 
@@ -32,7 +33,7 @@ def test_the_private_highs_handle_has_every_method_used():
     assert handle is not None, f"scipy {scipy.__version__} has no scipy.optimize._highspy._core._Highs"
     missing = [name for name in USED if not hasattr(handle, name)]
     assert not missing, f"scipy {scipy.__version__}: _Highs lacks {missing}"
-    for name in ("MatrixFormat", "ObjSense", "HighsModelStatus", "HighsVarType", "kHighsInf"):
+    for name in ("MatrixFormat", "ObjSense", "HighsModelStatus", "HighsStatus", "HighsVarType", "kHighsInf"):
         assert hasattr(core, name), f"scipy {scipy.__version__}: _highspy._core lacks {name}"
 
 

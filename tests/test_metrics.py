@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 import ptrack.core
 import ptrack.metrics
 from ptrack import Detection, TrackTable
+from ptrack.cli import cli
 from ptrack.core import _gate_pairs
 from ptrack.metrics import (
     METRIC_COLUMNS,
@@ -22,7 +23,9 @@ from ptrack.metrics import (
     summarize,
     track_coverage,
 )
+from ptrack.tracksio import read_track_table
 
+from helpers import bench_scenes, workload_argv
 from oracles import idf1_by_enumeration
 from reference_metrics import reference_gate_pairs
 
@@ -167,21 +170,24 @@ def overlap_counts(gt: TrackTable, pred: TrackTable, max_dist):
 
 
 def assert_exact_leftover_costs(gt: TrackTable, pred: TrackTable, max_dist):
-    """Each frame that `clear_scores` matches one by one gets the exact `math.dist` costs.
+    """Each leftover that `clear_scores` assigns gets the exact `math.dist` costs.
 
-    The cost of the frame's rows (truth by predicted, in table order) is
-    their distance in `_unit`s inside the gate and a million gates outside.
+    The leftovers are the frame loop's, in its order: truth by predicted
+    rows, in table order, their distance in `_unit`s inside the gate and a
+    million gates outside.  A leftover whose in-gate pairs already form a
+    matching runs no assignment.
     """
-    with mock.patch.object(ptrack.metrics, "_match_frame", wraps=ptrack.metrics._match_frame) as spy:
+    with mock.patch.object(ptrack.metrics, "linear_sum_assignment", wraps=linear_sum_assignment) as got:
         clear_scores(gt, pred, MatchConfig(max_dist))
+    with mock.patch(f"{__name__}.linear_sum_assignment", wraps=linear_sum_assignment) as loop:
+        clear_by_frame_loop(gt.tracks(), pred.tracks(), max_dist)
     unit = _unit(max_dist)
     want = []
-    for frame in sorted(unsettled_frames(gt.tracks(), pred.tracks(), max_dist)):
-        g_pos, p_pos = gt.pos[gt.frames == frame], pred.pos[pred.frames == frame]
-        if len(g_pos) and len(p_pos):
-            dist = [[math.dist(g, p) for p in p_pos] for g in g_pos]
-            want.append([[d / unit if d <= max_dist else max_dist / unit * 1e6 for d in row] for row in dist])
-    assert [call.args[2].tolist() for call in spy.call_args_list] == want
+    for call in loop.call_args_list:
+        inside = call.args[0] <= max_dist
+        if (inside.sum(axis=0) > 1).any() or (inside.sum(axis=1) > 1).any():
+            want.append(np.where(inside, call.args[0] / unit, max_dist / unit * 1e6).tolist())
+    assert [np.asarray(call.args[0]).tolist() for call in got.call_args_list] == want
 
 
 class TestOverlapCounts:
@@ -659,6 +665,101 @@ class TestSettledFrames:
             assert 0 < len(unsettled_frames(gt, pred, gate)) < 200
             TestClearAgainstFrameLoop().assert_same(gt, pred, gate)
             assert idf1(gt, pred, MatchConfig(gate)).idtp == idtp_by_padded_matrix(gt, pred, gate)
+
+
+def count_assignments(monkeypatch) -> list:
+    """The argument tuples of every `linear_sum_assignment` call that `ptrack.metrics` makes from now on."""
+    calls = []
+    assign = ptrack.metrics.linear_sum_assignment
+    monkeypatch.setattr(ptrack.metrics, "linear_sum_assignment", lambda *a, **kw: calls.append(a) or assign(*a, **kw))
+    return calls
+
+
+class TestCarryOver:
+    """Crowded frames whose leftover, after the carry-over, does or does not form a matching."""
+
+    def assert_same(self, gt, pred, max_dist, monkeypatch, assignments):
+        calls = count_assignments(monkeypatch)
+        rep = TestClearAgainstFrameLoop().assert_same(gt, pred, max_dist)
+        assert len(calls) == 2 * assignments  # from lists and from tables
+        return rep
+
+    def test_a_crossing_resolved_by_carry_over_runs_no_assignment(self, monkeypatch):
+        # Two walkers cross at frame 4; from frame 3 to 5 each truth row is
+        # inside the gate of both predicted rows, and each keeps its own.
+        gt = [[det(f, 0.5 * f) for f in range(9)], [det(f, 4.0 - 0.5 * f) for f in range(9)]]
+        pred = [[det(d.frame, d.pos[0], 0.1) for d in t] for t in gt]
+        assert unsettled_frames(gt, pred, 1.5) == {3, 4, 5}
+        rep = self.assert_same(gt, pred, 1.5, monkeypatch, 0)
+        assert (rep.tp, rep.id_switches) == (18, 0)
+
+    def test_a_carried_pair_leaves_a_matching(self, monkeypatch):
+        # At frame 2 truth 0 is inside the gate of both predicted rows; it
+        # carries predicted track 0 over, and truth 1 and predicted track 1
+        # are left, one pair.
+        gt = [[det(1, 0.0), det(2, 0.0)], [det(2, 1.0)]]
+        pred = [[det(1, 0.0), det(2, 0.0)], [det(2, 1.2)]]
+        assert unsettled_frames(gt, pred, 1.5) == {2}
+        rep = self.assert_same(gt, pred, 1.5, monkeypatch, 0)
+        assert (rep.tp, rep.id_switches) == (3, 0)
+
+    def test_a_truth_track_twice_in_a_frame_matches_in_row_order(self, monkeypatch):
+        # At frame 1 the truth track's rows each have one partner, a matching
+        # taken in row order: predicted track 0, then 1, which the track
+        # carries over to frame 2; one switch.  The first row lies to the
+        # right of the second, so the gate pairs come in the other order.
+        gt = [[det(1, 5.0), det(1, 0.0), det(2, 0.0)]]
+        pred = [[det(1, 5.1)], [det(1, 0.1), det(2, 0.1)]]
+        rep = self.assert_same(gt, pred, 1.0, monkeypatch, 0)
+        assert (rep.tp, rep.id_switches) == (3, 1)
+
+    def test_a_truth_track_twice_in_a_frame_leaves_two_rows_on_one_partner(self, monkeypatch):
+        # At frame 2 truth 0's first row carries predicted track 0 over; its
+        # second row and truth 1 are both inside the gate of predicted track 1.
+        gt = [[det(1, 0.0), det(2, 0.0), det(2, 0.3)], [det(2, 0.6)]]
+        pred = [[det(1, 0.0), det(2, 0.1)], [det(2, 0.45)], [det(2, 5.0)]]
+        rep = self.assert_same(gt, pred, 1.0, monkeypatch, 1)
+        assert rep.tp == 3
+
+    def test_a_partner_lost_leaves_two_rows_on_one_partner(self, monkeypatch):
+        # At frame 2 truth 0's partner has stepped out of its gate, and truth
+        # 1, new, is inside the gate of both predicted rows: the assignment
+        # gives truth 0 predicted track 1, a switch, and truth 1 track 0.
+        gt = [[det(1, 0.0), det(2, 0.0)], [det(2, 1.0)]]
+        pred = [[det(1, 0.0), det(2, 2.0)], [det(2, 0.5)]]
+        rep = self.assert_same(gt, pred, 1.5, monkeypatch, 1)
+        assert (rep.tp, rep.id_switches, rep.gt_matched_frames) == (3, 1, (2, 1))
+
+
+def bench_evals(workload: str, seed: int, work) -> dict:
+    """The eval inputs of a solver workload of the benchmark, by scene name: its
+    truth and its repaired tracks, as `eval` reads them."""
+    evals = {}
+    for s in bench_scenes().BUILDERS[workload](seed, work):
+        for argv in workload_argv(workload, s, work):
+            assert cli(argv) == 0
+        evals[s.name] = read_track_table(s.files["gt"]), read_track_table(work / f"{s.name}.out")
+    return evals
+
+
+class TestBenchEvals:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("workload", ["track-noisy", "supervised-dense", "unsupervised-two-flows"])
+    def test_clear_scores_match_the_frame_loop(self, workload, seed, tmp_path, capsys):
+        for gt, pred in bench_evals(workload, seed, tmp_path).values():
+            gt_lists, pred_lists = gt.tracks(), pred.tracks()
+            assert unsettled_frames(gt_lists, pred_lists, 3.0)
+            assert clear_scores(gt, pred) == TestClearAgainstFrameLoop().assert_same(gt_lists, pred_lists, 3.0)
+
+    def test_track_noisy_evals_run_no_assignment(self, tmp_path, monkeypatch, capsys):
+        # Every crowded frame of both scenes is resolved by the carry-over.
+        evals = bench_evals("track-noisy", 0, tmp_path)
+        calls = count_assignments(monkeypatch)
+        for name, unsettled in (("noisy3", 5), ("noisy4", 12)):
+            gt, pred = evals[name]
+            assert len(unsettled_frames(gt.tracks(), pred.tracks(), 3.0)) == unsettled
+            clear_scores(gt, pred)
+        assert calls == []
 
 
 def swapped_lanes(rng, n_tracks, n_frames):

@@ -31,7 +31,7 @@ from ptrack.miner import CandidateSet
 from ptrack.synth import Fragment, Swap
 from ptrack.tracksio import read_tracks
 
-from helpers import bench_scenes, loose_graph, rows_model
+from helpers import bench_scenes, loose_graph, rows_model, workload_argv
 from reference_model import FormerModel, former_link_model, former_mine_model
 
 
@@ -84,20 +84,6 @@ def recorded_models(monkeypatch):
     monkeypatch.setattr(miner, "score_matrix", matrix)
     monkeypatch.setattr(miner, "build_mine_model", mine_model)
     return pairs
-
-
-def workload_argv(workload, s, work):
-    batch = ["--batch-start", str(s.batch[0]), "--batch-end", str(s.batch[1])]
-    out = str(work / f"{s.name}.out")
-    if workload == "track-noisy":
-        return [["track", "--tracks", str(s.files["broken"]), "--patterns", str(s.files["patterns"]),
-                 "--out", out, *batch]]
-    if workload == "supervised-dense":
-        learned = str(work / "learned.txt")
-        return [["learn-patterns", "--tracks", str(s.files["gt"]), "--out", learned, *batch],
-                ["track", "--tracks", str(s.files["broken"]), "--patterns", learned, "--out", out, *batch]]
-    return [["unsupervised", "--tracks", str(s.files["broken"]), "--out", out,
-             "--patterns-out", str(work / "learned.txt"), "--widths", "1.0", "--stop-patterns", "2", *batch]]
 
 
 class TestBenchmarkScenes:
